@@ -11,6 +11,15 @@ implementation would ship the compact recipe; message *counts* — what
 Figures 10–11 measure — are identical either way, and the child's resulting
 plan is exactly the paper's
 ``Div(Esq(pkt_j[m_j>, h), H_j+1, CP_i)``.
+
+Computed once.  In the paper the parent and each of its ``H_j`` children
+run that derivation separately, on separate hosts.  In the simulation they
+all hold the *same* immutable basis object and ``Esq`` is a pure function
+of ``(basis, h)``, so the first to need it computes it and the rest read
+the result (:func:`repro.fec.shared_enhance`): one ``Esq`` per handoff
+instead of ``H_j + 1``, each peer then slicing out its own ``Div`` part.
+That is host work only — no message, timer or model quantity depends on
+how often a pure function is evaluated.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, FrozenSet, Optional
 
-from repro.fec import divide, enhance
+from repro.fec import divide, shared_enhance
 from repro.media.sequence import PacketSequence
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -90,8 +99,9 @@ class Assignment:
     def build_plan(self) -> PacketSequence:
         if self.explicit is not None:
             return self.explicit
-        seq = self.basis if self.interval == 0 else enhance(self.basis, self.interval)
-        return divide(seq, self.n_parts, self.index)
+        return divide(
+            shared_enhance(self.basis, self.interval), self.n_parts, self.index
+        )
 
 
 @dataclass(slots=True)

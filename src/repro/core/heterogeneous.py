@@ -32,7 +32,7 @@ from repro.core.base import (
     parity_interval_for,
 )
 from repro.core.dcop import DCoP
-from repro.fec import divide_all, enhance
+from repro.fec import divide_all, shared_enhance
 from repro.media.sequence import PacketSequence
 from repro.media.timeslot import allocate_packets
 
@@ -83,7 +83,7 @@ class HeterogeneousScheduleCoordination(CoordinationProtocol):
 
         interval = parity_interval_for(cfg.H, cfg.fault_margin)
         basis = session.content.packet_sequence()
-        enhanced = basis if interval == 0 else enhance(basis, interval)
+        enhanced = shared_enhance(basis, interval)
 
         plans = self._build_plans(enhanced)
 
@@ -170,7 +170,7 @@ class HeteroDCoP(DCoP):
         view = frozenset(selected) if cfg.request_carries_view else frozenset()
         interval = parity_interval_for(m, cfg.fault_margin)
         basis = session.content.packet_sequence()
-        enhanced = basis if interval == 0 else enhance(basis, interval)
+        enhanced = shared_enhance(basis, interval)
         weights = [self.capacity_of(pid) for pid in selected]
         alloc = allocate_packets(weights, len(enhanced))
         buckets: list[list] = [[] for _ in selected]

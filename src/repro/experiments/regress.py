@@ -400,11 +400,14 @@ def compare_dirs(
     :func:`compare_audit_reports`.  Baseline artifacts with no fresh
     counterpart regress (a vanished bench is a silent coverage loss);
     fresh-only artifacts are informational.  ``gate_scalars`` applies to
-    every bench comparison (keys absent from a bench are simply unused).
+    every bench comparison; a gated key that no compared baseline bench
+    contains regresses, because a gate with nothing to compare against
+    passes whatever the fresh run did.
     """
     base_dir = Path(baseline_dir)
     new_dir = Path(fresh_dir)
     report = RegressReport()
+    ungated = set(gate_scalars or ())
     base_files = {p.name: p for p in sorted(base_dir.glob("*.json"))}
     fresh_files = {p.name: p for p in sorted(new_dir.glob("*.json"))}
     if not base_files:
@@ -445,6 +448,16 @@ def compare_dirs(
                     gate_scalars=gate_scalars,
                 )
             )
+            for test in base_payload.get("tests", {}).values():
+                ungated.difference_update(test.get("scalars", {}))
+    for key in sorted(ungated):
+        report.entries.append(
+            Regression(
+                str(base_dir), "gated_scalar",
+                f"{key} is gated but no compared baseline artifact has it: "
+                "the gate checks nothing",
+            )
+        )
     for name in sorted(set(fresh_files) - set(base_files)):
         report.entries.append(
             Regression(

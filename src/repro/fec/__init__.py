@@ -12,7 +12,9 @@ leaf.
 
 Functions map one-to-one onto the paper's procedures:
 
-* :func:`enhance` — ``Esq(pkt, h)``;
+* :func:`enhance` — ``Esq(pkt, h)``; :func:`shared_enhance` is the same
+  value computed once per basis object, read by the parent and every
+  child of a handoff;
 * :func:`divide` — ``Div(pkt, H, i)``;
 * :class:`ParityDecoder` — leaf-side recovery by XOR constraint propagation.
 
@@ -24,7 +26,7 @@ round-robin division spread each segment's packets over distinct peers.
 """
 
 from repro.fec.xor import xor_payloads
-from repro.fec.enhance import enhance, recovery_segments
+from repro.fec.enhance import enhance, recovery_segments, shared_enhance
 from repro.fec.divide import divide, divide_all
 from repro.fec.decoder import ParityDecoder
 
@@ -34,5 +36,6 @@ __all__ = [
     "divide_all",
     "enhance",
     "recovery_segments",
+    "shared_enhance",
     "xor_payloads",
 ]

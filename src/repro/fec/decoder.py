@@ -6,6 +6,13 @@ recovered; recovered parity payloads can in turn unlock deeper constraints
 (nested labels from repeated enhancement).  The decoder runs this to a
 fixpoint incrementally as packets arrive, so recovery latency can be
 measured per packet.
+
+Each open constraint keeps the set of covered labels still missing, and a
+``label → waiting constraints`` index names the constraints a label can
+advance, so an arrival touches only the parities that cover it.  The
+fixpoint is the closure of "a constraint with one member missing yields
+that member"; the closure does not depend on the order constraints are
+visited in.
 """
 
 from __future__ import annotations
@@ -49,8 +56,16 @@ class ParityDecoder:
         self._prefix = 0
         #: labels recovered (never directly received)
         self.recovered: set[Label] = set()
-        #: parity constraints not yet fully satisfied: label -> covers
-        self._constraints: dict[Label, tuple[Label, ...]] = {}
+        #: open parity constraints: held parity label -> the covered
+        #: labels still missing (always two or more: one missing member is
+        #: recovered on the spot, none closes the constraint)
+        self._constraints: dict[Label, set[Label]] = {}
+        #: missing label -> the constraints that were open on it when they
+        #: were registered (entries of since-closed constraints are skipped)
+        self._waiting: dict[Label, list[Label]] = {}
+        #: constraints looked at so far; the work a decoder has done,
+        #: independent of the host's speed
+        self.constraint_visits = 0
         #: count of packets delivered to the decoder (incl. duplicates)
         self.received_count = 0
         self.duplicate_count = 0
@@ -78,15 +93,60 @@ class ParityDecoder:
             return set()
         self._have[packet.label] = packet.payload
         newly: set[int] = set()
-        if isinstance(packet.label, int):
-            self._data_held.add(packet.label)
-            newly.add(packet.label)
-        self.recovered.discard(packet.label)
-        if packet.is_parity:
-            self._constraints[packet.label] = packet.covers
-        newly |= self._propagate()
+        # labels that just became held, whose consequences are still to
+        # be drawn; recoveries push more
+        settled = [packet.label]
+        while settled:
+            label = settled.pop()
+            if isinstance(label, int):
+                self._data_held.add(label)
+                newly.add(label)
+            else:
+                # a held parity label — arrived, or recovered and thereby
+                # re-armed — is a constraint over what it covers
+                self._open(label, settled)
+            for parity_label in self._waiting.pop(label, ()):
+                missing = self._constraints.get(parity_label)
+                if missing is None:
+                    continue  # closed since
+                self.constraint_visits += 1
+                missing.discard(label)
+                if len(missing) == 1:
+                    self._recover(parity_label, missing.pop(), settled)
         self._advance_prefix()
         return newly
+
+    def _open(self, parity_label: Label, settled: list) -> None:
+        """Register the constraint of a held parity label."""
+        self.constraint_visits += 1
+        have = self._have
+        missing = {c for c in parity_covers(parity_label) if c not in have}
+        if len(missing) > 1:
+            self._constraints[parity_label] = missing
+            waiting = self._waiting
+            for c in missing:
+                waiting.setdefault(c, []).append(parity_label)
+        elif missing:
+            self._recover(parity_label, missing.pop(), settled)
+
+    def _recover(self, parity_label: Label, target: Label, settled: list) -> None:
+        """``target`` is the one member ``parity_label`` still lacked."""
+        have = self._have
+        self._constraints.pop(parity_label, None)
+        if target in have:
+            # recovered through another constraint earlier in this add
+            return
+        parity_payload = have[parity_label]
+        present = [have[c] for c in parity_covers(parity_label) if c in have]
+        if parity_payload is not None and all(p is not None for p in present):
+            payload: Optional[bytes] = xor_recover(
+                parity_payload, present  # type: ignore[arg-type]
+            )
+        else:
+            payload = None
+        have[target] = payload
+        self.recovered.add(target)
+        settled.append(target)
 
     def _advance_prefix(self) -> None:
         while (self._prefix + 1) in self._data_held:
@@ -97,46 +157,19 @@ class ParityDecoder:
         """Largest ``m`` with data packets 1..m all held (0 if none)."""
         return self._prefix
 
-    def _propagate(self) -> set[int]:
-        """Run XOR recovery to a fixpoint; returns newly-held data seqs."""
-        newly: set[int] = set()
-        progress = True
-        while progress:
-            progress = False
-            for parity_label, covers in list(self._constraints.items()):
-                missing = [c for c in covers if c not in self._have]
-                if not missing:
-                    del self._constraints[parity_label]
-                    continue
-                if len(missing) == 1:
-                    target = missing[0]
-                    parity_payload = self._have[parity_label]
-                    present = [self._have[c] for c in covers if c in self._have]
-                    if parity_payload is not None and all(
-                        p is not None for p in present
-                    ):
-                        payload: Optional[bytes] = xor_recover(
-                            parity_payload, present  # type: ignore[arg-type]
-                        )
-                    else:
-                        payload = None
-                    self._have[target] = payload
-                    self.recovered.add(target)
-                    if isinstance(target, int):
-                        self._data_held.add(target)
-                        newly.add(target)
-                    else:
-                        # a recovered parity label re-arms its constraint
-                        self._constraints.setdefault(
-                            target, parity_covers(target)
-                        )
-                    del self._constraints[parity_label]
-                    progress = True
-        return newly
-
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
+    def unresolved(self) -> dict[Label, tuple[Label, ...]]:
+        """Held parity label → the members it covers that are still missing
+        (in covers order), for every constraint beyond single-loss recovery."""
+        return {
+            parity_label: tuple(
+                c for c in parity_covers(parity_label) if c in missing
+            )
+            for parity_label, missing in self._constraints.items()
+        }
+
     def has(self, label: Label) -> bool:
         """Do we hold this label (received or recovered)?"""
         return label in self._have

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 from repro.media.sequence import PacketSequence
 
+#: every empty part is this one sequence: a late handoff splits a short
+#: postfix ``H + 1`` ways and most parts have nothing in them
+_EMPTY = PacketSequence()
+
 
 def divide(seq: PacketSequence, n_parts: int, index: int) -> PacketSequence:
     """Subsequence ``index`` (0-based) of the round-robin split of ``seq``.
@@ -16,16 +20,15 @@ def divide(seq: PacketSequence, n_parts: int, index: int) -> PacketSequence:
         raise ValueError(f"n_parts must be >= 1, got {n_parts}")
     if not 0 <= index < n_parts:
         raise ValueError(f"index {index} outside 0..{n_parts - 1}")
-    return PacketSequence(
-        p for j, p in enumerate(seq) if j % n_parts == index
-    )
+    if n_parts == 1:
+        return seq  # sequences are immutable: the whole is its only part
+    if index >= len(seq):
+        return _EMPTY
+    return PacketSequence(seq[index::n_parts])
 
 
 def divide_all(seq: PacketSequence, n_parts: int) -> list[PacketSequence]:
     """All ``n_parts`` round-robin subsequences, a partition of ``seq``."""
     if n_parts < 1:
         raise ValueError(f"n_parts must be >= 1, got {n_parts}")
-    buckets: list[list] = [[] for _ in range(n_parts)]
-    for j, p in enumerate(seq):
-        buckets[j % n_parts].append(p)
-    return [PacketSequence(b) for b in buckets]
+    return [divide(seq, n_parts, i) for i in range(n_parts)]

@@ -60,3 +60,17 @@ def enhance(seq: PacketSequence, h: int) -> PacketSequence:
         block.insert(offset, parity)
         out.extend(block)
     return PacketSequence(out)
+
+
+def shared_enhance(basis: PacketSequence, h: int) -> PacketSequence:
+    """``Esq(basis, h)``, computed once for this basis object.
+
+    §3.3 has the parent and each child of a handoff derive the same
+    enhancement from the same basis; here they hold the same ``basis``
+    object, so the first to ask computes it and the rest read it (see
+    :meth:`PacketSequence.derived` for the memo's lifetime).  ``h == 0``
+    is "no parity": the basis itself.
+    """
+    if h == 0:
+        return basis
+    return basis.derived(("esq", h), lambda: enhance(basis, h))

@@ -15,15 +15,17 @@ transmission order for subsequences of one enhanced sequence.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Union
+from typing import Callable, Hashable, Iterable, Iterator, Optional, TypeVar, Union
 
 from repro.media.packet import Label, Packet, label_sort_key
+
+T = TypeVar("T")
 
 
 class PacketSequence:
     """An immutable ordered sequence of unique-labelled packets."""
 
-    __slots__ = ("_packets", "_index")
+    __slots__ = ("_packets", "_index", "_derived")
 
     def __init__(self, packets: Iterable[Packet] = ()) -> None:
         self._packets: tuple[Packet, ...] = tuple(packets)
@@ -32,6 +34,29 @@ class PacketSequence:
             if p.label in self._index:
                 raise ValueError(f"duplicate packet label {p.label!r} in sequence")
             self._index[p.label] = pos
+        #: memo of :meth:`derived`; allocated on first use
+        self._derived: Optional[dict] = None
+
+    def derived(self, key: Hashable, build: Callable[[], T]) -> T:
+        """``build()``, computed once per ``key`` for this sequence object.
+
+        The sequence is immutable, so a pure function of it (its parity
+        enhancement, say) has one value however many holders of the
+        object ask for it.  The memo hangs off the
+        sequence: it is shared by exactly the holders of this object,
+        freed with it, and left out of pickles.
+        """
+        memo = self._derived
+        if memo is None:
+            memo = self._derived = {}
+        try:
+            return memo[key]
+        except KeyError:
+            value = memo[key] = build()
+            return value
+
+    def __reduce__(self):
+        return (PacketSequence, (self._packets,))
 
     # ------------------------------------------------------------------
     # basics
@@ -42,7 +67,10 @@ class PacketSequence:
     def __iter__(self) -> Iterator[Packet]:
         return iter(self._packets)
 
-    def __getitem__(self, idx: int) -> Packet:
+    def __getitem__(
+        self, idx: Union[int, slice]
+    ) -> Union[Packet, tuple[Packet, ...]]:
+        """The packet at ``idx``; a slice gives the packets as a tuple."""
         return self._packets[idx]
 
     def __contains__(self, item: Union[Packet, Label]) -> bool:

@@ -607,18 +607,16 @@ class ParityAuditor(Auditor):
     def finish(self, session: Optional["StreamingSession"] = None) -> None:
         model = self._ensure_model()
         if model is not None:
-            for parity_label, covers in sorted(
-                model._constraints.items(), key=repr
+            for parity_label, missing in sorted(
+                model.unresolved().items(), key=repr
             ):
-                missing = [c for c in covers if not model.has(c)]
-                if len(missing) >= 2:
-                    self.warning(
-                        "parity.unrecoverable_segment",
-                        self.leaf_id,
-                        f"segment of parity {parity_label!r} lost "
-                        f"{len(missing)} members ({missing!r}) — beyond "
-                        "single-loss XOR recovery",
-                    )
+                self.warning(
+                    "parity.unrecoverable_segment",
+                    self.leaf_id,
+                    f"segment of parity {parity_label!r} lost "
+                    f"{len(missing)} members ({list(missing)!r}) — beyond "
+                    "single-loss XOR recovery",
+                )
         if session is not None:
             leaf = session.leaf
             if model is not None and model.data_seqs_held() != (

@@ -342,11 +342,7 @@ class ContentsPeerAgent:
         """Data sequence numbers still in this peer's unexhausted streams."""
         out: set[int] = set()
         for stream in self.streams:
-            if stream.exhausted:
-                continue
-            for pkt in stream.future_packets():
-                if not pkt.is_parity:
-                    out.add(pkt.label)
+            out |= stream.future_data_seqs()
         return out
 
     def _send_heartbeat(self) -> set[int]:

@@ -11,21 +11,23 @@ list + rate).  A *handoff* implements the paper's Mark/Esq/Div dance:
    ``1 + n_children`` parts;
 3. the parent keeps part 0 (as a new phase at the reduced rate) and each
    child receives an :class:`~repro.core.base.Assignment` describing its
-   part, from which it derives the identical division.
+   part of the identical division.
 
-Both sides compute the division from the same basis, so the handoff
-partitions the postfix exactly: no packet is covered twice or dropped by
-the coordination itself (losses come only from channels/faults).
+Both sides divide one enhancement of one basis object
+(:func:`repro.fec.shared_enhance`), so the handoff partitions the postfix
+exactly: no packet is covered twice or dropped by the coordination itself
+(losses come only from channels/faults).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional
 
 from repro.core.base import Assignment, parity_interval_for, rate_for
-from repro.fec import divide_all, enhance
+from repro.fec import divide, shared_enhance
 from repro.media.packet import Packet
 from repro.media.sequence import PacketSequence
 
@@ -107,6 +109,18 @@ class Stream:
             out.extend(ph.packets)
         return out
 
+    def future_data_seqs(self) -> set[int]:
+        """Data sequence numbers among the packets not yet sent."""
+        out: set[int] = set()
+        start = self._pos
+        for ph in self._phases:
+            for pkt in islice(ph.packets, start, None):
+                label = pkt.label
+                if isinstance(label, int):  # a data packet
+                    out.add(label)
+            start = 0
+        return out
+
     def pop_next(self) -> Optional[Packet]:
         """Take the next packet to transmit (None when exhausted)."""
         self._normalize()
@@ -175,16 +189,15 @@ class Stream:
         interval = parity_interval_for(n_parts, fault_margin)
         child_rate = rate_for(rate, n_parts, interval)
         basis = PacketSequence(tail)
-        if interval == 0:
-            parts = divide_all(basis, n_parts)
-        else:
-            parts = divide_all(enhance(basis, interval), n_parts)
+        # the children's assignments carry this basis object, so their
+        # build_plan() reads the enhancement computed here
+        own = divide(shared_enhance(basis, interval), n_parts, own_index)
 
         phases: list[Phase] = []
         if head:
             phases.append(Phase(head, rate))
-        if len(parts[own_index]):
-            phases.append(Phase(list(parts[own_index]), child_rate))
+        if len(own):
+            phases.append(Phase(list(own), child_rate))
         self._phases = phases
         self._pos = 0
         self.nominal_rate = child_rate
@@ -249,8 +262,7 @@ class Stream:
 
         n_parts = len(weights)
         interval = parity_interval_for(n_parts, fault_margin)
-        basis = PacketSequence(tail)
-        epkt = basis if interval == 0 else enhance(basis, interval)
+        epkt = shared_enhance(PacketSequence(tail), interval)
         alloc = allocate_packets(weights, len(epkt))
         buckets: list[list[Packet]] = [[] for _ in weights]
         for packet, part in zip(epkt, alloc):

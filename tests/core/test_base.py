@@ -4,7 +4,9 @@ import pytest
 
 from repro.core import Assignment, ProtocolConfig, parity_interval_for
 from repro.core.base import rate_for
-from repro.media import DataPacket, PacketSequence
+from repro.fec import divide, enhance, shared_enhance
+from repro.media import DataPacket, MediaContent, PacketSequence
+from repro.streaming import Stream
 
 
 def data_seq(n):
@@ -118,3 +120,97 @@ class TestProtocolConfig:
             ProtocolConfig(delta=0)
         with pytest.raises(ValueError):
             ProtocolConfig(content_packets=0)
+
+
+# ----------------------------------------------------------------------
+# one Esq per handoff, read by the parent and every child
+# ----------------------------------------------------------------------
+class TestSharedEnhancement:
+    @staticmethod
+    def _count_enhance(monkeypatch):
+        import sys
+
+        # ``repro.fec.enhance`` the attribute is the function; the module
+        # whose ``enhance`` shared_enhance calls is in sys.modules
+        enhance_module = sys.modules["repro.fec.enhance"]
+        calls = []
+
+        def counted(seq, h):
+            calls.append((seq, h))
+            return enhance(seq, h)
+
+        monkeypatch.setattr(enhance_module, "enhance", counted)
+        return calls
+
+    def test_siblings_equal_a_fresh_derivation_bytes_included(self):
+        content = MediaContent("c", 90, packet_size=8, with_payload=True)
+        stream = Stream(content.packet_sequence(), rate=1.0)
+        plan = stream.handoff(n_children=4, fault_margin=1, delta=3.0)
+        assert plan.interval == 4 and plan.n_parts == 5
+        fresh = enhance(plan.basis, plan.interval)
+        assert fresh.parity_count() > 0
+        for a in plan.assignments:
+            built = a.build_plan()
+            want = divide(fresh, plan.n_parts, a.index)
+            assert built.labels() == want.labels()
+            assert [p.payload for p in built] == [p.payload for p in want]
+            assert all(p.payload is not None for p in built)
+        # the parent's own share is part 0 of the same division
+        own = [p.label for p in stream.future_packets()][3:]
+        assert own == divide(fresh, plan.n_parts, 0).labels()
+
+    def test_one_handoff_enhances_once(self, monkeypatch):
+        calls = self._count_enhance(monkeypatch)
+        stream = Stream(data_seq(120), rate=1.0)
+        plan = stream.handoff(n_children=7, fault_margin=1, delta=2.0)
+        assert len(calls) == 1 and calls[0][0] is plan.basis
+        for a in plan.assignments:
+            a.build_plan()
+        assert len(calls) == 1
+
+    def test_no_parity_never_enhances(self, monkeypatch):
+        calls = self._count_enhance(monkeypatch)
+        a = Assignment(data_seq(10), n_parts=2, index=1, interval=0, rate=1.0)
+        assert a.build_plan().labels() == [2, 4, 6, 8, 10]
+        assert calls == []
+
+    def test_equal_but_distinct_bases_do_not_share(self, monkeypatch):
+        # the memo belongs to the basis *object*: an equal-labelled basis
+        # with other payloads must not read this one's parity bytes
+        calls = self._count_enhance(monkeypatch)
+        for seed in (0, 1):
+            basis = MediaContent(
+                "c", 12, packet_size=4, seed=seed, with_payload=True
+            ).packet_sequence()
+            a = Assignment(basis, n_parts=3, index=0, interval=2, rate=1.0)
+            want = divide(enhance(basis, 2), 3, 0)
+            assert [p.payload for p in a.build_plan()] == [
+                p.payload for p in want
+            ]
+        assert len(calls) == 2
+
+    def test_empty_parts_are_one_object_and_a_sole_part_is_the_whole(self):
+        seq = data_seq(3)
+        late = [divide(seq, 60, i) for i in range(3, 60)]
+        assert all(len(p) == 0 and p is late[0] for p in late)
+        assert divide(seq, 60, 1).labels() == [2]
+        assert divide(seq, 1, 0) is seq
+
+    def test_memo_dies_with_the_basis_and_stays_out_of_pickles(self):
+        import gc
+        import pickle
+        import weakref
+
+        basis = data_seq(20)
+        enhanced = shared_enhance(basis, 3)
+        assert shared_enhance(basis, 3) is enhanced
+        assert shared_enhance(basis, 4) is not enhanced
+        clone = pickle.loads(pickle.dumps(basis))
+        assert clone == basis and clone._derived is None
+        assert len(pickle.dumps(basis)) == len(pickle.dumps(data_seq(20)))
+
+        gone = weakref.ref(enhanced[0])  # a packet only the memo holds
+        assert gone() is not None and gone().is_parity
+        del enhanced, basis
+        gc.collect()
+        assert gone() is None

@@ -164,6 +164,32 @@ def test_compare_dirs_threads_gate_scalars(tmp_path):
     assert report.failures[0].kind == "gated_scalar"
 
 
+def test_gate_on_a_key_no_baseline_has_fails(tmp_path):
+    # the fresh run has the scalar, the baseline never recorded it: the
+    # gate would compare against nothing and pass whatever happened
+    base, fresh = tmp_path / "base", tmp_path / "fresh"
+    base.mkdir(), fresh.mkdir()
+    (base / "BENCH_demo.json").write_text(
+        json.dumps(bench(scalars={"events_per_wall_s": 1000.0}))
+    )
+    for name in ("BENCH_demo.json", "BENCH_swarm.json"):
+        (fresh / name).write_text(
+            json.dumps(bench(scalars={
+                "events_per_wall_s": 1000.0, "swarm_receipt_on_worst": 0.1,
+            }))
+        )
+    gates = {"events_per_wall_s": 0.25, "swarm_receipt_on_worst": 0.05}
+    report = compare_dirs(base, fresh, gate_scalars=gates)
+    assert [f.kind for f in report.failures] == ["gated_scalar"]
+    assert "swarm_receipt_on_worst" in report.failures[0].detail
+    assert "checks nothing" in report.failures[0].detail
+    # once a baseline carries the key the same gate compares and passes
+    (base / "BENCH_swarm.json").write_text(
+        json.dumps(bench(scalars={"swarm_receipt_on_worst": 0.1}))
+    )
+    assert compare_dirs(base, fresh, gate_scalars=gates).ok
+
+
 # ----------------------------------------------------------------------
 # audit comparison
 # ----------------------------------------------------------------------
