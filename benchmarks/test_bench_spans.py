@@ -11,9 +11,10 @@ seeds, so ``repro.experiments.regress`` exact-compares them across PRs
 
 A second, lossy cell (TCoP with media + control loss, retransmits, and
 batched media — DCoP's deeply divided streams never fill a batch
-window, see BENCH_kernel) exercises every decomposition component at
-once — retransmit backoff, batch queueing, FEC recovery, playback
-buffering — and pins that the per-packet ledger stays exact there too.
+window, see the ``batched_media`` workload in ``bench/``) exercises
+every decomposition component at once — retransmit backoff, batch
+queueing, FEC recovery, playback buffering — and pins that the
+per-packet ledger stays exact there too.
 
 The span builder is a passive trace subscriber, so the spans-on run
 must follow the exact trajectory of a spans-off run; the bench asserts

@@ -30,6 +30,9 @@ from repro.experiments.fig12 import run_fig12
 
 _QUICK_HS = [2, 5, 10, 30, 60, 100]
 
+#: where artefacts land when no ``--*-out`` path is given (gitignored)
+_OUT_DIR = Path("out")
+
 
 def _fail(message: str) -> int:
     """One-line error on stderr, no traceback; argparse-style exit code."""
@@ -37,7 +40,7 @@ def _fail(message: str) -> int:
     return 2
 
 
-def _ensure_parent(path: str) -> Path:
+def _ensure_parent(path: str | Path) -> Path:
     """Create the parent directory of an ``--out``-style path."""
     out = Path(path)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -366,7 +369,7 @@ def _run_trace(args) -> int:
         )
         protocol_name, _ = _parse_model_spec(args.protocol)
         trace_out = _ensure_parent(
-            args.trace_out or f"trace_swarm_{protocol_name}.json"
+            args.trace_out or _OUT_DIR / f"trace_swarm_{protocol_name}.json"
         )
         write_chrome_trace(bus, trace_out)
         print(f"wrote Chrome trace-event JSON to {trace_out}", file=sys.stderr)
@@ -400,7 +403,7 @@ def _run_trace(args) -> int:
 
     protocol_name, _ = _parse_model_spec(args.protocol)
     trace_out = _ensure_parent(
-        args.trace_out or f"trace_{protocol_name}.json"
+        args.trace_out or _OUT_DIR / f"trace_{protocol_name}.json"
     )
     write_chrome_trace(bus, trace_out)
     print(
@@ -465,52 +468,6 @@ def _run_audit(args) -> int:
         report.write(_ensure_parent(args.report_out))
         print(f"wrote audit report to {args.report_out}", file=sys.stderr)
     return 0 if report.passed else 1
-
-
-def _run_perf(args) -> int:
-    """``perf`` subcommand: one profiled session + profile exporters."""
-    import dataclasses
-
-    from repro.obs import write_chrome_trace, write_collapsed
-    from repro.obs.prof import ProfileConfig
-
-    if args.join_storm is not None:
-        return _fail("--join-storm is only supported by 'trace' and 'audit'")
-    spec = _build_session_spec(args)
-    if isinstance(spec, int):
-        return spec
-    spec = dataclasses.replace(spec, profile=ProfileConfig())
-    result = spec.run()
-    profile = result.profile
-    assert profile is not None and not isinstance(profile, dict)
-
-    print(result.summary())
-    print(profile.summary(top=args.top))
-
-    protocol_name, _ = _parse_model_spec(args.protocol)
-    profile_out = _ensure_parent(
-        args.profile_out or f"profile_{protocol_name}.json"
-    )
-    profile.write(profile_out)
-    print(f"wrote profile report to {profile_out}", file=sys.stderr)
-    if args.collapsed_out:
-        write_collapsed(profile, _ensure_parent(args.collapsed_out))
-        print(
-            f"wrote collapsed stacks to {args.collapsed_out} "
-            "(feed to flamegraph.pl / speedscope)",
-            file=sys.stderr,
-        )
-    if args.trace_out:
-        assert result.trace is not None
-        write_chrome_trace(
-            result.trace, _ensure_parent(args.trace_out), profile=profile
-        )
-        print(
-            f"wrote Chrome trace-event JSON (+ counter tracks) to "
-            f"{args.trace_out}",
-            file=sys.stderr,
-        )
-    return 0
 
 
 def _run_spans(args) -> int:
@@ -604,13 +561,13 @@ def main(argv: list[str] | None = None) -> int:
         "experiment",
         choices=[
             "fig10", "fig11", "fig12", "ablations", "all",
-            "trace", "audit", "perf", "spans", "regress",
+            "trace", "audit", "spans", "regress",
         ],
         help=(
             "which figure/ablation to run, 'trace' for one traced run, "
-            "'audit' to run the protocol auditors, 'perf' for one "
-            "profiled run, 'spans' for causal spans + latency "
-            "attribution, 'regress' to diff artifact directories"
+            "'audit' to run the protocol auditors, 'spans' for causal "
+            "spans + latency attribution, 'regress' to diff artifact "
+            "directories"
         ),
     )
     parser.add_argument(
@@ -721,7 +678,7 @@ def main(argv: list[str] | None = None) -> int:
     trace_group.add_argument(
         "--trace-out",
         metavar="PATH",
-        help="Chrome trace-event output (default trace_<protocol>.json)",
+        help="Chrome trace-event output (default out/trace_<protocol>.json)",
     )
     trace_group.add_argument(
         "--jsonl-out", metavar="PATH", help="also dump the raw JSONL trace"
@@ -747,28 +704,15 @@ def main(argv: list[str] | None = None) -> int:
         metavar="PATH",
         help="write the audit/regress report as JSON",
     )
-    perf_group = parser.add_argument_group(
-        "perf", "options for the 'perf' subcommand"
+    spans_group = parser.add_argument_group(
+        "spans", "options for the 'spans' subcommand"
     )
-    perf_group.add_argument(
-        "--profile-out",
-        metavar="PATH",
-        help="profile-report JSON output (default profile_<protocol>.json)",
-    )
-    perf_group.add_argument(
-        "--collapsed-out",
-        metavar="PATH",
-        help="also dump collapsed stacks for flamegraph tooling",
-    )
-    perf_group.add_argument(
+    spans_group.add_argument(
         "--top",
         type=int,
         default=10,
         metavar="N",
-        help="hottest callback sites to list in the summary (default 10)",
-    )
-    spans_group = parser.add_argument_group(
-        "spans", "options for the 'spans' subcommand"
+        help="slowest packets to list in the summary (default 10)",
     )
     spans_group.add_argument(
         "--critical-path",
@@ -805,7 +749,7 @@ def main(argv: list[str] | None = None) -> int:
             "hard-gate a (perf) scalar with a relative tolerance; 'min' "
             "(default) fails a drop below baseline*(1-TOL), 'max' fails "
             "a rise above baseline*(1+TOL); repeatable, e.g. "
-            "events_per_wall_s_n100_p400:25%%"
+            "critical_path_deltas_fig10:5%%:max"
         ),
     )
     args = parser.parse_args(argv)
@@ -814,8 +758,6 @@ def main(argv: list[str] | None = None) -> int:
         return _run_trace(args)
     if args.experiment == "audit":
         return _run_audit(args)
-    if args.experiment == "perf":
-        return _run_perf(args)
     if args.experiment == "spans":
         return _run_spans(args)
     if args.experiment == "regress":

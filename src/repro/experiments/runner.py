@@ -41,13 +41,13 @@ def run_session(
     """Build and run one session to quiescence (in-process).
 
     ``session_kw`` takes the spec fields (``loss=LossSpec(...)``, plans,
-    policies, …); the legacy ``loss_factory``/``control_loss_factory``
-    names are accepted too.  Unlike sweep executors, the result keeps its
-    live trace/timeseries handles — call
+    policies, …).  Unlike sweep executors, the result keeps its live
+    trace/timeseries handles — call
     :meth:`~repro.streaming.session.SessionResult.detach` to export them.
     """
-    spec = SessionSpec.from_session_kwargs(config, protocol_factory, **session_kw)
-    return spec.run()
+    return SessionSpec(
+        config=config, protocol=protocol_factory, **session_kw
+    ).run()
 
 
 def replication_specs(
@@ -72,9 +72,7 @@ def replication_specs(
                 config, seed=config.seed + REPLICATION_SEED_STRIDE * rep
             )
             specs.append(
-                SessionSpec.from_session_kwargs(
-                    cfg, protocol_factory, **session_kw
-                )
+                SessionSpec(config=cfg, protocol=protocol_factory, **session_kw)
             )
     return specs
 

@@ -20,7 +20,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: SessionResult fields that hold live in-memory handles, not data —
 #: excluded from serialization (re-run with tracing to regenerate them)
-_RESULT_HANDLE_FIELDS = ("trace", "timeseries", "audit", "profile", "spans")
+_RESULT_HANDLE_FIELDS = ("trace", "timeseries", "audit", "spans")
 
 
 def table_to_dict(table: Table) -> Dict[str, Any]:

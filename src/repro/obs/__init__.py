@@ -15,9 +15,6 @@ untouched.
 * :mod:`repro.obs.timeline` — per-wave coordination timelines;
 * :mod:`repro.obs.audit` — online protocol auditors checking the paper's
   invariants against the live event stream, with JSON audit reports;
-* :mod:`repro.obs.prof` — the instrumenting simulator profiler:
-  wall-time attribution by subsystem/callback site/event kind, scheduler
-  and resource telemetry, flamegraph and Perfetto-counter export;
 * :mod:`repro.obs.spans` — causal span construction over the event
   stream: per-packet latency decomposition, critical-path attribution,
   per-leaf QoE timelines, Perfetto async span export.
@@ -47,7 +44,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.obs.prof import ProfileConfig, ProfileReport, SimProfiler
 from repro.obs.spans import (
     SpanBuilder,
     SpanConfig,
@@ -57,14 +53,11 @@ from repro.obs.spans import (
 from repro.obs.trace import CONTROL_KINDS, TraceBus, TraceConfig, TraceEvent
 from repro.obs.timeline import wave_timeline
 from repro.obs.exporters import (
-    profile_counter_events,
-    profile_to_collapsed,
     run_summary,
     span_async_events,
     trace_to_chrome,
     trace_to_jsonl,
     write_chrome_trace,
-    write_collapsed,
     write_jsonl,
     write_run_summary,
 )
@@ -84,9 +77,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "ParityAuditor",
-    "ProfileConfig",
-    "ProfileReport",
-    "SimProfiler",
     "SpanBuilder",
     "SpanConfig",
     "SpanReport",
@@ -97,8 +87,6 @@ __all__ = [
     "Violation",
     "available_auditors",
     "build_auditors",
-    "profile_counter_events",
-    "profile_to_collapsed",
     "register_auditor",
     "replay_jsonl",
     "run_summary",
@@ -109,7 +97,6 @@ __all__ = [
     "trace_to_jsonl",
     "wave_timeline",
     "write_chrome_trace",
-    "write_collapsed",
     "write_jsonl",
     "write_run_summary",
 ]

@@ -1,6 +1,6 @@
 """Trace and run-artifact exporters.
 
-Four formats:
+Three formats:
 
 * **JSONL** — one event per line, keys sorted; byte-identical across
   equal-seed runs, so dumps diff cleanly and the determinism tests can
@@ -8,15 +8,11 @@ Four formats:
 * **Chrome trace-event JSON** — loads in ``chrome://tracing`` and
   `Perfetto <https://ui.perfetto.dev>`_; every peer (and the leaf) gets
   its own named track, flooding waves render as duration slices on a
-  dedicated ``waves`` track, and when a
-  :class:`~repro.obs.prof.ProfileReport` is supplied its scheduler
-  samples render as **counter tracks** (heap depth, events processed)
-  alongside the event tracks;
-* **collapsed stacks** — a profiled run's site attribution in the
-  flamegraph.pl / speedscope / inferno text format;
+  dedicated ``waves`` track, and a span report's spans render as async
+  span tracks;
 * **run summary** — the :class:`SessionResult`, the sampled time series,
-  trace statistics, and any profile as one artifact document via
-  :mod:`repro.metrics.io`.
+  trace statistics, and any audit/span report as one artifact document
+  via :mod:`repro.metrics.io`.
 """
 
 from __future__ import annotations
@@ -26,7 +22,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.obs.prof import ProfileReport
     from repro.obs.spans import SpanReport
     from repro.obs.trace import TraceBus, TraceEvent
     from repro.streaming.session import SessionResult
@@ -75,7 +70,6 @@ def write_jsonl(bus: "TraceBus", path: Union[str, Path]) -> None:
 # ----------------------------------------------------------------------
 def trace_to_chrome(
     bus: "TraceBus",
-    profile: Optional["ProfileReport"] = None,
     spans: Optional["SpanReport"] = None,
 ) -> Dict[str, Any]:
     """Convert to the Chrome ``trace_event`` JSON object format.
@@ -84,12 +78,6 @@ def trace_to_chrome(
     peer) is a thread (track) holding its events as instants; tid 0 is a
     synthetic ``waves`` track where each flooding round ``r`` appears as a
     complete (``X``) slice spanning ``wave.start`` → ``wave.end``.
-
-    With a ``profile`` (a profiled run's
-    :class:`~repro.obs.prof.ProfileReport`), the scheduler's
-    deterministic sim-time samples are appended as Perfetto **counter
-    tracks** (``ph: "C"``) — heap depth and cumulative events processed
-    against the same simulated timeline as the event tracks.
 
     With ``spans`` (a span-enabled run's
     :class:`~repro.obs.spans.SpanReport`), the report's wave spans,
@@ -189,41 +177,9 @@ def trace_to_chrome(
                 "args": {"round": r, "activated": 0},
             }
         )
-    if profile is not None:
-        events.extend(profile_counter_events(profile))
     if spans is not None:
         events.extend(span_async_events(spans))
     return {"traceEvents": events, "displayTimeUnit": "ms"}
-
-
-def profile_counter_events(profile: "ProfileReport") -> List[Dict[str, Any]]:
-    """A profile's scheduler samples as Chrome/Perfetto counter events.
-
-    Two rails on pid 1: ``heap depth`` (instantaneous) and ``events
-    processed`` (cumulative churn).  Sample positions are dispatch-count
-    based, so equal-seed runs produce identical counter tracks.
-    """
-    counters = profile.counters
-    ts_ms = counters.get("ts_ms", [])
-    events: List[Dict[str, Any]] = []
-    for name, key in (
-        ("heap depth", "heap_depth"),
-        ("events processed", "events_processed"),
-    ):
-        values = counters.get(key, [])
-        for ts, value in zip(ts_ms, values):
-            events.append(
-                {
-                    "name": name,
-                    "cat": "profile",
-                    "ph": "C",
-                    "pid": 1,
-                    "tid": 0,
-                    "ts": int(round(ts * _US_PER_MS)),
-                    "args": {"value": value},
-                }
-            )
-    return events
 
 
 def span_async_events(report: "SpanReport") -> List[Dict[str, Any]]:
@@ -332,28 +288,15 @@ def span_async_events(report: "SpanReport") -> List[Dict[str, Any]]:
 def write_chrome_trace(
     bus: "TraceBus",
     path: Union[str, Path],
-    profile: Optional["ProfileReport"] = None,
     spans: Optional["SpanReport"] = None,
 ) -> None:
     Path(path).write_text(
         json.dumps(
-            trace_to_chrome(bus, profile=profile, spans=spans),
+            trace_to_chrome(bus, spans=spans),
             sort_keys=True,
             separators=(",", ":"),
         )
     )
-
-
-# ----------------------------------------------------------------------
-# collapsed stacks (flamegraph input)
-# ----------------------------------------------------------------------
-def profile_to_collapsed(profile: "ProfileReport") -> str:
-    """Collapsed-stack lines (``frame;frame value``) for flamegraph tools."""
-    return profile.to_collapsed()
-
-
-def write_collapsed(profile: "ProfileReport", path: Union[str, Path]) -> None:
-    Path(path).write_text(profile_to_collapsed(profile))
 
 
 # ----------------------------------------------------------------------
@@ -377,11 +320,6 @@ def run_summary(result: "SessionResult") -> Dict[str, Any]:
     audit = result.audit
     if audit is not None:
         summary["audit"] = audit if isinstance(audit, dict) else audit.to_dict()
-    profile = result.profile
-    if profile is not None:
-        summary["profile"] = (
-            profile if isinstance(profile, dict) else profile.to_dict()
-        )
     spans = result.spans
     if spans is not None:
         summary["spans"] = spans if isinstance(spans, dict) else spans.to_dict()

@@ -25,7 +25,6 @@ from repro.sim.engine import Environment, SimHooks, StopSimulation
 from repro.sim.events import AllOf, AnyOf, Event, Timeout, Timer, ConditionValue
 from repro.sim.process import Interrupt, Process
 from repro.sim.sched import (
-    CalendarQueueScheduler,
     HeapScheduler,
     Scheduler,
     available_schedulers,
@@ -45,7 +44,6 @@ from repro.sim.rng import RandomStreams
 __all__ = [
     "AllOf",
     "AnyOf",
-    "CalendarQueueScheduler",
     "ConditionValue",
     "Environment",
     "Event",

@@ -2,19 +2,12 @@
 
 from __future__ import annotations
 
-import os
-import warnings
 from itertools import count
 from typing import Any, Generator, Optional, Union
 
 from repro.sim.events import AllOf, AnyOf, Event, NORMAL, Timeout, Timer
 from repro.sim.process import Process
 from repro.sim.sched import Scheduler, build_scheduler
-
-#: Environment variable consulted when no scheduler is passed explicitly —
-#: lets a whole test run exercise an alternative scheduler without code
-#: changes (CI runs tier-1 under ``REPRO_SCHEDULER=calendar``).
-SCHEDULER_ENV_VAR = "REPRO_SCHEDULER"
 
 #: Fired timers are recycled through a bounded free list; past this size
 #: they are simply dropped for the garbage collector.
@@ -37,10 +30,10 @@ class EmptySchedule(Exception):
 
 
 class SimHooks:
-    """Instrumentation facade: the one opt-in slot the hot path checks.
+    """Instrumentation facade: the one opt-in slot the model checks.
 
     Every instrumented site reads ``env.hooks`` (always present) and
-    guards on its ``tracer`` / ``profiler`` members being ``None``::
+    guards on ``tracer`` being ``None``::
 
         tr = self.env.hooks.tracer
         if tr is not None:
@@ -49,17 +42,16 @@ class SimHooks:
     so an uninstrumented run pays one attribute load plus one ``None``
     check per hook and builds no strings or kwargs.  ``tracer`` is a
     :class:`repro.obs.trace.TraceBus` when the owning session enables
-    tracing; ``profiler`` is a :class:`repro.obs.prof.SimProfiler` when
-    profiling is on.  Both are passive observers (no RNG draws, no
-    scheduling), so instrumented trajectories are byte-identical to
-    uninstrumented ones.
+    tracing.  It is a passive observer (no RNG draws, no scheduling), so
+    traced trajectories are byte-identical to untraced ones.  The kernel
+    itself checks no hook: host cost is measured from outside, by
+    ``bench/run.py --trace 1``.
     """
 
-    __slots__ = ("tracer", "profiler")
+    __slots__ = ("tracer",)
 
     def __init__(self) -> None:
         self.tracer = None
-        self.profiler = None
 
 
 class Environment:
@@ -70,11 +62,11 @@ class Environment:
     uses milliseconds throughout).
 
     ``scheduler`` selects the pending-event container: a
-    :class:`~repro.sim.sched.Scheduler` instance, a registered name
-    (``"heap"``, ``"calendar"``), or ``None`` to consult the
-    ``REPRO_SCHEDULER`` environment variable and fall back to the binary
-    heap.  All schedulers pop in the same ``(time, priority, eid)`` total
-    order, so the choice never changes a trajectory.
+    :class:`~repro.sim.sched.Scheduler` instance, a name registered with
+    :func:`~repro.sim.sched.register_scheduler`, or ``None`` for the
+    binary heap.  Every scheduler pops in the same
+    ``(time, priority, eid)`` total order, so the choice never changes a
+    trajectory.
     """
 
     def __init__(
@@ -84,7 +76,7 @@ class Environment:
     ) -> None:
         self._now = initial_time
         if scheduler is None:
-            scheduler = os.environ.get(SCHEDULER_ENV_VAR, "heap")
+            scheduler = "heap"
         if isinstance(scheduler, str):
             scheduler = build_scheduler(scheduler)
         self._sched: Scheduler = scheduler
@@ -93,47 +85,6 @@ class Environment:
         #: instrumentation facade — always present; see :class:`SimHooks`
         self.hooks = SimHooks()
         self._timer_pool: list[Timer] = []
-
-    # ------------------------------------------------------------------
-    # deprecated attribute shims (pre-hooks API)
-    # ------------------------------------------------------------------
-    @property
-    def tracer(self):
-        """Deprecated alias for ``env.hooks.tracer``."""
-        warnings.warn(
-            "Environment.tracer is deprecated; use env.hooks.tracer",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.hooks.tracer
-
-    @tracer.setter
-    def tracer(self, value) -> None:
-        warnings.warn(
-            "Environment.tracer is deprecated; use env.hooks.tracer",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.hooks.tracer = value
-
-    @property
-    def profiler(self):
-        """Deprecated alias for ``env.hooks.profiler``."""
-        warnings.warn(
-            "Environment.profiler is deprecated; use env.hooks.profiler",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.hooks.profiler
-
-    @profiler.setter
-    def profiler(self, value) -> None:
-        warnings.warn(
-            "Environment.profiler is deprecated; use env.hooks.profiler",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.hooks.profiler = value
 
     # ------------------------------------------------------------------
     # inspection
@@ -154,11 +105,7 @@ class Environment:
         return self._sched
 
     def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none remain.
-
-        Tombstoned (cancelled) entries still count until popped, so the
-        reported time is a lower bound on the next *processed* event.
-        """
+        """Time of the next scheduled event, or ``inf`` if none remain."""
         return self._sched.peek_time()
 
     def __len__(self) -> int:
@@ -183,9 +130,9 @@ class Environment:
         """Schedule ``fn(*args)`` to run ``delay`` time units from now.
 
         The cheap fire-and-forget path: one scheduled event, no generator
-        machinery.  Returns the :class:`Timer`, whose ``cancel()``
-        tombstones it (lazy removal).  Fired timers are pooled — do not
-        cancel a handle after its scheduled instant.
+        machinery.  Returns the :class:`Timer`, which other processes may
+        wait on like any event.  Fired timers nobody waited on are pooled
+        and handed out again by later calls.
         """
         pool = self._timer_pool
         if pool:
@@ -193,7 +140,6 @@ class Environment:
             timer._fn = fn
             timer._args = args
             timer.callbacks = [timer._fire]
-            timer._tombstone = False
             self._schedule(timer, NORMAL, delay)
             return timer
         return Timer(self, delay, fn, args)
@@ -208,58 +154,35 @@ class Environment:
     # scheduling / execution
     # ------------------------------------------------------------------
     def _schedule(self, event: Event, priority: int, delay: float = 0.0) -> None:
-        sched = self._sched
-        sched.push((self._now + delay, priority, next(self._eid), event))
-        profiler = self.hooks.profiler
-        if profiler is not None:
-            profiler.note_schedule(len(sched))
-
-    def _recycle(self, timer: Timer) -> None:
-        timer._fn = None
-        timer._args = ()
-        pool = self._timer_pool
-        if len(pool) < _TIMER_POOL_MAX:
-            pool.append(timer)
+        self._sched.push((self._now + delay, priority, next(self._eid), event))
 
     def step(self) -> None:
         """Process the next scheduled event.
 
-        Tombstoned (cancelled) entries are discarded unprocessed.  Raises
-        :class:`EmptySchedule` when the queue is empty, and re-raises any
-        *un-defused* event failure (a process crash nobody waited on) so
-        model bugs surface instead of silently vanishing.
+        Raises :class:`EmptySchedule` when the queue is empty, and
+        re-raises any *un-defused* event failure (a process crash nobody
+        waited on) so model bugs surface instead of silently vanishing.
         """
-        sched = self._sched
-        profiler = self.hooks.profiler
-        while True:
-            try:
-                now, _, _, event = sched.pop()
-            except IndexError:
-                raise EmptySchedule() from None
-            if not event._tombstone:
-                break
-            if profiler is not None:
-                profiler.note_skip()
-            if type(event) is Timer:
-                self._recycle(event)
+        try:
+            now, _, _, event = self._sched.pop()
+        except IndexError:
+            raise EmptySchedule() from None
 
         self._now = now
         callbacks, event.callbacks = event.callbacks, None
         assert callbacks is not None
-        if profiler is None:
-            for callback in callbacks:
-                callback(event)
-        else:
-            # identical call order and exception propagation, with a
-            # perf_counter bracket around each callback
-            profiler.dispatch(self._now, event, callbacks, len(sched))
+        for callback in callbacks:
+            callback(event)
 
         if not event._ok and not event._defused:
             exc = event._value
             raise exc
         if type(event) is Timer and len(callbacks) == 1:
             # nobody else held a wait on it — safe to reuse
-            self._recycle(event)
+            event._fn = None
+            event._args = ()
+            if len(self._timer_pool) < _TIMER_POOL_MAX:
+                self._timer_pool.append(event)
 
     def run(self, until: Union[None, float, Event] = None) -> Any:
         """Run the simulation.
@@ -292,9 +215,6 @@ class Environment:
             # process them first; we want the horizon to win, so use a
             # priority that sorts ahead of everything at `horizon`.
             self._sched.push((horizon, -1, next(self._eid), at_event))
-            profiler = self.hooks.profiler
-            if profiler is not None:
-                profiler.note_schedule(len(self._sched))
             at_event.callbacks.append(StopSimulation.callback)
 
         try:

@@ -38,7 +38,7 @@ class Event:
     # Events are the hottest allocation in any run; __slots__ removes the
     # per-instance dict.  Subclasses that need ad-hoc attributes (store and
     # resource requests) simply omit __slots__ and regain a dict.
-    __slots__ = ("env", "callbacks", "_value", "_ok", "_defused", "_tombstone")
+    __slots__ = ("env", "callbacks", "_value", "_ok", "_defused")
 
     def __init__(self, env: "Environment") -> None:
         self.env = env
@@ -49,9 +49,6 @@ class Event:
         #: explicitly); unhandled failures crash the simulation at
         #: processing time so programming errors are never silently lost.
         self._defused: bool = False
-        #: Lazy cancellation: a tombstoned event stays in the scheduler but
-        #: the dispatch loop discards it unprocessed when popped.
-        self._tombstone: bool = False
 
     # ------------------------------------------------------------------
     # state inspection
@@ -161,12 +158,8 @@ class Timer(Event):
     ``yield timeout(d)`` costs three scheduled events (the initializer,
     the timeout, and the process-end event that is dispatched with no
     callbacks — the kernel's "cancelled event" waste), a ``Timer`` costs
-    exactly one.  Create via :meth:`Environment.call_later`.
-
-    A timer may be cancelled (tombstoned) any time *before* its scheduled
-    instant; the scheduler discards it lazily when popped.  Handles must
-    not be cancelled after the fire time — the environment recycles fired
-    timers through an object pool.
+    exactly one.  Create via :meth:`Environment.call_later`; the
+    environment recycles fired timers through an object pool.
     """
 
     __slots__ = ("_fn", "_args")
@@ -178,25 +171,12 @@ class Timer(Event):
         self._value = None  # pre-triggered (ok, value None)
         self._ok = True
         self._defused = False
-        self._tombstone = False
         self._fn = fn
         self._args = args
         env._schedule(self, NORMAL, delay)
 
     def _fire(self, _event: "Event") -> None:
-        fn = self._fn
-        if fn is not None:
-            fn(*self._args)
-
-    def cancel(self) -> None:
-        """Tombstone the timer: it will be discarded unprocessed."""
-        self._tombstone = True
-        self._fn = None
-        self._args = ()
-
-    def __repr__(self) -> str:
-        state = "cancelled" if self._tombstone else "armed"
-        return f"<Timer {state} at {id(self):#x}>"
+        self._fn(*self._args)
 
 
 class ConditionValue:

@@ -8,28 +8,14 @@ trajectory (and therefore every trace, receipt, and audit verdict) is
 byte-identical across scheduler choices at equal seed.  That invariant is
 pinned by ``tests/streaming/test_scheduler_equivalence.py``.
 
-Two implementations ship:
-
-* :class:`HeapScheduler` — a single binary heap (``heapq``), the
-  historical default.  O(log n) push/pop over the whole event set.
-* :class:`CalendarQueueScheduler` — a calendar queue: events hash into
-  fixed-width time buckets (one small heap per bucket) and a lazy heap of
-  bucket keys tracks the earliest non-empty bucket.  With the bucket
-  width tuned to the protocol's δ round length, the events of one
-  flooding round cluster into a handful of buckets and each push/pop
-  works on a far smaller heap.  Because buckets partition the time axis
-  and each bucket orders entries by the full ``(time, priority, eid)``
-  tuple, pop order is identical to the global heap's.
-
-Schedulers are selected by name through the same name→factory registry
-pattern as latency/loss/detector models (see
-:func:`repro.streaming.spec.available_factories`); third parties register
-their own with :func:`register_scheduler`.
-
-Lazy cancellation: rather than removing an entry (O(n) in a heap), the
-kernel marks the event's ``_tombstone`` flag and the dispatch loop
-discards it when popped.  :meth:`Scheduler.pop` never filters — the
-engine owns tombstone handling so all schedulers stay trivially correct.
+One implementation ships: :class:`HeapScheduler`, a single binary heap
+(``heapq``) with O(log n) push/pop over the whole event set.  The
+interface is the extension point: an instrumented or experimental
+scheduler subclasses :class:`Scheduler`, registers under a name with
+:func:`register_scheduler` (the same name→factory registry pattern as
+latency/loss/detector models, see
+:func:`repro.streaming.spec.available_factories`), and is selected with
+``SessionSpec(scheduler=name)`` or ``Environment(scheduler=name)``.
 """
 
 from __future__ import annotations
@@ -96,69 +82,6 @@ class HeapScheduler(Scheduler):
         return len(self._queue)
 
 
-class CalendarQueueScheduler(Scheduler):
-    """Bucketed (calendar-queue) scheduler tuned to δ-round clustering.
-
-    ``bucket_width`` is in simulated time units (milliseconds here); the
-    default matches the paper's default round length δ = 10 ms, and
-    sessions override it with their configured δ (see
-    ``StreamingSession``).  Entries land in bucket ``floor(t / width)``;
-    a lazy min-heap of bucket keys finds the earliest non-empty bucket,
-    discarding keys whose buckets have drained (a key is pushed only when
-    its bucket is created, so the key heap never holds duplicates).
-    """
-
-    name = "calendar"
-
-    __slots__ = ("bucket_width", "_buckets", "_bucket_keys", "_size")
-
-    def __init__(self, bucket_width: float = 10.0) -> None:
-        if bucket_width <= 0:
-            raise ValueError(
-                f"bucket_width must be positive, got {bucket_width}"
-            )
-        self.bucket_width = float(bucket_width)
-        self._buckets: Dict[int, List[Entry]] = {}
-        self._bucket_keys: List[int] = []
-        self._size = 0
-
-    def push(self, entry: Entry) -> None:
-        key = int(entry[0] // self.bucket_width)
-        bucket = self._buckets.get(key)
-        if bucket is None:
-            self._buckets[key] = bucket = []
-            heappush(self._bucket_keys, key)
-        heappush(bucket, entry)
-        self._size += 1
-
-    def _min_bucket(self) -> Optional[List[Entry]]:
-        keys = self._bucket_keys
-        buckets = self._buckets
-        while keys:
-            bucket = buckets.get(keys[0])
-            if bucket:
-                return bucket
-            # Drained (or vacuously absent) bucket: retire the key.
-            key = heappop(keys)
-            if bucket is not None:
-                del buckets[key]
-        return None
-
-    def pop(self) -> Entry:
-        bucket = self._min_bucket()
-        if bucket is None:
-            raise IndexError("pop from an empty scheduler")
-        self._size -= 1
-        return heappop(bucket)
-
-    def peek_time(self) -> float:
-        bucket = self._min_bucket()
-        return bucket[0][0] if bucket is not None else _INF
-
-    def __len__(self) -> int:
-        return self._size
-
-
 # ----------------------------------------------------------------------
 # name → factory registry (the spec layer aliases this dict so
 # ``available_factories("scheduler")`` sees the same entries)
@@ -183,7 +106,7 @@ def available_schedulers() -> List[str]:
     return sorted(SCHEDULERS)
 
 
-def build_scheduler(name: str, **params) -> Scheduler:
+def build_scheduler(name: str) -> Scheduler:
     """Instantiate the scheduler registered under ``name``."""
     try:
         factory = SCHEDULERS[name]
@@ -192,8 +115,7 @@ def build_scheduler(name: str, **params) -> Scheduler:
             f"unknown scheduler {name!r}; "
             f"available: {', '.join(available_schedulers())}"
         ) from None
-    return factory(**params)
+    return factory()
 
 
 register_scheduler("heap", HeapScheduler)
-register_scheduler("calendar", CalendarQueueScheduler)

@@ -11,10 +11,8 @@
   (config + declarative protocol/latency/loss specs + plans/policies);
   ``spec.build()`` materializes the live :class:`StreamingSession`.  The
   canonical construction API.
-* :class:`StreamingSession` — builds the whole simulated system from a
-  :class:`~repro.core.ProtocolConfig` and runs it to produce a
-  :class:`SessionResult`.  Keyword construction is deprecated; use
-  :meth:`StreamingSession.from_spec`.
+* :class:`StreamingSession` — the whole simulated system, built from a
+  :class:`SessionSpec` and run to produce a :class:`SessionResult`.
 * :mod:`repro.streaming.faults` — crash / rate-degradation / churn
   injection, plus network partitions and one-way link cuts
   (:class:`PartitionPlan`, :class:`LinkCut`).

@@ -1,40 +1,34 @@
 """Streaming session: builds the simulated system and collects results.
 
 Sessions are constructed from a declarative
-:class:`~repro.streaming.spec.SessionSpec` (via :meth:`SessionSpec.build`
-or :meth:`StreamingSession.from_spec`); the historical keyword-argument
-constructor survives as a deprecated shim that internally builds the same
-spec, so both paths are guaranteed to stay behaviorally identical.
+:class:`~repro.streaming.spec.SessionSpec`, via :meth:`SessionSpec.build`
+or :meth:`StreamingSession.from_spec`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace as dataclass_replace
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.obs.audit import AuditConfig, AuditReport, Auditor
-    from repro.obs.prof import ProfileReport, SimProfiler
+    from repro.obs.audit import AuditReport, Auditor
     from repro.obs.spans import SpanBuilder, SpanReport
-    from repro.streaming.adaptive import RateAdaptationMonitor, RateAdaptationPolicy
+    from repro.streaming.adaptive import RateAdaptationMonitor
     from repro.streaming.health import HealthMonitor
-    from repro.streaming.repair import RepairMonitor, RepairPolicy
+    from repro.streaming.repair import RepairMonitor
     from repro.streaming.spec import SessionSpec
 
-from repro.core.base import CoordinationProtocol, ProtocolConfig
+from repro.core.base import ProtocolConfig
 from repro.media.content import MediaContent
-from repro.net.latency import ConstantLatency, LatencyModel
-from repro.net.loss import LossModel
+from repro.net.latency import ConstantLatency
 from repro.net.message import Message
-from repro.net.overlay import ControlPlane, Overlay, RetransmitPolicy
+from repro.net.overlay import ControlPlane, Overlay
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TraceBus, TraceConfig
 from repro.sim.engine import Environment
 from repro.sim.rng import RandomStreams
 from repro.streaming.contents_peer import ContentsPeerAgent
-from repro.streaming.detector import DetectorPolicy, FailureDetector
-from repro.streaming.faults import ChurnPlan, FaultPlan
+from repro.streaming.detector import FailureDetector
 from repro.streaming.leaf_peer import LeafPeerAgent
 from repro.streaming.recoordination import ReCoordinator, data_seqs_of
 
@@ -120,11 +114,6 @@ class SessionResult:
     audit: Union["AuditReport", Dict[str, Any], None] = field(
         default=None, repr=False, compare=False
     )
-    #: per-run :class:`~repro.obs.prof.ProfileReport` (present only when
-    #: profiling was enabled) — or, after :meth:`detach`, its dict form
-    profile: Union["ProfileReport", Dict[str, Any], None] = field(
-        default=None, repr=False, compare=False
-    )
     #: per-run :class:`~repro.obs.spans.SpanReport` (present only when
     #: span building was enabled) — or, after :meth:`detach`, its dict form
     spans: Union["SpanReport", Dict[str, Any], None] = field(
@@ -174,14 +163,10 @@ class SessionResult:
         trace = self.trace
         timeseries = self.timeseries
         audit = self.audit
-        profile = self.profile
         spans = self.spans
         detached = False
         if audit is not None and not isinstance(audit, dict):
             audit = audit.to_dict()
-            detached = True
-        if profile is not None and not isinstance(profile, dict):
-            profile = profile.to_dict()
             detached = True
         if spans is not None and not isinstance(spans, dict):
             spans = spans.to_dict()
@@ -209,7 +194,6 @@ class SessionResult:
             trace=trace,
             timeseries=timeseries,
             audit=audit,
-            profile=profile,
             spans=spans,
         )
 
@@ -218,82 +202,15 @@ class StreamingSession:
     """One simulated multi-source streaming run.
 
     Construct from a :class:`~repro.streaming.spec.SessionSpec` — either
-    ``spec.build()`` or :meth:`from_spec` — which captures every knob as
-    a picklable value.  The keyword constructor below is a deprecated
-    shim kept for one release: it emits a :class:`DeprecationWarning`,
-    internally builds the equivalent spec, and follows the identical
-    setup path, so the two APIs cannot drift apart.
-
-    Parameters
-    ----------
-    config:
-        Workload/protocol parameters.
-    protocol:
-        A :class:`CoordinationProtocol` strategy instance.
-    latency / loss_factory:
-        Channel models; defaults are the paper's regime — constant δ
-        latency, lossless.
-    buffer_capacity / playback:
-        Leaf-side playback modelling (off by default; the coordination
-        figures only need arrival counting).
+    ``spec.build()`` or :meth:`from_spec` — which captures every knob
+    (protocol, channel models, fault plans, policies, observers) as a
+    picklable value.  The defaults are the paper's regime: per-pair
+    constant latency around δ, lossless channels, no playback modelling.
     """
-
-    def __init__(
-        self,
-        config: ProtocolConfig,
-        protocol: CoordinationProtocol,
-        latency: Optional[LatencyModel] = None,
-        loss_factory: Optional[Callable[[], LossModel]] = None,
-        buffer_capacity: float = float("inf"),
-        playback: bool = False,
-        fault_plan: Optional[FaultPlan] = None,
-        repair_policy: Optional["RepairPolicy"] = None,
-        adaptation_policy: Optional["RateAdaptationPolicy"] = None,
-        leaf_receipt_rate: Optional[float] = None,
-        leaf_receive_buffer: float = 64.0,
-        peer_capacities: Optional[Dict[str, float]] = None,
-        control_loss_factory: Optional[Callable[[], LossModel]] = None,
-        retransmit_policy: Optional[RetransmitPolicy] = None,
-        detector_policy: Optional[DetectorPolicy] = None,
-        churn_plan: Optional[ChurnPlan] = None,
-        trace: Optional[TraceConfig] = None,
-        audit: Optional["AuditConfig"] = None,
-    ) -> None:
-        warnings.warn(
-            "constructing StreamingSession(...) from keyword arguments is "
-            "deprecated; build a repro.streaming.SessionSpec and call "
-            "spec.build() (or StreamingSession.from_spec(spec))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.streaming.spec import SessionSpec
-
-        self._setup(
-            SessionSpec.from_session_kwargs(
-                config,
-                protocol,
-                latency=latency,
-                loss_factory=loss_factory,
-                buffer_capacity=buffer_capacity,
-                playback=playback,
-                fault_plan=fault_plan,
-                repair_policy=repair_policy,
-                adaptation_policy=adaptation_policy,
-                leaf_receipt_rate=leaf_receipt_rate,
-                leaf_receive_buffer=leaf_receive_buffer,
-                peer_capacities=peer_capacities,
-                control_loss_factory=control_loss_factory,
-                retransmit_policy=retransmit_policy,
-                detector_policy=detector_policy,
-                churn_plan=churn_plan,
-                trace=trace,
-                audit=audit,
-            )
-        )
 
     @classmethod
     def from_spec(cls, spec: "SessionSpec") -> "StreamingSession":
-        """Build a session from a declarative spec (no deprecation)."""
+        """Build a session from a declarative spec."""
         session = object.__new__(cls)
         session._setup(spec)
         return session
@@ -308,8 +225,8 @@ class StreamingSession:
         content, and contents-peer hubs instead of creating its own; its
         control traffic is tagged with ``leaf_id`` as the coordination
         context so the hubs can route replies to this leaf's agents.
-        Per-session observability (auditors, spans, profiler, metrics) is
-        owned by the swarm, not the leaf.
+        Per-session observability (auditors, spans, metrics) is owned by
+        the swarm, not the leaf.
         """
         session = object.__new__(cls)
         session._setup(spec, swarm=swarm, leaf_id=leaf_id)
@@ -328,7 +245,6 @@ class StreamingSession:
             resolve_link_fault_factory,
             resolve_loss_factory,
             resolve_protocol,
-            resolve_scheduler,
         )
 
         config = spec.config
@@ -370,7 +286,6 @@ class StreamingSession:
         self.media_batch_window_ms = (
             spec.media_batch * config.delta if spec.media_batch > 0 else 0.0
         )
-        self.profiler: Optional["SimProfiler"] = None
         self.metrics_registry: Optional[MetricsRegistry] = None
         if swarm is not None:
             # shared substrate: the swarm owns env, streams, overlay,
@@ -379,31 +294,13 @@ class StreamingSession:
             self.streams = swarm.streams
             self.trace_bus = swarm.trace_bus
         else:
-            # scheduler choice is a pure speed knob (identical
-            # trajectories); a calendar queue defaults its bucket width
-            # to this session's δ
-            self.env = Environment(
-                scheduler=resolve_scheduler(spec.scheduler, config.delta)
-            )
+            self.env = Environment(scheduler=spec.scheduler)
             self.streams = RandomStreams(config.seed)
             # --- observability (opt-in; hooks no-op when tracer=None) ---
             self.trace_bus: Optional[TraceBus] = None
             if trace is not None:
                 self.trace_bus = TraceBus(trace, self.env)
                 self.env.hooks.tracer = self.trace_bus
-            # --- performance profiler (opt-in; passive — trajectories
-            # are byte-identical with it on or off) ----------------------
-            profile = spec.profile
-            if profile is not None and profile is not False:
-                from repro.obs.prof import ProfileConfig, SimProfiler
-
-                if profile is True:
-                    profile = ProfileConfig()
-                self.profiler = SimProfiler(profile)
-                self.env.hooks.profiler = self.profiler
-                if self.trace_bus is not None:
-                    # meter trace recording as its own subsystem
-                    self.profiler.instrument_trace_bus(self.trace_bus)
         latency_factory = None
         if latency is None:
             # Default: each directed pair gets a constant latency drawn once
@@ -762,17 +659,8 @@ class StreamingSession:
 
     def run(self, until: Optional[float] = None) -> SessionResult:
         """Initiate the protocol, run the simulation, collect metrics."""
-        if not self._initiated:
-            self.protocol.initiate(self)
-            self._initiated = True
-        if self.profiler is not None:
-            self.profiler.start()
-            try:
-                self.env.run(until=until)
-            finally:
-                self.profiler.stop()
-        else:
-            self.env.run(until=until)
+        self.initiate()
+        self.env.run(until=until)
         return self._collect()
 
     def _collect(self) -> SessionResult:
@@ -902,11 +790,6 @@ class StreamingSession:
             trace=self.trace_bus,
             timeseries=timeseries,
             audit=self._audit_report,
-            profile=(
-                self.profiler.report(self)
-                if self.profiler is not None
-                else None
-            ),
             spans=spans_report,
         )
 

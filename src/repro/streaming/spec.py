@@ -81,15 +81,9 @@ from repro.net.capacity import CapacityPolicy
 from repro.net.loss import BernoulliLoss, GilbertElliottLoss, LossModel, NoLoss
 from repro.net.overlay import RetransmitPolicy
 from repro.obs.audit import AuditConfig
-from repro.obs.prof import ProfileConfig
 from repro.obs.spans import SpanConfig
 from repro.obs.trace import TraceConfig
-from repro.sim.sched import (
-    SCHEDULERS as _SCHEDULER_REGISTRY,
-    Scheduler,
-    build_scheduler,
-    register_scheduler,
-)
+from repro.sim.sched import SCHEDULERS as _SCHEDULER_REGISTRY, register_scheduler
 from repro.streaming.adaptive import RateAdaptationPolicy
 from repro.streaming.detector import DetectorPolicy
 from repro.streaming.faults import ChurnPlan, FaultPlan, PartitionPlan
@@ -105,7 +99,6 @@ __all__ = [
     "LinkFaultSpec",
     "LossSpec",
     "ProtocolSpec",
-    "SchedulerSpec",
     "SessionSpec",
     "available_factories",
     "register_detector",
@@ -119,7 +112,6 @@ __all__ = [
     "resolve_link_fault_factory",
     "resolve_loss_factory",
     "resolve_protocol",
-    "resolve_scheduler",
 ]
 
 
@@ -169,8 +161,7 @@ def register_loss(name: str, factory=None):
     """Register a loss-model factory (usable as a decorator).
 
     Called once **per channel** at build time, so stateful models (bursty
-    loss keeps burst state) start fresh on every channel — exactly the
-    old ``loss_factory`` contract, minus the unpicklable closure.
+    loss keeps burst state) start fresh on every channel.
     """
     return _register("loss", name, factory)
 
@@ -214,7 +205,7 @@ def _get_factory(category: str, name: str) -> Callable[..., Any]:
 
 def available_factories(category: str) -> list[str]:
     """Registered factory names for ``'latency'``/``'loss'``/
-    ``'protocol'``/``'link_fault'``/``'detector'``."""
+    ``'protocol'``/``'link_fault'``/``'detector'``/``'scheduler'``."""
     return sorted(_REGISTRIES[category])
 
 
@@ -413,25 +404,6 @@ class ProtocolSpec:
         return _get_factory("protocol", self.kind)(**dict(self.params))
 
 
-@dataclass(frozen=True)
-class SchedulerSpec:
-    """A registered event scheduler by name, e.g. ``SchedulerSpec(
-    "calendar", {"bucket_width": 5.0})``.
-
-    Selects the kernel's pending-event container (see
-    :mod:`repro.sim.sched`).  All schedulers pop in the same total order,
-    so the choice never changes a trajectory — it is purely a speed knob.
-    A ``"calendar"`` spec without an explicit ``bucket_width`` is tuned
-    to the session's δ at build time.
-    """
-
-    kind: str
-    params: Mapping[str, Any] = field(default_factory=dict)
-
-    def build(self) -> Scheduler:
-        return build_scheduler(self.kind, **dict(self.params))
-
-
 #: what the protocol/model fields of a :class:`SessionSpec` accept
 ProtocolLike = Union[
     ProtocolSpec, CoordinationProtocol, Callable[[], CoordinationProtocol]
@@ -440,7 +412,6 @@ LatencyLike = Union[LatencySpec, LatencyModel]
 LossLike = Union[LossSpec, Callable[[], LossModel]]
 LinkFaultLike = Union[LinkFaultSpec, Callable[[], LinkFault]]
 DetectorLike = Union[DetectorSpec, DetectorPolicy]
-SchedulerLike = Union[SchedulerSpec, str]
 
 
 def resolve_protocol(value: ProtocolLike) -> CoordinationProtocol:
@@ -508,30 +479,6 @@ def resolve_detector_policy(
     raise TypeError(
         f"cannot build a detector policy from {type(value).__name__}; "
         "pass a DetectorSpec or a DetectorPolicy instance"
-    )
-
-
-def resolve_scheduler(
-    value: Optional[SchedulerLike], delta: float
-) -> Optional[Scheduler]:
-    """Materialize the ``scheduler`` field of a spec.
-
-    ``None`` returns ``None`` — the environment then falls back to the
-    ``REPRO_SCHEDULER`` environment variable or the binary heap.  A
-    calendar queue without an explicit ``bucket_width`` gets the
-    session's δ, the width the δ-round event clustering is tuned to.
-    """
-    if value is None:
-        return None
-    if isinstance(value, str):
-        value = SchedulerSpec(value)
-    if isinstance(value, SchedulerSpec):
-        if value.kind == "calendar" and "bucket_width" not in value.params:
-            return build_scheduler(value.kind, bucket_width=delta)
-        return value.build()
-    raise TypeError(
-        f"cannot build a scheduler from {type(value).__name__}; pass a "
-        "SchedulerSpec or a registered scheduler name"
     )
 
 
@@ -611,13 +558,11 @@ class SessionSpec:
     trace: Optional[TraceConfig] = None
     #: online protocol auditors; implies a default trace when none is set
     audit: Optional[AuditConfig] = None
-    #: the instrumenting performance profiler (``True`` for defaults);
-    #: passive — profiled runs follow byte-identical trajectories
-    profile: Union[ProfileConfig, bool, None] = None
-    #: event scheduler (``"heap"``, ``"calendar"``, or a SchedulerSpec);
-    #: None follows the REPRO_SCHEDULER environment variable.  Purely a
-    #: speed knob — trajectories are identical across schedulers.
-    scheduler: Optional[SchedulerLike] = None
+    #: event scheduler: a name registered with ``register_scheduler``
+    #: (None = the binary heap).  Trajectories are identical across
+    #: schedulers; the knob exists so a counting or perturbing scheduler
+    #: can be slotted in from outside.
+    scheduler: Optional[str] = None
     #: batched media plane: per-slot batch window in δ units (0 = off,
     #: per-packet delivery).  Batching preserves receipt/delivery
     #: semantics but is a *different* (coarser-grained) trajectory.
@@ -626,28 +571,6 @@ class SessionSpec:
     #: trace when none is set.  Passive — span-enabled runs follow
     #: byte-identical trajectories (see :mod:`repro.obs.spans`)
     spans: Union[SpanConfig, bool, None] = None
-
-    #: legacy ``StreamingSession`` kwarg → spec field renames
-    _KWARG_ALIASES = {
-        "loss_factory": "loss",
-        "control_loss_factory": "control_loss",
-    }
-
-    @classmethod
-    def from_session_kwargs(
-        cls, config: ProtocolConfig, protocol: ProtocolLike, **session_kw
-    ) -> "SessionSpec":
-        """Build a spec from the legacy ``StreamingSession(...)`` kwargs.
-
-        ``loss_factory``/``control_loss_factory`` map onto the ``loss``/
-        ``control_loss`` fields; every other kwarg keeps its name.  Raw
-        model objects and callables are stored as-is, so the resulting
-        spec is only picklable when they are.
-        """
-        fields_kw = {
-            cls._KWARG_ALIASES.get(k, k): v for k, v in session_kw.items()
-        }
-        return cls(config=config, protocol=protocol, **fields_kw)
 
     # ------------------------------------------------------------------
     def build(self) -> "StreamingSession":

@@ -58,7 +58,6 @@ from repro.streaming.spec import (
     resolve_latency,
     resolve_link_fault_factory,
     resolve_loss_factory,
-    resolve_scheduler,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -160,8 +159,6 @@ class SwarmSpec:
             "upload_capacity": template.upload_capacity,
         }
         conflicts = [k for k, v in owned.items() if v is not None]
-        if template.profile not in (None, False):
-            conflicts.append("profile")
         if template.spans not in (None, False):
             conflicts.append("spans")
         if conflicts:
@@ -445,9 +442,7 @@ class SwarmSession:
         from repro.streaming.spec import resolve_protocol
 
         self.protocol_name = resolve_protocol(template.protocol).name
-        self.env = Environment(
-            scheduler=resolve_scheduler(template.scheduler, config.delta)
-        )
+        self.env = Environment(scheduler=template.scheduler)
         self.streams = RandomStreams(config.seed)
         # --- observability --------------------------------------------
         audit = spec.audit

@@ -10,14 +10,14 @@ from repro.core import (
     SingleSourceStreaming,
     UnicastChainCoordination,
 )
-from repro.streaming import StreamingSession
+from repro.streaming import SessionSpec
 
 
 def run(protocol_cls, n=10, H=4, fault_margin=1, **kw):
     defaults = dict(tau=1.0, delta=10.0, content_packets=250, seed=3)
     defaults.update(kw)
     cfg = ProtocolConfig(n=n, H=H, fault_margin=fault_margin, **defaults)
-    return StreamingSession(cfg, protocol_cls()).run()
+    return SessionSpec(cfg, protocol_cls()).build().run()
 
 
 class TestBroadcast:
@@ -96,7 +96,7 @@ class TestScheduleBased:
         cfg = ProtocolConfig(
             n=10, H=4, fault_margin=1, delta=10.0, content_packets=250, seed=3
         )
-        session = StreamingSession(cfg, ScheduleBasedCoordination())
+        session = SessionSpec(cfg, ScheduleBasedCoordination()).build()
         r = session.run()
         assert r.all_active
         assert len(r.activation_times) == 4
@@ -116,7 +116,7 @@ class TestSingleSource:
         cfg = ProtocolConfig(
             n=10, H=4, fault_margin=0, delta=10.0, content_packets=250, seed=3
         )
-        session = StreamingSession(cfg, SingleSourceStreaming())
+        session = SessionSpec(cfg, SingleSourceStreaming()).build()
         r = session.run()
         assert r.all_active
         assert len(r.activation_times) == 1
@@ -130,6 +130,6 @@ class TestSingleSource:
             n=5, H=2, fault_margin=0, tau=1.0, delta=10.0,
             content_packets=250, seed=3,
         )
-        session = StreamingSession(cfg, SingleSourceStreaming())
+        session = SessionSpec(cfg, SingleSourceStreaming()).build()
         r = session.run()
         assert r.completed_at == pytest.approx(250 + 2 * 10, rel=0.1)

@@ -5,7 +5,7 @@ import pytest
 from repro.core import HeterogeneousScheduleCoordination, ProtocolConfig
 from repro.core.base import Assignment
 from repro.media import DataPacket, PacketSequence
-from repro.streaming import StreamingSession
+from repro.streaming import SessionSpec
 
 
 def config(**kw):
@@ -20,7 +20,7 @@ def config(**kw):
 def run(bandwidths, use_timeslots=True, **kw):
     cfg = config(H=len(bandwidths), **kw)
     proto = HeterogeneousScheduleCoordination(bandwidths, use_timeslots)
-    session = StreamingSession(cfg, proto)
+    session = SessionSpec(cfg, proto).build()
     return session, session.run()
 
 
@@ -31,7 +31,7 @@ def test_validation():
         HeterogeneousScheduleCoordination([1, 0])
     proto = HeterogeneousScheduleCoordination([1, 2])
     with pytest.raises(ValueError):
-        StreamingSession(config(H=3), proto).run()
+        SessionSpec(config(H=3), proto).build().run()
 
 
 def test_complete_delivery():
@@ -87,7 +87,7 @@ def test_with_parity_recovers_slow_peer_tail():
     peer's outstanding packets before it finishes sending them."""
     cfg = config(H=3, fault_margin=1, content_packets=300)
     proto = HeterogeneousScheduleCoordination([6, 6, 1], use_timeslots=False)
-    session = StreamingSession(cfg, proto)
+    session = SessionSpec(cfg, proto).build()
     r = session.run()
     assert r.delivery_ratio == 1.0
     # completion happens long before the slow peer drains its oversized

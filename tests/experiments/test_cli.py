@@ -189,52 +189,24 @@ def test_regress_subcommand_gates_artifacts(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_perf_subcommand_profiles_a_run(tmp_path, capsys):
-    import json
-
-    profile_out = tmp_path / "profile.json"
-    collapsed_out = tmp_path / "stacks.collapsed"
-    trace_out = tmp_path / "trace.json"
-    rc = main(
-        [
-            "perf", "--protocol", "tcop", "--quick",
-            "--n", "12", "--H", "4",
-            "--profile-out", str(profile_out),
-            "--collapsed-out", str(collapsed_out),
-            "--trace-out", str(trace_out),
-            "--top", "3",
-        ]
-    )
-    assert rc == 0
-    printed = capsys.readouterr().out
-    # the headline digest plus exactly --top hottest-site lines
-    assert "attributed" in printed
-    assert sum(1 for line in printed.splitlines() if "calls" in line) == 3
-    # the profile report round-trips from disk
-    doc = json.loads(profile_out.read_text())
-    assert doc["type"] == "profile_report"
-    assert doc["protocol"] == "TCoP"
-    assert doc["attributed_share"] >= 0.95
-    # collapsed stacks: every line is "repro;<subsystem>;<site> <µs>"
-    lines = collapsed_out.read_text().splitlines()
-    assert lines and all(
-        line.startswith("repro;") and line.rsplit(" ", 1)[1].isdigit()
-        for line in lines
-    )
-    # the chrome trace gained the profiler's counter tracks
-    chrome = json.loads(trace_out.read_text())
-    counters = {
-        e["name"] for e in chrome["traceEvents"] if e["ph"] == "C"
-    }
-    assert counters == {"heap depth", "events processed"}
-
-
-def test_perf_subcommand_default_output_name(tmp_path, capsys, monkeypatch):
+def test_trace_default_outputs_land_under_out(tmp_path, capsys, monkeypatch):
+    """With no ``--trace-out`` the artefact goes to the ignored ``out/``
+    directory of the cwd, never the cwd itself."""
     monkeypatch.chdir(tmp_path)
-    rc = main(["perf", "--protocol", "dcop", "--quick", "--n", "8", "--H", "4"])
-    assert rc == 0
+    small = ["--protocol", "dcop", "--n", "6", "--H", "2", "--packets", "20"]
+    assert main(["trace", *small]) == 0
+    assert main(
+        [
+            "trace", *small,
+            "--capacity", "packets_per_delta=6",
+            "--join-storm", "leaves=2,rate_per_delta=1.0",
+        ]
+    ) == 0
     capsys.readouterr()
-    assert (tmp_path / "profile_dcop.json").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "trace_dcop.json", "trace_swarm_dcop.json",
+    ]
 
 
 def test_regress_gate_scalar_flag(tmp_path, capsys):
@@ -359,7 +331,8 @@ def test_jobs_rejects_garbage(capsys):
         capsys.readouterr()
 
 
-def test_trace_capacity_flag_caps_a_single_session(capsys):
+def test_trace_capacity_flag_caps_a_single_session(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the default trace lands in ./out/
     rc = main(
         [
             "trace", "--protocol", "dcop", "--quick",
@@ -403,8 +376,7 @@ def test_trace_join_storm_runs_a_swarm(tmp_path, capsys):
     assert doc["traceEvents"]
 
 
-def test_join_storm_refused_by_perf_and_spans(capsys):
-    for sub in ("perf", "spans"):
-        rc = main([sub, "--quick", "--join-storm", "leaves=2"])
-        assert rc == 2
-        assert "join-storm" in capsys.readouterr().err
+def test_join_storm_refused_by_spans(capsys):
+    rc = main(["spans", "--quick", "--join-storm", "leaves=2"])
+    assert rc == 2
+    assert "join-storm" in capsys.readouterr().err

@@ -1,4 +1,4 @@
-"""SessionSpec: registries, pickling, the deprecation shim, detach()."""
+"""SessionSpec: registries, pickling, construction from a spec, detach()."""
 
 import pickle
 import warnings
@@ -147,20 +147,6 @@ def test_replace_and_with_seed_derive_new_frozen_specs():
         spec.playback = True
 
 
-def test_from_session_kwargs_maps_legacy_aliases():
-    factory = LossSpec("bernoulli", {"p": 0.1})
-    spec = SessionSpec.from_session_kwargs(
-        _small_config(),
-        DCoP,
-        loss_factory=factory,
-        control_loss_factory=factory,
-        playback=True,
-    )
-    assert spec.loss is factory
-    assert spec.control_loss is factory
-    assert spec.playback is True
-
-
 def test_describe_names_the_protocol():
     assert "tcop" in SessionSpec(
         config=_small_config(), protocol=ProtocolSpec("tcop")
@@ -168,26 +154,6 @@ def test_describe_names_the_protocol():
     assert "DCoP" in SessionSpec(
         config=_small_config(), protocol=DCoP
     ).describe()
-
-
-# ----------------------------------------------------------------------
-# the deprecation shim
-# ----------------------------------------------------------------------
-def test_keyword_construction_warns_and_matches_spec_path():
-    config = _small_config()
-    with pytest.warns(DeprecationWarning, match="SessionSpec"):
-        legacy = StreamingSession(config, DCoP())
-    via_spec = SessionSpec(config=config, protocol=ProtocolSpec("dcop"))
-    assert _scalars(legacy.run()) == _scalars(via_spec.run())
-
-
-def test_keyword_construction_records_an_equivalent_spec():
-    config = _small_config()
-    with pytest.warns(DeprecationWarning):
-        session = StreamingSession(config, DCoP(), playback=True)
-    assert isinstance(session.spec, SessionSpec)
-    assert session.spec.config is config
-    assert session.spec.playback is True
 
 
 def test_from_spec_does_not_warn():

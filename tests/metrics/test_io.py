@@ -69,10 +69,10 @@ def test_save_load_file_roundtrip(tmp_path):
 
 def sample_result():
     from repro.core import DCoP, ProtocolConfig
-    from repro.streaming import StreamingSession
+    from repro.streaming import SessionSpec
 
     config = ProtocolConfig(n=8, H=4, fault_margin=1, content_packets=60, seed=2)
-    return StreamingSession(config, DCoP()).run()
+    return SessionSpec(config, DCoP()).build().run()
 
 
 def test_session_result_roundtrip():
@@ -97,10 +97,10 @@ def test_session_result_roundtrip_drops_runtime_handles():
     from repro import TraceConfig
     from repro.core import DCoP, ProtocolConfig
     from repro.metrics import session_result_from_dict, session_result_to_dict
-    from repro.streaming import StreamingSession
+    from repro.streaming import SessionSpec
 
     config = ProtocolConfig(n=8, H=4, fault_margin=1, content_packets=60, seed=2)
-    traced = StreamingSession(config, DCoP(), trace=TraceConfig()).run()
+    traced = SessionSpec(config, DCoP(), trace=TraceConfig()).build().run()
     payload = session_result_to_dict(traced)
     assert "trace" not in payload["data"]
     assert "timeseries" not in payload["data"]

@@ -15,13 +15,13 @@ from repro.obs import (
     write_jsonl,
     write_run_summary,
 )
-from repro.streaming import StreamingSession
+from repro.streaming import ProtocolSpec, SessionSpec
 
 
 @pytest.fixture(scope="module")
 def traced_result():
     config = ProtocolConfig(n=12, H=4, fault_margin=1, content_packets=100, seed=5)
-    return StreamingSession(config, TCoP(), trace=TraceConfig()).run()
+    return SessionSpec(config, TCoP(), trace=TraceConfig()).build().run()
 
 
 # ----------------------------------------------------------------------
@@ -106,7 +106,7 @@ def test_chrome_trace_closes_abandoned_waves():
 @pytest.mark.parametrize("proto", [DCoP, TCoP], ids=["dcop", "tcop"])
 def test_timeline_rows_equal_result_rounds(proto):
     config = ProtocolConfig(n=12, H=4, fault_margin=1, content_packets=100, seed=5)
-    result = StreamingSession(config, proto(), trace=TraceConfig()).run()
+    result = SessionSpec(config, proto(), trace=TraceConfig()).build().run()
     table = wave_timeline(result.trace)
     assert len(table.rows) == result.rounds
     rounds = [row[0] for row in table.rows]
@@ -123,7 +123,7 @@ def test_timeline_rows_equal_result_rounds(proto):
 def test_timeline_includes_zero_activation_rounds():
     """TCoP's offer/confirm rounds move control traffic, not activations."""
     config = ProtocolConfig(n=12, H=4, fault_margin=1, content_packets=100, seed=5)
-    result = StreamingSession(config, TCoP(), trace=TraceConfig()).run()
+    result = SessionSpec(config, TCoP(), trace=TraceConfig()).build().run()
     table = wave_timeline(result.trace)
     assert any(row[1] == 0 for row in table.rows)
 
@@ -166,7 +166,7 @@ def test_run_summary_bundles_result_trace_stats_and_series(
 
 def test_run_summary_without_trace_is_result_only():
     config = ProtocolConfig(n=8, H=4, fault_margin=1, content_packets=60, seed=2)
-    result = StreamingSession(config, DCoP()).run()
+    result = SessionSpec(config, DCoP()).build().run()
     summary = run_summary(result)
     assert set(summary) == {"result"}
 
@@ -175,32 +175,27 @@ def test_run_summary_without_trace_is_result_only():
 # golden file: the full Chrome document, byte for byte
 # ----------------------------------------------------------------------
 def _golden_spec():
-    from repro.obs.prof import ProfileConfig
-    from repro.streaming.spec import ProtocolSpec, SessionSpec
-
     return SessionSpec(
         config=ProtocolConfig(
             n=6, H=3, fault_margin=1, content_packets=40, seed=3
         ),
         protocol=ProtocolSpec("tcop", {}),
         trace=TraceConfig(categories=frozenset({"wave", "peer"})),
-        profile=ProfileConfig(sample_every=64),
     )
 
 
 def test_chrome_trace_matches_golden_file():
     """The committed golden pins the exporter's whole output format:
     metadata (process + one named track per participant + the waves
-    track), wave slices, instants, and the profile counter tracks.  A
-    deliberate format change regenerates the file (see its sibling
-    README); anything else failing here is a silent format or
-    determinism regression.
+    track), wave slices, and instants.  A deliberate format change
+    regenerates the file (see its sibling README); anything else failing
+    here is a silent format or determinism regression.
     """
     from pathlib import Path
 
     golden_path = Path(__file__).parent / "data" / "golden_chrome_tcop.json"
     result = _golden_spec().run()
-    doc = trace_to_chrome(result.trace, profile=result.profile)
+    doc = trace_to_chrome(result.trace)
     assert doc == json.loads(golden_path.read_text())
 
 
@@ -208,7 +203,6 @@ def _golden_batched_spec():
     """A media-dominant cell where per-slot batches really form, traced
     with the media/msg firehose so the batch payloads (``off``, ``wait``,
     ``count``) land in the export."""
-    from repro.streaming.spec import ProtocolSpec, SessionSpec
 
     return SessionSpec(
         config=ProtocolConfig(
@@ -274,47 +268,3 @@ def test_chrome_trace_matches_golden_batched_file():
     result = _golden_batched_spec().run()
     doc = trace_to_chrome(result.trace)
     assert doc == json.loads(golden_path.read_text())
-
-
-def test_chrome_profile_counter_tracks(traced_result):
-    """Counter events land on the metadata track and mirror the
-    profiler's deterministic sample arrays."""
-    from repro.obs import profile_counter_events
-    from repro.obs.prof import ProfileConfig
-    from repro.streaming.spec import ProtocolSpec, SessionSpec
-
-    spec = SessionSpec(
-        config=ProtocolConfig(
-            n=12, H=4, fault_margin=1, content_packets=100, seed=5
-        ),
-        protocol=ProtocolSpec("tcop", {}),
-        trace=TraceConfig(),
-        profile=ProfileConfig(),
-    )
-    result = spec.run()
-    profile = result.profile
-    counters = profile_counter_events(profile)
-    by_name = {}
-    for event in counters:
-        assert event["ph"] == "C"
-        assert event["pid"] == 1 and event["tid"] == 0
-        assert event["cat"] == "profile"
-        assert isinstance(event["ts"], int)
-        by_name.setdefault(event["name"], []).append(event)
-    assert set(by_name) == {"heap depth", "events processed"}
-    samples = profile.counters
-    assert [e["args"]["value"] for e in by_name["heap depth"]] == samples[
-        "heap_depth"
-    ]
-    assert [
-        e["args"]["value"] for e in by_name["events processed"]
-    ] == samples["events_processed"]
-    # the profiled document embeds them; the plain one does not
-    doc = trace_to_chrome(result.trace, profile=profile)
-    assert [e for e in doc["traceEvents"] if e["ph"] == "C"] == counters
-    plain = trace_to_chrome(result.trace)
-    assert not [e for e in plain["traceEvents"] if e["ph"] == "C"]
-    # an unprofiled trace is unchanged by passing profile=None
-    assert trace_to_chrome(traced_result.trace, profile=None) == trace_to_chrome(
-        traced_result.trace
-    )

@@ -12,7 +12,7 @@ from repro.obs import (
     TraceConfig,
 )
 from repro.core import ProtocolConfig, TCoP
-from repro.streaming import StreamingSession
+from repro.streaming import SessionSpec
 
 
 def test_counter_is_monotone():
@@ -141,7 +141,7 @@ def test_empty_registry_refuses_export():
 
 def test_session_timeseries_columns_and_coverage():
     config = ProtocolConfig(n=12, H=4, fault_margin=1, content_packets=100, seed=5)
-    result = StreamingSession(config, TCoP(), trace=TraceConfig()).run()
+    result = SessionSpec(config, TCoP(), trace=TraceConfig()).build().run()
     series = result.timeseries
     assert series is not None
     assert series.series_names == sorted(
@@ -165,8 +165,8 @@ def test_session_timeseries_columns_and_coverage():
 
 def test_session_metrics_can_be_disabled():
     config = ProtocolConfig(n=12, H=4, fault_margin=1, content_packets=100, seed=5)
-    result = StreamingSession(
+    result = SessionSpec(
         config, TCoP(), trace=TraceConfig(metrics=False)
-    ).run()
+    ).build().run()
     assert result.trace is not None
     assert result.timeseries is None

@@ -1,21 +1,17 @@
-"""Tests for the pluggable scheduler layer: registry, ordering,
-tombstone cancellation, timer pooling, and the hooks facade."""
-
-import warnings
+"""Tests for the pluggable scheduler layer: registry, ordering, timer
+pooling, and the hooks facade."""
 
 import pytest
 
 from repro.sim import (
-    CalendarQueueScheduler,
     Environment,
     HeapScheduler,
     SimHooks,
-    Timer,
     available_schedulers,
     build_scheduler,
     register_scheduler,
 )
-from repro.sim.engine import SCHEDULER_ENV_VAR, _TIMER_POOL_MAX
+from repro.sim.engine import _TIMER_POOL_MAX
 from repro.sim.sched import SCHEDULERS, Scheduler
 
 
@@ -25,29 +21,26 @@ from repro.sim.sched import SCHEDULERS, Scheduler
 class TestRegistry:
     def test_builtins_registered(self):
         names = available_schedulers()
-        assert "heap" in names and "calendar" in names
+        assert "heap" in names
         assert names == sorted(names)
 
     def test_build_by_name(self):
         assert isinstance(build_scheduler("heap"), HeapScheduler)
-        cal = build_scheduler("calendar", bucket_width=2.5)
-        assert isinstance(cal, CalendarQueueScheduler)
-        assert cal.bucket_width == 2.5
 
     def test_unknown_name_lists_choices(self):
-        with pytest.raises(KeyError, match="calendar"):
+        with pytest.raises(KeyError, match="heap"):
             build_scheduler("fibheap")
 
     def test_register_decorator_and_duplicate_rejection(self):
         @register_scheduler("test-custom")
-        def _factory(**params):
+        def _factory():
             return HeapScheduler()
 
         try:
             assert "test-custom" in available_schedulers()
             assert isinstance(build_scheduler("test-custom"), HeapScheduler)
             with pytest.raises(ValueError, match="already registered"):
-                register_scheduler("test-custom", lambda **p: HeapScheduler())
+                register_scheduler("test-custom", HeapScheduler)
         finally:
             del SCHEDULERS["test-custom"]
 
@@ -75,8 +68,8 @@ def _drain(sched):
 
 class TestOrdering:
     ENTRIES = [
-        # (time, priority, eid) tuples crafted to cross bucket
-        # boundaries, tie on time, and arrive far out of order
+        # (time, priority, eid) tuples that tie on time, tie on
+        # (time, priority), and arrive far out of order
         (25.0, 1, 0),
         (3.0, 1, 1),
         (3.0, 0, 2),
@@ -90,78 +83,53 @@ class TestOrdering:
         (0.0, 0, 10),
     ]
 
-    @pytest.mark.parametrize("width", [0.5, 1.0, 10.0, 1000.0])
-    def test_calendar_matches_heap(self, width):
-        heap, cal = HeapScheduler(), CalendarQueueScheduler(bucket_width=width)
-        for entry in self.ENTRIES:
-            item = entry + (object(),)
+    def test_heap_pops_in_total_order(self):
+        heap = HeapScheduler()
+        items = [entry + (object(),) for entry in self.ENTRIES]
+        for item in items:
             heap.push(item)
-            cal.push(item)
-        assert _drain(cal) == _drain(heap)
+        assert _drain(heap) == sorted(items, key=lambda item: item[:3])
 
-    def test_interleaved_push_pop(self):
-        heap, cal = HeapScheduler(), CalendarQueueScheduler(bucket_width=5.0)
+    def test_interleaved_push_pop(self, reference_scheduler):
+        heap, ref = HeapScheduler(), reference_scheduler()
         for i, entry in enumerate(self.ENTRIES):
             item = entry + (None,)
             heap.push(item)
-            cal.push(item)
+            ref.push(item)
             if i % 3 == 2:
-                assert cal.pop() == heap.pop()
-        assert _drain(cal) == _drain(heap)
+                assert heap.pop() == ref.pop()
+        assert _drain(heap) == _drain(ref)
 
     def test_peek_time(self):
-        for sched in (HeapScheduler(), CalendarQueueScheduler()):
-            assert sched.peek_time() == float("inf")
-            sched.push((7.0, 1, 0, None))
-            sched.push((2.0, 1, 1, None))
-            assert sched.peek_time() == 2.0
-            sched.pop()
-            assert sched.peek_time() == 7.0
+        sched = HeapScheduler()
+        assert sched.peek_time() == float("inf")
+        sched.push((7.0, 1, 0, None))
+        sched.push((2.0, 1, 1, None))
+        assert sched.peek_time() == 2.0
+        sched.pop()
+        assert sched.peek_time() == 7.0
 
     def test_pop_empty_raises_index_error(self):
-        for sched in (HeapScheduler(), CalendarQueueScheduler()):
-            with pytest.raises(IndexError):
-                sched.pop()
-
-    def test_calendar_retires_drained_buckets(self):
-        cal = CalendarQueueScheduler(bucket_width=1.0)
-        for t in range(50):
-            cal.push((float(t), 1, t, None))
-        _drain(cal)
-        assert len(cal) == 0
-        # retirement is lazy: at most the final drained bucket lingers
-        # until the next peek forces the key-heap to advance past it
-        assert len(cal._buckets) <= 1
-        assert cal.peek_time() == float("inf")
-        assert not cal._buckets
-
-    def test_negative_bucket_width_rejected(self):
-        with pytest.raises(ValueError):
-            CalendarQueueScheduler(bucket_width=0.0)
+        with pytest.raises(IndexError):
+            HeapScheduler().pop()
 
 
 # ----------------------------------------------------------------------
 # environment integration
 # ----------------------------------------------------------------------
 class TestEnvironmentSelection:
-    def test_default_is_heap(self, monkeypatch):
-        monkeypatch.delenv(SCHEDULER_ENV_VAR, raising=False)
+    def test_default_is_heap(self):
         assert Environment().scheduler.name == "heap"
 
-    def test_by_name(self):
-        assert Environment(scheduler="calendar").scheduler.name == "calendar"
+    def test_by_name(self, reference_scheduler):
+        env = Environment(scheduler=reference_scheduler.name)
+        assert isinstance(env.scheduler, reference_scheduler)
 
-    def test_by_instance(self):
-        cal = CalendarQueueScheduler(bucket_width=3.0)
-        assert Environment(scheduler=cal).scheduler is cal
+    def test_by_instance(self, reference_scheduler):
+        ref = reference_scheduler()
+        assert Environment(scheduler=ref).scheduler is ref
 
-    def test_env_var_override(self, monkeypatch):
-        monkeypatch.setenv(SCHEDULER_ENV_VAR, "calendar")
-        assert Environment().scheduler.name == "calendar"
-        # explicit choice still wins
-        assert Environment(scheduler="heap").scheduler.name == "heap"
-
-    def test_equal_seed_trajectory_across_schedulers(self):
+    def test_equal_seed_trajectory_across_schedulers(self, reference_scheduler):
         def run(scheduler):
             env = Environment(scheduler=scheduler)
             log = []
@@ -177,11 +145,11 @@ class TestEnvironmentSelection:
             env.run(until=45)
             return log
 
-        assert run("heap") == run("calendar")
+        assert run("heap") == run(reference_scheduler.name)
 
 
 # ----------------------------------------------------------------------
-# timers: cancellation + pooling
+# timers: pooling
 # ----------------------------------------------------------------------
 class TestTimers:
     def test_call_later_fires_with_args(self):
@@ -191,27 +159,6 @@ class TestTimers:
         env.run(until=10)
         assert seen == ["x"]
 
-    def test_cancel_before_fire_is_a_noop_dispatch(self):
-        env = Environment()
-        seen = []
-        timer = env.call_later(4.0, seen.append, "x")
-        assert isinstance(timer, Timer)
-        timer.cancel()
-        env.run(until=10)
-        assert seen == []
-        assert env.now == 10
-
-    def test_tombstone_skip_counted_by_profiler(self):
-        from repro.obs.prof import SimProfiler
-
-        env = Environment()
-        env.hooks.profiler = prof = SimProfiler()
-        env.call_later(1.0, lambda: None).cancel()
-        env.call_later(2.0, lambda: None)
-        env.run(until=5)
-        assert prof.tombstone_skips == 1
-        assert prof.report().resources["tombstone_skips"] == 1.0
-
     def test_fired_timers_are_pooled_and_reused(self):
         env = Environment()
         first = env.call_later(1.0, lambda: None)
@@ -220,14 +167,6 @@ class TestTimers:
         second = env.call_later(1.0, lambda: None)
         assert second is first  # same object, reinitialized
         env.run(until=4)
-
-    def test_cancelled_timers_are_recycled_on_skip(self):
-        env = Environment()
-        t = env.call_later(1.0, lambda: None)
-        t.cancel()
-        env.call_later(2.0, lambda: None)
-        env.run(until=5)
-        assert t in env._timer_pool
 
     def test_pool_is_bounded(self):
         env = Environment()
@@ -251,39 +190,13 @@ class TestTimers:
 
 
 # ----------------------------------------------------------------------
-# hooks facade + deprecation shims
+# hooks facade
 # ----------------------------------------------------------------------
 class TestHooks:
     def test_hooks_present_and_empty(self):
         env = Environment()
         assert isinstance(env.hooks, SimHooks)
         assert env.hooks.tracer is None
-        assert env.hooks.profiler is None
-
-    def test_legacy_tracer_property_warns_and_delegates(self):
-        env = Environment()
-        sentinel = object()
-        with pytest.warns(DeprecationWarning, match="env.hooks.tracer"):
-            env.tracer = sentinel
-        assert env.hooks.tracer is sentinel
-        with pytest.warns(DeprecationWarning, match="env.hooks.tracer"):
-            assert env.tracer is sentinel
-
-    def test_legacy_profiler_property_warns_and_delegates(self):
-        env = Environment()
-        sentinel = object()
-        with pytest.warns(DeprecationWarning, match="env.hooks.profiler"):
-            env.profiler = sentinel
-        assert env.hooks.profiler is sentinel
-        with pytest.warns(DeprecationWarning, match="env.hooks.profiler"):
-            assert env.profiler is sentinel
-
-    def test_hooks_api_emits_no_warning(self):
-        env = Environment()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            env.hooks.tracer = None
-            assert env.hooks.profiler is None
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,7 @@ from repro.media import DataPacket, PacketSequence
 from repro.streaming import (
     FaultPlan,
     RateAdaptationPolicy,
-    StreamingSession,
+    SessionSpec,
     Stream,
 )
 
@@ -23,14 +23,14 @@ def config(**kw):
 
 def degraded_run(adaptation_policy=None, factor=0.25):
     cfg = config()
-    probe = StreamingSession(cfg, ScheduleBasedCoordination())
+    probe = SessionSpec(cfg, ScheduleBasedCoordination()).build()
     victim = probe.leaf_select(4)[1]
-    session = StreamingSession(
+    session = SessionSpec(
         cfg,
         ScheduleBasedCoordination(),
         fault_plan=FaultPlan().degrade(victim, 50.0, factor=factor),
         adaptation_policy=adaptation_policy,
-    )
+    ).build()
     return session, session.run()
 
 
@@ -99,11 +99,11 @@ def test_adaptation_recovers_completion_time():
 
 def test_healthy_run_never_adapts():
     cfg = config()
-    session = StreamingSession(
+    session = SessionSpec(
         cfg,
         ScheduleBasedCoordination(),
         adaptation_policy=RateAdaptationPolicy(),
-    )
+    ).build()
     r = session.run()
     assert session.adaptation_monitor.adaptations == 0
     assert r.delivery_ratio == 1.0

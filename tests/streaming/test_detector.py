@@ -8,7 +8,7 @@ from repro.streaming import (
     FailureDetector,
     FaultPlan,
     Heartbeat,
-    StreamingSession,
+    SessionSpec,
 )
 from repro.net.overlay import RetransmitPolicy
 
@@ -23,12 +23,12 @@ def config(**kw):
 
 
 def session(proto=DCoP, policy=None, **kw):
-    return StreamingSession(
+    return SessionSpec(
         config(**kw.pop("cfg", {})),
         proto(),
         detector_policy=policy or DetectorPolicy(),
         **kw,
-    )
+    ).build()
 
 
 # ----------------------------------------------------------------------
@@ -116,14 +116,14 @@ def test_report_unreachable_confirms_immediately():
 # ----------------------------------------------------------------------
 def test_crash_is_suspected_then_confirmed_with_latency():
     cfg = config()
-    probe = StreamingSession(cfg, DCoP())
+    probe = SessionSpec(cfg, DCoP()).build()
     victim = probe.leaf_select(cfg.H)[0]
-    s = StreamingSession(
+    s = SessionSpec(
         cfg,
         DCoP(),
         fault_plan=FaultPlan().crash(victim, 40.0),
         detector_policy=DetectorPolicy(recoordinate=False),
-    )
+    ).build()
     r = s.run()
     assert victim in r.confirmed_failures
     lat = r.detection_latencies[victim]
@@ -147,9 +147,9 @@ def test_detector_terminates_on_dead_overlay():
     plan = FaultPlan()
     for pid in [f"CP{i}" for i in range(1, 5)]:
         plan.crash(pid, 0.0)
-    s = StreamingSession(
+    s = SessionSpec(
         cfg, DCoP(), fault_plan=plan, detector_policy=DetectorPolicy()
-    )
+    ).build()
     r = s.run()  # env.run(until=None) — would hang without the idle grace
     assert r.delivery_ratio == 0.0
 
@@ -158,46 +158,46 @@ def test_recoordination_reflows_residual():
     """A confirmed crash mid-stream triggers a residual re-flood that
     completes delivery even when parity alone could not."""
     cfg = config(fault_margin=0, content_packets=200)
-    probe = StreamingSession(cfg, DCoP())
+    probe = SessionSpec(cfg, DCoP()).build()
     victim = probe.leaf_select(cfg.H)[0]
-    with_rc = StreamingSession(
+    with_rc = SessionSpec(
         cfg,
         DCoP(),
         fault_plan=FaultPlan().crash(victim, 50.0),
         retransmit_policy=RetransmitPolicy(),
         detector_policy=DetectorPolicy(),
-    )
+    ).build()
     r = with_rc.run()
     assert r.recoordinations >= 1
     assert r.delivery_ratio == 1.0
     assert r.mean_handoff_latency is not None and r.mean_handoff_latency > 0
 
-    without = StreamingSession(
+    without = SessionSpec(
         cfg,
         DCoP(),
         fault_plan=FaultPlan().crash(victim, 50.0),
-    )
+    ).build()
     assert without.run().delivery_ratio < 1.0
 
 
 def test_recoordination_works_for_tcop():
     cfg = config(fault_margin=0, content_packets=200, seed=11)
-    s = StreamingSession(
+    s = SessionSpec(
         cfg,
         TCoP(),
         retransmit_policy=RetransmitPolicy(),
         detector_policy=DetectorPolicy(),
-    )
+    ).build()
     # crash whichever peer the leaf starts first, after it activates
-    r0 = StreamingSession(cfg, TCoP()).run()
+    r0 = SessionSpec(cfg, TCoP()).build().run()
     victim = min(r0.activation_times, key=r0.activation_times.get)
-    s = StreamingSession(
+    s = SessionSpec(
         cfg,
         TCoP(),
         fault_plan=FaultPlan().crash(victim, 80.0),
         retransmit_policy=RetransmitPolicy(),
         detector_policy=DetectorPolicy(),
-    )
+    ).build()
     r = s.run()
     assert victim in r.confirmed_failures
     assert r.delivery_ratio == 1.0
@@ -294,15 +294,15 @@ def test_accrual_confirms_crash_end_to_end():
     """With φ thresholds driving suspicion, a mid-stream crash is still
     confirmed and re-coordinated to full delivery."""
     cfg = config(fault_margin=0, content_packets=200)
-    probe = StreamingSession(cfg, DCoP())
+    probe = SessionSpec(cfg, DCoP()).build()
     victim = probe.leaf_select(cfg.H)[0]
-    s = StreamingSession(
+    s = SessionSpec(
         cfg,
         DCoP(),
         fault_plan=FaultPlan().crash(victim, 50.0),
         retransmit_policy=RetransmitPolicy(),
         detector_policy=DetectorPolicy(mode="accrual"),
-    )
+    ).build()
     r = s.run()
     assert victim in r.confirmed_failures
     assert r.delivery_ratio == 1.0

@@ -121,14 +121,15 @@ def test_batched_run_is_deterministic():
     assert a == b
 
 
-def test_batching_cuts_event_count():
+def test_batching_cuts_event_count(counting_heap):
     """The point of the exercise: one delivery event per batch window
     instead of one per packet."""
-    from repro.obs.prof import ProfileConfig
-
-    plain = spec("tcop", profile=ProfileConfig()).run()
-    batched = spec("tcop", media_batch=2.0, profile=ProfileConfig()).run()
-    assert batched.profile.events_processed < plain.profile.events_processed
+    plain = spec("tcop", scheduler=counting_heap.name).build()
+    batched = spec(
+        "tcop", media_batch=2.0, scheduler=counting_heap.name
+    ).build()
+    plain.run(), batched.run()
+    assert 0 < batched.env.scheduler.pops < plain.env.scheduler.pops
 
 
 def test_media_batch_must_be_non_negative():

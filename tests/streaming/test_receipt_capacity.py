@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import BroadcastCoordination, DCoP, ProtocolConfig
-from repro.streaming import StreamingSession
+from repro.streaming import SessionSpec
 
 
 def run(protocol_cls, rho, **kw):
@@ -13,15 +13,15 @@ def run(protocol_cls, rho, **kw):
     )
     defaults.update(kw)
     cfg = ProtocolConfig(**defaults)
-    session = StreamingSession(
+    session = SessionSpec(
         cfg, protocol_cls(), leaf_receipt_rate=rho, leaf_receive_buffer=32.0
-    )
+    ).build()
     return session, session.run()
 
 
 def test_unbounded_leaf_never_drops():
     cfg = ProtocolConfig(n=12, H=6, content_packets=200, seed=1)
-    session = StreamingSession(cfg, DCoP())
+    session = SessionSpec(cfg, DCoP()).build()
     r = session.run()
     assert r.receive_overruns == 0
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import DCoP, ProtocolConfig, ScheduleBasedCoordination
 from repro.net.loss import BernoulliLoss
-from repro.streaming import FaultPlan, RepairPolicy, StreamingSession
+from repro.streaming import FaultPlan, RepairPolicy, SessionSpec
 from repro.streaming.repair import RepairRequest
 
 
@@ -19,17 +19,17 @@ def config(**kw):
 
 def crashed_run(repair_policy=None, margin=0, crashes=1):
     cfg = config(fault_margin=margin)
-    probe = StreamingSession(cfg, ScheduleBasedCoordination())
+    probe = SessionSpec(cfg, ScheduleBasedCoordination()).build()
     victims = probe.leaf_select(5)[:crashes]
     plan = FaultPlan()
     for v in victims:
         plan.crash(v, 100.0)
-    session = StreamingSession(
+    session = SessionSpec(
         cfg,
         ScheduleBasedCoordination(),
         fault_plan=plan,
         repair_policy=repair_policy,
-    )
+    ).build()
     return session, session.run()
 
 
@@ -65,14 +65,14 @@ def test_repair_messages_counted_as_control():
 
 def test_repair_with_payload_bytes_verified():
     cfg = config(with_payload=True, packet_size=64, content_packets=120)
-    probe = StreamingSession(cfg, ScheduleBasedCoordination())
+    probe = SessionSpec(cfg, ScheduleBasedCoordination()).build()
     victim = probe.leaf_select(5)[0]
-    session = StreamingSession(
+    session = SessionSpec(
         cfg,
         ScheduleBasedCoordination(),
         fault_plan=FaultPlan().crash(victim, 40.0),
         repair_policy=RepairPolicy(),
-    )
+    ).build()
     r = session.run()
     assert r.delivery_ratio == 1.0
     assert session.leaf.decoder.verify_against(session.content)
@@ -80,9 +80,9 @@ def test_repair_with_payload_bytes_verified():
 
 def test_no_stall_no_repair():
     cfg = config()
-    session = StreamingSession(
+    session = SessionSpec(
         cfg, ScheduleBasedCoordination(), repair_policy=RepairPolicy()
-    )
+    ).build()
     r = session.run()
     assert r.delivery_ratio == 1.0
     assert session.repair_monitor.rounds_issued == 0
@@ -101,12 +101,12 @@ def test_repair_gives_up_after_max_rounds():
     plan = FaultPlan()
     for pid in ("CP1", "CP2", "CP3", "CP4"):
         plan.crash(pid, 50.0)
-    session = StreamingSession(
+    session = SessionSpec(
         cfg,
         ScheduleBasedCoordination(),
         fault_plan=plan,
         repair_policy=RepairPolicy(max_rounds=3),
-    )
+    ).build()
     r = session.run()
     assert r.delivery_ratio < 1.0
     assert session.repair_monitor.gave_up
@@ -117,12 +117,12 @@ def test_repair_under_loss_plus_no_parity():
     """Bernoulli loss with margin 0: repair mops up what parity would
     have handled."""
     cfg = config(fault_margin=0)
-    session = StreamingSession(
+    session = SessionSpec(
         cfg,
         DCoP(),
-        loss_factory=lambda: BernoulliLoss(0.05),
+        loss=lambda: BernoulliLoss(0.05),
         repair_policy=RepairPolicy(),
-    )
+    ).build()
     r = session.run()
     assert r.delivery_ratio == 1.0
 
@@ -140,15 +140,15 @@ def test_repair_skips_detector_suspects():
     from repro.streaming import DetectorPolicy
 
     cfg = config(fault_margin=0)
-    probe = StreamingSession(cfg, ScheduleBasedCoordination())
+    probe = SessionSpec(cfg, ScheduleBasedCoordination()).build()
     victim = probe.leaf_select(5)[0]
-    session = StreamingSession(
+    session = SessionSpec(
         cfg,
         ScheduleBasedCoordination(),
         fault_plan=FaultPlan().crash(victim, 100.0),
         repair_policy=RepairPolicy(),
         detector_policy=DetectorPolicy(recoordinate=False),
-    )
+    ).build()
     r = session.run()
     assert victim in r.confirmed_failures
     confirmed_at = session.detector.monitored[victim].confirmed_at
@@ -169,11 +169,10 @@ def test_repair_fails_over_from_one_way_dead_peer():
     from repro.streaming.faults import LinkCut, PartitionPlan
 
     cfg = config(fault_margin=0)
-    probe = StreamingSession(cfg, ScheduleBasedCoordination())
+    probe = SessionSpec(cfg, ScheduleBasedCoordination()).build()
     victim = probe.leaf_select(5)[0]
     # half the peers can hear repair requests but their replies vanish
     mute = [p for p in probe.peer_ids if p != victim][::2]
-    from repro.streaming import SessionSpec
 
     session = SessionSpec(
         config=cfg,
@@ -205,12 +204,12 @@ def test_repair_falls_back_when_everyone_suspected():
     from repro.streaming import DetectorPolicy
 
     cfg = config(fault_margin=0)
-    session = StreamingSession(
+    session = SessionSpec(
         cfg,
         ScheduleBasedCoordination(),
         repair_policy=RepairPolicy(),
         detector_policy=DetectorPolicy(recoordinate=False),
-    )
+    ).build()
     det = session.detector
     for pid in session.peer_ids:
         det.touch(pid)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import DCoP, ProtocolConfig, ScheduleBasedCoordination
 from repro.net.loss import BernoulliLoss
-from repro.streaming import StreamingSession
+from repro.streaming import SessionSpec
 
 
 def config(**kw):
@@ -17,21 +17,21 @@ def config(**kw):
 
 
 def test_session_builds_topology():
-    session = StreamingSession(config(), DCoP())
+    session = SessionSpec(config(), DCoP()).build()
     assert len(session.peers) == 10
     assert session.leaf.peer_id == "leaf"
     assert set(session.peer_ids) == set(session.peers)
 
 
 def test_run_is_idempotent_on_initiation():
-    session = StreamingSession(config(), DCoP())
+    session = SessionSpec(config(), DCoP()).build()
     r1 = session.run()
     r2 = session.run()  # second run continues (no double initiation)
     assert r2.control_packets_total == r1.control_packets_total
 
 
 def test_summary_mentions_key_fields():
-    r = StreamingSession(config(), DCoP()).run()
+    r = SessionSpec(config(), DCoP()).build().run()
     s = r.summary()
     assert "DCoP" in s and "rounds=" in s and "rate=" in s
 
@@ -39,7 +39,7 @@ def test_summary_mentions_key_fields():
 def test_with_payload_end_to_end_bytes_verified():
     """Concrete payload mode: leaf's recovered bytes match the content."""
     cfg = config(with_payload=True, packet_size=64, content_packets=60)
-    session = StreamingSession(cfg, DCoP())
+    session = SessionSpec(cfg, DCoP()).build()
     r = session.run()
     assert r.delivery_ratio == 1.0
     assert session.leaf.decoder.verify_against(session.content)
@@ -51,11 +51,11 @@ def test_payload_recovery_under_loss():
         with_payload=True, packet_size=32, content_packets=100,
         n=10, H=5, fault_margin=1,
     )
-    session = StreamingSession(
+    session = SessionSpec(
         cfg,
         ScheduleBasedCoordination(),
-        loss_factory=lambda: BernoulliLoss(0.03),
-    )
+        loss=lambda: BernoulliLoss(0.03),
+    ).build()
     r = session.run()
     assert r.delivery_ratio > 0.9
     assert session.leaf.decoder.verify_against(session.content)
@@ -65,20 +65,20 @@ def test_payload_recovery_under_loss():
 
 def test_playback_mode_counts_stalls():
     cfg = config(content_packets=150)
-    session = StreamingSession(cfg, DCoP(), playback=True)
+    session = SessionSpec(cfg, DCoP(), playback=True).build()
     r = session.run()
     # a healthy run plays through with few stalls
     assert session.leaf.buffer.played > 100
 
 
 def test_messages_by_kind_has_media_and_control():
-    r = StreamingSession(config(), DCoP()).run()
+    r = SessionSpec(config(), DCoP()).build().run()
     assert r.messages_by_kind["packet"] > 0
     assert r.messages_by_kind["request"] == 4
 
 
 def test_elapsed_positive():
-    r = StreamingSession(config(), DCoP()).run()
+    r = SessionSpec(config(), DCoP()).build().run()
     assert r.elapsed > 0
 
 
@@ -86,7 +86,7 @@ def test_custom_latency_model_used():
     from repro.net import ConstantLatency
 
     cfg = config()
-    session = StreamingSession(cfg, DCoP(), latency=ConstantLatency(25.0))
+    session = SessionSpec(cfg, DCoP(), latency=ConstantLatency(25.0)).build()
     r = session.run()
     # activations now land on 25ms multiples; rounds metric still uses
     # cfg.delta (=10), so sync at 50ms reads as 5 rounds
@@ -94,6 +94,6 @@ def test_custom_latency_model_used():
 
 
 def test_completed_at_set_when_leaf_has_all():
-    r = StreamingSession(config(), DCoP()).run()
+    r = SessionSpec(config(), DCoP()).build().run()
     assert r.completed_at is not None
     assert r.completed_at <= r.elapsed

@@ -19,7 +19,7 @@ from repro.core import (
     UnicastChainCoordination,
 )
 from repro.net.loss import BernoulliLoss
-from repro.streaming import FaultPlan, StreamingSession
+from repro.streaming import FaultPlan, SessionSpec
 
 PROTOCOLS = [
     ("dcop", DCoP, 1),
@@ -38,12 +38,12 @@ def build(protocol_cls, margin, loss=None, crash=None):
         n=10, H=4, fault_margin=margin, tau=1.0, delta=8.0,
         content_packets=150, seed=6,
     )
-    session = StreamingSession(
+    session = SessionSpec(
         cfg,
         protocol_cls(),
-        loss_factory=(lambda: BernoulliLoss(loss)) if loss else None,
+        loss=(lambda: BernoulliLoss(loss)) if loss else None,
         fault_plan=FaultPlan().crash(crash, 60.0) if crash else None,
-    )
+    ).build()
     return session
 
 

@@ -16,7 +16,7 @@ from repro.media import (
     allocate_packets,
     mbps_to_packets_per_ms,
 )
-from repro.streaming import StreamingSession
+from repro.streaming import SessionSpec
 
 
 def pkt(n):
@@ -143,7 +143,7 @@ class TestSection4Evaluation:
             n=100, H=60, fault_margin=1, delta=10.0,
             content_packets=2000, seed=0,
         )
-        return StreamingSession(cfg, DCoP()).run()
+        return SessionSpec(cfg, DCoP()).build().run()
 
     @pytest.fixture(scope="class")
     def tcop60(self):
@@ -151,7 +151,7 @@ class TestSection4Evaluation:
             n=100, H=60, fault_margin=1, delta=10.0,
             content_packets=2000, seed=0,
         )
-        return StreamingSession(cfg, TCoP()).run()
+        return SessionSpec(cfg, TCoP()).build().run()
 
     def test_dcop_two_rounds_at_h60(self, dcop60):
         """'it takes two rounds … for H = 60' (DCoP)."""

@@ -1,7 +1,7 @@
 """Tests for the ASCII visualizers."""
 
 from repro.core import DCoP, ProtocolConfig, ScheduleBasedCoordination, TCoP
-from repro.streaming import StreamingSession
+from repro.streaming import SessionSpec
 from repro.viz import activation_timeline, render_transmission_tree, traffic_summary
 
 
@@ -10,7 +10,7 @@ def make(protocol_cls, **kw):
         n=12, H=4, fault_margin=1, delta=10.0, content_packets=200, seed=3
     )
     defaults.update(kw)
-    session = StreamingSession(ProtocolConfig(**defaults), protocol_cls())
+    session = SessionSpec(ProtocolConfig(**defaults), protocol_cls()).build()
     session.run()
     return session
 
@@ -67,7 +67,7 @@ def test_timeline_shows_rounds_and_counts():
 
 def test_timeline_empty_session():
     cfg = ProtocolConfig(n=3, H=2, content_packets=50)
-    session = StreamingSession(cfg, DCoP())  # never run
+    session = SessionSpec(cfg, DCoP()).build()  # never run
     assert "(no activations)" in activation_timeline(session)
 
 
