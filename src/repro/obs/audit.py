@@ -3,8 +3,8 @@
 PR 2's :class:`~repro.obs.trace.TraceBus` records *what* a run did; this
 module checks that what it did was *correct by the paper's own
 definitions*.  Each :class:`Auditor` subscribes to the bus
-(:meth:`TraceBus.subscribe`) and consumes the dotted-taxonomy events
-online, maintaining one protocol invariant:
+(:meth:`TraceBus.subscribe`) for the dotted-taxonomy event kinds it
+reads and consumes them online, maintaining one protocol invariant:
 
 * :class:`TreeAuditor` — TCoP's §3 tree property: at most one confirmed
   parent per contents peer, no parent cycles, and every activated peer's
@@ -46,13 +46,16 @@ picklable :class:`AuditConfig`::
     class MyAuditor(Auditor):
         name = "my_check"
 
-        def handle(self, event):
-            if event.kind == "peer.crash":
-                self.warning("my_check.crash_seen", event.subject,
-                             "a peer crashed", evidence=[event])
+        def _on_crash(self, event):
+            self.warning("my_check.crash_seen", event.subject,
+                         "a peer crashed", evidence=[event])
 
-Offline, :func:`replay_jsonl` feeds a recorded JSONL trace through the
-same auditors — the CI runs this over the uploaded sample trace.
+        handlers = {"peer.crash": _on_crash}
+
+(``handlers`` declares what the bus sends it; an auditor that overrides
+:meth:`Auditor.handle` instead is sent every kind.)  Offline,
+:func:`replay_jsonl` publishes a recorded JSONL trace to the same
+auditors — the CI runs this over the uploaded sample trace.
 """
 
 from __future__ import annotations
@@ -63,7 +66,9 @@ from pathlib import Path
 from typing import (
     TYPE_CHECKING,
     Any,
+    Callable,
     Dict,
+    FrozenSet,
     Iterable,
     List,
     Optional,
@@ -73,10 +78,11 @@ from typing import (
     Union,
 )
 
-from repro.obs.trace import CONTROL_KINDS, TraceEvent
+from repro.obs.exporters import read_jsonl
+from repro.obs.trace import CONTROL_KINDS, TraceBus, TraceConfig, TraceEvent
+from repro.sim.engine import Environment
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.obs.trace import TraceBus
     from repro.streaming.session import StreamingSession
 
 __all__ = [
@@ -108,7 +114,7 @@ _OFFER_KINDS = frozenset({"request", "offer"})
 
 def describe_event(event: TraceEvent) -> str:
     """Render one event as a compact, deterministic evidence line."""
-    payload = event.payload()
+    payload = event.fields
     inner = " ".join(f"{k}={payload[k]!r}" for k in sorted(payload))
     head = f"[t={event.ts:.3f}] {event.kind} {event.subject}"
     return f"{head} {inner}" if inner else head
@@ -153,22 +159,28 @@ class Violation:
 class Auditor:
     """Base class: a read-only streaming observer of one invariant.
 
-    Subclasses implement :meth:`handle` (called per event, ``audit.*``
-    events excluded) and optionally :meth:`finish` (end-of-run checks).
-    Findings are recorded through :meth:`violation`/:meth:`warning`,
-    which also publish ``audit.*`` events back onto the bound bus.
+    Subclasses declare :attr:`handlers` (or override :meth:`handle`) and
+    optionally :meth:`finish` (end-of-run checks).  Findings are recorded
+    through :meth:`violation`/:meth:`warning`, which also publish
+    ``audit.*`` events back onto the bound bus.
     """
 
     name = "auditor"
+    #: kind -> handler method: the kinds this auditor reads, declared once
+    #: in the form :meth:`on_event` dispatches on — and asks the bus for.
+    #: Left empty, every kind goes to :meth:`handle`.
+    handlers: Dict[str, Callable[[Any, TraceEvent], None]] = {}
 
     def __init__(self) -> None:
         self.violations: List[Violation] = []
         self.warnings: List[Violation] = []
-        self.events_seen = 0
         self._bus: Optional["TraceBus"] = None
         self._session: Optional["StreamingSession"] = None
         self.leaf_id = "leaf"
         self.n_packets: Optional[int] = None
+        # count and time of what on_event was fed: the whole run only
+        # with no bus bound, so only then what the reports read
+        self._fed = 0
         self._last_ts = 0.0
 
     # -- wiring --------------------------------------------------------
@@ -179,7 +191,7 @@ class Auditor:
         leaf_id: Optional[str] = None,
         n_packets: Optional[int] = None,
     ) -> "Auditor":
-        """Attach to a bus and/or session (both optional for replay)."""
+        """Attach to a bus and/or session (both optional)."""
         self._bus = bus
         self._session = session
         if session is not None:
@@ -191,16 +203,30 @@ class Auditor:
             self.n_packets = n_packets
         return self
 
+    @property
+    def kinds(self) -> Optional[FrozenSet[str]]:
+        """What to ask the bus for: the declared kinds, else everything."""
+        return frozenset(self.handlers) or None
+
     def on_event(self, event: TraceEvent) -> None:
-        """Bus-facing entry point; skips the auditors' own output."""
-        if event.category == "audit":
-            return
-        self.events_seen += 1
+        """Entry point for one event, from the bus or fed by hand."""
+        self._fed += 1
         self._last_ts = event.ts
-        self.handle(event)
+        handler = self.handlers.get(event.kind)
+        if handler is not None:
+            handler(self, event)
+        elif not self.handlers and not event.kind.startswith("audit."):
+            self.handle(event)
+
+    @property
+    def events_seen(self) -> int:
+        """Non-``audit.*`` events of the run: the routing bus's count."""
+        return self._fed if self._bus is None else self._bus.events_seen
 
     # -- subclass surface ----------------------------------------------
     def handle(self, event: TraceEvent) -> None:  # pragma: no cover
+        """Every event but the auditors' own ``audit.*`` output, for a
+        subclass that declares no :attr:`handlers`."""
         raise NotImplementedError
 
     def finish(self, session: Optional["StreamingSession"] = None) -> None:
@@ -251,11 +277,13 @@ class Auditor:
             describe_event(e) if isinstance(e, TraceEvent) else str(e)
             for e in evidence
         )
+        if ts is None:  # the run's last event, like events_seen
+            ts = self._last_ts if self._bus is None else self._bus.last_ts
         finding = Violation(
             auditor=self.name,
             code=code,
             subject=subject,
-            ts=self._last_ts if ts is None else ts,
+            ts=ts,
             message=message,
             evidence=chain,
         )
@@ -334,18 +362,16 @@ class TreeAuditor(Auditor):
         self._activated: Dict[str, TraceEvent] = {}
         self._attachments = 0
 
-    def handle(self, event: TraceEvent) -> None:
-        if event.kind == "peer.attach":
-            self._on_attach(event)
-        elif event.kind == "peer.detach":
-            self._parent.pop(event.subject, None)
-            self._attach_event.pop(event.subject, None)
-        elif event.kind == "peer.activate":
-            self._activated.setdefault(event.subject, event)
+    def _on_detach(self, event: TraceEvent) -> None:
+        self._parent.pop(event.subject, None)
+        self._attach_event.pop(event.subject, None)
+
+    def _on_activate(self, event: TraceEvent) -> None:
+        self._activated.setdefault(event.subject, event)
 
     def _on_attach(self, event: TraceEvent) -> None:
         child = event.subject
-        parent = event.payload().get("parent")
+        parent = event.fields.get("parent")
         self._attachments += 1
         if child in self._parent:
             self.violation(
@@ -375,6 +401,12 @@ class TreeAuditor(Auditor):
             cursor = self._parent.get(cursor)
         self._parent[child] = parent
         self._attach_event[child] = event
+
+    handlers = {
+        "peer.attach": _on_attach,
+        "peer.detach": _on_detach,
+        "peer.activate": _on_activate,
+    }
 
     def finish(self, session: Optional["StreamingSession"] = None) -> None:
         # every activated peer with a live attachment must chain back to
@@ -441,28 +473,19 @@ class AllocationAuditor(Auditor):
             self._relaxed = True
         return self
 
-    def handle(self, event: TraceEvent) -> None:
-        kind = event.kind
-        if kind == "media.tx":
-            self._on_tx(event)
-        elif kind == "media.rx":
-            self._on_rx(event)
-        elif kind == "peer.crash":
-            self._crash_seen = True
-            self._relaxed = True
-        elif kind in (
-            "recoord.reissue",
-            "detector.confirm",
-            "link.duplicate",
-            "link.sever",
-            "partition.split",
-        ):
-            self._relaxed = True
-        elif kind == "msg.send" and event.payload().get("kind") == "repair":
+    def _on_crash(self, event: TraceEvent) -> None:
+        self._crash_seen = True
+        self._relaxed = True
+
+    def _relax(self, event: TraceEvent) -> None:
+        self._relaxed = True
+
+    def _on_send(self, event: TraceEvent) -> None:
+        if event.fields.get("kind") == "repair":
             self._relaxed = True
 
     def _on_tx(self, event: TraceEvent) -> None:
-        payload = event.payload()
+        payload = event.fields
         label = payload.get("label")
         if not isinstance(label, int):
             return  # parity packets carry no ordering/coverage obligation
@@ -493,7 +516,7 @@ class AllocationAuditor(Auditor):
             )
 
     def _on_rx(self, event: TraceEvent) -> None:
-        label = event.payload().get("label")
+        label = event.fields.get("label")
         if not isinstance(label, int):
             return
         prior = self._delivered.get(label)
@@ -505,10 +528,22 @@ class AllocationAuditor(Auditor):
             "alloc.duplicate_delivery",
             self.leaf_id,
             f"data seq {label} delivered to the leaf twice "
-            f"(from {prior.payload().get('src')!r} and "
-            f"{event.payload().get('src')!r})",
+            f"(from {prior.fields.get('src')!r} and "
+            f"{event.fields.get('src')!r})",
             evidence=[prior, event],
         )
+
+    handlers = {
+        "media.tx": _on_tx,
+        "media.rx": _on_rx,
+        "peer.crash": _on_crash,
+        "recoord.reissue": _relax,
+        "detector.confirm": _relax,
+        "link.duplicate": _relax,
+        "link.sever": _relax,
+        "partition.split": _relax,
+        "msg.send": _on_send,
+    }
 
     def finish(self, session: Optional["StreamingSession"] = None) -> None:
         n = self.n_packets
@@ -569,40 +604,42 @@ class ParityAuditor(Auditor):
             self._pending_labels.clear()
         return self._model
 
-    def handle(self, event: TraceEvent) -> None:
-        if event.kind == "media.rx":
-            label = event.payload().get("label")
-            if isinstance(label, int) and self.n_packets:
-                # data seqs beyond the declared content length would
-                # corrupt the model; surface them instead
-                if not 1 <= label <= self.n_packets:
-                    self.violation(
-                        "parity.alien_seq",
-                        event.subject,
-                        f"delivered data seq {label} outside the content "
-                        f"range 1..{self.n_packets}",
-                        evidence=[event],
-                    )
-                    return
-            model = self._ensure_model()
-            if model is None:
-                self._pending_labels.append(label)
-            else:
-                from repro.media.packet import Packet
-
-                model.add(Packet(label=label))
-        elif event.kind == "fec.recover":
-            self._recoveries += 1
-            seq = event.payload().get("seq")
-            model = self._ensure_model()
-            if model is not None and not model.has_data(seq):
+    def _on_rx(self, event: TraceEvent) -> None:
+        label = event.fields.get("label")
+        if isinstance(label, int) and self.n_packets:
+            # data seqs beyond the declared content length would
+            # corrupt the model; surface them instead
+            if not 1 <= label <= self.n_packets:
                 self.violation(
-                    "parity.phantom_recovery",
+                    "parity.alien_seq",
                     event.subject,
-                    f"leaf claims data seq {seq} recovered, but no parity "
-                    "constraint over the delivered packets can produce it",
+                    f"delivered data seq {label} outside the content "
+                    f"range 1..{self.n_packets}",
                     evidence=[event],
                 )
+                return
+        model = self._ensure_model()
+        if model is None:
+            self._pending_labels.append(label)
+        else:
+            from repro.media.packet import Packet
+
+            model.add(Packet(label=label))
+
+    def _on_recover(self, event: TraceEvent) -> None:
+        self._recoveries += 1
+        seq = event.fields.get("seq")
+        model = self._ensure_model()
+        if model is not None and not model.has_data(seq):
+            self.violation(
+                "parity.phantom_recovery",
+                event.subject,
+                f"leaf claims data seq {seq} recovered, but no parity "
+                "constraint over the delivered packets can produce it",
+                evidence=[event],
+            )
+
+    handlers = {"media.rx": _on_rx, "fec.recover": _on_recover}
 
     def finish(self, session: Optional["StreamingSession"] = None) -> None:
         model = self._ensure_model()
@@ -668,61 +705,64 @@ class CausalAuditor(Auditor):
         self._control_pairs: set = set()
         self._send_events: Dict[Tuple[str, str, str], TraceEvent] = {}
 
-    def handle(self, event: TraceEvent) -> None:
-        payload = event.payload()
-        kind = payload.get("kind")
-        if event.kind == "msg.send" and kind is not None and kind != "packet":
+    def _on_send(self, event: TraceEvent) -> None:
+        src, dst = event.subject, event.fields.get("dst")
+        kind = event.fields.get("kind")
+        if kind is not None and kind != "packet":
             # *any* non-media send may be reliable and thus solicit an
             # ack — including kinds outside CONTROL_KINDS ("state",
             # "cbcast" group exchanges) — so ack pairing tracks them all
-            self._control_pairs.add((event.subject, payload.get("dst")))
+            self._control_pairs.add((src, dst))
         if kind not in CONTROL_KINDS:
             return
-        if event.kind == "msg.send":
-            src, dst = event.subject, payload.get("dst")
-            key = (src, dst, kind)
-            self._sends[key] = self._sends.get(key, 0) + 1
-            self._send_events[key] = event
-            self._tracker.on_send(src, dst)
-            if kind in _OFFER_KINDS:
-                self._offered.add((src, dst))
-            self._control_pairs.add((src, dst))
-        elif event.kind == "msg.recv":
-            if payload.get("dup"):
-                # a link fault copied the message in flight: the extra
-                # copy has a causally prior send (the original's), so it
-                # must not count against send/recv conservation
-                return
-            dst, src = event.subject, payload.get("src")
-            key = (src, dst, kind)
-            self._recvs[key] = self._recvs.get(key, 0) + 1
-            self._tracker.on_recv(dst, src)
-            if self._recvs[key] > self._sends.get(key, 0):
-                self.violation(
-                    "causal.recv_before_send",
-                    dst,
-                    f"{dst} received {kind!r} #{self._recvs[key]} from "
-                    f"{src} but only {self._sends.get(key, 0)} were sent "
-                    "— a receive without a causally prior send",
-                    evidence=[event],
-                )
-            if kind in _RESPONSE_KINDS and (dst, src) not in self._offered:
-                self.violation(
-                    "causal.unsolicited_response",
-                    dst,
-                    f"{dst} received {kind!r} from {src} without ever "
-                    "offering to it — a response with no request in its "
-                    "causal past",
-                    evidence=[event],
-                )
-            if kind == "ack" and (dst, src) not in self._control_pairs:
-                self.violation(
-                    "causal.unsolicited_ack",
-                    dst,
-                    f"{dst} received an ack from {src} without any prior "
-                    "control send toward it",
-                    evidence=[event],
-                )
+        key = (src, dst, kind)
+        self._sends[key] = self._sends.get(key, 0) + 1
+        self._send_events[key] = event
+        self._tracker.on_send(src, dst)
+        if kind in _OFFER_KINDS:
+            self._offered.add((src, dst))
+
+    def _on_recv(self, event: TraceEvent) -> None:
+        kind = event.fields.get("kind")
+        if kind not in CONTROL_KINDS:
+            return
+        if event.fields.get("dup"):
+            # a link fault copied the message in flight: the extra
+            # copy has a causally prior send (the original's), so it
+            # must not count against send/recv conservation
+            return
+        dst, src = event.subject, event.fields.get("src")
+        key = (src, dst, kind)
+        self._recvs[key] = self._recvs.get(key, 0) + 1
+        self._tracker.on_recv(dst, src)
+        if self._recvs[key] > self._sends.get(key, 0):
+            self.violation(
+                "causal.recv_before_send",
+                dst,
+                f"{dst} received {kind!r} #{self._recvs[key]} from "
+                f"{src} but only {self._sends.get(key, 0)} were sent "
+                "— a receive without a causally prior send",
+                evidence=[event],
+            )
+        if kind in _RESPONSE_KINDS and (dst, src) not in self._offered:
+            self.violation(
+                "causal.unsolicited_response",
+                dst,
+                f"{dst} received {kind!r} from {src} without ever "
+                "offering to it — a response with no request in its "
+                "causal past",
+                evidence=[event],
+            )
+        if kind == "ack" and (dst, src) not in self._control_pairs:
+            self.violation(
+                "causal.unsolicited_ack",
+                dst,
+                f"{dst} received an ack from {src} without any prior "
+                "control send toward it",
+                evidence=[event],
+            )
+
+    handlers = {"msg.send": _on_send, "msg.recv": _on_recv}
 
     def extra(self) -> Dict[str, Any]:
         return {
@@ -773,51 +813,64 @@ class DetectorAuditor(Auditor):
             )
         return self
 
-    def handle(self, event: TraceEvent) -> None:
-        if event.kind == "peer.crash":
-            self._down[event.subject] = event
-        elif event.kind == "peer.rejoin":
-            self._down.pop(event.subject, None)
-        elif event.kind == "link.sever":
-            self._cut.add((event.subject, event.payload().get("dst")))
-        elif event.kind == "link.heal":
-            self._cut.discard((event.subject, event.payload().get("dst")))
-        elif event.kind == "detector.suspect":
-            if event.payload().get("false"):
-                self.warning(
-                    "detector.false_suspicion",
-                    event.subject,
-                    f"{event.subject} suspected while actually up",
-                    evidence=[event],
-                )
-        elif event.kind == "detector.confirm":
-            self._confirms += 1
-            pid = event.subject
-            if pid not in self._down:
-                # the mesh is direct links, so the peer is unreachable
-                # from the leaf iff one direction of their link is cut
-                leaf = self.leaf_id
-                if (pid, leaf) in self._cut or (leaf, pid) in self._cut:
-                    self._partition_excused += 1
-                    return
-                self.violation(
-                    "detector.false_confirm",
-                    pid,
-                    f"detector confirmed {pid} failed, but no injected "
-                    "fault has it down at this instant",
-                    evidence=[event],
-                )
+    def _on_crash(self, event: TraceEvent) -> None:
+        self._down[event.subject] = event
+
+    def _on_rejoin(self, event: TraceEvent) -> None:
+        self._down.pop(event.subject, None)
+
+    def _on_sever(self, event: TraceEvent) -> None:
+        self._cut.add((event.subject, event.fields.get("dst")))
+
+    def _on_heal(self, event: TraceEvent) -> None:
+        self._cut.discard((event.subject, event.fields.get("dst")))
+
+    def _on_suspect(self, event: TraceEvent) -> None:
+        if event.fields.get("false"):
+            self.warning(
+                "detector.false_suspicion",
+                event.subject,
+                f"{event.subject} suspected while actually up",
+                evidence=[event],
+            )
+
+    def _on_confirm(self, event: TraceEvent) -> None:
+        self._confirms += 1
+        pid = event.subject
+        if pid not in self._down:
+            # the mesh is direct links, so the peer is unreachable
+            # from the leaf iff one direction of their link is cut
+            leaf = self.leaf_id
+            if (pid, leaf) in self._cut or (leaf, pid) in self._cut:
+                self._partition_excused += 1
                 return
-            latency = event.payload().get("latency")
-            bound = self.latency_bound_ms
-            if latency is not None and bound is not None and latency > bound:
-                self.violation(
-                    "detector.latency_exceeded",
-                    pid,
-                    f"detection latency {latency:.1f} ms exceeds the "
-                    f"bound {bound:.1f} ms",
-                    evidence=[self._down[pid], event],
-                )
+            self.violation(
+                "detector.false_confirm",
+                pid,
+                f"detector confirmed {pid} failed, but no injected "
+                "fault has it down at this instant",
+                evidence=[event],
+            )
+            return
+        latency = event.fields.get("latency")
+        bound = self.latency_bound_ms
+        if latency is not None and bound is not None and latency > bound:
+            self.violation(
+                "detector.latency_exceeded",
+                pid,
+                f"detection latency {latency:.1f} ms exceeds the "
+                f"bound {bound:.1f} ms",
+                evidence=[self._down[pid], event],
+            )
+
+    handlers = {
+        "peer.crash": _on_crash,
+        "peer.rejoin": _on_rejoin,
+        "link.sever": _on_sever,
+        "link.heal": _on_heal,
+        "detector.suspect": _on_suspect,
+        "detector.confirm": _on_confirm,
+    }
 
     def extra(self) -> Dict[str, Any]:
         return {
@@ -870,49 +923,45 @@ class QuarantineAuditor(Auditor):
         self._readmissions = 0
         self._retx_excused = 0
 
-    def handle(self, event: TraceEvent) -> None:
-        kind = event.kind
-        payload = event.payload()
-        if kind == "health.quarantine":
-            self._episodes += 1
-            self._open[event.subject] = event
-            self._ok_streak[event.subject] = 0
-            if payload.get("false"):
-                self.violation(
-                    "quarantine.false_quarantine",
-                    event.subject,
-                    f"{event.subject} quarantined "
-                    f"({payload.get('reasons')!r}) with no injected fault "
-                    "that could explain it — the breaker tripped in a "
-                    "clean environment",
-                    evidence=[event],
-                )
-        elif kind == "health.probe":
-            pid = event.subject
-            if pid not in self._open:
-                self.violation(
-                    "quarantine.probe_outside_episode",
-                    pid,
-                    f"probe result for {pid} outside any quarantine "
-                    "episode",
-                    evidence=[event],
-                )
-                return
-            if payload.get("ok"):
-                self._ok_streak[pid] = self._ok_streak.get(pid, 0) + 1
-            else:
-                self._ok_streak[pid] = 0
-        elif kind == "health.readmit":
-            self._on_readmit(event, payload)
-        elif kind == "msg.retransmit":
-            self._retx.add(
-                (event.subject, payload.get("dst"), payload.get("kind"),
-                 event.ts)
+    def _on_quarantine(self, event: TraceEvent) -> None:
+        self._episodes += 1
+        self._open[event.subject] = event
+        self._ok_streak[event.subject] = 0
+        if event.fields.get("false"):
+            self.violation(
+                "quarantine.false_quarantine",
+                event.subject,
+                f"{event.subject} quarantined "
+                f"({event.fields.get('reasons')!r}) with no injected fault "
+                "that could explain it — the breaker tripped in a "
+                "clean environment",
+                evidence=[event],
             )
-        elif kind == "msg.send":
-            self._on_send(event, payload)
 
-    def _on_readmit(self, event: TraceEvent, payload: Dict[str, Any]) -> None:
+    def _on_probe(self, event: TraceEvent) -> None:
+        pid = event.subject
+        if pid not in self._open:
+            self.violation(
+                "quarantine.probe_outside_episode",
+                pid,
+                f"probe result for {pid} outside any quarantine "
+                "episode",
+                evidence=[event],
+            )
+            return
+        if event.fields.get("ok"):
+            self._ok_streak[pid] = self._ok_streak.get(pid, 0) + 1
+        else:
+            self._ok_streak[pid] = 0
+
+    def _on_retransmit(self, event: TraceEvent) -> None:
+        payload = event.fields
+        self._retx.add(
+            (event.subject, payload.get("dst"), payload.get("kind"), event.ts)
+        )
+
+    def _on_readmit(self, event: TraceEvent) -> None:
+        payload = event.fields
         pid = event.subject
         self._readmissions += 1
         opened = self._open.pop(pid, None)
@@ -940,11 +989,11 @@ class QuarantineAuditor(Auditor):
                 evidence=[opened, event],
             )
 
-    def _on_send(self, event: TraceEvent, payload: Dict[str, Any]) -> None:
-        dst = payload.get("dst")
+    def _on_send(self, event: TraceEvent) -> None:
+        dst = event.fields.get("dst")
         if dst not in self._open:
             return
-        kind = payload.get("kind")
+        kind = event.fields.get("kind")
         forbidden = kind in self._FORBIDDEN_ANY or (
             event.subject == self.leaf_id and kind in self._FORBIDDEN_LEAF
         )
@@ -964,6 +1013,14 @@ class QuarantineAuditor(Auditor):
             "selection, repair, and adaptation",
             evidence=[self._open[dst], event],
         )
+
+    handlers = {
+        "health.quarantine": _on_quarantine,
+        "health.probe": _on_probe,
+        "health.readmit": _on_readmit,
+        "msg.retransmit": _on_retransmit,
+        "msg.send": _on_send,
+    }
 
     def extra(self) -> Dict[str, Any]:
         return {
@@ -999,14 +1056,12 @@ class DuplicateEffectAuditor(Auditor):
         self._applied = 0
         self._suppressed = 0
 
-    def handle(self, event: TraceEvent) -> None:
-        if event.kind == "msg.dedup":
-            self._suppressed += 1
-            return
-        if event.kind != "ctrl.apply":
-            return
+    def _on_dedup(self, event: TraceEvent) -> None:
+        self._suppressed += 1
+
+    def _on_apply(self, event: TraceEvent) -> None:
         self._applied += 1
-        payload = event.payload()
+        payload = event.fields
         receiver = event.subject
         kind = payload.get("kind")
         uid = payload.get("uid")
@@ -1030,7 +1085,7 @@ class DuplicateEffectAuditor(Auditor):
             prior = self._by_mid.get(key)
             if prior is None:
                 self._by_mid[key] = event
-            elif prior.payload().get("uid") != uid:
+            elif prior.fields.get("uid") != uid:
                 # same uid was already reported above; a distinct uid
                 # with the same msg_id is a retransmission that escaped
                 # the control plane's duplicate suppression
@@ -1043,6 +1098,8 @@ class DuplicateEffectAuditor(Auditor):
                     "suppression and changed state twice",
                     evidence=[prior, event],
                 )
+
+    handlers = {"msg.dedup": _on_dedup, "ctrl.apply": _on_apply}
 
     def extra(self) -> Dict[str, Any]:
         return {
@@ -1097,94 +1154,99 @@ class CapacityAuditor(Auditor):
         #: matter, but counting every subject is simpler and cheap)
         self._served: Dict[str, int] = {}
 
-    def handle(self, event: TraceEvent) -> None:
-        kind = event.kind
-        if kind == "media.tx":
-            budget = self._budgets.get(event.subject)
-            if budget is None:
-                return
-            per_window, window_ms = budget
-            win = int(event.ts / window_ms + self._eps)
-            self._tx_total += 1
-            slot = self._tx.get(event.subject)
-            if slot is None or win > slot[0]:
-                self._tx[event.subject] = [win, 1, False]
-                self._windows_checked += 1
-                return
-            slot[1] += 1
-            if slot[1] > per_window and not slot[2]:
-                slot[2] = True
-                self.violation(
-                    "capacity.over_budget",
-                    event.subject,
-                    f"{event.subject} sent {slot[1]} media packets in "
-                    f"δ-window {win} but its announced budget is "
-                    f"{per_window}/window — the upload ledger was "
-                    "bypassed",
-                    evidence=[event],
-                )
+    def _on_tx(self, event: TraceEvent) -> None:
+        budget = self._budgets.get(event.subject)
+        if budget is None:
             return
-        if kind == "media.rx":
-            count = event.payload().get("count", 1)
-            self._served[event.subject] = (
-                self._served.get(event.subject, 0) + count
+        per_window, window_ms = budget
+        win = int(event.ts / window_ms + self._eps)
+        self._tx_total += 1
+        slot = self._tx.get(event.subject)
+        if slot is None or win > slot[0]:
+            self._tx[event.subject] = [win, 1, False]
+            self._windows_checked += 1
+            return
+        slot[1] += 1
+        if slot[1] > per_window and not slot[2]:
+            slot[2] = True
+            self.violation(
+                "capacity.over_budget",
+                event.subject,
+                f"{event.subject} sent {slot[1]} media packets in "
+                f"δ-window {win} but its announced budget is "
+                f"{per_window}/window — the upload ledger was "
+                "bypassed",
+                evidence=[event],
             )
-            return
-        if kind == "capacity.budget":
-            payload = event.payload()
-            self._budgets[event.subject] = (
-                int(payload["per_window"]),
-                float(payload["window_ms"]),
+
+    def _on_rx(self, event: TraceEvent) -> None:
+        self._served[event.subject] = (
+            self._served.get(event.subject, 0) + event.fields.get("count", 1)
+        )
+
+    def _on_budget(self, event: TraceEvent) -> None:
+        self._budgets[event.subject] = (
+            int(event.fields["per_window"]),
+            float(event.fields["window_ms"]),
+        )
+
+    def _on_grant(self, event: TraceEvent) -> None:
+        leaf = event.subject
+        self._granted[leaf] = self._granted.get(leaf, 0) + 1
+        if self._granted[leaf] - self._released.get(leaf, 0) > 1:
+            self.violation(
+                "capacity.double_grant",
+                leaf,
+                f"{leaf} was granted admission twice with no release "
+                "in between — reservations would leak",
+                evidence=[event],
             )
-            return
-        if kind == "admit.grant":
-            leaf = event.subject
-            self._granted[leaf] = self._granted.get(leaf, 0) + 1
-            if self._granted[leaf] - self._released.get(leaf, 0) > 1:
-                self.violation(
-                    "capacity.double_grant",
-                    leaf,
-                    f"{leaf} was granted admission twice with no release "
-                    "in between — reservations would leak",
-                    evidence=[event],
-                )
-            self._active += 1
-            claimed = event.payload().get("active")
-            if claimed is not None and claimed != self._active:
-                self.violation(
-                    "capacity.reservation_leak",
-                    leaf,
-                    f"admission controller claims {claimed} active "
-                    f"reservations after granting {leaf} but the event "
-                    f"ledger says {self._active} (admit − release must "
-                    "equal active)",
-                    evidence=[event],
-                )
-            return
-        if kind == "admit.release":
-            leaf = event.subject
-            self._released[leaf] = self._released.get(leaf, 0) + 1
-            if self._released[leaf] > self._granted.get(leaf, 0):
-                self.violation(
-                    "capacity.release_unmatched",
-                    leaf,
-                    f"{leaf} released a reservation it never held",
-                    evidence=[event],
-                )
-            self._active -= 1
-            claimed = event.payload().get("active")
-            if claimed is not None and claimed != self._active:
-                self.violation(
-                    "capacity.reservation_leak",
-                    leaf,
-                    f"admission controller claims {claimed} active "
-                    f"reservations after releasing {leaf} but the event "
-                    f"ledger says {self._active}",
-                    evidence=[event],
-                )
-            return
-        if kind == "admit.give_up":
-            self._gave_up.append(event.subject)
+        self._active += 1
+        claimed = event.fields.get("active")
+        if claimed is not None and claimed != self._active:
+            self.violation(
+                "capacity.reservation_leak",
+                leaf,
+                f"admission controller claims {claimed} active "
+                f"reservations after granting {leaf} but the event "
+                f"ledger says {self._active} (admit − release must "
+                "equal active)",
+                evidence=[event],
+            )
+
+    def _on_release(self, event: TraceEvent) -> None:
+        leaf = event.subject
+        self._released[leaf] = self._released.get(leaf, 0) + 1
+        if self._released[leaf] > self._granted.get(leaf, 0):
+            self.violation(
+                "capacity.release_unmatched",
+                leaf,
+                f"{leaf} released a reservation it never held",
+                evidence=[event],
+            )
+        self._active -= 1
+        claimed = event.fields.get("active")
+        if claimed is not None and claimed != self._active:
+            self.violation(
+                "capacity.reservation_leak",
+                leaf,
+                f"admission controller claims {claimed} active "
+                f"reservations after releasing {leaf} but the event "
+                f"ledger says {self._active}",
+                evidence=[event],
+            )
+
+    def _on_give_up(self, event: TraceEvent) -> None:
+        self._gave_up.append(event.subject)
+
+    handlers = {
+        "media.tx": _on_tx,
+        "media.rx": _on_rx,
+        "capacity.budget": _on_budget,
+        "admit.grant": _on_grant,
+        "admit.release": _on_release,
+        "admit.give_up": _on_give_up,
+    }
 
     def finish(self, session: Optional["StreamingSession"] = None) -> None:
         for leaf in self._gave_up:
@@ -1389,13 +1451,6 @@ def summarize_audits(
 # ----------------------------------------------------------------------
 # offline replay
 # ----------------------------------------------------------------------
-def _tuplify(value: Any) -> Any:
-    """JSON round-trip turns label tuples into lists; undo that."""
-    if isinstance(value, list):
-        return tuple(_tuplify(v) for v in value)
-    return value
-
-
 def replay_jsonl(
     source: Union[str, Path, Iterable[str]],
     config: Optional[AuditConfig] = None,
@@ -1410,42 +1465,25 @@ def replay_jsonl(
     :func:`~repro.obs.exporters.trace_to_jsonl` writes).  ``n_packets``
     defaults to the largest data seq observed in ``media.tx``/``media.rx``
     events, which is exact whenever the trace covers the full content.
+    The events reach the auditors the way a live run's do: published on
+    a bus that routes each to the auditors that asked for its kind.
     """
-    if isinstance(source, (str, Path)):
-        lines: Iterable[str] = Path(source).read_text().splitlines()
-    else:
-        lines = source
-    events: List[TraceEvent] = []
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        record = json.loads(line)
-        ts = record.pop("ts")
-        kind = record.pop("kind")
-        subject = record.pop("subject")
-        # the exporter renames a payload ``kind`` (message kind) to
-        # ``msg_kind`` so it cannot shadow the event kind; undo that
-        if "msg_kind" in record:
-            record["kind"] = record.pop("msg_kind")
-        data = tuple(
-            sorted((k, _tuplify(v)) for k, v in record.items())
-        )
-        events.append(TraceEvent(ts=ts, kind=kind, subject=subject, data=data))
+    events = list(read_jsonl(source))
     if n_packets is None:
         seqs = [
-            e.payload().get("label")
+            e.fields.get("label")
             for e in events
             if e.kind in ("media.tx", "media.rx")
         ]
         data_seqs = [s for s in seqs if isinstance(s, int)]
         n_packets = max(data_seqs) if data_seqs else None
+    bus = TraceBus(TraceConfig(), Environment())  # a clock stopped at zero
     auditors = build_auditors(config or AuditConfig())
     for auditor in auditors:
-        auditor.bind(leaf_id=leaf_id, n_packets=n_packets)
+        auditor.bind(bus, leaf_id=leaf_id, n_packets=n_packets)
+        bus.subscribe(auditor.on_event, auditor.kinds)
     for event in events:
-        for auditor in auditors:
-            auditor.on_event(event)
+        bus.publish(event)
     for auditor in auditors:
         auditor.finish()
     return AuditReport.from_auditors(protocol, seed, auditors)

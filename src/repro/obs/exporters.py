@@ -19,11 +19,13 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, Iterable, Iterator, List, Optional, Union
+
+from repro.obs.trace import TraceEvent
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.spans import SpanReport
-    from repro.obs.trace import TraceBus, TraceEvent
+    from repro.obs.trace import TraceBus
     from repro.streaming.session import SessionResult
 
 #: Perfetto wants integer microseconds; the sim clock runs in ms
@@ -38,11 +40,10 @@ def event_to_dict(event: "TraceEvent") -> Dict[str, Any]:
 
     ``msg.*`` payloads carry a ``kind`` field of their own (the message
     kind — ``request``, ``packet``, …) which would shadow the event kind
-    in the flat record; it is exported as ``msg_kind`` and the replay
-    parsers (:func:`repro.obs.audit.replay_jsonl`,
-    :func:`repro.obs.spans.spans_from_jsonl`) map it back.
+    in the flat record; it is exported as ``msg_kind`` and
+    :func:`event_from_dict` maps it back.
     """
-    data = event.payload()
+    data = event.payload()  # the one copy an exported event costs
     msg_kind = data.pop("kind", None)
     if msg_kind is not None:
         data["msg_kind"] = msg_kind
@@ -50,6 +51,45 @@ def event_to_dict(event: "TraceEvent") -> Dict[str, Any]:
     data["kind"] = event.kind
     data["subject"] = event.subject
     return data
+
+
+def trace_to_dict(bus: "TraceBus") -> Dict[str, Any]:
+    """The bus as one JSON-able document: what ``detach()`` ships."""
+    return {
+        "type": "trace",
+        "events": [event_to_dict(e) for e in bus.events],
+        "dropped_events": bus.dropped_events,
+        "counts_by_kind": dict(bus.counts_by_kind),
+        "participants": list(bus.participants),
+    }
+
+
+def tuplify(value: Any) -> Any:
+    """JSON round-trip turns label tuples into lists; undo that."""
+    if isinstance(value, list):
+        return tuple(tuplify(v) for v in value)
+    return value
+
+
+def event_from_dict(record: Dict[str, Any]) -> TraceEvent:
+    """The inverse of :func:`event_to_dict`, JSON round-trip included."""
+    fields = {
+        key: tuplify(value)
+        for key, value in record.items()
+        if key not in ("ts", "kind", "subject")
+    }
+    if "msg_kind" in fields:
+        fields["kind"] = fields.pop("msg_kind")
+    return TraceEvent(record["ts"], record["kind"], record["subject"], fields)
+
+
+def read_jsonl(source: Union[str, Path, Iterable[str]]) -> Iterator[TraceEvent]:
+    """The events of a JSONL trace: a path, or an iterable of its lines."""
+    if isinstance(source, (str, Path)):
+        source = Path(source).read_text().splitlines()
+    for line in source:
+        if line.strip():
+            yield event_from_dict(json.loads(line))
 
 
 def trace_to_jsonl(bus: "TraceBus") -> str:
@@ -129,11 +169,10 @@ def trace_to_chrome(
 
     wave_starts: Dict[int, float] = {}
     for event in bus.events:
-        payload = event.payload()
-        ts_us = int(round(event.ts * _US_PER_MS))
         if event.kind == "wave.start":
-            wave_starts[payload["round"]] = event.ts
+            wave_starts[event.fields["round"]] = event.ts
             continue
+        payload = event.payload()
         if event.kind == "wave.end":
             r = payload["round"]
             start = wave_starts.pop(r, event.ts)
@@ -158,7 +197,7 @@ def trace_to_chrome(
                 "s": "t",
                 "pid": 1,
                 "tid": tid_of(event.subject),
-                "ts": ts_us,
+                "ts": int(round(event.ts * _US_PER_MS)),
                 "args": payload,
             }
         )

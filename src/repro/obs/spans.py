@@ -52,10 +52,11 @@ from typing import (
 )
 
 from repro.metrics.series import SweepSeries
-from repro.obs.trace import TraceEvent
+from repro.obs.exporters import read_jsonl, tuplify
+from repro.obs.trace import TraceBus, TraceConfig, TraceEvent
+from repro.sim.engine import Environment
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.obs.trace import TraceBus
     from repro.streaming.session import StreamingSession
 
 __all__ = [
@@ -342,7 +343,6 @@ class SpanReport:
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "SpanReport":
         from repro.metrics.io import series_from_dict
-        from repro.obs.audit import _tuplify
 
         if data.get("type") != "span_report":
             raise ValueError("not a span_report payload")
@@ -369,7 +369,7 @@ class SpanReport:
                 "batch_wait_ms", "fec_ms", "buffer_ms",
             )
             return PacketJourney(
-                label=_tuplify(d["label"]), **{k: d[k] for k in keys}
+                label=tuplify(d["label"]), **{k: d[k] for k in keys}
             )
 
         def _segment(d: Dict[str, Any]) -> PathSegment:
@@ -492,15 +492,15 @@ class SpanReport:
 class SpanBuilder:
     """Streaming span construction over the trace-event firehose.
 
-    Subscribe via ``bus.subscribe(builder.on_event)`` (the session does
-    this when ``SessionSpec.spans`` is set) or feed events manually; call
-    :meth:`finish` once the run is over to obtain the :class:`SpanReport`.
-    The builder never emits events and never mutates simulation state.
+    Subscribe via ``bus.subscribe(builder.on_event, builder.kinds)`` (the
+    session does this when ``SessionSpec.spans`` is set) or feed events
+    manually; call :meth:`finish` once the run is over to obtain the
+    :class:`SpanReport`.  The builder never emits events and never
+    mutates simulation state.
     """
 
     def __init__(self, config: Optional[SpanConfig] = None) -> None:
         self.config = config or SpanConfig()
-        self.events_seen = 0
         self.leaf_id = "leaf"
         self.n_packets: Optional[int] = None
         self.delta: Optional[float] = None
@@ -523,6 +523,7 @@ class SpanBuilder:
         self._underruns: List[Tuple[float, str, Any]] = []
         self._skips: List[Tuple[float, str]] = []
         self._milestones: List[Tuple[float, str, str]] = []
+        # latest event fed: only the run's horizon with no bus bound
         self._end_ts = 0.0
 
     # ------------------------------------------------------------------
@@ -554,79 +555,97 @@ class SpanBuilder:
 
     # ------------------------------------------------------------------
     def on_event(self, event: TraceEvent) -> None:
-        if event.category == "audit":
-            return
-        self.events_seen += 1
+        """Entry point for one event, from the bus or fed by hand."""
         if event.ts > self._end_ts:
             self._end_ts = event.ts
-        kind = event.kind
-        # ordered roughly by event frequency: media firehose first
-        if kind == "media.tx":
-            payload = event.payload()
-            self._tx.setdefault(payload["label"], []).append(
-                (event.ts, event.subject, float(payload.get("off", 0.0)))
+        handler = self.handlers.get(event.kind)
+        if handler is not None:
+            handler(self, event)
+
+    def _on_tx(self, event: TraceEvent) -> None:
+        payload = event.fields
+        self._tx.setdefault(payload["label"], []).append(
+            (event.ts, event.subject, float(payload.get("off", 0.0)))
+        )
+
+    def _on_rx(self, event: TraceEvent) -> None:
+        payload = event.fields
+        wait = float(payload.get("wait", 0.0))
+        self._rx.setdefault(payload["label"], []).append(
+            (event.ts, payload.get("src", ""), wait, event.subject)
+        )
+
+    def _on_send(self, event: TraceEvent) -> None:
+        payload = event.fields
+        mid = payload.get("mid")
+        if mid is None:
+            return
+        ex = self._exchanges.get(mid)
+        if ex is None:
+            self._exchanges[mid] = dict(
+                mid=mid, kind=payload.get("kind", ""), src=event.subject,
+                dst=payload.get("dst", ""), sent=event.ts, last=event.ts,
+                attempts=0, acked=None, gave_up=None,
             )
-        elif kind == "media.rx":
-            payload = event.payload()
-            self._rx.setdefault(payload["label"], []).append(
-                (
-                    event.ts,
-                    payload.get("src", ""),
-                    float(payload.get("wait", 0.0)),
-                    event.subject,
-                )
-            )
-        elif kind == "msg.send":
-            payload = event.payload()
-            mid = payload.get("mid")
-            if mid is not None:
-                ex = self._exchanges.get(mid)
-                if ex is None:
-                    self._exchanges[mid] = {
-                        "mid": mid,
-                        "kind": payload.get("kind", ""),
-                        "src": event.subject,
-                        "dst": payload.get("dst", ""),
-                        "sent": event.ts,
-                        "last": event.ts,
-                        "attempts": 0,
-                        "acked": None,
-                        "gave_up": None,
-                    }
-                else:
-                    ex["last"] = event.ts
-        elif kind == "msg.retransmit":
-            ex = self._exchanges.get(event.payload().get("mid"))
-            if ex is not None:
-                ex["attempts"] += 1
-        elif kind == "msg.ack":
-            ex = self._exchanges.get(event.payload().get("mid"))
-            if ex is not None and ex["acked"] is None:
-                ex["acked"] = event.ts
-        elif kind == "msg.give_up":
-            ex = self._exchanges.get(event.payload().get("mid"))
-            if ex is not None and ex["gave_up"] is None:
-                ex["gave_up"] = event.ts
-        elif kind == "fec.recover":
-            key = (event.subject, event.payload()["seq"])
-            self._recovered.setdefault(key, event.ts)
-        elif kind == "buffer.play":
-            key = (event.subject, event.payload()["seq"])
-            self._played.setdefault(key, event.ts)
-        elif kind == "buffer.underrun":
-            self._underruns.append(
-                (event.ts, event.subject, event.payload().get("seq"))
-            )
-        elif kind == "buffer.skip":
-            self._skips.append((event.ts, event.subject))
-        elif kind == "peer.activate":
-            r = event.payload()["round"]
-            self._activations.append((event.ts, event.subject, r))
-            self._first_act.setdefault(event.subject, (event.ts, r))
-        elif kind == "wave.start":
-            self._wave_starts.setdefault(event.payload()["round"], event.ts)
-        elif kind in _MILESTONE_SEGMENTS:
-            self._milestones.append((event.ts, kind, event.subject))
+        else:
+            ex["last"] = event.ts
+
+    def _on_retransmit(self, event: TraceEvent) -> None:
+        ex = self._exchanges.get(event.fields.get("mid"))
+        if ex is not None:
+            ex["attempts"] += 1
+
+    def _on_ack(self, event: TraceEvent) -> None:
+        ex = self._exchanges.get(event.fields.get("mid"))
+        if ex is not None and ex["acked"] is None:
+            ex["acked"] = event.ts
+
+    def _on_give_up(self, event: TraceEvent) -> None:
+        ex = self._exchanges.get(event.fields.get("mid"))
+        if ex is not None and ex["gave_up"] is None:
+            ex["gave_up"] = event.ts
+
+    def _on_recover(self, event: TraceEvent) -> None:
+        self._recovered.setdefault((event.subject, event.fields["seq"]), event.ts)
+
+    def _on_play(self, event: TraceEvent) -> None:
+        self._played.setdefault((event.subject, event.fields["seq"]), event.ts)
+
+    def _on_underrun(self, event: TraceEvent) -> None:
+        self._underruns.append((event.ts, event.subject, event.fields.get("seq")))
+
+    def _on_skip(self, event: TraceEvent) -> None:
+        self._skips.append((event.ts, event.subject))
+
+    def _on_activate(self, event: TraceEvent) -> None:
+        r = event.fields["round"]
+        self._activations.append((event.ts, event.subject, r))
+        self._first_act.setdefault(event.subject, (event.ts, r))
+
+    def _on_wave_start(self, event: TraceEvent) -> None:
+        self._wave_starts.setdefault(event.fields["round"], event.ts)
+
+    def _on_milestone(self, event: TraceEvent) -> None:
+        self._milestones.append((event.ts, event.kind, event.subject))
+
+    #: kind -> handler: the kinds the builder reads, declared once in the
+    #: form :meth:`on_event` dispatches on
+    handlers = {
+        "media.tx": _on_tx,
+        "media.rx": _on_rx,
+        "msg.send": _on_send,
+        "msg.retransmit": _on_retransmit,
+        "msg.ack": _on_ack,
+        "msg.give_up": _on_give_up,
+        "fec.recover": _on_recover,
+        "buffer.play": _on_play,
+        "buffer.underrun": _on_underrun,
+        "buffer.skip": _on_skip,
+        "peer.activate": _on_activate,
+        "wave.start": _on_wave_start,
+        **dict.fromkeys(_MILESTONE_SEGMENTS, _on_milestone),
+    }
+    kinds = frozenset(handlers)
 
     # ------------------------------------------------------------------
     # span assembly
@@ -873,7 +892,9 @@ class SpanBuilder:
             | {leaf for leaf, _ in self._played}
         )
         out: Dict[str, SweepSeries] = {}
-        end = self._end_ts
+        # bound to a bus, no routed consumer sees the run's last event:
+        # the bus keeps its time
+        end = self._end_ts if self._bus is None else self._bus.last_ts
         bucket = self.config.qoe_bucket_deltas * (
             self.delta if self.delta else 1.0
         )
@@ -1035,31 +1056,14 @@ def spans_from_jsonl(
     be unfiltered (``TraceConfig(categories=None)``) for the report to
     match the online one — a category-filtered dump is missing joins.
     """
-    from repro.obs.audit import _tuplify
-
-    if isinstance(source, (str, Path)):
-        lines: Iterable[str] = Path(source).read_text().splitlines()
-    else:
-        lines = source
+    bus = TraceBus(TraceConfig(), Environment())  # a clock stopped at zero
     builder = SpanBuilder(config)
     builder.bind(
-        leaf_id=leaf_id, n_packets=n_packets, delta=delta, tau=tau
+        bus, leaf_id=leaf_id, n_packets=n_packets, delta=delta, tau=tau
     )
     builder.protocol = protocol
     builder.seed = seed
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        record = json.loads(line)
-        ts = record.pop("ts")
-        kind = record.pop("kind")
-        subject = record.pop("subject")
-        # undo the exporter's ``kind`` → ``msg_kind`` payload rename
-        if "msg_kind" in record:
-            record["kind"] = record.pop("msg_kind")
-        data = tuple(sorted((k, _tuplify(v)) for k, v in record.items()))
-        builder.on_event(
-            TraceEvent(ts=ts, kind=kind, subject=subject, data=data)
-        )
+    bus.subscribe(builder.on_event, builder.kinds)
+    for event in read_jsonl(source):
+        bus.publish(event)
     return builder.finish()

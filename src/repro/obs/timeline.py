@@ -41,11 +41,11 @@ def wave_timeline(bus: "TraceBus", title: str = "coordination timeline") -> Tabl
         return table
     by_round: Dict[int, List] = {}
     for event in activations:
-        by_round.setdefault(event.payload()["round"], []).append(event)
+        by_round.setdefault(event.fields["round"], []).append(event)
     control_sends = sorted(
         e.ts
         for e in bus.of_kind("msg.send")
-        if e.payload().get("kind") in CONTROL_KINDS
+        if e.fields.get("kind") in CONTROL_KINDS
     )
     last_round = max(by_round)
     cumulative = 0

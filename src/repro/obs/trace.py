@@ -49,8 +49,10 @@ category   kinds
 ========== =====================================================
 
 Consumers that need events *as they happen* (rather than the post-hoc
-``events`` buffer) register a callback via :meth:`TraceBus.subscribe`;
-see :mod:`repro.obs.audit` for the principal client.
+``events`` buffer) register a callback via :meth:`TraceBus.subscribe`,
+naming the kinds they read; the bus hands each event only to the
+consumers that asked for its kind.  See :mod:`repro.obs.audit` for the
+principal client.
 
 All payload values are JSON primitives, so a trace serializes verbatim
 (see :mod:`repro.obs.exporters`) and two equal-seed runs produce
@@ -60,13 +62,18 @@ byte-identical dumps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
+from types import MappingProxyType
 from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
     Dict,
     FrozenSet,
+    Iterable,
     List,
+    Mapping,
+    NamedTuple,
     Optional,
     Tuple,
 )
@@ -88,21 +95,34 @@ CONTROL_KINDS: FrozenSet[str] = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+_NO_FIELDS: Mapping[str, Any] = MappingProxyType({})
+
+
+class TraceEvent(NamedTuple):
     """One observation: simulated time, dotted kind, subject, payload."""
 
     ts: float
     kind: str
     subject: str
-    data: Tuple[Tuple[str, Any], ...] = ()
+    #: the payload — one mapping per event, shared by every reader: read
+    #: it in place, take :meth:`payload` for a copy to change
+    fields: Mapping[str, Any] = _NO_FIELDS
 
     @property
     def category(self) -> str:
         return self.kind.split(".", 1)[0]
 
+    @property
+    def data(self) -> Tuple[Tuple[str, Any], ...]:
+        """The payload as key-sorted pairs."""
+        return tuple(sorted(self.fields.items()))
+
     def payload(self) -> Dict[str, Any]:
-        return dict(self.data)
+        """A private copy of the payload."""
+        return dict(self.fields)
+
+
+Subscriber = Callable[[TraceEvent], None]
 
 
 @dataclass(frozen=True)
@@ -160,46 +180,79 @@ class TraceBus:
     counts_by_kind: Dict[str, int] = field(default_factory=dict)
     #: registry whose counters mirror send totals; wired by the session
     registry: Optional["MetricsRegistry"] = None
-    #: streaming callbacks receiving every event (even filtered/capped)
-    subscribers: List[Callable[[TraceEvent], None]] = field(
-        default_factory=list
+    #: streaming callback -> the kinds it asked for (``None``: all), in
+    #: subscription order
+    subscribers: Dict[Subscriber, Optional[FrozenSet[str]]] = field(
+        default_factory=dict
     )
+    #: non-``audit.*`` events published so far and the time of the last
+    #: one — kept here because no routed consumer sees every event
+    events_seen: int = 0
+    last_ts: float = 0.0
     #: highest flooding round a ``wave.start`` was recorded for
     _waves_seen: set = field(default_factory=set)
     #: memoized per-kind ``config.wants`` verdicts — the kind universe is
     #: tiny and fixed, so one dict probe replaces a string split + set
     #: lookup on the per-event hot path
     _wants_cache: Dict[str, bool] = field(default_factory=dict)
+    #: kind -> (counts toward ``events_seen``?, callbacks that asked for
+    #: it), filled on the first event of each kind
+    _routes: Dict[str, tuple] = field(default_factory=dict)
+    _finalized: bool = False
 
     # ------------------------------------------------------------------
-    def subscribe(self, callback: Callable[[TraceEvent], None]) -> None:
-        """Register a streaming callback invoked on every emitted event.
+    def subscribe(
+        self, callback: Subscriber, kinds: Optional[Iterable[str]] = None
+    ) -> None:
+        """Register a streaming callback for the event ``kinds`` it reads.
 
-        Subscribers see *all* events — including those suppressed from
-        the buffer by category filters or the ``max_events`` cap — so an
-        online auditor's view is never truncated.  Callbacks run
-        synchronously inside :meth:`emit`, after the event is appended
-        to the log; a callback may itself ``emit`` (e.g. an
-        ``audit.violation``), which re-enters the bus and is dispatched
-        to the subscriber snapshot taken at that inner emit.
+        ``kinds=None`` asks for every kind, ``audit.*`` included.
+        Subscribers see *all* events of the kinds they asked for —
+        including those suppressed from the buffer by category filters
+        or the ``max_events`` cap — so an online auditor's view is never
+        truncated.  Callbacks run synchronously inside :meth:`emit`,
+        after the event is appended to the log; a callback may itself
+        ``emit`` (e.g. an ``audit.violation``) or (un)subscribe: each
+        dispatch walks the immutable route it started with.
         """
-        self.subscribers.append(callback)
+        self.subscribers[callback] = None if kinds is None else frozenset(kinds)
+        self._routes.clear()
 
-    def unsubscribe(self, callback: Callable[[TraceEvent], None]) -> None:
+    def unsubscribe(self, callback: Subscriber) -> None:
         """Remove a previously registered callback (no-op if absent)."""
-        try:
-            self.subscribers.remove(callback)
-        except ValueError:
-            pass
+        self.subscribers.pop(callback, None)
+        self._routes.clear()
+
+    def publish(self, event: TraceEvent) -> None:
+        """Hand one event to the consumers that asked for its kind: the
+        tail of :meth:`emit`, and all an offline replay of events does."""
+        kind = event.kind
+        route = self._routes.get(kind)
+        if route is None:
+            route = self._routes[kind] = (
+                not kind.startswith("audit."),
+                tuple(
+                    callback
+                    for callback, kinds in self.subscribers.items()
+                    if kinds is None or kind in kinds
+                ),
+            )
+        counted, callbacks = route
+        if counted:
+            self.events_seen += 1
+            self.last_ts = event.ts
+        for callback in callbacks:
+            callback(event)
 
     # ------------------------------------------------------------------
     def emit(self, kind: str, subject: str, /, **data: Any) -> None:
         """Record one event at the current simulated time.
 
-        Payload materialization is lazy: when the kind is filtered out and
-        nobody subscribed, the method returns before building the sorted
-        payload tuple or the :class:`TraceEvent` — filtered firehose
-        categories then cost only the counter updates below.
+        ``data`` — the fresh dict this call owns — becomes the event's
+        one payload.  When the kind is filtered out and nobody subscribed,
+        the method returns before building the :class:`TraceEvent` —
+        filtered firehose categories then cost only the counter updates
+        below.
         """
         # batched media emits cover ``count`` packets in one event; the
         # per-kind counters stay packet-accurate either way, so batched
@@ -240,18 +293,11 @@ class TraceBus:
             stored = False
         if not stored and not self.subscribers:
             return
-        event = TraceEvent(
-            ts=self.env.now,
-            kind=kind,
-            subject=subject,
-            data=tuple(sorted(data.items())),
-        )
+        event = TraceEvent(self.env.now, kind, subject, data)
         if stored:
             self.events.append(event)
         if self.subscribers:
-            # snapshot: a callback may (un)subscribe or re-enter emit
-            for callback in tuple(self.subscribers):
-                callback(event)
+            self.publish(event)
 
     def wave_start(self, round_: int, subject: str, /, **data: Any) -> None:
         """Emit ``wave.start`` once per flooding round (first sender wins)."""
@@ -273,28 +319,28 @@ class TraceBus:
         activation gets a ``wave.end`` stamped at its last activation
         instant, and the log is re-sorted into time order.
         """
-        if any(e.kind == "wave.end" for e in self.events):
-            return  # already finalized (collect ran twice)
+        if self._finalized:
+            return  # collect ran twice
+        self._finalized = True
         last_by_round: Dict[int, float] = {}
         count_by_round: Dict[int, int] = {}
-        for event in self.of_kind("peer.activate"):
-            payload = event.payload()
-            r = payload["round"]
-            last_by_round[r] = max(last_by_round.get(r, event.ts), event.ts)
-            count_by_round[r] = count_by_round.get(r, 0) + 1
-        for r in sorted(last_by_round):
-            if not self.config.wants("wave.end"):
-                break
-            self.events.append(
-                TraceEvent(
-                    ts=last_by_round[r],
-                    kind="wave.end",
-                    subject="session",
-                    data=(("activated", count_by_round[r]), ("round", r)),
+        for event in self.events:
+            if event.kind == "peer.activate":
+                r = event.fields["round"]
+                last_by_round[r] = max(last_by_round.get(r, event.ts), event.ts)
+                count_by_round[r] = count_by_round.get(r, 0) + 1
+        if self.config.wants("wave.end"):
+            for r in sorted(last_by_round):
+                self.events.append(
+                    TraceEvent(
+                        last_by_round[r],
+                        "wave.end",
+                        "session",
+                        {"activated": count_by_round[r], "round": r},
+                    )
                 )
-            )
         # stable sort: simultaneous events keep their emission order
-        self.events.sort(key=lambda e: e.ts)
+        self.events.sort(key=attrgetter("ts"))
 
     def __len__(self) -> int:
         return len(self.events)

@@ -172,15 +172,9 @@ class SessionResult:
             spans = spans.to_dict()
             detached = True
         if isinstance(trace, TraceBus):
-            from repro.obs.exporters import event_to_dict
+            from repro.obs.exporters import trace_to_dict
 
-            trace = {
-                "type": "trace",
-                "events": [event_to_dict(e) for e in trace.events],
-                "dropped_events": trace.dropped_events,
-                "counts_by_kind": dict(trace.counts_by_kind),
-                "participants": list(trace.participants),
-            }
+            trace = trace_to_dict(trace)
             detached = True
         if timeseries is not None and not isinstance(timeseries, dict):
             from repro.metrics.io import series_to_dict
@@ -448,7 +442,7 @@ class StreamingSession:
             self.auditors = build_auditors(audit)
             for auditor in self.auditors:
                 auditor.bind(self.trace_bus, self)
-                self.trace_bus.subscribe(auditor.on_event)
+                self.trace_bus.subscribe(auditor.on_event, auditor.kinds)
         # --- causal span builder (read-only subscriber; opt-in) --------
         if spans is not None:
             from repro.obs.spans import SpanBuilder, SpanConfig
@@ -457,7 +451,9 @@ class StreamingSession:
                 spans = SpanConfig()
             self.span_builder = SpanBuilder(spans)
             self.span_builder.bind(self.trace_bus, self)
-            self.trace_bus.subscribe(self.span_builder.on_event)
+            self.trace_bus.subscribe(
+                self.span_builder.on_event, self.span_builder.kinds
+            )
 
     # ------------------------------------------------------------------
     # observability

@@ -412,15 +412,9 @@ class SwarmResult:
             audit = audit.to_dict()
             detached = True
         if isinstance(trace, TraceBus):
-            from repro.obs.exporters import event_to_dict
+            from repro.obs.exporters import trace_to_dict
 
-            trace = {
-                "type": "trace",
-                "events": [event_to_dict(e) for e in trace.events],
-                "dropped_events": trace.dropped_events,
-                "counts_by_kind": dict(trace.counts_by_kind),
-                "participants": list(trace.participants),
-            }
+            trace = trace_to_dict(trace)
             detached = True
         if not detached:
             return self
@@ -521,7 +515,7 @@ class SwarmSession:
                     None,
                     n_packets=config.content_packets,
                 )
-                self.trace_bus.subscribe(auditor.on_event)
+                self.trace_bus.subscribe(auditor.on_event, auditor.kinds)
         # --- arrivals ---------------------------------------------------
         join_rng = self.streams.get("swarm/joins")
         offsets = spec.join_plan.arrival_offsets(config.delta, join_rng)

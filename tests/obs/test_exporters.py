@@ -15,6 +15,7 @@ from repro.obs import (
     write_jsonl,
     write_run_summary,
 )
+from repro.obs.exporters import event_from_dict, event_to_dict, read_jsonl
 from repro.streaming import ProtocolSpec, SessionSpec
 
 
@@ -43,6 +44,19 @@ def test_jsonl_one_valid_object_per_event(traced_result, tmp_path):
     path = tmp_path / "trace.jsonl"
     write_jsonl(bus, path)
     assert path.read_text() == text
+
+
+def test_event_from_dict_inverts_event_to_dict(traced_result):
+    events = traced_result.trace.events
+    # parity labels are (nested) tuples, which JSON flattens to lists
+    assert any(isinstance(e.fields.get("label"), tuple) for e in events)
+    assert any("kind" in e.fields for e in events)  # exported as msg_kind
+    for event in events:
+        record = event_to_dict(event)
+        assert event_from_dict(record) == event
+        assert event_from_dict(json.loads(json.dumps(record))) == event
+    lines = trace_to_jsonl(traced_result.trace).splitlines()
+    assert list(read_jsonl(lines)) == events
 
 
 # ----------------------------------------------------------------------
