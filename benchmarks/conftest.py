@@ -1,17 +1,19 @@
-"""Shared settings for the benchmark suite.
+"""Shared settings for the four CI-gated bench modules.
 
-Every ``test_bench_*`` regenerates one of the paper's figures (or an
-ablation) via ``benchmark.pedantic(…, rounds=1)`` — the interesting output
-is the printed table and the shape assertions, not the wall-clock
-statistics, so one round suffices.  Run with::
+Every ``test_bench_*`` runs one experiment once, prints its table and
+asserts its shape — the interesting output is the table and the result
+scalars, not wall-clock statistics.  Run with::
 
-    pytest benchmarks/ --benchmark-only -s
+    pytest benchmarks/ -s
 
-Each run also writes one consolidated ``BENCH_<module>.json`` artifact per
-bench module (wall time of every test + any key result scalars recorded
-through the ``bench_scalars`` fixture) into ``BENCH_ARTIFACT_DIR``
-(default ``<rootdir>/bench_artifacts``), so the perf trajectory is
-tracked across PRs — CI uploads the directory as a workflow artifact.
+Each run writes one consolidated ``BENCH_<module>.json`` artifact per
+bench module (wall time of every test + the key result scalars recorded
+through the ``bench_scalars`` fixture) into ``BENCH_ARTIFACT_DIR``,
+default the git-ignored ``<rootdir>/out/bench_fresh``.  CI's ``regress``
+step diffs that directory against the committed baselines in
+``bench_artifacts/``; writing a new baseline is therefore explicit::
+
+    BENCH_ARTIFACT_DIR=bench_artifacts pytest benchmarks/
 """
 
 import json
@@ -22,9 +24,7 @@ import pytest
 
 from repro.metrics.stats import nearest_rank_percentile as percentile
 
-__all__ = ["REDUCED_HS", "percentile"]
-
-REDUCED_HS = [2, 5, 10, 20, 40, 60, 80, 100]
+__all__ = ["percentile"]
 
 #: module name -> {test name -> {"wall_s": float, "scalars": {...}}}
 _RECORDS: dict = {}
@@ -59,7 +59,7 @@ def _artifact_dir(config) -> Path:
     override = os.environ.get("BENCH_ARTIFACT_DIR")
     if override:
         return Path(override)
-    return Path(str(config.rootdir)) / "bench_artifacts"
+    return Path(str(config.rootdir)) / "out" / "bench_fresh"
 
 
 def pytest_sessionfinish(session, exitstatus):

@@ -10,21 +10,11 @@ sweep's confirm latencies).
 
 from conftest import percentile
 
-from repro.experiments import run_gray
-
-PROTOCOLS = [
-    "dcop", "tcop", "broadcast", "centralized", "schedule_based",
-    "single_source", "unicast_chain", "ams", "hetero_schedule",
-    "hetero_dcop",
-]
+from repro.experiments import run_experiment
 
 
-def test_bench_gray(benchmark, bench_scalars):
-    series = benchmark.pedantic(
-        lambda: run_gray(n=10, H=4, content_packets=150),
-        rounds=1,
-        iterations=1,
-    )
+def test_bench_gray(bench_scalars):
+    series = run_experiment("EX-N", n=10, H=4, content_packets=150)
     print()
     print(series.render())
 

@@ -8,21 +8,18 @@ threshold — and short partitions heal *before* that threshold, so no
 re-coordination is spent on them at all.
 """
 
-from repro.experiments import run_partition
+from repro.experiments import run_experiment
 from repro.streaming import DetectorPolicy
 
 
-def test_bench_partition(benchmark, bench_scalars):
-    series = benchmark.pedantic(
-        lambda: run_partition(
-            durations_deltas=[5.0, 15.0, None],
-            splits=[1, 2],
-            n=10,
-            H=4,
-            content_packets=150,
-        ),
-        rounds=1,
-        iterations=1,
+def test_bench_partition(bench_scalars):
+    series = run_experiment(
+        "EX-M",
+        values=[5.0, 15.0, "permanent"],
+        splits=[1, 2],
+        n=10,
+        H=4,
+        content_packets=150,
     )
     print()
     print(series.render())

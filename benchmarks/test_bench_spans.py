@@ -56,19 +56,13 @@ def _lossy_spec() -> SessionSpec:
     )
 
 
-def test_bench_spans_fig10(benchmark, bench_scalars):
-    def cell():
-        t0 = time.perf_counter()
-        plain = _fig10_spec(spans=False).run()
-        t_plain = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        spanned = _fig10_spec(spans=True).run()
-        t_spans = time.perf_counter() - t0
-        return plain, spanned, t_plain, t_spans
-
-    plain, spanned, t_plain, t_spans = benchmark.pedantic(
-        cell, rounds=1, iterations=1
-    )
+def test_bench_spans_fig10(bench_scalars):
+    t0 = time.perf_counter()
+    plain = _fig10_spec(spans=False).run()
+    t_plain = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    spanned = _fig10_spec(spans=True).run()
+    t_spans = time.perf_counter() - t0
     report = spanned.spans
 
     print()
@@ -111,10 +105,8 @@ def test_bench_spans_fig10(benchmark, bench_scalars):
     assert report.playback_path_ms >= report.coordination_path_ms
 
 
-def test_bench_spans_lossy_decomposition(benchmark, bench_scalars):
-    result = benchmark.pedantic(
-        lambda: _lossy_spec().run(), rounds=1, iterations=1
-    )
+def test_bench_spans_lossy_decomposition(bench_scalars):
+    result = _lossy_spec().run()
     report = result.spans
     ps = report.packet_stats
 

@@ -9,17 +9,13 @@ admission-off arm, the admission-on arm is no worse at every load point,
 and the capacity auditor certifies every cell.
 """
 
-from repro.experiments import run_overload
+from repro.experiments import run_experiment
 
 RATES = (0.25, 0.5, 1.0, 2.0, 4.0)
 
 
-def test_bench_swarm(benchmark, bench_scalars):
-    series = benchmark.pedantic(
-        lambda: run_overload(arrival_rates=RATES, packets_per_delta=2.5),
-        rounds=1,
-        iterations=1,
-    )
+def test_bench_swarm(bench_scalars):
+    series = run_experiment("EX-O", values=RATES, packets_per_delta=2.5)
     print()
     print(series.render())
 

@@ -15,13 +15,14 @@ Run:  python examples/parallel_sweep.py
 import os
 import time
 
-from repro.experiments import ParallelExecutor, run_fig10
+from repro.experiments import ParallelExecutor, run_experiment
 
 
 def timed(executor=None):
     start = time.perf_counter()
-    series = run_fig10(
-        h_values=[10, 20, 30, 40, 60, 80, 100],
+    series = run_experiment(
+        "fig10",
+        values=[10, 20, 30, 40, 60, 80, 100],
         content_packets=300,
         executor=executor,
     )

@@ -10,14 +10,15 @@ redundancy.
 Run:  python examples/protocol_shootout.py
 """
 
-from repro.experiments import run_protocol_comparison, run_scaling
+from repro.experiments import run_experiment
 
 
 def main() -> None:
-    print(run_protocol_comparison(n=50, H=15, content_packets=400).render())
+    print(run_experiment("EX-A", n=50, H=15, content_packets=400).render())
     print()
     print("How the two paper protocols and the centralized baseline scale:")
-    print(run_scaling(n_values=[10, 25, 50, 100], content_packets=150).render())
+    scaling = run_experiment("EX-E", values=[10, 25, 50, 100], content_packets=150)
+    print(scaling.render())
 
 
 if __name__ == "__main__":

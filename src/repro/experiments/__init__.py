@@ -1,11 +1,15 @@
-"""Experiment harness: one module per paper figure plus ablations.
+"""Experiment harness: one table of experiments, one sweep driver.
 
-Every experiment returns a :class:`~repro.metrics.SweepSeries` whose table
-prints the same rows the paper's figure plots; the paper's quoted reference
-points are embedded as ``PAPER_REFERENCE`` dicts so EXPERIMENTS.md can be
-regenerated mechanically.
+:data:`EXPERIMENTS` holds every experiment — the paper's Figures 10–12 and
+the ablations EX-A … EX-O — as one :class:`Experiment` row each (what to
+sweep, which arms to run, which columns to report);
+:func:`run_experiment` runs a row and returns a
+:class:`~repro.metrics.SweepSeries` whose table prints the same rows the
+paper's figure plots.  The paper's quoted reference points are embedded
+as ``PAPER_*_REFERENCE`` dicts so EXPERIMENTS.md can be regenerated
+mechanically.
 
-Sweeps describe their runs as picklable
+Rows describe their runs as picklable
 :class:`~repro.streaming.SessionSpec` values and execute them through an
 executor: :class:`SerialExecutor` (default) or :class:`ParallelExecutor`
 (``executor=ParallelExecutor(jobs=N)`` fans runs out across cores with
@@ -32,29 +36,24 @@ from repro.experiments.parallel import (
     available_cores,
     run_specs,
 )
-from repro.experiments.runner import replication_specs, run_session, sweep
-from repro.experiments.fig10 import run_fig10, PAPER_FIG10_REFERENCE
-from repro.experiments.fig11 import run_fig11, PAPER_FIG11_REFERENCE
-from repro.experiments.fig12 import run_fig12, PAPER_FIG12_REFERENCE
-from repro.experiments.ablations import (
-    run_ams_overhead,
-    run_churn,
-    run_fault_tolerance,
-    run_gray,
-    run_hetero_flooding,
-    run_heterogeneous,
-    run_loss_recovery,
-    run_multi_leaf,
-    run_overload,
-    run_parity_sweep,
-    run_partition,
-    run_protocol_comparison,
-    run_rate_adaptation,
-    run_receipt_capacity,
-    run_scaling,
-)
+from repro.experiments.runner import Experiment, first_picks, replication_specs
+from repro.experiments.fig10 import FIG10, PAPER_FIG10_REFERENCE
+from repro.experiments.fig11 import FIG11, PAPER_FIG11_REFERENCE
+from repro.experiments.fig12 import FIG12, PAPER_FIG12_REFERENCE
+from repro.experiments.ablations import ABLATIONS
+
+#: the experiment table: key → row, figures first, in printing order
+EXPERIMENTS = {row.key: row for row in (FIG10, FIG11, FIG12, *ABLATIONS)}
+
+
+def run_experiment(key, values=None, executor=None, **overrides):
+    """Run the table row ``key`` (see :meth:`Experiment.run`)."""
+    return EXPERIMENTS[key].run(values, executor, **overrides)
+
 
 __all__ = [
+    "EXPERIMENTS",
+    "Experiment",
     "PAPER_FIG10_REFERENCE",
     "PAPER_FIG11_REFERENCE",
     "PAPER_FIG12_REFERENCE",
@@ -69,26 +68,8 @@ __all__ = [
     "compare_audit_reports",
     "compare_bench",
     "compare_dirs",
+    "first_picks",
     "replication_specs",
+    "run_experiment",
     "run_specs",
-    "run_ams_overhead",
-    "run_churn",
-    "run_fault_tolerance",
-    "run_fig10",
-    "run_fig11",
-    "run_fig12",
-    "run_gray",
-    "run_hetero_flooding",
-    "run_heterogeneous",
-    "run_loss_recovery",
-    "run_multi_leaf",
-    "run_overload",
-    "run_parity_sweep",
-    "run_partition",
-    "run_protocol_comparison",
-    "run_rate_adaptation",
-    "run_receipt_capacity",
-    "run_scaling",
-    "run_session",
-    "sweep",
 ]

@@ -1,720 +1,62 @@
-"""Ablation experiments beyond the paper's three figures.
+"""Ablation experiments beyond the paper's three figures: rows EX-A … EX-O
+of the experiment table (:data:`ABLATIONS`, in table order).
 
-* EX-A :func:`run_protocol_comparison` — every coordination variant side by
-  side (rounds, traffic, receipt rate) at one (n, H).
-* EX-B :func:`run_fault_tolerance` — crash ``k`` transmitting peers
-  mid-stream; delivery ratio of DCoP (with parity) vs the single-source and
-  no-parity baselines.
-* EX-C :func:`run_loss_recovery` — bursty Gilbert–Elliott channel loss
-  sweep; how much the parity margin recovers.
-* EX-D :func:`run_parity_sweep` — fault margin ``h`` sweep: overhead
-  (receipt rate) vs resilience (delivery under loss), the §3.2 trade-off.
-* EX-E :func:`run_scaling` — n sweep at fixed H fraction: sync time and
-  traffic growth of DCoP vs TCoP vs centralized.
-* EX-F :func:`run_heterogeneous` — §2 time-slot allocation vs naive
-  division over uneven peer bandwidths.
-* EX-G :func:`run_ams_overhead` — the AMS model's quadratic group
-  communication vs DCoP's flooding (§1's motivating comparison).
-* EX-H :func:`run_multi_leaf` — per-peer load with many concurrent leaf
-  peers (§1/§2 scalability motivation).
-* EX-I :func:`run_rate_adaptation` — §5's "change the rate": degraded
-  peers recruit helpers via weighted handoffs.
-* EX-J :func:`run_receipt_capacity` — §3.1's leaf receipt capacity ρ_s:
-  buffer overrun under broadcast vs DCoP.
-* EX-K :func:`run_hetero_flooding` — bandwidth-aware flooding
-  (HeteroDCoP) vs equal-split DCoP over uneven peers.
-* EX-L :func:`run_churn` — Poisson churn sweep with the full tolerance
-  stack (failure detection, reliable control plane, re-coordination).
-* EX-M :func:`run_partition` — network partitions of varying duration and
-  component size: receipt ratio and split→re-coordination latency of DCoP
-  vs TCoP (partitioned peers are silent, not dead).
-* EX-N :func:`run_gray` — gray-failure gauntlet (flapping, rate-degraded,
-  and stuttering peers that never cleanly die): receipt with the peer
-  quarantine circuit breaker on vs off, for every protocol.
-* EX-O :func:`run_overload` — flash-crowd join storms against finite
-  per-peer upload budgets: receipt ratio vs arrival rate with swarm
-  admission control on vs off.
-
-Every entry point describes its runs as declarative
-:class:`~repro.streaming.spec.SessionSpec` values; the independent-cell
-sweeps (EX-E, EX-L) additionally take an ``executor`` to fan those cells
-out across cores.
+Each row's ``doc`` says what it sweeps, what it compares and why it is
+set up the way it is; ``repro.experiments.run_experiment(key, …)`` runs
+one.  Every run is described as a declarative
+:class:`~repro.streaming.spec.SessionSpec` (or
+:class:`~repro.streaming.swarm.SwarmSpec`), so all rows except the four
+that read live-session state through ``measure`` (EX-F, EX-H, EX-I,
+EX-J) fan their cells out across cores when given an ``executor``.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from dataclasses import replace
+from typing import Any, Optional
 
-from repro.core import (
-    BroadcastCoordination,
-    CentralizedCoordination,
-    DCoP,
-    ProtocolConfig,
-    ScheduleBasedCoordination,
-    SingleSourceStreaming,
-    TCoP,
-    UnicastChainCoordination,
+from repro.core import ProtocolConfig
+from repro.experiments.runner import Experiment, first_picks
+from repro.net.capacity import CapacityPolicy
+from repro.net.overlay import RetransmitPolicy
+from repro.obs import TraceConfig
+from repro.streaming.adaptive import RateAdaptationPolicy
+from repro.streaming.detector import DetectorPolicy
+from repro.streaming.faults import (
+    ChurnPlan,
+    FaultPlan,
+    JoinStormPlan,
+    PartitionPlan,
 )
-from repro.experiments.parallel import run_specs
-from repro.experiments.runner import run_session
-from repro.metrics.series import SweepSeries
-from repro.metrics.table import Table
-from repro.streaming.faults import FaultPlan
-from repro.streaming.spec import LossSpec, ProtocolSpec, SessionSpec
-
-_ALL_PROTOCOLS = [
-    ("DCoP", DCoP, {}),
-    ("TCoP", TCoP, {}),
-    ("Broadcast", BroadcastCoordination, {}),
-    # the chain and single-source variants predate the parity machinery
-    ("UnicastChain", UnicastChainCoordination, {"fault_margin": 0}),
-    ("Centralized", CentralizedCoordination, {}),
-    ("ScheduleBased", ScheduleBasedCoordination, {}),
-    ("SingleSource", SingleSourceStreaming, {}),
-]
+from repro.streaming.health import HealthPolicy
+from repro.streaming.repair import RepairPolicy
+from repro.streaming.spec import (
+    DetectorSpec,
+    LinkFaultSpec,
+    LossSpec,
+    ProtocolSpec,
+    SessionSpec,
+)
+from repro.streaming.swarm import AdmissionPolicy, SwarmSpec
 
 
-def run_protocol_comparison(
-    n: int = 50,
-    H: int = 10,
-    content_packets: int = 300,
-    delta: float = 10.0,
-    seed: int = 0,
-) -> Table:
-    """EX-A: one row per protocol."""
-    table = Table(
-        ["protocol", "rounds", "ctrl_at_sync", "ctrl_total", "receipt_rate",
-         "delivery"],
-        title=f"EX-A — protocol comparison (n={n}, H={H})",
+def _spec(cfg: ProtocolConfig, kind: str, params=None, **knobs) -> SessionSpec:
+    return SessionSpec(
+        config=cfg, protocol=ProtocolSpec(kind, params or {}), **knobs
     )
-    for name, cls, overrides in _ALL_PROTOCOLS:
-        cfg = ProtocolConfig(
-            n=n,
-            H=H,
-            content_packets=content_packets,
-            delta=delta,
-            seed=seed,
-            fault_margin=overrides.get("fault_margin", 1),
-        )
-        result = run_session(cls, cfg)
-        table.add_row(
-            name,
-            result.rounds,
-            result.control_packets_at_sync,
-            result.control_packets_total,
-            round(result.receipt_rate, 3),
-            round(result.delivery_ratio, 3),
-        )
-    return table
 
 
-def run_fault_tolerance(
-    crash_counts: Optional[Sequence[int]] = None,
-    n: int = 30,
-    H: int = 10,
-    content_packets: int = 300,
-    delta: float = 10.0,
-    crash_at: float = 120.0,
-    seed: int = 0,
-) -> SweepSeries:
-    """EX-B: delivery ratio after crashing ``k`` transmitting peers.
-
-    The crash set is the initially selected peers (the ones guaranteed to
-    hold large subsequences), crashed mid-stream.  Compares DCoP with
-    parity (margin 1), DCoP without parity, and single-source streaming.
-    """
-    counts = list(crash_counts) if crash_counts is not None else [0, 1, 2, 3]
-    series = SweepSeries(
-        "crashed_peers",
-        ["dcop_parity", "dcop_noparity", "single_source"],
-        title=f"EX-B — delivery ratio under peer crashes (n={n}, H={H})",
-    )
-    for k in counts:
-        row = {}
-        for label, protocol_cls, margin in (
-            ("dcop_parity", DCoP, 1),
-            ("dcop_noparity", DCoP, 0),
-            ("single_source", SingleSourceStreaming, 0),
-        ):
-            cfg = ProtocolConfig(
-                n=n,
-                H=H,
-                fault_margin=margin,
-                content_packets=content_packets,
-                delta=delta,
-                seed=seed,
-            )
-            # crash the first k of the peers the leaf will select: probe a
-            # throwaway session with the same seed (the rng draw must use
-            # the same size the protocol will use, or the sample differs)
-            probe = SessionSpec(config=cfg, protocol=protocol_cls).build()
-            draw = 1 if protocol_cls is SingleSourceStreaming else H
-            selected = probe.leaf_select(draw)
-            plan = FaultPlan()
-            for pid in selected[: min(k, draw)]:
-                plan.crash(pid, crash_at)
-            result = SessionSpec(
-                config=cfg, protocol=protocol_cls, fault_plan=plan
-            ).run()
-            row[label] = round(result.delivery_ratio, 4)
-        series.add(k, **row)
-    return series
+def _bursty(rate: float) -> LossSpec:
+    # mean burst length 3 packets, stationary loss = rate
+    return LossSpec("bursty", {"rate": rate})
 
 
-def run_loss_recovery(
-    loss_rates: Optional[Sequence[float]] = None,
-    n: int = 30,
-    H: int = 10,
-    content_packets: int = 400,
-    delta: float = 10.0,
-    seed: int = 0,
-) -> SweepSeries:
-    """EX-C: bursty loss sweep — delivery with and without parity."""
-    rates = list(loss_rates) if loss_rates is not None else [0.0, 0.01, 0.02, 0.05, 0.1]
-    series = SweepSeries(
-        "loss_rate",
-        ["with_parity", "without_parity", "recovered_with_parity"],
-        title=f"EX-C — delivery under Gilbert–Elliott loss (n={n}, H={H})",
-    )
-    for p in rates:
-        row = {}
-        for label, margin in (("with_parity", 1), ("without_parity", 0)):
-            cfg = ProtocolConfig(
-                n=n,
-                H=H,
-                fault_margin=margin,
-                content_packets=content_packets,
-                delta=delta,
-                seed=seed,
-            )
-            # mean burst length 3 packets, stationary loss = p
-            result = SessionSpec(
-                config=cfg,
-                protocol=ProtocolSpec("dcop"),
-                loss=LossSpec("bursty", {"rate": p}),
-            ).run()
-            row[label] = round(result.delivery_ratio, 4)
-            if label == "with_parity":
-                row["recovered_with_parity"] = result.recovered_packets
-        series.add(p, **row)
-    return series
+def _ratio(value: float) -> float:
+    return round(value, 4)
 
 
-def run_parity_sweep(
-    margins: Optional[Sequence[int]] = None,
-    n: int = 30,
-    H: int = 10,
-    content_packets: int = 400,
-    loss_rate: float = 0.05,
-    delta: float = 10.0,
-    seed: int = 0,
-) -> SweepSeries:
-    """EX-D: fault margin sweep — overhead vs resilience.
-
-    Uses the schedule-based protocol (fixed H senders, one enhancement
-    level) so the receipt rate is exactly the §3.2 formula and the margin's
-    effect is isolated from flooding depth.
-    """
-    ms = list(margins) if margins is not None else [0, 1, 2, 3, 5]
-    series = SweepSeries(
-        "fault_margin",
-        ["receipt_rate", "delivery_lossless", "delivery_lossy"],
-        title=f"EX-D — parity margin trade-off (H={H}, loss={loss_rate})",
-    )
-    for m in ms:
-        cfg = ProtocolConfig(
-            n=n,
-            H=H,
-            fault_margin=m,
-            content_packets=content_packets,
-            delta=delta,
-            seed=seed,
-        )
-        base = SessionSpec(
-            config=cfg, protocol=ProtocolSpec("schedule_based")
-        )
-        clean = base.run()
-        lossy = base.replace(
-            loss=LossSpec("bursty", {"rate": loss_rate})
-        ).run()
-        series.add(
-            m,
-            receipt_rate=round(clean.receipt_rate, 4),
-            delivery_lossless=round(clean.delivery_ratio, 4),
-            delivery_lossy=round(lossy.delivery_ratio, 4),
-        )
-    return series
-
-
-def run_heterogeneous(
-    spreads: Optional[Sequence[float]] = None,
-    n: int = 20,
-    H: int = 5,
-    content_packets: int = 600,
-    delta: float = 5.0,
-    seed: int = 0,
-) -> SweepSeries:
-    """EX-F: §2 time-slot allocation vs naive division over uneven peers.
-
-    ``spread`` parameterizes bandwidth inequality: peer ``i`` of the H
-    selected gets bandwidth ``1 + spread·i`` (spread 0 = homogeneous).
-    Reports completion time and out-of-order arrivals for both allocators.
-    """
-    values = list(spreads) if spreads is not None else [0.0, 0.5, 1.0, 2.0, 4.0]
-    series = SweepSeries(
-        "bw_spread",
-        ["slots_completed_at", "naive_completed_at",
-         "slots_violations", "naive_violations"],
-        title=f"EX-F — heterogeneous allocation (n={n}, H={H})",
-    )
-    for spread in values:
-        bandwidths = [1.0 + spread * i for i in range(H)]
-        row = {}
-        for label, use_timeslots in (("slots", True), ("naive", False)):
-            cfg = ProtocolConfig(
-                n=n,
-                H=H,
-                fault_margin=0,
-                content_packets=content_packets,
-                delta=delta,
-                seed=seed,
-            )
-            session = SessionSpec(
-                config=cfg,
-                protocol=ProtocolSpec(
-                    "hetero_schedule",
-                    {"bandwidths": bandwidths, "use_timeslots": use_timeslots},
-                ),
-            ).build()
-            result = session.run()
-            row[f"{label}_completed_at"] = (
-                round(result.completed_at, 1) if result.completed_at else None
-            )
-            row[f"{label}_violations"] = session.leaf.order_violations
-        series.add(spread, **row)
-    return series
-
-
-def run_hetero_flooding(
-    spreads: Optional[Sequence[float]] = None,
-    n: int = 16,
-    H: int = 5,
-    content_packets: int = 400,
-    delta: float = 5.0,
-    seed: int = 4,
-) -> SweepSeries:
-    """EX-K: bandwidth-aware flooding (HeteroDCoP) vs equal-split DCoP.
-
-    Peers get an uplink-capacity ladder whose steepness is swept (spread 0
-    = homogeneous).  HeteroDCoP runs the identical coordination (same
-    rounds, same control packets) but divides every stream proportionally
-    to capacity, so completion stays on the content timeline instead of
-    being gated on the slowest member.
-    """
-    values = list(spreads) if spreads is not None else [0.0, 1.0, 3.0, 8.0]
-    series = SweepSeries(
-        "capacity_spread",
-        ["dcop_completed_at", "hetero_completed_at", "ctrl_equal"],
-        title=f"EX-K — weighted vs equal flooding divisions (n={n}, H={H})",
-    )
-    for spread in values:
-        base = 0.25
-        caps = {
-            f"CP{i}": base * (1 + spread * (i - 1) / (n - 1)) / (1 + spread / 2)
-            for i in range(1, n + 1)
-        }
-        cfg = ProtocolConfig(
-            n=n, H=H, fault_margin=1, content_packets=content_packets,
-            delta=delta, seed=seed,
-        )
-        d = SessionSpec(
-            config=cfg, protocol=ProtocolSpec("dcop"), peer_capacities=caps
-        ).run()
-        h = SessionSpec(
-            config=cfg,
-            protocol=ProtocolSpec("hetero_dcop", {"capacities": caps}),
-            peer_capacities=caps,
-        ).run()
-        series.add(
-            spread,
-            dcop_completed_at=round(d.completed_at, 1) if d.completed_at else None,
-            hetero_completed_at=round(h.completed_at, 1) if h.completed_at else None,
-            ctrl_equal=(d.control_packets_total == h.control_packets_total),
-        )
-    return series
-
-
-def run_receipt_capacity(
-    rho_values: Optional[Sequence[float]] = None,
-    n: int = 20,
-    H: int = 8,
-    content_packets: int = 300,
-    delta: float = 5.0,
-    seed: int = 0,
-) -> SweepSeries:
-    """EX-J: §3.1's receipt-capacity argument, quantified.
-
-    The broadcast way makes every peer send the *whole* sequence, so the
-    leaf is offered ``n·τ`` during the initial phase; below that capacity
-    packets drop before decoding ("LP_s loses packets due to the buffer
-    overrun") and only the n-fold duplication saves the content — i.e.
-    most of ρ_s is burnt on duplicates.  DCoP's division keeps the offered
-    rate at ``≈τ(h+1)/h``, so a modest ρ_s suffices with zero drops.
-    ``efficiency`` = distinct data packets delivered ÷ packets the leaf
-    had to absorb (admitted + dropped).
-    """
-    rhos = list(rho_values) if rho_values is not None else [2.5, 5.0, 10.0, 25.0]
-    series = SweepSeries(
-        "rho_over_tau",
-        ["broadcast_delivery", "broadcast_dropped", "broadcast_efficiency",
-         "dcop_delivery", "dcop_dropped", "dcop_efficiency"],
-        title=f"EX-J — leaf receipt capacity ρ_s (n={n}, H={H})",
-    )
-    for rho in rhos:
-        row = {}
-        for label, kind in (("broadcast", "broadcast"), ("dcop", "dcop")):
-            cfg = ProtocolConfig(
-                n=n, H=H, fault_margin=1, content_packets=content_packets,
-                delta=delta, seed=seed, tau=1.0,
-            )
-            session = SessionSpec(
-                config=cfg,
-                protocol=ProtocolSpec(kind),
-                leaf_receipt_rate=rho * cfg.tau,
-                leaf_receive_buffer=32.0,
-            ).build()
-            result = session.run()
-            offered = (
-                session.leaf.decoder.received_count + result.receive_overruns
-            )
-            useful = len(session.leaf.decoder.data_seqs_held())
-            row[f"{label}_delivery"] = round(result.delivery_ratio, 4)
-            row[f"{label}_dropped"] = result.receive_overruns
-            row[f"{label}_efficiency"] = round(useful / max(1, offered), 3)
-        series.add(rho, **row)
-    return series
-
-
-def run_rate_adaptation(
-    degrade_factors: Optional[Sequence[float]] = None,
-    n: int = 12,
-    H: int = 4,
-    content_packets: int = 400,
-    delta: float = 5.0,
-    seed: int = 2,
-) -> SweepSeries:
-    """EX-I: §5's "peers may change the rate" — helper recruitment.
-
-    One of the H transmitting peers is degraded to ``factor`` of its rate
-    mid-stream; the adaptive monitor splits its remaining share with a
-    helper proportionally to their rates (weighted §2 allocation).
-    Reports completion time with and without adaptation.
-    """
-    from repro.streaming.adaptive import RateAdaptationPolicy
-
-    factors = (
-        list(degrade_factors)
-        if degrade_factors is not None
-        else [1.0, 0.5, 0.25, 0.1]
-    )
-    series = SweepSeries(
-        "degrade_factor",
-        ["plain_completed_at", "adaptive_completed_at", "adaptations"],
-        title=f"EX-I — rate adaptation under degradation (n={n}, H={H})",
-    )
-    for factor in factors:
-        cfg = ProtocolConfig(
-            n=n, H=H, fault_margin=0, content_packets=content_packets,
-            delta=delta, seed=seed,
-        )
-        probe = SessionSpec(
-            config=cfg, protocol=ProtocolSpec("schedule_based")
-        ).build()
-        victim = probe.leaf_select(H)[1]
-        row = {}
-        for label, policy in (
-            ("plain", None),
-            ("adaptive", RateAdaptationPolicy()),
-        ):
-            plan = FaultPlan()
-            if factor < 1.0:
-                plan.degrade(victim, at=content_packets / 8, factor=factor)
-            session = SessionSpec(
-                config=cfg,
-                protocol=ProtocolSpec("schedule_based"),
-                fault_plan=plan,
-                adaptation_policy=policy,
-            ).build()
-            result = session.run()
-            row[f"{label}_completed_at"] = (
-                round(result.completed_at, 1) if result.completed_at else None
-            )
-            if label == "adaptive":
-                row["adaptations"] = session.adaptation_monitor.adaptations
-        series.add(factor, **row)
-    return series
-
-
-def run_multi_leaf(
-    leaf_counts: Optional[Sequence[int]] = None,
-    n: int = 30,
-    H: int = 8,
-    content_packets: int = 300,
-    delta: float = 10.0,
-    seed: int = 0,
-) -> SweepSeries:
-    """EX-H: peer load when many leaf peers stream concurrently (§1's
-    scalability motivation).
-
-    In the paper's model each leaf's coordination is independent (channels
-    and subsequences are per leaf-peer pair), so ``k`` leaves are simulated
-    as ``k`` sessions over the same peer population and the *offered load*
-    per contents peer is aggregated across them.  A fixed single-source
-    server must ship the full content to every leaf (load ``k·l``); under
-    DCoP the same demand spreads over all ``n`` peers.
-    """
-    from collections import Counter
-
-    ks = list(leaf_counts) if leaf_counts is not None else [1, 2, 5, 10]
-    series = SweepSeries(
-        "leaves",
-        ["single_max_load", "dcop_max_load", "dcop_mean_load",
-         "fair_share"],
-        title=f"EX-H — per-peer load with many leaf peers (n={n}, H={H})",
-    )
-    for k in ks:
-        loads: dict[str, Counter] = {"single": Counter(), "dcop": Counter()}
-        for leaf_idx in range(k):
-            for label, protocol, margin in (
-                (
-                    "single",
-                    ProtocolSpec("single_source", {"server_id": "CP1"}),
-                    0,
-                ),
-                ("dcop", ProtocolSpec("dcop"), 1),
-            ):
-                cfg = ProtocolConfig(
-                    n=n,
-                    H=H,
-                    fault_margin=margin,
-                    content_packets=content_packets,
-                    delta=delta,
-                    seed=seed + 101 * leaf_idx,
-                )
-                session = SessionSpec(config=cfg, protocol=protocol).build()
-                session.run()
-                for pid, agent in session.peers.items():
-                    loads[label][pid] += sum(
-                        st.sent_count for st in agent.streams
-                    )
-        fair = k * content_packets / n
-        series.add(
-            k,
-            single_max_load=max(loads["single"].values(), default=0),
-            dcop_max_load=max(loads["dcop"].values(), default=0),
-            dcop_mean_load=round(
-                sum(loads["dcop"].values()) / n, 1
-            ),
-            fair_share=round(fair, 1),
-        )
-    return series
-
-
-def run_ams_overhead(
-    n_values: Optional[Sequence[int]] = None,
-    content_packets: int = 300,
-    delta: float = 10.0,
-    seed: int = 0,
-) -> SweepSeries:
-    """EX-G: AMS state-exchange traffic vs DCoP's flooding (§1's argument).
-
-    The AMS model gossips ``n(n−1)`` state packets per period for the whole
-    stream; DCoP pays a one-shot flooding cost.  Both tolerate one crashed
-    peer (AMS via ring takeover, DCoP via parity) — the column pair shows
-    what that tolerance costs each of them in control traffic.
-    """
-    ns = list(n_values) if n_values is not None else [6, 12, 24, 48]
-    series = SweepSeries(
-        "n",
-        ["ams_ctrl", "dcop_ctrl", "ams_delivery_crash", "dcop_delivery_crash"],
-        title="EX-G — AMS group communication vs DCoP flooding",
-    )
-    for n in ns:
-        H = max(2, n // 3)
-        ams_cfg = ProtocolConfig(
-            n=n, H=H, fault_margin=0, content_packets=content_packets,
-            delta=delta, seed=seed,
-        )
-        dcop_cfg = ProtocolConfig(
-            n=n, H=H, fault_margin=1, content_packets=content_packets,
-            delta=delta, seed=seed,
-        )
-        ams_clean = SessionSpec(
-            config=ams_cfg, protocol=ProtocolSpec("ams")
-        ).run()
-        dcop_clean = SessionSpec(
-            config=dcop_cfg, protocol=ProtocolSpec("dcop")
-        ).run()
-
-        victim = f"CP{1 + n // 2}"
-        crash_at = content_packets / 3
-        ams_crash = SessionSpec(
-            config=ams_cfg,
-            protocol=ProtocolSpec("ams"),
-            fault_plan=FaultPlan().crash(victim, crash_at),
-        ).run()
-        dcop_crash = SessionSpec(
-            config=dcop_cfg,
-            protocol=ProtocolSpec("dcop"),
-            fault_plan=FaultPlan().crash(victim, crash_at),
-        ).run()
-        series.add(
-            n,
-            ams_ctrl=ams_clean.control_packets_total,
-            dcop_ctrl=dcop_clean.control_packets_total,
-            ams_delivery_crash=round(ams_crash.delivery_ratio, 4),
-            dcop_delivery_crash=round(dcop_crash.delivery_ratio, 4),
-        )
-    return series
-
-
-def run_scaling(
-    n_values: Optional[Sequence[int]] = None,
-    h_fraction: float = 0.3,
-    content_packets: int = 200,
-    delta: float = 10.0,
-    seed: int = 0,
-    executor=None,
-) -> SweepSeries:
-    """EX-E: how sync time and traffic scale with the peer population.
-
-    Each (n, protocol) cell is independent, so the grid is built as one
-    flat spec list and handed to ``executor`` (serial by default).
-    """
-    ns = list(n_values) if n_values is not None else [10, 20, 50, 100, 200]
-    series = SweepSeries(
-        "n",
-        ["dcop_rounds", "tcop_rounds", "centralized_rounds",
-         "dcop_ctrl", "tcop_ctrl"],
-        title=f"EX-E — scaling with n (H = {h_fraction:.0%} of n)",
-    )
-    kinds = ["dcop", "tcop", "centralized"]
-    specs = [
-        SessionSpec(
-            config=ProtocolConfig(
-                n=n,
-                H=max(2, int(n * h_fraction)),
-                content_packets=content_packets,
-                delta=delta,
-                seed=seed,
-            ),
-            protocol=ProtocolSpec(kind),
-        )
-        for n in ns
-        for kind in kinds
-    ]
-    results = iter(run_specs(specs, executor=executor))
-    for n in ns:
-        row = {}
-        for label in kinds:
-            result = next(results)
-            row[f"{label}_rounds"] = result.rounds
-            if label != "centralized":
-                row[f"{label}_ctrl"] = result.control_packets_total
-        series.add(n, **row)
-    return series
-
-
-def run_churn(
-    churn_rates: Optional[Sequence[float]] = None,
-    n: int = 20,
-    H: int = 6,
-    content_packets: int = 300,
-    delta: float = 8.0,
-    control_loss: float = 0.05,
-    seed: int = 0,
-    executor=None,
-) -> SweepSeries:
-    """EX-L: streaming under churn — DCoP vs TCoP with the full
-    churn-tolerance stack.
-
-    Sweeps the Poisson departure rate (peers per δ across the overlay)
-    while heartbeat failure detection, the reliable control plane, and
-    mid-stream re-coordination are active, on top of ``control_loss``
-    Bernoulli loss on the coordination plane.  Reports per protocol the
-    delivery ratio, the mean crash→confirmation detection latency, the
-    mean crash→re-flood handoff latency (both in δ units), and the
-    control retransmission count.  Every (rate, protocol) cell is an
-    independent spec, so ``executor`` fans the matrix out across cores.
-    """
-    from repro.net.overlay import RetransmitPolicy
-    from repro.streaming.detector import DetectorPolicy
-    from repro.streaming.faults import ChurnPlan
-
-    rates = (
-        list(churn_rates)
-        if churn_rates is not None
-        else [0.0, 0.02, 0.05, 0.1]
-    )
-    series = SweepSeries(
-        "churn_rate",
-        [
-            "dcop_delivery", "tcop_delivery",
-            "dcop_detect_deltas", "tcop_detect_deltas",
-            "dcop_handoff_deltas", "tcop_handoff_deltas",
-            "dcop_retx", "tcop_retx",
-        ],
-        title=(
-            f"EX-L — delivery and detection latency under churn "
-            f"(n={n}, H={H}, ctrl loss={control_loss:.0%})"
-        ),
-    )
-    min_live = max(2, n // 3)
-    labels = ["dcop", "tcop"]
-    specs = [
-        SessionSpec(
-            config=ProtocolConfig(
-                n=n,
-                H=H,
-                fault_margin=1,
-                content_packets=content_packets,
-                delta=delta,
-                seed=seed,
-            ),
-            protocol=ProtocolSpec(label),
-            control_loss=(
-                LossSpec("bernoulli", {"p": control_loss})
-                if control_loss
-                else None
-            ),
-            retransmit_policy=RetransmitPolicy(),
-            detector_policy=DetectorPolicy(),
-            churn_plan=(
-                ChurnPlan(rate_per_delta=rate, min_live=min_live)
-                if rate > 0
-                else None
-            ),
-        )
-        for rate in rates
-        for label in labels
-    ]
-    results = iter(run_specs(specs, executor=executor))
-    for rate in rates:
-        row = {}
-        for label in labels:
-            result = next(results)
-            det = result.mean_detection_latency
-            hand = result.mean_handoff_latency
-            row[f"{label}_delivery"] = round(result.delivery_ratio, 4)
-            row[f"{label}_detect_deltas"] = (
-                round(det / delta, 2) if det is not None else None
-            )
-            row[f"{label}_handoff_deltas"] = (
-                round(hand / delta, 2) if hand is not None else None
-            )
-            row[f"{label}_retx"] = result.total_retransmissions
-        series.add(rate, **row)
-    return series
+def _done_at(result) -> Optional[float]:
+    return round(result.completed_at, 1) if result.completed_at else None
 
 
 def _first_event_ts(result, kind: str) -> Optional[float]:
@@ -729,326 +71,637 @@ def _first_event_ts(result, kind: str) -> Optional[float]:
     return events[0]["ts"] if events else None
 
 
-def run_partition(
-    durations_deltas: Optional[Sequence[Optional[float]]] = None,
-    splits: Optional[Sequence[int]] = None,
-    n: int = 10,
-    H: int = 4,
-    content_packets: int = 150,
-    delta: float = 8.0,
-    split_at: float = 60.0,
-    seed: int = 13,
-    executor=None,
-) -> SweepSeries:
-    """EX-M: streaming through network partitions — DCoP vs TCoP.
+# --- EX-A: display name -> (registered kind, fault margin)
+_VARIANTS = {
+    "DCoP": ("dcop", 1),
+    "TCoP": ("tcop", 1),
+    "Broadcast": ("broadcast", 1),
+    # the chain variant predates the parity machinery
+    "UnicastChain": ("unicast_chain", 0),
+    "Centralized": ("centralized", 1),
+    "ScheduleBased": ("schedule_based", 1),
+    "SingleSource": ("single_source", 1),
+}
 
-    Isolates the first ``k`` peers the leaf contacts (the worst case —
-    they carry the biggest shares) at ``split_at``, healing after the
-    given number of δ periods (``None`` = permanent split).  Partitioned
-    peers are *silent, not dead*: they keep transmitting into the cut
-    while the failure detector confirms them through silence and the
-    residual is re-flooded inside the reachable component.  Reports per
-    (protocol, split size) the receipt ratio and the split→re-flood
-    latency in δ units — ``None`` when the partition healed before the
-    detector committed to a re-coordination.  Every cell is an
-    independent spec, so ``executor`` fans the matrix out across cores.
-    """
-    from repro.net.overlay import RetransmitPolicy
-    from repro.obs import TraceConfig
-    from repro.streaming.detector import DetectorPolicy
-    from repro.streaming.faults import PartitionPlan
 
-    durations = (
-        list(durations_deltas)
-        if durations_deltas is not None
-        else [5.0, 15.0, None]
+# --- EX-B
+def _crashing(cfg: ProtocolConfig, kind: str, draw: int, k: int, at: float):
+    # crash the first k of the peers the leaf will select (``draw`` is the
+    # size the protocol itself draws, or the sample differs)
+    plan = FaultPlan()
+    for pid in first_picks(cfg, ProtocolSpec(kind), draw)[:k]:
+        plan.crash(pid, at)
+    return _spec(cfg, kind, fault_plan=plan)
+
+
+def _fault_tolerance_arms(k: int, cfg: ProtocolConfig, p: dict) -> dict:
+    bare = replace(cfg, fault_margin=0)
+    return {
+        "dcop_parity": _crashing(cfg, "dcop", cfg.H, k, p["crash_at"]),
+        "dcop_noparity": _crashing(bare, "dcop", cfg.H, k, p["crash_at"]),
+        "single_source": _crashing(bare, "single_source", 1, k, p["crash_at"]),
+    }
+
+
+# --- EX-F
+def _allocator_arms(spread: float, cfg: ProtocolConfig, p: dict) -> dict:
+    bandwidths = [1.0 + spread * i for i in range(cfg.H)]
+    return {
+        label: _spec(
+            cfg,
+            "hetero_schedule",
+            {"bandwidths": bandwidths, "use_timeslots": use_timeslots},
+        )
+        for label, use_timeslots in (("slots", True), ("naive", False))
+    }
+
+
+# --- EX-G
+def _ams_arms(n: int, cfg: ProtocolConfig, p: dict) -> dict:
+    crash = FaultPlan().crash(f"CP{1 + n // 2}", cfg.content_packets / 3)
+    bare = replace(cfg, fault_margin=0)
+    return {
+        "ams": _spec(bare, "ams"),
+        "dcop": _spec(cfg, "dcop"),
+        "ams_crash": _spec(bare, "ams", fault_plan=crash),
+        "dcop_crash": _spec(cfg, "dcop", fault_plan=crash),
+    }
+
+
+# --- EX-H
+def _crowd(cfg: ProtocolConfig, protocol: ProtocolSpec, leaves: int) -> SwarmSpec:
+    # everyone at once, nothing capped, nobody refused: pure offered load
+    return SwarmSpec(
+        session=SessionSpec(config=cfg, protocol=protocol),
+        join_plan=JoinStormPlan(leaves=leaves, mode="flash"),
+        audit=False,
     )
-    sizes = list(splits) if splits is not None else [1, 2]
-    labels = ["dcop", "tcop"]
-    series = SweepSeries(
-        "duration_deltas",
-        [
-            f"{label}_{metric}_k{k}"
-            for label in labels
-            for k in sizes
-            for metric in ("delivery", "recoord_deltas")
-        ],
-        title=(
-            f"EX-M — receipt ratio and re-coordination latency vs "
-            f"partition duration (n={n}, H={H}, split at t={split_at:g})"
+
+
+def _peer_loads(swarm, result) -> dict:
+    cfg = swarm.config
+    loads = [
+        sum(st.sent_count for agent in hub.agents.values() for st in agent.streams)
+        for hub in swarm.hubs.values()
+    ]
+    return {
+        "max": max(loads),
+        "mean": round(sum(loads) / cfg.n, 1),
+        "fair": round(len(swarm.leaf_ids) * cfg.content_packets / cfg.n, 1),
+    }
+
+
+# --- EX-I
+def _degraded_arms(factor: float, cfg: ProtocolConfig, p: dict) -> dict:
+    plan = FaultPlan()
+    if factor < 1.0:
+        victim = first_picks(cfg, ProtocolSpec("schedule_based"), cfg.H)[1]
+        plan.degrade(victim, at=cfg.content_packets / 8, factor=factor)
+    plain = _spec(cfg, "schedule_based", fault_plan=plan)
+    return {
+        "plain": plain,
+        "adaptive": plain.replace(adaptation_policy=RateAdaptationPolicy()),
+    }
+
+
+# --- EX-J
+def _receipt_ledger(session, result) -> dict:
+    decoder = session.leaf.decoder
+    offered = decoder.received_count + result.receive_overruns
+    return {
+        "delivery": _ratio(result.delivery_ratio),
+        "dropped": result.receive_overruns,
+        "efficiency": round(len(decoder.data_seqs_held()) / max(1, offered), 3),
+    }
+
+
+# --- EX-K
+def _ladder_arms(spread: float, cfg: ProtocolConfig, p: dict) -> dict:
+    base = 0.25
+    caps = {
+        f"CP{i}": base * (1 + spread * (i - 1) / (cfg.n - 1)) / (1 + spread / 2)
+        for i in range(1, cfg.n + 1)
+    }
+    return {
+        "dcop": _spec(cfg, "dcop", peer_capacities=caps),
+        "hetero": _spec(
+            cfg, "hetero_dcop", {"capacities": caps}, peer_capacities=caps
         ),
-    )
+    }
 
-    def spec_for(label, isolated, duration):
-        return SessionSpec(
-            config=ProtocolConfig(
-                n=n,
-                H=H,
-                fault_margin=1,
-                content_packets=content_packets,
-                delta=delta,
-                seed=seed,
+
+# --- EX-L
+def _churn_arms(rate: float, cfg: ProtocolConfig, p: dict) -> dict:
+    loss = p["control_loss"]
+    return {
+        kind: _spec(
+            cfg,
+            kind,
+            control_loss=LossSpec("bernoulli", {"p": loss}) if loss else None,
+            retransmit_policy=RetransmitPolicy(),
+            detector_policy=DetectorPolicy(),
+            churn_plan=(
+                ChurnPlan(rate_per_delta=rate, min_live=max(2, cfg.n // 3))
+                if rate > 0
+                else None
             ),
-            protocol=ProtocolSpec(label),
+        )
+        for kind in ("dcop", "tcop")
+    }
+
+
+def _in_deltas(result, ms: Optional[float]) -> Optional[float]:
+    return round(ms / result.config.delta, 2) if ms is not None else None
+
+
+def _churn_columns(r: dict) -> dict:
+    metrics = {
+        "delivery": lambda res: _ratio(res.delivery_ratio),
+        "detect_deltas": lambda res: _in_deltas(res, res.mean_detection_latency),
+        "handoff_deltas": lambda res: _in_deltas(res, res.mean_handoff_latency),
+        "retx": lambda res: res.total_retransmissions,
+    }
+    return {
+        f"{kind}_{name}": metric(result)
+        for name, metric in metrics.items()
+        for kind, result in r.items()
+    }
+
+
+# --- EX-M
+def _partition_arms(duration: Any, cfg: ProtocolConfig, p: dict) -> dict:
+    split_at = p["split_at"]
+    # same config + seed ⇒ same first picks for every cell
+    first = first_picks(cfg, ProtocolSpec("dcop"), cfg.H)
+    return {
+        (kind, k): _spec(
+            cfg,
+            kind,
             retransmit_policy=RetransmitPolicy(),
             detector_policy=DetectorPolicy(),
             trace=TraceConfig(),
             partition_plan=PartitionPlan(
-                components=(tuple(isolated),),
+                components=(tuple(first[:k]),),
                 at=split_at,
                 heal_at=(
-                    split_at + duration * delta
-                    if duration is not None
-                    else None
+                    None
+                    if duration == "permanent"
+                    else split_at + duration * cfg.delta
                 ),
             ),
         )
+        for kind in ("dcop", "tcop")
+        for k in p["splits"]
+    }
 
-    # same config + seed ⇒ same first picks for every cell
-    probe = SessionSpec(
-        config=ProtocolConfig(
-            n=n,
-            H=H,
-            fault_margin=1,
-            content_packets=content_packets,
-            delta=delta,
-            seed=seed,
-        ),
-        protocol=ProtocolSpec("dcop"),
-    ).build()
-    first = probe.leaf_select(H)
 
-    specs = [
-        spec_for(label, first[:k], duration)
-        for duration in durations
-        for label in labels
-        for k in sizes
-    ]
-    results = iter(run_specs(specs, executor=executor))
-    for duration in durations:
-        row = {}
-        for label in labels:
-            for k in sizes:
-                result = next(results)
-                reissue_at = _first_event_ts(result, "recoord.reissue")
-                row[f"{label}_delivery_k{k}"] = round(
-                    result.delivery_ratio, 4
-                )
-                row[f"{label}_recoord_deltas_k{k}"] = (
-                    round((reissue_at - split_at) / delta, 2)
-                    if reissue_at is not None
-                    else None
-                )
-        series.add(
-            duration if duration is not None else "permanent", **row
+def _partition_columns(r: dict) -> dict:
+    row = {}
+    for (kind, k), result in r.items():
+        split_at = _first_event_ts(result, "partition.split")
+        reissue_at = _first_event_ts(result, "recoord.reissue")
+        row[f"{kind}_delivery_k{k}"] = _ratio(result.delivery_ratio)
+        row[f"{kind}_recoord_deltas_k{k}"] = _in_deltas(
+            result, None if reissue_at is None else reissue_at - split_at
         )
-    return series
+    return row
 
 
-def run_gray(
-    protocols: Optional[Sequence[str]] = None,
-    n: int = 10,
-    H: int = 4,
-    content_packets: int = 150,
-    delta: float = 8.0,
-    seed: int = 13,
-    executor=None,
-) -> SweepSeries:
-    """EX-N: gray failures — quarantine on vs off, every protocol.
+# --- EX-N
+def _gray_arms(kind: str, cfg: ProtocolConfig, p: dict) -> dict:
+    delta = cfg.delta
+    # same config + seed ⇒ same first picks for every cell
+    first = first_picks(cfg, ProtocolSpec("dcop"), max(2, cfg.H))
+    plan = (
+        FaultPlan()
+        .flap(first[0], at=60.0, down_for=4 * delta, period=12 * delta, count=3)
+        .degrade(first[1], at=40.0, factor=0.1)
+    )
+    params = (
+        {"bandwidths": [2.0] + [1.0] * (cfg.H - 1)}
+        if kind == "hetero_schedule"
+        else {}
+    )
+    on = _spec(
+        cfg,
+        kind,
+        params,
+        fault_plan=plan,
+        link_fault=LinkFaultSpec(
+            "stutter", {"period": 8 * delta, "stall": 2 * delta}
+        ),
+        retransmit_policy=RetransmitPolicy(adaptive=True),
+        detector_policy=DetectorSpec("accrual"),
+        repair_policy=RepairPolicy(),
+        health_policy=HealthPolicy(),
+    )
+    return {"on": on, "off": on.replace(health_policy=None)}
 
-    The gauntlet degrades without killing: the leaf's first pick *flaps*
-    (short crash/rejoin cycles), its second pick is rate-degraded to a
-    crawl while heartbeating normally, and every link stutters (periodic
-    stalls that burst-flush).  The accrual failure detector, adaptive
-    control timeouts, and repair stay on in both arms; only the
-    :class:`~repro.streaming.health.HealthPolicy` circuit breaker is
-    toggled.  Reports per protocol the receipt ratio and delivery of
-    both arms plus the quarantine/readmission/false-quarantine counts —
-    the breaker must never *cost* receipt (quarantine-on ≥ off).  Every
-    (protocol, arm) cell is an independent spec, so ``executor`` fans
-    the matrix out across cores.
-    """
-    from repro.net.overlay import RetransmitPolicy
-    from repro.streaming.health import HealthPolicy
-    from repro.streaming.repair import RepairPolicy
-    from repro.streaming.spec import DetectorSpec, LinkFaultSpec
 
-    labels = (
-        list(protocols)
-        if protocols is not None
-        else [
+def _gray_columns(r: dict) -> dict:
+    on, off = r["on"], r["off"]
+    detection = on.mean_detection_latency
+    return {
+        "receipt_on": _ratio(on.receipt_rate),
+        "receipt_off": _ratio(off.receipt_rate),
+        "delivery_on": _ratio(on.delivery_ratio),
+        "delivery_off": _ratio(off.delivery_ratio),
+        "quarantines": on.quarantines,
+        "readmissions": on.readmissions,
+        "false_quarantines": on.false_quarantines,
+        "detection_ms": round(detection, 2) if detection is not None else None,
+        "false_suspects": on.false_suspicions,
+    }
+
+
+# --- EX-O
+def _storm_arms(rate: float, cfg: ProtocolConfig, p: dict) -> dict:
+    on = SwarmSpec(
+        session=_spec(cfg, "dcop"),
+        join_plan=JoinStormPlan(leaves=p["leaves"], rate_per_delta=rate),
+        capacity=CapacityPolicy(packets_per_delta=p["packets_per_delta"]),
+        admission=AdmissionPolicy(),
+    )
+    return {"on": on, "off": on.replace(admission=None)}
+
+
+def _storm_columns(r: dict) -> dict:
+    on, off = r["on"], r["off"]
+    return {
+        "receipt_on": _ratio(on.mean_receipt_all),
+        "receipt_off": _ratio(off.mean_receipt_all),
+        "admitted_on": on.admitted,
+        "gave_up_on": on.gave_up,
+        "retries_on": on.retries,
+        "shed_on": on.shed_data + on.shed_parity,
+        "shed_off": off.shed_data + off.shed_parity,
+        "audit_on": "pass" if on.audit_passed else "FAIL",
+        "audit_off": "pass" if off.audit_passed else "FAIL",
+    }
+
+
+ABLATIONS = (
+    Experiment(
+        key="EX-A",
+        title="EX-A — protocol comparison (n={n}, H={H})",
+        doc="""Every coordination variant side by side at one (n, H): one row
+        per protocol — rounds, control traffic at sync and in total, receipt
+        rate, delivery.""",
+        x="protocol",
+        values=list(_VARIANTS),
+        config=dict(n=50, H=10, content_packets=300, delta=10.0, seed=0),
+        at=lambda name, p: {"fault_margin": _VARIANTS[name][1]},
+        arms=lambda name, cfg, p: {"run": _spec(cfg, _VARIANTS[name][0])},
+        columns=lambda r: {
+            "rounds": r["run"].rounds,
+            "ctrl_at_sync": r["run"].control_packets_at_sync,
+            "ctrl_total": r["run"].control_packets_total,
+            "receipt_rate": round(r["run"].receipt_rate, 3),
+            "delivery": round(r["run"].delivery_ratio, 3),
+        },
+    ),
+    Experiment(
+        key="EX-B",
+        title="EX-B — delivery ratio under peer crashes (n={n}, H={H})",
+        doc="""Delivery ratio after crashing ``k`` transmitting peers mid-stream.
+
+        The crash set is the initially selected peers (the ones guaranteed to
+        hold large subsequences), crashed at ``crash_at``.  Compares DCoP with
+        parity (margin 1), DCoP without parity, and single-source streaming.""",
+        x="crashed_peers",
+        values=[0, 1, 2, 3],
+        config=dict(n=30, H=10, content_packets=300, delta=10.0, seed=0),
+        params=dict(crash_at=120.0),
+        arms=_fault_tolerance_arms,
+        columns=lambda r: {
+            label: _ratio(result.delivery_ratio) for label, result in r.items()
+        },
+    ),
+    Experiment(
+        key="EX-C",
+        title="EX-C — delivery under Gilbert–Elliott loss (n={n}, H={H})",
+        doc="""Bursty Gilbert–Elliott channel loss sweep: DCoP delivery with and
+        without parity, and how many packets the parity margin recovers.""",
+        x="loss_rate",
+        values=[0.0, 0.01, 0.02, 0.05, 0.1],
+        config=dict(n=30, H=10, content_packets=400, delta=10.0, seed=0),
+        arms=lambda rate, cfg, p: {
+            "with_parity": _spec(cfg, "dcop", loss=_bursty(rate)),
+            "without_parity": _spec(
+                replace(cfg, fault_margin=0), "dcop", loss=_bursty(rate)
+            ),
+        },
+        columns=lambda r: {
+            "with_parity": _ratio(r["with_parity"].delivery_ratio),
+            "without_parity": _ratio(r["without_parity"].delivery_ratio),
+            "recovered_with_parity": r["with_parity"].recovered_packets,
+        },
+    ),
+    Experiment(
+        key="EX-D",
+        title="EX-D — parity margin trade-off (H={H}, loss={loss_rate})",
+        doc="""Fault margin ``h`` sweep — overhead (receipt rate) vs resilience
+        (delivery under loss), the §3.2 trade-off.
+
+        Uses the schedule-based protocol (fixed H senders, one enhancement
+        level) so the receipt rate is exactly the §3.2 formula and the margin's
+        effect is isolated from flooding depth.""",
+        x="fault_margin",
+        values=[0, 1, 2, 3, 5],
+        config=dict(n=30, H=10, content_packets=400, delta=10.0, seed=0),
+        params=dict(loss_rate=0.05),
+        at=lambda margin, p: {"fault_margin": margin},
+        arms=lambda margin, cfg, p: {
+            "clean": _spec(cfg, "schedule_based"),
+            "lossy": _spec(cfg, "schedule_based", loss=_bursty(p["loss_rate"])),
+        },
+        columns=lambda r: {
+            "receipt_rate": _ratio(r["clean"].receipt_rate),
+            "delivery_lossless": _ratio(r["clean"].delivery_ratio),
+            "delivery_lossy": _ratio(r["lossy"].delivery_ratio),
+        },
+    ),
+    Experiment(
+        key="EX-E",
+        title="EX-E — scaling with n (H = {h_fraction:.0%} of n)",
+        doc="""How sync time and traffic scale with the peer population: n sweep
+        at a fixed H fraction, DCoP vs TCoP vs centralized.""",
+        x="n",
+        values=[10, 20, 50, 100, 200],
+        config=dict(content_packets=200, delta=10.0, seed=0),
+        params=dict(h_fraction=0.3),
+        at=lambda n, p: {"n": n, "H": max(2, int(n * p["h_fraction"]))},
+        arms=lambda n, cfg, p: {
+            kind: _spec(cfg, kind) for kind in ("dcop", "tcop", "centralized")
+        },
+        columns=lambda r: {
+            "dcop_rounds": r["dcop"].rounds,
+            "tcop_rounds": r["tcop"].rounds,
+            "centralized_rounds": r["centralized"].rounds,
+            "dcop_ctrl": r["dcop"].control_packets_total,
+            "tcop_ctrl": r["tcop"].control_packets_total,
+        },
+    ),
+    Experiment(
+        key="EX-F",
+        title="EX-F — heterogeneous allocation (n={n}, H={H})",
+        doc="""§2 time-slot allocation vs naive division over uneven peers.
+
+        ``spread`` parameterizes bandwidth inequality: peer ``i`` of the H
+        selected gets bandwidth ``1 + spread·i`` (spread 0 = homogeneous).
+        Reports completion time and out-of-order arrivals for both allocators.""",
+        x="bw_spread",
+        values=[0.0, 0.5, 1.0, 2.0, 4.0],
+        config=dict(
+            n=20, H=5, fault_margin=0, content_packets=600, delta=5.0, seed=0
+        ),
+        arms=_allocator_arms,
+        measure=lambda session, result: {
+            "completed_at": _done_at(result),
+            "violations": session.leaf.order_violations,
+        },
+        columns=lambda r: {
+            "slots_completed_at": r["slots"]["completed_at"],
+            "naive_completed_at": r["naive"]["completed_at"],
+            "slots_violations": r["slots"]["violations"],
+            "naive_violations": r["naive"]["violations"],
+        },
+    ),
+    Experiment(
+        key="EX-G",
+        title="EX-G — AMS group communication vs DCoP flooding",
+        doc="""AMS state-exchange traffic vs DCoP's flooding (§1's motivating
+        comparison).
+
+        The AMS model gossips ``n(n−1)`` state packets per period for the whole
+        stream; DCoP pays a one-shot flooding cost.  Both tolerate one crashed
+        peer (AMS via ring takeover, DCoP via parity) — the column pair shows
+        what that tolerance costs each of them in control traffic.""",
+        x="n",
+        values=[6, 12, 24, 48],
+        config=dict(content_packets=300, delta=10.0, seed=0),
+        at=lambda n, p: {"n": n, "H": max(2, n // 3)},
+        arms=_ams_arms,
+        columns=lambda r: {
+            "ams_ctrl": r["ams"].control_packets_total,
+            "dcop_ctrl": r["dcop"].control_packets_total,
+            "ams_delivery_crash": _ratio(r["ams_crash"].delivery_ratio),
+            "dcop_delivery_crash": _ratio(r["dcop_crash"].delivery_ratio),
+        },
+    ),
+    Experiment(
+        key="EX-H",
+        title="EX-H — per-peer load with many leaf peers (n={n}, H={H})",
+        doc="""Peer load when many leaf peers stream concurrently (§1/§2's
+        scalability motivation).
+
+        ``k`` leaves join one shared overlay at the same instant as one swarm
+        (infinite uplinks, no admission control), and each contents peer's
+        load is the packets it sent across all of them.  A fixed single-source
+        server must ship the full content to every leaf (load ``k·l``); under
+        DCoP the same demand spreads over all ``n`` peers.""",
+        x="leaves",
+        values=[1, 2, 5, 10],
+        config=dict(n=30, H=8, content_packets=300, delta=10.0, seed=0),
+        arms=lambda k, cfg, p: {
+            "single": _crowd(
+                replace(cfg, fault_margin=0),
+                ProtocolSpec("single_source", {"server_id": "CP1"}),
+                k,
+            ),
+            "dcop": _crowd(cfg, ProtocolSpec("dcop"), k),
+        },
+        measure=_peer_loads,
+        columns=lambda r: {
+            "single_max_load": r["single"]["max"],
+            "dcop_max_load": r["dcop"]["max"],
+            "dcop_mean_load": r["dcop"]["mean"],
+            "fair_share": r["dcop"]["fair"],
+        },
+    ),
+    Experiment(
+        key="EX-I",
+        title="EX-I — rate adaptation under degradation (n={n}, H={H})",
+        doc="""§5's "peers may change the rate" — helper recruitment.
+
+        One of the H transmitting peers is degraded to ``factor`` of its rate
+        mid-stream; the adaptive monitor splits its remaining share with a
+        helper proportionally to their rates (weighted §2 allocation).
+        Reports completion time with and without adaptation.""",
+        x="degrade_factor",
+        values=[1.0, 0.5, 0.25, 0.1],
+        config=dict(
+            n=12, H=4, fault_margin=0, content_packets=400, delta=5.0, seed=2
+        ),
+        arms=_degraded_arms,
+        measure=lambda session, result: {
+            "completed_at": _done_at(result),
+            "adaptations": getattr(session.adaptation_monitor, "adaptations", None),
+        },
+        columns=lambda r: {
+            "plain_completed_at": r["plain"]["completed_at"],
+            "adaptive_completed_at": r["adaptive"]["completed_at"],
+            "adaptations": r["adaptive"]["adaptations"],
+        },
+    ),
+    Experiment(
+        key="EX-J",
+        title="EX-J — leaf receipt capacity ρ_s (n={n}, H={H})",
+        doc="""§3.1's receipt-capacity argument, quantified: buffer overrun
+        under broadcast vs DCoP.
+
+        The broadcast way makes every peer send the *whole* sequence, so the
+        leaf is offered ``n·τ`` during the initial phase; below that capacity
+        packets drop before decoding ("LP_s loses packets due to the buffer
+        overrun") and only the n-fold duplication saves the content — i.e.
+        most of ρ_s is burnt on duplicates.  DCoP's division keeps the offered
+        rate at ``≈τ(h+1)/h``, so a modest ρ_s suffices with zero drops.
+        ``efficiency`` = distinct data packets delivered ÷ packets the leaf
+        had to absorb (admitted + dropped).""",
+        x="rho_over_tau",
+        values=[2.5, 5.0, 10.0, 25.0],
+        config=dict(n=20, H=8, content_packets=300, delta=5.0, tau=1.0, seed=0),
+        arms=lambda rho, cfg, p: {
+            kind: _spec(
+                cfg,
+                kind,
+                leaf_receipt_rate=rho * cfg.tau,
+                leaf_receive_buffer=32.0,
+            )
+            for kind in ("broadcast", "dcop")
+        },
+        measure=_receipt_ledger,
+        columns=lambda r: {
+            f"{kind}_{name}": value
+            for kind, ledger in r.items()
+            for name, value in ledger.items()
+        },
+    ),
+    Experiment(
+        key="EX-K",
+        title="EX-K — weighted vs equal flooding divisions (n={n}, H={H})",
+        doc="""Bandwidth-aware flooding (HeteroDCoP) vs equal-split DCoP.
+
+        Peers get an uplink-capacity ladder whose steepness is swept (spread 0
+        = homogeneous).  HeteroDCoP runs the identical coordination (same
+        rounds, same control packets) but divides every stream proportionally
+        to capacity, so completion stays on the content timeline instead of
+        being gated on the slowest member.""",
+        x="capacity_spread",
+        values=[0.0, 1.0, 3.0, 8.0],
+        config=dict(n=16, H=5, content_packets=400, delta=5.0, seed=4),
+        arms=_ladder_arms,
+        columns=lambda r: {
+            "dcop_completed_at": _done_at(r["dcop"]),
+            "hetero_completed_at": _done_at(r["hetero"]),
+            "ctrl_equal": (
+                r["dcop"].control_packets_total == r["hetero"].control_packets_total
+            ),
+        },
+    ),
+    Experiment(
+        key="EX-L",
+        title=(
+            "EX-L — delivery and detection latency under churn "
+            "(n={n}, H={H}, ctrl loss={control_loss:.0%})"
+        ),
+        doc="""Streaming under churn — DCoP vs TCoP with the full
+        churn-tolerance stack.
+
+        Sweeps the Poisson departure rate (peers per δ across the overlay)
+        while heartbeat failure detection, the reliable control plane, and
+        mid-stream re-coordination are active, on top of ``control_loss``
+        Bernoulli loss on the coordination plane.  Reports per protocol the
+        delivery ratio, the mean crash→confirmation detection latency, the
+        mean crash→re-flood handoff latency (both in δ units), and the
+        control retransmission count.""",
+        x="churn_rate",
+        values=[0.0, 0.02, 0.05, 0.1],
+        config=dict(n=20, H=6, content_packets=300, delta=8.0, seed=0),
+        params=dict(control_loss=0.05),
+        quick=dict(content_packets=200),
+        arms=_churn_arms,
+        columns=_churn_columns,
+    ),
+    Experiment(
+        key="EX-M",
+        title=(
+            "EX-M — receipt ratio and re-coordination latency vs "
+            "partition duration (n={n}, H={H}, split at t={split_at:g})"
+        ),
+        doc="""Streaming through network partitions of varying duration and
+        component size — DCoP vs TCoP.
+
+        Isolates the first ``k`` peers the leaf contacts (the worst case —
+        they carry the biggest shares; one ``k`` per entry of ``splits``) at
+        ``split_at``, healing after the given number of δ periods
+        (``"permanent"`` = never).  Partitioned peers are *silent, not dead*:
+        they keep transmitting into the cut while the failure detector
+        confirms them through silence and the residual is re-flooded inside
+        the reachable component.  Reports per (protocol, split size) the
+        receipt ratio and the split→re-flood latency in δ units — ``None``
+        when the partition healed before the detector committed to a
+        re-coordination.""",
+        x="duration_deltas",
+        values=[5.0, 15.0, "permanent"],
+        config=dict(n=10, H=4, content_packets=150, delta=8.0, seed=13),
+        params=dict(splits=(1, 2), split_at=60.0),
+        arms=_partition_arms,
+        columns=_partition_columns,
+    ),
+    Experiment(
+        key="EX-N",
+        title=(
+            "EX-N — receipt under gray failures, quarantine on vs off "
+            "(n={n}, H={H}, flap+degrade+stutter)"
+        ),
+        doc="""Gray failures (peers that never cleanly die) — quarantine on vs
+        off, every protocol.
+
+        The gauntlet degrades without killing: the leaf's first pick *flaps*
+        (short crash/rejoin cycles), its second pick is rate-degraded to a
+        crawl while heartbeating normally, and every link stutters (periodic
+        stalls that burst-flush).  The accrual failure detector, adaptive
+        control timeouts, and repair stay on in both arms; only the
+        :class:`~repro.streaming.health.HealthPolicy` circuit breaker is
+        toggled.  Reports per protocol the receipt ratio and delivery of
+        both arms plus the quarantine/readmission/false-quarantine counts —
+        the breaker must never *cost* receipt (quarantine-on ≥ off).""",
+        x="protocol",
+        values=[
             "dcop", "tcop", "broadcast", "centralized", "schedule_based",
             "single_source", "unicast_chain", "ams", "hetero_schedule",
             "hetero_dcop",
-        ]
-    )
-    series = SweepSeries(
-        "protocol",
-        [
-            "receipt_on", "receipt_off", "delivery_on", "delivery_off",
-            "quarantines", "readmissions", "false_quarantines",
-            "detection_ms", "false_suspects",
         ],
+        config=dict(n=10, H=4, content_packets=150, delta=8.0, seed=13),
+        quick=dict(content_packets=100),
+        arms=_gray_arms,
+        columns=_gray_columns,
+    ),
+    Experiment(
+        key="EX-O",
         title=(
-            f"EX-N — receipt under gray failures, quarantine on vs off "
-            f"(n={n}, H={H}, flap+degrade+stutter)"
+            "EX-O — receipt under join storms, admission on vs off "
+            "(leaves={leaves}, n={n}, H={H}, cap={packets_per_delta}/δ)"
         ),
-    )
+        doc="""Flash-crowd overload — receipt vs arrival rate against finite
+        per-peer upload budgets, swarm admission control on vs off.
 
-    def config_for() -> ProtocolConfig:
-        return ProtocolConfig(
-            n=n,
-            H=H,
-            fault_margin=1,
-            content_packets=content_packets,
-            delta=delta,
-            seed=seed,
-        )
-
-    # same config + seed ⇒ same first picks for every cell
-    probe = SessionSpec(
-        config=config_for(), protocol=ProtocolSpec("dcop")
-    ).build()
-    first = probe.leaf_select(max(2, H))
-    plan = (
-        FaultPlan()
-        .flap(
-            first[0],
-            at=60.0,
-            down_for=4 * delta,
-            period=12 * delta,
-            count=3,
-        )
-        .degrade(first[1], at=40.0, factor=0.1)
-    )
-
-    def spec_for(label: str, health: bool) -> SessionSpec:
-        params = (
-            {"bandwidths": [2.0] + [1.0] * (H - 1)}
-            if label == "hetero_schedule"
-            else {}
-        )
-        return SessionSpec(
-            config=config_for(),
-            protocol=ProtocolSpec(label, params),
-            fault_plan=plan,
-            link_fault=LinkFaultSpec(
-                "stutter", {"period": 8 * delta, "stall": 2 * delta}
-            ),
-            retransmit_policy=RetransmitPolicy(adaptive=True),
-            detector_policy=DetectorSpec("accrual"),
-            repair_policy=RepairPolicy(),
-            health_policy=HealthPolicy() if health else None,
-        )
-
-    specs = [
-        spec_for(label, health)
-        for label in labels
-        for health in (True, False)
-    ]
-    results = iter(run_specs(specs, executor=executor))
-    for label in labels:
-        on = next(results)
-        off = next(results)
-        series.add(
-            label,
-            receipt_on=round(on.receipt_rate, 4),
-            receipt_off=round(off.receipt_rate, 4),
-            delivery_on=round(on.delivery_ratio, 4),
-            delivery_off=round(off.delivery_ratio, 4),
-            quarantines=on.quarantines,
-            readmissions=on.readmissions,
-            false_quarantines=on.false_quarantines,
-            detection_ms=(
-                round(on.mean_detection_latency, 2)
-                if on.mean_detection_latency is not None
-                else None
-            ),
-            false_suspects=on.false_suspicions,
-        )
-    return series
-
-
-def run_overload(
-    arrival_rates: Sequence[float] = (0.25, 0.5, 1.0, 2.0),
-    leaves: int = 8,
-    n: int = 6,
-    H: int = 3,
-    content_packets: int = 60,
-    delta: float = 8.0,
-    packets_per_delta: float = 6.0,
-    seed: int = 17,
-    executor=None,
-) -> SweepSeries:
-    """EX-O: flash-crowd overload — receipt vs arrival rate, admission
-    on vs off.
-
-    A swarm of ``leaves`` leaf peers joins one shared overlay as a
-    Poisson process whose rate sweeps from a trickle to a flash crowd,
-    while every contents peer is capped at ``packets_per_delta`` uplink
-    sends per δ.  The admission-on arm refuses joins the reachable pool
-    cannot carry (refused leaves back off and retry); the off arm lets
-    everyone in and shares the pain through queueing and shedding.
-    Receipt is averaged over *all* arrivals with gave-up leaves counted
-    as zero, so admission cannot win by serving fewer leaves — the on
-    curve must still be no worse than off at every load point.  Each
-    (rate, arm) cell is an independent :class:`~repro.streaming.swarm.
-    SwarmSpec`, so ``executor`` fans the sweep out across cores.
-    """
-    from repro.net.capacity import CapacityPolicy
-    from repro.streaming.faults import JoinStormPlan
-    from repro.streaming.swarm import AdmissionPolicy, SwarmSpec
-
-    series = SweepSeries(
-        "rate_per_delta",
-        [
-            "receipt_on", "receipt_off", "admitted_on", "gave_up_on",
-            "retries_on", "shed_on", "shed_off", "audit_on", "audit_off",
-        ],
-        title=(
-            f"EX-O — receipt under join storms, admission on vs off "
-            f"(leaves={leaves}, n={n}, H={H}, "
-            f"cap={packets_per_delta}/δ)"
-        ),
-    )
-
-    def spec_for(rate: float, admission: bool) -> SwarmSpec:
-        return SwarmSpec(
-            session=SessionSpec(
-                config=ProtocolConfig(
-                    n=n,
-                    H=H,
-                    fault_margin=1,
-                    content_packets=content_packets,
-                    delta=delta,
-                    seed=seed,
-                ),
-                protocol=ProtocolSpec("dcop"),
-            ),
-            join_plan=JoinStormPlan(leaves=leaves, rate_per_delta=rate),
-            capacity=CapacityPolicy(packets_per_delta=packets_per_delta),
-            admission=AdmissionPolicy() if admission else None,
-        )
-
-    specs = [
-        spec_for(rate, admission)
-        for rate in arrival_rates
-        for admission in (True, False)
-    ]
-    results = iter(run_specs(specs, executor=executor))
-    for rate in arrival_rates:
-        on = next(results)
-        off = next(results)
-        series.add(
-            rate,
-            receipt_on=round(on.mean_receipt_all, 4),
-            receipt_off=round(off.mean_receipt_all, 4),
-            admitted_on=on.admitted,
-            gave_up_on=on.gave_up,
-            retries_on=on.retries,
-            shed_on=on.shed_data + on.shed_parity,
-            shed_off=off.shed_data + off.shed_parity,
-            audit_on="pass" if on.audit_passed else "FAIL",
-            audit_off="pass" if off.audit_passed else "FAIL",
-        )
-    return series
+        A swarm of ``leaves`` leaf peers joins one shared overlay as a
+        Poisson process whose rate sweeps from a trickle to a flash crowd,
+        while every contents peer is capped at ``packets_per_delta`` uplink
+        sends per δ.  The admission-on arm refuses joins the reachable pool
+        cannot carry (refused leaves back off and retry); the off arm lets
+        everyone in and shares the pain through queueing and shedding.
+        Receipt is averaged over *all* arrivals with gave-up leaves counted
+        as zero, so admission cannot win by serving fewer leaves — the on
+        curve must still be no worse than off at every load point.""",
+        x="rate_per_delta",
+        values=[0.25, 0.5, 1.0, 2.0],
+        config=dict(n=6, H=3, content_packets=60, delta=8.0, seed=17),
+        params=dict(leaves=8, packets_per_delta=6.0),
+        quick=dict(content_packets=40, leaves=6),
+        arms=_storm_arms,
+        columns=_storm_columns,
+    ),
+)

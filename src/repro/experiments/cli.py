@@ -8,27 +8,12 @@ import sys
 import time
 from pathlib import Path
 
-from repro.experiments.ablations import (
-    run_ams_overhead,
-    run_churn,
-    run_fault_tolerance,
-    run_gray,
-    run_hetero_flooding,
-    run_heterogeneous,
-    run_loss_recovery,
-    run_multi_leaf,
-    run_overload,
-    run_parity_sweep,
-    run_protocol_comparison,
-    run_rate_adaptation,
-    run_receipt_capacity,
-    run_scaling,
-)
-from repro.experiments.fig10 import run_fig10
-from repro.experiments.fig11 import run_fig11
-from repro.experiments.fig12 import run_fig12
+from repro.experiments import EXPERIMENTS
+from repro.experiments.ablations import ABLATIONS
 
-_QUICK_HS = [2, 5, 10, 30, 60, 100]
+#: positionals that select several table rows; any other experiment
+#: positional is a row's own key
+_GROUPS = {"ablations": ABLATIONS, "all": tuple(EXPERIMENTS.values())}
 
 #: where artefacts land when no ``--*-out`` path is given (gitignored)
 _OUT_DIR = Path("out")
@@ -152,46 +137,6 @@ def _make_executor(args):
     return None
 
 
-def _figures(args) -> list[tuple[str, object]]:
-    kw = {}
-    if args.quick:
-        kw = {"h_values": _QUICK_HS, "content_packets": 200}
-    executor = _make_executor(args)
-    ex = {"executor": executor}
-    out = []
-    if args.experiment in ("fig10", "all"):
-        out.append(("Figure 10", run_fig10(seed=args.seed, **kw, **ex)))
-    if args.experiment in ("fig11", "all"):
-        out.append(("Figure 11", run_fig11(seed=args.seed, **kw, **ex)))
-    if args.experiment in ("fig12", "all"):
-        out.append(("Figure 12", run_fig12(seed=args.seed, **kw, **ex)))
-    if args.experiment in ("ablations", "all"):
-        out.append(("EX-A", run_protocol_comparison(seed=args.seed)))
-        out.append(("EX-B", run_fault_tolerance(seed=args.seed)))
-        out.append(("EX-C", run_loss_recovery(seed=args.seed)))
-        out.append(("EX-D", run_parity_sweep(seed=args.seed)))
-        out.append(("EX-E", run_scaling(seed=args.seed, **ex)))
-        out.append(("EX-F", run_heterogeneous(seed=args.seed)))
-        out.append(("EX-G", run_ams_overhead(seed=args.seed)))
-        out.append(("EX-H", run_multi_leaf(seed=args.seed)))
-        out.append(("EX-I", run_rate_adaptation()))
-        out.append(("EX-J", run_receipt_capacity(seed=args.seed)))
-        out.append(("EX-K", run_hetero_flooding()))
-        churn_kw = {"content_packets": 200} if args.quick else {}
-        out.append(("EX-L", run_churn(seed=args.seed, **churn_kw, **ex)))
-        gray_kw = {"content_packets": 100} if args.quick else {}
-        out.append(("EX-N", run_gray(seed=args.seed, **gray_kw, **ex)))
-        overload_kw = (
-            {"content_packets": 40, "leaves": 6} if args.quick else {}
-        )
-        out.append(
-            ("EX-O", run_overload(seed=args.seed, **overload_kw, **ex))
-        )
-    if executor is not None:
-        executor.close()
-    return out
-
-
 def _build_session_spec(args, audit=None):
     """Shared spec construction for ``trace``/``audit``; name-validated.
 
@@ -268,7 +213,7 @@ def _build_session_spec(args, audit=None):
         n=args.n,
         H=args.H,
         fault_margin=1,
-        seed=args.seed,
+        seed=args.seed or 0,
         content_packets=100 if args.quick else args.packets,
     )
     detector_spec = None
@@ -560,8 +505,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "experiment",
         choices=[
-            "fig10", "fig11", "fig12", "ablations", "all",
-            "trace", "audit", "spans", "regress",
+            *(key for key, row in EXPERIMENTS.items() if row not in ABLATIONS),
+            *_GROUPS, "trace", "audit", "spans", "regress",
         ],
         help=(
             "which figure/ablation to run, 'trace' for one traced run, "
@@ -573,7 +518,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--quick", action="store_true", help="coarser H grid, shorter content"
     )
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument(
+        "--seed",
+        type=int,
+        help="default: each experiment's own seed (0 for trace/audit/spans)",
+    )
     parser.add_argument(
         "--jobs",
         type=_jobs_arg,
@@ -765,13 +714,20 @@ def main(argv: list[str] | None = None) -> int:
 
     start = time.time()
     artifacts = {}
-    for name, artifact in _figures(args):
-        artifacts[name] = artifact
-        table = artifact if hasattr(artifact, "render") else None
-        if hasattr(artifact, "to_table"):
-            table = artifact.to_table()
-        print(f"== {name} ==")
-        print(table.to_csv() if args.csv else table.render())
+    executor = _make_executor(args)
+    try:
+        for row in _GROUPS.get(args.experiment) or [EXPERIMENTS[args.experiment]]:
+            overrides = dict(row.quick) if args.quick else {}
+            if args.seed is not None:
+                overrides["seed"] = args.seed
+            series = row.run(executor=executor, **overrides)
+            artifacts[row.name] = series
+            table = series.to_table()
+            print(f"== {row.name} ==")
+            print(table.to_csv() if args.csv else table.render())
+    finally:
+        if executor is not None:
+            executor.close()
     if args.out:
         from repro.metrics.io import save_artifacts
 

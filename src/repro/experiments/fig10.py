@@ -13,11 +13,8 @@ packet count rises to a hump and collapses to ``n`` at ``H = n``.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
-from repro.core import DCoP, ProtocolConfig
-from repro.experiments.runner import default_h_values, mean_metric, sweep
-from repro.metrics.series import SweepSeries
+from repro.experiments.runner import Experiment, default_h_values
+from repro.streaming.spec import ProtocolSpec, SessionSpec
 
 #: Reference points quoted in the paper's §4 text.
 PAPER_FIG10_REFERENCE = {
@@ -25,52 +22,35 @@ PAPER_FIG10_REFERENCE = {
     100: {"rounds": 1},
 }
 
+#: What Figures 10–12 share: the §4 sweep of H at n = 100, h = 1.
+H_SWEEP = dict(
+    x="H",
+    values=lambda p: default_h_values(p["n"]),
+    config=dict(
+        n=100, fault_margin=1, content_packets=400, delta=10.0, tau=1.0, seed=0
+    ),
+    params=dict(repetitions=1),
+    at=lambda H, p: {"H": H},
+    quick=dict(values=[2, 5, 10, 30, 60, 100], content_packets=200),
+)
 
-def run_fig10(
-    h_values: Optional[Sequence[int]] = None,
-    n: int = 100,
-    fault_margin: int = 1,
-    content_packets: int = 400,
-    delta: float = 10.0,
-    tau: float = 1.0,
-    seed: int = 0,
-    repetitions: int = 1,
-    executor=None,
-) -> SweepSeries:
-    """Regenerate Figure 10's two curves for DCoP.
 
-    ``executor`` (e.g. a :class:`~repro.experiments.parallel.\
-ParallelExecutor`) fans the grid's runs out across cores with
-    identical results; default is serial.
-    """
-    hs = list(h_values) if h_values is not None else default_h_values(n)
-    configs = [
-        ProtocolConfig(
-            n=n,
-            H=h,
-            fault_margin=fault_margin,
-            tau=tau,
-            delta=delta,
-            content_packets=content_packets,
-            seed=seed,
-        )
-        for h in hs
-    ]
-    results = sweep(DCoP, configs, repetitions=repetitions, executor=executor)
-    series = SweepSeries(
-        "H",
-        ["rounds", "control_packets", "control_packets_total"],
-        title=f"Figure 10 — DCoP rounds & control packets (n={n})",
+def coordination_cost(key: str, title: str, doc: str, kind: str) -> Experiment:
+    """The row Figures 10 and 11 share: one protocol's two curves."""
+    return Experiment(
+        key=key,
+        title=title,
+        doc=doc,
+        arms=lambda H, cfg, p: {kind: SessionSpec(cfg, ProtocolSpec(kind))},
+        columns=lambda r: {
+            "rounds": r[kind].rounds,
+            "control_packets": r[kind].control_packets_at_sync,
+            "control_packets_total": r[kind].control_packets_total,
+        },
+        **H_SWEEP,
     )
-    for h, reps in zip(hs, results):
-        series.add(
-            h,
-            rounds=mean_metric(reps, "rounds"),
-            control_packets=mean_metric(reps, "control_packets_at_sync"),
-            control_packets_total=mean_metric(reps, "control_packets_total"),
-        )
-    return series
 
 
-if __name__ == "__main__":  # pragma: no cover
-    print(run_fig10().render())
+FIG10 = coordination_cost(
+    "fig10", "Figure 10 — DCoP rounds & control packets (n={n})", __doc__, "dcop"
+)

@@ -9,59 +9,13 @@ see EXPERIMENTS.md for measured-vs-paper numbers.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
-from repro.core import TCoP, ProtocolConfig
-from repro.experiments.runner import default_h_values, mean_metric, sweep
-from repro.metrics.series import SweepSeries
+from repro.experiments.fig10 import coordination_cost
 
 #: Reference points quoted in the paper's §4 text.
 PAPER_FIG11_REFERENCE = {
     60: {"rounds": 6, "control_packets": 7400},
 }
 
-
-def run_fig11(
-    h_values: Optional[Sequence[int]] = None,
-    n: int = 100,
-    fault_margin: int = 1,
-    content_packets: int = 400,
-    delta: float = 10.0,
-    tau: float = 1.0,
-    seed: int = 0,
-    repetitions: int = 1,
-    executor=None,
-) -> SweepSeries:
-    """Regenerate Figure 11's two curves for TCoP (``executor`` fans the
-    grid out across cores; default serial)."""
-    hs = list(h_values) if h_values is not None else default_h_values(n)
-    configs = [
-        ProtocolConfig(
-            n=n,
-            H=h,
-            fault_margin=fault_margin,
-            tau=tau,
-            delta=delta,
-            content_packets=content_packets,
-            seed=seed,
-        )
-        for h in hs
-    ]
-    results = sweep(TCoP, configs, repetitions=repetitions, executor=executor)
-    series = SweepSeries(
-        "H",
-        ["rounds", "control_packets", "control_packets_total"],
-        title=f"Figure 11 — TCoP rounds & control packets (n={n})",
-    )
-    for h, reps in zip(hs, results):
-        series.add(
-            h,
-            rounds=mean_metric(reps, "rounds"),
-            control_packets=mean_metric(reps, "control_packets_at_sync"),
-            control_packets_total=mean_metric(reps, "control_packets_total"),
-        )
-    return series
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run_fig11().render())
+FIG11 = coordination_cost(
+    "fig11", "Figure 11 — TCoP rounds & control packets (n={n})", __doc__, "tcop"
+)

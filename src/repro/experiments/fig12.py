@@ -13,68 +13,33 @@ DCoP's redundant floods split wide.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
-from repro.core import DCoP, TCoP, ProtocolConfig
-from repro.experiments.runner import default_h_values, mean_metric, sweep
-from repro.metrics.series import SweepSeries
+from repro.experiments.fig10 import H_SWEEP
+from repro.experiments.runner import Experiment
+from repro.streaming.spec import ProtocolSpec, SessionSpec
 
 #: Reference points quoted in the paper's §4 text.
 PAPER_FIG12_REFERENCE = {
     60: {"dcop_rate": 1.019, "tcop_rate": 1.226},
 }
 
-
-def run_fig12(
-    h_values: Optional[Sequence[int]] = None,
-    n: int = 100,
-    fault_margin: int = 1,
-    # the paper streams a continuous movie; short contents inflate the
-    # measured rate because a handoff's short tail still earns one parity
-    # packet per segment — 3000 packets ≈ long-content regime at n=100
-    content_packets: int = 3000,
-    delta: float = 10.0,
-    tau: float = 1.0,
-    seed: int = 0,
-    repetitions: int = 1,
-    executor=None,
-) -> SweepSeries:
-    """Regenerate Figure 12's receipt-rate curves (``executor`` fans the
-    grid out across cores; default serial)."""
-    hs = list(h_values) if h_values is not None else default_h_values(n)
-    configs = [
-        ProtocolConfig(
-            n=n,
-            H=h,
-            fault_margin=fault_margin,
-            tau=tau,
-            delta=delta,
-            content_packets=content_packets,
-            seed=seed,
-        )
-        for h in hs
-    ]
-    dcop_results = sweep(
-        DCoP, configs, repetitions=repetitions, executor=executor
-    )
-    tcop_results = sweep(
-        TCoP, configs, repetitions=repetitions, executor=executor
-    )
-    series = SweepSeries(
-        "H",
-        ["dcop_rate", "tcop_rate", "dcop_delivery", "tcop_delivery"],
-        title=f"Figure 12 — leaf receipt rate (content rate = 1, n={n})",
-    )
-    for h, dr, tr in zip(hs, dcop_results, tcop_results):
-        series.add(
-            h,
-            dcop_rate=mean_metric(dr, "receipt_rate"),
-            tcop_rate=mean_metric(tr, "receipt_rate"),
-            dcop_delivery=mean_metric(dr, "delivery_ratio"),
-            tcop_delivery=mean_metric(tr, "delivery_ratio"),
-        )
-    return series
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run_fig12().render())
+FIG12 = Experiment(
+    key="fig12",
+    title="Figure 12 — leaf receipt rate (content rate = 1, n={n})",
+    doc=__doc__,
+    **H_SWEEP
+    | {
+        # the paper streams a continuous movie; short contents inflate the
+        # measured rate because a handoff's short tail still earns one parity
+        # packet per segment — 3000 packets ≈ long-content regime at n=100
+        "config": H_SWEEP["config"] | {"content_packets": 3000},
+    },
+    arms=lambda H, cfg, p: {
+        kind: SessionSpec(cfg, ProtocolSpec(kind)) for kind in ("dcop", "tcop")
+    },
+    columns=lambda r: {
+        "dcop_rate": r["dcop"].receipt_rate,
+        "tcop_rate": r["tcop"].receipt_rate,
+        "dcop_delivery": r["dcop"].delivery_ratio,
+        "tcop_delivery": r["tcop"].delivery_ratio,
+    },
+)

@@ -27,6 +27,43 @@ def test_seed_changes_nothing_structural(capsys):
     assert "Figure 10" in out
 
 
+def test_ablations_prints_every_table(ablations_quick):
+    from repro.experiments import EXPERIMENTS
+
+    stdout, artifacts = ablations_quick
+    ablations = [key for key in EXPERIMENTS if key.startswith("EX-")]
+    assert len(ablations) == 15
+    assert [key for key in ablations if f"== {key} ==" not in stdout] == []
+    assert list(artifacts) == ablations
+
+
+def test_flags_reach_every_row(monkeypatch, capsys):
+    """``all`` runs the whole table; ``--quick``, ``--seed`` and ``--jobs``
+    reach every row instead of the few a hand-kept list remembered."""
+    from repro.experiments import EXPERIMENTS, Experiment, ParallelExecutor
+    from repro.metrics.series import SweepSeries
+
+    calls = {}
+
+    def record(self, values=None, executor=None, **overrides):
+        calls[self.key] = (values, executor, overrides)
+        return SweepSeries(self.x, ["y"], title=self.title)
+
+    monkeypatch.setattr(Experiment, "run", record)
+    assert main(["all", "--quick", "--seed", "5", "--jobs", "2"]) == 0
+    assert list(calls) == list(EXPERIMENTS)
+    for key, (values, executor, overrides) in calls.items():
+        expected = {**EXPERIMENTS[key].quick, "seed": 5}
+        assert values == expected.pop("values", None), key
+        assert overrides == expected, key
+        assert isinstance(executor, ParallelExecutor), key
+    # no --seed, no --quick: every row keeps its own defaults
+    calls.clear()
+    assert main(["ablations"]) == 0
+    assert all(call == (None, None, {}) for call in calls.values())
+    assert "== EX-M ==" in capsys.readouterr().out
+
+
 def test_trace_subcommand_emits_timeline_and_chrome_trace(tmp_path, capsys):
     import json
 

@@ -5,23 +5,12 @@ import math
 import pytest
 
 from repro.core import DCoP, ProtocolConfig
-from repro.experiments import (
-    run_fault_tolerance,
-    run_fig10,
-    run_fig11,
-    run_fig12,
-    run_loss_recovery,
-    run_parity_sweep,
-    run_protocol_comparison,
-    run_scaling,
-    run_session,
-    sweep,
-)
+from repro.experiments import replication_specs, run_experiment, run_specs
 from repro.experiments.runner import default_h_values, mean_metric
+from repro.streaming.spec import SessionSpec
 
 
-SMALL = dict(n=20, content_packets=150, delta=10.0)
-HS = [2, 5, 10, 20]
+SMALL = dict(values=[2, 5, 10, 20], n=20, content_packets=150, delta=10.0)
 
 
 def test_default_h_values_respect_n():
@@ -32,38 +21,33 @@ def test_default_h_values_respect_n():
 
 def test_run_session_returns_result():
     cfg = ProtocolConfig(n=10, H=4, content_packets=150)
-    r = run_session(DCoP, cfg)
+    r = SessionSpec(config=cfg, protocol=DCoP).run()
     assert r.protocol == "DCoP"
     assert r.all_active
 
 
 def test_sweep_repetitions_vary_seed():
     cfg = ProtocolConfig(n=15, H=5, content_packets=150, seed=3)
-    results = sweep(DCoP, [cfg], repetitions=2)
-    assert len(results) == 1
-    assert len(results[0]) == 2
-    a, b = results[0]
+    results = run_specs(
+        replication_specs([SessionSpec(config=cfg, protocol=DCoP)], 2)
+    )
+    assert len(results) == 2
+    a, b = results
     assert a.config.seed != b.config.seed
 
 
 def test_sweep_validation():
     with pytest.raises(ValueError):
-        sweep(DCoP, [], repetitions=0)
+        replication_specs([], repetitions=0)
 
 
 def test_mean_metric_skips_none():
-    class R:
-        rounds = None
-
-    class R2:
-        rounds = 4
-
-    assert mean_metric([R(), R2()], "rounds") == 4.0
-    assert math.isnan(mean_metric([R()], "rounds"))
+    assert mean_metric([None, 4]) == 4.0
+    assert math.isnan(mean_metric([None]))
 
 
 def test_fig10_shape():
-    series = run_fig10(h_values=HS, **SMALL)
+    series = run_experiment("fig10", **SMALL)
     rounds = series.series("rounds")
     # monotone non-increasing rounds, 1 round at H = n
     assert all(a >= b for a, b in zip(rounds, rounds[1:]))
@@ -72,11 +56,11 @@ def test_fig10_shape():
 
 
 def test_fig11_shape():
-    series = run_fig11(h_values=HS, **SMALL)
+    series = run_experiment("fig11", **SMALL)
     rounds = series.series("rounds")
     assert all(a >= b for a, b in zip(rounds, rounds[1:]))
     assert rounds[-1] == 3  # leaf handshake costs 3 rounds even at H=n
-    dcop = run_fig10(h_values=HS, **SMALL)
+    dcop = run_experiment("fig10", **SMALL)
     # TCoP always needs at least as many control packets as DCoP
     assert all(
         t >= d
@@ -88,7 +72,7 @@ def test_fig11_shape():
 
 
 def test_fig12_shape():
-    series = run_fig12(h_values=HS, **SMALL)
+    series = run_experiment("fig12", **SMALL)
     dcop = series.series("dcop_rate")
     tcop = series.series("tcop_rate")
     # rates at/above 1, decreasing toward 1 with H, full delivery
@@ -99,20 +83,18 @@ def test_fig12_shape():
     assert all(d == 1.0 for d in series.series("tcop_delivery"))
 
 
-def test_protocol_comparison_rows():
-    table = run_protocol_comparison(n=12, H=4, content_packets=120)
-    assert len(table) == 7
-    protos = table.column("protocol")
+def test_protocol_comparison_rows(pinned):
+    series = pinned("EX-A")
+    assert len(series) == 7
+    protos = series.x
     assert "DCoP" in protos and "SingleSource" in protos
     # unicast chain: rounds == n
     idx = protos.index("UnicastChain")
-    assert table.column("rounds")[idx] == 12
+    assert series.series("rounds")[idx] == 12
 
 
-def test_fault_tolerance_ordering():
-    series = run_fault_tolerance(
-        crash_counts=[0, 2], n=16, H=6, content_packets=200
-    )
+def test_fault_tolerance_ordering(pinned):
+    series = pinned("EX-B")
     # no crashes: everyone delivers fully
     assert series.series("dcop_parity")[0] == 1.0
     # with crashes, parity DCoP >= no-parity DCoP >= single source
@@ -124,19 +106,15 @@ def test_fault_tolerance_ordering():
     assert p >= np_ >= ss
 
 
-def test_loss_recovery_parity_helps():
-    series = run_loss_recovery(
-        loss_rates=[0.0, 0.05], n=16, H=6, content_packets=200
-    )
+def test_loss_recovery_parity_helps(pinned):
+    series = pinned("EX-C")
     assert series.series("with_parity")[0] == 1.0
     assert series.series("with_parity")[1] >= series.series("without_parity")[1]
     assert series.series("recovered_with_parity")[1] > 0
 
 
-def test_parity_sweep_tradeoff():
-    series = run_parity_sweep(
-        margins=[0, 1, 3], n=16, H=8, content_packets=200
-    )
+def test_parity_sweep_tradeoff(pinned):
+    series = pinned("EX-D")
     rates = series.series("receipt_rate")
     # more margin → more overhead
     assert rates[0] == pytest.approx(1.0)
@@ -146,8 +124,8 @@ def test_parity_sweep_tradeoff():
     assert lossy[2] >= lossy[0]
 
 
-def test_scaling_runs():
-    series = run_scaling(n_values=[10, 20], content_packets=100)
+def test_scaling_runs(pinned):
+    series = pinned("EX-E")
     assert len(series) == 2
     assert all(r >= 1 for r in series.series("dcop_rounds"))
     # TCoP rounds dominate DCoP rounds at every n

@@ -1,19 +1,9 @@
-"""Tests for the extension ablations (EX-F … EX-K) at reduced scale."""
-
-import pytest
-
-from repro.experiments import (
-    run_ams_overhead,
-    run_hetero_flooding,
-    run_heterogeneous,
-    run_multi_leaf,
-    run_rate_adaptation,
-    run_receipt_capacity,
-)
+"""Tests for the extension ablations (EX-F … EX-N) at reduced scale: the
+argument sets ``data/table_digests.json`` pins (see ``conftest.pinned``)."""
 
 
-def test_heterogeneous_allocator_wins():
-    series = run_heterogeneous(spreads=[0.0, 2.0], n=10, H=3, content_packets=200)
+def test_heterogeneous_allocator_wins(pinned):
+    series = pinned("EX-F")
     assert len(series) == 2
     # homogeneous point coincides, heterogeneous diverges
     assert series.series("naive_completed_at")[1] > series.series(
@@ -21,25 +11,23 @@ def test_heterogeneous_allocator_wins():
     )[1]
 
 
-def test_ams_overhead_superlinear():
-    series = run_ams_overhead(n_values=[6, 12], content_packets=150)
+def test_ams_overhead_superlinear(pinned):
+    series = pinned("EX-G")
     ams = series.series("ams_ctrl")
     assert ams[1] > 3.5 * ams[0]  # n doubled → ~4x state traffic
     assert all(d == 1.0 for d in series.series("ams_delivery_crash"))
 
 
-def test_multi_leaf_load_spread():
-    series = run_multi_leaf(leaf_counts=[1, 3], n=12, H=4, content_packets=120)
+def test_multi_leaf_load_spread(pinned):
+    series = pinned("EX-H")
     single = series.series("single_max_load")
     dcop = series.series("dcop_max_load")
     assert single == [120, 360]
     assert dcop[1] < single[1] / 2
 
 
-def test_rate_adaptation_compensates():
-    series = run_rate_adaptation(
-        degrade_factors=[1.0, 0.25], n=8, H=3, content_packets=200
-    )
+def test_rate_adaptation_compensates(pinned):
+    series = pinned("EX-I")
     plain = series.series("plain_completed_at")
     adaptive = series.series("adaptive_completed_at")
     assert plain[0] == adaptive[0]
@@ -47,17 +35,15 @@ def test_rate_adaptation_compensates():
     assert series.series("adaptations") == [0, 1]
 
 
-def test_receipt_capacity_contrast():
-    series = run_receipt_capacity(
-        rho_values=[2.0, 30.0], n=10, H=4, content_packets=150
-    )
+def test_receipt_capacity_contrast(pinned):
+    series = pinned("EX-J")
     assert series.series("dcop_dropped") == [0, 0]
     assert series.series("broadcast_dropped")[0] > 0
     assert series.series("broadcast_dropped")[1] == 0
 
 
-def test_hetero_flooding_same_ctrl_cost():
-    series = run_hetero_flooding(spreads=[0.0, 6.0], n=10, H=4, content_packets=200)
+def test_hetero_flooding_same_ctrl_cost(pinned):
+    series = pinned("EX-K")
     assert all(series.series("ctrl_equal"))
     assert (
         series.series("hetero_completed_at")[1]
@@ -65,10 +51,8 @@ def test_hetero_flooding_same_ctrl_cost():
     )
 
 
-def test_gray_ablation_breaker_never_costs_receipt():
-    from repro.experiments import run_gray
-
-    series = run_gray(protocols=["dcop", "tcop", "ams"])
+def test_gray_ablation_breaker_never_costs_receipt(pinned):
+    series = pinned("EX-N")
     assert len(series) == 3
     on = series.series("receipt_on")
     off = series.series("receipt_off")

@@ -11,8 +11,8 @@ from repro.experiments import (
     SerialExecutor,
     SweepError,
     replication_specs,
+    run_experiment,
     run_specs,
-    sweep,
 )
 from repro.experiments.runner import REPLICATION_SEED_STRIDE
 from repro.metrics.io import session_result_to_dict
@@ -49,17 +49,18 @@ def test_parallel_results_come_back_in_submission_order():
 
 
 def test_sweep_is_executor_independent():
-    configs = [
-        ProtocolConfig(n=8, H=h, content_packets=60, delta=5.0, seed=2)
-        for h in (2, 4)
-    ]
-    serial = sweep(DCoP, configs, repetitions=2)
-    parallel = sweep(
-        DCoP, configs, repetitions=2, executor=ParallelExecutor(jobs=2)
+    specs = replication_specs([_spec(H=h, seed=2) for h in (2, 4)], 2)
+    serial = run_specs(specs)
+    parallel = run_specs(specs, executor=ParallelExecutor(jobs=2))
+    assert _dicts(serial) == _dicts(parallel)
+    # and so is the table a replicated row makes of them
+    grid = dict(values=[2, 4], n=8, content_packets=60, delta=5.0, seed=2)
+    assert (
+        run_experiment("fig12", repetitions=2, **grid).to_table().to_csv()
+        == run_experiment(
+            "fig12", repetitions=2, executor=ParallelExecutor(jobs=2), **grid
+        ).to_table().to_csv()
     )
-    assert [_dicts(reps) for reps in serial] == [
-        _dicts(reps) for reps in parallel
-    ]
 
 
 def test_single_spec_skips_the_pool():
@@ -76,9 +77,9 @@ def test_single_spec_skips_the_pool():
 class _TaggedConfig(ProtocolConfig):
     """Config subclass with a derived, non-init field.
 
-    The old sweep rebuilt configs with ``ProtocolConfig(**__dict__)``,
-    which crashed on exactly this shape (and silently downcast
-    subclasses); seed derivation must preserve both."""
+    Rebuilding configs with ``ProtocolConfig(**__dict__)`` crashes on
+    exactly this shape (and silently downcasts subclasses); seed
+    derivation must preserve both."""
 
     label: str = "tagged"
     budget: float = field(init=False, default=0.0)
@@ -90,7 +91,9 @@ class _TaggedConfig(ProtocolConfig):
 
 def test_replication_seeds_derive_via_dataclasses_replace():
     cfg = _TaggedConfig(n=8, H=3, content_packets=60, delta=5.0, seed=5)
-    specs = replication_specs(DCoP, [cfg], repetitions=3)
+    specs = replication_specs(
+        [SessionSpec(config=cfg, protocol=DCoP)], repetitions=3
+    )
     assert [s.config.seed for s in specs] == [
         5 + REPLICATION_SEED_STRIDE * rep for rep in range(3)
     ]
@@ -103,7 +106,9 @@ def test_replication_seeds_derive_via_dataclasses_replace():
 
 def test_sweep_runs_config_subclasses():
     cfg = _TaggedConfig(n=8, H=3, content_packets=60, delta=5.0, seed=1)
-    (reps,) = sweep(DCoP, [cfg], repetitions=2)
+    reps = run_specs(
+        replication_specs([SessionSpec(config=cfg, protocol=DCoP)], 2)
+    )
     assert len(reps) == 2
     assert all(r.sync_time is not None for r in reps)
     # distinct seeds → independent replications
@@ -112,7 +117,7 @@ def test_sweep_runs_config_subclasses():
 
 def test_sweep_rejects_zero_repetitions():
     with pytest.raises(ValueError):
-        sweep(DCoP, [], repetitions=0)
+        run_experiment("fig10", repetitions=0)
 
 
 # ----------------------------------------------------------------------

@@ -254,3 +254,25 @@ def test_render_and_to_dict_are_consistent(tmp_path):
     merged.extend(compare_bench(bench(), bench()))
     assert len(merged.compared) == 2
     assert not merged.ok
+
+
+def test_fresh_benches_never_land_on_the_committed_baselines(monkeypatch):
+    """A bare ``pytest benchmarks/`` writes to the ignored ``out/``; the
+    baselines ``regress`` reads are only rewritten on request."""
+    import importlib.util
+    import types
+    from pathlib import Path
+
+    root = Path(__file__).parents[2]
+    spec = importlib.util.spec_from_file_location(
+        "bench_conftest", root / "benchmarks" / "conftest.py"
+    )
+    conftest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(conftest)
+    config = types.SimpleNamespace(rootdir=root)
+
+    monkeypatch.delenv("BENCH_ARTIFACT_DIR", raising=False)
+    assert conftest._artifact_dir(config) == root / "out" / "bench_fresh"
+    assert "out/" in (root / ".gitignore").read_text().splitlines()
+    monkeypatch.setenv("BENCH_ARTIFACT_DIR", "bench_artifacts")
+    assert conftest._artifact_dir(config) == Path("bench_artifacts")
