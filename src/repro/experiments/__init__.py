@@ -15,18 +15,11 @@ executor: :class:`SerialExecutor` (default) or :class:`ParallelExecutor`
 (``executor=ParallelExecutor(jobs=N)`` fans runs out across cores with
 identical results).
 
-:mod:`repro.experiments.regress` diffs fresh bench/audit artifacts
-against a committed baseline with tolerances, gating perf and
-correctness regressions in one report.
+A table that must not change is pinned by digest in
+``tests/experiments/data/table_digests.json``; host cost is measured from
+outside, by ``bench/``.
 """
 
-from repro.experiments.regress import (
-    RegressReport,
-    Regression,
-    compare_audit_reports,
-    compare_bench,
-    compare_dirs,
-)
 from repro.experiments.parallel import (
     ParallelExecutor,
     ProgressTick,
@@ -59,15 +52,10 @@ __all__ = [
     "PAPER_FIG12_REFERENCE",
     "ParallelExecutor",
     "ProgressTick",
-    "RegressReport",
-    "Regression",
     "SerialExecutor",
     "SweepError",
     "auto_executor",
     "available_cores",
-    "compare_audit_reports",
-    "compare_bench",
-    "compare_dirs",
     "first_picks",
     "replication_specs",
     "run_experiment",

@@ -460,39 +460,6 @@ def _run_spans(args) -> int:
     return 0
 
 
-def _run_regress(args) -> int:
-    """``regress`` subcommand: diff fresh artifacts against a baseline."""
-    from repro.experiments.regress import compare_dirs, parse_scalar_gate
-
-    if args.fresh is None:
-        return _fail("regress needs --fresh DIR (the artifacts to gate)")
-    baseline = Path(args.baseline)
-    fresh = Path(args.fresh)
-    for label, directory in (("baseline", baseline), ("fresh", fresh)):
-        if not directory.is_dir():
-            return _fail(f"{label} directory not found: {directory}")
-    gate_scalars = {}
-    for text in args.gate_scalar or ():
-        try:
-            key, gate = parse_scalar_gate(text)
-        except ValueError as exc:
-            return _fail(str(exc))
-        gate_scalars[key] = gate
-    report = compare_dirs(
-        baseline,
-        fresh,
-        wall_tolerance=args.wall_tolerance,
-        gate_scalars=gate_scalars or None,
-    )
-    print(report.render())
-    if args.report_out:
-        _ensure_parent(args.report_out).write_text(
-            json.dumps(report.to_dict(), indent=2, sort_keys=True)
-        )
-        print(f"wrote regress report to {args.report_out}", file=sys.stderr)
-    return 0 if report.ok else 1
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-experiments",
@@ -506,13 +473,12 @@ def main(argv: list[str] | None = None) -> int:
         "experiment",
         choices=[
             *(key for key, row in EXPERIMENTS.items() if row not in ABLATIONS),
-            *_GROUPS, "trace", "audit", "spans", "regress",
+            *_GROUPS, "trace", "audit", "spans",
         ],
         help=(
             "which figure/ablation to run, 'trace' for one traced run, "
             "'audit' to run the protocol auditors, 'spans' for causal "
-            "spans + latency attribution, 'regress' to diff artifact "
-            "directories"
+            "spans + latency attribution"
         ),
     )
     parser.add_argument(
@@ -651,7 +617,7 @@ def main(argv: list[str] | None = None) -> int:
     audit_group.add_argument(
         "--report-out",
         metavar="PATH",
-        help="write the audit/regress report as JSON",
+        help="write the audit report as JSON",
     )
     spans_group = parser.add_argument_group(
         "spans", "options for the 'spans' subcommand"
@@ -668,39 +634,6 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="print the coordination and playback critical-path segments",
     )
-    regress_group = parser.add_argument_group(
-        "regress", "options for the 'regress' subcommand"
-    )
-    regress_group.add_argument(
-        "--baseline",
-        metavar="DIR",
-        default="bench_artifacts",
-        help="baseline artifact directory (default bench_artifacts)",
-    )
-    regress_group.add_argument(
-        "--fresh", metavar="DIR", help="fresh artifact directory to gate"
-    )
-    regress_group.add_argument(
-        "--wall-tolerance",
-        type=float,
-        default=0.5,
-        metavar="FRAC",
-        help=(
-            "relative wall-time slack before a slowdown regresses "
-            "(default 0.5 = +50%%)"
-        ),
-    )
-    regress_group.add_argument(
-        "--gate-scalar",
-        action="append",
-        metavar="KEY:TOL%[:min|max]",
-        help=(
-            "hard-gate a (perf) scalar with a relative tolerance; 'min' "
-            "(default) fails a drop below baseline*(1-TOL), 'max' fails "
-            "a rise above baseline*(1+TOL); repeatable, e.g. "
-            "critical_path_deltas_fig10:5%%:max"
-        ),
-    )
     args = parser.parse_args(argv)
 
     if args.experiment == "trace":
@@ -709,8 +642,6 @@ def main(argv: list[str] | None = None) -> int:
         return _run_audit(args)
     if args.experiment == "spans":
         return _run_spans(args)
-    if args.experiment == "regress":
-        return _run_regress(args)
 
     start = time.time()
     artifacts = {}

@@ -2,13 +2,7 @@
 
 from repro.metrics.table import Table
 from repro.metrics.series import SweepSeries
-from repro.metrics.stats import (
-    mean,
-    mean_std,
-    nearest_rank_percentile,
-    percentile,
-    summarize,
-)
+from repro.metrics.stats import mean
 from repro.metrics.io import (
     load_artifacts,
     save_artifacts,
@@ -21,11 +15,7 @@ __all__ = [
     "Table",
     "load_artifacts",
     "mean",
-    "mean_std",
-    "nearest_rank_percentile",
-    "percentile",
     "save_artifacts",
     "session_result_from_dict",
     "session_result_to_dict",
-    "summarize",
 ]

@@ -1,68 +1,11 @@
-"""Small statistics helpers over replication results."""
+"""The one statistic the sweep driver folds replications with."""
 
 from __future__ import annotations
 
-import math
-from typing import Dict, Sequence
+from typing import Sequence
 
 
 def mean(values: Sequence[float]) -> float:
     if not values:
         raise ValueError("mean of empty sequence")
     return sum(values) / len(values)
-
-
-def mean_std(values: Sequence[float]) -> tuple[float, float]:
-    """Sample mean and (n-1) standard deviation; std 0 for singletons."""
-    m = mean(values)
-    if len(values) < 2:
-        return m, 0.0
-    var = sum((v - m) ** 2 for v in values) / (len(values) - 1)
-    return m, math.sqrt(var)
-
-
-def percentile(values: Sequence[float], q: float) -> float:
-    """Linear-interpolated percentile, q in [0, 100]."""
-    if not values:
-        raise ValueError("percentile of empty sequence")
-    if not 0 <= q <= 100:
-        raise ValueError("q must be in [0, 100]")
-    ordered = sorted(values)
-    if len(ordered) == 1:
-        return ordered[0]
-    pos = (len(ordered) - 1) * q / 100
-    lo = math.floor(pos)
-    hi = math.ceil(pos)
-    frac = pos - lo
-    return ordered[lo] * (1 - frac) + ordered[hi] * frac
-
-
-def nearest_rank_percentile(values: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile (deterministic, no interpolation).
-
-    Always returns an *observed* sample — the benchmark artifacts fold
-    per-cell observations (e.g. failure-detection latencies) into
-    p50/p95 scalars with this, so equal trajectories yield bit-equal
-    ``BENCH_*.json`` files.  Contrast :func:`percentile`, which linearly
-    interpolates between ranks.
-    """
-    if not values:
-        raise ValueError("percentile of an empty sample")
-    if not 0 <= q <= 100:
-        raise ValueError("q must be in [0, 100]")
-    ordered = sorted(values)
-    rank = max(1, -(-q * len(ordered) // 100))  # ceil without floats
-    return ordered[int(rank) - 1]
-
-
-def summarize(values: Sequence[float]) -> Dict[str, float]:
-    """mean / std / min / p50 / p95 / max in one dict."""
-    m, s = mean_std(values)
-    return {
-        "mean": m,
-        "std": s,
-        "min": min(values),
-        "p50": percentile(values, 50),
-        "p95": percentile(values, 95),
-        "max": max(values),
-    }

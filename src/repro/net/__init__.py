@@ -8,9 +8,9 @@ underlying network.  A channel applies, in order:
 2. a latency model (constant δ, uniform or normal jitter),
 3. a loss model (none, Bernoulli, or bursty Gilbert–Elliott).
 
-Messages that survive are appended to the destination node's mailbox (a
-:class:`repro.sim.Store`).  The :class:`Overlay` owns nodes and channels,
-creates channels lazily (full logical mesh) and keeps global traffic
+Messages that survive are handed to the destination node's ``on_deliver``
+handler the instant they arrive.  The :class:`Overlay` owns nodes and
+channels, creates channels lazily (full logical mesh) and keeps global traffic
 statistics that the experiment harness reads (control-packet counts per
 kind, per-channel deliveries and drops).
 """

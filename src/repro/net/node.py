@@ -1,35 +1,37 @@
-"""Overlay node with a mailbox."""
+"""Overlay node: an identity and the handler its messages go to."""
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable
 
 from repro.net.message import Message
-from repro.sim.stores import Store
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Environment
 
 
 class Node:
-    """A peer endpoint: identity + unbounded FIFO mailbox.
+    """A peer endpoint: identity + the synchronous ``on_deliver`` handler.
 
-    Agents either run a receive loop (``msg = yield node.receive()``) or
-    register a synchronous ``on_deliver`` hook for event-driven handling —
-    the coordination protocols use the hook so a control packet is processed
-    the instant it arrives without a scheduling hop.
+    Every arriving message is handed to ``on_deliver`` the instant it
+    arrives, without a scheduling hop — the paper's peers act *on receipt*
+    of a control packet (§3.3).
 
     A node can be marked *down* (crash fault): deliveries to a down node are
     counted and discarded, and sends from it are suppressed by the agents.
     """
 
-    def __init__(self, env: "Environment", node_id: str) -> None:
+    def __init__(
+        self,
+        env: "Environment",
+        node_id: str,
+        on_deliver: Callable[[Message], None],
+    ) -> None:
         if not node_id:
             raise ValueError("node_id must be non-empty")
         self.env = env
         self.node_id = node_id
-        self.mailbox: Store = Store(env)
-        self.on_deliver: Optional[Callable[[Message], None]] = None
+        self.on_deliver = on_deliver
         self.down = False
         self.dropped_while_down = 0
 
@@ -69,14 +71,7 @@ class Node:
                     "msg.recv", self.node_id, kind=message.kind,
                     src=message.src, uid=message.uid, **link,
                 )
-        if self.on_deliver is not None:
-            self.on_deliver(message)
-        else:
-            self.mailbox.put(message)
-
-    def receive(self):
-        """Event yielding the next mailbox message (mailbox mode only)."""
-        return self.mailbox.get()
+        self.on_deliver(message)
 
     def crash(self) -> None:
         """Mark the node failed: it neither receives nor (by convention)

@@ -307,10 +307,10 @@ class ControlPlane:
 class Overlay:
     """Full logical mesh of peers.
 
-    Channel parameters may be customized per (src, dst) pair via
-    ``channel_factory``; by default every channel shares the overlay's
-    ``default_latency`` / ``default_loss`` with an independent RNG stream
-    per directed pair.
+    Latency may be customized per (src, dst) pair via ``latency_factory``;
+    by default every channel shares the overlay's ``default_latency`` and
+    gets a fresh loss model from ``default_loss_factory``, with an
+    independent RNG stream per directed pair.
     """
 
     def __init__(
@@ -344,8 +344,6 @@ class Overlay:
         self.nodes: Dict[str, Node] = {}
         self.channels: Dict[Tuple[str, str], Channel] = {}
         self.traffic = TrafficStats()
-        #: optional per-pair overrides installed with configure_channel()
-        self._overrides: Dict[Tuple[str, str], dict] = {}
         self._control_loss: Dict[Tuple[str, str], LossModel] = {}
         #: directed links currently cut (partitions, one-way failures)
         self._severed: set[Tuple[str, str]] = set()
@@ -355,34 +353,15 @@ class Overlay:
     # ------------------------------------------------------------------
     # topology
     # ------------------------------------------------------------------
-    def add_node(self, node_id: str) -> Node:
+    def add_node(
+        self, node_id: str, on_deliver: Callable[[Message], None]
+    ) -> Node:
+        """Add a peer whose arriving messages go to ``on_deliver``."""
         if node_id in self.nodes:
             raise ValueError(f"node {node_id!r} already exists")
-        node = Node(self.env, node_id)
+        node = Node(self.env, node_id, on_deliver)
         self.nodes[node_id] = node
         return node
-
-    def node(self, node_id: str) -> Node:
-        return self.nodes[node_id]
-
-    def configure_channel(
-        self,
-        src: str,
-        dst: str,
-        latency: Optional[LatencyModel] = None,
-        loss: Optional[LossModel] = None,
-        bandwidth_bytes_per_ms: Optional[float] = None,
-        fault: Optional[LinkFault] = None,
-    ) -> None:
-        """Install per-pair channel parameters (before first use)."""
-        if (src, dst) in self.channels:
-            raise RuntimeError(f"channel {src}->{dst} already materialized")
-        self._overrides[(src, dst)] = {
-            "latency": latency,
-            "loss": loss,
-            "bandwidth": bandwidth_bytes_per_ms,
-            "fault": fault,
-        }
 
     def channel(self, src: str, dst: str) -> Channel:
         """The (lazily created) channel ``src → dst``."""
@@ -391,22 +370,23 @@ class Overlay:
         if ch is None:
             if src not in self.nodes or dst not in self.nodes:
                 raise KeyError(f"unknown endpoint in {src}->{dst}")
-            override = self._overrides.get(key, {})
-            default_latency = (
+            latency = (
                 self.latency_factory(src, dst)
                 if self.latency_factory is not None
                 else self.default_latency
             )
-            fault = override.get("fault")
-            if fault is None and self.link_fault_factory is not None:
-                fault = self.link_fault_factory()
+            fault = (
+                self.link_fault_factory()
+                if self.link_fault_factory is not None
+                else None
+            )
             ch = Channel(
                 self.env,
                 self.nodes[src],
                 self.nodes[dst],
-                latency=override.get("latency") or default_latency,
-                loss=override.get("loss") or self.default_loss_factory(),
-                bandwidth_bytes_per_ms=override.get("bandwidth") or self.bandwidth,
+                latency=latency,
+                loss=self.default_loss_factory(),
+                bandwidth_bytes_per_ms=self.bandwidth,
                 rng=self.streams.get(f"channel/{src}->{dst}"),
                 fault=fault,
             )

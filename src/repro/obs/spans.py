@@ -305,7 +305,7 @@ class SpanReport:
         return self.packet_stats.get("attributed_share", 1.0)
 
     def headline(self) -> Dict[str, Any]:
-        """The regress-comparable scalars."""
+        """The deterministic scalars tier-1 pins (``tests/obs/test_spans.py``)."""
         return {
             "critical_path_deltas": self.critical_path_deltas,
             "coordination_path_ms": self.coordination_path_ms,

@@ -5,7 +5,7 @@ from __future__ import annotations
 from itertools import count
 from typing import Any, Generator, Optional, Union
 
-from repro.sim.events import AllOf, AnyOf, Event, NORMAL, Timeout, Timer
+from repro.sim.events import Event, NORMAL, Timeout, Timer
 from repro.sim.process import Process
 from repro.sim.sched import Scheduler, build_scheduler
 
@@ -21,7 +21,7 @@ class StopSimulation(Exception):
     def callback(cls, event: Event) -> None:
         if event.ok:
             raise cls(event.value)
-        event.defused()
+        event._defused = True
         raise event.value
 
 
@@ -81,7 +81,6 @@ class Environment:
             scheduler = build_scheduler(scheduler)
         self._sched: Scheduler = scheduler
         self._eid = count()
-        self._active_process: Optional[Process] = None
         #: instrumentation facade — always present; see :class:`SimHooks`
         self.hooks = SimHooks()
         self._timer_pool: list[Timer] = []
@@ -95,18 +94,9 @@ class Environment:
         return self._now
 
     @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently executing, if any."""
-        return self._active_process
-
-    @property
     def scheduler(self) -> Scheduler:
         """The scheduler holding this environment's pending events."""
         return self._sched
-
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none remain."""
-        return self._sched.peek_time()
 
     def __len__(self) -> int:
         return len(self._sched)
@@ -143,12 +133,6 @@ class Environment:
             self._schedule(timer, NORMAL, delay)
             return timer
         return Timer(self, delay, fn, args)
-
-    def all_of(self, events) -> AllOf:
-        return AllOf(self, events)
-
-    def any_of(self, events) -> AnyOf:
-        return AnyOf(self, events)
 
     # ------------------------------------------------------------------
     # scheduling / execution

@@ -19,8 +19,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 PENDING = object()
 
 #: Scheduling priority for urgent events (processed before normal ones at
-#: the same simulated time).  Used by interrupts so they beat ordinary
-#: resumptions scheduled for the same instant.
+#: the same simulated time).  Used by process start-up, so a new process
+#: runs to its first ``yield`` before ordinary events of the same instant.
 URGENT = 0
 #: Default scheduling priority.
 NORMAL = 1
@@ -36,8 +36,7 @@ class Event:
     """
 
     # Events are the hottest allocation in any run; __slots__ removes the
-    # per-instance dict.  Subclasses that need ad-hoc attributes (store and
-    # resource requests) simply omit __slots__ and regain a dict.
+    # per-instance dict, and every subclass declares its own.
     __slots__ = ("env", "callbacks", "_value", "_ok", "_defused")
 
     def __init__(self, env: "Environment") -> None:
@@ -45,9 +44,9 @@ class Event:
         self.callbacks: Optional[list[Callable[["Event"], None]]] = []
         self._value: Any = PENDING
         self._ok: bool = True
-        #: Set to True when a failure has been handled (yielded or deferred
-        #: explicitly); unhandled failures crash the simulation at
-        #: processing time so programming errors are never silently lost.
+        #: Set to True when a failure has been handled (a process or an
+        #: ``AnyOf`` waited on it); unhandled failures crash the simulation
+        #: at processing time so programming errors are never silently lost.
         self._defused: bool = False
 
     # ------------------------------------------------------------------
@@ -77,10 +76,6 @@ class Event:
             raise RuntimeError(f"{self!r} has not been triggered yet")
         return self._value
 
-    def defused(self) -> None:
-        """Mark a failed event as handled, suppressing the crash-on-process."""
-        self._defused = True
-
     # ------------------------------------------------------------------
     # triggering
     # ------------------------------------------------------------------
@@ -104,14 +99,6 @@ class Event:
         self.env._schedule(self, NORMAL)
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Trigger this event with the state (ok/value) of ``event``."""
-        if event.ok:
-            self.succeed(event.value)
-        else:
-            event.defused()
-            self.fail(event.value)
-
     def __repr__(self) -> str:
         state = (
             "pending"
@@ -119,13 +106,6 @@ class Event:
             else ("processed" if self.processed else "triggered")
         )
         return f"<{type(self).__name__} {state} at {id(self):#x}>"
-
-    # Conditions ------------------------------------------------------
-    def __and__(self, other: "Event") -> "Condition":
-        return AllOf(self.env, [self, other])
-
-    def __or__(self, other: "Event") -> "Condition":
-        return AnyOf(self.env, [self, other])
 
 
 class Timeout(Event):
@@ -141,10 +121,6 @@ class Timeout(Event):
         self._ok = True
         self._value = value
         env._schedule(self, NORMAL, delay)
-
-    @property
-    def delay(self) -> float:
-        return self._delay
 
     def __repr__(self) -> str:
         return f"<Timeout delay={self._delay} at {id(self):#x}>"
@@ -179,116 +155,41 @@ class Timer(Event):
         self._fn(*self._args)
 
 
-class ConditionValue:
-    """Ordered mapping of triggered events to their values.
+class AnyOf(Event):
+    """Fires as soon as any one of ``events`` has been processed.
 
-    Returned when a :class:`Condition` (``AnyOf``/``AllOf``) fires.  Keys are
-    the original events in their construction order; only events that have
-    triggered by the time the condition fired are present.
+    Succeeds with a dict of the sub-events that have occurred by then and
+    their values; fails, with the same exception, if the first one to
+    occur failed.  Waiters usually ignore the value and test
+    ``event.triggered`` on the sub-events they care about.
     """
 
-    __slots__ = ("events",)
+    __slots__ = ("_events",)
 
-    def __init__(self) -> None:
-        self.events: list[Event] = []
-
-    def __getitem__(self, event: Event) -> Any:
-        if event not in self.events:
-            raise KeyError(repr(event))
-        return event.value
-
-    def __contains__(self, event: Event) -> bool:
-        return event in self.events
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, ConditionValue):
-            return self.todict() == other.todict()
-        if isinstance(other, dict):
-            return self.todict() == other
-        return NotImplemented
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __iter__(self):
-        return iter(self.events)
-
-    def todict(self) -> dict[Event, Any]:
-        return {e: e.value for e in self.events}
-
-    def __repr__(self) -> str:
-        return f"<ConditionValue {self.todict()!r}>"
-
-
-class Condition(Event):
-    """Composite event over a set of sub-events.
-
-    ``evaluate`` receives the list of sub-events and the count of processed
-    ones and returns True when the condition is satisfied.  The condition
-    value is a :class:`ConditionValue` of all sub-events triggered so far.
-    """
-
-    def __init__(
-        self,
-        env: "Environment",
-        evaluate: Callable[[list[Event], int], bool],
-        events: Iterable[Event],
-    ) -> None:
-        super().__init__(env)
-        self._evaluate = evaluate
+    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
         self._events = list(events)
-        self._count = 0
-
+        if not self._events:
+            raise ValueError("AnyOf requires at least one event")
+        super().__init__(env)
         for event in self._events:
             if event.env is not env:
                 raise ValueError("all events must share one environment")
-
-        if self._evaluate(self._events, 0):
-            # Vacuously true (e.g. AllOf([])).
-            self.succeed(ConditionValue())
-            return
-
         for event in self._events:
-            if event.processed:
+            if event.callbacks is None:
                 self._check(event)
             else:
-                assert event.callbacks is not None
                 event.callbacks.append(self._check)
 
-    def _collect_values(self) -> ConditionValue:
-        value = ConditionValue()
-        for event in self._events:
+    def _check(self, event: Event) -> None:
+        if not event._ok:
+            event._defused = True
+        if self.triggered:
+            return
+        if event._ok:
             # Timeouts are triggered at construction; only events whose
             # callbacks have run (processed) count as having occurred.
-            if event.processed and event.ok:
-                value.events.append(event)
-        return value
-
-    def _check(self, event: Event) -> None:
-        if self.triggered:
-            if not event.ok:
-                event.defused()
-            return
-        self._count += 1
-        if not event.ok:
-            event.defused()
-            self.fail(event.value)
-        elif self._evaluate(self._events, self._count):
-            self.succeed(self._collect_values())
-
-
-class AllOf(Condition):
-    """Condition that fires once every sub-event has triggered."""
-
-    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
-        super().__init__(env, lambda evts, count: count >= len(evts), events)
-
-
-class AnyOf(Condition):
-    """Condition that fires as soon as any sub-event triggers."""
-
-    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
-        events = list(events)
-        if not events:
-            raise ValueError("AnyOf requires at least one event")
-        super().__init__(env, lambda evts, count: count >= 1, events)
+            self.succeed(
+                {e: e._value for e in self._events if e.callbacks is None and e._ok}
+            )
+        else:
+            self.fail(event._value)

@@ -5,32 +5,17 @@ be an :class:`~repro.sim.events.Event`; the process suspends until that event
 is processed, then resumes with the event's value (or has the failure
 exception thrown into it).  When the generator returns, the process — itself
 an event — succeeds with the return value, so processes can wait on each
-other or be combined with ``AnyOf``/``AllOf``.
+other or be raced with ``AnyOf``.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generator, Optional
+from typing import TYPE_CHECKING, Generator
 
 from repro.sim.events import Event, NORMAL, URGENT
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Environment
-
-
-class Interrupt(Exception):
-    """Raised inside a process when another process interrupts it.
-
-    The interrupt ``cause`` (an arbitrary object supplied by the caller of
-    :meth:`Process.interrupt`) is available as :attr:`cause`.
-    """
-
-    @property
-    def cause(self) -> Any:
-        return self.args[0]
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Interrupt({self.cause!r})"
 
 
 class _Initialize(Event):
@@ -46,81 +31,25 @@ class _Initialize(Event):
         env._schedule(self, URGENT)
 
 
-class _Interruption(Event):
-    """Urgent event that throws :class:`Interrupt` into a process."""
-
-    __slots__ = ("process",)
-
-    def __init__(self, process: "Process", cause: Any) -> None:
-        super().__init__(process.env)
-        if process.triggered:
-            raise RuntimeError("cannot interrupt a terminated process")
-        if process is process.env.active_process:
-            raise RuntimeError("a process cannot interrupt itself")
-        self._ok = False
-        self._value = Interrupt(cause)
-        self._defused = True
-        self.process = process
-        self.callbacks = [self._deliver]
-        process.env._schedule(self, URGENT)
-
-    def _deliver(self, event: Event) -> None:
-        process = self.process
-        if process.triggered:
-            return  # process finished before the interrupt landed
-        # Detach the process from whatever event it currently waits on so a
-        # later trigger of that event does not resume it twice.
-        target = process._target
-        if target is not None and target.callbacks is not None:
-            try:
-                target.callbacks.remove(process._resume)
-            except ValueError:  # pragma: no cover - already detached
-                pass
-            # If nobody else waits on a cancellable request (store get,
-            # resource request), withdraw it — otherwise it would later
-            # consume an item/slot that no process ever receives.
-            if not target.callbacks and hasattr(target, "cancel"):
-                target.cancel()
-        process._resume(self)
-
-
 class Process(Event):
     """A running simulation activity driven by a generator."""
 
-    __slots__ = ("_generator", "_target")
+    __slots__ = ("_generator",)
 
     def __init__(self, env: "Environment", generator: Generator) -> None:
         if not hasattr(generator, "throw"):
             raise TypeError(f"{generator!r} is not a generator")
         super().__init__(env)
         self._generator = generator
-        #: Event this process currently waits on (None while running).
-        self._target: Optional[Event] = None
         _Initialize(env, self)
 
     @property
     def name(self) -> str:
         return self._generator.__name__  # type: ignore[attr-defined]
 
-    @property
-    def is_alive(self) -> bool:
-        """True while the wrapped generator has not terminated."""
-        return not self.triggered
-
-    @property
-    def target(self) -> Optional[Event]:
-        """The event this process is currently waiting for, if suspended."""
-        return self._target
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process as soon as possible."""
-        _Interruption(self, cause)
-
     def _resume(self, event: Event) -> None:
         """Advance the generator with the outcome of ``event``."""
         env = self.env
-        env._active_process = self
-        self._target = None
         while True:
             try:
                 if event._ok:
@@ -154,14 +83,10 @@ class Process(Event):
             if next_event.callbacks is not None:
                 # Event still pending or triggered-but-unprocessed: suspend.
                 next_event.callbacks.append(self._resume)
-                self._target = next_event
                 break
 
             # Event already processed: feed its outcome straight back in.
             event = next_event
-
-        self._target = None if self.triggered else self._target
-        env._active_process = None
 
     def __repr__(self) -> str:
         state = "finished" if self.triggered else "alive"

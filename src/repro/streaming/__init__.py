@@ -2,7 +2,7 @@
 
 * :class:`Stream` — one transmission plan (phased packet list + rate) on a
   contents peer; splits for child handoffs happen here.
-* :class:`ContentsPeerAgent` — a contents peer: mailbox handling delegated
+* :class:`ContentsPeerAgent` — a contents peer: message handling delegated
   to the coordination protocol, transmit loops per stream.
 * :class:`LeafPeerAgent` — the requesting leaf: receives media packets into
   a :class:`~repro.fec.ParityDecoder`, tracks arrival statistics, and can
@@ -37,11 +37,6 @@ from repro.streaming.spec import (
     ProtocolSpec,
     SessionSpec,
     available_factories,
-    register_detector,
-    register_latency,
-    register_link_fault,
-    register_loss,
-    register_protocol,
 )
 from repro.streaming.faults import (
     ChurnEvent,
@@ -122,9 +117,4 @@ __all__ = [
     "SwarmSession",
     "SwarmSpec",
     "available_factories",
-    "register_detector",
-    "register_latency",
-    "register_link_fault",
-    "register_loss",
-    "register_protocol",
 ]

@@ -35,8 +35,7 @@ class ContentsPeerAgent:
         self.session = session
         self.peer_id = peer_id
         if node is None:
-            self.node = session.overlay.add_node(peer_id)
-            self.node.on_deliver = self._on_deliver
+            self.node = session.overlay.add_node(peer_id, self._on_deliver)
         else:
             # swarm mode: the physical node belongs to a shared PeerHub,
             # which owns on_deliver and dispatches by coordination ctx

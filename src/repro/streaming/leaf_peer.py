@@ -35,8 +35,7 @@ class LeafPeerAgent:
     ) -> None:
         self.session = session
         self.peer_id = peer_id
-        self.node = session.overlay.add_node(peer_id)
-        self.node.on_deliver = self._on_deliver
+        self.node = session.overlay.add_node(peer_id, self._on_deliver)
         n = session.config.content_packets
         self.decoder = ParityDecoder(n)
         self.buffer = PlaybackBuffer(

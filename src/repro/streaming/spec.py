@@ -19,21 +19,6 @@ whole session surface as plain data:
   factory, a protocol instance or class) — such a spec still builds, but
   is only picklable when the object itself is (lambdas and closures are
   not).  Declarative specs are the documented, always-serializable form.
-
-Custom factories register under a name::
-
-    from repro.streaming.spec import register_loss
-
-    @register_loss("my_flaky")
-    def my_flaky(p):                       # must be importable by workers
-        return BernoulliLoss(min(1.0, 2 * p))
-
-    spec = SessionSpec(config, loss=LossSpec("my_flaky", {"p": 0.01}))
-
-Registration must happen at import time of a module the worker processes
-also import (true for any module under ``repro`` or your own package);
-factories registered only inside ``__main__`` are invisible to spawned
-workers.
 """
 
 from __future__ import annotations
@@ -83,7 +68,7 @@ from repro.net.overlay import RetransmitPolicy
 from repro.obs.audit import AuditConfig
 from repro.obs.spans import SpanConfig
 from repro.obs.trace import TraceConfig
-from repro.sim.sched import SCHEDULERS as _SCHEDULER_REGISTRY, register_scheduler
+from repro.sim.sched import SCHEDULERS as _SCHEDULER_REGISTRY
 from repro.streaming.adaptive import RateAdaptationPolicy
 from repro.streaming.detector import DetectorPolicy
 from repro.streaming.faults import ChurnPlan, FaultPlan, PartitionPlan
@@ -101,12 +86,6 @@ __all__ = [
     "ProtocolSpec",
     "SessionSpec",
     "available_factories",
-    "register_detector",
-    "register_latency",
-    "register_link_fault",
-    "register_loss",
-    "register_protocol",
-    "register_scheduler",
     "resolve_detector_policy",
     "resolve_latency",
     "resolve_link_fault_factory",
@@ -116,111 +95,8 @@ __all__ = [
 
 
 # ----------------------------------------------------------------------
-# factory registries
+# factories: every name a declarative spec may carry
 # ----------------------------------------------------------------------
-_REGISTRIES: Dict[str, Dict[str, Callable[..., Any]]] = {
-    "latency": {},
-    "loss": {},
-    "protocol": {},
-    "link_fault": {},
-    "detector": {},
-    # the kernel owns the canonical scheduler registry
-    # (repro.sim.sched.register_scheduler); aliasing the same dict here
-    # makes available_factories("scheduler") see every registration
-    "scheduler": _SCHEDULER_REGISTRY,
-}
-
-
-def _register(category: str, name: str, factory=None):
-    registry = _REGISTRIES[category]
-
-    def install(fn):
-        if name in registry:
-            raise ValueError(
-                f"{category} factory {name!r} is already registered"
-            )
-        registry[name] = fn
-        return fn
-
-    if factory is None:
-        return install  # decorator form
-    return install(factory)
-
-
-def register_latency(name: str, factory=None):
-    """Register a latency-model factory (usable as a decorator).
-
-    The factory's keyword parameters become the ``params`` of a
-    :class:`LatencySpec` and it must return a
-    :class:`~repro.net.latency.LatencyModel`.
-    """
-    return _register("latency", name, factory)
-
-
-def register_loss(name: str, factory=None):
-    """Register a loss-model factory (usable as a decorator).
-
-    Called once **per channel** at build time, so stateful models (bursty
-    loss keeps burst state) start fresh on every channel.
-    """
-    return _register("loss", name, factory)
-
-
-def register_protocol(name: str, factory=None):
-    """Register a coordination-protocol factory (usable as a decorator)."""
-    return _register("protocol", name, factory)
-
-
-def register_link_fault(name: str, factory=None):
-    """Register a link-fault factory (usable as a decorator).
-
-    Called once **per directed channel** at build time, so stateful
-    faults never share state across links — the same freshness contract
-    as :func:`register_loss`.
-    """
-    return _register("link_fault", name, factory)
-
-
-def register_detector(name: str, factory=None):
-    """Register a failure-detector policy factory (usable as a decorator).
-
-    The factory's keyword parameters become the ``params`` of a
-    :class:`DetectorSpec` and it must return a
-    :class:`~repro.streaming.detector.DetectorPolicy`.
-    """
-    return _register("detector", name, factory)
-
-
-def _get_factory(category: str, name: str) -> Callable[..., Any]:
-    registry = _REGISTRIES[category]
-    try:
-        return registry[name]
-    except KeyError:
-        known = ", ".join(sorted(registry)) or "<none>"
-        raise KeyError(
-            f"no {category} factory registered as {name!r} "
-            f"(available: {known})"
-        ) from None
-
-
-def available_factories(category: str) -> list[str]:
-    """Registered factory names for ``'latency'``/``'loss'``/
-    ``'protocol'``/``'link_fault'``/``'detector'``/``'scheduler'``."""
-    return sorted(_REGISTRIES[category])
-
-
-# built-in latency models
-register_latency("constant", ConstantLatency)
-register_latency("uniform", UniformLatency)
-register_latency("normal", NormalLatency)
-
-# built-in loss models
-register_loss("none", NoLoss)
-register_loss("bernoulli", BernoulliLoss)
-register_loss("gilbert_elliott", GilbertElliottLoss)
-
-
-@register_loss("bursty")
 def _bursty_loss(rate: float, mean_burst: float = 3.0) -> LossModel:
     """Gilbert–Elliott chain with stationary loss ``rate`` and a mean
     burst of ``mean_burst`` packets — the parameterization every loss
@@ -232,15 +108,6 @@ def _bursty_loss(rate: float, mean_burst: float = 3.0) -> LossModel:
     return GilbertElliottLoss(p_gb=p_gb, p_bg=p_bg)
 
 
-# built-in link faults
-register_link_fault("duplicate", DuplicateFault)
-register_link_fault("reorder", ReorderFault)
-register_link_fault("sever", SeverWindow)
-register_link_fault("stutter", StutterFault)
-register_link_fault("spike", LatencySpikeFault)
-
-
-@register_link_fault("chaos")
 def _chaos_fault(
     dup_p: float = 0.0,
     reorder_p: float = 0.0,
@@ -262,7 +129,6 @@ def _chaos_fault(
     return CompositeFault(tuple(stages))
 
 
-@register_link_fault("gray")
 def _gray_fault(
     stall: float = 0.0,
     period: float = 10.0,
@@ -285,30 +151,77 @@ def _gray_fault(
     return CompositeFault(tuple(stages))
 
 
-# built-in failure-detector policies
-@register_detector("fixed")
 def _fixed_detector(**params) -> DetectorPolicy:
     """The seed's fixed miss-count policy (compatibility mode)."""
     return DetectorPolicy(mode="fixed", **params)
 
 
-@register_detector("accrual")
 def _accrual_detector(**params) -> DetectorPolicy:
     """φ-accrual suspicion over a sliding inter-heartbeat-gap window."""
     return DetectorPolicy(mode="accrual", **params)
 
 
-# built-in coordination protocols
-register_protocol("dcop", DCoP)
-register_protocol("tcop", TCoP)
-register_protocol("broadcast", BroadcastCoordination)
-register_protocol("centralized", CentralizedCoordination)
-register_protocol("schedule_based", ScheduleBasedCoordination)
-register_protocol("single_source", SingleSourceStreaming)
-register_protocol("unicast_chain", UnicastChainCoordination)
-register_protocol("ams", AMSCoordination)
-register_protocol("hetero_schedule", HeterogeneousScheduleCoordination)
-register_protocol("hetero_dcop", HeteroDCoP)
+#: category → name → factory.  A factory's keyword parameters are the
+#: ``params`` of the spec that names it.  Loss and link-fault factories are
+#: called once **per directed channel** at build time, so stateful models
+#: (bursty loss keeps burst state) never share state across links.
+_REGISTRIES: Dict[str, Dict[str, Callable[..., Any]]] = {
+    "latency": {
+        "constant": ConstantLatency,
+        "uniform": UniformLatency,
+        "normal": NormalLatency,
+    },
+    "loss": {
+        "none": NoLoss,
+        "bernoulli": BernoulliLoss,
+        "gilbert_elliott": GilbertElliottLoss,
+        "bursty": _bursty_loss,
+    },
+    "protocol": {
+        "dcop": DCoP,
+        "tcop": TCoP,
+        "broadcast": BroadcastCoordination,
+        "centralized": CentralizedCoordination,
+        "schedule_based": ScheduleBasedCoordination,
+        "single_source": SingleSourceStreaming,
+        "unicast_chain": UnicastChainCoordination,
+        "ams": AMSCoordination,
+        "hetero_schedule": HeterogeneousScheduleCoordination,
+        "hetero_dcop": HeteroDCoP,
+    },
+    "link_fault": {
+        "duplicate": DuplicateFault,
+        "reorder": ReorderFault,
+        "sever": SeverWindow,
+        "stutter": StutterFault,
+        "spike": LatencySpikeFault,
+        "chaos": _chaos_fault,
+        "gray": _gray_fault,
+    },
+    "detector": {"fixed": _fixed_detector, "accrual": _accrual_detector},
+    # the kernel owns the canonical scheduler registry
+    # (repro.sim.sched.register_scheduler); aliasing the same dict here
+    # makes available_factories("scheduler") see every registration
+    "scheduler": _SCHEDULER_REGISTRY,
+}
+
+
+def _get_factory(category: str, name: str) -> Callable[..., Any]:
+    registry = _REGISTRIES[category]
+    try:
+        return registry[name]
+    except KeyError:
+        known = ", ".join(sorted(registry)) or "<none>"
+        raise KeyError(
+            f"no {category} factory registered as {name!r} "
+            f"(available: {known})"
+        ) from None
+
+
+def available_factories(category: str) -> list[str]:
+    """Factory names for ``'latency'``/``'loss'``/``'protocol'``/
+    ``'link_fault'``/``'detector'``/``'scheduler'``."""
+    return sorted(_REGISTRIES[category])
 
 
 # ----------------------------------------------------------------------
@@ -381,8 +294,7 @@ class DetectorSpec:
     "accrual", {"phi_suspect": 1.0, "phi_confirm": 3.0})``.
 
     Declarative twin of passing a
-    :class:`~repro.streaming.detector.DetectorPolicy` directly; factories
-    registered via :func:`register_detector` extend the vocabulary.
+    :class:`~repro.streaming.detector.DetectorPolicy` directly.
     """
 
     kind: str

@@ -216,8 +216,7 @@ class PeerHub:
     ) -> None:
         self.swarm = swarm
         self.peer_id = peer_id
-        self.node = swarm.overlay.add_node(peer_id)
-        self.node.on_deliver = self._dispatch
+        self.node = swarm.overlay.add_node(peer_id, self._dispatch)
         self.budget: Optional[UploadBudget] = None
         if capacity is not None:
             self.budget = UploadBudget(

@@ -1,8 +1,9 @@
 """Experiment tables computed once per test session and shared.
 
-``pinned(key)`` is the row's table at the argument set
+``pinned(name)`` is the row's table at the argument set
 ``data/table_digests.json`` pins (the sets the shape tests in this
 directory have always used; the figures at the CLI's ``--quick`` grid).
+``"EX-N@defaults"`` names a second pinned argument set of row ``EX-N``.
 ``ablations_quick`` is one ``repro-experiments ablations --quick`` run.
 """
 
@@ -27,8 +28,8 @@ PINNED.pop("_about")
 @pytest.fixture(scope="session")
 def pinned():
     @functools.cache
-    def series(key):
-        return run_experiment(key, **PINNED[key]["args"])
+    def series(name):
+        return run_experiment(name.partition("@")[0], **PINNED[name]["args"])
 
     return series
 

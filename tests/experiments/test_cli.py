@@ -189,43 +189,6 @@ def test_audit_subcommand_fresh_run_and_replay(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_regress_subcommand_gates_artifacts(tmp_path, capsys):
-    import json
-
-    base, fresh = tmp_path / "base", tmp_path / "fresh"
-    base.mkdir(), fresh.mkdir()
-    payload = {
-        "bench": "demo", "total_wall_s": 1.0,
-        "tests": {"t": {"wall_s": 1.0, "scalars": {"rounds": 9}}},
-    }
-    (base / "BENCH_demo.json").write_text(json.dumps(payload))
-    (fresh / "BENCH_demo.json").write_text(json.dumps(payload))
-    rc = main(["regress", "--baseline", str(base), "--fresh", str(fresh)])
-    assert rc == 0
-    assert "regress: OK" in capsys.readouterr().out
-    # a slowdown beyond tolerance flips the exit code
-    slow = dict(payload, total_wall_s=10.0)
-    (fresh / "BENCH_demo.json").write_text(json.dumps(slow))
-    rc = main(["regress", "--baseline", str(base), "--fresh", str(fresh)])
-    assert rc == 1
-    assert "regress: FAILED" in capsys.readouterr().out
-    # ...and a looser tolerance absorbs it
-    rc = main(
-        [
-            "regress", "--baseline", str(base), "--fresh", str(fresh),
-            "--wall-tolerance", "20",
-        ]
-    )
-    capsys.readouterr()
-    assert rc == 0
-    # missing inputs fail cleanly
-    assert main(["regress", "--baseline", str(base)]) == 2
-    assert main(
-        ["regress", "--baseline", str(tmp_path / "nope"), "--fresh", str(fresh)]
-    ) == 2
-    capsys.readouterr()
-
-
 def test_trace_default_outputs_land_under_out(tmp_path, capsys, monkeypatch):
     """With no ``--trace-out`` the artefact goes to the ignored ``out/``
     directory of the cwd, never the cwd itself."""
@@ -244,53 +207,6 @@ def test_trace_default_outputs_land_under_out(tmp_path, capsys, monkeypatch):
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
         "trace_dcop.json", "trace_swarm_dcop.json",
     ]
-
-
-def test_regress_gate_scalar_flag(tmp_path, capsys):
-    import json
-
-    base, fresh = tmp_path / "base", tmp_path / "fresh"
-    base.mkdir(), fresh.mkdir()
-
-    def payload(throughput):
-        return {
-            "bench": "kernel", "total_wall_s": 1.0,
-            "tests": {"t": {"wall_s": 1.0, "scalars": {
-                "events_per_wall_s_total": throughput,
-            }}},
-        }
-
-    (base / "BENCH_kernel.json").write_text(json.dumps(payload(1000.0)))
-    (fresh / "BENCH_kernel.json").write_text(json.dumps(payload(500.0)))
-    # ungated: the throughput collapse is informational only
-    rc = main(["regress", "--baseline", str(base), "--fresh", str(fresh)])
-    assert rc == 0
-    capsys.readouterr()
-    # gated: the same collapse fails the run
-    rc = main(
-        [
-            "regress", "--baseline", str(base), "--fresh", str(fresh),
-            "--gate-scalar", "events_per_wall_s_total:25%",
-        ]
-    )
-    assert rc == 1
-    assert "gated_scalar" in capsys.readouterr().out
-    # within tolerance passes, and a malformed gate exits 2
-    rc = main(
-        [
-            "regress", "--baseline", str(base), "--fresh", str(fresh),
-            "--gate-scalar", "events_per_wall_s_total:60%",
-        ]
-    )
-    assert rc == 0
-    capsys.readouterr()
-    assert main(
-        [
-            "regress", "--baseline", str(base), "--fresh", str(fresh),
-            "--gate-scalar", "no-tolerance",
-        ]
-    ) == 2
-    capsys.readouterr()
 
 
 def test_unknown_experiment_rejected():

@@ -1,6 +1,8 @@
 """Tests for the extension ablations (EX-F … EX-N) at reduced scale: the
 argument sets ``data/table_digests.json`` pins (see ``conftest.pinned``)."""
 
+import statistics
+
 
 def test_heterogeneous_allocator_wins(pinned):
     series = pinned("EX-F")
@@ -52,12 +54,20 @@ def test_hetero_flooding_same_ctrl_cost(pinned):
 
 
 def test_gray_ablation_breaker_never_costs_receipt(pinned):
-    series = pinned("EX-N")
-    assert len(series) == 3
-    on = series.series("receipt_on")
-    off = series.series("receipt_off")
-    assert all(a >= b for a, b in zip(on, off))
-    assert all(d == 1.0 for d in series.series("delivery_on"))
-    assert all(f == 0 for f in series.series("false_quarantines"))
-    # the gauntlet actually trips the breaker somewhere
-    assert sum(series.series("quarantines")) >= 1
+    assert len(pinned("EX-N")) == 3
+    assert len(pinned("EX-N@defaults")) == 10  # every protocol
+    for series in (pinned("EX-N"), pinned("EX-N@defaults")):
+        on = series.series("receipt_on")
+        off = series.series("receipt_off")
+        assert all(a >= b for a, b in zip(on, off))
+        assert all(d == 1.0 for d in series.series("delivery_on"))
+        assert all(f == 0 for f in series.series("false_quarantines"))
+        # the gauntlet actually trips the breaker somewhere
+        assert sum(series.series("quarantines")) >= 1
+    # flap outages are confirmed: the typical confirm lands within the
+    # accrual window of one outage (a few heartbeat periods at δ=8),
+    # while the tail may span a later flap cycle of the same peer
+    every = pinned("EX-N@defaults")
+    detections = [v for v in every.series("detection_ms") if v is not None]
+    assert 0 < statistics.median_low(detections) <= 8 * 8.0
+    assert max(detections) <= 100 * 8.0

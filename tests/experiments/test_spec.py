@@ -19,11 +19,9 @@ from repro.streaming.detector import DetectorPolicy
 from repro.streaming.faults import ChurnPlan
 from repro.streaming.repair import RepairPolicy
 from repro.streaming.spec import (
-    _REGISTRIES,
     LatencySpec,
     LossSpec,
     ProtocolSpec,
-    register_loss,
     resolve_loss_factory,
 )
 
@@ -57,24 +55,8 @@ def test_builtin_factories_are_registered():
 
 
 def test_register_rejects_duplicates_and_unknown_kind_lists_available():
-    with pytest.raises(ValueError, match="already registered"):
-        register_loss("bernoulli", BernoulliLoss)
     with pytest.raises(KeyError, match="available: .*bernoulli"):
         LossSpec("definitely_not_registered").factory()
-
-
-def test_register_decorator_form():
-    try:
-
-        @register_loss("test_double_rate")
-        def _double(p):
-            return BernoulliLoss(min(1.0, 2 * p))
-
-        model = LossSpec("test_double_rate", {"p": 0.25}).factory()()
-        assert isinstance(model, BernoulliLoss)
-        assert model.p == 0.5
-    finally:
-        _REGISTRIES["loss"].pop("test_double_rate", None)
 
 
 def test_bursty_loss_matches_gilbert_elliott_parameterization():

@@ -17,18 +17,17 @@ def build_group(members, latency=None):
     endpoints = {}
     logs = {m: [] for m in members}
     for m in members:
-        node = overlay.add_node(m)
-        bcaster = CausalBroadcaster(
+        overlay.add_node(
+            m,
+            lambda msg, m=m: endpoints[m].on_receive(msg.body)
+            if msg.kind == "cbcast"
+            else None,
+        )
+        endpoints[m] = CausalBroadcaster(
             overlay,
             m,
             list(members),
             deliver=lambda s, p, m=m: logs[m].append((s, p)),
-        )
-        endpoints[m] = bcaster
-        node.on_deliver = (
-            lambda msg, b=bcaster: b.on_receive(msg.body)
-            if msg.kind == "cbcast"
-            else None
         )
     return env, overlay, endpoints, logs
 
@@ -36,7 +35,7 @@ def build_group(members, latency=None):
 def test_member_must_be_in_group():
     env = Environment()
     overlay = Overlay(env)
-    overlay.add_node("x")
+    overlay.add_node("x", lambda msg: None)
     with pytest.raises(ValueError):
         CausalBroadcaster(overlay, "x", ["y"], deliver=lambda s, p: None)
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.metrics import SweepSeries, Table, mean, mean_std, percentile, summarize
+from repro.metrics import SweepSeries, Table, mean
 
 
 class TestTable:
@@ -82,26 +82,3 @@ class TestStats:
         assert mean([1, 2, 3]) == 2
         with pytest.raises(ValueError):
             mean([])
-
-    def test_mean_std(self):
-        m, s = mean_std([2, 4, 4, 4, 5, 5, 7, 9])
-        assert m == 5
-        assert s == pytest.approx(2.138, abs=1e-3)
-        assert mean_std([3])[1] == 0.0
-
-    def test_percentile(self):
-        vals = list(range(1, 11))
-        assert percentile(vals, 0) == 1
-        assert percentile(vals, 100) == 10
-        assert percentile(vals, 50) == pytest.approx(5.5)
-        assert percentile([7], 40) == 7
-        with pytest.raises(ValueError):
-            percentile([], 50)
-        with pytest.raises(ValueError):
-            percentile([1], 150)
-
-    def test_summarize_keys(self):
-        out = summarize([1.0, 2.0, 3.0])
-        assert set(out) == {"mean", "std", "min", "p50", "p95", "max"}
-        assert out["min"] == 1.0
-        assert out["max"] == 3.0

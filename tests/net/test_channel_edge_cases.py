@@ -11,6 +11,8 @@ from repro.net import (
 )
 from repro.sim import Environment, RandomStreams
 
+from tests.net import ignore
+
 
 def build(**kw):
     env = Environment()
@@ -22,7 +24,7 @@ def test_bandwidth_rejects_nonpositive():
     from repro.net import Channel, Node
 
     env = Environment()
-    a, b = Node(env, "a"), Node(env, "b")
+    a, b = Node(env, "a", ignore), Node(env, "b", ignore)
     with pytest.raises(ValueError):
         Channel(env, a, b, bandwidth_bytes_per_ms=0)
 
@@ -32,8 +34,8 @@ def test_bandwidth_idle_gap_resets_queue():
     env, ov = build(
         default_latency=ConstantLatency(0.0), bandwidth_bytes_per_ms=100.0
     )
-    ov.add_node("a")
-    b = ov.add_node("b")
+    ov.add_node("a", ignore)
+    b = ov.add_node("b", ignore)
     arrivals = []
     b.on_deliver = lambda m: arrivals.append(env.now)
 
@@ -55,8 +57,8 @@ def test_latency_factory_called_once_per_pair():
         return ConstantLatency(2.0)
 
     env, ov = build(latency_factory=factory)
-    ov.add_node("a")
-    ov.add_node("b")
+    ov.add_node("a", ignore)
+    ov.add_node("b", ignore)
     ov.send("a", "b", "x")
     ov.send("a", "b", "x")
     ov.send("b", "a", "x")
@@ -64,11 +66,13 @@ def test_latency_factory_called_once_per_pair():
     assert calls == [("a", "b"), ("b", "a")]
 
 
-def test_per_pair_override_beats_factory():
-    env, ov = build(latency_factory=lambda s, d: ConstantLatency(50.0))
-    ov.add_node("a")
-    b = ov.add_node("b")
-    ov.configure_channel("a", "b", latency=ConstantLatency(1.0))
+def test_per_pair_factory_beats_default():
+    env, ov = build(
+        default_latency=ConstantLatency(50.0),
+        latency_factory=lambda s, d: ConstantLatency(1.0),
+    )
+    ov.add_node("a", ignore)
+    b = ov.add_node("b", ignore)
     arrivals = []
     b.on_deliver = lambda m: arrivals.append(env.now)
     ov.send("a", "b", "x")
@@ -82,7 +86,7 @@ def test_loss_models_are_per_channel_instances():
         default_loss_factory=lambda: GilbertElliottLoss(0.5, 0.0)
     )
     for nid in ("a", "b", "c"):
-        ov.add_node(nid)
+        ov.add_node(nid, ignore)
     ch1 = ov.channel("a", "b")
     ch2 = ov.channel("a", "c")
     assert ch1.loss is not ch2.loss
@@ -90,8 +94,8 @@ def test_loss_models_are_per_channel_instances():
 
 def test_loss_ratio_statistic():
     env, ov = build(default_loss_factory=lambda: BernoulliLoss(0.5))
-    ov.add_node("a")
-    ov.add_node("b")
+    ov.add_node("a", ignore)
+    ov.add_node("b", ignore)
     for _ in range(400):
         ov.send("a", "b", "x")
     env.run()
@@ -103,8 +107,8 @@ def test_loss_ratio_statistic():
 
 def test_empty_channel_stats():
     env, ov = build()
-    ov.add_node("a")
-    ov.add_node("b")
+    ov.add_node("a", ignore)
+    ov.add_node("b", ignore)
     st = ov.channel("a", "b").stats
     assert st.loss_ratio == 0.0
     assert st.mean_latency == 0.0
@@ -112,8 +116,8 @@ def test_empty_channel_stats():
 
 def test_channel_repr():
     env, ov = build()
-    ov.add_node("a")
-    ov.add_node("b")
+    ov.add_node("a", ignore)
+    ov.add_node("b", ignore)
     assert "a->b" in repr(ov.channel("a", "b"))
 
 
@@ -121,4 +125,4 @@ def test_node_requires_id():
     from repro.net import Node
 
     with pytest.raises(ValueError):
-        Node(Environment(), "")
+        Node(Environment(), "", ignore)

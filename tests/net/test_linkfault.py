@@ -17,6 +17,8 @@ from repro.net import (
 )
 from repro.sim import Environment, RandomStreams
 
+from tests.net import ignore
+
 
 def make_overlay(**kw):
     env = Environment()
@@ -137,8 +139,8 @@ def test_duplicating_channel_delivers_copies_sharing_one_uid():
         default_latency=ConstantLatency(1.0),
         link_fault_factory=lambda: DuplicateFault(p=1.0),
     )
-    ov.add_node("a")
-    b = ov.add_node("b")
+    ov.add_node("a", ignore)
+    b = ov.add_node("b", ignore)
     got = []
     b.on_deliver = lambda m: got.append(m.uid)
     ov.send("a", "b", "control")
@@ -154,14 +156,14 @@ def test_duplicating_channel_delivers_copies_sharing_one_uid():
 def test_link_fault_factory_builds_fresh_fault_per_channel():
     _, ov = make_overlay(link_fault_factory=lambda: DuplicateFault(p=0.5))
     for nid in ("a", "b", "c"):
-        ov.add_node(nid)
+        ov.add_node(nid, ignore)
     assert ov.channel("a", "b").fault is not ov.channel("a", "c").fault
 
 
 def test_severed_link_drops_and_heals():
     env, ov = make_overlay(default_latency=ConstantLatency(1.0))
-    ov.add_node("a")
-    b = ov.add_node("b")
+    ov.add_node("a", ignore)
+    b = ov.add_node("b", ignore)
     got = []
     b.on_deliver = lambda m: got.append(m.kind)
 
@@ -184,15 +186,15 @@ def test_severed_link_drops_and_heals():
 
 def test_sever_unknown_endpoint_rejected():
     _, ov = make_overlay()
-    ov.add_node("a")
+    ov.add_node("a", ignore)
     with pytest.raises(KeyError):
         ov.sever_link("a", "nope")
 
 
 def test_sever_and_heal_are_idempotent():
     _, ov = make_overlay()
-    ov.add_node("a")
-    ov.add_node("b")
+    ov.add_node("a", ignore)
+    ov.add_node("b", ignore)
     ov.sever_link("a", "b")
     ov.sever_link("a", "b")  # no-op, no error
     assert ov.link_severed("a", "b")
@@ -209,8 +211,8 @@ def test_chaos_channel_is_deterministic_given_seed():
                 (DuplicateFault(p=0.3), ReorderFault(p=0.5, max_delay=3.0))
             ),
         )
-        ov.add_node("a")
-        b = ov.add_node("b")
+        ov.add_node("a", ignore)
+        b = ov.add_node("b", ignore)
         arrivals = []
         b.on_deliver = lambda m: arrivals.append((env.now, m.uid))
         for _ in range(30):

@@ -4,13 +4,14 @@ import pytest
 
 from repro.net import (
     BernoulliLoss,
-    Channel,
     ConstantLatency,
     Message,
     Overlay,
     UniformLatency,
 )
 from repro.sim import Environment, RandomStreams
+
+from tests.net import ignore
 
 
 def make_overlay(**kw):
@@ -34,36 +35,31 @@ def test_message_latency_requires_delivery():
 
 def test_send_delivers_after_latency():
     env, ov = make_overlay(default_latency=ConstantLatency(2.5))
-    ov.add_node("a")
-    b = ov.add_node("b")
     got = []
-
-    def receiver():
-        msg = yield b.receive()
-        got.append((env.now, msg.body))
-
-    env.process(receiver())
+    ov.add_node("a", ignore)
+    ov.add_node("b", lambda msg: got.append((env.now, msg.body)))
     ov.send("a", "b", "control", body="hi")
     env.run()
     assert got == [(2.5, "hi")]
 
 
-def test_on_deliver_hook_bypasses_mailbox():
+def test_delivery_reaches_the_handler_exactly_once():
     env, ov = make_overlay()
-    ov.add_node("a")
-    b = ov.add_node("b")
     seen = []
-    b.on_deliver = lambda m: seen.append(m.kind)
-    ov.send("a", "b", "control")
+    ov.add_node("a", ignore)
+    ov.add_node("b", seen.append)
+    sent = ov.send("a", "b", "control")
     env.run()
-    assert seen == ["control"]
-    assert len(b.mailbox) == 0
+    assert seen == [sent]
+    # a node nobody listens on cannot exist: there is no queue to park in
+    with pytest.raises(TypeError):
+        ov.add_node("c")
 
 
 def test_traffic_stats_by_kind():
     env, ov = make_overlay()
     for nid in ("a", "b", "c"):
-        ov.add_node(nid)
+        ov.add_node(nid, ignore)
     ov.send("a", "b", "request")
     ov.send("a", "c", "control")
     ov.send("b", "c", "control")
@@ -76,8 +72,8 @@ def test_traffic_stats_by_kind():
 
 def test_control_packets_excludes_media():
     env, ov = make_overlay()
-    ov.add_node("a")
-    ov.add_node("b")
+    ov.add_node("a", ignore)
+    ov.add_node("b", ignore)
     ov.send("a", "b", "packet")
     ov.send("a", "b", "control")
     env.run()
@@ -86,18 +82,19 @@ def test_control_packets_excludes_media():
 
 def test_loss_counted_and_not_delivered():
     env, ov = make_overlay(default_loss_factory=lambda: BernoulliLoss(1.0))
-    ov.add_node("a")
-    b = ov.add_node("b")
+    got = []
+    ov.add_node("a", ignore)
+    ov.add_node("b", got.append)
     ov.send("a", "b", "control")
     env.run()
     assert ov.traffic.dropped_by_kind["control"] == 1
-    assert len(b.mailbox) == 0
+    assert got == []
 
 
 def test_channel_stats():
     env, ov = make_overlay(default_latency=ConstantLatency(1.0))
-    ov.add_node("a")
-    ov.add_node("b")
+    ov.add_node("a", ignore)
+    ov.add_node("b", ignore)
     ov.send("a", "b", "x", size_bytes=100)
     ov.send("a", "b", "x", size_bytes=50)
     env.run()
@@ -112,72 +109,68 @@ def test_channel_stats():
 
 def test_crashed_node_discards_deliveries():
     env, ov = make_overlay()
-    ov.add_node("a")
-    b = ov.add_node("b")
+    got = []
+    ov.add_node("a", ignore)
+    b = ov.add_node("b", got.append)
     b.crash()
     ov.send("a", "b", "control")
     env.run()
     assert b.dropped_while_down == 1
-    assert len(b.mailbox) == 0
+    assert got == []
     b.recover()
     ov.send("a", "b", "control")
     env.run()
-    assert len(b.mailbox) == 1
+    assert len(got) == 1
 
 
 def test_crashed_node_sends_nothing():
     env, ov = make_overlay()
-    a = ov.add_node("a")
-    b = ov.add_node("b")
+    got = []
+    a = ov.add_node("a", ignore)
+    ov.add_node("b", got.append)
     a.crash()
     ov.send("a", "b", "control")
     env.run()
-    assert len(b.mailbox) == 0
+    assert got == []
     assert ov.traffic.sent("control") == 0
     assert ov.traffic.dropped_by_kind["control"] == 1
 
 
 def test_duplicate_node_rejected():
     _, ov = make_overlay()
-    ov.add_node("a")
+    ov.add_node("a", ignore)
     with pytest.raises(ValueError):
-        ov.add_node("a")
+        ov.add_node("a", ignore)
 
 
 def test_unknown_endpoint_rejected():
     _, ov = make_overlay()
-    ov.add_node("a")
+    ov.add_node("a", ignore)
     with pytest.raises(KeyError):
         ov.channel("a", "nope")
 
 
 def test_channel_is_cached_per_direction():
     _, ov = make_overlay()
-    ov.add_node("a")
-    ov.add_node("b")
+    ov.add_node("a", ignore)
+    ov.add_node("b", ignore)
     assert ov.channel("a", "b") is ov.channel("a", "b")
     assert ov.channel("a", "b") is not ov.channel("b", "a")
 
 
 def test_per_pair_override():
-    env, ov = make_overlay(default_latency=ConstantLatency(1.0))
-    ov.add_node("a")
-    b = ov.add_node("b")
-    ov.configure_channel("a", "b", latency=ConstantLatency(9.0))
+    env, ov = make_overlay(
+        latency_factory=lambda src, dst: ConstantLatency(
+            9.0 if (src, dst) == ("a", "b") else 1.0
+        )
+    )
     arrivals = []
-    b.on_deliver = lambda m: arrivals.append(env.now)
+    ov.add_node("a", lambda m: arrivals.append(("a", env.now)))
+    ov.add_node("b", lambda m: arrivals.append(("b", env.now)))
     ov.send("a", "b", "x")
+    ov.send("b", "a", "x")
     env.run()
-    assert arrivals == [9.0]
-
-
-def test_override_after_materialization_rejected():
-    _, ov = make_overlay()
-    ov.add_node("a")
-    ov.add_node("b")
-    ov.channel("a", "b")
-    with pytest.raises(RuntimeError):
-        ov.configure_channel("a", "b", latency=ConstantLatency(2))
+    assert arrivals == [("a", 1.0), ("b", 9.0)]
 
 
 def test_bandwidth_serialization_delay():
@@ -188,8 +181,8 @@ def test_bandwidth_serialization_delay():
         default_latency=ConstantLatency(1.0),
         bandwidth_bytes_per_ms=100.0,
     )
-    ov.add_node("a")
-    b = ov.add_node("b")
+    ov.add_node("a", ignore)
+    b = ov.add_node("b", ignore)
     arrivals = []
     b.on_deliver = lambda m: arrivals.append(env.now)
     # two 200-byte messages: serialization 2ms each, queued back-to-back
@@ -201,8 +194,8 @@ def test_bandwidth_serialization_delay():
 
 def test_jittered_latency_varies():
     env, ov = make_overlay(default_latency=UniformLatency(1, 5))
-    ov.add_node("a")
-    b = ov.add_node("b")
+    ov.add_node("a", ignore)
+    b = ov.add_node("b", ignore)
     arrivals = []
     b.on_deliver = lambda m: arrivals.append(m.latency)
     for _ in range(20):
@@ -215,8 +208,8 @@ def test_jittered_latency_varies():
 def test_deterministic_given_seed():
     def run():
         env, ov = make_overlay(default_latency=UniformLatency(1, 5))
-        ov.add_node("a")
-        b = ov.add_node("b")
+        ov.add_node("a", ignore)
+        b = ov.add_node("b", ignore)
         arrivals = []
         b.on_deliver = lambda m: arrivals.append(env.now)
         for _ in range(5):
@@ -229,8 +222,8 @@ def test_deterministic_given_seed():
 
 def test_send_log_records_times():
     env, ov = make_overlay()
-    ov.add_node("a")
-    ov.add_node("b")
+    ov.add_node("a", ignore)
+    ov.add_node("b", ignore)
 
     def proc():
         yield env.timeout(4)
@@ -243,5 +236,5 @@ def test_send_log_records_times():
 
 def test_overlay_repr():
     _, ov = make_overlay()
-    ov.add_node("a")
+    ov.add_node("a", ignore)
     assert "1 nodes" in repr(ov)

@@ -7,6 +7,8 @@ from repro.net.overlay import ControlPlane, Overlay, RetransmitPolicy
 from repro.sim.engine import Environment
 from repro.sim.rng import RandomStreams
 
+from tests.net import ignore
+
 
 def build(loss=0.0, policy=None, delta=10.0, seed=0):
     env = Environment()
@@ -15,8 +17,8 @@ def build(loss=0.0, policy=None, delta=10.0, seed=0):
         streams=RandomStreams(seed),
         control_loss_factory=(lambda: BernoulliLoss(loss)) if loss else None,
     )
-    overlay.add_node("a")
-    overlay.add_node("b")
+    overlay.add_node("a", ignore)
+    overlay.add_node("b", ignore)
     plane = ControlPlane(overlay, policy or RetransmitPolicy(), delta)
     return env, overlay, plane
 

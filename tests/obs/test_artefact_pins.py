@@ -6,8 +6,9 @@ every finding included), the span report and the sampled time series.
 ``data/artefact_digests.json`` holds a SHA-256 of each (JSON, sorted
 keys) for all ten protocols on one small fault-free spec, a batched
 cell, lossy and lossy/churn gauntlet cells (the only place
-``finish()``-time findings show) and one audited swarm; this test
-recomputes them.
+``finish()``-time findings show), one audited swarm and the two
+span-only cells whose headline numbers ``test_spans.py`` and
+``docs/observability.md`` quote; this test recomputes them.
 
 Regenerate — only after a deliberate artefact change — with::
 
@@ -91,6 +92,36 @@ def _swarm():
     )
 
 
+def _spans_fig10(spans=True):
+    """Fig. 10's operating point with only the span builder attached."""
+    return SessionSpec(
+        config=ProtocolConfig(
+            n=100, H=60, fault_margin=1, seed=0, content_packets=200
+        ),
+        protocol=ProtocolSpec("dcop"),
+        playback=True,
+        spans=SpanConfig() if spans else None,
+    )
+
+
+def _spans_lossy():
+    """Every decomposition component at once: retransmit backoff, batch
+    queueing, FEC recovery, playback buffering (TCoP: DCoP's deeply
+    divided streams never fill a batch window)."""
+    return SessionSpec(
+        config=ProtocolConfig(
+            n=50, H=8, fault_margin=1, seed=1, content_packets=1000
+        ),
+        protocol=ProtocolSpec("tcop"),
+        playback=True,
+        loss=LossSpec("bernoulli", {"p": 0.05}),
+        control_loss=LossSpec("bernoulli", {"p": 0.1}),
+        retransmit_policy=RetransmitPolicy(),
+        media_batch=5.0,
+        spans=SpanConfig(),
+    )
+
+
 CELLS = {
     **{
         f"fault_free/{p}": (lambda p=p: _session(p, 10, 4, 80, 3))
@@ -108,6 +139,8 @@ CELLS = {
     "lossy/tcop": lambda: _session(
         "tcop", 10, 4, 200, 0, loss=LossSpec("bernoulli", {"p": 0.15})
     ),
+    "spans/fig10": _spans_fig10,
+    "spans/lossy": _spans_lossy,
     "swarm/dcop": _swarm,
 }
 

@@ -29,6 +29,8 @@ from repro.obs import (
 )
 from repro.streaming.spec import LossSpec, ProtocolSpec, SessionSpec
 
+from tests.obs.test_artefact_pins import CELLS
+
 SHARE_FLOOR = 0.95  # the issue's acceptance bar; exactness in practice
 EXACT = 1e-6
 
@@ -144,6 +146,44 @@ def test_span_runs_are_byte_identical(proto):
     assert spanned.spans is not None and plain.spans is None
     assert plain.summary() == spanned.summary()
     assert trace_to_jsonl(plain.trace) == trace_to_jsonl(spanned.trace)
+
+
+# ----------------------------------------------------------------------
+# the two span-only cells ``artefact_digests.json`` pins: the headline
+# numbers docs/observability.md and the CI span step quote
+# ----------------------------------------------------------------------
+def test_fig10_scale_headline():
+    spanned = CELLS["spans/fig10"]().run()
+    report, head = spanned.spans, spanned.spans.headline()
+    # the coordination critical path spans both flooding rounds
+    assert round(head["critical_path_deltas"], 4) == 1.8534
+    assert round(head["coordination_path_ms"], 3) == 18.534
+    assert head["playback_path_ms"] == 605.0
+    assert len(report.waves) == 2
+    # every packet (parity included) arrives and is fully attributed
+    assert (head["delivered"], head["recovered"], head["lost"]) == (260, 4, 0)
+    assert head["attributed_share"] == 1.0
+    assert spanned.delivery_ratio == 1.0
+    # span construction is a passive subscriber: identical trajectory
+    plain = CELLS["spans/fig10"](spans=False).run()
+    assert plain.spans is None and plain.summary() == spanned.summary()
+
+
+def test_lossy_batched_cell_exercises_every_component():
+    report = CELLS["spans/lossy"]().run().spans
+    ps, head, exchanges = report.packet_stats, report.headline(), report.exchange_stats
+    assert round(head["critical_path_deltas"], 4) == 25.9462
+    assert (head["delivered"], head["recovered"]) == (1476, 459)
+    assert round(ps["e2e_mean_ms"], 4) == 67.4271
+    # batched media charges queue time, and the ledger stays exact
+    assert ps["queue_total_ms"] == 49176.0
+    assert abs(ps["attributed_total_ms"] - ps["e2e_total_ms"]) <= max(
+        EXACT, 1e-9 * ps["e2e_total_ms"]
+    )
+    assert report.attributed_share >= SHARE_FLOOR
+    # control loss forced reliable-exchange retransmits
+    assert (exchanges["total"], exchanges["acked"]) == (1552, 1550)
+    assert exchanges["retransmit_attempts"] == 601
 
 
 # ----------------------------------------------------------------------

@@ -110,11 +110,10 @@ def test_events_at_same_time_fifo():
     assert order == ["a", "b", "c"]
 
 
-def test_peek_and_len():
+def test_len_counts_pending_events():
     env = Environment()
-    assert env.peek() == float("inf")
+    assert len(env) == 0
     env.timeout(7)
-    assert env.peek() == 7
     assert len(env) == 1
 
 

@@ -1,8 +1,8 @@
-"""Tests for event primitives: trigger semantics, conditions, operators."""
+"""Tests for event primitives: trigger semantics and ``AnyOf``."""
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, ConditionValue, Environment
+from repro.sim import AnyOf, Environment
 
 
 def test_event_starts_pending():
@@ -43,28 +43,12 @@ def test_value_before_trigger_raises():
         _ = env.event().ok
 
 
-def test_trigger_copies_state():
-    env = Environment()
-    src = env.event().succeed("x")
-    dst = env.event()
-    dst.trigger(src)
-    assert dst.value == "x"
-
-
 def test_failed_event_must_be_defused_or_crashes():
     env = Environment()
     ev = env.event()
     ev.fail(RuntimeError("nobody caught me"))
     with pytest.raises(RuntimeError, match="nobody caught me"):
         env.run()
-
-
-def test_defused_failure_does_not_crash():
-    env = Environment()
-    ev = env.event()
-    ev.fail(RuntimeError("handled"))
-    ev.defused()
-    env.run()  # no raise
 
 
 def test_process_yield_on_failed_event_rethrows():
@@ -80,19 +64,6 @@ def test_process_yield_on_failed_event_rethrows():
     p = env.process(proc())
     ev.fail(RuntimeError("delivered"))
     assert env.run(p) == "delivered"
-
-
-def test_allof_waits_for_every_event():
-    env = Environment()
-    t1 = env.timeout(1, value="a")
-    t2 = env.timeout(5, value="b")
-
-    def proc():
-        result = yield AllOf(env, [t1, t2])
-        return (env.now, result[t1], result[t2])
-
-    p = env.process(proc())
-    assert env.run(p) == (5, "a", "b")
 
 
 def test_anyof_fires_on_first():
@@ -116,55 +87,6 @@ def test_anyof_empty_rejected():
         AnyOf(env, [])
 
 
-def test_allof_empty_is_immediately_true():
-    env = Environment()
-
-    def proc():
-        result = yield AllOf(env, [])
-        return len(result)
-
-    p = env.process(proc())
-    assert env.run(p) == 0
-
-
-def test_condition_operators():
-    env = Environment()
-    t1 = env.timeout(1)
-    t2 = env.timeout(2)
-
-    def proc():
-        yield t1 | t2
-        first = env.now
-        yield env.timeout(0)
-        t3 = env.timeout(1)
-        t4 = env.timeout(3)
-        yield t3 & t4
-        return (first, env.now)
-
-    p = env.process(proc())
-    assert env.run(p) == (1, 4)
-
-
-def test_condition_value_mapping_api():
-    env = Environment()
-    t1 = env.timeout(1, value=10)
-    t2 = env.timeout(2, value=20)
-
-    def proc():
-        result = yield AllOf(env, [t1, t2])
-        return result
-
-    p = env.process(proc())
-    result = env.run(p)
-    assert isinstance(result, ConditionValue)
-    assert result.todict() == {t1: 10, t2: 20}
-    assert list(result) == [t1, t2]
-    assert len(result) == 2
-    assert result == {t1: 10, t2: 20}
-    with pytest.raises(KeyError):
-        _ = result[env.event()]
-
-
 def test_condition_fails_if_subevent_fails():
     env = Environment()
     ev = env.event()
@@ -172,7 +94,7 @@ def test_condition_fails_if_subevent_fails():
 
     def proc():
         try:
-            yield AllOf(env, [ev, t])
+            yield AnyOf(env, [ev, t])
         except ValueError as e:
             return str(e)
 
@@ -188,7 +110,7 @@ def test_condition_fails_if_subevent_fails():
 def test_condition_rejects_mixed_environments():
     env1, env2 = Environment(), Environment()
     with pytest.raises(ValueError):
-        AllOf(env1, [env1.event(), env2.event()])
+        AnyOf(env1, [env1.event(), env2.event()])
 
 
 def test_condition_with_preprocessed_event():
@@ -198,11 +120,11 @@ def test_condition_with_preprocessed_event():
     t2 = env.timeout(1, value=2)
 
     def proc():
-        result = yield AllOf(env, [t1, t2])
-        return (result[t1], result[t2])
+        result = yield AnyOf(env, [t1, t2])
+        return (env.now, result[t1], t2 in result)
 
     p = env.process(proc())
-    assert env.run(p) == (1, 2)
+    assert env.run(p) == (0.5, 1, False)
 
 
 def test_repr_shows_state():

@@ -1,20 +1,8 @@
-"""Tests for process semantics: lifecycle, interrupts, error handling."""
+"""Tests for process semantics: lifecycle and error handling."""
 
 import pytest
 
-from repro.sim import Environment, Interrupt
-
-
-def test_process_is_alive_until_done():
-    env = Environment()
-
-    def proc():
-        yield env.timeout(5)
-
-    p = env.process(proc())
-    assert p.is_alive
-    env.run()
-    assert not p.is_alive
+from repro.sim import Environment
 
 
 def test_non_generator_rejected():
@@ -32,132 +20,6 @@ def test_yield_non_event_crashes_process():
     env.process(proc())
     with pytest.raises(RuntimeError, match="non-event"):
         env.run()
-
-
-def test_interrupt_delivers_cause():
-    env = Environment()
-
-    def victim():
-        try:
-            yield env.timeout(100)
-        except Interrupt as i:
-            return ("interrupted", i.cause, env.now)
-
-    def attacker(p):
-        yield env.timeout(3)
-        p.interrupt(cause="why")
-
-    p = env.process(victim())
-    env.process(attacker(p))
-    assert env.run(p) == ("interrupted", "why", 3)
-
-
-def test_interrupt_detaches_from_waited_event():
-    """After an interrupt, the original timeout must not resume the process."""
-    env = Environment()
-    resumes = []
-
-    def victim():
-        try:
-            yield env.timeout(10)
-        except Interrupt:
-            pass
-        resumes.append(env.now)
-        yield env.timeout(100)
-
-    def attacker(p):
-        yield env.timeout(2)
-        p.interrupt()
-
-    p = env.process(victim())
-    env.process(attacker(p))
-    env.run(until=50)
-    assert resumes == [2]
-
-
-def test_interrupt_terminated_process_rejected():
-    env = Environment()
-
-    def quick():
-        yield env.timeout(1)
-
-    p = env.process(quick())
-    env.run()
-    with pytest.raises(RuntimeError):
-        p.interrupt()
-
-
-def test_self_interrupt_rejected():
-    env = Environment()
-
-    def proc():
-        p = env.active_process
-        with pytest.raises(RuntimeError):
-            p.interrupt()
-        yield env.timeout(0)
-
-    env.run(env.process(proc()))
-
-
-def test_uncaught_interrupt_crashes_process():
-    env = Environment()
-
-    def victim():
-        yield env.timeout(100)
-
-    def attacker(p):
-        yield env.timeout(1)
-        p.interrupt("die")
-
-    p = env.process(victim())
-    env.process(attacker(p))
-    with pytest.raises(Interrupt):
-        env.run()
-
-
-def test_interrupt_race_with_completion_is_noop():
-    """Interrupt scheduled for the same instant the victim finishes."""
-    env = Environment()
-
-    def victim():
-        yield env.timeout(5)
-        return "done"
-
-    def attacker(p):
-        yield env.timeout(5)
-        if p.is_alive:
-            p.interrupt()
-
-    p = env.process(victim())
-    env.process(attacker(p))
-    assert env.run(p) == "done"
-
-
-def test_active_process_tracking():
-    env = Environment()
-    seen = []
-
-    def proc():
-        seen.append(env.active_process)
-        yield env.timeout(0)
-        seen.append(env.active_process)
-
-    p = env.process(proc())
-    env.run()
-    assert seen == [p, p]
-    assert env.active_process is None
-
-
-def test_target_visible_while_suspended():
-    env = Environment()
-
-    def proc():
-        yield env.timeout(10)
-
-    p = env.process(proc())
-    env.run(until=1)
-    assert p.target is not None
-    assert p.target.delay == 10  # type: ignore[union-attr]
 
 
 def test_process_name_comes_from_generator():
@@ -198,9 +60,3 @@ def test_process_waiting_on_process_chain():
     p = env.process(level(10))
     assert env.run(p) == 11
     assert env.now == 1
-
-
-def test_interrupt_cause_accessible():
-    exc = Interrupt("reason")
-    assert exc.cause == "reason"
-    assert "reason" in str(exc)
