@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -137,15 +136,18 @@ def _make_executor(args):
     return None
 
 
-def _build_session_spec(args, audit=None):
-    """Shared spec construction for ``trace``/``audit``; name-validated.
+def _build_spec(args, audit=None):
+    """The run ``trace``/``audit``/``spans`` asked for; name-validated.
 
-    Returns a :class:`SessionSpec`, or an *int* exit status when a model
-    name does not resolve (the caller propagates it).
+    A :class:`SessionSpec`, or under ``--join-storm`` a :class:`SwarmSpec`
+    over the same template (``--capacity`` is then the swarm's shared
+    per-peer budget, and ``audit=None`` leaves the swarm's default
+    capacity auditor on) — or an *int* exit status when an option does
+    not resolve (the caller propagates it).
     """
     from repro.core.base import ProtocolConfig
     from repro.obs import TraceConfig
-    from repro.streaming.faults import PartitionPlan
+    from repro.streaming.faults import JoinStormPlan, PartitionPlan
     from repro.streaming.spec import (
         DetectorSpec,
         LatencySpec,
@@ -155,6 +157,7 @@ def _build_session_spec(args, audit=None):
         SessionSpec,
         available_factories,
     )
+    from repro.streaming.swarm import AdmissionPolicy, SwarmSpec
 
     models = {}
     for category, option in (
@@ -200,12 +203,12 @@ def _build_session_spec(args, audit=None):
         except ValueError as exc:
             return _fail(str(exc))
 
-    upload_capacity = None
-    if getattr(args, "capacity", None) is not None:
+    capacity = None
+    if args.capacity is not None:
         from repro.net.capacity import CapacityPolicy
 
         try:
-            upload_capacity = CapacityPolicy(**_parse_params(args.capacity))
+            capacity = CapacityPolicy(**_parse_params(args.capacity))
         except (TypeError, ValueError) as exc:
             return _fail(f"bad --capacity {args.capacity!r}: {exc}")
 
@@ -225,7 +228,7 @@ def _build_session_spec(args, audit=None):
             return _fail(f"bad --detector {args.detector!r}: {exc}")
 
     protocol_name, protocol_params = models["protocol"]
-    return SessionSpec(
+    template = SessionSpec(
         config=config,
         protocol=ProtocolSpec(protocol_name, protocol_params),
         latency=LatencySpec(*models["latency"]) if models["latency"] else None,
@@ -238,31 +241,11 @@ def _build_session_spec(args, audit=None):
         partition_plan=partition_plan,
         detector_policy=detector_spec,
         retransmit_policy=retransmit_policy,
-        upload_capacity=upload_capacity,
-        trace=TraceConfig(),
-        audit=audit,
     )
-
-
-def _build_swarm_spec(args, audit=True):
-    """``--join-storm`` → a :class:`SwarmSpec`; int exit status on error.
-
-    The swarm owns capacity, tracing, and auditing, so the session
-    template is built bare and those concerns move to the swarm level
-    (``--capacity`` becomes the shared per-peer budget).
-    """
-    import dataclasses
-
-    from repro.streaming.faults import JoinStormPlan
-    from repro.streaming.swarm import AdmissionPolicy, SwarmSpec
-
-    template = _build_session_spec(args)
-    if isinstance(template, int):
-        return template
-    capacity = template.upload_capacity
-    template = dataclasses.replace(
-        template, upload_capacity=None, trace=None, audit=None
-    )
+    if args.join_storm is None:
+        return template.replace(
+            upload_capacity=capacity, trace=TraceConfig(), audit=audit
+        )
     try:
         params = (
             _parse_params(args.join_storm) if args.join_storm.strip() else {}
@@ -276,7 +259,7 @@ def _build_swarm_spec(args, audit=True):
             join_plan=plan,
             capacity=capacity,
             admission=AdmissionPolicy(),
-            audit=audit,
+            audit=True if audit is None else audit,
         )
     except (TypeError, ValueError) as exc:
         return _fail(str(exc))
@@ -291,13 +274,14 @@ def _run_trace(args) -> int:
         write_run_summary,
     )
 
-    if args.join_storm is not None:
-        spec = _build_swarm_spec(args)
-        if isinstance(spec, int):
-            return spec
-        result = spec.run()
-        bus = result.trace
-        assert bus is not None
+    spec = _build_spec(args)
+    if isinstance(spec, int):
+        return spec
+    swarm = args.join_storm is not None
+    result = spec.run()
+    bus = result.trace
+    assert bus is not None
+    if swarm:
         print(result.summary())
         for outcome in result.outcomes:
             print(
@@ -307,59 +291,39 @@ def _run_trace(args) -> int:
                 f"receipt={outcome.receipt_rate:.3f}, "
                 f"delivery={outcome.delivery_ratio:.3f}"
             )
-        print(
-            f"trace: {len(bus.events)} events "
-            f"({bus.dropped_events} dropped), retries={result.retries}, "
+        tail = (
+            f"retries={result.retries}, "
             f"shed={result.shed_data}+{result.shed_parity}p"
         )
-        protocol_name, _ = _parse_model_spec(args.protocol)
-        trace_out = _ensure_parent(
-            args.trace_out or _OUT_DIR / f"trace_swarm_{protocol_name}.json"
+        stem, hint = "trace_swarm_", ""
+    else:
+        timeline = wave_timeline(
+            bus,
+            title=(
+                f"{result.protocol} coordination timeline "
+                f"(n={spec.config.n}, H={spec.config.H})"
+            ),
         )
-        write_chrome_trace(bus, trace_out)
-        print(f"wrote Chrome trace-event JSON to {trace_out}", file=sys.stderr)
-        if args.jsonl_out:
-            write_jsonl(bus, _ensure_parent(args.jsonl_out))
-            print(f"wrote JSONL trace to {args.jsonl_out}", file=sys.stderr)
-        return 0
-
-    spec = _build_session_spec(args)
-    if isinstance(spec, int):
-        return spec
-    session = spec.build()
-    result = session.run()
-    bus = result.trace
-    assert bus is not None
-
-    timeline = wave_timeline(
-        bus,
-        title=(
-            f"{result.protocol} coordination timeline "
-            f"(n={spec.config.n}, H={spec.config.H})"
-        ),
-    )
-    print(timeline.to_markdown())
-    print(result.summary())
+        print(timeline.to_markdown())
+        print(result.summary())
+        tail = f"rounds={result.rounds}, sync={result.sync_time}"
+        stem = "trace_"
+        hint = " (open in chrome://tracing or https://ui.perfetto.dev)"
     print(
         f"trace: {len(bus.events)} events "
-        f"({bus.dropped_events} dropped), rounds={result.rounds}, "
-        f"sync={result.sync_time}"
+        f"({bus.dropped_events} dropped), {tail}"
     )
 
     protocol_name, _ = _parse_model_spec(args.protocol)
     trace_out = _ensure_parent(
-        args.trace_out or _OUT_DIR / f"trace_{protocol_name}.json"
+        args.trace_out or _OUT_DIR / f"{stem}{protocol_name}.json"
     )
     write_chrome_trace(bus, trace_out)
-    print(
-        f"wrote Chrome trace-event JSON to {trace_out} "
-        "(open in chrome://tracing or https://ui.perfetto.dev)",
-        file=sys.stderr,
-    )
+    print(f"wrote Chrome trace-event JSON to {trace_out}{hint}", file=sys.stderr)
     if args.jsonl_out:
         write_jsonl(bus, _ensure_parent(args.jsonl_out))
         print(f"wrote JSONL trace to {args.jsonl_out}", file=sys.stderr)
-    if args.summary_out:
+    if args.summary_out and not swarm:
         write_run_summary(result, _ensure_parent(args.summary_out))
         print(f"wrote run summary to {args.summary_out}", file=sys.stderr)
     return 0
@@ -383,20 +347,13 @@ def _run_audit(args) -> int:
         if not source.exists():
             return _fail(f"trace file not found: {source}")
         report = replay_jsonl(source, config=audit_config)
-    elif args.join_storm is not None:
-        # swarm runs default to the capacity auditor unless --auditors
-        # names an explicit set
-        spec = _build_swarm_spec(
-            args, audit=audit_config if args.auditors else True
-        )
-        if isinstance(spec, int):
-            return spec
-        result = spec.run()
-        report = result.audit
-        assert report is not None and not isinstance(report, dict)
-        print(result.summary())
     else:
-        spec = _build_session_spec(args, audit=audit_config)
+        # swarm runs default to the capacity auditor (audit=None) unless
+        # --auditors names an explicit set
+        swarm_default = args.join_storm is not None and not args.auditors
+        spec = _build_spec(
+            args, audit=None if swarm_default else audit_config
+        )
         if isinstance(spec, int):
             return spec
         result = spec.run()
@@ -433,7 +390,7 @@ def _run_spans(args) -> int:
             return _fail(
                 "--join-storm is only supported by 'trace' and 'audit'"
             )
-        spec = _build_session_spec(args)
+        spec = _build_spec(args)
         if isinstance(spec, int):
             return spec
         # playback on, so journeys extend through buffer consumption

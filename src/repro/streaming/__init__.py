@@ -11,23 +11,30 @@
   (config + declarative protocol/latency/loss specs + plans/policies);
   ``spec.build()`` materializes the live :class:`StreamingSession`.  The
   canonical construction API.
-* :class:`StreamingSession` — the whole simulated system, built from a
-  :class:`SessionSpec` and run to produce a :class:`SessionResult`.
+* :class:`StreamingSession` — one leaf's run, built from a
+  :class:`SessionSpec` and run to produce a :class:`SessionResult`: the
+  leaf, its agent on every contents peer, protocol state and tolerance
+  monitors.
+* :class:`Commons` — what a run's leaves share, built once: clock, RNG
+  family, trace bus, overlay, content, peer ids, upload budgets and the
+  observers.  A session on its own builds a private one.
 * :mod:`repro.streaming.faults` — crash / rate-degradation / churn
   injection, plus network partitions and one-way link cuts
   (:class:`PartitionPlan`, :class:`LinkCut`).
 * :mod:`repro.streaming.detector` — leaf-side heartbeat failure detector.
 * :mod:`repro.streaming.recoordination` — mid-stream residual re-flooding.
 * :mod:`repro.streaming.swarm` — multi-leaf flash-crowd runs over one
-  shared overlay: :class:`SwarmSpec` + :class:`JoinStormPlan` drive many
-  leaf sessions against finite per-peer upload budgets with admission
-  control and retry/backoff (:class:`AdmissionPolicy`).
+  shared :class:`Commons`: :class:`SwarmSpec` + :class:`JoinStormPlan`
+  drive many leaf sessions against finite per-peer upload budgets; the
+  swarm itself owns only the hubs' routing, admission control with
+  retry/backoff (:class:`AdmissionPolicy`) and the leaf lifecycle.
 """
 
 from repro.streaming.stream import Phase, Stream, HandoffPlan
 from repro.streaming.buffer import BufferEvent, PlaybackBuffer
 from repro.streaming.contents_peer import ContentsPeerAgent
 from repro.streaming.leaf_peer import LeafPeerAgent
+from repro.streaming.commons import Commons
 from repro.streaming.session import SessionResult, StreamingSession
 from repro.streaming.spec import (
     DetectorSpec,
@@ -78,6 +85,7 @@ __all__ = [
     "RateAdaptationPolicy",
     "ChurnEvent",
     "ChurnPlan",
+    "Commons",
     "ContentsPeerAgent",
     "CrashFault",
     "DegradeFault",

@@ -1,0 +1,169 @@
+"""What every leaf of one run shares, built once.
+
+The paper streams one content from ``n`` contents peers to a leaf; a crowd
+of leaves is the same ``n`` peers serving several leaves at once.  Either
+way a run has one :class:`Commons`: clock, RNG family, trace bus, overlay,
+content, the contents peers' ids (and, when uplinks are capped, their
+upload budgets) and the run's observers.  A session built on its own makes
+a private one; a swarm makes one and hands it to every leaf's session.
+"""
+
+from __future__ import annotations
+
+from dataclasses import replace
+
+from repro.media.content import MediaContent
+from repro.metrics.io import series_to_dict
+from repro.net.capacity import UploadBudget
+from repro.net.latency import ConstantLatency
+from repro.net.overlay import Overlay
+from repro.obs.audit import AuditReport, build_auditors
+from repro.obs.exporters import trace_to_dict
+from repro.obs.spans import SpanBuilder, SpanConfig
+from repro.obs.trace import TraceBus, TraceConfig
+from repro.sim.engine import Environment
+from repro.sim.rng import RandomStreams
+from repro.streaming.spec import (
+    resolve_latency,
+    resolve_link_fault_factory,
+    resolve_loss_factory,
+)
+
+
+class Commons:
+    """One run's shared ground, read off ``spec`` (a swarm's template).
+
+    ``capacity``, ``trace``, ``audit`` and ``spans`` belong to the run, not
+    to a leaf, so whoever owns the run passes its own.
+    """
+
+    def __init__(self, spec, capacity=None, trace=None, audit=None, spans=None):
+        # a spec no session could run with is refused before anything runs
+        if spec.media_batch < 0:
+            raise ValueError("media_batch must be >= 0 (δ units)")
+        if spec.health_policy is not None and spec.detector_policy is None:
+            # quarantine judges peers by the detector's evidence (φ,
+            # residuals, last_heard)
+            raise ValueError(
+                "HealthMonitor needs a failure detector (its φ score is "
+                "one of the health signals); set detector_policy too"
+            )
+        config = self.config = spec.config
+        self.env = Environment(scheduler=spec.scheduler)
+        self.streams = RandomStreams(config.seed)
+        # --- observability (opt-in; hooks no-op when tracer=None) ------
+        if spans is True:
+            spans = SpanConfig()
+        self.auditors = build_auditors(audit) if audit is not None else []
+        self.span_builder = SpanBuilder(spans) if spans else None
+        if (self.auditors or self.span_builder) and trace is None:
+            # auditors and span builders subscribe to the bus, so either
+            # implies tracing
+            trace = TraceConfig()
+        self.trace_bus = None
+        if trace is not None:
+            self.trace_bus = TraceBus(trace, self.env)
+            self.env.hooks.tracer = self.trace_bus
+        #: the session the observers watch (None: a swarm's, or none yet)
+        self.observed = None
+        self._audit_report = None
+        latency = resolve_latency(spec.latency)
+        latency_factory = None
+        if latency is None:
+            # Default: each directed pair gets a constant latency drawn once
+            # from δ·U(1−s, 1+s) — hosts in an overlay are not equidistant.
+            # This both matches the paper's "control delay ≈ δ" regime and
+            # gives TCoP's first-offer-wins rule realistic tie-breaking
+            # (with exactly equal delays every child would adopt the same
+            # earliest parent).  Rounds are counted in hops, so the spread
+            # never skews Figures 10/11.
+            spread = config.pair_latency_spread
+            pair_rng = self.streams.get("latency/pairs")
+
+            def latency_factory(src: str, dst: str) -> ConstantLatency:
+                factor = 1.0 + spread * (2.0 * pair_rng.random() - 1.0)
+                return ConstantLatency(config.delta * factor)
+
+        self.overlay = Overlay(
+            self.env,
+            streams=self.streams,
+            default_latency=latency,
+            default_loss_factory=resolve_loss_factory(spec.loss),
+            latency_factory=latency_factory,
+            control_loss_factory=resolve_loss_factory(spec.control_loss),
+            link_fault_factory=resolve_link_fault_factory(spec.link_fault),
+        )
+        self.content = MediaContent(
+            "content",
+            n_packets=config.content_packets,
+            packet_size=config.packet_size,
+            rate=config.tau,
+            seed=config.seed,
+            with_payload=config.with_payload,
+        )
+        self.peer_ids = [f"CP{i}" for i in range(1, config.n + 1)]
+        #: peer -> finite upload budget (absent = the seed's infinite
+        #: uplink); one per *physical* peer, shared by all its sessions
+        self.budgets = {}
+        if capacity is not None:
+            for pid in self.peer_ids:
+                self.budgets[pid] = UploadBudget(
+                    pid, capacity, config.delta, self.env
+                )
+
+    def emit(self, kind: str, subject: str, **data) -> None:
+        """One run-level trace event (nothing when the run is untraced)."""
+        if self.trace_bus is not None:
+            self.trace_bus.emit(kind, subject, **data)
+
+    def observe(self, session=None) -> None:
+        """Bind and subscribe the run's read-only observers.
+
+        A single-leaf run's observers read leaf and policies off
+        ``session``; a swarm's know only the content length.
+        """
+        self.observed = session
+        # auditors subscribe before the span builder
+        for observer in (*self.auditors, self.span_builder):
+            if observer is not None:
+                observer.bind(
+                    self.trace_bus, session,
+                    n_packets=self.config.content_packets,
+                )
+                self.trace_bus.subscribe(observer.on_event, observer.kinds)
+
+    def finish(self, protocol: str):
+        """Close observers and trace; ``(audit report, span report)``."""
+        if self.auditors and self._audit_report is None:
+            # finish before finalize() so audit.* events emitted here are
+            # part of the log the finalizer sorts into time order
+            for auditor in self.auditors:
+                auditor.finish(self.observed)
+            self._audit_report = AuditReport.from_auditors(
+                protocol, self.config.seed, self.auditors
+            )
+        spans_report = None
+        if self.span_builder is not None:
+            # like the auditors: before finalize(), reading only — the
+            # builder never perturbs the trajectory
+            spans_report = self.span_builder.finish(self.observed)
+        if self.trace_bus is not None:
+            self.trace_bus.finalize()
+        return self._audit_report, spans_report
+
+
+def detached(result, *handles: str):
+    """``result`` with the named live handles in exported JSON-able form;
+    ``result`` itself when none of them is live."""
+    exported = {}
+    for name in handles:
+        handle = getattr(result, name)
+        if handle is None or isinstance(handle, dict):
+            continue
+        if isinstance(handle, TraceBus):
+            exported[name] = trace_to_dict(handle)
+        elif hasattr(handle, "to_dict"):
+            exported[name] = handle.to_dict()
+        else:  # the sampled time series
+            exported[name] = series_to_dict(handle)
+    return replace(result, **exported) if exported else result

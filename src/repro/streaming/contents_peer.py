@@ -29,17 +29,15 @@ class ContentsPeerAgent:
     * random child selection from ``CP − VW_i − {self}``.
     """
 
-    def __init__(
-        self, session: "StreamingSession", peer_id: str, node=None
-    ) -> None:
+    def __init__(self, session: "StreamingSession", peer_id: str) -> None:
         self.session = session
         self.peer_id = peer_id
-        if node is None:
+        #: the physical peer's one node: already on the overlay when a
+        #: swarm's PeerHub answers it (and dispatches here by coordination
+        #: ctx), else this agent's own
+        self.node = session.overlay.nodes.get(peer_id)
+        if self.node is None:
             self.node = session.overlay.add_node(peer_id, self._on_deliver)
-        else:
-            # swarm mode: the physical node belongs to a shared PeerHub,
-            # which owns on_deliver and dispatches by coordination ctx
-            self.node = node
         self.view: set[str] = {peer_id}
         self.streams: list[Stream] = []
         self.activated_at: Optional[float] = None
@@ -55,7 +53,7 @@ class ContentsPeerAgent:
         self.capacity = session.peer_capacities.get(peer_id)
         #: finite upload budget (backpressure + shedding); None = the
         #: seed's infinite uplink.  Shared across leaf sessions in swarms.
-        self.upload_budget = session.upload_budget_for(peer_id)
+        self.upload_budget = session.commons.budgets.get(peer_id)
         #: duplicate-suppression for control traffic keyed on the wire
         #: uid (link duplicates share it; retransmissions do not — those
         #: are deduplicated by ``msg_id`` in the control plane), so a

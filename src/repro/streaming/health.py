@@ -110,11 +110,6 @@ class HealthMonitor:
     """Leaf-side circuit breaker: score, quarantine, probe, readmit."""
 
     def __init__(self, session: "StreamingSession", policy: HealthPolicy) -> None:
-        if session.detector is None:
-            raise ValueError(
-                "HealthMonitor needs a failure detector (its φ score is "
-                "one of the health signals); set detector_policy too"
-            )
         self.session = session
         self.policy = policy
         #: peer -> active episode (readmitted peers drop out)
@@ -209,7 +204,7 @@ class HealthMonitor:
         if promised > 0 and detector.residual_of(pid):
             delivered = (arrivals - prev) / period
             if delivered < pol.throughput_floor * promised:
-                budget = session.upload_budget_for(pid)
+                budget = session.commons.budgets.get(pid)
                 if budget is None or budget.backlog(session.env.now) == 0:
                     # a peer starving the leaf because its finite uplink
                     # queue is backlogged is backpressured, not gray —

@@ -1,36 +1,43 @@
-"""Streaming session: builds the simulated system and collects results.
+"""Streaming session: one leaf's view of a run, and what it collects.
 
-Sessions are constructed from a declarative
-:class:`~repro.streaming.spec.SessionSpec`, via :meth:`SessionSpec.build`
-or :meth:`StreamingSession.from_spec`.
+A session is built from a declarative
+:class:`~repro.streaming.spec.SessionSpec` by ``spec.build()``.  Who owns
+what: the :class:`~repro.streaming.commons.Commons` holds what the run's
+leaves share (clock, RNG family, overlay, content, peer nodes, upload
+budgets, observers); the session holds the leaf, its agent on every
+contents peer, the protocol's state and the tolerance monitors
+(control plane, detector, repair, adaptation, health).  On its own a
+session builds a private commons and is the whole run; in a swarm
+(:mod:`repro.streaming.swarm`) it joins the one every leaf shares.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace as dataclass_replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.obs.audit import AuditReport, Auditor
-    from repro.obs.spans import SpanBuilder, SpanReport
+    from repro.obs.audit import AuditReport
+    from repro.obs.spans import SpanReport
     from repro.streaming.adaptive import RateAdaptationMonitor
     from repro.streaming.health import HealthMonitor
     from repro.streaming.repair import RepairMonitor
-    from repro.streaming.spec import SessionSpec
 
 from repro.core.base import ProtocolConfig
-from repro.media.content import MediaContent
-from repro.net.latency import ConstantLatency
 from repro.net.message import Message
-from repro.net.overlay import ControlPlane, Overlay
+from repro.net.overlay import ControlPlane
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TraceBus, TraceConfig
-from repro.sim.engine import Environment
-from repro.sim.rng import RandomStreams
+from repro.streaming.commons import Commons, detached
 from repro.streaming.contents_peer import ContentsPeerAgent
 from repro.streaming.detector import FailureDetector
 from repro.streaming.leaf_peer import LeafPeerAgent
 from repro.streaming.recoordination import ReCoordinator, data_seqs_of
+from repro.streaming.spec import (
+    SessionSpec,
+    resolve_detector_policy,
+    resolve_protocol,
+)
 
 
 @dataclass
@@ -158,220 +165,76 @@ class SessionResult:
         Sweep executors detach every worker result, so parallel and
         serial sweeps return identical value-only objects.
         """
-        from repro.obs.trace import TraceBus
-
-        trace = self.trace
-        timeseries = self.timeseries
-        audit = self.audit
-        spans = self.spans
-        detached = False
-        if audit is not None and not isinstance(audit, dict):
-            audit = audit.to_dict()
-            detached = True
-        if spans is not None and not isinstance(spans, dict):
-            spans = spans.to_dict()
-            detached = True
-        if isinstance(trace, TraceBus):
-            from repro.obs.exporters import trace_to_dict
-
-            trace = trace_to_dict(trace)
-            detached = True
-        if timeseries is not None and not isinstance(timeseries, dict):
-            from repro.metrics.io import series_to_dict
-
-            timeseries = series_to_dict(timeseries)
-            detached = True
-        if not detached:
-            return self
-        return dataclass_replace(
-            self,
-            trace=trace,
-            timeseries=timeseries,
-            audit=audit,
-            spans=spans,
-        )
+        return detached(self, "trace", "timeseries", "audit", "spans")
 
 
 class StreamingSession:
     """One simulated multi-source streaming run.
 
-    Construct from a :class:`~repro.streaming.spec.SessionSpec` — either
-    ``spec.build()`` or :meth:`from_spec` — which captures every knob
-    (protocol, channel models, fault plans, policies, observers) as a
-    picklable value.  The defaults are the paper's regime: per-pair
-    constant latency around δ, lossless channels, no playback modelling.
+    Construct from a :class:`~repro.streaming.spec.SessionSpec` with
+    ``spec.build()``; the spec captures every knob (protocol, channel
+    models, fault plans, policies, observers) as a picklable value.  The
+    defaults are the paper's regime: per-pair constant latency around δ,
+    lossless channels, no playback modelling.
     """
 
-    @classmethod
-    def from_spec(cls, spec: "SessionSpec") -> "StreamingSession":
-        """Build a session from a declarative spec."""
-        session = object.__new__(cls)
-        session._setup(spec)
-        return session
-
-    @classmethod
-    def for_swarm(
-        cls, spec: "SessionSpec", swarm, leaf_id: str
-    ) -> "StreamingSession":
-        """Attach one leaf session to a shared swarm substrate.
-
-        The session reuses the swarm's environment, overlay, RNG streams,
-        content, and contents-peer hubs instead of creating its own; its
-        control traffic is tagged with ``leaf_id`` as the coordination
-        context so the hubs can route replies to this leaf's agents.
-        Per-session observability (auditors, spans, metrics) is owned by
-        the swarm, not the leaf.
-        """
-        session = object.__new__(cls)
-        session._setup(spec, swarm=swarm, leaf_id=leaf_id)
-        return session
-
-    def _setup(
+    def __init__(
         self,
-        spec: "SessionSpec",
-        swarm=None,
+        spec: SessionSpec,
+        commons: Optional[Commons] = None,
         leaf_id: Optional[str] = None,
     ) -> None:
-        """The one true constructor: materialize ``spec`` into a session."""
-        from repro.streaming.spec import (
-            resolve_detector_policy,
-            resolve_latency,
-            resolve_link_fault_factory,
-            resolve_loss_factory,
-            resolve_protocol,
-        )
+        """Materialize ``spec`` into a session.
 
+        Without ``commons`` the session is the whole run: it builds a
+        private :class:`~repro.streaming.commons.Commons` from its own
+        spec and owns it.  Handed one (by a swarm), it joins as leaf
+        ``leaf_id`` and tags its control traffic with that id, the
+        coordination context the swarm's hubs route replies by.
+        """
+        owner = commons is None
+        if owner:
+            commons = Commons(
+                spec, spec.upload_capacity, spec.trace, spec.audit, spec.spans
+            )
         config = spec.config
-        protocol = resolve_protocol(spec.protocol)
-        latency = resolve_latency(spec.latency)
-        loss_factory = resolve_loss_factory(spec.loss)
-        control_loss_factory = resolve_loss_factory(spec.control_loss)
-        link_fault_factory = resolve_link_fault_factory(spec.link_fault)
-        buffer_capacity = spec.buffer_capacity
-        playback = spec.playback
-        fault_plan = spec.fault_plan
-        repair_policy = spec.repair_policy
-        adaptation_policy = spec.adaptation_policy
-        leaf_receipt_rate = spec.leaf_receipt_rate
-        leaf_receive_buffer = spec.leaf_receive_buffer
-        peer_capacities = spec.peer_capacities
-        retransmit_policy = spec.retransmit_policy
         detector_policy = resolve_detector_policy(spec.detector_policy)
-        churn_plan = spec.churn_plan
-        trace = spec.trace
-        audit = spec.audit
-        spans = spec.spans if spec.spans is not False else None
-        if (audit is not None or spans is not None) and trace is None:
-            # auditors and span builders subscribe to the bus, so either
-            # implies tracing
-            trace = TraceConfig()
-
         self.spec = spec
         self.config = config
-        self.protocol = protocol
-        #: owning swarm (None outside swarm mode)
-        self.swarm = swarm
+        self.protocol = resolve_protocol(spec.protocol)
+        self.commons = commons
         #: coordination-context tag stamped on this session's control
-        #: traffic: the leaf id in swarm mode, None otherwise
+        #: traffic: the leaf id in a swarm, None otherwise
         self.ctx: Optional[str] = leaf_id
-        if spec.media_batch < 0:
-            raise ValueError("media_batch must be >= 0 (δ units)")
         #: batched media plane: per-slot window in ms (0 = per-packet)
         self.media_batch_window_ms = (
             spec.media_batch * config.delta if spec.media_batch > 0 else 0.0
         )
         self.metrics_registry: Optional[MetricsRegistry] = None
-        if swarm is not None:
-            # shared substrate: the swarm owns env, streams, overlay,
-            # content, tracing, and all per-run observability
-            self.env = swarm.env
-            self.streams = swarm.streams
-            self.trace_bus = swarm.trace_bus
-        else:
-            self.env = Environment(scheduler=spec.scheduler)
-            self.streams = RandomStreams(config.seed)
-            # --- observability (opt-in; hooks no-op when tracer=None) ---
-            self.trace_bus: Optional[TraceBus] = None
-            if trace is not None:
-                self.trace_bus = TraceBus(trace, self.env)
-                self.env.hooks.tracer = self.trace_bus
-        latency_factory = None
-        if latency is None:
-            # Default: each directed pair gets a constant latency drawn once
-            # from δ·U(1−s, 1+s) — hosts in an overlay are not equidistant.
-            # This both matches the paper's "control delay ≈ δ" regime and
-            # gives TCoP's first-offer-wins rule realistic tie-breaking
-            # (with exactly equal delays every child would adopt the same
-            # earliest parent).  Rounds are counted in hops, so the spread
-            # never skews Figures 10/11.
-            spread = config.pair_latency_spread
-            pair_rng = self.streams.get("latency/pairs")
-
-            def latency_factory(src: str, dst: str) -> ConstantLatency:
-                factor = 1.0 + spread * (2.0 * pair_rng.random() - 1.0)
-                return ConstantLatency(config.delta * factor)
-
-        if swarm is not None:
-            self.overlay = swarm.overlay
-            self.content = swarm.content
-        else:
-            self.overlay = Overlay(
-                self.env,
-                streams=self.streams,
-                default_latency=latency,
-                default_loss_factory=loss_factory,
-                latency_factory=latency_factory,
-                control_loss_factory=control_loss_factory,
-                link_fault_factory=link_fault_factory,
-            )
-            self.content = MediaContent(
-                "content",
-                n_packets=config.content_packets,
-                packet_size=config.packet_size,
-                rate=config.tau,
-                seed=config.seed,
-                with_payload=config.with_payload,
-            )
+        self.env = commons.env
+        self.streams = commons.streams
+        self.trace_bus: Optional[TraceBus] = commons.trace_bus
+        self.overlay = commons.overlay
+        self.content = commons.content
         self.leaf = LeafPeerAgent(
             self,
             peer_id=leaf_id if leaf_id is not None else "leaf",
-            buffer_capacity=buffer_capacity,
-            playback=playback,
-            max_receipt_rate=leaf_receipt_rate,
-            receive_buffer_packets=leaf_receive_buffer,
+            buffer_capacity=spec.buffer_capacity,
+            playback=spec.playback,
+            max_receipt_rate=spec.leaf_receipt_rate,
+            receive_buffer_packets=spec.leaf_receive_buffer,
             skip_after_misses=spec.playback_skip_misses,
         )
-        if swarm is not None:
-            self.peer_ids: List[str] = list(swarm.peer_ids)
-        else:
-            self.peer_ids = [f"CP{i}" for i in range(1, config.n + 1)]
+        self.peer_ids: List[str] = commons.peer_ids
         #: per-peer uplink capacity in packets/ms (absent = unlimited);
         #: §5's heterogeneous environment — a peer cannot exceed this no
         #: matter what rate its assignments ask for
-        self.peer_capacities: Dict[str, float] = dict(peer_capacities or {})
-        #: per-peer finite upload budgets (absent = the seed's infinite
-        #: uplink); in swarm mode the dict is *shared* across every leaf
-        #: session so one physical peer's budget covers all its sessions
-        if swarm is not None:
-            self.upload_budgets = swarm.upload_budgets
-            self.peers: Dict[str, ContentsPeerAgent] = {}
-            for pid in self.peer_ids:
-                hub = swarm.hubs[pid]
-                agent = ContentsPeerAgent(self, pid, node=hub.node)
-                hub.attach(self.leaf.peer_id, agent)
-                self.peers[pid] = agent
-        else:
-            from repro.net.capacity import UploadBudget
-
-            self.upload_budgets = {}
-            if spec.upload_capacity is not None:
-                for pid in self.peer_ids:
-                    self.upload_budgets[pid] = UploadBudget(
-                        pid, spec.upload_capacity, config.delta, self.env
-                    )
-            self.peers = {
-                pid: ContentsPeerAgent(self, pid) for pid in self.peer_ids
-            }
+        self.peer_capacities: Dict[str, float] = dict(
+            spec.peer_capacities or {}
+        )
+        self.peers: Dict[str, ContentsPeerAgent] = {
+            pid: ContentsPeerAgent(self, pid) for pid in self.peer_ids
+        }
         self.activation_log: List[tuple[str, float]] = []
         self.faults_fired: list = []
         #: protocol-private per-session state (TCoP pending offers, …)
@@ -382,9 +245,9 @@ class StreamingSession:
         self._initiated = False
         # --- churn-tolerance subsystems (all opt-in) -------------------
         self.control_plane: Optional[ControlPlane] = None
-        if retransmit_policy is not None:
+        if spec.retransmit_policy is not None:
             self.control_plane = ControlPlane(
-                self.overlay, retransmit_policy, config.delta
+                self.overlay, spec.retransmit_policy, config.delta
             )
             self.control_plane.ctx = self.ctx
             self.control_plane.on_give_up = self._on_control_give_up
@@ -395,65 +258,42 @@ class StreamingSession:
             if detector_policy.recoordinate:
                 self.recoordinator = ReCoordinator(self)
                 self.detector.on_confirm = self.recoordinator.handle_failure
-        self.churn_plan = churn_plan
-        if churn_plan is not None:
-            churn_plan.install(self)
-        if fault_plan is not None:
-            fault_plan.install(self)
+        self.churn_plan = spec.churn_plan
+        if spec.churn_plan is not None:
+            spec.churn_plan.install(self)
+        if spec.fault_plan is not None:
+            spec.fault_plan.install(self)
         self.partition_plan = spec.partition_plan
         if spec.partition_plan is not None:
             spec.partition_plan.install(self)
         self.repair_monitor: Optional["RepairMonitor"] = None
-        if repair_policy is not None:
+        if spec.repair_policy is not None:
             from repro.streaming.repair import RepairMonitor
 
-            self.repair_monitor = RepairMonitor(self, repair_policy)
+            self.repair_monitor = RepairMonitor(self, spec.repair_policy)
         self.adaptation_monitor: Optional["RateAdaptationMonitor"] = None
-        if adaptation_policy is not None:
+        if spec.adaptation_policy is not None:
             from repro.streaming.adaptive import RateAdaptationMonitor
 
             self.adaptation_monitor = RateAdaptationMonitor(
-                self, adaptation_policy
+                self, spec.adaptation_policy
             )
         self.health: Optional["HealthMonitor"] = None
         if spec.health_policy is not None:
             from repro.streaming.health import HealthMonitor
 
-            # raises when no detector is configured: quarantine judges
-            # peers by the detector's evidence (φ, residuals, last_heard)
             self.health = HealthMonitor(self, spec.health_policy)
-        self.auditors: List["Auditor"] = []
-        self._audit_report: Optional["AuditReport"] = None
-        self.span_builder: Optional["SpanBuilder"] = None
-        if swarm is not None:
-            # the swarm owns observability; just announce this leaf as a
-            # trace participant alongside the shared contents peers
+        if not owner:
+            # the swarm owns the observers; just announce this leaf as a
+            # trace participant after the peers
             if self.trace_bus is not None:
                 self.trace_bus.participants.append(self.leaf.peer_id)
             return
         if self.trace_bus is not None:
             self.trace_bus.participants = [self.leaf.peer_id, *self.peer_ids]
-            if trace.metrics:
-                self._wire_metrics(trace)
-        # --- online auditors (read-only subscribers; opt-in) -----------
-        if audit is not None:
-            from repro.obs.audit import build_auditors
-
-            self.auditors = build_auditors(audit)
-            for auditor in self.auditors:
-                auditor.bind(self.trace_bus, self)
-                self.trace_bus.subscribe(auditor.on_event, auditor.kinds)
-        # --- causal span builder (read-only subscriber; opt-in) --------
-        if spans is not None:
-            from repro.obs.spans import SpanBuilder, SpanConfig
-
-            if spans is True:
-                spans = SpanConfig()
-            self.span_builder = SpanBuilder(spans)
-            self.span_builder.bind(self.trace_bus, self)
-            self.trace_bus.subscribe(
-                self.span_builder.on_event, self.span_builder.kinds
-            )
+            if self.trace_bus.config.metrics:
+                self._wire_metrics(self.trace_bus.config)
+        commons.observe(self)
 
     # ------------------------------------------------------------------
     # observability
@@ -550,10 +390,6 @@ class StreamingSession:
             self.overlay.send(
                 src, dst, kind, body=body, size_bytes=size, ctx=self.ctx
             )
-
-    def upload_budget_for(self, peer_id: str):
-        """The peer's finite upload budget, or None (infinite uplink)."""
-        return self.upload_budgets.get(peer_id)
 
     def intercept_control(self, message: Message) -> bool:
         """Ack/dedup bookkeeping for an inbound message.
@@ -699,23 +535,11 @@ class StreamingSession:
         det = self.detector
         rec = self.recoordinator
         timeseries = None
-        if self.auditors and self._audit_report is None:
-            # finish before finalize() so audit.* events emitted here are
-            # part of the log the finalizer sorts into time order
-            for auditor in self.auditors:
-                auditor.finish(self)
-            from repro.obs.audit import AuditReport
-
-            self._audit_report = AuditReport.from_auditors(
-                self.protocol.name, cfg.seed, self.auditors
+        audit_report = spans_report = None
+        if self.commons.observed is self:
+            audit_report, spans_report = self.commons.finish(
+                self.protocol.name
             )
-        spans_report = None
-        if self.span_builder is not None:
-            # like the auditors: before finalize(), reading only — the
-            # builder never perturbs the trajectory
-            spans_report = self.span_builder.finish(self)
-        if self.trace_bus is not None:
-            self.trace_bus.finalize()
             if self.metrics_registry is not None:
                 timeseries = self.metrics_registry.to_series(
                     title=f"{self.protocol.name} run timeseries"
@@ -785,7 +609,7 @@ class StreamingSession:
             ),
             trace=self.trace_bus,
             timeseries=timeseries,
-            audit=self._audit_report,
+            audit=audit_report,
             spans=spans_report,
         )
 

@@ -489,7 +489,7 @@ class SessionSpec:
         """Reconstruct the live session this spec describes."""
         from repro.streaming.session import StreamingSession
 
-        return StreamingSession.from_spec(self)
+        return StreamingSession(self)
 
     def run(self, until: Optional[float] = None) -> "SessionResult":
         """Build the session and run it to quiescence."""

@@ -9,12 +9,17 @@ aggregate upload capacity absorbs.  This module runs that workload:
   leaf arrivals), an optional per-peer
   :class:`~repro.net.capacity.CapacityPolicy`, and an optional
   :class:`AdmissionPolicy`;
-* a :class:`SwarmSession` materializes ONE environment / overlay / RNG
-  family / content shared by every leaf.  Each physical contents peer is
-  a :class:`PeerHub`: a single overlay node plus a shared
-  :class:`~repro.net.capacity.UploadBudget`, hosting one per-leaf
+* a :class:`SwarmSession` builds ONE
+  :class:`~repro.streaming.commons.Commons` (clock, RNG family, overlay,
+  content, upload budgets, observers) from the template and hands it to
+  every admitted leaf's
+  :class:`~repro.streaming.session.StreamingSession` — the same
+  constructor a single-leaf run uses.  The swarm owns only what is
+  swarm-specific: a :class:`PeerHub` answering each physical contents
+  peer's node (hosting one per-leaf
   :class:`~repro.streaming.contents_peer.ContentsPeerAgent` per served
-  session and routing deliveries by the message's coordination context;
+  session and routing deliveries by the message's coordination
+  context), admission, and the leaf lifecycle;
 * the :class:`AdmissionController` grants a join only while the
   reachable pool has spare budget for another τ-rate stream; rejected
   leaves back off with full jitter and exponential backoff (the PR 6
@@ -42,26 +47,18 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
 
 from repro.core.base import CoordinationProtocol
-from repro.net.capacity import CapacityPolicy, UploadBudget
+from repro.net.capacity import CapacityPolicy
 from repro.net.message import Message
 from repro.net.overlay import Overlay, RetransmitPolicy
 from repro.obs.audit import AuditConfig
 from repro.obs.trace import TraceBus, TraceConfig
-from repro.sim.engine import Environment
-from repro.sim.rng import RandomStreams
-from repro.media.content import MediaContent
-from repro.net.latency import ConstantLatency
+from repro.streaming.commons import Commons, detached
 from repro.streaming.faults import JoinStormPlan
 from repro.streaming.session import StreamingSession
-from repro.streaming.spec import (
-    SessionSpec,
-    resolve_latency,
-    resolve_link_fault_factory,
-    resolve_loss_factory,
-)
+from repro.streaming.spec import SessionSpec, resolve_protocol
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.obs.audit import AuditReport, Auditor
+    from repro.obs.audit import AuditReport
     from repro.streaming.contents_peer import ContentsPeerAgent
 
 __all__ = [
@@ -117,7 +114,8 @@ class SwarmSpec:
 
     ``session`` is the per-leaf template: every admitted leaf builds a
     :class:`~repro.streaming.session.StreamingSession` from it against
-    the *shared* substrate.  The template must therefore leave
+    the *shared* :class:`~repro.streaming.commons.Commons`.  The
+    template must therefore leave
     swarm-owned concerns unset: fault/churn/partition plans, tracing,
     auditing, profiling, spans, and per-session upload capacity all
     belong to the swarm, and the protocol must be declarative (a
@@ -198,45 +196,29 @@ class SwarmSpec:
 # runtime pieces
 # ----------------------------------------------------------------------
 class PeerHub:
-    """One *physical* contents peer shared by every leaf session.
+    """Answers one *physical* contents peer's node for every leaf session.
 
-    Owns the single overlay node and (optionally) the shared
-    :class:`~repro.net.capacity.UploadBudget`; hosts one per-leaf
+    Hosts one per-leaf
     :class:`~repro.streaming.contents_peer.ContentsPeerAgent` per served
     session and routes deliveries to the right agent by the message's
     coordination context (falling back to the source when a leaf sends
     untagged protocol traffic).
     """
 
-    def __init__(
-        self,
-        swarm: "SwarmSession",
-        peer_id: str,
-        capacity: Optional[CapacityPolicy],
-    ) -> None:
-        self.swarm = swarm
-        self.peer_id = peer_id
-        self.node = swarm.overlay.add_node(peer_id, self._dispatch)
-        self.budget: Optional[UploadBudget] = None
-        if capacity is not None:
-            self.budget = UploadBudget(
-                peer_id, capacity, swarm.config.delta, swarm.env
-            )
+    def __init__(self, overlay: Overlay, peer_id: str) -> None:
+        self.node = overlay.add_node(peer_id, self._dispatch)
         #: leaf_id -> this peer's agent inside that leaf's session
         self.agents: Dict[str, "ContentsPeerAgent"] = {}
-
-    def attach(self, leaf_id: str, agent: "ContentsPeerAgent") -> None:
-        self.agents[leaf_id] = agent
+        #: deliveries no leaf's agent could be found for (should be 0)
+        self.unroutable = 0
 
     def _dispatch(self, message: Message) -> None:
-        ctx = message.ctx
-        if ctx is None and message.src in self.swarm.sessions:
-            # untagged leaf→peer protocol traffic: the sender identifies
-            # the session
-            ctx = message.src
-        agent = self.agents.get(ctx) if ctx is not None else None
+        # untagged leaf→peer protocol traffic: the sender identifies the
+        # session
+        ctx = message.ctx if message.ctx is not None else message.src
+        agent = self.agents.get(ctx)
         if agent is None:
-            self.swarm.unroutable += 1
+            self.unroutable += 1
             return
         agent._on_deliver(message)
 
@@ -244,10 +226,8 @@ class PeerHub:
 class AdmissionController:
     """Reservation ledger over the reachable pool's aggregate budget."""
 
-    def __init__(
-        self, swarm: "SwarmSession", policy: AdmissionPolicy
-    ) -> None:
-        self.swarm = swarm
+    def __init__(self, commons: Commons, policy: AdmissionPolicy) -> None:
+        self.commons = commons
         self.policy = policy
         #: leaf_id -> reserved stream rate (packets/ms)
         self.reserved: Dict[str, float] = {}
@@ -263,30 +243,30 @@ class AdmissionController:
     def pool_rate(self) -> float:
         """Aggregate budget rate (packets/ms) of reachable peers."""
         total = 0.0
-        for hub in self.swarm.hubs.values():
-            if hub.node.down:
+        for pid in self.commons.peer_ids:
+            if self.commons.overlay.nodes[pid].down:
                 continue
-            if hub.budget is None:
+            budget = self.commons.budgets.get(pid)
+            if budget is None:
                 return math.inf
-            total += hub.budget.rate_per_ms
+            total += budget.rate_per_ms
         return total
 
     def try_admit(self, leaf_id: str) -> bool:
-        cfg = self.swarm.config
-        demand = cfg.tau * self.policy.demand_margin
+        demand = self.commons.config.tau * self.policy.demand_margin
         pool = self.pool_rate() * self.policy.utilization_cap
         used = math.fsum(self.reserved.values())
         if used + demand <= pool * (1.0 + 1e-12):
             self.reserved[leaf_id] = demand
             self.admits += 1
-            self.swarm._emit(
+            self.commons.emit(
                 "admit.grant", leaf_id,
                 reserved=demand, used=used + demand, pool=pool,
                 active=self.active,
             )
             return True
         self.rejects += 1
-        self.swarm._emit(
+        self.commons.emit(
             "admit.reject", leaf_id,
             demand=demand, used=used, pool=pool, active=self.active,
         )
@@ -297,7 +277,7 @@ class AdmissionController:
         if reserved is None:
             return
         self.releases += 1
-        self.swarm._emit(
+        self.commons.emit(
             "admit.release", leaf_id,
             reserved=reserved, active=self.active,
         )
@@ -386,12 +366,7 @@ class SwarmResult:
         audit = self.audit
         if audit is None:
             return None
-        if isinstance(audit, dict):
-            return all(
-                entry.get("passed", False)
-                for entry in audit.get("auditors", {}).values()
-            )
-        return audit.passed
+        return audit["passed"] if isinstance(audit, dict) else audit.passed
 
     def summary(self) -> str:
         return (
@@ -404,20 +379,7 @@ class SwarmResult:
 
     def detach(self) -> "SwarmResult":
         """A picklable copy (live handles → exported dict forms)."""
-        trace = self.trace
-        audit = self.audit
-        detached = False
-        if audit is not None and not isinstance(audit, dict):
-            audit = audit.to_dict()
-            detached = True
-        if isinstance(trace, TraceBus):
-            from repro.obs.exporters import trace_to_dict
-
-            trace = trace_to_dict(trace)
-            detached = True
-        if not detached:
-            return self
-        return replace(self, trace=trace, audit=audit)
+        return detached(self, "trace", "audit")
 
 
 # ----------------------------------------------------------------------
@@ -432,91 +394,35 @@ class SwarmSession:
         config = template.config
         self.template = template
         self.config = config
-        from repro.streaming.spec import resolve_protocol
-
         self.protocol_name = resolve_protocol(template.protocol).name
-        self.env = Environment(scheduler=template.scheduler)
-        self.streams = RandomStreams(config.seed)
-        # --- observability --------------------------------------------
         audit = spec.audit
         if audit is True:
             audit = AuditConfig(auditors=("capacity",))
         elif audit is False:
             audit = None
-        trace = spec.trace
-        if audit is not None and trace is None:
-            trace = TraceConfig()
-        self.trace_bus: Optional[TraceBus] = None
-        if trace is not None:
-            self.trace_bus = TraceBus(trace, self.env)
-            self.env.hooks.tracer = self.trace_bus
-        # --- shared substrate -----------------------------------------
-        latency = resolve_latency(template.latency)
-        latency_factory = None
-        if latency is None:
-            # same default as single-leaf sessions: per-pair constant
-            # latency drawn once from δ·U(1−s, 1+s)
-            spread = config.pair_latency_spread
-            pair_rng = self.streams.get("latency/pairs")
-
-            def latency_factory(src: str, dst: str) -> ConstantLatency:
-                factor = 1.0 + spread * (2.0 * pair_rng.random() - 1.0)
-                return ConstantLatency(config.delta * factor)
-
-        self.overlay = Overlay(
-            self.env,
-            streams=self.streams,
-            default_latency=latency,
-            default_loss_factory=resolve_loss_factory(template.loss),
-            latency_factory=latency_factory,
-            control_loss_factory=resolve_loss_factory(template.control_loss),
-            link_fault_factory=resolve_link_fault_factory(template.link_fault),
-        )
-        self.content = MediaContent(
-            "content",
-            n_packets=config.content_packets,
-            packet_size=config.packet_size,
-            rate=config.tau,
-            seed=config.seed,
-            with_payload=config.with_payload,
-        )
-        self.peer_ids: List[str] = [
-            f"CP{i}" for i in range(1, config.n + 1)
-        ]
-        self.hubs: Dict[str, PeerHub] = {}
-        self.upload_budgets: Dict[str, UploadBudget] = {}
-        for pid in self.peer_ids:
-            hub = PeerHub(self, pid, spec.capacity)
-            self.hubs[pid] = hub
-            if hub.budget is not None:
-                self.upload_budgets[pid] = hub.budget
+        commons = Commons(template, spec.capacity, spec.trace, audit)
+        self.commons = commons
+        self.env = commons.env
+        self.trace_bus: Optional[TraceBus] = commons.trace_bus
+        self.overlay = commons.overlay
+        self.peer_ids: List[str] = commons.peer_ids
+        self.hubs: Dict[str, PeerHub] = {
+            pid: PeerHub(self.overlay, pid) for pid in self.peer_ids
+        }
         if self.trace_bus is not None:
             self.trace_bus.participants = list(self.peer_ids)
         # --- leaves ----------------------------------------------------
         #: leaf_id -> live per-leaf session (admitted leaves only)
         self.sessions: Dict[str, StreamingSession] = {}
         self.outcomes: Dict[str, LeafOutcome] = {}
-        self.unroutable = 0
         self.admission: Optional[AdmissionController] = None
         if spec.admission is not None:
-            self.admission = AdmissionController(self, spec.admission)
-        self._backoff_rng = self.streams.get("swarm/backoff")
-        # --- auditors (swarm-level; bound without a session) -----------
-        self.auditors: List["Auditor"] = []
-        self._audit_report: Optional["AuditReport"] = None
-        if audit is not None:
-            from repro.obs.audit import build_auditors
-
-            self.auditors = build_auditors(audit)
-            for auditor in self.auditors:
-                auditor.bind(
-                    self.trace_bus,
-                    None,
-                    n_packets=config.content_packets,
-                )
-                self.trace_bus.subscribe(auditor.on_event, auditor.kinds)
+            self.admission = AdmissionController(commons, spec.admission)
+        self._backoff_rng = commons.streams.get("swarm/backoff")
+        # swarm-level observers, bound without a session
+        commons.observe()
         # --- arrivals ---------------------------------------------------
-        join_rng = self.streams.get("swarm/joins")
+        join_rng = commons.streams.get("swarm/joins")
         offsets = spec.join_plan.arrival_offsets(config.delta, join_rng)
         self.leaf_ids: List[str] = [
             f"leaf{i}" for i in range(1, len(offsets) + 1)
@@ -526,17 +432,13 @@ class SwarmSession:
             self.env.process(self._leaf_lifecycle(leaf_id, at))
 
     # ------------------------------------------------------------------
-    def _emit(self, kind: str, subject: str, **data) -> None:
-        if self.trace_bus is not None:
-            self.trace_bus.emit(kind, subject, **data)
-
     def _leaf_lifecycle(self, leaf_id: str, at: float):
         """Arrival → admission (with backoff retries) → stream → release."""
         if at > 0:
             yield self.env.timeout(at)
         outcome = self.outcomes[leaf_id]
         outcome.arrived_at = self.env.now
-        self._emit("admit.request", leaf_id, at=self.env.now)
+        self.commons.emit("admit.request", leaf_id, at=self.env.now)
         admitted = True
         if self.admission is not None:
             pol = self.spec.admission
@@ -557,7 +459,7 @@ class SwarmSession:
                     + retry.jitter * (float(self._backoff_rng.random()) - 0.5)
                 )
                 self.admission.retries += 1
-                self._emit(
+                self.commons.emit(
                     "admit.retry", leaf_id,
                     attempt=attempt + 1, wait=jittered,
                 )
@@ -567,11 +469,15 @@ class SwarmSession:
             outcome.attempts = 1
         if not admitted:
             outcome.gave_up = True
-            self._emit("admit.give_up", leaf_id, attempts=outcome.attempts)
+            self.commons.emit(
+                "admit.give_up", leaf_id, attempts=outcome.attempts
+            )
             return
         outcome.admitted = True
         outcome.admitted_at = self.env.now
-        session = StreamingSession.for_swarm(self.template, self, leaf_id)
+        session = StreamingSession(self.template, self.commons, leaf_id)
+        for pid, agent in session.peers.items():
+            self.hubs[pid].agents[leaf_id] = agent
         self.sessions[leaf_id] = session
         session.initiate()
         # --- watch: poll for completion, then release the reservation ---
@@ -613,23 +519,14 @@ class SwarmSession:
                 outcome.delivery_ratio = session.leaf.decoder.delivery_ratio()
             if outcome.completed_at is None:
                 outcome.completed_at = session.leaf.completed_at
-        if self.auditors and self._audit_report is None:
-            for auditor in self.auditors:
-                auditor.finish(None)
-            from repro.obs.audit import AuditReport
-
-            self._audit_report = AuditReport.from_auditors(
-                self.protocol_name, self.config.seed, self.auditors
-            )
-        if self.trace_bus is not None:
-            self.trace_bus.finalize()
+        audit_report, _ = self.commons.finish(self.protocol_name)
         outcomes = [self.outcomes[l] for l in self.leaf_ids]
         admitted = [o for o in outcomes if o.admitted]
         gave_up = sum(1 for o in outcomes if o.gave_up)
         receipts_all = [o.receipt_rate for o in outcomes]
         receipts_admitted = [o.receipt_rate for o in admitted]
         deliveries = [o.delivery_ratio for o in admitted]
-        budgets = list(self.upload_budgets.values())
+        budgets = list(self.commons.budgets.values())
         return SwarmResult(
             protocol=self.protocol_name,
             seed=self.config.seed,
@@ -663,13 +560,13 @@ class SwarmSession:
             peak_backlog=max(
                 (b.peak_backlog for b in budgets), default=0
             ),
-            unroutable=self.unroutable,
+            unroutable=sum(h.unroutable for h in self.hubs.values()),
             reservations_at_end=(
                 self.admission.active if self.admission is not None else 0
             ),
             elapsed=self.env.now,
             trace=self.trace_bus,
-            audit=self._audit_report,
+            audit=audit_report,
         )
 
     def __repr__(self) -> str:

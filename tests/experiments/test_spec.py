@@ -138,11 +138,12 @@ def test_describe_names_the_protocol():
     ).describe()
 
 
-def test_from_spec_does_not_warn():
+def test_build_keeps_the_spec_and_does_not_warn():
     spec = SessionSpec(config=_small_config())
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
-        session = StreamingSession.from_spec(spec)
+        session = spec.build()
+    assert isinstance(session, StreamingSession)
     assert session.spec is spec
 
 

@@ -223,7 +223,7 @@ def test_custom_auditors_see_what_they_asked_for(custom_auditors):
         audit=AuditConfig(auditors=("undeclared_test", "declared_test", "tree")),
     ).build()
     result = session.run()
-    undeclared, declared, tree = session.auditors
+    undeclared, declared, tree = session.commons.auditors
     emitted = [e.kind for e in result.trace.events if e.kind != "wave.end"]
     # no declaration: every emission, bar the auditors' own verdicts —
     # of which this one's warnings made plenty

@@ -9,7 +9,6 @@ from repro.streaming import (
     FaultPlan,
     ProtocolSpec,
     SessionSpec,
-    StreamingSession,
 )
 
 
@@ -50,9 +49,9 @@ def test_end_to_end_churn_timeline_is_complete_and_consistent():
         n=10, H=4, fault_margin=0, tau=1.0, delta=8.0,
         content_packets=200, seed=3,
     )
-    victim = StreamingSession.from_spec(
-        SessionSpec(config=cfg, protocol=ProtocolSpec("dcop"))
-    ).leaf_select(cfg.H)[0]
+    victim = SessionSpec(
+        config=cfg, protocol=ProtocolSpec("dcop")
+    ).build().leaf_select(cfg.H)[0]
     spec = SessionSpec(
         config=cfg,
         protocol=ProtocolSpec("dcop"),

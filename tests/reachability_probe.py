@@ -26,6 +26,8 @@ def run_set(quick: bool, tmp: str) -> list:
     cli_lines = f"""all{" --quick" * quick}
         trace --protocol tcop --quick --trace-out {tmp}/t.json --jsonl-out {tmp}/t.jsonl \
             --summary-out {tmp}/summary.json
+        trace --protocol dcop --quick --join-storm leaves=3,rate_per_delta=1.0 \
+            --capacity packets_per_delta=4 --trace-out {tmp}/swarm.json
         audit --from-jsonl {tmp}/t.jsonl --report-out {tmp}/replay.json
         audit --protocol tcop --quick --report-out {tmp}/run.json
         spans --protocol dcop --n 100 --H 60 --packets 200 --top 5 --critical-path \

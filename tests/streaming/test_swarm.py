@@ -7,6 +7,7 @@ outcomes, reservations conserve, and admission backoff jitter stays
 inside the policy envelope.
 """
 
+import dataclasses
 import math
 
 import pytest
@@ -15,8 +16,10 @@ from repro.core import ProtocolConfig
 from repro.net.capacity import CapacityPolicy
 from repro.streaming import (
     AdmissionPolicy,
+    HealthPolicy,
     JoinStormPlan,
     ProtocolSpec,
+    SessionResult,
     SessionSpec,
     SwarmSpec,
 )
@@ -246,8 +249,61 @@ def test_shedding_prefers_parity():
 
 
 # ----------------------------------------------------------------------
+# a swarm of one is the single-leaf run
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
+def test_flash_swarm_of_one_is_the_single_leaf_run(protocol):
+    """Lossless only: loss streams are named per directed channel, and the
+    leaf is ``leaf`` on one side and ``leaf1`` on the other."""
+    params = (
+        {"bandwidths": [3.0, 2.0, 2.0, 1.0, 1.0, 1.0]}
+        if protocol == "hetero_schedule"
+        else {}
+    )
+    capped = CapacityPolicy(packets_per_delta=6.0)
+    for seed, capacity in ((0, None), (1, None), (0, capped)):
+        spec = SessionSpec(
+            config=ProtocolConfig(n=20, H=6, content_packets=200, seed=seed),
+            protocol=ProtocolSpec(protocol, params),
+        )
+        alone = spec.replace(upload_capacity=capacity).run()
+        swarm = SwarmSpec(
+            session=spec,
+            join_plan=JoinStormPlan(leaves=1, mode="flash"),
+            capacity=capacity,
+            audit=False,
+        ).build()
+        swarm.run()
+        together = swarm.sessions["leaf1"]._collect()
+        for field in dataclasses.fields(SessionResult):
+            # elapsed: the swarm's watch loop polls one last δ
+            if field.name not in ("elapsed", "config"):
+                assert getattr(together, field.name) == getattr(
+                    alone, field.name
+                ), (field.name, seed, capacity)
+
+
+# ----------------------------------------------------------------------
 # spec validation
 # ----------------------------------------------------------------------
+@pytest.mark.parametrize("kind", ["single", "swarm"])
+@pytest.mark.parametrize(
+    "unrunnable, message",
+    [
+        ({"media_batch": -1.0}, "media_batch must be >= 0"),
+        ({"health_policy": HealthPolicy()}, "set detector_policy too"),
+    ],
+)
+def test_unrunnable_spec_fails_at_build(kind, unrunnable, message):
+    spec = SessionSpec(
+        config=config(), protocol=ProtocolSpec("dcop"), **unrunnable
+    )
+    if kind == "swarm":
+        spec = SwarmSpec(session=spec, join_plan=JoinStormPlan(leaves=2))
+    with pytest.raises(ValueError, match=message):
+        spec.build()
+
+
 def test_swarm_spec_rejects_swarm_owned_template_fields():
     from repro.obs import TraceConfig
 
