@@ -4,8 +4,8 @@ Every observer optimisation must leave what a run *reports* untouched:
 the exported trace, the audit report (``events_seen`` and the ``ts`` of
 every finding included), the span report and the sampled time series.
 ``data/artefact_digests.json`` holds a SHA-256 of each (JSON, sorted
-keys) for all ten protocols on one small fault-free spec, a batched
-cell, lossy and lossy/churn gauntlet cells (the only place
+keys) for all ten protocols on one small fault-free spec and under the
+tolerance-stack gauntlet, a batched cell, lossy cells (the only place
 ``finish()``-time findings show), one audited swarm and the two
 span-only cells whose headline numbers ``test_spans.py`` and
 ``docs/observability.md`` quote; this test recomputes them.
@@ -128,8 +128,13 @@ CELLS = {
         for p in ALL_PROTOCOLS
     },
     "batched/tcop": lambda: _session("tcop", 20, 4, 400, 4, media_batch=5.0),
-    "gauntlet/dcop": lambda: _gauntlet("dcop", 0),
-    "gauntlet/tcop": lambda: _gauntlet("tcop", 1),
+    # every protocol under the whole tolerance stack: six of them send
+    # the leaf's requests raw (unacked, unmonitored, unannounced) and
+    # only these cells hold that path to its recorded behaviour
+    **{
+        f"gauntlet/{p}": (lambda p=p, seed=seed: _gauntlet(p, seed))
+        for seed, p in enumerate(ALL_PROTOCOLS)
+    },
     "gauntlet/tcop/no_repair": lambda: _gauntlet("tcop", 2).replace(
         repair_policy=None, loss=LossSpec("bursty", {"rate": 0.08})
     ),
