@@ -27,12 +27,14 @@ Baselines from §3.1 and the related work the paper compares against:
 
 from repro.core.base import (
     Assignment,
+    AssignmentMessage,
     ConfirmMessage,
-    ControlMessage,
     CoordinationProtocol,
+    HandoffPlan,
     OfferMessage,
     ProtocolConfig,
-    RequestMessage,
+    divide_evenly,
+    divide_weighted,
     parity_interval_for,
 )
 from repro.core.dcop import DCoP
@@ -51,20 +53,22 @@ from repro.core.ams import AMSCoordination
 __all__ = [
     "AMSCoordination",
     "Assignment",
+    "AssignmentMessage",
     "BroadcastCoordination",
     "CentralizedCoordination",
     "ConfirmMessage",
-    "ControlMessage",
     "CoordinationProtocol",
     "DCoP",
     "HeteroDCoP",
+    "HandoffPlan",
     "HeterogeneousScheduleCoordination",
     "OfferMessage",
     "ProtocolConfig",
-    "RequestMessage",
     "ScheduleBasedCoordination",
     "SingleSourceStreaming",
     "TCoP",
     "UnicastChainCoordination",
+    "divide_evenly",
+    "divide_weighted",
     "parity_interval_for",
 ]

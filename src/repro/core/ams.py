@@ -19,15 +19,14 @@ any parity — at the price of quadratic chatter for the stream's lifetime.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Dict, Optional, Set
 
 from repro.core.base import (
     Assignment,
+    AssignmentMessage,
     CoordinationProtocol,
-    RequestMessage,
-    parity_interval_for,
-    rate_for,
+    divide_evenly,
 )
 from repro.groupcomm import CausalBroadcaster
 
@@ -74,23 +73,12 @@ class AMSCoordination(CoordinationProtocol):
         self.takeover_after_periods = int(takeover_after_periods)
 
     # ------------------------------------------------------------------
-    def initiate(self, session: "StreamingSession") -> None:
+    def first_wave(self, session: "StreamingSession"):
         cfg = session.config
-        basis = session.content.packet_sequence()
-        interval = parity_interval_for(cfg.n, cfg.fault_margin)
-        rate = rate_for(cfg.tau, cfg.n, interval)
-        view = frozenset(session.peer_ids)
-        for i, pid in enumerate(session.peer_ids):
-            assignment = Assignment(
-                basis=basis, n_parts=cfg.n, index=i, interval=interval, rate=rate
-            )
-            session.overlay.send(
-                session.leaf.peer_id,
-                pid,
-                "request",
-                body=RequestMessage(session.leaf.peer_id, view, assignment),
-                size_bytes=cfg.control_size,
-            )
+        plan = divide_evenly(
+            session.content.packet_sequence(), cfg.tau, cfg.n, cfg.fault_margin
+        )
+        return session.peer_ids, plan.assignments, frozenset(session.peer_ids)
 
     # ------------------------------------------------------------------
     def handle_peer_message(self, agent: "ContentsPeerAgent", message) -> None:
@@ -101,7 +89,7 @@ class AMSCoordination(CoordinationProtocol):
             if broadcaster is not None:
                 broadcaster.on_receive(message.body)
 
-    def _on_request(self, agent: "ContentsPeerAgent", req: RequestMessage) -> None:
+    def _on_request(self, agent: "ContentsPeerAgent", req: AssignmentMessage) -> None:
         agent.merge_view(req.view)
         if "bcast" in agent.scratch:
             # duplicate of the leaf's request (link fault or replay):
@@ -211,15 +199,7 @@ class AMSCoordination(CoordinationProtocol):
 
         session = agent.session
         base: Assignment = agent.scratch["assignment"]
-        victim_index = session.peer_ids.index(victim)
-        victim_assignment = Assignment(
-            basis=base.basis,
-            n_parts=base.n_parts,
-            index=victim_index,
-            interval=base.interval,
-            rate=base.rate,
-        )
-        plan = victim_assignment.build_plan()
+        plan = replace(base, index=session.peer_ids.index(victim)).build_plan()
         remaining = plan.slice_from(max(0, state.cursor))
         if len(remaining):
             agent.add_stream(Stream(remaining, base.rate))

@@ -1,4 +1,4 @@
-"""Shared protocol machinery: configuration, assignments, message bodies.
+"""Shared protocol machinery: configuration, the division rule, message bodies.
 
 Design note — what a control packet carries.  The paper's control packet
 holds ``(VW_j, SEQ_j, τ_j, H_j)`` and the child *recomputes* the parent's
@@ -24,12 +24,12 @@ how often a pure function is evaluated.
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, FrozenSet, Optional
+from typing import TYPE_CHECKING, FrozenSet, Iterable, Optional, Sequence
 
 from repro.fec import divide, shared_enhance
 from repro.media.sequence import PacketSequence
+from repro.media.timeslot import allocate_packets
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.streaming.session import StreamingSession
@@ -104,30 +104,126 @@ class Assignment:
         )
 
 
+def empty_assignment(n_parts: int, index: int) -> Assignment:
+    """Assignment that activates a peer with nothing to transmit.
+
+    Sent when a parent committed to a child but its stream has already run
+    dry — the child still synchronizes (counts as active) so coordination
+    metrics remain well-defined on short contents.
+    """
+    return Assignment(PacketSequence(), n_parts, index, interval=0, rate=1.0)
+
+
+@dataclass(frozen=True)
+class HandoffPlan:
+    """One division of one basis: an assignment per part (a stream's
+    handoff leaves out the part the parent keeps)."""
+
+    assignments: tuple[Assignment, ...]
+    basis: PacketSequence
+    n_parts: int
+    interval: int
+    child_rate: float
+
+
+def divide_evenly(
+    basis: PacketSequence, rate: float, n_parts: int, fault_margin: int
+) -> HandoffPlan:
+    """The division rule, §3.2–3.3: ``Div(Esq(basis, h), n_parts, CP_i)`` at
+    ``τ_i = rate·(h+1)/(h·n_parts)`` with ``h = n_parts − fault_margin``.
+
+    Every part carries the same ``basis`` object, so the whole division
+    costs one ``Esq`` (see "Computed once" above).
+    """
+    interval = parity_interval_for(n_parts, fault_margin)
+    child_rate = rate_for(rate, n_parts, interval)
+    return HandoffPlan(
+        assignments=tuple(
+            Assignment(basis, n_parts, i, interval, child_rate)
+            for i in range(n_parts)
+        ),
+        basis=basis,
+        n_parts=n_parts,
+        interval=interval,
+        child_rate=child_rate,
+    )
+
+
+def divide_weighted(
+    basis: PacketSequence,
+    rate: float,
+    weights: Sequence[float],
+    fault_margin: int,
+) -> tuple[Assignment, ...]:
+    """§2's variant of the rule for unequal peers: ``Esq(basis, h)`` is
+    allocated by time slot, part ``i`` getting a share ∝ ``weights[i]``
+    as an explicit plan at ``rate·|Esq|/|basis|·wᵢ/Σw``, so the parts
+    finish together on the basis's data timeline.
+    """
+    n_parts = len(weights)
+    interval = parity_interval_for(n_parts, fault_margin)
+    enhanced = shared_enhance(basis, interval)
+    buckets: list[list] = [[] for _ in weights]
+    for packet, part in zip(enhanced, allocate_packets(weights, len(enhanced))):
+        buckets[part].append(packet)
+    aggregate = rate * len(enhanced) / len(basis)
+    total = sum(weights)
+    return tuple(
+        Assignment(
+            basis, n_parts, i, interval, aggregate * weights[i] / total,
+            explicit=PacketSequence(buckets[i]),
+        )
+        for i in range(n_parts)
+    )
+
+
+def pick(rng, pool: Sequence, k: int) -> list:
+    """``k`` members of ``pool`` drawn without replacement, in pool order
+    (the paper's ``Select``)."""
+    picked = rng.choice(len(pool), size=k, replace=False)
+    return [pool[i] for i in sorted(picked)]
+
+
 @dataclass(slots=True)
-class RequestMessage:
-    """Leaf-originated content request (DCoP direct / baseline variants).
+class AssignmentMessage:
+    """A share handed to a peer: the leaf's ``request``, a DCoP parent's
+    ``control`` (c), a TCoP parent's or a controller's ``start`` (c2).
 
     ``hops`` counts coordination rounds since the leaf's request (the
     request itself is round 1) — the y-axis of Figures 10/11, measured
     robustly even under heterogeneous channel latencies.
     """
 
-    leaf_id: str
-    view: FrozenSet[str]
-    assignment: Assignment
-    hops: int = 1
-
-
-@dataclass(slots=True)
-class ControlMessage:
-    """Parent→child handoff carrying the child's assignment (DCoP c,
-    TCoP c2/"start")."""
-
     sender: str
     view: FrozenSet[str]
     assignment: Assignment
-    hops: int = 2
+    hops: int
+
+
+def send_assignments(
+    session: "StreamingSession",
+    src: str,
+    kind: str,
+    shares: Iterable[tuple[str, Assignment]],
+    view: FrozenSet[str],
+    hops: int,
+    raw: bool = False,
+) -> None:
+    """One ``kind`` message per ``(peer, assignment)`` share, from ``src``.
+
+    Through :meth:`StreamingSession.send_control` — acked under a
+    retransmit policy and, from the leaf, registered with the failure
+    detector — unless ``raw``: straight onto the overlay, with neither.
+    """
+    for pid, assignment in shares:
+        body = AssignmentMessage(src, view, assignment, hops)
+        if raw:
+            session.overlay.send(
+                src, pid, kind, body=body,
+                size_bytes=session.config.control_size,
+            )
+        else:
+            session.send_control(src, pid, kind, body)
 
 
 @dataclass(slots=True)
@@ -216,18 +312,8 @@ class ProtocolConfig:
         if not 0 <= self.pair_latency_spread < 1:
             raise ValueError("pair_latency_spread must be in [0, 1)")
 
-    @property
-    def initial_interval(self) -> int:
-        """Parity interval of the leaf's initial H-way division."""
-        return parity_interval_for(self.H, self.fault_margin)
 
-    @property
-    def initial_rate(self) -> float:
-        """Per-peer rate of the initial division (paper: τ(h+1)/(hH))."""
-        return rate_for(self.tau, self.H, self.initial_interval)
-
-
-class CoordinationProtocol(ABC):
+class CoordinationProtocol:
     """Strategy object: message handling for one protocol variant.
 
     A protocol is stateless across sessions; per-session state lives on the
@@ -237,13 +323,43 @@ class CoordinationProtocol(ABC):
 
     name: str = "abstract"
 
-    @abstractmethod
-    def initiate(self, session: "StreamingSession") -> None:
-        """Leaf-side kickoff: contact the initial peers."""
+    #: the leaf's requests go through ``session.send_control`` and are
+    #: announced as wave 1 (DCoP, UnicastChain); everyone else's go raw
+    #: (docs/protocols.md, "The division rule", has the table)
+    monitored_requests: bool = False
 
-    @abstractmethod
+    def first_wave(
+        self, session: "StreamingSession"
+    ) -> tuple[Sequence[str], Sequence[Assignment], FrozenSet[str]]:
+        """Whom the leaf picks, what each gets, and the view they are told:
+        ``(targets, assignments, view)``.  Protocols whose kickoff is not
+        one wave of requests (TCoP, Centralized) override
+        :meth:`initiate` instead."""
+        raise NotImplementedError
+
+    def initiate(self, session: "StreamingSession") -> None:
+        """Leaf-side kickoff: send each first-wave peer its request."""
+        targets, assignments, view = self.first_wave(session)
+        leaf_id = session.leaf.peer_id
+        tracer = session.env.hooks.tracer
+        if self.monitored_requests and tracer is not None:
+            tracer.wave_start(1, leaf_id, targets=len(targets))
+        send_assignments(
+            session, leaf_id, "request", zip(targets, assignments), view,
+            hops=1, raw=not self.monitored_requests,
+        )
+
     def handle_peer_message(self, agent, message) -> None:
-        """Process a coordination message arriving at a contents peer."""
+        """Process a coordination message arriving at a contents peer.
+        Default: a request activates the peer; nothing is passed on."""
+        if message.kind == "request":
+            self.activate(agent, message.body)
+
+    @staticmethod
+    def activate(agent, msg: AssignmentMessage):
+        """Merge the carried view and start streaming the share."""
+        agent.merge_view(msg.view)
+        return agent.activate_with(msg.assignment, hops=msg.hops)
 
     def handle_leaf_message(self, session: "StreamingSession", message) -> None:
         """Process a non-media message arriving at the leaf (TCoP confirms,
@@ -265,15 +381,10 @@ class CoordinationProtocol(ABC):
         Tree protocols override this (TCoP re-attaches the orphaned
         subtree and uses its ``start`` packets instead).
         """
-        leaf_id = session.leaf.peer_id
-        view = frozenset(assignments)
-        for pid, assignment in assignments.items():
-            session.send_control(
-                leaf_id,
-                pid,
-                "request",
-                RequestMessage(leaf_id, view, assignment, hops=1),
-            )
+        send_assignments(
+            session, session.leaf.peer_id, "request",
+            assignments.items(), frozenset(assignments), hops=1,
+        )
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__}>"

@@ -20,9 +20,9 @@ import math
 from typing import TYPE_CHECKING
 
 from repro.core.base import (
-    Assignment,
+    AssignmentMessage,
     CoordinationProtocol,
-    RequestMessage,
+    divide_evenly,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -35,21 +35,13 @@ class BroadcastCoordination(CoordinationProtocol):
 
     name = "Broadcast"
 
-    def initiate(self, session: "StreamingSession") -> None:
-        cfg = session.config
-        basis = session.content.packet_sequence()
-        view = frozenset(session.peer_ids)
-        for pid in session.peer_ids:
-            assignment = Assignment(
-                basis=basis, n_parts=1, index=0, interval=0, rate=cfg.tau
-            )
-            session.overlay.send(
-                session.leaf.peer_id,
-                pid,
-                "request",
-                body=RequestMessage(session.leaf.peer_id, view, assignment),
-                size_bytes=cfg.control_size,
-            )
+    def first_wave(self, session: "StreamingSession"):
+        # everyone, and each the whole sequence at the content rate
+        whole = divide_evenly(
+            session.content.packet_sequence(), session.config.tau, 1, 0
+        ).assignments
+        peers = session.peer_ids
+        return peers, whole * len(peers), frozenset(peers)
 
     def handle_peer_message(self, agent: "ContentsPeerAgent", message) -> None:
         if message.kind == "request":
@@ -57,10 +49,8 @@ class BroadcastCoordination(CoordinationProtocol):
         elif message.kind == "state":
             self._on_state(agent, message.body)
 
-    def _on_request(self, agent: "ContentsPeerAgent", req: RequestMessage) -> None:
-        agent.merge_view(req.view)
-        stream = agent.activate_with(req.assignment)
-        agent.scratch["stream"] = stream
+    def _on_request(self, agent: "ContentsPeerAgent", req: AssignmentMessage) -> None:
+        agent.scratch["stream"] = self.activate(agent, req)
         agent.scratch["heard_from"] = set()
         # one group-communication round: tell everyone else we are active
         for pid in agent.session.peer_ids:

@@ -18,11 +18,9 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.core.base import (
-    Assignment,
-    ControlMessage,
     CoordinationProtocol,
-    parity_interval_for,
-    rate_for,
+    divide_evenly,
+    send_assignments,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -36,8 +34,6 @@ class CentralizedCoordination(CoordinationProtocol):
     name = "Centralized"
 
     def initiate(self, session: "StreamingSession") -> None:
-        cfg = session.config
-        del cfg  # sizing handled by send_control
         controller = session.leaf_select(1)[0]
         session.protocol_state["controller"] = controller
         if session.env.hooks.tracer is not None:
@@ -57,9 +53,7 @@ class CentralizedCoordination(CoordinationProtocol):
         elif message.kind == "ready":
             self._on_ready(agent, message.body)
         elif message.kind == "start":
-            ctl: ControlMessage = message.body
-            agent.merge_view(ctl.view)
-            agent.activate_with(ctl.assignment, hops=ctl.hops)
+            self.activate(agent, message.body)
 
     def _on_request(self, agent: "ContentsPeerAgent") -> None:
         agent.scratch["is_controller"] = True
@@ -87,29 +81,21 @@ class CentralizedCoordination(CoordinationProtocol):
     def _start_all(self, agent: "ContentsPeerAgent") -> None:
         session = agent.session
         cfg = session.config
-        basis = session.content.packet_sequence()
         members = [agent.peer_id] + sorted(
             p for p in session.peer_ids if p != agent.peer_id
         )
-        n_parts = len(members)
-        interval = parity_interval_for(n_parts, cfg.fault_margin)
-        rate = rate_for(cfg.tau, n_parts, interval)
-        view = frozenset(members)
+        own, *shares = divide_evenly(
+            session.content.packet_sequence(), cfg.tau, len(members),
+            cfg.fault_margin,
+        ).assignments
         if agent.env.hooks.tracer is not None:
             agent.env.hooks.tracer.wave_start(
-                4, agent.peer_id, targets=n_parts, phase="start"
+                4, agent.peer_id, targets=len(members), phase="start"
             )
-        for i, pid in enumerate(members):
-            assignment = Assignment(
-                basis=basis, n_parts=n_parts, index=i, interval=interval, rate=rate
-            )
-            if pid == agent.peer_id:
-                # controller has collected every ready at round 3 and can
-                # start transmitting immediately
-                agent.activate_with(assignment, hops=3)
-            else:
-                agent.send_control(
-                    pid,
-                    "start",
-                    ControlMessage(agent.peer_id, view, assignment, hops=4),
-                )
+        # controller has collected every ready at round 3 and can start
+        # transmitting immediately
+        agent.activate_with(own, hops=3)
+        send_assignments(
+            session, agent.peer_id, "start", zip(members[1:], shares),
+            frozenset(members), hops=4,
+        )

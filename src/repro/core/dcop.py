@@ -23,39 +23,23 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.core.base import (
-    Assignment,
-    ControlMessage,
+    AssignmentMessage,
     CoordinationProtocol,
     ProtocolConfig,
-    RequestMessage,
+    divide_evenly,
+    send_assignments,
 )
-from repro.media.sequence import PacketSequence
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.streaming.contents_peer import ContentsPeerAgent
     from repro.streaming.session import StreamingSession
 
 
-def empty_assignment(n_parts: int, index: int) -> Assignment:
-    """Assignment that activates a peer with nothing to transmit.
-
-    Sent when a parent committed to a child but its stream has already run
-    dry — the child still synchronizes (counts as active) so coordination
-    metrics remain well-defined on short contents.
-    """
-    return Assignment(
-        basis=PacketSequence(),
-        n_parts=n_parts,
-        index=index,
-        interval=0,
-        rate=1.0,
-    )
-
-
 class DCoP(CoordinationProtocol):
     """Redundant flooding coordination (a peer may have several parents)."""
 
     name = "DCoP"
+    monitored_requests = True
 
     # fan-out used by peers when flooding; the unicast-chain baseline
     # overrides this to 1.
@@ -67,29 +51,19 @@ class DCoP(CoordinationProtocol):
         return config.H
 
     # ------------------------------------------------------------------
-    def initiate(self, session: "StreamingSession") -> None:
+    def first_wave(self, session: "StreamingSession"):
         cfg = session.config
-        m = self.initial_count(cfg)
-        selected = session.leaf_select(m)
+        selected = session.leaf_select(self.initial_count(cfg))
         view = frozenset(selected) if cfg.request_carries_view else frozenset()
-        basis = session.content.packet_sequence()
-        from repro.core.base import parity_interval_for, rate_for
+        return selected, self.leaf_division(session, selected), view
 
-        interval = parity_interval_for(m, cfg.fault_margin)
-        rate = rate_for(cfg.tau, m, interval)
-        tracer = session.env.hooks.tracer
-        if tracer is not None:
-            tracer.wave_start(1, session.leaf.peer_id, targets=m)
-        for i, pid in enumerate(selected):
-            assignment = Assignment(
-                basis=basis, n_parts=m, index=i, interval=interval, rate=rate
-            )
-            session.send_control(
-                session.leaf.peer_id,
-                pid,
-                "request",
-                RequestMessage(session.leaf.peer_id, view, assignment, hops=1),
-            )
+    def leaf_division(self, session: "StreamingSession", selected: list[str]):
+        """The initial division of the content among ``selected``."""
+        cfg = session.config
+        return divide_evenly(
+            session.content.packet_sequence(), cfg.tau, len(selected),
+            cfg.fault_margin,
+        ).assignments
 
     # ------------------------------------------------------------------
     def handle_peer_message(self, agent: "ContentsPeerAgent", message) -> None:
@@ -99,40 +73,28 @@ class DCoP(CoordinationProtocol):
             self._on_control(agent, message.body)
         # other kinds (media echoes etc.) are ignored
 
-    def _on_request(self, agent: "ContentsPeerAgent", req: RequestMessage) -> None:
-        agent.merge_view(req.view)
-        stream = agent.activate_with(req.assignment, hops=req.hops)
+    def _on_request(self, agent: "ContentsPeerAgent", req: AssignmentMessage) -> None:
+        stream = self.activate(agent, req)
         self._flood(agent, stream, next_hops=req.hops + 1)
 
-    def _on_control(self, agent: "ContentsPeerAgent", ctl: ControlMessage) -> None:
-        agent.merge_view(ctl.view)
+    def _on_control(self, agent: "ContentsPeerAgent", ctl: AssignmentMessage) -> None:
         agent.merge_view([ctl.sender])
-        stream = agent.activate_with(ctl.assignment, hops=ctl.hops)
+        stream = self.activate(agent, ctl)
         if not agent.view_full:
             self._flood(agent, stream, next_hops=ctl.hops + 1)
 
     # ------------------------------------------------------------------
     def _flood(self, agent: "ContentsPeerAgent", stream, next_hops: int) -> None:
         """Select children outside the view and hand the stream off."""
-        cfg = agent.session.config
-        children = agent.select_children(self.fanout(cfg))
+        children = agent.select_children(self.fanout(agent.session.config))
         if not children:
             return
         tracer = agent.env.hooks.tracer
         if tracer is not None:
             tracer.wave_start(next_hops, agent.peer_id, targets=len(children))
-        plan = agent.handoff_stream(stream, children)
+        assignments = agent.handoff_stream(stream, children)
         agent.merge_view(children)
-        view = frozenset(agent.view)
-        n_parts = len(children) + 1
-        for i, child in enumerate(children):
-            assignment = (
-                plan.assignments[i]
-                if plan is not None
-                else empty_assignment(n_parts, i + 1)
-            )
-            agent.send_control(
-                child,
-                "control",
-                ControlMessage(agent.peer_id, view, assignment, hops=next_hops),
-            )
+        send_assignments(
+            agent.session, agent.peer_id, "control",
+            zip(children, assignments), frozenset(agent.view), next_hops,
+        )

@@ -23,18 +23,20 @@ its oversized share.  The EX-F ablation quantifies both effects.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import TYPE_CHECKING, Sequence
 
 from repro.core.base import (
     Assignment,
     CoordinationProtocol,
-    RequestMessage,
+    divide_evenly,
+    divide_weighted,
+    empty_assignment,
     parity_interval_for,
+    send_assignments,
 )
 from repro.core.dcop import DCoP
-from repro.fec import divide_all, shared_enhance
 from repro.media.sequence import PacketSequence
-from repro.media.timeslot import allocate_packets
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.streaming.contents_peer import ContentsPeerAgent
@@ -72,7 +74,7 @@ class HeterogeneousScheduleCoordination(CoordinationProtocol):
             self.name = "HeteroNaive"
 
     # ------------------------------------------------------------------
-    def initiate(self, session: "StreamingSession") -> None:
+    def first_wave(self, session: "StreamingSession"):
         cfg = session.config
         if len(self.bandwidths) != cfg.H:
             raise ValueError(
@@ -80,60 +82,30 @@ class HeterogeneousScheduleCoordination(CoordinationProtocol):
             )
         selected = session.leaf_select(cfg.H)
         session.expected_active = set(selected)
-
-        interval = parity_interval_for(cfg.H, cfg.fault_margin)
         basis = session.content.packet_sequence()
-        enhanced = shared_enhance(basis, interval)
-
-        plans = self._build_plans(enhanced)
-
-        # normalize rates: the aggregate must carry the enhanced sequence
-        # at the content timeline, i.e. Σ r_i = τ·|enhanced|/|content|
-        aggregate = cfg.tau * len(enhanced) / cfg.content_packets
-        total_bw = sum(self.bandwidths)
-        view = frozenset(selected)
-        for i, pid in enumerate(selected):
-            rate = aggregate * self.bandwidths[i] / total_bw
-            assignment = Assignment(
-                basis=basis,
-                n_parts=cfg.H,
-                index=i,
-                interval=interval,
-                rate=rate,
-                explicit=plans[i],
-            )
-            session.overlay.send(
-                session.leaf.peer_id,
-                pid,
-                "request",
-                body=RequestMessage(session.leaf.peer_id, view, assignment),
-                size_bytes=cfg.control_size,
-            )
-
-    def _build_plans(self, enhanced: PacketSequence) -> list[PacketSequence]:
+        assignments = divide_weighted(
+            basis, cfg.tau, self.bandwidths, cfg.fault_margin
+        )
         if not self.use_timeslots:
-            return divide_all(enhanced, len(self.bandwidths))
-        alloc = allocate_packets(self.bandwidths, len(enhanced))
-        buckets: list[list] = [[] for _ in self.bandwidths]
-        for packet, channel in zip(enhanced, alloc):
-            buckets[channel].append(packet)
-        return [PacketSequence(b) for b in buckets]
-
-    # ------------------------------------------------------------------
-    def handle_peer_message(self, agent: "ContentsPeerAgent", message) -> None:
-        if message.kind == "request":
-            req: RequestMessage = message.body
-            agent.merge_view(req.view)
-            agent.activate_with(req.assignment, hops=req.hops)
+            # the strawman: the same rates over the round-robin parts
+            even = divide_evenly(basis, cfg.tau, cfg.H, cfg.fault_margin)
+            assignments = [
+                replace(part, rate=weighted.rate)
+                for part, weighted in zip(even.assignments, assignments)
+            ]
+        return selected, assignments, frozenset(selected)
 
 
 class HeteroDCoP(DCoP):
     """DCoP with bandwidth-aware (weighted) divisions — §5 realized.
 
-    Identical coordination flow to DCoP (same selection, same rounds, same
-    control-packet counts), but every division — the leaf's initial one
-    and each flooding handoff — splits the sequence *proportionally to the
-    capacities* of the peers sharing it, using the §2 time-slot allocator.
+    Identical coordination flow to DCoP (same selection, same rounds and,
+    without a control plane, same control-packet counts: the leaf's
+    requests go raw here, so under a retransmit policy they draw no acks
+    and the detector is not told of them), but every division — the
+    leaf's initial one and each flooding handoff — splits the sequence
+    *proportionally to the capacities* of the peers sharing it, using the
+    §2 time-slot allocator.
     A fast peer carries more packets at a higher rate, a slow peer fewer
     at a rate it can actually sustain, so no subtree is gated on its
     weakest member.
@@ -162,47 +134,19 @@ class HeteroDCoP(DCoP):
     def capacity_of(self, pid: str) -> float:
         return self.capacities.get(pid, self.default_capacity)
 
+    monitored_requests = False  # docs/protocols.md, "The division rule"
+
     # -- leaf side ------------------------------------------------------
-    def initiate(self, session: "StreamingSession") -> None:
+    def leaf_division(self, session: "StreamingSession", selected: list[str]):
         cfg = session.config
-        m = self.initial_count(cfg)
-        selected = session.leaf_select(m)
-        view = frozenset(selected) if cfg.request_carries_view else frozenset()
-        interval = parity_interval_for(m, cfg.fault_margin)
-        basis = session.content.packet_sequence()
-        enhanced = shared_enhance(basis, interval)
-        weights = [self.capacity_of(pid) for pid in selected]
-        alloc = allocate_packets(weights, len(enhanced))
-        buckets: list[list] = [[] for _ in selected]
-        for packet, part in zip(enhanced, alloc):
-            buckets[part].append(packet)
-        aggregate = cfg.tau * len(enhanced) / cfg.content_packets
-        total_w = sum(weights)
-        for i, pid in enumerate(selected):
-            assignment = Assignment(
-                basis=basis,
-                n_parts=m,
-                index=i,
-                interval=interval,
-                rate=aggregate * weights[i] / total_w,
-                explicit=PacketSequence(buckets[i]),
-            )
-            session.overlay.send(
-                session.leaf.peer_id,
-                pid,
-                "request",
-                body=RequestMessage(
-                    session.leaf.peer_id, view, assignment, hops=1
-                ),
-                size_bytes=cfg.control_size,
-            )
+        return divide_weighted(
+            session.content.packet_sequence(), cfg.tau,
+            [self.capacity_of(pid) for pid in selected], cfg.fault_margin,
+        )
 
     # -- peer side ------------------------------------------------------
     def _flood(self, agent: "ContentsPeerAgent", stream, next_hops: int) -> None:
         """Weighted handoff: the postfix splits ∝ capacities."""
-        from repro.core.base import ControlMessage
-        from repro.core.dcop import empty_assignment
-
         cfg = agent.session.config
         children = agent.select_children(self.fanout(cfg))
         if not children:
@@ -227,22 +171,20 @@ class HeteroDCoP(DCoP):
                 own_rate=parent_rate * inflation * weights[0] / total_w,
             )
         agent.merge_view(children)
-        view = frozenset(agent.view)
-        for i, child in enumerate(children):
-            if plans is None or not len(plans[i]) or parent_rate is None:
-                assignment = empty_assignment(n_parts, i + 1)
-            else:
-                child_rate = parent_rate * inflation * weights[i + 1] / total_w
-                assignment = Assignment(
-                    basis=PacketSequence(),
-                    n_parts=n_parts,
-                    index=i + 1,
-                    interval=0,
-                    rate=child_rate,
-                    explicit=plans[i],
-                )
-            agent.send_control(
-                child,
-                "control",
-                ControlMessage(agent.peer_id, view, assignment, hops=next_hops),
+        assignments = [
+            empty_assignment(n_parts, i)
+            if plans is None or not len(plans[i - 1])
+            else Assignment(
+                basis=PacketSequence(),
+                n_parts=n_parts,
+                index=i,
+                interval=0,
+                rate=parent_rate * inflation * weights[i] / total_w,
+                explicit=plans[i - 1],
             )
+            for i in range(1, n_parts)
+        ]
+        send_assignments(
+            agent.session, agent.peer_id, "control",
+            zip(children, assignments), frozenset(agent.view), next_hops,
+        )

@@ -12,16 +12,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.core.base import (
-    Assignment,
-    CoordinationProtocol,
-    RequestMessage,
-    parity_interval_for,
-    rate_for,
-)
+from repro.core.base import CoordinationProtocol, divide_evenly
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.streaming.contents_peer import ContentsPeerAgent
     from repro.streaming.session import StreamingSession
 
 
@@ -30,28 +23,11 @@ class ScheduleBasedCoordination(CoordinationProtocol):
 
     name = "ScheduleBased"
 
-    def initiate(self, session: "StreamingSession") -> None:
+    def first_wave(self, session: "StreamingSession"):
         cfg = session.config
         selected = session.leaf_select(cfg.H)
         session.expected_active = set(selected)
-        basis = session.content.packet_sequence()
-        interval = parity_interval_for(cfg.H, cfg.fault_margin)
-        rate = rate_for(cfg.tau, cfg.H, interval)
-        view = frozenset(selected)
-        for i, pid in enumerate(selected):
-            assignment = Assignment(
-                basis=basis, n_parts=cfg.H, index=i, interval=interval, rate=rate
-            )
-            session.overlay.send(
-                session.leaf.peer_id,
-                pid,
-                "request",
-                body=RequestMessage(session.leaf.peer_id, view, assignment),
-                size_bytes=cfg.control_size,
-            )
-
-    def handle_peer_message(self, agent: "ContentsPeerAgent", message) -> None:
-        if message.kind == "request":
-            req: RequestMessage = message.body
-            agent.merge_view(req.view)
-            agent.activate_with(req.assignment)
+        plan = divide_evenly(
+            session.content.packet_sequence(), cfg.tau, cfg.H, cfg.fault_margin
+        )
+        return selected, plan.assignments, frozenset(selected)

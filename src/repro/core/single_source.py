@@ -9,14 +9,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.core.base import (
-    Assignment,
-    CoordinationProtocol,
-    RequestMessage,
-)
+from repro.core.base import CoordinationProtocol, divide_evenly
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.streaming.contents_peer import ContentsPeerAgent
     from repro.streaming.session import StreamingSession
 
 
@@ -34,8 +29,7 @@ class SingleSourceStreaming(CoordinationProtocol):
     def __init__(self, server_id: str | None = None) -> None:
         self.server_id = server_id
 
-    def initiate(self, session: "StreamingSession") -> None:
-        cfg = session.config
+    def first_wave(self, session: "StreamingSession"):
         server = (
             self.server_id
             if self.server_id is not None
@@ -44,23 +38,7 @@ class SingleSourceStreaming(CoordinationProtocol):
         if server not in session.peers:
             raise ValueError(f"unknown server {server!r}")
         session.expected_active = {server}
-        assignment = Assignment(
-            basis=session.content.packet_sequence(),
-            n_parts=1,
-            index=0,
-            interval=0,
-            rate=cfg.tau,
+        whole = divide_evenly(
+            session.content.packet_sequence(), session.config.tau, 1, 0
         )
-        session.overlay.send(
-            session.leaf.peer_id,
-            server,
-            "request",
-            body=RequestMessage(session.leaf.peer_id, frozenset((server,)), assignment),
-            size_bytes=cfg.control_size,
-        )
-
-    def handle_peer_message(self, agent: "ContentsPeerAgent", message) -> None:
-        if message.kind == "request":
-            req: RequestMessage = message.body
-            agent.merge_view(req.view)
-            agent.activate_with(req.assignment)
+        return [server], whole.assignments, frozenset((server,))

@@ -28,15 +28,14 @@ import itertools
 from typing import TYPE_CHECKING
 
 from repro.core.base import (
-    Assignment,
+    AssignmentMessage,
     ConfirmMessage,
-    ControlMessage,
     CoordinationProtocol,
     OfferMessage,
-    parity_interval_for,
-    rate_for,
+    divide_evenly,
+    pick,
+    send_assignments,
 )
-from repro.core.dcop import empty_assignment
 from repro.sim.events import AnyOf
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -58,11 +57,44 @@ class TCoP(CoordinationProtocol):
     def initiate(self, session: "StreamingSession") -> None:
         session.env.process(self._leaf_handshake(session))
 
-    def _leaf_handshake(self, session: "StreamingSession"):
+    def _offer_round(
+        self,
+        session: "StreamingSession",
+        pending_map: dict,
+        sender: str,
+        targets: list[str],
+        view: frozenset,
+        kind: str,
+        hops: int,
+    ):
+        """One offer wave: ask ``targets``, wait until all have answered or
+        the offer times out, and return what was collected."""
         cfg = session.config
         env = session.env
+        oid = next(self._offer_ids)
+        pending = {
+            "expected": set(targets),
+            "responded": set(),
+            "confirmed": [],
+            "event": env.event(),
+        }
+        pending_map[oid] = pending
+        if env.hooks.tracer is not None:
+            env.hooks.tracer.wave_start(
+                hops, sender, targets=len(targets), phase="offer"
+            )
+        for pid in targets:
+            session.send_control(
+                sender, pid, kind, OfferMessage(sender, view, oid, hops=hops)
+            )
+        timeout = env.timeout(cfg.offer_timeout_deltas * cfg.delta)
+        yield AnyOf(env, [pending["event"], timeout])
+        del pending_map[oid]
+        return pending
+
+    def _leaf_handshake(self, session: "StreamingSession"):
+        cfg = session.config
         leaf_id = session.leaf.peer_id
-        state = session.protocol_state
         confirmed: list[str] = []
         tried: set[str] = set()
         attempts = 0
@@ -73,58 +105,31 @@ class TCoP(CoordinationProtocol):
             candidates = [p for p in session.peer_ids if p not in tried]
             if not candidates:
                 break
-            m = min(cfg.H, len(candidates))
-            rng = session.selection_rng
-            picked = rng.choice(len(candidates), size=m, replace=False)
-            selected = [candidates[i] for i in sorted(picked)]
+            selected = pick(
+                session.selection_rng, candidates, min(cfg.H, len(candidates))
+            )
             tried.update(selected)
-            oid = next(self._offer_ids)
-            pending = {
-                "expected": set(selected),
-                "responded": set(),
-                "confirmed": [],
-                "event": env.event(),
-            }
-            state[oid] = pending
-            view = frozenset(selected)
-            if env.hooks.tracer is not None:
-                env.hooks.tracer.wave_start(
-                    base_hops + 1, leaf_id, targets=m, phase="offer"
-                )
-            for pid in selected:
-                session.send_control(
-                    leaf_id,
-                    pid,
-                    "request",
-                    OfferMessage(leaf_id, view, oid, hops=base_hops + 1),
-                )
-            timeout = env.timeout(cfg.offer_timeout_deltas * cfg.delta)
-            yield AnyOf(env, [pending["event"], timeout])
-            del state[oid]
+            pending = yield from self._offer_round(
+                session, session.protocol_state, leaf_id, selected,
+                frozenset(selected), "request", base_hops + 1,
+            )
             confirmed = pending["confirmed"]
 
         if not confirmed:
             return  # no peers reachable; session ends unsynchronized
 
-        basis = session.content.packet_sequence()
-        n_parts = len(confirmed)
-        interval = parity_interval_for(n_parts, cfg.fault_margin)
-        rate = rate_for(cfg.tau, n_parts, interval)
-        view = frozenset(confirmed)
-        if env.hooks.tracer is not None:
-            env.hooks.tracer.wave_start(
-                base_hops + 3, leaf_id, targets=n_parts, phase="start"
+        plan = divide_evenly(
+            session.content.packet_sequence(), cfg.tau, len(confirmed),
+            cfg.fault_margin,
+        )
+        if session.env.hooks.tracer is not None:
+            session.env.hooks.tracer.wave_start(
+                base_hops + 3, leaf_id, targets=len(confirmed), phase="start"
             )
-        for i, pid in enumerate(confirmed):
-            assignment = Assignment(
-                basis=basis, n_parts=n_parts, index=i, interval=interval, rate=rate
-            )
-            session.send_control(
-                leaf_id,
-                pid,
-                "start",
-                ControlMessage(leaf_id, view, assignment, hops=base_hops + 3),
-            )
+        send_assignments(
+            session, leaf_id, "start", zip(confirmed, plan.assignments),
+            frozenset(confirmed), hops=base_hops + 3,
+        )
 
     def handle_leaf_message(self, session: "StreamingSession", message) -> None:
         body = message.body
@@ -183,9 +188,8 @@ class TCoP(CoordinationProtocol):
                     reason="watchdog",
                 )
 
-    def _on_start(self, agent: "ContentsPeerAgent", ctl: ControlMessage) -> None:
-        agent.merge_view(ctl.view)
-        stream = agent.activate_with(ctl.assignment, hops=ctl.hops)
+    def _on_start(self, agent: "ContentsPeerAgent", ctl: AssignmentMessage) -> None:
+        stream = self.activate(agent, ctl)
         # idempotence under duplication/reordering: a second start (a
         # reissued residual, or a duplicate that slipped past the wire
         # dedup) adds its stream, but only one selection loop may offer
@@ -213,15 +217,10 @@ class TCoP(CoordinationProtocol):
                         parent=failed,
                         reason="reissue",
                     )
-        leaf_id = session.leaf.peer_id
-        view = frozenset(assignments)
-        for pid, assignment in assignments.items():
-            session.send_control(
-                leaf_id,
-                pid,
-                "start",
-                ControlMessage(leaf_id, view, assignment, hops=1),
-            )
+        send_assignments(
+            session, session.leaf.peer_id, "start", assignments.items(),
+            frozenset(assignments), hops=1,
+        )
 
     @staticmethod
     def _record_response(pending_map: dict, resp: ConfirmMessage) -> None:
@@ -247,59 +246,28 @@ class TCoP(CoordinationProtocol):
 
     def _selection_rounds(self, agent: "ContentsPeerAgent", stream, base_hops: int):
         cfg = agent.session.config
-        env = agent.env
         pending_map = agent.scratch.setdefault("pending", {})
         round_cursor = base_hops
         while not agent.view_full and not agent.crashed:
             children = agent.select_children(cfg.H)
             if not children:
                 break
-            oid = next(self._offer_ids)
-            pending = {
-                "expected": set(children),
-                "responded": set(),
-                "confirmed": [],
-                "event": env.event(),
-            }
-            pending_map[oid] = pending
-            view = frozenset(agent.view)
-            if env.hooks.tracer is not None:
-                env.hooks.tracer.wave_start(
-                    round_cursor + 1, agent.peer_id,
-                    targets=len(children), phase="offer",
-                )
-            for child in children:
-                agent.send_control(
-                    child,
-                    "offer",
-                    OfferMessage(agent.peer_id, view, oid, hops=round_cursor + 1),
-                )
-            timeout = env.timeout(cfg.offer_timeout_deltas * cfg.delta)
-            yield AnyOf(env, [pending["event"], timeout])
-            del pending_map[oid]
+            pending = yield from self._offer_round(
+                agent.session, pending_map, agent.peer_id, children,
+                frozenset(agent.view), "offer", round_cursor + 1,
+            )
             # everyone who answered is known-taken now (confirmed → mine;
             # rejected → someone else's child); non-responders after the
             # timeout are treated as unreachable so we never spin on them
             agent.merge_view(pending["responded"])
             agent.merge_view(pending["expected"])
             confirmed = pending["confirmed"]
-            start_hops = round_cursor + 3
             round_cursor += 3
             if not confirmed:
                 continue
-            plan = agent.handoff_stream(stream, confirmed)
-            n_parts = len(confirmed) + 1
-            view = frozenset(agent.view)
-            for i, child in enumerate(confirmed):
-                assignment = (
-                    plan.assignments[i]
-                    if plan is not None
-                    else empty_assignment(n_parts, i + 1)
-                )
-                agent.send_control(
-                    child,
-                    "start",
-                    ControlMessage(
-                        agent.peer_id, view, assignment, hops=start_hops
-                    ),
-                )
+            assignments = agent.handoff_stream(stream, confirmed)
+            send_assignments(
+                agent.session, agent.peer_id, "start",
+                zip(confirmed, assignments), frozenset(agent.view),
+                hops=round_cursor,
+            )

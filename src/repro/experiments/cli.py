@@ -32,28 +32,9 @@ def _ensure_parent(path: str | Path) -> Path:
 
 
 def _parse_model_spec(text: str):
-    """``name`` or ``name:key=val,key=val`` → (name, params).
-
-    Values parse as int, then float, then stay strings.
-    """
+    """``name`` or ``name:key=val,key=val`` → (name, params)."""
     name, _, raw = text.partition(":")
-    params = {}
-    if raw:
-        for pair in raw.split(","):
-            key, eq, value = pair.partition("=")
-            if not eq or not key:
-                raise ValueError(
-                    f"bad model parameter {pair!r} in {text!r} "
-                    "(expected key=value)"
-                )
-            for cast in (int, float):
-                try:
-                    value = cast(value)
-                    break
-                except ValueError:
-                    continue
-            params[key.strip()] = value
-    return name.strip(), params
+    return name.strip(), _parse_params(raw) if raw else {}
 
 
 def _parse_params(text: str) -> dict:
@@ -160,12 +141,12 @@ def _build_spec(args, audit=None):
     from repro.streaming.swarm import AdmissionPolicy, SwarmSpec
 
     models = {}
-    for category, option in (
-        ("protocol", args.protocol),
-        ("latency", args.latency),
-        ("loss", args.loss),
-        ("link_fault", args.link_fault),
-        ("detector", args.detector),
+    for category, spec_type, option in (
+        ("protocol", ProtocolSpec, args.protocol),
+        ("latency", LatencySpec, args.latency),
+        ("loss", LossSpec, args.loss),
+        ("link_fault", LinkFaultSpec, args.link_fault),
+        ("detector", DetectorSpec, args.detector),
     ):
         if option is None:
             models[category] = None
@@ -180,7 +161,12 @@ def _build_spec(args, audit=None):
                 f"unknown {category} {name!r} "
                 f"(available: {', '.join(known)})"
             )
-        models[category] = (name, params)
+        models[category] = spec_type(name, params)
+        try:
+            models[category].build()  # eager: bad params fail here, not mid-run
+        except (TypeError, ValueError) as exc:
+            flag = category.replace("_", "-")
+            return _fail(f"bad --{flag} {option!r}: {exc}")
 
     retransmit_policy = None
     if args.retransmit is not None:
@@ -219,27 +205,14 @@ def _build_spec(args, audit=None):
         seed=args.seed or 0,
         content_packets=100 if args.quick else args.packets,
     )
-    detector_spec = None
-    if models["detector"]:
-        detector_spec = DetectorSpec(*models["detector"])
-        try:
-            detector_spec.build()  # eager: bad params fail here, not mid-run
-        except (TypeError, ValueError) as exc:
-            return _fail(f"bad --detector {args.detector!r}: {exc}")
-
-    protocol_name, protocol_params = models["protocol"]
     template = SessionSpec(
         config=config,
-        protocol=ProtocolSpec(protocol_name, protocol_params),
-        latency=LatencySpec(*models["latency"]) if models["latency"] else None,
-        loss=LossSpec(*models["loss"]) if models["loss"] else None,
-        link_fault=(
-            LinkFaultSpec(*models["link_fault"])
-            if models["link_fault"]
-            else None
-        ),
+        protocol=models["protocol"],
+        latency=models["latency"],
+        loss=models["loss"],
+        link_fault=models["link_fault"],
         partition_plan=partition_plan,
-        detector_policy=detector_spec,
+        detector_policy=models["detector"],
         retransmit_policy=retransmit_policy,
     )
     if args.join_storm is None:

@@ -30,7 +30,8 @@
   retry/backoff (:class:`AdmissionPolicy`) and the leaf lifecycle.
 """
 
-from repro.streaming.stream import Phase, Stream, HandoffPlan
+from repro.core.base import HandoffPlan
+from repro.streaming.stream import Phase, Stream
 from repro.streaming.buffer import BufferEvent, PlaybackBuffer
 from repro.streaming.contents_peer import ContentsPeerAgent
 from repro.streaming.leaf_peer import LeafPeerAgent

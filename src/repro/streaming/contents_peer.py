@@ -6,7 +6,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from repro.core.base import Assignment
+from repro.core.base import Assignment, empty_assignment, pick
 from repro.media.batch import PacketBatch
 from repro.net.dedup import DedupWindow
 from repro.net.message import Message
@@ -133,9 +133,7 @@ class ContentsPeerAgent:
         candidates = sorted(set(self.session.peer_ids) - self.view)
         if not candidates or m == 0:
             return []
-        k = min(m, len(candidates))
-        picked = self.rng.choice(len(candidates), size=k, replace=False)
-        return [candidates[i] for i in sorted(picked)]
+        return pick(self.rng, candidates, min(m, len(candidates)))
 
     # ------------------------------------------------------------------
     # activation / transmission
@@ -423,17 +421,17 @@ class ContentsPeerAgent:
             return rate
         return rate * self.capacity / total
 
-    def handoff_stream(self, stream: Stream, children: Sequence[str]):
-        """Split ``stream`` for ``children``; returns the HandoffPlan or
-        None when nothing remains to split."""
-        if not children:
-            return None
+    def handoff_stream(
+        self, stream: Stream, children: Sequence[str]
+    ) -> tuple[Assignment, ...]:
+        """Split ``stream`` for ``children``: one assignment each, empty
+        ones when nothing remains to split."""
         cfg = self.session.config
-        return stream.handoff(
-            n_children=len(children),
-            fault_margin=cfg.fault_margin,
-            delta=cfg.delta,
-        )
+        plan = stream.handoff(len(children), cfg.fault_margin, cfg.delta)
+        if plan is None:
+            n_parts = len(children) + 1
+            return tuple(empty_assignment(n_parts, i) for i in range(1, n_parts))
+        return plan.assignments
 
     # ------------------------------------------------------------------
     # outbound control traffic

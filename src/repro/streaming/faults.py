@@ -25,6 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
+from repro.core.base import pick
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.streaming.session import StreamingSession
 
@@ -324,9 +326,7 @@ class ChurnPlan:
         k = min(self.storm_size, max(0, len(live) - self.min_live))
         if k <= 0:
             return
-        picked = rng.choice(len(live), size=k, replace=False)
-        for i in sorted(picked):
-            victim = live[i]
+        for victim in pick(rng, live, k):
             self._crash(session, victim)
             if self.rejoin:
                 downtime = (

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List
 
-from repro.core.base import Assignment, parity_interval_for, rate_for
+from repro.core.base import Assignment, divide_evenly, pick
 from repro.media.packet import DataPacket
 from repro.media.sequence import PacketSequence
 
@@ -130,26 +130,16 @@ class ReCoordinator:
             return []
         active = [p for p in candidates if session.peers[p].active]
         pool = active if active else candidates
-        k = min(session.config.H, len(pool))
-        picked = self._rng.choice(len(pool), size=k, replace=False)
-        return [pool[i] for i in sorted(picked)]
+        return pick(self._rng, pool, min(session.config.H, len(pool)))
 
     def _divide(
         self, residual: List[int], targets: List[str]
     ) -> Dict[str, Assignment]:
         """Initial-selection-style division of the residual sequence."""
-        session = self.session
-        cfg = session.config
-        content = session.content
+        cfg = self.session.config
+        content = self.session.content
         basis = PacketSequence(
             DataPacket(seq, content.payload(seq)) for seq in residual
         )
-        n_parts = len(targets)
-        interval = parity_interval_for(n_parts, cfg.fault_margin)
-        rate = rate_for(cfg.tau, n_parts, interval)
-        return {
-            pid: Assignment(
-                basis=basis, n_parts=n_parts, index=i, interval=interval, rate=rate
-            )
-            for i, pid in enumerate(targets)
-        }
+        plan = divide_evenly(basis, cfg.tau, len(targets), cfg.fault_margin)
+        return dict(zip(targets, plan.assignments))

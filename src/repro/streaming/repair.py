@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List
 
+from repro.core.base import pick
 from repro.media.packet import DataPacket
 from repro.media.sequence import PacketSequence
 
@@ -127,8 +128,7 @@ class RepairMonitor:
             if filtered:
                 peers = filtered
         k = min(self.policy.fanout, len(peers))
-        picked = self._rng.choice(len(peers), size=k, replace=False)
-        targets = [peers[i] for i in sorted(picked)]
+        targets = pick(self._rng, peers, k)
         rate = self.policy.rate_factor * session.config.tau / k
         for i, pid in enumerate(targets):
             slice_seqs = missing[i::k]

@@ -23,7 +23,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.streaming.health import HealthMonitor
     from repro.streaming.repair import RepairMonitor
 
-from repro.core.base import ProtocolConfig
+from repro.core.base import ProtocolConfig, pick
 from repro.net.message import Message
 from repro.net.overlay import ControlPlane
 from repro.obs.metrics import MetricsRegistry
@@ -477,9 +477,7 @@ class StreamingSession:
 
     def leaf_select(self, m: int) -> list[str]:
         """The leaf's random choice of ``m`` initial contents peers."""
-        rng = self.selection_rng
-        picked = rng.choice(len(self.peer_ids), size=m, replace=False)
-        return [self.peer_ids[i] for i in sorted(picked)]
+        return pick(self.selection_rng, self.peer_ids, m)
 
     # ------------------------------------------------------------------
     def initiate(self) -> None:

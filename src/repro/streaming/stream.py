@@ -22,12 +22,16 @@ exactly: no packet is covered twice or dropped by the coordination itself
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import islice
 from typing import Optional
 
-from repro.core.base import Assignment, parity_interval_for, rate_for
-from repro.fec import divide, shared_enhance
+from repro.core.base import (
+    Assignment,
+    HandoffPlan,
+    divide_evenly,
+    divide_weighted,
+)
 from repro.media.packet import Packet
 from repro.media.sequence import PacketSequence
 
@@ -42,17 +46,6 @@ class Phase:
     def __post_init__(self) -> None:
         if self.rate <= 0:
             raise ValueError("phase rate must be positive")
-
-
-@dataclass(frozen=True)
-class HandoffPlan:
-    """Result of splitting a stream: per-child assignments."""
-
-    assignments: tuple[Assignment, ...]
-    basis: PacketSequence
-    n_parts: int
-    interval: int
-    child_rate: float
 
 
 class Stream:
@@ -152,6 +145,31 @@ class Stream:
     # ------------------------------------------------------------------
     # handoff
     # ------------------------------------------------------------------
+    def _mark(self, delta: float, keep_packets: Optional[int] = None):
+        """§3.3's ``Mark``: the stream keeps sending ``ceil(δ · rate)`` more
+        packets at its current rate and hands off what lies beyond.
+        Returns ``(rate, head, tail)``, or ``None`` when no tail remains."""
+        if self.exhausted:
+            return None
+        rate = self.current_rate
+        keep = keep_packets if keep_packets is not None else math.ceil(delta * rate)
+        keep = max(0, keep)
+        future = self.future_packets()
+        if len(future) <= keep:
+            return None
+        return rate, future[:keep], PacketSequence(future[keep:])
+
+    def _rephase(self, head: list, rate: float, own, own_rate: float) -> None:
+        """Become ``[head @ rate, own share of the division @ own_rate]``."""
+        phases: list[Phase] = []
+        if head:
+            phases.append(Phase(head, rate))
+        if len(own):
+            phases.append(Phase(list(own), own_rate))
+        self._phases = phases
+        self._pos = 0
+        self.nominal_rate = own_rate
+
     def handoff(
         self,
         n_children: int,
@@ -174,51 +192,17 @@ class Stream:
             raise ValueError("need at least one child to hand off to")
         if not 0 <= own_index <= n_children:
             raise ValueError("own_index outside the division")
-        if self.exhausted:
+        marked = self._mark(delta, keep_packets)
+        if marked is None:
             return None
-
-        rate = self.current_rate
-        keep = keep_packets if keep_packets is not None else math.ceil(delta * rate)
-        keep = max(0, keep)
-        future = self.future_packets()
-        head, tail = future[:keep], future[keep:]
-        if not tail:
-            return None
-
-        n_parts = n_children + 1
-        interval = parity_interval_for(n_parts, fault_margin)
-        child_rate = rate_for(rate, n_parts, interval)
-        basis = PacketSequence(tail)
-        # the children's assignments carry this basis object, so their
+        rate, head, tail = marked
+        plan = divide_evenly(tail, rate, n_children + 1, fault_margin)
+        parts = plan.assignments
+        # the children's assignments carry the same basis object, so their
         # build_plan() reads the enhancement computed here
-        own = divide(shared_enhance(basis, interval), n_parts, own_index)
-
-        phases: list[Phase] = []
-        if head:
-            phases.append(Phase(head, rate))
-        if len(own):
-            phases.append(Phase(list(own), child_rate))
-        self._phases = phases
-        self._pos = 0
-        self.nominal_rate = child_rate
-
-        assignments = tuple(
-            Assignment(
-                basis=basis,
-                n_parts=n_parts,
-                index=i,
-                interval=interval,
-                rate=child_rate,
-            )
-            for i in range(n_parts)
-            if i != own_index
-        )
-        return HandoffPlan(
-            assignments=assignments,
-            basis=basis,
-            n_parts=n_parts,
-            interval=interval,
-            child_rate=child_rate,
+        self._rephase(head, rate, parts[own_index].build_plan(), plan.child_rate)
+        return replace(
+            plan, assignments=parts[:own_index] + parts[own_index + 1:]
         )
 
     def handoff_weighted(
@@ -244,40 +228,19 @@ class Stream:
         division preserves the data timeline, like the paper's
         ``τ_j/(H_j+1)`` rule); ``None`` keeps the current rate.
         """
-        from repro.media.timeslot import allocate_packets
-
         if len(weights) < 2:
             raise ValueError("need own weight plus at least one helper")
         if any(w <= 0 for w in weights):
             raise ValueError("weights must be positive")
-        if self.exhausted:
+        marked = self._mark(delta)
+        if marked is None:
             return None
-
-        rate = self.current_rate
-        keep = max(0, math.ceil(delta * rate))
-        future = self.future_packets()
-        head, tail = future[:keep], future[keep:]
-        if not tail:
-            return None
-
-        n_parts = len(weights)
-        interval = parity_interval_for(n_parts, fault_margin)
-        epkt = shared_enhance(PacketSequence(tail), interval)
-        alloc = allocate_packets(weights, len(epkt))
-        buckets: list[list[Packet]] = [[] for _ in weights]
-        for packet, part in zip(epkt, alloc):
-            buckets[part].append(packet)
-
-        kept_rate = own_rate if own_rate is not None else rate
-        phases: list[Phase] = []
-        if head:
-            phases.append(Phase(head, rate))
-        if buckets[0]:
-            phases.append(Phase(buckets[0], kept_rate))
-        self._phases = phases
-        self._pos = 0
-        self.nominal_rate = kept_rate
-        return [PacketSequence(b) for b in buckets[1:]]
+        rate, head, tail = marked
+        own, *helpers = divide_weighted(tail, rate, weights, fault_margin)
+        self._rephase(
+            head, rate, own.explicit, own_rate if own_rate is not None else rate
+        )
+        return [helper.explicit for helper in helpers]
 
     def scale_rate(self, factor: float) -> None:
         """Degrade/boost all remaining phases (QoS fault injection)."""

@@ -1,8 +1,19 @@
 """Tests for protocol configuration, rate math, and assignments."""
 
-import pytest
+import ast
+from pathlib import Path
 
-from repro.core import Assignment, ProtocolConfig, parity_interval_for
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro
+from repro.core import (
+    Assignment,
+    ProtocolConfig,
+    divide_evenly,
+    parity_interval_for,
+)
 from repro.core.base import rate_for
 from repro.fec import divide, enhance, shared_enhance
 from repro.media import DataPacket, MediaContent, PacketSequence
@@ -49,6 +60,79 @@ class TestRateFor:
             for h in (1, 2, 9):
                 agg = n_parts * rate_for(1.0, n_parts, h)
                 assert agg == pytest.approx((h + 1) / h)
+
+
+class TestDivisionRule:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        length=st.integers(1, 60),
+        n_parts=st.integers(1, 9),
+        fault_margin=st.integers(0, 3),
+        rate=st.floats(0.01, 50.0),
+    )
+    def test_one_division_partitions_esq(self, length, n_parts, fault_margin, rate):
+        basis = data_seq(length)
+        plan = divide_evenly(basis, rate, n_parts, fault_margin)
+        h = plan.interval
+        assert h == parity_interval_for(n_parts, fault_margin)
+        assert [a.index for a in plan.assignments] == list(range(n_parts))
+        # one Esq per division: every part reads the same basis object
+        assert all(a.basis is basis for a in plan.assignments)
+        parts = [lb for a in plan.assignments for lb in a.build_plan().labels()]
+        whole = shared_enhance(basis, h).labels()
+        assert len(parts) == len(whole) and set(parts) == set(whole)
+        assert sum(a.rate for a in plan.assignments) == pytest.approx(
+            rate * (h + 1) / h if h else rate
+        )
+
+    def test_the_rule_is_spelled_once(self):
+        """Call-site counts over ``core/`` + ``streaming/``: a new place
+        that works the interval, the rate or an assignment out by hand
+        shows up here."""
+        src = Path(repro.__file__).parent
+        trees = {
+            path: ast.parse(path.read_text())
+            for pkg in ("core", "streaming")
+            for path in sorted((src / pkg).glob("*.py"))
+        }
+        nodes = [n for tree in trees.values() for n in ast.walk(tree)]
+        calls: dict[str, int] = {}
+        for node in nodes:
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls[name] = calls.get(name, 0) + 1
+        assert calls["parity_interval_for"] <= 3
+        assert calls["rate_for"] <= 2
+        assert calls["Assignment"] <= 6
+        assert calls["allocate_packets"] == 1
+        assert (
+            sum(kw.arg == "replace" for n in nodes for kw in getattr(n, "keywords", ()))
+            == 1
+        )
+        # the concrete base, TCoP's handshake, Centralized's controller
+        assert [
+            path.stem
+            for path, tree in trees.items()
+            for d in ast.walk(tree)
+            if path.parent.name == "core"
+            and isinstance(d, ast.FunctionDef) and d.name == "initiate"
+        ] == ["base", "centralized", "tcop"]
+        # one message class carries an assignment, and one TCoP generator
+        # sends offers and waits on AnyOf
+        assert [
+            c.name
+            for c in nodes
+            if isinstance(c, ast.ClassDef) and c.name.endswith("Message")
+            and any(getattr(f, "target", None) is not None
+                    and f.target.id == "assignment" for f in c.body)
+        ] == ["AssignmentMessage"]
+        assert [
+            d.name
+            for d in ast.walk(trees[src / "core" / "tcop.py"])
+            if isinstance(d, ast.FunctionDef)
+            and any(getattr(getattr(c, "func", None), "id", None) == "AnyOf"
+                    for c in ast.walk(d))
+        ] == ["_offer_round"]
 
 
 class TestAssignment:
@@ -101,9 +185,14 @@ class TestProtocolConfig:
         assert cfg.fault_margin == 1
 
     def test_initial_interval_and_rate(self):
+        # the leaf's initial H-way division, paper: τ(h+1)/(hH)
         cfg = ProtocolConfig(n=100, H=60, fault_margin=1, tau=2.0)
-        assert cfg.initial_interval == 59
-        assert cfg.initial_rate == pytest.approx(2.0 * 60 / (59 * 60))
+        plan = divide_evenly(
+            data_seq(cfg.content_packets), cfg.tau, cfg.H, cfg.fault_margin
+        )
+        assert plan.interval == 59
+        assert plan.child_rate == pytest.approx(2.0 * 60 / (59 * 60))
+        assert {a.rate for a in plan.assignments} == {plan.child_rate}
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -249,6 +249,25 @@ def test_bad_detector_params_fail_with_exit_2(capsys):
     assert "bad --detector" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--loss", "bernoulli:q=0.1"),
+        ("--latency", "constant:dela=3"),
+        ("--link-fault", "chaos:warp=1"),
+        ("--protocol", "single_source:server=CP1"),
+    ],
+)
+def test_bad_model_params_fail_with_exit_2(capsys, flag, value):
+    # every named spec is built once up front, like --detector: a
+    # parameter its factory refuses is one line, not a traceback mid-run
+    rc = main(["trace", "--quick", flag, value])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith(f"repro-experiments: error: bad {flag} ")
+    assert captured.err.count("\n") == 1 and not captured.out
+
+
 def test_bad_retransmit_values_fail_with_exit_2(capsys):
     # field exists but value violates the policy invariant
     rc = main(

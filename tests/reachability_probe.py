@@ -31,7 +31,8 @@ def run_set(quick: bool, tmp: str) -> list:
         audit --from-jsonl {tmp}/t.jsonl --report-out {tmp}/replay.json
         audit --protocol tcop --quick --report-out {tmp}/run.json
         spans --protocol dcop --n 100 --H 60 --packets 200 --top 5 --critical-path \
-            --report-out {tmp}/spans.json --trace-out {tmp}/spans_trace.json"""
+            --report-out {tmp}/spans.json --trace-out {tmp}/spans_trace.json
+        spans --from-jsonl {tmp}/t.jsonl --report-out {tmp}/spans_replay.json"""
     examples = sorted((ROOT / "examples").glob("*.py"))
     return (
         [lambda line=line: cli(line.split()) for line in cli_lines.splitlines()]
