@@ -473,7 +473,7 @@ def main(argv: list[str] | None = None) -> int:
         metavar="NAME[:k=v,...]",
         help=(
             "registered failure-detector policy, e.g. "
-            "accrual:phi_suspect=1.5,window=16 or fixed:suspect_after=2"
+            "accrual:phi_suspect=1.5,window=16 or fixed:suspect_misses=2"
         ),
     )
     trace_group.add_argument(

@@ -50,7 +50,11 @@ class TrafficStats:
         return sum(self.sent_by_kind.values())
 
     def control_packets(self, kinds: Tuple[str, ...] = ("request", "control", "confirm", "reject", "start")) -> int:
-        """Total coordination traffic (everything that is not media)."""
+        """Sends of the ``kinds`` given — by default the five assignment
+        kinds (``request``, ``control``, ``confirm``, ``reject``,
+        ``start``), *not* every non-media kind: TCoP's peer ``offer``s,
+        acks, heartbeats and the like are left out.  Every non-media
+        send is ``SessionResult.control_packets_total``."""
         return sum(self.sent_by_kind[k] for k in kinds)
 
 

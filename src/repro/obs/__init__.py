@@ -6,10 +6,13 @@ instrumentation hook in the engine, overlay, protocols, and agents is a
 single ``env.hooks.tracer is None`` check otherwise, so the tier-1 figures run
 untouched.
 
-* :mod:`repro.obs.trace` — :class:`TraceBus` + the typed event taxonomy
-  and the streaming subscriber API;
-* :mod:`repro.obs.metrics` — counters/gauges/histograms sampled against
-  sim-time into :class:`~repro.metrics.series.SweepSeries` columns;
+* :mod:`repro.obs.trace` — :class:`TraceBus` + the typed event taxonomy,
+  the streaming subscriber API, and the one :class:`Observer` lifecycle
+  (bind, events, finish) every run-level consumer below follows, fed
+  live by the run or offline from a JSONL trace by :func:`replay`;
+* :mod:`repro.obs.metrics` — gauges sampled against sim-time into
+  :class:`~repro.metrics.series.SweepSeries` columns by a single-leaf
+  run's time-series sampler;
 * :mod:`repro.obs.exporters` — JSONL, Chrome ``trace_event`` (Perfetto),
   and run-summary JSON;
 * :mod:`repro.obs.timeline` — per-wave coordination timelines;
@@ -37,20 +40,21 @@ from repro.obs.audit import (
     replay_jsonl,
     summarize_audits,
 )
-from repro.obs.metrics import (
-    Counter,
-    EmptyHistogramError,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
+from repro.obs.metrics import Gauge, MetricsRegistry
 from repro.obs.spans import (
     SpanBuilder,
     SpanConfig,
     SpanReport,
     spans_from_jsonl,
 )
-from repro.obs.trace import CONTROL_KINDS, TraceBus, TraceConfig, TraceEvent
+from repro.obs.trace import (
+    CONTROL_KINDS,
+    Observer,
+    TraceBus,
+    TraceConfig,
+    TraceEvent,
+    replay,
+)
 from repro.obs.timeline import wave_timeline
 from repro.obs.exporters import (
     run_summary,
@@ -69,13 +73,11 @@ __all__ = [
     "AuditReport",
     "Auditor",
     "CausalAuditor",
-    "Counter",
     "DetectorAuditor",
     "DuplicateEffectAuditor",
-    "EmptyHistogramError",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
+    "Observer",
     "ParityAuditor",
     "SpanBuilder",
     "SpanConfig",
@@ -88,6 +90,7 @@ __all__ = [
     "available_auditors",
     "build_auditors",
     "register_auditor",
+    "replay",
     "replay_jsonl",
     "run_summary",
     "span_async_events",

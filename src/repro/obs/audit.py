@@ -66,9 +66,7 @@ from pathlib import Path
 from typing import (
     TYPE_CHECKING,
     Any,
-    Callable,
     Dict,
-    FrozenSet,
     Iterable,
     List,
     Optional,
@@ -78,9 +76,7 @@ from typing import (
     Union,
 )
 
-from repro.obs.exporters import read_jsonl
-from repro.obs.trace import CONTROL_KINDS, TraceBus, TraceConfig, TraceEvent
-from repro.sim.engine import Environment
+from repro.obs.trace import CONTROL_KINDS, Observer, TraceEvent, replay
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.streaming.session import StreamingSession
@@ -156,81 +152,33 @@ class Violation:
 # ----------------------------------------------------------------------
 # auditor base + registry
 # ----------------------------------------------------------------------
-class Auditor:
+class Auditor(Observer):
     """Base class: a read-only streaming observer of one invariant.
 
     Subclasses declare :attr:`handlers` (or override :meth:`handle`) and
-    optionally :meth:`finish` (end-of-run checks).  Findings are recorded
+    optionally :meth:`check` (end-of-run checks).  Findings are recorded
     through :meth:`violation`/:meth:`warning`, which also publish
-    ``audit.*`` events back onto the bound bus.
+    ``audit.*`` events back onto the bound bus; :meth:`finish` returns
+    the auditor's report entry.
     """
 
     name = "auditor"
-    #: kind -> handler method: the kinds this auditor reads, declared once
-    #: in the form :meth:`on_event` dispatches on — and asks the bus for.
-    #: Left empty, every kind goes to :meth:`handle`.
-    handlers: Dict[str, Callable[[Any, TraceEvent], None]] = {}
+    result_field = "audit"
 
     def __init__(self) -> None:
         self.violations: List[Violation] = []
         self.warnings: List[Violation] = []
-        self._bus: Optional["TraceBus"] = None
-        self._session: Optional["StreamingSession"] = None
-        self.leaf_id = "leaf"
-        self.n_packets: Optional[int] = None
-        # count and time of what on_event was fed: the whole run only
-        # with no bus bound, so only then what the reports read
-        self._fed = 0
-        self._last_ts = 0.0
-
-    # -- wiring --------------------------------------------------------
-    def bind(
-        self,
-        bus: Optional["TraceBus"] = None,
-        session: Optional["StreamingSession"] = None,
-        leaf_id: Optional[str] = None,
-        n_packets: Optional[int] = None,
-    ) -> "Auditor":
-        """Attach to a bus and/or session (both optional)."""
-        self._bus = bus
-        self._session = session
-        if session is not None:
-            self.leaf_id = session.leaf.peer_id
-            self.n_packets = session.config.content_packets
-        if leaf_id is not None:
-            self.leaf_id = leaf_id
-        if n_packets is not None:
-            self.n_packets = n_packets
-        return self
-
-    @property
-    def kinds(self) -> Optional[FrozenSet[str]]:
-        """What to ask the bus for: the declared kinds, else everything."""
-        return frozenset(self.handlers) or None
-
-    def on_event(self, event: TraceEvent) -> None:
-        """Entry point for one event, from the bus or fed by hand."""
-        self._fed += 1
-        self._last_ts = event.ts
-        handler = self.handlers.get(event.kind)
-        if handler is not None:
-            handler(self, event)
-        elif not self.handlers and not event.kind.startswith("audit."):
-            self.handle(event)
-
-    @property
-    def events_seen(self) -> int:
-        """Non-``audit.*`` events of the run: the routing bus's count."""
-        return self._fed if self._bus is None else self._bus.events_seen
 
     # -- subclass surface ----------------------------------------------
-    def handle(self, event: TraceEvent) -> None:  # pragma: no cover
-        """Every event but the auditors' own ``audit.*`` output, for a
-        subclass that declares no :attr:`handlers`."""
-        raise NotImplementedError
-
-    def finish(self, session: Optional["StreamingSession"] = None) -> None:
+    def check(self, session: Optional["StreamingSession"] = None) -> None:
         """End-of-run checks; default none."""
+
+    def finish(
+        self, session: Optional["StreamingSession"] = None
+    ) -> Dict[str, Any]:
+        """Run the end-of-run checks; the auditor's report entry."""
+        self.check(session)
+        return self.report_entry()
 
     def extra(self) -> Dict[str, Any]:
         """Auditor-specific report data merged into the report entry."""
@@ -278,7 +226,7 @@ class Auditor:
             for e in evidence
         )
         if ts is None:  # the run's last event, like events_seen
-            ts = self._last_ts if self._bus is None else self._bus.last_ts
+            ts = self.last_ts
         finding = Violation(
             auditor=self.name,
             code=code,
@@ -408,7 +356,7 @@ class TreeAuditor(Auditor):
         "peer.activate": _on_activate,
     }
 
-    def finish(self, session: Optional["StreamingSession"] = None) -> None:
+    def check(self, session: Optional["StreamingSession"] = None) -> None:
         # every activated peer with a live attachment must chain back to
         # the leaf through ancestors that themselves activated; a chain
         # that simply ends (a leaf-issued start, e.g. after reissue) is a
@@ -460,8 +408,8 @@ class AllocationAuditor(Auditor):
         self._relaxed = False
         self._crash_seen = False
 
-    def bind(self, bus=None, session=None, leaf_id=None, n_packets=None):
-        super().bind(bus, session, leaf_id=leaf_id, n_packets=n_packets)
+    def bind(self, bus=None, session=None, **context):
+        super().bind(bus, session, **context)
         if session is not None and (
             session.spec.repair_policy is not None
             or session.spec.churn_plan is not None
@@ -545,7 +493,7 @@ class AllocationAuditor(Auditor):
         "msg.send": _on_send,
     }
 
-    def finish(self, session: Optional["StreamingSession"] = None) -> None:
+    def check(self, session: Optional["StreamingSession"] = None) -> None:
         n = self.n_packets
         if n is None and self._tx_first:
             n = max(self._tx_first)
@@ -641,7 +589,7 @@ class ParityAuditor(Auditor):
 
     handlers = {"media.rx": _on_rx, "fec.recover": _on_recover}
 
-    def finish(self, session: Optional["StreamingSession"] = None) -> None:
+    def check(self, session: Optional["StreamingSession"] = None) -> None:
         model = self._ensure_model()
         if model is not None:
             for parity_label, missing in sorted(
@@ -799,8 +747,8 @@ class DetectorAuditor(Auditor):
         self._cut: set = set()
         self._partition_excused = 0
 
-    def bind(self, bus=None, session=None, leaf_id=None, n_packets=None):
-        super().bind(bus, session, leaf_id=leaf_id, n_packets=n_packets)
+    def bind(self, bus=None, session=None, **context):
+        super().bind(bus, session, **context)
         if (
             self.latency_bound_ms is None
             and session is not None
@@ -809,7 +757,7 @@ class DetectorAuditor(Auditor):
             policy = session.detector.policy
             self.latency_bound_ms = (
                 (policy.confirm_misses + 2) * session.detector.period
-                + 2 * session.config.delta
+                + 2 * self.delta
             )
         return self
 
@@ -1248,7 +1196,7 @@ class CapacityAuditor(Auditor):
         "admit.give_up": _on_give_up,
     }
 
-    def finish(self, session: Optional["StreamingSession"] = None) -> None:
+    def check(self, session: Optional["StreamingSession"] = None) -> None:
         for leaf in self._gave_up:
             served = self._served.get(leaf, 0)
             if served:
@@ -1347,16 +1295,6 @@ class AuditReport:
     protocol: str
     seed: int
     auditors: Dict[str, Dict[str, Any]] = field(default_factory=dict)
-
-    @classmethod
-    def from_auditors(
-        cls, protocol: str, seed: int, auditors: Iterable[Auditor]
-    ) -> "AuditReport":
-        return cls(
-            protocol=protocol,
-            seed=seed,
-            auditors={a.name: a.report_entry() for a in auditors},
-        )
 
     @property
     def passed(self) -> bool:
@@ -1465,25 +1403,11 @@ def replay_jsonl(
     :func:`~repro.obs.exporters.trace_to_jsonl` writes).  ``n_packets``
     defaults to the largest data seq observed in ``media.tx``/``media.rx``
     events, which is exact whenever the trace covers the full content.
-    The events reach the auditors the way a live run's do: published on
-    a bus that routes each to the auditors that asked for its kind.
+    The events reach the auditors the way a live run's do, through
+    :func:`~repro.obs.trace.replay`.
     """
-    events = list(read_jsonl(source))
-    if n_packets is None:
-        seqs = [
-            e.fields.get("label")
-            for e in events
-            if e.kind in ("media.tx", "media.rx")
-        ]
-        data_seqs = [s for s in seqs if isinstance(s, int)]
-        n_packets = max(data_seqs) if data_seqs else None
-    bus = TraceBus(TraceConfig(), Environment())  # a clock stopped at zero
     auditors = build_auditors(config or AuditConfig())
-    for auditor in auditors:
-        auditor.bind(bus, leaf_id=leaf_id, n_packets=n_packets)
-        bus.subscribe(auditor.on_event, auditor.kinds)
-    for event in events:
-        bus.publish(event)
-    for auditor in auditors:
-        auditor.finish()
-    return AuditReport.from_auditors(protocol, seed, auditors)
+    entries = replay(source, auditors, leaf_id=leaf_id, n_packets=n_packets)
+    return AuditReport(
+        protocol, seed, {a.name: e for a, e in zip(auditors, entries)}
+    )

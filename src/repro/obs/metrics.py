@@ -1,41 +1,27 @@
-"""Time-series metrics: counters, gauges, histograms sampled on sim-time.
+"""Time-series metrics: gauges sampled on sim-time.
 
-A :class:`MetricsRegistry` holds named instruments and snapshots them all
-against the simulation clock; the result exports as a
-:class:`~repro.metrics.series.SweepSeries` (x = time in ms, one column per
-counter/gauge), so the harness's existing table/JSON machinery renders a
+A :class:`MetricsRegistry` holds named gauges (:class:`Gauge`) and
+snapshots them all against the simulation clock; the result exports as a
+:class:`~repro.metrics.series.SweepSeries` (x = time in ms, one column
+per gauge), so the harness's existing table/JSON machinery renders a
 run's *trajectory* the same way it renders a sweep's end-state.
 
-* :class:`Counter` — monotone total (control sends, media sends, …);
-* :class:`Gauge` — a callable probed at sample time (active-peer count,
-  in-flight control packets, buffer occupancy, windowed receipt rate);
-* :class:`Histogram` — fixed-bound bucket counts of observed values
-  (packet inter-arrival gaps); summarized once, not per-sample.
+:class:`TimeSeriesSampler` is the observer a single-leaf traced run
+samples with: it reads no events, only the session's state — send
+totals off the overlay's traffic ledger, the active population, the
+in-flight control gauge, the leaf's buffer and receipt rate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.metrics.series import SweepSeries
+from repro.obs.trace import CONTROL_KINDS, Observer
 
-
-class EmptyHistogramError(ValueError):
-    """A quantile was asked of a histogram with no observations."""
-
-
-@dataclass
-class Counter:
-    """Monotonically increasing total."""
-
-    name: str
-    value: float = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError("counters only increase")
-        self.value += amount
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.streaming.session import StreamingSession
 
 
 @dataclass
@@ -49,140 +35,99 @@ class Gauge:
         return float(self.fn())
 
 
-class Histogram:
-    """Fixed-bound histogram: ``bounds`` are upper bucket edges.
-
-    ``observe(v)`` lands ``v`` in the first bucket whose edge is ≥ v; a
-    final implicit ``+inf`` bucket catches the tail.
-    """
-
-    def __init__(self, name: str, bounds: Sequence[float]) -> None:
-        if not bounds:
-            raise ValueError("histogram needs at least one bound")
-        if list(bounds) != sorted(bounds):
-            raise ValueError("bounds must be sorted ascending")
-        self.name = name
-        self.bounds: Tuple[float, ...] = tuple(float(b) for b in bounds)
-        self.bucket_counts: List[int] = [0] * (len(self.bounds) + 1)
-        self.count = 0
-        self.total = 0.0
-
-    def observe(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-        for i, edge in enumerate(self.bounds):
-            if value <= edge:
-                self.bucket_counts[i] += 1
-                return
-        self.bucket_counts[-1] += 1
-
-    @property
-    def mean(self) -> Optional[float]:
-        return self.total / self.count if self.count else None
-
-    def percentile(self, q: float) -> float:
-        """The ``q``-th percentile (0–100), estimated from the buckets.
-
-        Returns the upper edge of the bucket containing the quantile
-        rank; observations past the last edge report the last finite
-        edge (the implicit ``+inf`` bucket has no upper edge to name).
-        Raises :class:`EmptyHistogramError` when nothing was observed —
-        an empty histogram has no quantiles, and silently returning a
-        number would hide a dead instrument.
-        """
-        if not 0 <= q <= 100:
-            raise ValueError(f"percentile must be in [0, 100], got {q!r}")
-        if self.count == 0:
-            raise EmptyHistogramError(
-                f"histogram {self.name!r} is empty: no observations to "
-                f"take the p{q:g} of"
-            )
-        rank = max(1, -(-self.count * q // 100))  # ceil without floats
-        cumulative = 0
-        for i, edge in enumerate(self.bounds):
-            cumulative += self.bucket_counts[i]
-            if cumulative >= rank:
-                return edge
-        return self.bounds[-1]
-
-    def summary(self) -> Dict[str, Any]:
-        """Bucket counts + moments; well-defined (mean None) when empty."""
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "bounds": list(self.bounds),
-            "bucket_counts": list(self.bucket_counts),
-        }
-
-
 class MetricsRegistry:
-    """Named instruments + the sampled time series they produce."""
+    """Named gauges + the sampled time series they produce."""
 
     def __init__(self) -> None:
-        self.counters: Dict[str, Counter] = {}
         self.gauges: Dict[str, Gauge] = {}
-        self.histograms: Dict[str, Histogram] = {}
         self.sample_times: List[float] = []
         self.samples: Dict[str, List[float]] = {}
 
-    # ------------------------------------------------------------------
-    # registration
-    # ------------------------------------------------------------------
-    def counter(self, name: str) -> Counter:
-        if name in self.counters:
-            return self.counters[name]
-        self._claim(name)
-        c = Counter(name)
-        self.counters[name] = c
-        # a metric registered mid-run backfills zeros for earlier samples
-        self.samples[name] = [0.0] * len(self.sample_times)
-        return c
-
     def gauge(self, name: str, fn: Callable[[], float]) -> Gauge:
-        self._claim(name)
+        if name in self.gauges:
+            raise ValueError(f"metric {name!r} already registered")
         g = Gauge(name, fn)
         self.gauges[name] = g
+        # a metric registered mid-run backfills zeros for earlier samples
         self.samples[name] = [0.0] * len(self.sample_times)
         return g
 
-    def histogram(self, name: str, bounds: Sequence[float]) -> Histogram:
-        self._claim(name)
-        h = Histogram(name, bounds)
-        self.histograms[name] = h
-        return h
-
-    def _claim(self, name: str) -> None:
-        if name in self.counters or name in self.gauges or name in self.histograms:
-            raise ValueError(f"metric {name!r} already registered")
-
-    def inc(self, name: str, amount: float = 1.0) -> None:
-        """Bump a counter, auto-registering it on first use."""
-        self.counter(name).inc(amount)
-
-    # ------------------------------------------------------------------
-    # sampling / export
-    # ------------------------------------------------------------------
     def sample(self, now: float) -> None:
-        """Snapshot every counter and gauge at simulated time ``now``."""
+        """Snapshot every gauge at simulated time ``now``."""
         if self.sample_times and now < self.sample_times[-1]:
             raise ValueError(f"sample time {now} precedes previous sample")
         self.sample_times.append(now)
-        for name, c in self.counters.items():
-            self.samples[name].append(c.value)
         for name, g in self.gauges.items():
             self.samples[name].append(g.read())
 
     def to_series(self, title: str = "run timeseries") -> SweepSeries:
         names = sorted(self.samples)
         if not names:
-            raise ValueError("no counters or gauges registered")
+            raise ValueError("no gauges registered")
         series = SweepSeries("t_ms", names, title=title)
         for i, t in enumerate(self.sample_times):
             series.add(t, **{name: self.samples[name][i] for name in names})
         return series
 
-    def __repr__(self) -> str:
-        return (
-            f"<MetricsRegistry {len(self.counters)}c/{len(self.gauges)}g/"
-            f"{len(self.histograms)}h, {len(self.sample_times)} samples>"
+
+class TimeSeriesSampler(Observer):
+    """A single-leaf run's trajectory, sampled every
+    ``sample_period_deltas`` δ of its bus's :class:`TraceConfig`.
+
+    Binding starts the sampling process; :meth:`finish` returns the
+    series.  Self-terminating: sampling stops when the leaf holds the
+    full content, when the event queue has otherwise drained (nothing
+    left to observe), or after ``max_samples`` ticks — so tracing never
+    keeps a simulation alive materially past its natural end.
+    """
+
+    result_field = "timeseries"
+    #: reads no events — it probes the session — so the bus sends none
+    kinds = frozenset()
+
+    def bind(self, bus=None, session=None, **context):
+        super().bind(bus, session, **context)
+        registry = self.registry = MetricsRegistry()
+        # every ``msg.send`` emit sits beside the ledger increment it
+        # mirrors, so these are the run's send totals as traced
+        sent = session.overlay.traffic.sent_by_kind
+        registry.gauge("ctrl_sends", lambda: sum(sent[k] for k in CONTROL_KINDS))
+        registry.gauge(
+            "media_sends",
+            lambda: sum(n for k, n in sent.items() if k not in CONTROL_KINDS),
         )
+        registry.gauge(
+            "active_peers",
+            lambda: sum(
+                1 for p in session.peers.values() if p.active and not p.crashed
+            ),
+        )
+        registry.gauge("in_flight_control", lambda: bus.in_flight_control)
+        registry.gauge("buffer_level", lambda: session.leaf.buffer.level)
+        registry.gauge("receipt_rate", self._windowed_receipt_rate)
+        self._rr_prev = (0, session.env.now)
+        session.env.process(self._sample_loop(bus.config))
+        return self
+
+    def _windowed_receipt_rate(self) -> float:
+        """Leaf arrivals over the last sample window, normalized to τ."""
+        now = self._session.env.now
+        count = len(self._session.leaf.arrival_times)
+        prev_count, prev_t = self._rr_prev
+        self._rr_prev = (count, now)
+        if now <= prev_t:
+            return 0.0
+        return (count - prev_count) / (now - prev_t) / self.tau
+
+    def _sample_loop(self, trace):
+        env, leaf = self._session.env, self._session.leaf
+        period = trace.sample_period_deltas * self.delta
+        for _ in range(trace.max_samples):
+            yield env.timeout(period)
+            self.registry.sample(env.now)
+            if leaf.decoder.complete or len(env) == 0:
+                return
+
+    def finish(self, session: Optional["StreamingSession"] = None) -> SweepSeries:
+        """The sampled series."""
+        return self.registry.to_series(title=f"{self.protocol} run timeseries")

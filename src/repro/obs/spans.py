@@ -1,7 +1,7 @@
 """Causal spans: stitch trace events into typed spans and attribute latency.
 
-The :class:`SpanBuilder` is a :class:`~repro.obs.trace.TraceBus` subscriber
-(or an offline consumer via :func:`spans_from_jsonl`) that joins raw events
+The :class:`SpanBuilder` is an :class:`~repro.obs.trace.Observer` of the
+trace bus (live, or offline via :func:`spans_from_jsonl`) that joins raw events
 into a causal DAG keyed on the reliable-send ``mid``, the wire ``uid``, and
 the media packet label:
 
@@ -52,9 +52,8 @@ from typing import (
 )
 
 from repro.metrics.series import SweepSeries
-from repro.obs.exporters import read_jsonl, tuplify
-from repro.obs.trace import TraceBus, TraceConfig, TraceEvent
-from repro.sim.engine import Environment
+from repro.obs.exporters import tuplify
+from repro.obs.trace import Observer, TraceEvent, replay
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.streaming.session import StreamingSession
@@ -489,26 +488,20 @@ class SpanReport:
         )
 
 
-class SpanBuilder:
+class SpanBuilder(Observer):
     """Streaming span construction over the trace-event firehose.
 
-    Subscribe via ``bus.subscribe(builder.on_event, builder.kinds)`` (the
-    session does this when ``SessionSpec.spans`` is set) or feed events
-    manually; call :meth:`finish` once the run is over to obtain the
-    :class:`SpanReport`.  The builder never emits events and never
-    mutates simulation state.
+    An :class:`~repro.obs.trace.Observer`: the run binds and subscribes
+    it when ``SessionSpec.spans`` is set, :func:`spans_from_jsonl`
+    replays a recorded trace to it, or events are fed by hand;
+    :meth:`finish` returns the :class:`SpanReport`.  The builder never
+    emits events and never mutates simulation state.
     """
+
+    result_field = "spans"
 
     def __init__(self, config: Optional[SpanConfig] = None) -> None:
         self.config = config or SpanConfig()
-        self.leaf_id = "leaf"
-        self.n_packets: Optional[int] = None
-        self.delta: Optional[float] = None
-        self.tau: Optional[float] = None
-        self.protocol = "replay"
-        self.seed = -1
-        self._bus: Optional["TraceBus"] = None
-        self._session: Optional["StreamingSession"] = None
         # raw joins, keyed for O(1) stitching
         self._wave_starts: Dict[int, float] = {}
         self._activations: List[Tuple[float, str, int]] = []
@@ -523,44 +516,6 @@ class SpanBuilder:
         self._underruns: List[Tuple[float, str, Any]] = []
         self._skips: List[Tuple[float, str]] = []
         self._milestones: List[Tuple[float, str, str]] = []
-        # latest event fed: only the run's horizon with no bus bound
-        self._end_ts = 0.0
-
-    # ------------------------------------------------------------------
-    def bind(
-        self,
-        bus: Optional["TraceBus"] = None,
-        session: Optional["StreamingSession"] = None,
-        leaf_id: Optional[str] = None,
-        n_packets: Optional[int] = None,
-        delta: Optional[float] = None,
-        tau: Optional[float] = None,
-    ) -> None:
-        """Attach run context (mirrors the auditor ``bind`` contract)."""
-        self._bus = bus
-        self._session = session
-        if session is not None:
-            self.leaf_id = session.leaf.peer_id
-            self.n_packets = session.config.content_packets
-            self.delta = session.config.delta
-            self.tau = session.config.tau
-        if leaf_id is not None:
-            self.leaf_id = leaf_id
-        if n_packets is not None:
-            self.n_packets = n_packets
-        if delta is not None:
-            self.delta = delta
-        if tau is not None:
-            self.tau = tau
-
-    # ------------------------------------------------------------------
-    def on_event(self, event: TraceEvent) -> None:
-        """Entry point for one event, from the bus or fed by hand."""
-        if event.ts > self._end_ts:
-            self._end_ts = event.ts
-        handler = self.handlers.get(event.kind)
-        if handler is not None:
-            handler(self, event)
 
     def _on_tx(self, event: TraceEvent) -> None:
         payload = event.fields
@@ -645,7 +600,6 @@ class SpanBuilder:
         "wave.start": _on_wave_start,
         **dict.fromkeys(_MILESTONE_SEGMENTS, _on_milestone),
     }
-    kinds = frozenset(handlers)
 
     # ------------------------------------------------------------------
     # span assembly
@@ -892,9 +846,7 @@ class SpanBuilder:
             | {leaf for leaf, _ in self._played}
         )
         out: Dict[str, SweepSeries] = {}
-        # bound to a bus, no routed consumer sees the run's last event:
-        # the bus keeps its time
-        end = self._end_ts if self._bus is None else self._bus.last_ts
+        end = self.last_ts
         bucket = self.config.qoe_bucket_deltas * (
             self.delta if self.delta else 1.0
         )
@@ -949,20 +901,6 @@ class SpanBuilder:
     # ------------------------------------------------------------------
     def finish(self, session: Optional["StreamingSession"] = None) -> SpanReport:
         """Assemble the :class:`SpanReport` from everything observed."""
-        if session is None:
-            session = self._session
-        if session is not None:
-            self.leaf_id = session.leaf.peer_id
-            self.n_packets = session.config.content_packets
-            self.delta = session.config.delta
-            self.tau = session.config.tau
-            self.protocol = session.protocol.name
-            self.seed = session.config.seed
-        if self.n_packets is None:
-            ints = [label for label in self._tx if isinstance(label, int)]
-            ints += [label for label in self._rx if isinstance(label, int)]
-            self.n_packets = max(ints) if ints else None
-
         waves = self._build_waves()
         exchanges = self._build_exchanges()
         journeys = self._build_journeys()
@@ -1056,14 +994,7 @@ def spans_from_jsonl(
     be unfiltered (``TraceConfig(categories=None)``) for the report to
     match the online one — a category-filtered dump is missing joins.
     """
-    bus = TraceBus(TraceConfig(), Environment())  # a clock stopped at zero
-    builder = SpanBuilder(config)
-    builder.bind(
-        bus, leaf_id=leaf_id, n_packets=n_packets, delta=delta, tau=tau
-    )
-    builder.protocol = protocol
-    builder.seed = seed
-    bus.subscribe(builder.on_event, builder.kinds)
-    for event in read_jsonl(source):
-        bus.publish(event)
-    return builder.finish()
+    return replay(
+        source, [SpanBuilder(config)], leaf_id=leaf_id, n_packets=n_packets,
+        delta=delta, tau=tau, protocol=protocol, seed=seed,
+    )[0]

@@ -51,8 +51,10 @@ category   kinds
 Consumers that need events *as they happen* (rather than the post-hoc
 ``events`` buffer) register a callback via :meth:`TraceBus.subscribe`,
 naming the kinds they read; the bus hands each event only to the
-consumers that asked for its kind.  See :mod:`repro.obs.audit` for the
-principal client.
+consumers that asked for its kind.  The run's own consumers — auditors,
+the span builder, the time-series sampler — share one
+:class:`Observer` lifecycle (bind, events, finish), fed live by the run
+or offline by :func:`replay`.
 
 All payload values are JSON primitives, so a trace serializes verbatim
 (see :mod:`repro.obs.exporters`) and two equal-seed runs produce
@@ -75,12 +77,17 @@ from typing import (
     Mapping,
     NamedTuple,
     Optional,
+    Sequence,
     Tuple,
+    Union,
 )
 
+from repro.sim.engine import Environment
+
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.obs.metrics import MetricsRegistry
-    from repro.sim.engine import Environment
+    from pathlib import Path
+
+    from repro.streaming.session import StreamingSession
 
 #: drop reasons that terminate an in-flight message (a ``sender_down``
 #: drop never entered a channel, so it does not decrement the gauge)
@@ -132,8 +139,9 @@ class TraceConfig:
     ``categories=None`` records every category; otherwise only kinds whose
     prefix is listed.  ``max_events`` bounds memory on long churn runs —
     once hit, further events are counted (``TraceBus.dropped_events``) but
-    not stored.  ``metrics`` enables the time-series registry, sampled
-    every ``sample_period_deltas`` δ for at most ``max_samples`` ticks.
+    not stored.  ``metrics`` enables a single-leaf run's time-series
+    sampler, every ``sample_period_deltas`` δ for at most
+    ``max_samples`` ticks.
     """
 
     categories: Optional[FrozenSet[str]] = None
@@ -162,10 +170,10 @@ class TraceBus:
     """Session-owned event recorder every instrumented layer publishes to.
 
     Besides the ordered event log, the bus maintains cheap live counters
-    (events by kind, in-flight control messages) that the metrics
-    registry's gauges read — these are updated on *every* emit, before
-    category filtering, so the gauges stay meaningful even when the
-    ``msg`` firehose itself is filtered out of the log.
+    (events by kind, in-flight control messages) that the sampler's
+    gauges read — these are updated on *every* emit, before category
+    filtering, so the gauges stay meaningful even when the ``msg``
+    firehose itself is filtered out of the log.
     """
 
     config: TraceConfig
@@ -178,8 +186,6 @@ class TraceBus:
     #: live count of control messages on the wire (send − recv − drop)
     in_flight_control: int = 0
     counts_by_kind: Dict[str, int] = field(default_factory=dict)
-    #: registry whose counters mirror send totals; wired by the session
-    registry: Optional["MetricsRegistry"] = None
     #: streaming callback -> the kinds it asked for (``None``: all), in
     #: subscription order
     subscribers: Dict[Subscriber, Optional[FrozenSet[str]]] = field(
@@ -213,9 +219,14 @@ class TraceBus:
         truncated.  Callbacks run synchronously inside :meth:`emit`,
         after the event is appended to the log; a callback may itself
         ``emit`` (e.g. an ``audit.violation``) or (un)subscribe: each
-        dispatch walks the immutable route it started with.
+        dispatch walks the immutable route it started with.  A callback
+        that asks for no kinds is never called, so it is not registered.
         """
-        self.subscribers[callback] = None if kinds is None else frozenset(kinds)
+        if kinds is not None:
+            kinds = frozenset(kinds)
+            if not kinds:
+                return
+        self.subscribers[callback] = kinds
         self._routes.clear()
 
     def unsubscribe(self, callback: Subscriber) -> None:
@@ -263,12 +274,6 @@ class TraceBus:
         if kind == "msg.send":
             if data.get("kind") in CONTROL_KINDS:
                 self.in_flight_control += 1
-                if self.registry is not None:
-                    self.registry.inc("ctrl_sends")
-            elif self.registry is not None:
-                # batched media sends carry a ``count`` payload covering
-                # the whole per-slot subsequence in one emit
-                self.registry.inc("media_sends", data.get("count", 1))
         elif kind == "msg.recv":
             # link-fault duplicates (dup=1) were never counted as sends,
             # so only the first copy settles the in-flight balance
@@ -342,12 +347,140 @@ class TraceBus:
         # stable sort: simultaneous events keep their emission order
         self.events.sort(key=attrgetter("ts"))
 
-    def __len__(self) -> int:
-        return len(self.events)
-
     def __repr__(self) -> str:
         return (
             f"<TraceBus {len(self.events)} events, "
             f"{self.dropped_events} dropped, "
             f"in-flight ctrl={self.in_flight_control}>"
         )
+
+
+#: the run context :meth:`Observer.bind` sets
+_CONTEXT = ("leaf_id", "n_packets", "delta", "tau", "protocol", "seed")
+
+
+class Observer:
+    """A read-only consumer of one run, with the one lifecycle every
+    run-level reader of the bus shares.
+
+    :meth:`bind` hands it the bus and the run's context once, the bus
+    sends it the kinds its :attr:`handlers` name through
+    :meth:`on_event`, and :meth:`finish` returns its report.  Live, the
+    run's :class:`~repro.streaming.commons.Commons` does all three;
+    offline, :func:`replay` does them over a recorded trace.
+    """
+
+    #: the ``SessionResult``/``SwarmResult`` field its report fills
+    result_field = ""
+    #: kind -> handler method: the kinds this observer reads, declared
+    #: once in the form :meth:`on_event` dispatches on — and asks the bus
+    #: for.  Left empty, every kind but ``audit.*`` goes to :meth:`handle`.
+    handlers: Dict[str, Callable[[Any, TraceEvent], None]] = {}
+    #: the run context, until :meth:`bind` sets it
+    leaf_id = "leaf"
+    n_packets: Optional[int] = None
+    delta: Optional[float] = None
+    tau: Optional[float] = None
+    protocol = "replay"
+    seed = -1
+    _bus: Optional[TraceBus] = None
+    _session: Optional["StreamingSession"] = None
+    # count and time of what on_event was fed: the whole run only with no
+    # bus bound, so only then what the reports read
+    _fed = 0
+    _last_ts = 0.0
+
+    def bind(
+        self,
+        bus: Optional[TraceBus] = None,
+        session: Optional["StreamingSession"] = None,
+        **context: Any,
+    ) -> "Observer":
+        """Attach to a bus and/or session (both optional).
+
+        The context — ``leaf_id``, ``n_packets``, ``delta``, ``tau``,
+        ``protocol``, ``seed`` — is read off ``session``, then
+        overridden by any of those keywords that is not None.
+        """
+        self._bus = bus
+        self._session = session
+        if session is not None:
+            config = session.config
+            self.leaf_id = session.leaf.peer_id
+            self.n_packets = config.content_packets
+            self.delta, self.tau = config.delta, config.tau
+            self.protocol, self.seed = session.protocol.name, config.seed
+        for name, value in context.items():
+            if name not in _CONTEXT:
+                raise TypeError(f"bind() got an unexpected context {name!r}")
+            if value is not None:
+                setattr(self, name, value)
+        return self
+
+    @property
+    def kinds(self) -> Optional[FrozenSet[str]]:
+        """What to ask the bus for: the declared kinds, else everything."""
+        return frozenset(self.handlers) or None
+
+    def on_event(self, event: TraceEvent) -> None:
+        """Entry point for one event, from the bus or fed by hand."""
+        self._fed += 1
+        self._last_ts = event.ts
+        handler = self.handlers.get(event.kind)
+        if handler is not None:
+            handler(self, event)
+        elif not self.handlers and not event.kind.startswith("audit."):
+            self.handle(event)
+
+    def handle(self, event: TraceEvent) -> None:  # pragma: no cover
+        """Every event but the auditors' own ``audit.*`` output, for a
+        subclass that declares no :attr:`handlers`."""
+        raise NotImplementedError
+
+    @property
+    def events_seen(self) -> int:
+        """Non-``audit.*`` events of the run: the routing bus's count."""
+        return self._fed if self._bus is None else self._bus.events_seen
+
+    @property
+    def last_ts(self) -> float:
+        """Time of the run's last event: the routing bus's clock."""
+        return self._last_ts if self._bus is None else self._bus.last_ts
+
+    def finish(self, session: Optional["StreamingSession"] = None) -> Any:
+        """The observer's report, once the run is over."""
+
+
+def replay(
+    source: Union[str, "Path", Iterable[str]],
+    observers: Sequence[Observer],
+    **context: Any,
+) -> List[Any]:
+    """Feed a recorded JSONL trace to ``observers``; their reports.
+
+    ``source`` is a path or an iterable of JSONL lines (the format
+    :func:`~repro.obs.exporters.trace_to_jsonl` writes).  ``n_packets``
+    defaults to the largest data seq a ``media.tx``/``media.rx`` event
+    carries, which is exact whenever the trace covers the full content.
+    The events reach the observers the way a live run's do: published on
+    a bus that routes each to the observers that asked for its kind.
+    """
+    from repro.obs.exporters import read_jsonl  # it imports this module
+
+    events = list(read_jsonl(source))
+    if context.get("n_packets") is None:
+        labels = [
+            e.fields.get("label")
+            for e in events
+            if e.kind in ("media.tx", "media.rx")
+        ]
+        context["n_packets"] = max(
+            (s for s in labels if isinstance(s, int)), default=None
+        )
+    bus = TraceBus(TraceConfig(), Environment())  # a clock stopped at zero
+    for observer in observers:
+        observer.bind(bus, **context)
+        bus.subscribe(observer.on_event, observer.kinds)
+    for event in events:
+        bus.publish(event)
+    return [observer.finish() for observer in observers]

@@ -19,6 +19,7 @@ from repro.net.latency import ConstantLatency
 from repro.net.overlay import Overlay
 from repro.obs.audit import AuditReport, build_auditors
 from repro.obs.exporters import trace_to_dict
+from repro.obs.metrics import TimeSeriesSampler
 from repro.obs.spans import SpanBuilder, SpanConfig
 from repro.obs.trace import TraceBus, TraceConfig
 from repro.sim.engine import Environment
@@ -52,11 +53,14 @@ class Commons:
         self.env = Environment(scheduler=spec.scheduler)
         self.streams = RandomStreams(config.seed)
         # --- observability (opt-in; hooks no-op when tracer=None) ------
-        if spans is True:
-            spans = SpanConfig()
-        self.auditors = build_auditors(audit) if audit is not None else []
-        self.span_builder = SpanBuilder(spans) if spans else None
-        if (self.auditors or self.span_builder) and trace is None:
+        #: the run's observers in subscription and process order:
+        #: auditors, span builder, then (single-leaf) the sampler
+        self.observers = build_auditors(audit) if audit is not None else []
+        if spans:
+            self.observers.append(
+                SpanBuilder(SpanConfig() if spans is True else spans)
+            )
+        if self.observers and trace is None:
             # auditors and span builders subscribe to the bus, so either
             # implies tracing
             trace = TraceConfig()
@@ -66,7 +70,8 @@ class Commons:
             self.env.hooks.tracer = self.trace_bus
         #: the session the observers watch (None: a swarm's, or none yet)
         self.observed = None
-        self._audit_report = None
+        #: result field -> report, once :meth:`finish` ran
+        self.reports = None
         latency = resolve_latency(spec.latency)
         latency_factory = None
         if latency is None:
@@ -117,39 +122,41 @@ class Commons:
             self.trace_bus.emit(kind, subject, **data)
 
     def observe(self, session=None) -> None:
-        """Bind and subscribe the run's read-only observers.
+        """Bind and subscribe the run's observers.
 
         A single-leaf run's observers read leaf and policies off
-        ``session``; a swarm's know only the content length.
+        ``session``, and, when its trace asks for metrics, a sampler
+        joins them; a swarm's know only the content length.
         """
         self.observed = session
-        # auditors subscribe before the span builder
-        for observer in (*self.auditors, self.span_builder):
-            if observer is not None:
-                observer.bind(
-                    self.trace_bus, session,
-                    n_packets=self.config.content_packets,
-                )
-                self.trace_bus.subscribe(observer.on_event, observer.kinds)
+        bus = self.trace_bus
+        if session is not None and bus is not None and bus.config.metrics:
+            self.observers.append(TimeSeriesSampler())
+        for observer in self.observers:
+            observer.bind(bus, session, n_packets=self.config.content_packets)
+            bus.subscribe(observer.on_event, observer.kinds)
 
-    def finish(self, protocol: str):
-        """Close observers and trace; ``(audit report, span report)``."""
-        if self.auditors and self._audit_report is None:
-            # finish before finalize() so audit.* events emitted here are
-            # part of the log the finalizer sorts into time order
-            for auditor in self.auditors:
-                auditor.finish(self.observed)
-            self._audit_report = AuditReport.from_auditors(
-                protocol, self.config.seed, self.auditors
+    def finish(self, protocol: str) -> dict:
+        """Close observers and trace, once: result field -> report."""
+        if self.reports is not None:
+            return self.reports
+        # finish before finalize() so audit.* events emitted here are part
+        # of the log the finalizer sorts into time order; the other
+        # observers only read
+        self.reports, entries = {}, {}
+        for observer in self.observers:
+            report = observer.finish(self.observed)
+            if observer.result_field == "audit":  # the suite is one report
+                entries[observer.name] = report
+            else:
+                self.reports[observer.result_field] = report
+        if entries:
+            self.reports["audit"] = AuditReport(
+                protocol, self.config.seed, entries
             )
-        spans_report = None
-        if self.span_builder is not None:
-            # like the auditors: before finalize(), reading only — the
-            # builder never perturbs the trajectory
-            spans_report = self.span_builder.finish(self.observed)
         if self.trace_bus is not None:
             self.trace_bus.finalize()
-        return self._audit_report, spans_report
+        return self.reports
 
 
 def detached(result, *handles: str):

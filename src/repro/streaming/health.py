@@ -264,14 +264,17 @@ class HealthMonitor:
 
         Simulator oracle for metrics and the false-quarantine audit
         bound — never consulted by the breaker itself.  A session with
-        link faults, churn, or partitions degrades paths nondirectedly,
-        so nothing in it counts as false; otherwise the peer must have
-        a fired fault (crash/degrade/flap) on record.
+        lossy channels (media or control), link faults, churn, or
+        partitions degrades paths nondirectedly, so nothing in it counts
+        as false; otherwise the peer must have a fired fault
+        (crash/degrade/flap) on record.
         """
         session = self.session
         spec = session.spec
         if (
-            spec.link_fault is not None
+            spec.loss is not None
+            or spec.control_loss is not None
+            or spec.link_fault is not None
             or spec.churn_plan is not None
             or spec.partition_plan is not None
         ):

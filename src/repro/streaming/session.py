@@ -26,8 +26,7 @@ if TYPE_CHECKING:  # pragma: no cover
 from repro.core.base import ProtocolConfig, pick
 from repro.net.message import Message
 from repro.net.overlay import ControlPlane
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import TraceBus, TraceConfig
+from repro.obs.trace import TraceBus
 from repro.streaming.commons import Commons, detached
 from repro.streaming.contents_peer import ContentsPeerAgent
 from repro.streaming.detector import FailureDetector
@@ -210,7 +209,6 @@ class StreamingSession:
         self.media_batch_window_ms = (
             spec.media_batch * config.delta if spec.media_batch > 0 else 0.0
         )
-        self.metrics_registry: Optional[MetricsRegistry] = None
         self.env = commons.env
         self.streams = commons.streams
         self.trace_bus: Optional[TraceBus] = commons.trace_bus
@@ -291,70 +289,7 @@ class StreamingSession:
             return
         if self.trace_bus is not None:
             self.trace_bus.participants = [self.leaf.peer_id, *self.peer_ids]
-            if self.trace_bus.config.metrics:
-                self._wire_metrics(self.trace_bus.config)
         commons.observe(self)
-
-    # ------------------------------------------------------------------
-    # observability
-    # ------------------------------------------------------------------
-    def _wire_metrics(self, trace: TraceConfig) -> None:
-        """Register the run's instruments and start the sim-time sampler."""
-        registry = MetricsRegistry()
-        self.metrics_registry = registry
-        self.trace_bus.registry = registry
-        registry.counter("ctrl_sends")
-        registry.counter("media_sends")
-        registry.gauge(
-            "active_peers",
-            lambda: sum(
-                1 for p in self.peers.values() if p.active and not p.crashed
-            ),
-        )
-        registry.gauge(
-            "in_flight_control", lambda: self.trace_bus.in_flight_control
-        )
-        registry.gauge("buffer_level", lambda: self.leaf.buffer.level)
-        registry.gauge("receipt_rate", self._windowed_receipt_rate)
-        registry.histogram(
-            "arrival_gap_ms",
-            bounds=[b / self.config.tau for b in (0.25, 0.5, 1, 2, 4, 8)],
-        )
-        self._rr_prev = (0, self.env.now)
-        self._gap_cursor = 0
-        period = trace.sample_period_deltas * self.config.delta
-        self.env.process(self._sample_loop(registry, period, trace.max_samples))
-
-    def _windowed_receipt_rate(self) -> float:
-        """Leaf arrivals over the last sample window, normalized to τ."""
-        now = self.env.now
-        count = len(self.leaf.arrival_times)
-        prev_count, prev_t = self._rr_prev
-        self._rr_prev = (count, now)
-        if now <= prev_t:
-            return 0.0
-        return (count - prev_count) / (now - prev_t) / self.config.tau
-
-    def _sample_loop(self, registry: MetricsRegistry, period: float, max_samples: int):
-        """Snapshot all instruments once per period of simulated time.
-
-        Self-terminating: stops when the leaf holds the full content, when
-        the event queue has otherwise drained (nothing left to observe), or
-        after ``max_samples`` ticks — so tracing never keeps a simulation
-        alive materially past its natural end.
-        """
-        hist = registry.histograms["arrival_gap_ms"]
-        for _ in range(max_samples):
-            yield self.env.timeout(period)
-            registry.sample(self.env.now)
-            arrivals = self.leaf.arrival_times
-            while self._gap_cursor + 1 < len(arrivals):
-                hist.observe(
-                    arrivals[self._gap_cursor + 1] - arrivals[self._gap_cursor]
-                )
-                self._gap_cursor += 1
-            if self.leaf.decoder.complete or len(self.env) == 0:
-                return
 
     # ------------------------------------------------------------------
     # reliable control plane
@@ -532,16 +467,9 @@ class StreamingSession:
         decoder = self.leaf.decoder
         det = self.detector
         rec = self.recoordinator
-        timeseries = None
-        audit_report = spans_report = None
+        reports = {}  # the observers' reports: audit, spans, timeseries
         if self.commons.observed is self:
-            audit_report, spans_report = self.commons.finish(
-                self.protocol.name
-            )
-            if self.metrics_registry is not None:
-                timeseries = self.metrics_registry.to_series(
-                    title=f"{self.protocol.name} run timeseries"
-                )
+            reports = self.commons.finish(self.protocol.name)
         handoff_latencies = (
             [h.latency for h in rec.handoffs if h.latency is not None]
             if rec is not None
@@ -606,9 +534,7 @@ class StreamingSession:
                 else []
             ),
             trace=self.trace_bus,
-            timeseries=timeseries,
-            audit=audit_report,
-            spans=spans_report,
+            **reports,
         )
 
     def __repr__(self) -> str:

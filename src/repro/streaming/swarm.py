@@ -519,7 +519,7 @@ class SwarmSession:
                 outcome.delivery_ratio = session.leaf.decoder.delivery_ratio()
             if outcome.completed_at is None:
                 outcome.completed_at = session.leaf.completed_at
-        audit_report, _ = self.commons.finish(self.protocol_name)
+        reports = self.commons.finish(self.protocol_name)
         outcomes = [self.outcomes[l] for l in self.leaf_ids]
         admitted = [o for o in outcomes if o.admitted]
         gave_up = sum(1 for o in outcomes if o.gave_up)
@@ -566,7 +566,7 @@ class SwarmSession:
             ),
             elapsed=self.env.now,
             trace=self.trace_bus,
-            audit=audit_report,
+            **reports,
         )
 
     def __repr__(self) -> str:

@@ -1,5 +1,7 @@
 """Tests for the repro-experiments CLI."""
 
+import re
+
 import pytest
 
 from repro.experiments.cli import main
@@ -266,6 +268,45 @@ def test_bad_model_params_fail_with_exit_2(capsys, flag, value):
     assert rc == 2
     assert captured.err.startswith(f"repro-experiments: error: bad {flag} ")
     assert captured.err.count("\n") == 1 and not captured.out
+
+
+def _help_examples(capsys, monkeypatch):
+    """Every ``(flag, example)`` pair the ``--help`` text offers: the
+    ``NAME:k=v`` / ``k=v`` / ``PEERS@AT:HEAL`` words after an ``e.g.``."""
+    monkeypatch.setenv("COLUMNS", "200")  # no example wrapped mid-word
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    pairs = []
+    for block in re.split(r"\n  (?=--)", capsys.readouterr().out):
+        words = " ".join(block.split())
+        _, eg, tail = words.partition(" e.g. ")
+        if eg:
+            examples = re.findall(r"(?:^|\bor )(\S+)", tail)
+            pairs += [
+                (words.split()[0], example.rstrip(",;)"))
+                for example in examples
+                if "=" in example or "@" in example
+            ]
+    return pairs
+
+
+def test_every_help_example_builds(capsys, monkeypatch):
+    # what --help suggests must be accepted: each example goes through
+    # the one spec builder the trace/audit/spans subcommands share
+    import repro.experiments.cli as cli
+
+    pairs = _help_examples(capsys, monkeypatch)
+    assert {flag for flag, _ in pairs} == {
+        "--latency", "--loss", "--link-fault", "--detector", "--retransmit",
+        "--partition", "--capacity", "--join-storm",
+    }
+    assert len(pairs) == 9
+    monkeypatch.setattr(cli, "_run_trace", cli._build_spec)
+    refused = []
+    for flag, example in pairs:
+        if isinstance(main(["trace", flag, example]), int):
+            refused.append((flag, example, capsys.readouterr().err))
+    assert refused == []
 
 
 def test_bad_retransmit_values_fail_with_exit_2(capsys):

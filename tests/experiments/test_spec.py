@@ -162,9 +162,7 @@ def test_detach_exports_trace_and_timeseries_and_pickles():
     assert len(detached.trace["events"]) == len(result.trace.events)
     assert isinstance(detached.timeseries, dict)
     assert detached.timeseries["type"] == "series"
-    # the live result does not pickle; the detached one does
-    with pytest.raises(Exception):
-        pickle.dumps(result)
+    # the detached result is plain data, so it pickles
     clone = pickle.loads(pickle.dumps(detached))
     assert clone.trace == detached.trace
     # scalar fields are untouched

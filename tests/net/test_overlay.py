@@ -80,6 +80,26 @@ def test_control_packets_excludes_media():
     assert ov.traffic.control_packets() == 1
 
 
+def test_control_packets_counts_the_five_assignment_kinds_only():
+    # the default is not "every non-media send": at n=100, H=30 TCoP's
+    # 3 690 peer offers are left out.  bench/'s sim_ctrl_packets reads
+    # this number; Fig. 11's table reads control_packets_at_sync
+    from repro.core import ProtocolConfig
+    from repro.streaming import ProtocolSpec, SessionSpec
+
+    session = SessionSpec(
+        config=ProtocolConfig(
+            n=100, H=30, fault_margin=1, seed=0, content_packets=50
+        ),
+        protocol=ProtocolSpec("tcop"),
+    ).build()
+    result = session.run()
+    traffic = session.overlay.traffic
+    assert traffic.control_packets() == 3850
+    assert traffic.sent("offer") == 3690
+    assert result.control_packets_total == 7540
+
+
 def test_loss_counted_and_not_delivered():
     env, ov = make_overlay(default_loss_factory=lambda: BernoulliLoss(1.0))
     got = []

@@ -20,6 +20,8 @@ from repro.obs import (
     available_auditors,
     build_auditors,
     register_auditor,
+    replay,
+    trace_to_jsonl,
 )
 from repro.obs import audit as audit_module
 from repro.sim.engine import Environment
@@ -124,11 +126,10 @@ def _consumers():
     return [*auditors, SpanBuilder(SpanConfig())]
 
 
-def _report(consumer):
-    if isinstance(consumer, Auditor):
-        consumer.finish()
-        return consumer.report_entry()
-    return consumer.finish().to_dict()
+def _report(observer):
+    """What an observer finishes with, in comparable (exported) form."""
+    report = observer.finish()
+    return report.to_dict() if hasattr(report, "to_dict") else report
 
 
 @pytest.mark.parametrize("cell", sorted(RECORDED))
@@ -147,6 +148,42 @@ def test_routed_and_every_event_feeding_report_the_same(cell):
             bus.publish(event)
             direct.on_event(event)
         assert _report(routed) == _report(direct), type(routed).__name__
+
+
+# ----------------------------------------------------------------------
+# one contract, two feeders: bound live by the run, or replayed
+# ----------------------------------------------------------------------
+def _findings(entry):
+    return [
+        (f["code"], f["subject"], f["evidence"])
+        for key in ("violations", "warnings")
+        for f in entry[key]
+    ]
+
+
+@pytest.mark.parametrize(
+    "cell",
+    [c for c in sorted(CELLS) if c.startswith("fault_free/")]
+    + ["batched/tcop"],
+)
+def test_live_and_replayed_observers_agree(cell):
+    audit = AuditConfig(auditors=tuple(available_auditors()))
+    spec = CELLS[cell]().replace(audit=audit)
+    result = spec.run()
+    config = result.config
+    auditors = build_auditors(audit)
+    builder = SpanBuilder(spec.spans)
+    *entries, spans = replay(
+        trace_to_jsonl(result.trace).splitlines(), [*auditors, builder],
+        delta=config.delta, tau=config.tau,
+        protocol=result.protocol, seed=config.seed,
+    )
+    # the one replay infers the content length the live run was given
+    assert builder.n_packets == config.content_packets
+    for auditor, entry in zip(auditors, entries, strict=True):
+        live = result.audit.auditors[auditor.name]
+        assert _findings(entry) == _findings(live), auditor.name
+    assert spans.headline() == result.spans.headline()
 
 
 # ----------------------------------------------------------------------
@@ -223,7 +260,8 @@ def test_custom_auditors_see_what_they_asked_for(custom_auditors):
         audit=AuditConfig(auditors=("undeclared_test", "declared_test", "tree")),
     ).build()
     result = session.run()
-    undeclared, declared, tree = session.commons.auditors
+    # the run's observers: the three auditors, then the sampler
+    undeclared, declared, tree, _ = session.commons.observers
     emitted = [e.kind for e in result.trace.events if e.kind != "wave.end"]
     # no declaration: every emission, bar the auditors' own verdicts —
     # of which this one's warnings made plenty

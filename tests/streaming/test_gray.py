@@ -17,6 +17,7 @@ from repro.streaming import (
     FaultPlan,
     HealthPolicy,
     LinkFaultSpec,
+    LossSpec,
     ProtocolSpec,
     QuarantineRecord,
     RepairPolicy,
@@ -96,6 +97,29 @@ def test_gray_gauntlet_quarantine_never_costs_receipt(protocol):
     ]
     assert quarantine_violations == []
     assert report.auditors["quarantine"]["passed"]
+
+
+@pytest.mark.parametrize("protocol", ["dcop", "tcop"])
+def test_lossy_channels_explain_quarantines(protocol):
+    """Bursty media loss and control loss are injected faults too: a
+    breaker that trips under them (the ``fault_gauntlet`` stack without
+    churn) did not trip in a clean environment."""
+    result = SessionSpec(
+        config=ProtocolConfig(
+            n=40, H=8, fault_margin=1, content_packets=600, seed=0
+        ),
+        protocol=ProtocolSpec(protocol),
+        loss=LossSpec("bursty", {"rate": 0.05}),
+        control_loss=LossSpec("bernoulli", {"p": 0.05}),
+        retransmit_policy=RetransmitPolicy(adaptive=True),
+        detector_policy=DetectorSpec("accrual"),
+        repair_policy=RepairPolicy(),
+        health_policy=HealthPolicy(),
+        audit=AuditConfig(auditors=("quarantine",)),
+    ).run()
+    assert result.quarantines >= 1
+    assert result.false_quarantines == 0
+    assert result.audit.auditors["quarantine"]["passed"]
 
 
 def test_gray_degraded_peer_is_quarantined_and_readmitted():
