@@ -26,7 +26,6 @@ from repro import (
     RetransmitPolicy,
     SessionSpec,
 )
-from repro.streaming import ChurnEvent
 
 
 def run(tolerant: bool):
@@ -54,19 +53,15 @@ def run(tolerant: bool):
 
 def main() -> None:
     session, result = run(tolerant=True)
-    crashes = [
-        e for e in session.faults_fired
-        if isinstance(e, ChurnEvent) and e.kind == "crash"
-    ]
-    rejoins = [
-        e for e in session.faults_fired
-        if isinstance(e, ChurnEvent) and e.kind == "rejoin"
-    ]
+    # every injected fault instance of the run, one row each
+    rows = session.commons.ledger.rows
+    crashes = [row for row in rows if row.kind == "peer.crash"]
+    rejoins = [row for row in rows if row.kind == "peer.rejoin"]
     print("churn-tolerant DCoP under 10% control loss")
     print("-" * 50)
     print(f"churn events: {len(crashes)} crashes, {len(rejoins)} rejoins")
-    for e in crashes:
-        print(f"  t={e.at:7.1f} ms  {e.peer_id} crashed")
+    for row in crashes:
+        print(f"  t={row.ts:7.1f} ms  {row.src} crashed")
     print(f"delivery ratio:        {result.delivery_ratio:.4f}")
     for pid, lat in sorted(result.detection_latencies.items()):
         deltas = lat / session.config.delta

@@ -17,6 +17,11 @@ window.  Three mechanisms keep the run correct anyway:
   ``duplicate_effect`` auditor, which cross-checks every applied control
   message against wire uids and control-plane message ids.
 
+Every cut, lost, duplicated and held-back message is a row of the run's
+fault ledger; the detector auditor excuses confirming a partitioned peer
+by naming the cut, and replaying the recorded trace rebuilds the same
+ledger, so the offline audit reaches the live verdict.
+
 Run:  python examples/partition_streaming.py [audit-report.json]
 
 With a path argument the full audit report is written there as JSON
@@ -37,7 +42,7 @@ from repro import (
     SessionSpec,
     TraceConfig,
 )
-from repro.streaming import PartitionEvent
+from repro.obs import replay_jsonl, trace_to_jsonl
 
 SPLIT_AT = 60.0
 HEAL_AT = 300.0
@@ -74,15 +79,19 @@ def build():
 
 def main() -> None:
     session, result = build()
-    splits = [
-        e for e in session.faults_fired
-        if isinstance(e, PartitionEvent)
-    ]
     print("partition-tolerant DCoP under duplicating, reordering links")
     print("-" * 60)
-    for e in splits:
-        who = f" isolating {', '.join(e.isolated)}" if e.isolated else ""
-        print(f"  t={e.at:7.1f} ms  partition {e.kind}{who}")
+    for kind in ("partition.split", "partition.heal"):
+        for e in result.trace.of_kind(kind):
+            isolated = e.fields["isolated"].replace(",", ", ")
+            print(f"  t={e.ts:7.1f} ms  {kind.replace('.', ' ')} "
+                  f"isolating {isolated}")
+    rows = session.commons.ledger.rows
+    tally = {}
+    for row in rows:
+        tally[row.kind] = tally.get(row.kind, 0) + 1
+    print(f"fault ledger:            {len(rows)} rows — "
+          + ", ".join(f"{n} {kind}" for kind, n in sorted(tally.items())))
     print(f"delivery ratio:          {result.delivery_ratio:.4f}")
     for e in result.trace.of_kind("detector.confirm"):
         deltas = (e.ts - SPLIT_AT) / session.config.delta
@@ -105,6 +114,16 @@ def main() -> None:
     print(f"  duplicate-effect audit: {dup['applies_checked']} applies "
           f"checked, {dup['duplicates_suppressed']} duplicate deliveries "
           f"suppressed, {len(dup['violations'])} double-applies")
+    excused = [
+        w for w in report.auditors["detector"]["warnings"]
+        if w["code"] == "detector.false_confirm"
+    ]
+    for w in excused:
+        print(f"  {w['subject']} confirmed while up, excused by "
+              f"{w['evidence'][-1]}")
+    replayed = replay_jsonl(trace_to_jsonl(result.trace).splitlines())
+    print(f"  replayed from the trace: {replayed.violation_count} "
+          f"violations, {replayed.warning_count} warnings")
 
     if len(sys.argv) > 1:
         path = sys.argv[1]

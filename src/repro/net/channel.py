@@ -73,8 +73,9 @@ class Channel:
         #: next time the link is free to begin serializing (bandwidth mode)
         self._link_free_at = 0.0
 
-    def send(self, message: Message) -> None:
-        """Fire-and-forget transmission (UDP-like, as in the paper)."""
+    def send(self, message: Message) -> Tuple[float, ...]:
+        """Fire-and-forget transmission (UDP-like, as in the paper): the
+        extra delay of each delivered copy, ``()`` when it was lost."""
         now = self.env.now
         message.sent_at = now
         self.stats.sent += 1
@@ -82,13 +83,13 @@ class Channel:
 
         if self.loss.drops(self.rng):
             self.stats.dropped += 1
-            return
+            return ()
 
         if self.fault is not None:
             extra_delays = self.fault.apply(self.rng, now)
             if not extra_delays:
                 self.stats.dropped += 1
-                return
+                return ()
         else:
             extra_delays = (0.0,)
 
@@ -108,6 +109,7 @@ class Channel:
             # one Timer per copy — the cheap fire-and-forget path (a
             # spawned generator would cost three scheduled events)
             self.env.call_later(delay + extra, self._deliver, message, index > 0)
+        return extra_delays
 
     def _deliver(self, message: Message, duplicate: bool) -> None:
         message.delivered_at = self.env.now
@@ -115,7 +117,7 @@ class Channel:
         self.stats.latencies_sum += message.delivered_at - message.sent_at
         self.dst.deliver(message, duplicate=duplicate)
 
-    def send_batch(self, message: Message) -> Tuple[int, int, int]:
+    def send_batch(self, message: Message) -> Tuple[int, int, int, Tuple[float, ...]]:
         """Transmit a whole media batch as one delivery event.
 
         ``message.body`` must be a :class:`~repro.media.batch.PacketBatch`
@@ -125,8 +127,9 @@ class Channel:
         stateful faults evolve exactly as if sent one by one), latency
         (vectorized), and bandwidth serialization — then a single timer
         fires at the last survivor's arrival carrying the delivered batch
-        in modeled arrival order.  Returns ``(delivered, dropped,
-        duplicated)`` packet counts for the overlay's accounting.
+        in modeled arrival order.  Returns the ``delivered``, ``dropped``
+        and ``duplicated`` packet counts for the overlay's accounting, and
+        the extra delay of every copy a link fault held back.
         """
         batch = message.body
         k = len(batch)
@@ -173,13 +176,14 @@ class Channel:
 
         self.stats.dropped += dropped
         self.stats.duplicated += duplicated
+        held = () if fates is None else tuple(e for fate in fates for e in fate if e > 0)
         if not deliveries:
-            return (0, dropped, duplicated)
+            return (0, dropped, duplicated, held)
 
         deliveries.sort(key=lambda d: d[0])
         arrival = deliveries[-1][0]
         self.env.call_later(arrival, self._deliver_batch, message, deliveries)
-        return (len(deliveries) - duplicated, dropped, duplicated)
+        return (len(deliveries) - duplicated, dropped, duplicated, held)
 
     def _deliver_batch(self, message: Message, deliveries: list) -> None:
         from repro.media.batch import PacketBatch

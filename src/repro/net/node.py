@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Optional
 
+from repro.net.ledger import FaultLedger
 from repro.net.message import Message
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -18,7 +19,9 @@ class Node:
     of a control packet (§3.3).
 
     A node can be marked *down* (crash fault): deliveries to a down node are
-    counted and discarded, and sends from it are suppressed by the agents.
+    discarded, and sends from it are suppressed by the agents.  Crashes,
+    rejoins and those discarded deliveries are fault instances, filed in
+    ``ledger`` (the overlay's; a private one otherwise).
     """
 
     def __init__(
@@ -26,14 +29,15 @@ class Node:
         env: "Environment",
         node_id: str,
         on_deliver: Callable[[Message], None],
+        ledger: Optional[FaultLedger] = None,
     ) -> None:
         if not node_id:
             raise ValueError("node_id must be non-empty")
         self.env = env
         self.node_id = node_id
         self.on_deliver = on_deliver
+        self.ledger = ledger if ledger is not None else FaultLedger(env)
         self.down = False
-        self.dropped_while_down = 0
 
     def deliver(self, message: Message, duplicate: bool = False) -> None:
         """Called by a channel when a message arrives.
@@ -42,21 +46,19 @@ class Node:
         trace carries the flag so auditors can exclude them from
         send/recv conservation counts.
         """
-        tracer = self.env.hooks.tracer
         if self.down:
-            self.dropped_while_down += 1
-            if tracer is not None:
-                link = {"mid": message.msg_id} if message.msg_id is not None else {}
-                tracer.emit(
-                    "msg.drop",
-                    self.node_id,
-                    kind=message.kind,
-                    src=message.src,
-                    reason="dst_down",
-                    uid=message.uid,
-                    **link,
-                )
+            link = {"mid": message.msg_id} if message.msg_id is not None else {}
+            self.ledger.record(
+                "msg.drop",
+                self.node_id,
+                kind=message.kind,
+                src=message.src,
+                reason="dst_down",
+                uid=message.uid,
+                **link,
+            )
             return
+        tracer = self.env.hooks.tracer
         if tracer is not None:
             # uid/mid mirror the matching msg.send so span builders can
             # join the two ends of the wire without heuristics
@@ -77,13 +79,11 @@ class Node:
         """Mark the node failed: it neither receives nor (by convention)
         sends from now on."""
         self.down = True
-        if self.env.hooks.tracer is not None:
-            self.env.hooks.tracer.emit("peer.crash", self.node_id)
+        self.ledger.record("peer.crash", self.node_id)
 
     def recover(self) -> None:
         self.down = False
-        if self.env.hooks.tracer is not None:
-            self.env.hooks.tracer.emit("peer.rejoin", self.node_id)
+        self.ledger.record("peer.rejoin", self.node_id)
 
     def __repr__(self) -> str:
         state = "down" if self.down else "up"

@@ -10,6 +10,7 @@ from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
 from repro.net.channel import Channel
 from repro.net.latency import ConstantLatency, LatencyModel
+from repro.net.ledger import FaultLedger
 from repro.net.linkfault import LinkFault
 from repro.net.loss import LossModel, NoLoss
 from repro.net.message import Message
@@ -314,7 +315,9 @@ class Overlay:
     Latency may be customized per (src, dst) pair via ``latency_factory``;
     by default every channel shares the overlay's ``default_latency`` and
     gets a fresh loss model from ``default_loss_factory``, with an
-    independent RNG stream per directed pair.
+    independent RNG stream per directed pair.  Every lost, duplicated or
+    held-back message and every link cut is filed in ``ledger``, the run's
+    :class:`~repro.net.ledger.FaultLedger` (by default a private one).
     """
 
     def __init__(
@@ -327,8 +330,10 @@ class Overlay:
         latency_factory: Optional[Callable[[str, str], LatencyModel]] = None,
         control_loss_factory: Optional[Callable[[], LossModel]] = None,
         link_fault_factory: Optional[Callable[[], LinkFault]] = None,
+        ledger: Optional[FaultLedger] = None,
     ) -> None:
         self.env = env
+        self.ledger = ledger if ledger is not None else FaultLedger(env)
         self.streams = streams if streams is not None else RandomStreams(0)
         self.default_latency = (
             default_latency if default_latency is not None else ConstantLatency(1.0)
@@ -349,8 +354,8 @@ class Overlay:
         self.channels: Dict[Tuple[str, str], Channel] = {}
         self.traffic = TrafficStats()
         self._control_loss: Dict[Tuple[str, str], LossModel] = {}
-        #: directed links currently cut (partitions, one-way failures)
-        self._severed: set[Tuple[str, str]] = set()
+        #: directed links cut now (partitions, one-way failures), as filed
+        self._cuts = self.ledger.cuts
         #: wire ids: one per physical send, shared by link-level duplicates
         self._uids = itertools.count(1)
 
@@ -363,7 +368,7 @@ class Overlay:
         """Add a peer whose arriving messages go to ``on_deliver``."""
         if node_id in self.nodes:
             raise ValueError(f"node {node_id!r} already exists")
-        node = Node(self.env, node_id, on_deliver)
+        node = Node(self.env, node_id, on_deliver, self.ledger)
         self.nodes[node_id] = node
         return node
 
@@ -409,20 +414,13 @@ class Overlay:
         """
         if src not in self.nodes or dst not in self.nodes:
             raise KeyError(f"unknown endpoint in {src}->{dst}")
-        if (src, dst) not in self._severed:
-            self._severed.add((src, dst))
-            if self.env.hooks.tracer is not None:
-                self.env.hooks.tracer.emit("link.sever", src, dst=dst)
+        if (src, dst) not in self._cuts:
+            self.ledger.record("link.sever", src, dst=dst)
 
     def heal_link(self, src: str, dst: str) -> None:
         """Restore a previously severed directed link (no-op if intact)."""
-        if (src, dst) in self._severed:
-            self._severed.discard((src, dst))
-            if self.env.hooks.tracer is not None:
-                self.env.hooks.tracer.emit("link.heal", src, dst=dst)
-
-    def link_severed(self, src: str, dst: str) -> bool:
-        return (src, dst) in self._severed
+        if (src, dst) in self._cuts:
+            self.ledger.record("link.heal", src, dst=dst)
 
     # ------------------------------------------------------------------
     # traffic
@@ -438,6 +436,22 @@ class Overlay:
             self._control_loss[key] = model
         return model.drops(self.streams.get(f"ctrl-loss/{src}->{dst}"))
 
+    def _drop(self, src: str, dst: str, kind: str, reason: str, **fields) -> None:
+        """Account one lost send (``count`` packets of a batch) and file it."""
+        self.traffic.dropped_by_kind[kind] += fields.get("count", 1)
+        self.ledger.record("msg.drop", src, dst=dst, kind=kind, reason=reason, **fields)
+
+    def _link_effects(self, src, dst, kind: str, extra_copies: int, held, **fields) -> None:
+        """File what a link fault did to a send that got through: the
+        copies it added, and the longest of the hold-backs ``held``."""
+        if extra_copies:
+            self.traffic.duplicated_by_kind[kind] += extra_copies
+            self.ledger.record(
+                "link.duplicate", src, dst=dst, kind=kind, copies=extra_copies + 1, **fields
+            )
+        if held:
+            self.ledger.record("link.delay", src, dst=dst, kind=kind, delay=max(held), **fields)
+
     def send(
         self,
         src: str,
@@ -449,19 +463,13 @@ class Overlay:
         ctx: Optional[str] = None,
     ) -> Message:
         """Send one message and account for it globally."""
-        tracer = self.env.hooks.tracer
         if self.nodes[src].down:
             # A crashed peer sends nothing; account as a suppressed send.
-            self.traffic.dropped_by_kind[kind] += 1
-            msg = Message(
+            self._drop(src, dst, kind, "sender_down")
+            return Message(
                 src=src, dst=dst, kind=kind, body=body,
                 size_bytes=size_bytes, msg_id=msg_id, ctx=ctx,
             )
-            if tracer is not None:
-                tracer.emit(
-                    "msg.drop", src, dst=dst, kind=kind, reason="sender_down"
-                )
-            return msg
         msg = Message(
             src=src, dst=dst, kind=kind, body=body,
             size_bytes=size_bytes, msg_id=msg_id, uid=next(self._uids),
@@ -473,45 +481,23 @@ class Overlay:
         # when the send is reliable) lets span builders stitch this send
         # to its receive/drop/ack without guessing by (src, dst, kind)
         link = {"mid": msg_id} if msg_id is not None else {}
+        tracer = self.env.hooks.tracer
         if tracer is not None:
             tracer.emit("msg.send", src, dst=dst, kind=kind, uid=msg.uid, **link)
-        if (src, dst) in self._severed:
-            self.traffic.dropped_by_kind[kind] += 1
-            if tracer is not None:
-                tracer.emit(
-                    "msg.drop", src, dst=dst, kind=kind,
-                    reason="link_severed", uid=msg.uid, **link,
-                )
+        if (src, dst) in self._cuts:
+            self._drop(src, dst, kind, "link_severed", uid=msg.uid, **link)
             return msg
         if kind != "packet" and self._control_drops(src, dst):
-            self.traffic.dropped_by_kind[kind] += 1
-            if tracer is not None:
-                tracer.emit(
-                    "msg.drop", src, dst=dst, kind=kind,
-                    reason="control_loss", uid=msg.uid, **link,
-                )
+            self._drop(src, dst, kind, "control_loss", uid=msg.uid, **link)
             return msg
-        ch = self.channel(src, dst)
-        before_drop = ch.stats.dropped
-        before_dup = ch.stats.duplicated
-        ch.send(msg)
-        if ch.stats.dropped > before_drop:
-            self.traffic.dropped_by_kind[kind] += 1
-            if tracer is not None:
-                tracer.emit(
-                    "msg.drop", src, dst=dst, kind=kind,
-                    reason="channel_loss", uid=msg.uid, **link,
-                )
-        else:
-            self.traffic.delivered_by_kind[kind] += 1
-            extra_copies = ch.stats.duplicated - before_dup
-            if extra_copies:
-                self.traffic.duplicated_by_kind[kind] += extra_copies
-                if tracer is not None:
-                    tracer.emit(
-                        "link.duplicate", src, dst=dst, kind=kind,
-                        copies=extra_copies + 1,
-                    )
+        copies = self.channel(src, dst).send(msg)
+        if not copies:
+            self._drop(src, dst, kind, "channel_loss", uid=msg.uid, **link)
+            return msg
+        self.traffic.delivered_by_kind[kind] += 1
+        if len(copies) > 1 or copies[0]:
+            held = [extra for extra in copies if extra > 0]
+            self._link_effects(src, dst, kind, len(copies) - 1, held, uid=msg.uid, **link)
         return msg
 
     def send_media_batch(
@@ -526,15 +512,9 @@ class Overlay:
         emissions carry a ``count`` payload instead of repeating one
         event per packet.
         """
-        tracer = self.env.hooks.tracer
         k = len(batch)
         if self.nodes[src].down:
-            self.traffic.dropped_by_kind["packet"] += k
-            if tracer is not None:
-                tracer.emit(
-                    "msg.drop", src, dst=dst, kind="packet",
-                    reason="sender_down", count=k,
-                )
+            self._drop(src, dst, "packet", "sender_down", count=k)
             return None
         msg = Message(
             src=src, dst=dst, kind="packet_batch", body=batch,
@@ -542,33 +522,18 @@ class Overlay:
         )
         self.traffic.sent_by_kind["packet"] += k
         self.traffic.send_log.append(("packet", self.env.now, src, dst))
+        tracer = self.env.hooks.tracer
         if tracer is not None:
             tracer.emit("msg.send", src, dst=dst, kind="packet", count=k, uid=msg.uid)
-        if (src, dst) in self._severed:
-            self.traffic.dropped_by_kind["packet"] += k
-            if tracer is not None:
-                tracer.emit(
-                    "msg.drop", src, dst=dst, kind="packet",
-                    reason="link_severed", count=k,
-                )
+        if (src, dst) in self._cuts:
+            self._drop(src, dst, "packet", "link_severed", count=k)
             return msg
-        ch = self.channel(src, dst)
-        delivered, dropped, duplicated = ch.send_batch(msg)
+        delivered, dropped, duplicated, held = self.channel(src, dst).send_batch(msg)
         if dropped:
-            self.traffic.dropped_by_kind["packet"] += dropped
-            if tracer is not None:
-                tracer.emit(
-                    "msg.drop", src, dst=dst, kind="packet",
-                    reason="channel_loss", count=dropped,
-                )
+            self._drop(src, dst, "packet", "channel_loss", count=dropped)
         self.traffic.delivered_by_kind["packet"] += delivered
-        if duplicated:
-            self.traffic.duplicated_by_kind["packet"] += duplicated
-            if tracer is not None:
-                tracer.emit(
-                    "link.duplicate", src, dst=dst, kind="packet",
-                    copies=duplicated + 1,
-                )
+        if duplicated or held:
+            self._link_effects(src, dst, "packet", duplicated, held)
         return msg
 
     def __repr__(self) -> str:

@@ -23,12 +23,16 @@ reads and consumes them online, maintaining one protocol invariant:
   send; vector clocks (:class:`~repro.groupcomm.CausalityTracker`) are
   maintained per participant as the evidence substrate;
 * :class:`DetectorAuditor` — no ``detector.confirm`` against a peer that
-  is actually up (ground truth from ``peer.crash``/``peer.rejoin``), and
-  detection latency within the configured bound;
+  is actually up, and detection latency within the configured bound;
 * :class:`QuarantineAuditor` — the gray-failure circuit breaker's
   contract: no assignment traffic to a quarantined peer, readmission
   only through consecutive successful half-open probes, and no
   quarantine at all in a fault-free environment.
+
+Whether an injected fault explains a finding is asked of the run's
+:class:`~repro.net.ledger.FaultLedger` by one rule: a finding about peer ``p``
+is excused iff a fault touching ``p`` is on record, and is then a warning
+whose evidence names that row (:meth:`Auditor.judge`).
 
 Every violation is published back onto the bus as an ``audit.violation``
 (or ``audit.warning``) event carrying the evidence chain, and collected
@@ -79,6 +83,7 @@ from typing import (
 from repro.obs.trace import CONTROL_KINDS, Observer, TraceEvent, replay
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.net.ledger import FaultRow
     from repro.streaming.session import StreamingSession
 
 __all__ = [
@@ -210,6 +215,15 @@ class Auditor(Observer):
             self.warnings, "audit.warning", code, subject, message,
             evidence, ts,
         )
+
+    def judge(
+        self, code: str, subject: str, message: str, evidence=(), fault: Optional["FaultRow"] = None
+    ) -> Violation:
+        """A finding a fault may explain: a warning naming ``fault``, the
+        ledger row that does, or with none, a violation."""
+        if fault is None:
+            return self.violation(code, subject, message, evidence)
+        return self.warning(code, subject, message, [*evidence, fault.describe()])
 
     def _record(
         self,
@@ -388,11 +402,12 @@ class TreeAuditor(Auditor):
 class AllocationAuditor(Auditor):
     """§2's packet allocation: ascending, disjoint, covering.
 
-    Consumes ``media.tx``/``media.rx``.  Under churn, repair, or
-    re-coordination a data packet may legitimately be transmitted twice
-    (the residual of a dead or silent peer is re-floooded), so once such
-    an event is observed double transmission/delivery demotes to a
-    warning; in a fault-free run it is a violation.
+    Consumes ``media.tx``/``media.rx``.  After a re-coordination or a
+    repair a data packet may legitimately be transmitted twice (the
+    residual of a dead or silent peer is re-flooded), so from then on
+    double transmission/delivery is a warning; before, only a fault
+    touching a peer involved excuses it.  A crash or a lost coordination
+    message excuses a coverage gap.
     """
 
     name = "allocation"
@@ -405,25 +420,8 @@ class AllocationAuditor(Auditor):
         self._tx_first: Dict[int, Tuple[str, Any, TraceEvent]] = {}
         #: data seq -> first delivery event at the leaf
         self._delivered: Dict[int, TraceEvent] = {}
+        #: a reissue or repair was seen: packets may now travel twice
         self._relaxed = False
-        self._crash_seen = False
-
-    def bind(self, bus=None, session=None, **context):
-        super().bind(bus, session, **context)
-        if session is not None and (
-            session.spec.repair_policy is not None
-            or session.spec.churn_plan is not None
-            or session.spec.fault_plan is not None
-            or session.spec.link_fault is not None
-            or session.spec.partition_plan is not None
-            or session.recoordinator is not None
-        ):
-            self._relaxed = True
-        return self
-
-    def _on_crash(self, event: TraceEvent) -> None:
-        self._crash_seen = True
-        self._relaxed = True
 
     def _relax(self, event: TraceEvent) -> None:
         self._relaxed = True
@@ -431,6 +429,13 @@ class AllocationAuditor(Auditor):
     def _on_send(self, event: TraceEvent) -> None:
         if event.fields.get("kind") == "repair":
             self._relaxed = True
+
+    def _twice(self, code, subject, message, evidence, *peers) -> None:
+        """A data packet sent or delivered twice, ``peers`` involved."""
+        if self._relaxed:
+            self.warning(code, subject, message, evidence)
+        else:
+            self.judge(code, subject, message, evidence, self.ledger.touching(*peers))
 
     def _on_tx(self, event: TraceEvent) -> None:
         payload = event.fields
@@ -453,14 +458,14 @@ class AllocationAuditor(Auditor):
         if first is None:
             self._tx_first[label] = (event.subject, payload.get("stream"), event)
         elif (first[0], first[1]) != key:
-            record = self.warning if self._relaxed else self.violation
-            record(
+            self._twice(
                 "alloc.double_assignment",
                 event.subject,
                 f"data seq {label} transmitted by {event.subject} but "
                 f"already transmitted by {first[0]} — assigned "
                 "subsequences must be disjoint",
-                evidence=[first[2], event],
+                [first[2], event],
+                first[0], event.subject,
             )
 
     def _on_rx(self, event: TraceEvent) -> None:
@@ -471,25 +476,20 @@ class AllocationAuditor(Auditor):
         if prior is None:
             self._delivered[label] = event
             return
-        record = self.warning if self._relaxed else self.violation
-        record(
+        src = event.fields.get("src")
+        self._twice(
             "alloc.duplicate_delivery",
             self.leaf_id,
             f"data seq {label} delivered to the leaf twice "
-            f"(from {prior.fields.get('src')!r} and "
-            f"{event.fields.get('src')!r})",
-            evidence=[prior, event],
+            f"(from {prior.fields.get('src')!r} and {src!r})",
+            [prior, event],
+            self.leaf_id, prior.fields.get("src"), src,
         )
 
     handlers = {
         "media.tx": _on_tx,
         "media.rx": _on_rx,
-        "peer.crash": _on_crash,
         "recoord.reissue": _relax,
-        "detector.confirm": _relax,
-        "link.duplicate": _relax,
-        "link.sever": _relax,
-        "partition.split": _relax,
         "msg.send": _on_send,
     }
 
@@ -497,20 +497,21 @@ class AllocationAuditor(Auditor):
         n = self.n_packets
         if n is None and self._tx_first:
             n = max(self._tx_first)
-        if not n or self._crash_seen:
-            # a crashed, un-recoordinated peer legitimately leaves its
-            # residual unsent; coverage is only owed by fault-free runs
+        if not n:
             return
         missing = sorted(set(range(1, n + 1)) - set(self._tx_first))
         if missing:
             shown = ", ".join(str(s) for s in missing[:10])
             if len(missing) > 10:
                 shown += f", … ({len(missing)} total)"
-            self.violation(
+            # a crashed peer or a lost assignment legitimately leaves a
+            # share unsent; only a run with neither owes full coverage
+            self.judge(
                 "alloc.coverage_gap",
                 self.leaf_id,
                 f"data seqs never transmitted by any peer: {shown} — the "
                 "union of assigned subsequences must cover the content",
+                fault=self.ledger.lost_work(),
             )
 
     def extra(self) -> Dict[str, Any]:
@@ -721,19 +722,18 @@ class CausalAuditor(Auditor):
 
 @register_auditor("detector")
 class DetectorAuditor(Auditor):
-    """Failure detection vs the simulator's ground truth.
+    """Failure detection vs the fault ledger's ground truth.
 
-    ``peer.crash``/``peer.rejoin`` give the oracle up/down state; a
-    ``detector.confirm`` against a peer that is up is a violation (false
-    suspicions are allowed — they are the price of an asynchronous
-    detector — and surface as warnings), and a reported detection
-    latency beyond the bound is a violation.  A confirm against a peer
-    whose link to the leaf is severed (``link.sever`` without a matching
-    ``link.heal``) is excused: a partitioned peer is indistinguishable
-    from a crashed one to any asynchronous detector, so confirming it is
-    the *correct* answer, not a false positive.  The default bound is
-    ``(confirm_misses + 2) · period + 2δ`` from the live session's
-    policy; :attr:`AuditConfig.detection_latency_bound_ms` overrides.
+    A ``detector.confirm`` against a peer that is up is a violation unless
+    a fault touched the peer (a cut link, lost heartbeats, a crash since
+    rejoined: to an asynchronous detector it looks dead), which the
+    excusing warning names.  False suspicions are the price of an
+    asynchronous detector and surface as warnings.  A detection latency
+    beyond the bound is a violation for a peer that activated, and a
+    warning naming the crash for one that crashed before it did.  The
+    default bound is ``(confirm_misses + 2) · period + 2δ`` from the live
+    session's policy; :attr:`AuditConfig.detection_latency_bound_ms`
+    overrides.
     """
 
     name = "detector"
@@ -741,11 +741,9 @@ class DetectorAuditor(Auditor):
     def __init__(self, latency_bound_ms: Optional[float] = None) -> None:
         super().__init__()
         self.latency_bound_ms = latency_bound_ms
-        self._down: Dict[str, TraceEvent] = {}
         self._confirms = 0
-        #: directed links currently severed, as (src, dst) pairs
-        self._cut: set = set()
-        self._partition_excused = 0
+        #: peers that ever activated: only those owe a timely confirm
+        self._activated: set = set()
 
     def bind(self, bus=None, session=None, **context):
         super().bind(bus, session, **context)
@@ -761,17 +759,8 @@ class DetectorAuditor(Auditor):
             )
         return self
 
-    def _on_crash(self, event: TraceEvent) -> None:
-        self._down[event.subject] = event
-
-    def _on_rejoin(self, event: TraceEvent) -> None:
-        self._down.pop(event.subject, None)
-
-    def _on_sever(self, event: TraceEvent) -> None:
-        self._cut.add((event.subject, event.fields.get("dst")))
-
-    def _on_heal(self, event: TraceEvent) -> None:
-        self._cut.discard((event.subject, event.fields.get("dst")))
+    def _on_activate(self, event: TraceEvent) -> None:
+        self._activated.add(event.subject)
 
     def _on_suspect(self, event: TraceEvent) -> None:
         if event.fields.get("false"):
@@ -785,46 +774,37 @@ class DetectorAuditor(Auditor):
     def _on_confirm(self, event: TraceEvent) -> None:
         self._confirms += 1
         pid = event.subject
-        if pid not in self._down:
-            # the mesh is direct links, so the peer is unreachable
-            # from the leaf iff one direction of their link is cut
-            leaf = self.leaf_id
-            if (pid, leaf) in self._cut or (leaf, pid) in self._cut:
-                self._partition_excused += 1
-                return
-            self.violation(
+        crash = self.ledger.down.get(pid)
+        if crash is None:
+            self.judge(
                 "detector.false_confirm",
                 pid,
-                f"detector confirmed {pid} failed, but no injected "
-                "fault has it down at this instant",
-                evidence=[event],
+                f"detector confirmed {pid} failed while it is up",
+                [event],
+                self.ledger.touching(pid),
             )
             return
         latency = event.fields.get("latency")
         bound = self.latency_bound_ms
         if latency is not None and bound is not None and latency > bound:
-            self.violation(
+            owed = pid in self._activated
+            record = self.violation if owed else self.warning
+            record(
                 "detector.latency_exceeded",
                 pid,
-                f"detection latency {latency:.1f} ms exceeds the "
-                f"bound {bound:.1f} ms",
-                evidence=[self._down[pid], event],
+                f"detection latency {latency:.1f} ms exceeds the bound {bound:.1f} ms"
+                + ("" if owed else f" — {pid} crashed before it activated"),
+                evidence=[crash.describe(), event],
             )
 
     handlers = {
-        "peer.crash": _on_crash,
-        "peer.rejoin": _on_rejoin,
-        "link.sever": _on_sever,
-        "link.heal": _on_heal,
+        "peer.activate": _on_activate,
         "detector.suspect": _on_suspect,
         "detector.confirm": _on_confirm,
     }
 
     def extra(self) -> Dict[str, Any]:
-        return {
-            "confirms_checked": self._confirms,
-            "partition_excused": self._partition_excused,
-        }
+        return {"confirms_checked": self._confirms}
 
 
 @register_auditor("quarantine")
@@ -846,7 +826,7 @@ class QuarantineAuditor(Auditor):
       successful ``health.probe`` events inside it — traffic-driven
       ``touch()`` liveness must never reopen the breaker;
     * the false-quarantine bound: an episode flagged ``false=True``
-      (the simulator's oracle says no injected fault can explain it)
+      (no fault in the ledger touched the peer before it)
       is a violation — in a clean environment the breaker must not trip.
     """
 

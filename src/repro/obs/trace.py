@@ -22,6 +22,7 @@ category   kinds
            ``msg.ack`` (sender observed the first ack of a reliable mid)
            ``msg.dedup`` (agent suppressed a link-fault duplicate)
 ``peer``   ``peer.activate`` ``peer.crash`` ``peer.rejoin``
+           ``peer.degrade`` (a peer's streams slowed by a factor)
            ``peer.stream_start``
 ``wave``   ``wave.start`` ``wave.end`` (flooding-wave δ-rounds)
 ``detector`` ``detector.suspect`` ``detector.confirm``
@@ -35,6 +36,7 @@ category   kinds
 ``fec``    ``fec.recover`` (parity reconstruction of a lost packet)
 ``link``   ``link.sever`` ``link.heal`` (directed link cuts)
            ``link.duplicate`` (a fault delivered extra copies)
+           ``link.delay`` (a fault held a delivered copy back)
 ``partition`` ``partition.split`` ``partition.heal``
 ``ctrl``   ``ctrl.apply`` (a control message actually changed state —
            the duplicate-effect audit's evidence stream)
@@ -47,6 +49,9 @@ category   kinds
            :mod:`repro.streaming.swarm`)
 ``audit``  ``audit.violation`` ``audit.warning`` (auditor verdicts)
 ========== =====================================================
+
+The fault kinds — ``peer.crash``/``rejoin``/``degrade``, ``link.*``, ``partition.*``
+and ``msg.drop`` — are published by the run's :class:`~repro.net.ledger.FaultLedger`.
 
 Consumers that need events *as they happen* (rather than the post-hoc
 ``events`` buffer) register a callback via :meth:`TraceBus.subscribe`,
@@ -82,6 +87,7 @@ from typing import (
     Union,
 )
 
+from repro.net.ledger import FaultLedger
 from repro.sim.engine import Environment
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -394,13 +400,16 @@ class Observer:
         self,
         bus: Optional[TraceBus] = None,
         session: Optional["StreamingSession"] = None,
+        ledger: Optional[FaultLedger] = None,
         **context: Any,
     ) -> "Observer":
         """Attach to a bus and/or session (both optional).
 
-        The context — ``leaf_id``, ``n_packets``, ``delta``, ``tau``,
-        ``protocol``, ``seed`` — is read off ``session``, then
-        overridden by any of those keywords that is not None.
+        :attr:`ledger`, the run's fault ledger, is the session's unless
+        given (empty with neither).  The context — ``leaf_id``,
+        ``n_packets``, ``delta``, ``tau``, ``protocol``, ``seed`` — is read
+        off ``session``, then overridden by any of those keywords that is
+        not None.
         """
         self._bus = bus
         self._session = session
@@ -410,6 +419,9 @@ class Observer:
             self.n_packets = config.content_packets
             self.delta, self.tau = config.delta, config.tau
             self.protocol, self.seed = session.protocol.name, config.seed
+        self.ledger = ledger or (
+            session.commons.ledger if session is not None else FaultLedger()
+        )
         for name, value in context.items():
             if name not in _CONTEXT:
                 raise TypeError(f"bind() got an unexpected context {name!r}")
@@ -464,6 +476,8 @@ def replay(
     carries, which is exact whenever the trace covers the full content.
     The events reach the observers the way a live run's do: published on
     a bus that routes each to the observers that asked for its kind.
+    Its fault events rebuild the run's fault ledger before any observer,
+    each bound to it, sees them.
     """
     from repro.obs.exporters import read_jsonl  # it imports this module
 
@@ -478,8 +492,10 @@ def replay(
             (s for s in labels if isinstance(s, int)), default=None
         )
     bus = TraceBus(TraceConfig(), Environment())  # a clock stopped at zero
+    ledger = FaultLedger()
+    bus.subscribe(ledger.on_event, ledger.kinds)
     for observer in observers:
-        observer.bind(bus, **context)
+        observer.bind(bus, ledger=ledger, **context)
         bus.subscribe(observer.on_event, observer.kinds)
     for event in events:
         bus.publish(event)

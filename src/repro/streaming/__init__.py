@@ -47,7 +47,6 @@ from repro.streaming.spec import (
     available_factories,
 )
 from repro.streaming.faults import (
-    ChurnEvent,
     ChurnPlan,
     CrashFault,
     DegradeFault,
@@ -55,7 +54,6 @@ from repro.streaming.faults import (
     FlapFault,
     JoinStormPlan,
     LinkCut,
-    PartitionEvent,
     PartitionPlan,
 )
 from repro.streaming.swarm import (
@@ -84,7 +82,6 @@ __all__ = [
     "BufferEvent",
     "RateAdaptationMonitor",
     "RateAdaptationPolicy",
-    "ChurnEvent",
     "ChurnPlan",
     "Commons",
     "ContentsPeerAgent",
@@ -107,7 +104,6 @@ __all__ = [
     "LinkCut",
     "LinkFaultSpec",
     "LossSpec",
-    "PartitionEvent",
     "PartitionPlan",
     "PeerHub",
     "Phase",

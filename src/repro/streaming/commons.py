@@ -2,10 +2,10 @@
 
 The paper streams one content from ``n`` contents peers to a leaf; a crowd
 of leaves is the same ``n`` peers serving several leaves at once.  Either
-way a run has one :class:`Commons`: clock, RNG family, trace bus, overlay,
-content, the contents peers' ids (and, when uplinks are capped, their
-upload budgets) and the run's observers.  A session built on its own makes
-a private one; a swarm makes one and hands it to every leaf's session.
+way a run has one :class:`Commons`: clock, RNG family, trace bus, fault ledger,
+overlay, content, the contents peers' ids (and, when uplinks are capped, their
+upload budgets) and the run's observers.  A session built on its own makes a
+private one; a swarm makes one and hands it to every leaf's session.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from repro.media.content import MediaContent
 from repro.metrics.io import series_to_dict
 from repro.net.capacity import UploadBudget
 from repro.net.latency import ConstantLatency
+from repro.net.ledger import FaultLedger
 from repro.net.overlay import Overlay
 from repro.obs.audit import AuditReport, build_auditors
 from repro.obs.exporters import trace_to_dict
@@ -72,6 +73,8 @@ class Commons:
         self.observed = None
         #: result field -> report, once :meth:`finish` ran
         self.reports = None
+        #: every fault instance the run's injectors fire, bus or no bus
+        self.ledger = FaultLedger(self.env)
         latency = resolve_latency(spec.latency)
         latency_factory = None
         if latency is None:
@@ -97,6 +100,7 @@ class Commons:
             latency_factory=latency_factory,
             control_loss_factory=resolve_loss_factory(spec.control_loss),
             link_fault_factory=resolve_link_fault_factory(spec.link_fault),
+            ledger=self.ledger,
         )
         self.content = MediaContent(
             "content",
@@ -133,7 +137,7 @@ class Commons:
         if session is not None and bus is not None and bus.config.metrics:
             self.observers.append(TimeSeriesSampler())
         for observer in self.observers:
-            observer.bind(bus, session, n_packets=self.config.content_packets)
+            observer.bind(bus, session, ledger=self.ledger, n_packets=self.config.content_packets)
             bus.subscribe(observer.on_event, observer.kinds)
 
     def finish(self, protocol: str) -> dict:

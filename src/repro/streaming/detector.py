@@ -320,9 +320,9 @@ class FailureDetector:
         self, peer_id: str, st: PeerHealth, phi: Optional[float] = None
     ) -> None:
         st.suspected_at = self.session.env.now
-        false_accusation = not self.session.peers[peer_id].crashed
+        false_accusation = peer_id not in self.session.commons.ledger.down
         if false_accusation:
-            # ground truth (simulator oracle, metrics only): the peer is
+            # ground truth (the fault ledger, metrics only): the peer is
             # actually up — a slow or silent-but-alive peer was accused
             self.false_suspicions += 1
         tracer = self.session.env.hooks.tracer
@@ -337,16 +337,13 @@ class FailureDetector:
     def _confirm(self, peer_id: str, st: PeerHealth) -> None:
         now = self.session.env.now
         st.confirmed_at = now
-        crash_at = self.session.crash_time_of(peer_id)
-        if crash_at is not None:
-            self.detection_latencies[peer_id] = now - crash_at
+        crash = self.session.commons.ledger.crashes.get(peer_id)
+        latency = now - crash.ts if crash is not None else None
+        if latency is not None:
+            self.detection_latencies[peer_id] = latency
         tracer = self.session.env.hooks.tracer
         if tracer is not None:
-            tracer.emit(
-                "detector.confirm",
-                peer_id,
-                latency=(now - crash_at) if crash_at is not None else None,
-            )
+            tracer.emit("detector.confirm", peer_id, latency=latency)
         if self.on_confirm is not None:
             self.on_confirm(peer_id)
 

@@ -18,6 +18,10 @@ transmitting into their severed links (those sends are counted as honest
 drops), the leaf's failure detector suspects and then confirms them
 through silence, and after the heal their first heartbeat to reach the
 leaf resumes monitoring (:meth:`~repro.streaming.detector.FailureDetector.touch`).
+
+Each fault instance is filed once in the run's fault ledger
+(``session.commons.ledger``): crashes and rejoins by the node itself, link
+cuts by the overlay, degradations and partition splits and heals here.
 """
 
 from __future__ import annotations
@@ -172,7 +176,6 @@ class FaultPlan:
     def _run_crash(session: "StreamingSession", fault: CrashFault):
         yield session.env.timeout(fault.at)
         session.peers[fault.peer_id].node.crash()
-        session.faults_fired.append(fault)
 
     @staticmethod
     def _run_degrade(session: "StreamingSession", fault: DegradeFault):
@@ -181,15 +184,15 @@ class FaultPlan:
         for stream in agent.streams:
             if not stream.exhausted:
                 stream.scale_rate(fault.factor)
-        session.faults_fired.append(fault)
+        session.commons.ledger.record("peer.degrade", fault.peer_id, factor=fault.factor)
 
     @staticmethod
     def _run_flap(session: "StreamingSession", fault: FlapFault):
         """Cycle the peer down/up ``count`` times.
 
-        Each leg is logged as a :class:`ChurnEvent` so the ground-truth
-        oracles (``crash_time_of``, the detector/quarantine auditors)
-        see every oscillation; the up leg reuses the crash-recover path
+        Each leg is a crash or rejoin row of the fault ledger, so the
+        ground-truth oracles see every oscillation; the up leg reuses the
+        crash-recover path
         (:meth:`~repro.streaming.contents_peer.ContentsPeerAgent.rejoin`),
         so the peer resumes its unsent residual exactly like a churned
         peer would.
@@ -201,28 +204,13 @@ class FaultPlan:
                 return
             if not agent.crashed:
                 agent.node.crash()
-                session.faults_fired.append(
-                    ChurnEvent("crash", fault.peer_id, session.env.now)
-                )
             yield session.env.timeout(fault.down_for)
             if session.leaf.decoder.complete:
                 return
             if agent.crashed:
                 agent.rejoin()
-                session.faults_fired.append(
-                    ChurnEvent("rejoin", fault.peer_id, session.env.now)
-                )
             if cycle + 1 < fault.count:
                 yield session.env.timeout(fault.period - fault.down_for)
-
-
-@dataclass(frozen=True)
-class ChurnEvent:
-    """One membership change driven by a :class:`ChurnPlan` (for logs)."""
-
-    kind: str  #: "crash" or "rejoin"
-    peer_id: str
-    at: float
 
 
 @dataclass(frozen=True)
@@ -306,7 +294,7 @@ class ChurnPlan:
             victim = self._pick_victim(session, rng)
             if victim is None:
                 continue
-            self._crash(session, victim)
+            session.peers[victim].node.crash()
             if self.rejoin:
                 downtime = (
                     float(rng.exponential(self.mean_downtime_deltas))
@@ -327,7 +315,7 @@ class ChurnPlan:
         if k <= 0:
             return
         for victim in pick(rng, live, k):
-            self._crash(session, victim)
+            session.peers[victim].node.crash()
             if self.rejoin:
                 downtime = (
                     float(rng.exponential(self.mean_downtime_deltas))
@@ -348,13 +336,6 @@ class ChurnPlan:
         return live[int(rng.integers(len(live)))]
 
     @staticmethod
-    def _crash(session: "StreamingSession", victim: str) -> None:
-        session.peers[victim].node.crash()
-        session.faults_fired.append(
-            ChurnEvent("crash", victim, session.env.now)
-        )
-
-    @staticmethod
     def _rejoin_later(session: "StreamingSession", victim: str, downtime: float):
         yield session.env.timeout(downtime)
         if session.leaf.decoder.complete:
@@ -363,9 +344,6 @@ class ChurnPlan:
         if not agent.crashed:
             return  # already recovered by some other path
         agent.rejoin()
-        session.faults_fired.append(
-            ChurnEvent("rejoin", victim, session.env.now)
-        )
 
 
 # ----------------------------------------------------------------------
@@ -393,16 +371,6 @@ class LinkCut:
             raise ValueError("cut time must be non-negative")
         if self.until is not None and self.until <= self.at:
             raise ValueError("cut must heal after it starts")
-
-
-@dataclass(frozen=True)
-class PartitionEvent:
-    """One partition split/heal that actually fired (for logs)."""
-
-    kind: str  #: "split" or "heal"
-    at: float
-    #: peers on the far side of the split from the leaf
-    isolated: Tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -511,32 +479,18 @@ class PartitionPlan:
         links = self._boundary_links(session)
         for src, dst in links:
             overlay.sever_link(src, dst)
-        isolated = self.isolated_peers
-        if session.env.hooks.tracer is not None:
-            session.env.hooks.tracer.emit(
-                "partition.split",
-                "overlay",
-                components=len(self.components) + 1,
-                isolated=",".join(isolated),
-                heal_at=self.heal_at,
-            )
-        session.faults_fired.append(
-            PartitionEvent("split", session.env.now, isolated)
+        isolated = ",".join(self.isolated_peers)
+        ledger = session.commons.ledger
+        ledger.record(
+            "partition.split", "overlay", components=len(self.components) + 1,
+            isolated=isolated, heal_at=self.heal_at,
         )
         if self.heal_at is None:
             return
         yield session.env.timeout(self.heal_at - self.at)
         for src, dst in links:
             overlay.heal_link(src, dst)
-        if session.env.hooks.tracer is not None:
-            session.env.hooks.tracer.emit(
-                "partition.heal",
-                "overlay",
-                isolated=",".join(isolated),
-            )
-        session.faults_fired.append(
-            PartitionEvent("heal", session.env.now, isolated)
-        )
+        ledger.record("partition.heal", "overlay", isolated=isolated)
 
     @staticmethod
     def _run_cut(session: "StreamingSession", cut: LinkCut):

@@ -99,8 +99,8 @@ class QuarantineRecord:
     peer_id: str
     at: float
     reasons: Tuple[str, ...]
-    #: ground truth (simulator oracle, metrics only): no injected fault
-    #: could explain the quarantine
+    #: ground truth (the fault ledger, metrics only): no injected fault
+    #: touched the peer before the quarantine
     false_quarantine: bool = False
     readmitted_at: Optional[float] = None
     probes_sent: int = 0
@@ -260,31 +260,9 @@ class HealthMonitor:
         session.env.process(self._probe_loop(pid, record))
 
     def _is_false_quarantine(self, pid: str) -> bool:
-        """Ground truth: could *any* injected fault explain this?
-
-        Simulator oracle for metrics and the false-quarantine audit
-        bound — never consulted by the breaker itself.  A session with
-        lossy channels (media or control), link faults, churn, or
-        partitions degrades paths nondirectedly, so nothing in it counts
-        as false; otherwise the peer must have a fired fault
-        (crash/degrade/flap) on record.
-        """
-        session = self.session
-        spec = session.spec
-        if (
-            spec.loss is not None
-            or spec.control_loss is not None
-            or spec.link_fault is not None
-            or spec.churn_plan is not None
-            or spec.partition_plan is not None
-        ):
-            return False
-        if session.peers[pid].crashed:
-            return False
-        return not any(
-            getattr(event, "peer_id", None) == pid
-            for event in session.faults_fired
-        )
+        """Ground truth off the fault ledger, for metrics and the audit
+        only: no injected fault touched the peer so far."""
+        return self.session.commons.ledger.touching(pid) is None
 
     # ------------------------------------------------------------------
     # half-open probing

@@ -91,7 +91,7 @@ class ReCoordinator:
             # remember what each target now owes so a cascading failure
             # re-coordinates its share again
             detector.expect(pid, data_seqs_of(assignment))
-        crash_at = session.crash_time_of(peer_id)
+        crash = session.commons.ledger.crashes.get(peer_id)
         now = session.env.now
         self.handoffs.append(
             HandoffRecord(
@@ -99,7 +99,7 @@ class ReCoordinator:
                 at=now,
                 residual_size=len(residual),
                 targets=tuple(assignments),
-                latency=(now - crash_at) if crash_at is not None else None,
+                latency=now - crash.ts if crash is not None else None,
             )
         )
         if session.env.hooks.tracer is not None:

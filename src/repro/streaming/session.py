@@ -100,7 +100,7 @@ class SessionResult:
     quarantines: int = 0
     #: quarantined peers readmitted after half-open probe successes
     readmissions: int = 0
-    #: quarantines of peers with no injected fault of any kind
+    #: quarantines of peers no injected fault had touched
     false_quarantines: int = 0
     #: peers still quarantined at collection time
     quarantined_peers: List[str] = field(default_factory=list)
@@ -234,7 +234,6 @@ class StreamingSession:
             pid: ContentsPeerAgent(self, pid) for pid in self.peer_ids
         }
         self.activation_log: List[tuple[str, float]] = []
-        self.faults_fired: list = []
         #: protocol-private per-session state (TCoP pending offers, …)
         self.protocol_state: dict = {}
         #: peers the protocol intends to activate (None = all of them);
@@ -379,25 +378,6 @@ class StreamingSession:
         if assignment is not None:
             self.detector.expect(dst, data_seqs_of(assignment))
         self.detector.report_unreachable(dst)
-
-    def crash_time_of(self, peer_id: str) -> Optional[float]:
-        """Ground-truth instant of the peer's most recent crash, if any."""
-        from repro.streaming.faults import CrashFault
-
-        latest: Optional[float] = None
-        for event in self.faults_fired:
-            if getattr(event, "peer_id", None) != peer_id:
-                continue
-            kind = getattr(event, "kind", None)
-            is_crash = kind == "crash" or (
-                kind is None and isinstance(event, CrashFault)
-            )
-            if not is_crash:
-                continue
-            at = getattr(event, "at", None)
-            if at is not None and (latest is None or at > latest):
-                latest = at
-        return latest
 
     # ------------------------------------------------------------------
     def record_activation(self, peer_id: str, time: float, hops: int) -> None:

@@ -191,6 +191,28 @@ def test_audit_subcommand_fresh_run_and_replay(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("protocol", ["dcop", "tcop"])
+def test_loss_help_example_audits_clean(protocol, tmp_path, capsys):
+    # the --loss example --help offers, through the whole auditor suite:
+    # the seqs a lost assignment left unsent are excused by that loss,
+    # which the report names as a row of the run's fault ledger
+    import json
+
+    report = tmp_path / "audit.json"
+    rc = main(
+        [
+            "audit", "--protocol", protocol, "--quick",
+            "--loss", "bernoulli:p=0.01", "--report-out", str(report),
+        ]
+    )
+    assert rc == 0
+    assert "audit PASS" in capsys.readouterr().out
+    (gap,) = json.loads(report.read_text())["auditors"]["allocation"]["warnings"]
+    assert gap["code"] == "alloc.coverage_gap"
+    assert gap["evidence"][-1].startswith("fault#")
+    assert " msg.drop " in gap["evidence"][-1]
+
+
 def test_trace_default_outputs_land_under_out(tmp_path, capsys, monkeypatch):
     """With no ``--trace-out`` the artefact goes to the ignored ``out/``
     directory of the cwd, never the cwd itself."""

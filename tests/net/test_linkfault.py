@@ -168,8 +168,8 @@ def test_severed_link_drops_and_heals():
     b.on_deliver = lambda m: got.append(m.kind)
 
     ov.sever_link("a", "b")
-    assert ov.link_severed("a", "b")
-    assert not ov.link_severed("b", "a")  # cuts are directed
+    assert ("a", "b") in ov.ledger.cuts
+    assert ("b", "a") not in ov.ledger.cuts  # cuts are directed
     ov.send("a", "b", "control")
     env.run()
     assert got == []
@@ -178,10 +178,14 @@ def test_severed_link_drops_and_heals():
     assert ov.traffic.sent("control") == 1
 
     ov.heal_link("a", "b")
-    assert not ov.link_severed("a", "b")
+    assert ("a", "b") not in ov.ledger.cuts
     ov.send("a", "b", "control")
     env.run()
     assert got == ["control"]
+    # the cut, the message it ate and the heal, one row each
+    assert [(r.kind, r.reason) for r in ov.ledger.rows] == [
+        ("link.sever", None), ("msg.drop", "link_severed"), ("link.heal", None)
+    ]
 
 
 def test_sever_unknown_endpoint_rejected():
@@ -197,10 +201,11 @@ def test_sever_and_heal_are_idempotent():
     ov.add_node("b", ignore)
     ov.sever_link("a", "b")
     ov.sever_link("a", "b")  # no-op, no error
-    assert ov.link_severed("a", "b")
+    assert ("a", "b") in ov.ledger.cuts
     ov.heal_link("a", "b")
     ov.heal_link("a", "b")  # no-op, no error
-    assert not ov.link_severed("a", "b")
+    assert not ov.ledger.cuts
+    assert [r.kind for r in ov.ledger.rows] == ["link.sever", "link.heal"]
 
 
 def test_chaos_channel_is_deterministic_given_seed():

@@ -135,7 +135,10 @@ def test_crashed_node_discards_deliveries():
     b.crash()
     ov.send("a", "b", "control")
     env.run()
-    assert b.dropped_while_down == 1
+    # the crash, then the delivery it ate, each a row of the fault ledger
+    assert [(r.kind, r.reason) for r in ov.ledger.rows] == [
+        ("peer.crash", None), ("msg.drop", "dst_down")
+    ]
     assert got == []
     b.recover()
     ov.send("a", "b", "control")

@@ -27,7 +27,9 @@ from repro.obs import audit as audit_module
 from repro.sim.engine import Environment
 from repro.streaming import ProtocolSpec, SessionSpec
 
-from .test_artefact_pins import CELLS
+from tests.streaming.test_gray import gray_spec
+
+from .test_artefact_pins import CELLS, FAULTED
 
 
 def new_bus(**config_kw):
@@ -161,25 +163,48 @@ def _findings(entry):
     ]
 
 
+#: gray failures: a flapping peer, a degraded one, stuttering links
+CELLS_AND_GRAY = {**CELLS, "gray/dcop": lambda: gray_spec("dcop")}
+
+
 @pytest.mark.parametrize(
     "cell",
     [c for c in sorted(CELLS) if c.startswith("fault_free/")]
-    + ["batched/tcop"],
+    + ["batched/tcop", *FAULTED, "gray/dcop"],
 )
 def test_live_and_replayed_observers_agree(cell):
     audit = AuditConfig(auditors=tuple(available_auditors()))
-    spec = CELLS[cell]().replace(audit=audit)
-    result = spec.run()
+    spec = CELLS_AND_GRAY[cell]()
+    spec = spec.replace(audit=audit, spans=spec.spans or SpanConfig())
+    session = spec.build()
+    result = session.run()
     config = result.config
-    auditors = build_auditors(audit)
+    # the detection bound is the live session's policy, which a trace
+    # does not carry: hand it to the replay's auditor
+    (detector,) = [
+        o for o in session.commons.observers if o.result_field == "audit"
+        and o.name == "detector"
+    ]
+    auditors = build_auditors(
+        AuditConfig(
+            audit.auditors,
+            detection_latency_bound_ms=detector.latency_bound_ms,
+        )
+    )
     builder = SpanBuilder(spec.spans)
+    # a fault may lose the content's last seqs before any media event
+    # names them, so a faulted trace is told its content length
+    faulted = cell in FAULTED
     *entries, spans = replay(
         trace_to_jsonl(result.trace).splitlines(), [*auditors, builder],
         delta=config.delta, tau=config.tau,
         protocol=result.protocol, seed=config.seed,
+        n_packets=config.content_packets if faulted else None,
     )
-    # the one replay infers the content length the live run was given
+    # the one replay infers the content length the live run was given…
     assert builder.n_packets == config.content_packets
+    # …and rebuilds the fault ledger the live run kept, row for row
+    assert builder.ledger.rows == session.commons.ledger.rows
     for auditor, entry in zip(auditors, entries, strict=True):
         live = result.audit.auditors[auditor.name]
         assert _findings(entry) == _findings(live), auditor.name

@@ -30,6 +30,8 @@ def run_set(quick: bool, tmp: str) -> list:
             --capacity packets_per_delta=4 --trace-out {tmp}/swarm.json
         audit --from-jsonl {tmp}/t.jsonl --report-out {tmp}/replay.json
         audit --protocol tcop --quick --report-out {tmp}/run.json
+        audit --protocol dcop --quick --loss bernoulli:p=0.01 --report-out {tmp}/lossy_dcop.json
+        audit --protocol tcop --quick --loss bernoulli:p=0.01 --report-out {tmp}/lossy_tcop.json
         spans --protocol dcop --n 100 --H 60 --packets 200 --top 5 --critical-path \
             --report-out {tmp}/spans.json --trace-out {tmp}/spans_trace.json
         spans --from-jsonl {tmp}/t.jsonl --report-out {tmp}/spans_replay.json"""

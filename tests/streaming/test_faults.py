@@ -4,7 +4,6 @@ import pytest
 
 from repro.core import DCoP, ProtocolConfig, ScheduleBasedCoordination, SingleSourceStreaming
 from repro.streaming import (
-    ChurnEvent,
     ChurnPlan,
     CrashFault,
     DegradeFault,
@@ -46,7 +45,9 @@ def test_crash_stops_transmission():
     session = SessionSpec(cfg, SingleSourceStreaming(), fault_plan=plan).build()
     r = session.run()
     assert r.delivery_ratio < 0.5  # most of the content never arrives
-    assert session.faults_fired
+    assert [row.kind for row in session.commons.ledger.rows[:1]] == [
+        "peer.crash"
+    ]
 
 
 def test_single_source_crash_kills_stream_dcop_survives():
@@ -178,9 +179,9 @@ def test_churn_crashes_and_rejoins_peers():
     )
     session = SessionSpec(cfg, DCoP(), churn_plan=plan).build()
     session.run()
-    kinds = {e.kind for e in session.faults_fired if isinstance(e, ChurnEvent)}
-    assert "crash" in kinds
-    assert "rejoin" in kinds
+    kinds = {row.kind for row in session.commons.ledger.rows}
+    assert "peer.crash" in kinds
+    assert "peer.rejoin" in kinds
 
 
 def test_churn_respects_min_live():
@@ -200,11 +201,11 @@ def test_churn_storm_crashes_a_group_at_once():
     session = SessionSpec(cfg, DCoP(), churn_plan=plan).build()
     session.run()
     storm_events = [
-        e for e in session.faults_fired
-        if isinstance(e, ChurnEvent) and e.kind == "crash"
+        row for row in session.commons.ledger.rows
+        if row.kind == "peer.crash"
     ]
     assert len(storm_events) == 3
-    assert all(e.at == 60.0 for e in storm_events)
+    assert all(row.ts == 60.0 for row in storm_events)
 
 
 def test_churn_terminates_without_completion():

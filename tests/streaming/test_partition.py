@@ -9,7 +9,6 @@ from repro.streaming import (
     DetectorPolicy,
     LinkCut,
     LinkFaultSpec,
-    PartitionEvent,
     PartitionPlan,
     ProtocolSpec,
     SessionSpec,
@@ -122,15 +121,20 @@ def test_mid_stream_partition_heals_and_session_completes(protocol):
     assert result.delivery_ratio == 1.0
     # the detector confirmed the isolated peers through silence
     assert set(isolated) <= set(result.confirmed_failures)
-    events = [f for f in session.faults_fired if isinstance(f, PartitionEvent)]
-    assert [e.kind for e in events] == ["split", "heal"]
-    assert events[0].isolated == tuple(isolated)
-    assert result.trace.of_kind("partition.split")
+    rows = session.commons.ledger.rows
+    split = [r for r in rows if r.kind.startswith("partition.")]
+    assert [r.kind for r in split] == ["partition.split", "partition.heal"]
+    (event,) = result.trace.of_kind("partition.split")
+    assert event.fields["isolated"] == ",".join(isolated)
     assert result.trace.of_kind("partition.heal")
     # every directed boundary link was severed, then healed: 2 isolated
-    # peers x (leaf + 8 reachable peers) x both directions
-    assert len(result.trace.of_kind("link.sever")) == 2 * 2 * 9
-    assert len(result.trace.of_kind("link.heal")) == 2 * 2 * 9
+    # peers x (leaf + 8 reachable peers) x both directions — each cut
+    # touching one isolated peer
+    for kind in ("link.sever", "link.heal"):
+        cuts = [r for r in rows if r.kind == kind]
+        assert len(cuts) == len(result.trace.of_kind(kind)) == 2 * 2 * 9
+        assert all(len({r.src, r.dst} & set(isolated)) == 1 for r in cuts)
+    assert not session.commons.ledger.cuts  # all healed
 
 
 def test_healed_peers_resume_contact_without_manual_intervention():
@@ -196,8 +200,7 @@ def test_one_way_cut_mutes_peer_but_session_recovers():
     assert result.delivery_ratio == 1.0
     assert muted in result.confirmed_failures
     # the reverse direction stayed up the whole time
-    assert not session.overlay.link_severed("leaf", muted)
-    assert session.overlay.link_severed(muted, "leaf")
+    assert list(session.commons.ledger.cuts) == [(muted, "leaf")]
 
 
 def test_partitioned_run_is_deterministic():
