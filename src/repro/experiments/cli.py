@@ -38,7 +38,8 @@ def _parse_model_spec(text: str):
 
 
 def _parse_params(text: str) -> dict:
-    """``key=val,key=val`` → params dict (int, then float, then str)."""
+    """``key=val,key=val`` → params dict (``true``/``false`` in any case
+    as bool, then int, then float, then str)."""
     params = {}
     for pair in text.split(","):
         key, eq, value = pair.partition("=")
@@ -46,6 +47,10 @@ def _parse_params(text: str) -> dict:
             raise ValueError(
                 f"bad parameter {pair!r} in {text!r} (expected key=value)"
             )
+        flag = value.strip().lower()
+        if flag in ("true", "false"):
+            params[key.strip()] = flag == "true"
+            continue
         for cast in (int, float):
             try:
                 value = cast(value)

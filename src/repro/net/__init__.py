@@ -4,15 +4,19 @@ Models the paper's setting: every contents peer is connected to the leaf
 peer (and to other contents peers) over a *logical channel* of the
 underlying network.  A channel applies, in order:
 
-1. an optional serialization delay (``size_bytes / bandwidth``),
-2. a latency model (constant δ, uniform or normal jitter),
-3. a loss model (none, Bernoulli, or bursty Gilbert–Elliott).
+1. a loss model (none, Bernoulli, or bursty Gilbert–Elliott),
+2. an optional link fault (drop, duplicate, reorder, sever window),
+3. a latency model (constant δ, uniform or normal jitter).
 
-Messages that survive are handed to the destination node's ``on_deliver``
-handler the instant they arrive.  The :class:`Overlay` owns nodes and
-channels, creates channels lazily (full logical mesh) and keeps global traffic
-statistics that the experiment harness reads (control-packet counts per
-kind, per-channel deliveries and drops).
+Serialization is negligible (the paper's 10 Gbps links); a finite uplink
+is a peer's :class:`UploadBudget`.  Messages that survive are handed to
+the destination node's ``on_deliver`` handler the instant they arrive.
+The :class:`Overlay` owns nodes and channels and creates channels lazily
+(full logical mesh).  It tallies traffic per message kind
+(:class:`TrafficStats`, what results and the harness read), and files
+every lost, duplicated or held-back message instance as a row of the
+run's :class:`~repro.net.ledger.FaultLedger`; a channel keeps no
+accounting of its own.
 """
 
 from repro.net.message import Message
@@ -28,7 +32,7 @@ from repro.net.linkfault import (
 )
 from repro.net.dedup import DedupWindow
 from repro.net.capacity import CapacityPolicy, UploadBudget
-from repro.net.channel import Channel, ChannelStats
+from repro.net.channel import Channel
 from repro.net.node import Node
 from repro.net.overlay import Overlay, TrafficStats
 
@@ -36,7 +40,6 @@ __all__ = [
     "BernoulliLoss",
     "CapacityPolicy",
     "Channel",
-    "ChannelStats",
     "CompositeFault",
     "ConstantLatency",
     "DedupWindow",

@@ -1,8 +1,7 @@
-"""A logical point-to-point channel with bandwidth, latency and loss."""
+"""A logical point-to-point channel with latency, loss and a link fault."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
@@ -17,34 +16,15 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Environment
 
 
-@dataclass
-class ChannelStats:
-    """Per-channel delivery accounting."""
-
-    sent: int = 0
-    delivered: int = 0
-    dropped: int = 0
-    bytes_sent: int = 0
-    latencies_sum: float = 0.0
-    #: extra copies produced by a duplicating link fault
-    duplicated: int = 0
-
-    @property
-    def loss_ratio(self) -> float:
-        return self.dropped / self.sent if self.sent else 0.0
-
-    @property
-    def mean_latency(self) -> float:
-        return self.latencies_sum / self.delivered if self.delivered else 0.0
-
-
 class Channel:
     """Unidirectional channel ``src → dst``.
 
-    ``bandwidth_bytes_per_ms`` of ``None`` (default) means serialization is
-    negligible — the paper's "reliable high-speed communication like 10 Gbps
-    Ethernet".  Delivery order is FIFO for equal sampled latencies; jittered
-    latencies may reorder, as real UDP streams do.
+    Serialization is negligible — the paper's "reliable high-speed
+    communication like 10 Gbps Ethernet"; a finite uplink is a peer's
+    :class:`~repro.net.capacity.UploadBudget`, not a channel's.  Delivery
+    order is FIFO for equal sampled latencies; jittered latencies may
+    reorder, as real UDP streams do.  A channel keeps no tallies: the
+    overlay counts per kind and files every fault in its ledger.
     """
 
     def __init__(
@@ -54,12 +34,9 @@ class Channel:
         dst: "Node",
         latency: Optional[LatencyModel] = None,
         loss: Optional[LossModel] = None,
-        bandwidth_bytes_per_ms: Optional[float] = None,
         rng: Optional[np.random.Generator] = None,
         fault: Optional[LinkFault] = None,
     ) -> None:
-        if bandwidth_bytes_per_ms is not None and bandwidth_bytes_per_ms <= 0:
-            raise ValueError("bandwidth must be positive when given")
         self.env = env
         self.src = src
         self.dst = dst
@@ -67,28 +44,17 @@ class Channel:
         self.loss = loss if loss is not None else NoLoss()
         #: optional link fault (duplicate/reorder/sever) on top of ``loss``
         self.fault = fault
-        self.bandwidth = bandwidth_bytes_per_ms
         self.rng = rng if rng is not None else np.random.default_rng(0)
-        self.stats = ChannelStats()
-        #: next time the link is free to begin serializing (bandwidth mode)
-        self._link_free_at = 0.0
 
     def send(self, message: Message) -> Tuple[float, ...]:
         """Fire-and-forget transmission (UDP-like, as in the paper): the
         extra delay of each delivered copy, ``()`` when it was lost."""
-        now = self.env.now
-        message.sent_at = now
-        self.stats.sent += 1
-        self.stats.bytes_sent += message.size_bytes
-
         if self.loss.drops(self.rng):
-            self.stats.dropped += 1
             return ()
 
         if self.fault is not None:
-            extra_delays = self.fault.apply(self.rng, now)
+            extra_delays = self.fault.apply(self.rng, self.env.now)
             if not extra_delays:
-                self.stats.dropped += 1
                 return ()
         else:
             extra_delays = (0.0,)
@@ -97,25 +63,11 @@ class Channel:
         if delay < 0:  # pragma: no cover - models enforce this already
             raise ValueError("latency model produced a negative delay")
 
-        if self.bandwidth is not None:
-            start = max(now, self._link_free_at)
-            serialization = message.size_bytes / self.bandwidth
-            self._link_free_at = start + serialization
-            delay += (start - now) + serialization
-
-        self.stats.duplicated += len(extra_delays) - 1
-
         for index, extra in enumerate(extra_delays):
             # one Timer per copy — the cheap fire-and-forget path (a
             # spawned generator would cost three scheduled events)
-            self.env.call_later(delay + extra, self._deliver, message, index > 0)
+            self.env.call_later(delay + extra, self.dst.deliver, message, index > 0)
         return extra_delays
-
-    def _deliver(self, message: Message, duplicate: bool) -> None:
-        message.delivered_at = self.env.now
-        self.stats.delivered += 1
-        self.stats.latencies_sum += message.delivered_at - message.sent_at
-        self.dst.deliver(message, duplicate=duplicate)
 
     def send_batch(self, message: Message) -> Tuple[int, int, int, Tuple[float, ...]]:
         """Transmit a whole media batch as one delivery event.
@@ -124,19 +76,18 @@ class Channel:
         whose ``offsets_ms`` give each packet's nominal send instant
         relative to *now*.  Per-packet fates are applied up front — loss
         (vectorized where the model allows), link faults (sequential, so
-        stateful faults evolve exactly as if sent one by one), latency
-        (vectorized), and bandwidth serialization — then a single timer
-        fires at the last survivor's arrival carrying the delivered batch
-        in modeled arrival order.  Returns the ``delivered``, ``dropped``
-        and ``duplicated`` packet counts for the overlay's accounting, and
-        the extra delay of every copy a link fault held back.
+        stateful faults evolve exactly as if sent one by one) and latency
+        (vectorized) — then a single timer fires at the last survivor's
+        arrival carrying the delivered batch in modeled arrival order.
+        Returns the ``delivered``, ``dropped`` and ``duplicated`` packet
+        counts for the overlay's accounting, and the extra delay of every
+        copy a link fault held back.
         """
         batch = message.body
         k = len(batch)
         now = self.env.now
+        # the leaf reads each packet's batch wait off the send instant
         message.sent_at = now
-        self.stats.sent += k
-        self.stats.bytes_sent += message.size_bytes
 
         lost = self.loss.drops_batch(self.rng, k)
         survivors = [i for i in range(k) if not lost[i]]
@@ -159,23 +110,10 @@ class Channel:
                 continue
             offset = offsets[i]
             delay = float(delays[j])
-            if self.bandwidth is not None:
-                # serialize at the packet's nominal send instant
-                nominal = now + offset
-                start = max(nominal, self._link_free_at)
-                serialization = (
-                    message.size_bytes / k
-                ) / self.bandwidth
-                self._link_free_at = start + serialization
-                delay += (start - nominal) + serialization
             duplicated += len(extra_delays) - 1
             for index, extra in enumerate(extra_delays):
-                deliveries.append(
-                    (offset + delay + extra, index > 0, packets[i], offset)
-                )
+                deliveries.append((offset + delay + extra, index > 0, packets[i]))
 
-        self.stats.dropped += dropped
-        self.stats.duplicated += duplicated
         held = () if fates is None else tuple(e for fate in fates for e in fate if e > 0)
         if not deliveries:
             return (0, dropped, duplicated, held)
@@ -188,21 +126,15 @@ class Channel:
     def _deliver_batch(self, message: Message, deliveries: list) -> None:
         from repro.media.batch import PacketBatch
 
-        message.delivered_at = self.env.now
-        self.stats.delivered += len(deliveries)
-        # modeled per-copy one-way transit (nominal send offset -> arrival)
-        self.stats.latencies_sum += sum(
-            arrival - offset for arrival, _dup, _pkt, offset in deliveries
-        )
         message.body = PacketBatch(
-            tuple(pkt for _a, _d, pkt, _o in deliveries),
+            tuple(pkt for _a, _d, pkt in deliveries),
             np.fromiter(
-                (a for a, _d, _p, _o in deliveries),
+                (a for a, _d, _p in deliveries),
                 dtype=np.float64,
                 count=len(deliveries),
             ),
             dup=np.fromiter(
-                (d for _a, d, _p, _o in deliveries),
+                (d for _a, d, _p in deliveries),
                 dtype=bool,
                 count=len(deliveries),
             ),

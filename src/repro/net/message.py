@@ -28,9 +28,9 @@ class Message:
     #: duplicates share it, so receivers can deduplicate unreliable
     #: control traffic (``msg_id`` stays None without a control plane)
     uid: Optional[int] = field(default=None, compare=False)
-    #: stamped by the channel on send / delivery
+    #: stamped on a media batch as it leaves (its packets' offsets count
+    #: from here)
     sent_at: float = field(default=-1.0, compare=False)
-    delivered_at: float = field(default=-1.0, compare=False)
     #: coordination context tag (the leaf id of the session this message
     #: belongs to).  Swarm runs share one physical node per contents peer
     #: across many leaf sessions; the hub routes deliveries to the right
@@ -42,10 +42,3 @@ class Message:
             raise ValueError("size_bytes must be non-negative")
         if not self.kind:
             raise ValueError("kind must be non-empty")
-
-    @property
-    def latency(self) -> float:
-        """One-way delay experienced, valid after delivery."""
-        if self.delivered_at < 0 or self.sent_at < 0:
-            raise RuntimeError("message not delivered yet")
-        return self.delivered_at - self.sent_at

@@ -24,7 +24,15 @@ if TYPE_CHECKING:  # pragma: no cover
 
 @dataclass
 class TrafficStats:
-    """Global overlay traffic, broken down by message kind."""
+    """Global overlay traffic, counted per message kind.
+
+    These tallies are the overlay's whole record of a message: results
+    and ``bench/`` read them, and what happened to one message instance —
+    lost, duplicated, held back — is a row of the run's
+    :class:`~repro.net.ledger.FaultLedger`.  The one per-send datum kept
+    is the instant of each coordination (non-``packet``) send, which
+    ``SessionResult.control_packets_at_sync`` counts up to the sync time.
+    """
 
     sent_by_kind: Counter = field(default_factory=Counter)
     delivered_by_kind: Counter = field(default_factory=Counter)
@@ -41,11 +49,8 @@ class TrafficStats:
     duplicated_by_kind: Counter = field(default_factory=Counter)
     #: link-fault duplicates suppressed by the agents' uid dedup windows
     link_dupes_suppressed_by_kind: Counter = field(default_factory=Counter)
-    #: (kind, time) log of sends for round analysis; cheap append-only list
-    send_log: list = field(default_factory=list)
-
-    def sent(self, kind: str) -> int:
-        return self.sent_by_kind[kind]
+    #: send instant of every non-``packet`` message, in clock order
+    coordination_send_times: list = field(default_factory=list)
 
     def total_sent(self) -> int:
         return sum(self.sent_by_kind.values())
@@ -141,6 +146,18 @@ class RttEstimator:
         return self.srtt + 4.0 * self.rttvar
 
 
+@dataclass(slots=True)
+class _InFlight:
+    """One reliable send awaiting its ack."""
+
+    acked: object  # the ack event
+    dst: str
+    sent_at: float
+    #: Karn's rule: once retransmitted, the eventual ack can no longer be
+    #: attributed to one transmission, so it yields no RTT sample
+    retransmitted: bool = False
+
+
 class ControlPlane:
     """Ack/retransmit wrapper over :meth:`Overlay.send` for control traffic.
 
@@ -167,10 +184,8 @@ class ControlPlane:
         self.delta = delta
         self.env = overlay.env
         self._ids = itertools.count(1)
-        #: msg_id -> ack event of in-flight reliable sends
-        self._pending: Dict[int, object] = {}
-        #: msg_id -> [dst, send time, retransmitted?] for RTT sampling
-        self._meta: Dict[int, list] = {}
+        #: msg_id -> the in-flight reliable send
+        self._pending: Dict[int, _InFlight] = {}
         #: per-destination smoothed RTT (always maintained; only *used*
         #: for timeouts when the policy is adaptive)
         self.rtt: Dict[str, RttEstimator] = {}
@@ -190,14 +205,12 @@ class ControlPlane:
     ) -> None:
         """Send ``kind`` reliably; retransmits run as their own process."""
         mid = next(self._ids)
-        acked = self.env.event()
-        self._pending[mid] = acked
-        self._meta[mid] = [dst, self.env.now, False]
+        sent = self._pending[mid] = _InFlight(self.env.event(), dst, self.env.now)
         self.overlay.send(
             src, dst, kind, body=body, size_bytes=size_bytes,
             msg_id=mid, ctx=self.ctx,
         )
-        self.env.process(self._retry_loop(mid, acked, src, dst, kind, body, size_bytes))
+        self.env.process(self._retry_loop(mid, sent, src, kind, body, size_bytes))
 
     def _timeout_for(self, dst: str) -> float:
         """Base ack timeout toward ``dst`` (ms): fixed, or adaptive RTO."""
@@ -218,8 +231,9 @@ class ControlPlane:
         est = self.rtt.get(dst)
         return est.srtt if est is not None else None
 
-    def _retry_loop(self, mid, acked, src, dst, kind, body, size_bytes):
+    def _retry_loop(self, mid, sent: _InFlight, src, kind, body, size_bytes):
         pol = self.policy
+        acked, dst = sent.acked, sent.dst
         wait = self._timeout_for(dst)
         for _attempt in range(pol.max_retries + 1):
             # full jitter: spread over [1 - j/2, 1 + j/2] so equal-policy
@@ -233,17 +247,11 @@ class ControlPlane:
             if self.overlay.nodes[src].down:
                 # a dead sender retries nothing
                 self._pending.pop(mid, None)
-                self._meta.pop(mid, None)
                 return
             if _attempt == pol.max_retries:
                 break
             self.overlay.traffic.retransmissions_by_kind[kind] += 1
-            meta = self._meta.get(mid)
-            if meta is not None:
-                # Karn's rule: once retransmitted, the eventual ack can
-                # no longer be attributed to one transmission — never
-                # feed its round-trip into the estimator
-                meta[2] = True
+            sent.retransmitted = True
             if self.env.hooks.tracer is not None:
                 self.env.hooks.tracer.emit(
                     "msg.retransmit", src, dst=dst, kind=kind,
@@ -255,7 +263,6 @@ class ControlPlane:
             )
             wait *= pol.backoff
         self._pending.pop(mid, None)
-        self._meta.pop(mid, None)
         self.overlay.traffic.give_ups_by_kind[kind] += 1
         if self.env.hooks.tracer is not None:
             self.env.hooks.tracer.emit(
@@ -274,10 +281,9 @@ class ControlPlane:
         may have been the lost copy.
         """
         if message.kind == "ack":
-            acked = self._pending.pop(message.body, None)
-            meta = self._meta.pop(message.body, None)
-            if acked is not None and not acked.triggered:
-                acked.succeed()
+            sent = self._pending.pop(message.body, None)
+            if sent is not None and not sent.acked.triggered:
+                sent.acked.succeed()
                 if self.env.hooks.tracer is not None:
                     # close of the reliable exchange: the sender observed
                     # the first ack for this mid
@@ -285,13 +291,13 @@ class ControlPlane:
                         "msg.ack", message.dst,
                         mid=message.body, src=message.src,
                     )
-                if meta is not None and not meta[2]:
+                if not sent.retransmitted:
                     # first ack of a never-retransmitted send: a clean
                     # RTT sample (Karn's rule filtered the rest)
-                    est = self.rtt.get(meta[0])
+                    est = self.rtt.get(sent.dst)
                     if est is None:
-                        est = self.rtt[meta[0]] = RttEstimator()
-                    est.observe(self.env.now - meta[1])
+                        est = self.rtt[sent.dst] = RttEstimator()
+                    est.observe(self.env.now - sent.sent_at)
             return True
         if message.msg_id is None:
             return False
@@ -326,7 +332,6 @@ class Overlay:
         streams: Optional[RandomStreams] = None,
         default_latency: Optional[LatencyModel] = None,
         default_loss_factory: Optional[Callable[[], LossModel]] = None,
-        bandwidth_bytes_per_ms: Optional[float] = None,
         latency_factory: Optional[Callable[[str, str], LatencyModel]] = None,
         control_loss_factory: Optional[Callable[[], LossModel]] = None,
         link_fault_factory: Optional[Callable[[], LinkFault]] = None,
@@ -349,7 +354,6 @@ class Overlay:
         #: when given, called once per (src, dst) pair at channel creation
         #: so every channel gets a *fresh* (stateful) fault instance
         self.link_fault_factory = link_fault_factory
-        self.bandwidth = bandwidth_bytes_per_ms
         self.nodes: Dict[str, Node] = {}
         self.channels: Dict[Tuple[str, str], Channel] = {}
         self.traffic = TrafficStats()
@@ -395,7 +399,6 @@ class Overlay:
                 self.nodes[dst],
                 latency=latency,
                 loss=self.default_loss_factory(),
-                bandwidth_bytes_per_ms=self.bandwidth,
                 rng=self.streams.get(f"channel/{src}->{dst}"),
                 fault=fault,
             )
@@ -476,7 +479,8 @@ class Overlay:
             ctx=ctx,
         )
         self.traffic.sent_by_kind[kind] += 1
-        self.traffic.send_log.append((kind, self.env.now, src, dst))
+        if kind != "packet":
+            self.traffic.coordination_send_times.append(self.env.now)
         # causal-linkage payload: the wire uid (and the control-plane mid
         # when the send is reliable) lets span builders stitch this send
         # to its receive/drop/ack without guessing by (src, dst, kind)
@@ -521,7 +525,6 @@ class Overlay:
             size_bytes=packet_size * k, uid=next(self._uids),
         )
         self.traffic.sent_by_kind["packet"] += k
-        self.traffic.send_log.append(("packet", self.env.now, src, dst))
         tracer = self.env.hooks.tracer
         if tracer is not None:
             tracer.emit("msg.send", src, dst=dst, kind="packet", count=k, uid=msg.uid)

@@ -8,7 +8,7 @@ run's *trajectory* the same way it renders a sweep's end-state.
 
 :class:`TimeSeriesSampler` is the observer a single-leaf traced run
 samples with: it reads no events, only the session's state — send
-totals off the overlay's traffic ledger, the active population, the
+totals off the overlay's per-kind tallies, the active population, the
 in-flight control gauge, the leaf's buffer and receipt rate.
 """
 
@@ -88,7 +88,7 @@ class TimeSeriesSampler(Observer):
     def bind(self, bus=None, session=None, **context):
         super().bind(bus, session, **context)
         registry = self.registry = MetricsRegistry()
-        # every ``msg.send`` emit sits beside the ledger increment it
+        # every ``msg.send`` emit sits beside the tally increment it
         # mirrors, so these are the run's send totals as traced
         sent = session.overlay.traffic.sent_by_kind
         registry.gauge("ctrl_sends", lambda: sum(sent[k] for k in CONTROL_KINDS))
@@ -112,7 +112,8 @@ class TimeSeriesSampler(Observer):
     def _windowed_receipt_rate(self) -> float:
         """Leaf arrivals over the last sample window, normalized to τ."""
         now = self._session.env.now
-        count = len(self._session.leaf.arrival_times)
+        # every accepted media packet is fed to the decoder exactly once
+        count = self._session.leaf.decoder.received_count
         prev_count, prev_t = self._rr_prev
         self._rr_prev = (count, now)
         if now <= prev_t:

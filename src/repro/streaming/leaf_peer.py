@@ -1,4 +1,4 @@
-"""The leaf peer: packet sink, decoder, arrival stats, optional playback."""
+"""The leaf peer: packet sink, decoder, arrival counts, optional playback."""
 
 from __future__ import annotations
 
@@ -45,8 +45,6 @@ class LeafPeerAgent:
         #: uid — link-level duplicates share it, so a duplicated confirm
         #: or heartbeat is applied exactly once
         self.dedup = DedupWindow()
-        #: arrival times of every media packet (for rate measurement)
-        self.arrival_times: list[float] = []
         #: media packets received per source peer (health throughput)
         self.arrivals_by_src: dict[str, int] = {}
         #: data arrivals that jumped ahead of a gap — violations of §2's
@@ -62,8 +60,6 @@ class LeafPeerAgent:
         self._bucket_updated = 0.0
         #: packets lost to receive-buffer overrun (ρ_s exceeded)
         self.receive_overruns = 0
-        self.first_arrival: Optional[float] = None
-        self.last_arrival: Optional[float] = None
         self.completed_at: Optional[float] = None
         self._playback_enabled = playback
         self._playback_delay = playback_delay
@@ -82,7 +78,7 @@ class LeafPeerAgent:
             detector.touch(message.src)
         if message.kind == "packet_batch":
             # batched media plane: unbatch into the identical per-packet
-            # pipeline (admission, media.rx, arrival stats, decoder).
+            # pipeline (admission, media.rx, arrival counts, decoder).
             # offsets_ms holds each copy's arrival time relative to the
             # batch send instant; the whole batch is delivered at the last
             # arrival, so (now - sent_at - offset) is the time this packet
@@ -140,11 +136,7 @@ class LeafPeerAgent:
                     "media.rx", self.peer_id, label=pkt.label, src=src,
                     wait=wait,
                 )
-        self.arrival_times.append(now)
         self.arrivals_by_src[src] = self.arrivals_by_src.get(src, 0) + 1
-        if self.first_arrival is None:
-            self.first_arrival = now
-        self.last_arrival = now
         self._feed_decoder(pkt, now)
         if self.completed_at is None and self.decoder.complete:
             self.completed_at = now
@@ -219,16 +211,6 @@ class LeafPeerAgent:
         """Packets received per data packet of the content — Fig. 12's
         normalized receipt rate (1.0 = exactly the content rate)."""
         return self.decoder.received_count / self.session.config.content_packets
-
-    def mean_arrival_rate(self) -> float:
-        """Observed packets/ms over the active reception window."""
-        if (
-            self.first_arrival is None
-            or self.last_arrival is None
-            or self.last_arrival <= self.first_arrival
-        ):
-            return 0.0
-        return (len(self.arrival_times) - 1) / (self.last_arrival - self.first_arrival)
 
     def __repr__(self) -> str:
         return (

@@ -13,6 +13,7 @@ session builds a private commons and is the whole run; in a swarm
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
 
@@ -436,10 +437,9 @@ class StreamingSession:
         ]
         total_ctrl = sum(traffic.sent_by_kind[k] for k in coordination_kinds)
         if sync_time is not None:
-            at_sync = sum(
-                1
-                for kind, t, _src, _dst in traffic.send_log
-                if kind != "packet" and t <= sync_time + 1e-9
+            # the send instants are in clock order: count t <= sync_time
+            at_sync = bisect_right(
+                traffic.coordination_send_times, sync_time + 1e-9
             )
         else:
             at_sync = total_ctrl

@@ -331,6 +331,22 @@ def test_every_help_example_builds(capsys, monkeypatch):
     assert refused == []
 
 
+@pytest.mark.parametrize("word", ["false", "False", "FALSE"])
+def test_false_turns_a_flag_off(monkeypatch, word):
+    # 'false' used to stay a (truthy) string and switch the feature on
+    import repro.experiments.cli as cli
+
+    monkeypatch.setattr(cli, "_run_trace", cli._build_spec)
+    spec = main(["trace", "--retransmit", f"adaptive={word}"])
+    assert spec.retransmit_policy.adaptive is False
+    spec = main(["trace", "--detector", f"fixed:recoordinate={word}"])
+    assert spec.detector_policy.build().recoordinate is False
+    # the help's spelling keeps its int
+    spec = main(["trace", "--retransmit", "adaptive=1,jitter=0.5"])
+    assert spec.retransmit_policy.adaptive == 1
+    assert type(spec.retransmit_policy.adaptive) is int
+
+
 def test_bad_retransmit_values_fail_with_exit_2(capsys):
     # field exists but value violates the policy invariant
     rc = main(

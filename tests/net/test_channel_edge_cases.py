@@ -1,5 +1,5 @@
-"""Edge cases for channels: bandwidth queueing, loss interactions,
-per-pair latency factories."""
+"""Edge cases for channels: loss interactions, per-pair latency
+factories."""
 
 import pytest
 
@@ -18,35 +18,6 @@ def build(**kw):
     env = Environment()
     ov = Overlay(env, streams=RandomStreams(5), **kw)
     return env, ov
-
-
-def test_bandwidth_rejects_nonpositive():
-    from repro.net import Channel, Node
-
-    env = Environment()
-    a, b = Node(env, "a", ignore), Node(env, "b", ignore)
-    with pytest.raises(ValueError):
-        Channel(env, a, b, bandwidth_bytes_per_ms=0)
-
-
-def test_bandwidth_idle_gap_resets_queue():
-    """A message sent after the link drained doesn't inherit old queueing."""
-    env, ov = build(
-        default_latency=ConstantLatency(0.0), bandwidth_bytes_per_ms=100.0
-    )
-    ov.add_node("a", ignore)
-    b = ov.add_node("b", ignore)
-    arrivals = []
-    b.on_deliver = lambda m: arrivals.append(env.now)
-
-    def sender():
-        ov.send("a", "b", "x", size_bytes=100)  # serialize 1ms → arrives t=1
-        yield env.timeout(10)
-        ov.send("a", "b", "x", size_bytes=100)  # arrives t=11, not t=2
-
-    env.process(sender())
-    env.run()
-    assert arrivals == [1.0, 11.0]
 
 
 def test_latency_factory_called_once_per_pair():
@@ -99,19 +70,12 @@ def test_loss_ratio_statistic():
     for _ in range(400):
         ov.send("a", "b", "x")
     env.run()
-    st = ov.channel("a", "b").stats
-    assert st.sent == 400
-    assert st.loss_ratio == pytest.approx(0.5, abs=0.08)
-    assert st.delivered + st.dropped == 400
-
-
-def test_empty_channel_stats():
-    env, ov = build()
-    ov.add_node("a", ignore)
-    ov.add_node("b", ignore)
-    st = ov.channel("a", "b").stats
-    assert st.loss_ratio == 0.0
-    assert st.mean_latency == 0.0
+    traffic = ov.traffic
+    assert traffic.sent_by_kind["x"] == 400
+    assert traffic.dropped_by_kind["x"] / 400 == pytest.approx(0.5, abs=0.08)
+    assert traffic.delivered_by_kind["x"] + traffic.dropped_by_kind["x"] == 400
+    # every lost instance is one ledger row
+    assert len(ov.ledger.rows) == traffic.dropped_by_kind["x"]
 
 
 def test_channel_repr():

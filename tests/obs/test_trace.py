@@ -5,7 +5,9 @@ import pytest
 from repro.core import DCoP, ProtocolConfig, TCoP
 from repro.obs import CONTROL_KINDS, TraceBus, TraceConfig, TraceEvent
 from repro.sim.engine import Environment
-from repro.streaming import SessionSpec
+from repro.streaming import ProtocolSpec, SessionSpec
+
+from tests.streaming.test_swarm import ALL_PROTOCOLS
 
 
 def run_traced(proto, trace=None, **cfg_kw):
@@ -182,6 +184,25 @@ def test_session_records_full_coordination(proto):
     assert [e.ts for e in bus.events] == sorted(e.ts for e in bus.events)
     # all in-flight control messages were accounted to completion
     assert bus.in_flight_control == 0
+
+
+@pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
+def test_control_packets_at_sync_match_the_traced_sends(protocol):
+    # an oracle independent of the overlay's send instants: the trace's
+    # own non-media msg.send events up to the sync time
+    params = {"bandwidths": [2.0, 1.0, 1.0, 1.0]} if protocol == "hetero_schedule" else {}
+    config = ProtocolConfig(n=12, H=4, fault_margin=1, content_packets=100, seed=5)
+    result = SessionSpec(
+        config, ProtocolSpec(protocol, params), trace=TraceConfig()
+    ).build().run()
+    assert result.sync_time is not None
+    at_sync = sum(
+        1
+        for e in result.trace.of_kind("msg.send")
+        if e.payload()["kind"] != "packet" and e.ts <= result.sync_time + 1e-9
+    )
+    assert at_sync > 0
+    assert result.control_packets_at_sync == at_sync
 
 
 def test_untraced_session_has_no_observability_state():

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import DCoP, ProtocolConfig, ScheduleBasedCoordination
 from repro.net.loss import BernoulliLoss
+from repro.obs import TraceConfig
 from repro.streaming import FaultPlan, RepairPolicy, SessionSpec
 from repro.streaming.repair import RepairRequest
 
@@ -15,6 +16,15 @@ def config(**kw):
     )
     defaults.update(kw)
     return ProtocolConfig(**defaults)
+
+
+def repair_sends(session):
+    """``(t, dst)`` of every traced ``repair`` send."""
+    return [
+        (e.ts, e.payload()["dst"])
+        for e in session.commons.trace_bus.of_kind("msg.send")
+        if e.payload()["kind"] == "repair"
+    ]
 
 
 def crashed_run(repair_policy=None, margin=0, crashes=1):
@@ -148,14 +158,16 @@ def test_repair_skips_detector_suspects():
         fault_plan=FaultPlan().crash(victim, 100.0),
         repair_policy=RepairPolicy(),
         detector_policy=DetectorPolicy(recoordinate=False),
+        trace=TraceConfig(),
     ).build()
     r = session.run()
     assert victim in r.confirmed_failures
     confirmed_at = session.detector.monitored[victim].confirmed_at
+    assert repair_sends(session)  # the scan below is not vacuous
     late_repairs_to_victim = [
-        (kind, t, src, dst)
-        for kind, t, src, dst in session.overlay.traffic.send_log
-        if kind == "repair" and dst == victim and t > confirmed_at
+        (t, dst)
+        for t, dst in repair_sends(session)
+        if dst == victim and t > confirmed_at
     ]
     assert late_repairs_to_victim == []
     assert r.delivery_ratio == 1.0
@@ -182,16 +194,13 @@ def test_repair_fails_over_from_one_way_dead_peer():
         partition_plan=PartitionPlan(
             cuts=tuple(LinkCut(p, "leaf", at=0.0) for p in mute)
         ),
+        trace=TraceConfig(),
     ).build()
     r = session.run()
     assert r.delivery_ratio == 1.0
     assert not session.repair_monitor.gave_up
     assert session.repair_monitor.rounds_issued <= 20
-    repair_targets = [
-        dst
-        for kind, _, _, dst in session.overlay.traffic.send_log
-        if kind == "repair"
-    ]
+    repair_targets = [dst for _t, dst in repair_sends(session)]
     # the failover was actually exercised: at least one round landed on a
     # mute peer, and a later one reached a peer that could answer
     assert any(dst in mute for dst in repair_targets)
@@ -209,6 +218,7 @@ def test_repair_falls_back_when_everyone_suspected():
         ScheduleBasedCoordination(),
         repair_policy=RepairPolicy(),
         detector_policy=DetectorPolicy(recoordinate=False),
+        trace=TraceConfig(),
     ).build()
     det = session.detector
     for pid in session.peer_ids:
@@ -218,5 +228,4 @@ def test_repair_falls_back_when_everyone_suspected():
     # force a round with everyone suspected; it must still send requests
     session.leaf.decoder  # noqa: B018 — decoder is empty, all seqs missing
     monitor._issue_round()
-    sent = [k for k, *_ in session.overlay.traffic.send_log if k == "repair"]
-    assert sent
+    assert repair_sends(session)
