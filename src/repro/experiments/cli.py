@@ -17,11 +17,56 @@ _GROUPS = {"ablations": ABLATIONS, "all": tuple(EXPERIMENTS.values())}
 #: where artefacts land when no ``--*-out`` path is given (gitignored)
 _OUT_DIR = Path("out")
 
+#: the options that describe the one session (or swarm) a subcommand runs
+_RUN_OPTIONS = frozenset(
+    {
+        "quick", "seed", "protocol", "latency", "loss", "link_fault",
+        "detector", "retransmit", "partition", "capacity", "join_storm",
+        "n", "H", "packets",
+    }
+)
+
 
 def _fail(message: str) -> int:
     """One-line error on stderr, no traceback; argparse-style exit code."""
     print(f"repro-experiments: error: {message}", file=sys.stderr)
     return 2
+
+
+def _honoured(args) -> tuple[str, frozenset]:
+    """``(mode, options)``: what the command line asks for, named as the
+    user spelled it, and the options that mode reads."""
+    command = args.experiment
+    if command == "trace":
+        if args.join_storm is not None:
+            return "trace --join-storm", _RUN_OPTIONS | {"trace_out", "jsonl_out"}
+        return command, _RUN_OPTIONS | {"trace_out", "jsonl_out", "summary_out"}
+    if command == "audit":
+        if args.from_jsonl:
+            return "audit --from-jsonl", frozenset({"from_jsonl", "auditors", "report_out"})
+        return command, _RUN_OPTIONS | {"auditors", "report_out"}
+    if command == "spans":
+        reports = {"top", "critical_path", "report_out"}
+        if args.from_jsonl:
+            return "spans --from-jsonl", frozenset({"from_jsonl", *reports})
+        return command, (_RUN_OPTIONS - {"join_storm"}) | reports | {"trace_out"}
+    return command, frozenset({"quick", "seed", "jobs", "csv", "out"})
+
+
+def _unhonoured(parser: argparse.ArgumentParser, args) -> int | None:
+    """Exit 2 with one line when an option is set (to anything but its
+    default) that the chosen subcommand would silently ignore."""
+    mode, honoured = _honoured(args)
+    ignored = [
+        "--" + dest.replace("_", "-")
+        for dest, value in vars(args).items()
+        if dest != "experiment"
+        and dest not in honoured
+        and value != parser.get_default(dest)
+    ]
+    if ignored:
+        return _fail(f"'{mode}' does not use {', '.join(ignored)}")
+    return None
 
 
 def _ensure_parent(path: str | Path) -> Path:
@@ -301,7 +346,7 @@ def _run_trace(args) -> int:
     if args.jsonl_out:
         write_jsonl(bus, _ensure_parent(args.jsonl_out))
         print(f"wrote JSONL trace to {args.jsonl_out}", file=sys.stderr)
-    if args.summary_out and not swarm:
+    if args.summary_out:
         write_run_summary(result, _ensure_parent(args.summary_out))
         print(f"wrote run summary to {args.summary_out}", file=sys.stderr)
     return 0
@@ -364,10 +409,6 @@ def _run_spans(args) -> int:
         report = spans_from_jsonl(source, config=SpanConfig())
         bus = None
     else:
-        if args.join_storm is not None:
-            return _fail(
-                "--join-storm is only supported by 'trace' and 'audit'"
-            )
         spec = _build_spec(args)
         if isinstance(spec, int):
             return spec
@@ -401,7 +442,8 @@ def main(argv: list[str] | None = None) -> int:
         description=(
             "Regenerate the evaluation figures of Itaya et al., "
             "'Distributed Coordination Protocols to Realize Scalable "
-            "Multimedia Streaming in P2P Overlay Networks' (ICPP 2006)."
+            "Multimedia Streaming in P2P Overlay Networks' (ICPP 2006).  "
+            "An option the chosen subcommand would ignore is refused."
         ),
     )
     parser.add_argument(
@@ -534,7 +576,9 @@ def main(argv: list[str] | None = None) -> int:
         "--jsonl-out", metavar="PATH", help="also dump the raw JSONL trace"
     )
     trace_group.add_argument(
-        "--summary-out", metavar="PATH", help="also dump a run-summary JSON"
+        "--summary-out",
+        metavar="PATH",
+        help="also dump a run-summary JSON (single-session 'trace' only)",
     )
     audit_group = parser.add_argument_group(
         "audit", "options for the 'audit' subcommand"
@@ -570,6 +614,9 @@ def main(argv: list[str] | None = None) -> int:
         help="print the coordination and playback critical-path segments",
     )
     args = parser.parse_args(argv)
+    refused = _unhonoured(parser, args)
+    if refused is not None:
+        return refused
 
     if args.experiment == "trace":
         return _run_trace(args)

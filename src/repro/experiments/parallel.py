@@ -155,23 +155,15 @@ class SerialExecutor:
 class ParallelExecutor:
     """Fan specs out over a process pool, preserving result order.
 
-    Parameters
-    ----------
-    jobs:
-        Worker processes; defaults to ``os.cpu_count()``.
-    mp_context:
-        An optional :func:`multiprocessing.get_context` result (e.g. the
-        ``"spawn"`` context).  Spec arguments and results are pickled
-        under every start method, so specs must be declarative (or
-        otherwise picklable) regardless; ``spawn`` additionally requires
-        custom factories to be registered in modules the workers import.
+    ``jobs`` worker processes (default ``os.cpu_count()``) under the
+    platform's default start method.  Spec arguments and results are
+    pickled, so specs must be declarative (or otherwise picklable).
     """
 
-    def __init__(self, jobs: Optional[int] = None, mp_context=None) -> None:
+    def __init__(self, jobs: Optional[int] = None) -> None:
         if jobs is not None and jobs < 1:
             raise ValueError("jobs must be >= 1")
         self.jobs = jobs or os.cpu_count() or 1
-        self._mp_context = mp_context
 
     def map(
         self,
@@ -182,10 +174,7 @@ class ParallelExecutor:
         if len(specs) <= 1 or self.jobs == 1:
             # nothing to fan out; keep semantics without pool overhead
             return SerialExecutor().map(specs, progress=progress)
-        with ProcessPoolExecutor(
-            max_workers=min(self.jobs, len(specs)),
-            mp_context=self._mp_context,
-        ) as pool:
+        with ProcessPoolExecutor(max_workers=min(self.jobs, len(specs))) as pool:
             futures = [pool.submit(_execute_spec, spec) for spec in specs]
             pending = set(futures)
             done_count = 0

@@ -27,13 +27,12 @@ round-robin division spread each segment's packets over distinct peers.
 
 from repro.fec.xor import xor_payloads
 from repro.fec.enhance import enhance, recovery_segments, shared_enhance
-from repro.fec.divide import divide, divide_all
+from repro.fec.divide import divide
 from repro.fec.decoder import ParityDecoder
 
 __all__ = [
     "ParityDecoder",
     "divide",
-    "divide_all",
     "enhance",
     "recovery_segments",
     "shared_enhance",

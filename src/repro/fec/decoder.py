@@ -170,10 +170,6 @@ class ParityDecoder:
             for parity_label, missing in self._constraints.items()
         }
 
-    def has(self, label: Label) -> bool:
-        """Do we hold this label (received or recovered)?"""
-        return label in self._have
-
     def has_data(self, seq: int) -> bool:
         """Do we hold data packet ``t_seq``?"""
         return seq in self._have

@@ -25,10 +25,3 @@ def divide(seq: PacketSequence, n_parts: int, index: int) -> PacketSequence:
     if index >= len(seq):
         return _EMPTY
     return PacketSequence(seq[index::n_parts])
-
-
-def divide_all(seq: PacketSequence, n_parts: int) -> list[PacketSequence]:
-    """All ``n_parts`` round-robin subsequences, a partition of ``seq``."""
-    if n_parts < 1:
-        raise ValueError(f"n_parts must be >= 1, got {n_parts}")
-    return [divide(seq, n_parts, i) for i in range(n_parts)]

@@ -6,7 +6,7 @@ periodically exchanging state information … with all the other contents
 peers by using a simple type of group communication protocol [Nakamura &
 Takizawa, ICDCS-14]".  This package provides that substrate:
 
-* :class:`VectorClock` — per-member logical clocks with happens-before.
+* :class:`VectorClock` — per-member logical clocks (tick, merge).
 * :class:`CausalBroadcaster` — broadcast over the overlay with
   causal-order delivery (messages are buffered until every causal
   predecessor has been delivered), as jittered channels reorder freely.

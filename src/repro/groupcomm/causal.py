@@ -137,11 +137,6 @@ class CausalBroadcaster:
                     progress = True
                     break
 
-    @property
-    def pending_count(self) -> int:
-        """Messages buffered awaiting causal predecessors."""
-        return len(self._pending)
-
     def __repr__(self) -> str:
         return (
             f"<CausalBroadcaster {self.member_id} delivered="

@@ -10,10 +10,7 @@ class VectorClock:
     """A logical clock with one component per group member.
 
     Components default to 0; instances are mutable (``tick`` / ``merge``)
-    but comparisons never mutate.  Ordering follows the standard
-    definition: ``a <= b`` iff every component of ``a`` is ≤ the matching
-    component of ``b``; ``a < b`` additionally requires strict inequality
-    somewhere.  Incomparable clocks are *concurrent*.
+    and :meth:`as_dict` is a snapshot, which is what a message carries.
     """
 
     __slots__ = ("members", "_counts")
@@ -57,34 +54,6 @@ class VectorClock:
                 self._counts[m] = other._counts[m]
         return self
 
-    def copy(self) -> "VectorClock":
-        return VectorClock(self.members, self._counts)
-
-    # ------------------------------------------------------------------
-    def __le__(self, other: "VectorClock") -> bool:
-        self._check(other)
-        return all(self._counts[m] <= other._counts[m] for m in self.members)
-
-    def __lt__(self, other: "VectorClock") -> bool:
-        return self <= other and self != other
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, VectorClock):
-            return NotImplemented
-        return self.members == other.members and self._counts == other._counts
-
-    def __hash__(self) -> int:
-        return hash((self.members, tuple(sorted(self._counts.items()))))
-
-    def concurrent_with(self, other: "VectorClock") -> bool:
-        """Neither happens-before the other."""
-        self._check(other)
-        return not (self <= other) and not (other <= self)
-
-    def _check(self, other: "VectorClock") -> None:
-        if not isinstance(other, VectorClock) or other.members != self.members:
-            raise ValueError("cannot compare clocks over different groups")
-
     def as_dict(self) -> Dict[str, int]:
         return dict(self._counts)
 
@@ -101,9 +70,8 @@ class CausalityTracker:
     rebuilds them from the send/receive event stream: each send ticks the
     sender and snapshots its clock onto the channel, each receive merges
     the oldest in-flight snapshot for that channel into the receiver and
-    ticks it.  Membership grows lazily as participants appear — a
-    :class:`VectorClock` over the final member universe is available per
-    participant via :meth:`clock_of`.
+    ticks it.  Membership grows lazily as participants appear;
+    :meth:`snapshot` gives every participant's clock.
     """
 
     def __init__(self, members: Iterable[str] = ()) -> None:
@@ -143,13 +111,6 @@ class CausalityTracker:
     def members(self) -> list[str]:
         """Every participant observed so far, sorted."""
         return sorted(self._counts)
-
-    def clock_of(self, member: str) -> VectorClock:
-        """The member's clock as a :class:`VectorClock` over all members."""
-        universe = self.members()
-        if member not in self._counts:
-            raise KeyError(f"unknown member {member!r}")
-        return VectorClock(universe, self._counts[member])
 
     def snapshot(self) -> Dict[str, Dict[str, int]]:
         """All clocks as plain nested dicts (zero components omitted)."""

@@ -26,7 +26,6 @@ from repro.media.packet import (
 from repro.media.sequence import PacketSequence
 from repro.media.content import MediaContent
 from repro.media.timeslot import TimeSlot, allocate_packets, build_slots
-from repro.media.rate import mbps_to_packets_per_ms, packets_per_ms_to_mbps
 
 __all__ = [
     "DataPacket",
@@ -42,6 +41,4 @@ __all__ = [
     "build_slots",
     "format_label",
     "parity_covers",
-    "mbps_to_packets_per_ms",
-    "packets_per_ms_to_mbps",
 ]

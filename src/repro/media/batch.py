@@ -12,7 +12,7 @@ the unbatched path uses, so receipt and delivery semantics are unchanged.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -54,9 +54,6 @@ class PacketBatch:
 
     def __len__(self) -> int:
         return len(self.packets)
-
-    def __iter__(self) -> Iterator[Packet]:
-        return iter(self.packets)
 
     def __repr__(self) -> str:
         return f"<PacketBatch n={len(self.packets)}>"

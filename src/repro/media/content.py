@@ -61,15 +61,6 @@ class MediaContent:
     def has_payload(self) -> bool:
         return self._payloads is not None
 
-    @property
-    def size_bytes(self) -> int:
-        return self.n_packets * self.packet_size
-
-    @property
-    def duration(self) -> float:
-        """Playback duration in milliseconds at the content rate."""
-        return self.n_packets / self.rate
-
     def payload(self, seq: int) -> Optional[bytes]:
         """Bytes of data packet ``seq`` (1-based), or None if symbolic."""
         if self._payloads is None:

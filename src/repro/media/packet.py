@@ -97,11 +97,6 @@ class Packet:
             raise TypeError(f"{self} is a parity packet and has no seq")
         return self.label
 
-    @property
-    def covers(self) -> Tuple[Label, ...]:
-        """Labels a parity packet protects; raises for data packets."""
-        return parity_covers(self.label)
-
     def covered_seqs(self) -> frozenset[int]:
         """All underlying data sequence numbers under this packet."""
         return base_seqs(self.label)

@@ -1,8 +1,9 @@
-"""JSON (de)serialization of result artifacts.
+"""JSON serialization of result artifacts.
 
 Sweeps at the paper's full scale take minutes; persisting the harvested
-tables lets EXPERIMENTS.md (and any downstream plotting) be regenerated
-without re-running the simulations.
+tables (``repro-experiments … --out``) lets EXPERIMENTS.md (and any
+downstream plotting) be regenerated without re-running the simulations:
+the file is plain JSON, read back with :func:`json.load`.
 """
 
 from __future__ import annotations
@@ -30,15 +31,6 @@ def table_to_dict(table: Table) -> Dict[str, Any]:
         "headers": table.headers,
         "rows": table.rows,
     }
-
-
-def table_from_dict(data: Dict[str, Any]) -> Table:
-    if data.get("type") != "table":
-        raise ValueError(f"not a table payload: {data.get('type')!r}")
-    table = Table(data["headers"], title=data.get("title", ""))
-    for row in data["rows"]:
-        table.add_row(*row)
-    return table
 
 
 def series_to_dict(series: SweepSeries) -> Dict[str, Any]:
@@ -80,19 +72,6 @@ def session_result_to_dict(result: "SessionResult") -> Dict[str, Any]:
     return {"type": "session_result", "data": data}
 
 
-def session_result_from_dict(payload: Dict[str, Any]) -> "SessionResult":
-    if payload.get("type") != "session_result":
-        raise ValueError(
-            f"not a session_result payload: {payload.get('type')!r}"
-        )
-    from repro.core.base import ProtocolConfig
-    from repro.streaming.session import SessionResult
-
-    data = dict(payload["data"])
-    data["config"] = ProtocolConfig(**data["config"])
-    return SessionResult(**data)
-
-
 def artifact_to_dict(artifact: Union[Table, SweepSeries]) -> Dict[str, Any]:
     if isinstance(artifact, Table):
         return table_to_dict(artifact)
@@ -107,17 +86,6 @@ def artifact_to_dict(artifact: Union[Table, SweepSeries]) -> Dict[str, Any]:
     raise TypeError(f"cannot serialize {type(artifact).__name__}")
 
 
-def artifact_from_dict(data: Dict[str, Any]) -> Union[Table, SweepSeries]:
-    kind = data.get("type")
-    if kind == "table":
-        return table_from_dict(data)
-    if kind == "series":
-        return series_from_dict(data)
-    if kind == "session_result":
-        return session_result_from_dict(data)
-    raise ValueError(f"unknown artifact type {kind!r}")
-
-
 def save_artifacts(
     artifacts: Dict[str, Union[Table, SweepSeries]],
     path: Union[str, Path],
@@ -125,8 +93,3 @@ def save_artifacts(
     """Write a named set of artifacts as one JSON document."""
     payload = {name: artifact_to_dict(a) for name, a in artifacts.items()}
     Path(path).write_text(json.dumps(payload, indent=2, default=str))
-
-
-def load_artifacts(path: Union[str, Path]) -> Dict[str, Union[Table, SweepSeries]]:
-    payload = json.loads(Path(path).read_text())
-    return {name: artifact_from_dict(d) for name, d in payload.items()}

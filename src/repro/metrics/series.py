@@ -11,8 +11,8 @@ class SweepSeries:
     """Data behind one figure: ``x`` plus named series.
 
     Rows are added one sweep point at a time with a value for every
-    series; the result renders as a table or exposes the raw columns for
-    shape assertions in tests and benches.
+    series; the result renders as a table, and ``columns[name]`` is one
+    series' raw values.
     """
 
     def __init__(self, x_name: str, series_names: List[str], title: str = "") -> None:
@@ -35,9 +35,6 @@ class SweepSeries:
         self.x.append(x)
         for name in self.series_names:
             self.columns[name].append(values[name])
-
-    def series(self, name: str) -> List[Any]:
-        return self.columns[name]
 
     def to_table(self) -> Table:
         table = Table([self.x_name] + self.series_names, title=self.title)

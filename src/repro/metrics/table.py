@@ -31,14 +31,6 @@ class Table:
             )
         self.rows.append(list(values))
 
-    def column(self, name: str) -> list[Any]:
-        """All values of one column, by header name."""
-        try:
-            idx = self.headers.index(name)
-        except ValueError:
-            raise KeyError(f"no column {name!r}") from None
-        return [row[idx] for row in self.rows]
-
     def render(self) -> str:
         cells = [self.headers] + [[_fmt(v) for v in row] for row in self.rows]
         widths = [

@@ -24,7 +24,6 @@ from repro.net.latency import ConstantLatency, LatencyModel, NormalLatency, Unif
 from repro.net.loss import BernoulliLoss, GilbertElliottLoss, LossModel, NoLoss
 from repro.net.linkfault import (
     CompositeFault,
-    DropFault,
     DuplicateFault,
     LinkFault,
     ReorderFault,
@@ -43,7 +42,6 @@ __all__ = [
     "CompositeFault",
     "ConstantLatency",
     "DedupWindow",
-    "DropFault",
     "DuplicateFault",
     "GilbertElliottLoss",
     "LatencyModel",

@@ -146,10 +146,6 @@ class UploadBudget:
             return 0
         return (self._win - cur - 1) * self.per_window + self._used
 
-    @property
-    def shed_total(self) -> int:
-        return self.shed_data + self.shed_parity
-
     # ------------------------------------------------------------------
     # per-packet path (unbatched transmit loops)
     # ------------------------------------------------------------------
@@ -238,5 +234,5 @@ class UploadBudget:
         return (
             f"<UploadBudget {self.peer_id} {self.per_window}/window "
             f"sends={self.sends} queued={self.queued_sends} "
-            f"shed={self.shed_total}>"
+            f"shed={self.shed_data + self.shed_parity}>"
         )

@@ -29,11 +29,6 @@ class LatencyModel(ABC):
             (self.sample(rng) for _ in range(k)), dtype=np.float64, count=k
         )
 
-    @property
-    @abstractmethod
-    def mean(self) -> float:
-        """Expected delay (used by protocols as their δ estimate)."""
-
 
 class ConstantLatency(LatencyModel):
     """Fixed delay δ — the paper's evaluation regime."""
@@ -49,10 +44,6 @@ class ConstantLatency(LatencyModel):
     def sample_batch(self, rng: np.random.Generator, k: int) -> np.ndarray:
         # no RNG draws, mirroring sample()
         return np.full(k, self.delay)
-
-    @property
-    def mean(self) -> float:
-        return self.delay
 
     def __repr__(self) -> str:
         return f"ConstantLatency({self.delay})"
@@ -73,10 +64,6 @@ class UniformLatency(LatencyModel):
     def sample_batch(self, rng: np.random.Generator, k: int) -> np.ndarray:
         return rng.uniform(self.low, self.high, k)
 
-    @property
-    def mean(self) -> float:
-        return (self.low + self.high) / 2
-
     def __repr__(self) -> str:
         return f"UniformLatency({self.low}, {self.high})"
 
@@ -96,10 +83,6 @@ class NormalLatency(LatencyModel):
 
     def sample_batch(self, rng: np.random.Generator, k: int) -> np.ndarray:
         return np.maximum(self.floor, rng.normal(self._mean, self.std, k))
-
-    @property
-    def mean(self) -> float:
-        return self._mean
 
     def __repr__(self) -> str:
         return f"NormalLatency({self._mean}, {self.std}, floor={self.floor})"

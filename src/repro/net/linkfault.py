@@ -1,4 +1,4 @@
-"""Composable per-link fault injection: drop, duplicate, reorder, sever.
+"""Composable per-link fault injection: duplicate, reorder, sever.
 
 The paper's channel model only loses messages (:mod:`repro.net.loss`).
 Real overlay links also *duplicate* (retransmitting middleboxes, route
@@ -32,11 +32,8 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.net.loss import LossModel
-
 __all__ = [
     "CompositeFault",
-    "DropFault",
     "DuplicateFault",
     "LatencySpikeFault",
     "LinkFault",
@@ -66,20 +63,6 @@ class LinkFault(ABC):
         extra-delays tuple (empty = that packet lost on the link).
         """
         return [self.apply(rng, now) for _ in range(k)]
-
-
-@dataclass
-class DropFault(LinkFault):
-    """Adapter: any :class:`~repro.net.loss.LossModel` as a link fault.
-
-    Lets a (stateful, e.g. Gilbert–Elliott) loss process participate in a
-    :class:`CompositeFault` pipeline alongside duplication and reordering.
-    """
-
-    loss: LossModel
-
-    def apply(self, rng, now):
-        return () if self.loss.drops(rng) else (0.0,)
 
 
 @dataclass

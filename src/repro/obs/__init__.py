@@ -38,7 +38,6 @@ from repro.obs.audit import (
     build_auditors,
     register_auditor,
     replay_jsonl,
-    summarize_audits,
 )
 from repro.obs.metrics import Gauge, MetricsRegistry
 from repro.obs.spans import (
@@ -95,7 +94,6 @@ __all__ = [
     "run_summary",
     "span_async_events",
     "spans_from_jsonl",
-    "summarize_audits",
     "trace_to_chrome",
     "trace_to_jsonl",
     "wave_timeline",

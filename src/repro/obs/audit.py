@@ -104,7 +104,6 @@ __all__ = [
     "describe_event",
     "register_auditor",
     "replay_jsonl",
-    "summarize_audits",
 ]
 
 #: message kinds that answer an earlier offer/request
@@ -1334,36 +1333,6 @@ class AuditReport:
         Path(path).write_text(
             json.dumps(self.to_dict(), indent=2, sort_keys=True)
         )
-
-
-def summarize_audits(
-    reports: Iterable[Union[AuditReport, Dict[str, Any], None]],
-) -> Dict[str, Any]:
-    """Aggregate many runs' audit verdicts (reports or their dict forms).
-
-    Sweep executors :meth:`~repro.streaming.session.SessionResult.detach`
-    results, so parallel sweeps hand back dict-form reports; this folds
-    either form into one cross-run summary.
-    """
-    runs = passed = 0
-    by_code: Dict[str, int] = {}
-    for report in reports:
-        if report is None:
-            continue
-        if isinstance(report, dict):
-            report = AuditReport.from_dict(report)
-        runs += 1
-        if report.passed:
-            passed += 1
-        for violation in report.violations():
-            by_code[violation.code] = by_code.get(violation.code, 0) + 1
-    return {
-        "type": "audit_summary",
-        "runs": runs,
-        "passed": passed,
-        "failed": runs - passed,
-        "violations_by_code": dict(sorted(by_code.items())),
-    }
 
 
 # ----------------------------------------------------------------------

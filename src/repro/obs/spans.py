@@ -89,23 +89,23 @@ class SpanConfig:
 
     ``qoe_bucket_deltas`` sets the QoE-timeline bucket width in δ units;
     ``max_qoe_points`` caps the number of timeline points per leaf (the
-    bucket is widened when a long run would exceed it).  ``top_packets`` /
-    ``top_exchanges`` bound how many slowest journeys and exchanges the
-    report retains verbatim (aggregates always cover everything).
+    bucket is widened when a long run would exceed it).  ``top_packets``
+    bounds how many slowest journeys the report retains verbatim, as
+    :data:`TOP_EXCHANGES` does for exchanges (aggregates always cover
+    everything).
     """
 
     qoe_bucket_deltas: float = 1.0
     max_qoe_points: int = 2000
     top_packets: int = 20
-    top_exchanges: int = 20
 
     def __post_init__(self) -> None:
         if self.qoe_bucket_deltas <= 0:
             raise ValueError("qoe_bucket_deltas must be positive")
         if self.max_qoe_points < 1:
             raise ValueError("max_qoe_points must be >= 1")
-        if self.top_packets < 0 or self.top_exchanges < 0:
-            raise ValueError("top_packets/top_exchanges must be >= 0")
+        if self.top_packets < 0:
+            raise ValueError("top_packets must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -486,6 +486,10 @@ class SpanReport:
             f"packets={sum(self.packet_stats.get(k, 0) for k in ('delivered', 'recovered', 'lost'))} "
             f"share={self.attributed_share:.3f}>"
         )
+
+
+#: how many slowest control exchanges a report retains verbatim
+TOP_EXCHANGES = 20
 
 
 class SpanBuilder(Observer):
@@ -945,17 +949,14 @@ class SpanBuilder(Observer):
             "buffer_total_ms": sum(j.buffer_ms for j in timed),
         }
 
-        cfg = self.config
         slowest_packets = tuple(
             sorted(
                 timed,
                 key=lambda j: (-j.e2e_ms, _label_key(j.label)),
-            )[: cfg.top_packets]
+            )[: self.config.top_packets]
         )
         slowest_exchanges = tuple(
-            sorted(exchanges, key=lambda e: (-e.duration_ms, e.mid))[
-                : cfg.top_exchanges
-            ]
+            sorted(exchanges, key=lambda e: (-e.duration_ms, e.mid))[:TOP_EXCHANGES]
         )
 
         return SpanReport(

@@ -81,11 +81,6 @@ class RandomStreams:
         """Names of the streams that have been drawn from, sorted."""
         return sorted(n for n, g in self._streams.items() if g.opened)
 
-    def spawn(self, name: str) -> "RandomStreams":
-        """Derive a child family, e.g. one per replication of a sweep."""
-        key = zlib.crc32(name.encode("utf-8"))
-        return RandomStreams((self.root_seed * 1_000_003 + key) % (2**63))
-
     def __repr__(self) -> str:
         return (
             f"RandomStreams(root_seed={self.root_seed}, "

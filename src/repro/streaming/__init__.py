@@ -32,7 +32,7 @@
 
 from repro.core.base import HandoffPlan
 from repro.streaming.stream import Phase, Stream
-from repro.streaming.buffer import BufferEvent, PlaybackBuffer
+from repro.streaming.buffer import PlaybackBuffer
 from repro.streaming.contents_peer import ContentsPeerAgent
 from repro.streaming.leaf_peer import LeafPeerAgent
 from repro.streaming.commons import Commons
@@ -79,7 +79,6 @@ __all__ = [
     "AdaptRequest",
     "AdmissionController",
     "AdmissionPolicy",
-    "BufferEvent",
     "RateAdaptationMonitor",
     "RateAdaptationPolicy",
     "ChurnPlan",

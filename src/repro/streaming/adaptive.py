@@ -6,7 +6,7 @@ rate**".  This extension implements the reactive half of that programme:
 
 a session-level :class:`RateAdaptationMonitor` periodically compares each
 active stream's *actual* rate against its nominal assignment; when a
-stream has degraded below ``threshold × nominal`` (a QoS fault, modelled
+stream has degraded below ``THRESHOLD × nominal`` (a QoS fault, modelled
 by :class:`~repro.streaming.faults.DegradeFault`), the affected peer
 performs a *weighted handoff*: the remaining postfix is split between
 itself and a freshly recruited helper **proportionally to their rates**
@@ -27,20 +27,16 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.streaming.stream import Stream
 
 
+#: how often stream rates are checked, in δ units
+CHECK_PERIOD_DELTAS = 3.0
+#: a stream below THRESHOLD × nominal rate triggers adaptation
+THRESHOLD = 0.9
+
+
 @dataclass(frozen=True)
 class RateAdaptationPolicy:
-    """Tuning knobs for the degradation monitor."""
-
-    #: how often stream rates are checked, in δ units
-    check_period_deltas: float = 3.0
-    #: a stream below threshold × nominal rate triggers adaptation
-    threshold: float = 0.9
-
-    def __post_init__(self) -> None:
-        if self.check_period_deltas <= 0:
-            raise ValueError("check period must be positive")
-        if not 0 < self.threshold <= 1:
-            raise ValueError("threshold must be in (0, 1]")
+    """Arms the degradation monitor; its cadence and threshold are this
+    module's constants."""
 
 
 @dataclass
@@ -55,11 +51,8 @@ class AdaptRequest:
 class RateAdaptationMonitor:
     """Watches every peer's streams; degraded ones recruit helpers."""
 
-    def __init__(
-        self, session: "StreamingSession", policy: RateAdaptationPolicy
-    ) -> None:
+    def __init__(self, session: "StreamingSession") -> None:
         self.session = session
-        self.policy = policy
         self.adaptations = 0
         self._helped: set[int] = set()  # id(stream) already compensated
         self._rng = session.streams.get("adaptive/monitor")
@@ -68,7 +61,7 @@ class RateAdaptationMonitor:
     def _run(self):
         session = self.session
         env = session.env
-        period = self.policy.check_period_deltas * session.config.delta
+        period = CHECK_PERIOD_DELTAS * session.config.delta
         while True:
             yield env.timeout(period)
             busy = False
@@ -82,7 +75,7 @@ class RateAdaptationMonitor:
                     if id(stream) in self._helped:
                         continue
                     actual = stream.current_rate
-                    if actual < self.policy.threshold * stream.nominal_rate:
+                    if actual < THRESHOLD * stream.nominal_rate:
                         self._compensate(agent, stream)
             if not busy:
                 return

@@ -8,53 +8,39 @@ rate τ.  Arriving packets are held in a bounded buffer:
 * a playback instant at which the next in-order packet is unavailable is an
   **underrun** (stall) — the failure mode parity and multi-source
   transmission exist to prevent.
+
+The buffer keeps counts only; the leaf publishes when playback played,
+stalled or skipped as ``buffer.*`` trace events.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
-
-@dataclass(frozen=True)
-class BufferEvent:
-    """One overrun or underrun occurrence."""
-
-    kind: str  # "overrun" | "underrun"
-    time: float
-    seq: Optional[int] = None
+#: consecutive underruns on one packet before playback gives it up
+#: (:meth:`PlaybackBuffer.skip`) and moves on — the degrade-don't-deadlock
+#: policy that keeps a partitioned leaf playing
+SKIP_AFTER_MISSES = 4
 
 
 class PlaybackBuffer:
     """In-order playback over out-of-order arrivals.
 
-    ``offer(seq, time)`` registers an arrived (or FEC-recovered) data
-    packet; ``play_next(time)`` is called by the playback clock once per
-    packet period and returns the played seq or records an underrun.
+    ``offer(seq)`` registers an arrived (or FEC-recovered) data packet;
+    ``play_next()`` is called by the playback clock once per packet
+    period and returns the played seq or records an underrun.
     """
 
-    def __init__(
-        self,
-        n_packets: int,
-        capacity: float = float("inf"),
-        skip_after_misses: int = 4,
-    ) -> None:
+    def __init__(self, n_packets: int, capacity: float = float("inf")) -> None:
         if n_packets < 1:
             raise ValueError("n_packets must be positive")
         if capacity <= 0:
             raise ValueError("capacity must be positive")
-        if skip_after_misses < 1:
-            raise ValueError("skip_after_misses must be >= 1")
         self.n_packets = n_packets
         self.capacity = capacity
-        #: consecutive underruns on one packet before playback gives it
-        #: up (:meth:`skip`) and moves on — the degrade-don't-deadlock
-        #: policy that keeps a partitioned leaf playing
-        self.skip_after_misses = skip_after_misses
         self._held: set[int] = set()
         self._next = 1
         self._misses = 0
-        self.events: list[BufferEvent] = []
         self.played = 0
         self.overruns = 0
         self.underruns = 0
@@ -73,10 +59,10 @@ class PlaybackBuffer:
     def finished(self) -> bool:
         return self._next > self.n_packets
 
-    def offer(self, seq: int, time: float) -> bool:
+    def offer(self, seq: int) -> bool:
         """Register arrival of data packet ``seq``.
 
-        Returns False (and records an overrun) when the buffer is full;
+        Returns False (and counts an overrun) when the buffer is full;
         duplicate or already-played packets are ignored.
         """
         if not 1 <= seq <= self.n_packets:
@@ -85,15 +71,14 @@ class PlaybackBuffer:
             return True  # stale or duplicate: no effect
         if len(self._held) >= self.capacity:
             self.overruns += 1
-            self.events.append(BufferEvent("overrun", time, seq))
             return False
         self._held.add(seq)
         return True
 
-    def play_next(self, time: float) -> Optional[int]:
-        """Attempt to play the next in-order packet at ``time``.
+    def play_next(self) -> Optional[int]:
+        """Attempt to play the next in-order packet.
 
-        Returns the played seq, or None (recording an underrun) when it is
+        Returns the played seq, or None (counting an underrun) when it is
         not buffered yet.
         """
         if self.finished:
@@ -106,15 +91,14 @@ class PlaybackBuffer:
             self._misses = 0
             return played
         self.underruns += 1
-        self.events.append(BufferEvent("underrun", time, self._next))
         self._misses += 1
         return None
 
     @property
     def should_skip(self) -> bool:
         """The skip policy's verdict: the current packet has stalled
-        playback for ``skip_after_misses`` consecutive periods."""
-        return self._misses >= self.skip_after_misses
+        playback for :data:`SKIP_AFTER_MISSES` consecutive periods."""
+        return self._misses >= SKIP_AFTER_MISSES
 
     def skip(self) -> int:
         """Give up on the next packet (playback gap) and move on."""

@@ -13,14 +13,14 @@ signals per peer:
 * delivered-vs-promised media **throughput**: arrivals from the peer per
   check window against the rate its assignments promised.
 
-A peer failing any signal for ``strikes`` consecutive checks is
+A peer failing any signal for :data:`STRIKES` consecutive checks is
 *quarantined*: excluded from target selection (re-coordination, repair
 rounds, adaptation helper recruitment), its residual proactively handed
 off through the existing reissue/time-slot allocator *without* waiting
 for a crash confirmation.  Quarantine is half-open, never permanent:
 the leaf probes the peer periodically (a ``probe`` control message the
 peer answers with an immediate heartbeat) and readmits it only after
-``probe_successes`` consecutive probe round-trips — incoming traffic
+:data:`PROBE_SUCCESSES` consecutive probe round-trips — incoming traffic
 alone (:meth:`~repro.streaming.detector.FailureDetector.touch`) never
 readmits, so a flapping peer cannot talk its way back in between flaps.
 
@@ -40,56 +40,37 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.streaming.session import StreamingSession
 
 
+#: how often peer health is scored, in δ units
+CHECK_PERIOD_DELTAS = 2.0
+#: φ at or above this is an unhealthy-silence strike (the detector's
+#: own thresholds still govern suspect/confirm)
+PHI_THRESHOLD = 1.0
+#: smoothed RTT at or above this many δ is an unhealthy-path strike
+RTT_THRESHOLD_DELTAS = 6.0
+#: delivered media rate below this fraction of the promised rate is
+#: an unhealthy-throughput strike (while the peer still owes data)
+THROUGHPUT_FLOOR = 0.25
+#: consecutive unhealthy checks before the breaker opens
+STRIKES = 3
+#: probe cadence while quarantined, in δ units
+PROBE_PERIOD_DELTAS = 2.0
+#: consecutive successful probes required for readmission
+PROBE_SUCCESSES = 2
+#: total probes per quarantine episode before giving the peer up
+#: (it then stays quarantined; bounds the probe process)
+PROBE_BUDGET = 30
+#: never hold more than this fraction of live peers in quarantine
+#: (at least one is always allowed)
+MAX_QUARANTINED_FRACTION = 0.5
+
+
 @dataclass(frozen=True)
 class HealthPolicy:
-    """Tuning knobs for the leaf's quarantine circuit breaker."""
+    """Arms the leaf's quarantine circuit breaker.
 
-    #: how often peer health is scored, in δ units
-    check_period_deltas: float = 2.0
-    #: φ at or above this is an unhealthy-silence strike (the detector's
-    #: own thresholds still govern suspect/confirm)
-    phi_threshold: float = 1.0
-    #: smoothed RTT at or above this many δ is an unhealthy-path strike
-    rtt_threshold_deltas: float = 6.0
-    #: delivered media rate below this fraction of the promised rate is
-    #: an unhealthy-throughput strike (while the peer still owes data)
-    throughput_floor: float = 0.25
-    #: consecutive unhealthy checks before the breaker opens
-    strikes: int = 3
-    #: probe cadence while quarantined, in δ units
-    probe_period_deltas: float = 2.0
-    #: consecutive successful probes required for readmission
-    probe_successes: int = 2
-    #: total probes per quarantine episode before giving the peer up
-    #: (it then stays quarantined; bounds the probe process)
-    probe_budget: int = 30
-    #: proactively reissue the quarantined peer's residual to survivors
-    handoff: bool = True
-    #: never hold more than this fraction of live peers in quarantine
-    #: (at least one is always allowed)
-    max_quarantined_fraction: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.check_period_deltas <= 0:
-            raise ValueError("check period must be positive")
-        if self.phi_threshold <= 0:
-            raise ValueError("phi_threshold must be positive")
-        if self.rtt_threshold_deltas <= 0:
-            raise ValueError("rtt_threshold_deltas must be positive")
-        if not 0 < self.throughput_floor < 1:
-            raise ValueError("throughput_floor must be in (0, 1)")
-        if self.strikes < 1:
-            raise ValueError("strikes must be >= 1")
-        if self.probe_period_deltas <= 0:
-            raise ValueError("probe period must be positive")
-        if self.probe_successes < 1:
-            raise ValueError("probe_successes must be >= 1")
-        if self.probe_budget < self.probe_successes:
-            raise ValueError("probe_budget must cover probe_successes")
-        if not 0 < self.max_quarantined_fraction <= 1:
-            raise ValueError(
-                "max_quarantined_fraction must be in (0, 1]"
-            )
+    The breaker has no per-run tuning: its thresholds and cadences are
+    this module's constants.
+    """
 
 
 @dataclass
@@ -109,9 +90,8 @@ class QuarantineRecord:
 class HealthMonitor:
     """Leaf-side circuit breaker: score, quarantine, probe, readmit."""
 
-    def __init__(self, session: "StreamingSession", policy: HealthPolicy) -> None:
+    def __init__(self, session: "StreamingSession") -> None:
         self.session = session
-        self.policy = policy
         #: peer -> active episode (readmitted peers drop out)
         self.quarantined: Dict[str, QuarantineRecord] = {}
         #: every episode ever opened, in order
@@ -151,7 +131,7 @@ class HealthMonitor:
         env = session.env
         cfg = session.config
         detector = session.detector
-        period = self.policy.check_period_deltas * cfg.delta
+        period = CHECK_PERIOD_DELTAS * cfg.delta
         idle_grace = max(
             detector.policy.idle_grace_deltas * cfg.delta, 4 * period
         )
@@ -176,7 +156,6 @@ class HealthMonitor:
 
     def _check_peer(self, pid: str, period: float) -> None:
         session = self.session
-        pol = self.policy
         cfg = session.config
         agent = session.peers[pid]
         detector = session.detector
@@ -193,17 +172,17 @@ class HealthMonitor:
             return
         reasons: List[str] = []
         phi = detector.phi(pid)
-        if phi is not None and phi >= pol.phi_threshold:
+        if phi is not None and phi >= PHI_THRESHOLD:
             reasons.append("phi")
         cp = session.control_plane
         if cp is not None:
             srtt = cp.srtt_of(pid)
-            if srtt is not None and srtt >= pol.rtt_threshold_deltas * cfg.delta:
+            if srtt is not None and srtt >= RTT_THRESHOLD_DELTAS * cfg.delta:
                 reasons.append("rtt")
         promised = self._promised.get(pid, 0.0)
         if promised > 0 and detector.residual_of(pid):
             delivered = (arrivals - prev) / period
-            if delivered < pol.throughput_floor * promised:
+            if delivered < THROUGHPUT_FLOOR * promised:
                 budget = session.commons.budgets.get(pid)
                 if budget is None or budget.backlog(session.env.now) == 0:
                     # a peer starving the leaf because its finite uplink
@@ -214,7 +193,7 @@ class HealthMonitor:
             self._strikes[pid] = 0
             return
         self._strikes[pid] = self._strikes.get(pid, 0) + 1
-        if self._strikes[pid] >= pol.strikes:
+        if self._strikes[pid] >= STRIKES:
             self._quarantine(pid, tuple(reasons), phi)
 
     # ------------------------------------------------------------------
@@ -224,11 +203,10 @@ class HealthMonitor:
         self, pid: str, reasons: Tuple[str, ...], phi: Optional[float]
     ) -> None:
         session = self.session
-        pol = self.policy
         live = [
             p for p in session.peer_ids if not session.peers[p].crashed
         ]
-        cap = max(1, int(pol.max_quarantined_fraction * len(live)))
+        cap = max(1, int(MAX_QUARANTINED_FRACTION * len(live)))
         if len(self.quarantined) + 1 > cap:
             # breaker saturated: leave the strikes standing, retry at
             # the next check once somebody was readmitted
@@ -253,7 +231,7 @@ class HealthMonitor:
                 phi=round(phi, 3) if phi is not None else None,
                 false=false_q,
             )
-        if pol.handoff and session.recoordinator is not None:
+        if session.recoordinator is not None:
             # proactive: hand the residual off now, without waiting for
             # a crash confirmation the peer may never earn
             session.recoordinator.reissue_residual(pid)
@@ -270,13 +248,12 @@ class HealthMonitor:
     def _probe_loop(self, pid: str, record: QuarantineRecord):
         session = self.session
         env = session.env
-        pol = self.policy
         detector = session.detector
-        period = pol.probe_period_deltas * session.config.delta
+        period = PROBE_PERIOD_DELTAS * session.config.delta
         leaf_id = session.leaf.peer_id
         successes = 0
         while pid in self.quarantined:
-            if record.probes_sent >= pol.probe_budget:
+            if record.probes_sent >= PROBE_BUDGET:
                 return  # budget spent: the peer stays quarantined
             sent_at = env.now
             record.probes_sent += 1
@@ -295,9 +272,9 @@ class HealthMonitor:
                     pid,
                     ok=ok,
                     successes=successes,
-                    required=pol.probe_successes,
+                    required=PROBE_SUCCESSES,
                 )
-            if successes >= pol.probe_successes:
+            if successes >= PROBE_SUCCESSES:
                 self._readmit(pid, record, successes)
                 return
             if session.leaf.decoder.complete:
@@ -319,7 +296,7 @@ class HealthMonitor:
                 "health.readmit",
                 pid,
                 probes=probes,
-                required=self.policy.probe_successes,
+                required=PROBE_SUCCESSES,
             )
 
     def __repr__(self) -> str:

@@ -28,19 +28,15 @@ class LeafPeerAgent:
         peer_id: str = "leaf",
         buffer_capacity: float = float("inf"),
         playback: bool = False,
-        playback_delay: Optional[float] = None,
         max_receipt_rate: Optional[float] = None,
         receive_buffer_packets: float = 64.0,
-        skip_after_misses: int = 4,
     ) -> None:
         self.session = session
         self.peer_id = peer_id
         self.node = session.overlay.add_node(peer_id, self._on_deliver)
         n = session.config.content_packets
         self.decoder = ParityDecoder(n)
-        self.buffer = PlaybackBuffer(
-            n, capacity=buffer_capacity, skip_after_misses=skip_after_misses
-        )
+        self.buffer = PlaybackBuffer(n, capacity=buffer_capacity)
         #: duplicate-suppression for control traffic keyed on the wire
         #: uid — link-level duplicates share it, so a duplicated confirm
         #: or heartbeat is applied exactly once
@@ -61,8 +57,6 @@ class LeafPeerAgent:
         #: packets lost to receive-buffer overrun (ρ_s exceeded)
         self.receive_overruns = 0
         self.completed_at: Optional[float] = None
-        self._playback_enabled = playback
-        self._playback_delay = playback_delay
         if playback:
             session.env.process(self._playback_clock())
 
@@ -137,7 +131,7 @@ class LeafPeerAgent:
                     wait=wait,
                 )
         self.arrivals_by_src[src] = self.arrivals_by_src.get(src, 0) + 1
-        self._feed_decoder(pkt, now)
+        self._feed_decoder(pkt)
         if self.completed_at is None and self.decoder.complete:
             self.completed_at = now
 
@@ -151,7 +145,7 @@ class LeafPeerAgent:
         self._bucket_level += 1.0
         return True
 
-    def _feed_decoder(self, pkt, now: float) -> None:
+    def _feed_decoder(self, pkt) -> None:
         if not pkt.is_parity:
             self.data_arrivals += 1
             if pkt.seq > self.decoder.contiguous_prefix + 1:
@@ -165,20 +159,16 @@ class LeafPeerAgent:
                 if seq != direct:
                     self.env.hooks.tracer.emit("fec.recover", self.peer_id, seq=seq)
         for seq in newly:
-            self.buffer.offer(seq, now)
+            self.buffer.offer(seq)
 
     # ------------------------------------------------------------------
     def _playback_clock(self):
         cfg = self.session.config
         period = 1.0 / cfg.tau
-        delay = (
-            self._playback_delay
-            if self._playback_delay is not None
-            else 2 * cfg.delta + period
-        )
-        yield self.env.timeout(delay)
+        # startup delay: two control delays plus one packet period
+        yield self.env.timeout(2 * cfg.delta + period)
         while not self.buffer.finished:
-            played = self.buffer.play_next(self.env.now)
+            played = self.buffer.play_next()
             if played is not None:
                 if self.env.hooks.tracer is not None:
                     # playback consumed a frame: the tail event of a
@@ -193,7 +183,7 @@ class LeafPeerAgent:
                         self.peer_id,
                         seq=self.buffer.next_needed,
                     )
-                # degrade, don't deadlock: after skip_after_misses
+                # degrade, don't deadlock: after SKIP_AFTER_MISSES
                 # consecutive stalls give the packet up and move on —
                 # a partitioned leaf keeps (gappy) playback running
                 if self.buffer.should_skip:

@@ -7,13 +7,13 @@ extension — in the spirit of the paper's reliability goal, though beyond
 its text — closes that hole:
 
 the leaf runs a :class:`RepairMonitor` that watches decoding progress;
-after ``stall_checks`` consecutive check periods without a newly held data
-packet (while incomplete), it samples ``fanout`` contents peers and sends
-each a *repair request* for a slice of the missing sequence numbers.
-Contents peers hold the content, so they serve the slice directly (at a
-configurable rate); crashed peers stay silent and the next stall triggers
-another round with a fresh sample, so any live peer eventually covers
-every gap.
+after :data:`STALL_CHECKS` consecutive check periods without a newly held
+data packet (while incomplete), it samples ``fanout`` contents peers and
+sends each a *repair request* for a slice of the missing sequence numbers.
+Contents peers hold the content, so they serve the slice directly (the
+round's peers share the content rate); crashed peers stay silent and the
+next stall triggers another round with a fresh sample, so any live peer
+eventually covers every gap.
 
 Repair is orthogonal to the coordination protocol: the requests use a
 dedicated ``"repair"`` message kind handled by the peer agent itself.
@@ -32,30 +32,25 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.streaming.session import StreamingSession
 
 
+#: how often the leaf checks progress, in δ units
+CHECK_PERIOD_DELTAS = 3.0
+#: consecutive no-progress checks before a repair round fires
+STALL_CHECKS = 2
+
+
 @dataclass(frozen=True)
 class RepairPolicy:
-    """Tuning knobs for the leaf's repair loop."""
+    """Tuning knobs for the leaf's repair loop (its cadence is this
+    module's constants)."""
 
-    #: how often the leaf checks progress, in δ units
-    check_period_deltas: float = 3.0
-    #: consecutive no-progress checks before a repair round fires
-    stall_checks: int = 2
     #: peers sampled per repair round
     fanout: int = 3
-    #: per-peer repair transmission rate, as a multiple of the content rate
-    rate_factor: float = 1.0
     #: give up after this many repair rounds (0 = unlimited)
     max_rounds: int = 50
 
     def __post_init__(self) -> None:
-        if self.check_period_deltas <= 0:
-            raise ValueError("check period must be positive")
-        if self.stall_checks < 1:
-            raise ValueError("stall_checks must be >= 1")
         if self.fanout < 1:
             raise ValueError("fanout must be >= 1")
-        if self.rate_factor <= 0:
-            raise ValueError("rate_factor must be positive")
         if self.max_rounds < 0:
             raise ValueError("max_rounds must be >= 0")
 
@@ -84,7 +79,7 @@ class RepairMonitor:
         session = self.session
         env = session.env
         decoder = session.leaf.decoder
-        period = self.policy.check_period_deltas * session.config.delta
+        period = CHECK_PERIOD_DELTAS * session.config.delta
         last_held = -1
         stalls = 0
         while not decoder.complete:
@@ -95,7 +90,7 @@ class RepairMonitor:
             else:
                 stalls = 0
                 last_held = held
-            if stalls >= self.policy.stall_checks:
+            if stalls >= STALL_CHECKS:
                 stalls = 0
                 if (
                     self.policy.max_rounds
@@ -129,7 +124,8 @@ class RepairMonitor:
                 peers = filtered
         k = min(self.policy.fanout, len(peers))
         targets = pick(self._rng, peers, k)
-        rate = self.policy.rate_factor * session.config.tau / k
+        # the k peers of a round share the content rate between them
+        rate = session.config.tau / k
         for i, pid in enumerate(targets):
             slice_seqs = missing[i::k]
             if not slice_seqs:

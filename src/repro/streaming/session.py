@@ -222,7 +222,6 @@ class StreamingSession:
             playback=spec.playback,
             max_receipt_rate=spec.leaf_receipt_rate,
             receive_buffer_packets=spec.leaf_receive_buffer,
-            skip_after_misses=spec.playback_skip_misses,
         )
         self.peer_ids: List[str] = commons.peer_ids
         #: per-peer uplink capacity in packets/ms (absent = unlimited);
@@ -273,14 +272,12 @@ class StreamingSession:
         if spec.adaptation_policy is not None:
             from repro.streaming.adaptive import RateAdaptationMonitor
 
-            self.adaptation_monitor = RateAdaptationMonitor(
-                self, spec.adaptation_policy
-            )
+            self.adaptation_monitor = RateAdaptationMonitor(self)
         self.health: Optional["HealthMonitor"] = None
         if spec.health_policy is not None:
             from repro.streaming.health import HealthMonitor
 
-            self.health = HealthMonitor(self, spec.health_policy)
+            self.health = HealthMonitor(self)
         if not owner:
             # the swarm owns the observers; just announce this leaf as a
             # trace participant after the peers

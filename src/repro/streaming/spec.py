@@ -449,8 +449,6 @@ class SessionSpec:
     partition_plan: Optional[PartitionPlan] = None
     buffer_capacity: float = float("inf")
     playback: bool = False
-    #: consecutive playback stalls on one packet before it is skipped
-    playback_skip_misses: int = 4
     fault_plan: Optional[FaultPlan] = None
     repair_policy: Optional[RepairPolicy] = None
     adaptation_policy: Optional[RateAdaptationPolicy] = None

@@ -79,12 +79,9 @@ __all__ = [
 class AdmissionPolicy:
     """Admission control for leaf joins against the shared pool.
 
-    A join is admitted while
-    ``reserved + τ·demand_margin ≤ pool_rate·utilization_cap``, where
+    A join is admitted while ``reserved + τ ≤ pool_rate``, where
     ``pool_rate`` sums the upload budgets of *reachable* (non-crashed)
-    contents peers.  ``demand_margin`` > 1 reserves headroom for parity
-    overhead and repair traffic; ``utilization_cap`` < 1 keeps slack for
-    control traffic and renegotiation.
+    contents peers.
 
     Rejected joins retry with the PR 6 retransmit machinery's shape:
     ``retry.max_retries`` attempts, base wait ``retry.ack_timeout_deltas``
@@ -93,19 +90,11 @@ class AdmissionPolicy:
     instead of re-colliding.
     """
 
-    demand_margin: float = 1.0
-    utilization_cap: float = 1.0
     retry: RetransmitPolicy = field(
         default_factory=lambda: RetransmitPolicy(
             max_retries=4, ack_timeout_deltas=8.0, backoff=2.0, jitter=0.5
         )
     )
-
-    def __post_init__(self) -> None:
-        if self.demand_margin <= 0:
-            raise ValueError("demand_margin must be positive")
-        if self.utilization_cap <= 0:
-            raise ValueError("utilization_cap must be positive")
 
 
 @dataclass(frozen=True)
@@ -135,10 +124,6 @@ class SwarmSpec:
     #: :class:`~repro.obs.audit.AuditConfig` picks any suite; None/False
     #: disables auditing
     audit: Union[AuditConfig, bool, None] = True
-    #: stop watching an admitted-but-incomplete leaf this many nominal
-    #: content durations (l/τ) after its admission, releasing its
-    #: reservation — bounds simulation time under starvation
-    watch_durations: float = 4.0
 
     def __post_init__(self) -> None:
         template = self.session
@@ -165,8 +150,6 @@ class SwarmSpec:
                 + ", ".join(sorted(conflicts))
                 + " (configure them on the SwarmSpec instead)"
             )
-        if self.watch_durations <= 0:
-            raise ValueError("watch_durations must be positive")
 
     # ------------------------------------------------------------------
     def build(self) -> "SwarmSession":
@@ -226,9 +209,8 @@ class PeerHub:
 class AdmissionController:
     """Reservation ledger over the reachable pool's aggregate budget."""
 
-    def __init__(self, commons: Commons, policy: AdmissionPolicy) -> None:
+    def __init__(self, commons: Commons) -> None:
         self.commons = commons
-        self.policy = policy
         #: leaf_id -> reserved stream rate (packets/ms)
         self.reserved: Dict[str, float] = {}
         self.admits = 0
@@ -253,8 +235,8 @@ class AdmissionController:
         return total
 
     def try_admit(self, leaf_id: str) -> bool:
-        demand = self.commons.config.tau * self.policy.demand_margin
-        pool = self.pool_rate() * self.policy.utilization_cap
+        demand = self.commons.config.tau
+        pool = self.pool_rate()
         used = math.fsum(self.reserved.values())
         if used + demand <= pool * (1.0 + 1e-12):
             self.reserved[leaf_id] = demand
@@ -385,6 +367,12 @@ class SwarmResult:
 # ----------------------------------------------------------------------
 # the session
 # ----------------------------------------------------------------------
+#: stop watching an admitted-but-incomplete leaf this many nominal
+#: content durations (l/τ) after its admission, releasing its
+#: reservation — bounds simulation time under starvation
+WATCH_DURATIONS = 4.0
+
+
 class SwarmSession:
     """One multi-leaf run over a shared overlay (see module docstring)."""
 
@@ -417,7 +405,7 @@ class SwarmSession:
         self.outcomes: Dict[str, LeafOutcome] = {}
         self.admission: Optional[AdmissionController] = None
         if spec.admission is not None:
-            self.admission = AdmissionController(commons, spec.admission)
+            self.admission = AdmissionController(commons)
         self._backoff_rng = commons.streams.get("swarm/backoff")
         # swarm-level observers, bound without a session
         commons.observe()
@@ -483,11 +471,7 @@ class SwarmSession:
         # --- watch: poll for completion, then release the reservation ---
         cfg = self.config
         duration = cfg.content_packets / cfg.tau
-        deadline = (
-            self.env.now
-            + self.spec.watch_durations * duration
-            + cfg.delta
-        )
+        deadline = self.env.now + WATCH_DURATIONS * duration + cfg.delta
         leaf = session.leaf
         while self.env.now < deadline:
             yield self.env.timeout(cfg.delta)

@@ -17,7 +17,7 @@ import pytest
 
 from repro.experiments import run_experiment
 from repro.experiments.cli import main
-from repro.metrics.io import load_artifacts
+from repro.metrics.io import series_from_dict
 
 PINNED = json.loads(
     (Path(__file__).parent / "data" / "table_digests.json").read_text()
@@ -41,4 +41,5 @@ def ablations_quick(tmp_path_factory):
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         assert main(["ablations", "--quick", "--out", str(out)]) == 0
-    return stdout.getvalue(), load_artifacts(out)
+    artifacts = json.loads(out.read_text())
+    return stdout.getvalue(), {k: series_from_dict(d) for k, d in artifacts.items()}

@@ -431,3 +431,40 @@ def test_join_storm_refused_by_spans(capsys):
     rc = main(["spans", "--quick", "--join-storm", "leaves=2"])
     assert rc == 2
     assert "join-storm" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, ignored",
+    [
+        (
+            ["trace", "--quick", "--join-storm", "leaves=2", "--summary-out", "X"],
+            "--summary-out",
+        ),
+        (["spans", "--from-jsonl", "T", "--trace-out", "Y"], "--trace-out"),
+        (
+            [
+                "audit", "--protocol", "tcop", "--quick",
+                "--trace-out", "A", "--summary-out", "B",
+            ],
+            "--trace-out, --summary-out",
+        ),
+        (["audit", "--from-jsonl", "T", "--join-storm"], "--join-storm"),
+    ],
+    ids=[
+        "trace-swarm-summary-out",
+        "spans-replay-trace-out",
+        "audit-trace-and-summary-out",
+        "audit-replay-join-storm",
+    ],
+)
+def test_flags_the_subcommand_ignores_are_refused(
+    argv, ignored, tmp_path, capsys, monkeypatch
+):
+    # each of these used to exit 0 having written nothing it was asked for
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("repro-experiments: error: ")
+    assert captured.err.endswith(f"does not use {ignored}\n")
+    assert captured.err.count("\n") == 1 and not captured.out
+    assert list(tmp_path.iterdir()) == []

@@ -48,16 +48,16 @@ def test_mean_metric_skips_none():
 
 def test_fig10_shape():
     series = run_experiment("fig10", **SMALL)
-    rounds = series.series("rounds")
+    rounds = series.columns["rounds"]
     # monotone non-increasing rounds, 1 round at H = n
     assert all(a >= b for a, b in zip(rounds, rounds[1:]))
     assert rounds[-1] == 1
-    assert series.series("control_packets")[-1] == 20
+    assert series.columns["control_packets"][-1] == 20
 
 
 def test_fig11_shape():
     series = run_experiment("fig11", **SMALL)
-    rounds = series.series("rounds")
+    rounds = series.columns["rounds"]
     assert all(a >= b for a, b in zip(rounds, rounds[1:]))
     assert rounds[-1] == 3  # leaf handshake costs 3 rounds even at H=n
     dcop = run_experiment("fig10", **SMALL)
@@ -65,22 +65,22 @@ def test_fig11_shape():
     assert all(
         t >= d
         for t, d in zip(
-            series.series("control_packets_total"),
-            dcop.series("control_packets_total"),
+            series.columns["control_packets_total"],
+            dcop.columns["control_packets_total"],
         )
     )
 
 
 def test_fig12_shape():
     series = run_experiment("fig12", **SMALL)
-    dcop = series.series("dcop_rate")
-    tcop = series.series("tcop_rate")
+    dcop = series.columns["dcop_rate"]
+    tcop = series.columns["tcop_rate"]
     # rates at/above 1, decreasing toward 1 with H, full delivery
     assert all(r >= 1.0 - 1e-9 for r in dcop + tcop)
     assert dcop[0] > dcop[-1]
     assert tcop[0] > tcop[-1]
-    assert all(d == 1.0 for d in series.series("dcop_delivery"))
-    assert all(d == 1.0 for d in series.series("tcop_delivery"))
+    assert all(d == 1.0 for d in series.columns["dcop_delivery"])
+    assert all(d == 1.0 for d in series.columns["tcop_delivery"])
 
 
 def test_protocol_comparison_rows(pinned):
@@ -90,46 +90,46 @@ def test_protocol_comparison_rows(pinned):
     assert "DCoP" in protos and "SingleSource" in protos
     # unicast chain: rounds == n
     idx = protos.index("UnicastChain")
-    assert series.series("rounds")[idx] == 12
+    assert series.columns["rounds"][idx] == 12
 
 
 def test_fault_tolerance_ordering(pinned):
     series = pinned("EX-B")
     # no crashes: everyone delivers fully
-    assert series.series("dcop_parity")[0] == 1.0
+    assert series.columns["dcop_parity"][0] == 1.0
     # with crashes, parity DCoP >= no-parity DCoP >= single source
     p, np_, ss = (
-        series.series("dcop_parity")[1],
-        series.series("dcop_noparity")[1],
-        series.series("single_source")[1],
+        series.columns["dcop_parity"][1],
+        series.columns["dcop_noparity"][1],
+        series.columns["single_source"][1],
     )
     assert p >= np_ >= ss
 
 
 def test_loss_recovery_parity_helps(pinned):
     series = pinned("EX-C")
-    assert series.series("with_parity")[0] == 1.0
-    assert series.series("with_parity")[1] >= series.series("without_parity")[1]
-    assert series.series("recovered_with_parity")[1] > 0
+    assert series.columns["with_parity"][0] == 1.0
+    assert series.columns["with_parity"][1] >= series.columns["without_parity"][1]
+    assert series.columns["recovered_with_parity"][1] > 0
 
 
 def test_parity_sweep_tradeoff(pinned):
     series = pinned("EX-D")
-    rates = series.series("receipt_rate")
+    rates = series.columns["receipt_rate"]
     # more margin → more overhead
     assert rates[0] == pytest.approx(1.0)
     assert rates[1] < rates[2]
     # more margin → better delivery under loss
-    lossy = series.series("delivery_lossy")
+    lossy = series.columns["delivery_lossy"]
     assert lossy[2] >= lossy[0]
 
 
 def test_scaling_runs(pinned):
     series = pinned("EX-E")
     assert len(series) == 2
-    assert all(r >= 1 for r in series.series("dcop_rounds"))
+    assert all(r >= 1 for r in series.columns["dcop_rounds"])
     # TCoP rounds dominate DCoP rounds at every n
     assert all(
         t >= d
-        for t, d in zip(series.series("tcop_rounds"), series.series("dcop_rounds"))
+        for t, d in zip(series.columns["tcop_rounds"], series.columns["dcop_rounds"])
     )

@@ -68,19 +68,19 @@ def default_table(ablations_quick):
 # ----------------------------------------------------------------------
 def test_fig10_paper_points(pinned):
     series = pinned("fig10")
-    rounds, hs = series.series("rounds"), series.x
+    rounds, hs = series.columns["rounds"], series.x
     # shape: monotone non-increasing rounds
     assert all(a >= b for a, b in zip(rounds, rounds[1:]))
     # paper's quoted points: 2 rounds at H=60, 1 round at H=100
     assert rounds[hs.index(60)] == PAPER_FIG10_REFERENCE[60]["rounds"]
     assert rounds[hs.index(100)] == PAPER_FIG10_REFERENCE[100]["rounds"]
     # at H = n coordination needs exactly n control packets
-    assert series.series("control_packets")[hs.index(100)] == 100
+    assert series.columns["control_packets"][hs.index(100)] == 100
 
 
 def test_fig11_paper_points(pinned):
     series = pinned("fig11")
-    rounds, hs = series.series("rounds"), series.x
+    rounds, hs = series.columns["rounds"], series.x
     assert all(a >= b for a, b in zip(rounds, rounds[1:]))
     # paper: six rounds at H=60 (two waves × 3-round handshake)
     assert rounds[hs.index(60)] == PAPER_FIG11_REFERENCE[60]["rounds"]
@@ -89,8 +89,8 @@ def test_fig11_paper_points(pinned):
     assert all(
         t >= d
         for t, d in zip(
-            series.series("control_packets_total"),
-            pinned("fig10").series("control_packets_total"),
+            series.columns["control_packets_total"],
+            pinned("fig10").columns["control_packets_total"],
         )
     )
 
@@ -99,11 +99,11 @@ def test_fig12_rates_fall_toward_one(pinned):
     # (TCoP above DCoP at H=60 needs the long-content regime:
     # test_paper_conformance.py::test_receipt_rates_above_one_and_ordered)
     series = pinned("fig12")
-    dcop, tcop = series.series("dcop_rate"), series.series("tcop_rate")
+    dcop, tcop = series.columns["dcop_rate"], series.columns["tcop_rate"]
     # every rate is at least the content rate and everything is delivered
     assert all(r >= 1.0 - 1e-9 for r in dcop + tcop)
-    assert all(d == 1.0 for d in series.series("dcop_delivery"))
-    assert all(d == 1.0 for d in series.series("tcop_delivery"))
+    assert all(d == 1.0 for d in series.columns["dcop_delivery"])
+    assert all(d == 1.0 for d in series.columns["tcop_delivery"])
     # smaller H → more parity: the H=2 point towers over the H=100 point
     assert dcop[0] > 2 * dcop[-1]
     assert tcop[0] > 2 * tcop[-1]
@@ -117,9 +117,9 @@ def test_fig12_rates_fall_toward_one(pinned):
 # ----------------------------------------------------------------------
 def test_protocol_comparison_tradeoffs(default_table):
     series = default_table("EX-A")  # n=50, H=10
-    rounds = dict(zip(series.x, series.series("rounds")))
-    ctrl = dict(zip(series.x, series.series("ctrl_total")))
-    rate = dict(zip(series.x, series.series("receipt_rate")))
+    rounds = dict(zip(series.x, series.columns["rounds"]))
+    ctrl = dict(zip(series.x, series.columns["ctrl_total"]))
+    rate = dict(zip(series.x, series.columns["receipt_rate"]))
 
     assert rounds["Broadcast"] == 1
     assert rounds["UnicastChain"] == 50
@@ -136,14 +136,14 @@ def test_protocol_comparison_tradeoffs(default_table):
     # redundancy ordering: broadcast ≫ flooding protocols > chain = 1
     assert rate["Broadcast"] > rate["DCoP"] > rate["UnicastChain"] == 1.0
     # every protocol delivers the full content on lossless channels
-    assert all(d == 1.0 for d in series.series("delivery"))
+    assert all(d == 1.0 for d in series.columns["delivery"])
 
 
 def test_fault_tolerance_dominance(default_table):
     series = default_table("EX-B")
-    parity = series.series("dcop_parity")
-    noparity = series.series("dcop_noparity")
-    single = series.series("single_source")
+    parity = series.columns["dcop_parity"]
+    noparity = series.columns["dcop_noparity"]
+    single = series.columns["single_source"]
     # no crashes → everyone perfect
     assert parity[0] == noparity[0] == single[0] == 1.0
     # with crashes: parity ≥ no-parity ≥ single-source at every point
@@ -157,9 +157,9 @@ def test_fault_tolerance_dominance(default_table):
 
 def test_loss_recovery_across_rates(default_table):
     series = default_table("EX-C")
-    with_parity = series.series("with_parity")
-    without = series.series("without_parity")
-    recovered = series.series("recovered_with_parity")
+    with_parity = series.columns["with_parity"]
+    without = series.columns["without_parity"]
+    recovered = series.columns["recovered_with_parity"]
     # lossless: both perfect, nothing to recover
     assert with_parity[0] == without[0] == 1.0
     # parity strictly helps once losses appear
@@ -174,8 +174,8 @@ def test_loss_recovery_across_rates(default_table):
 
 def test_parity_sweep_matches_closed_form(default_table):
     series = default_table("EX-D")  # H=10
-    rates = series.series("receipt_rate")
-    lossy = series.series("delivery_lossy")
+    rates = series.columns["receipt_rate"]
+    lossy = series.columns["delivery_lossy"]
     # margin 0: no parity, rate exactly 1
     assert rates[0] == pytest.approx(1.0)
     # overhead grows monotonically with the margin …
@@ -190,9 +190,9 @@ def test_parity_sweep_matches_closed_form(default_table):
 
 def test_scaling_rounds_stay_flat(default_table):
     series = default_table("EX-E")
-    dcop = series.series("dcop_rounds")
-    tcop = series.series("tcop_rounds")
-    ctrl = series.series("dcop_ctrl")
+    dcop = series.columns["dcop_rounds"]
+    tcop = series.columns["tcop_rounds"]
+    ctrl = series.columns["dcop_ctrl"]
     # flooding keeps rounds essentially flat across a 20× population range
     assert series.x[-1] == 20 * series.x[0]
     assert max(dcop) - min(dcop) <= 2
@@ -205,10 +205,10 @@ def test_scaling_rounds_stay_flat(default_table):
 
 def test_heterogeneous_slots_hold_the_timeline(default_table):
     series = default_table("EX-F")
-    slots_done = series.series("slots_completed_at")
-    naive_done = series.series("naive_completed_at")
-    slots_viol = series.series("slots_violations")
-    naive_viol = series.series("naive_violations")
+    slots_done = series.columns["slots_completed_at"]
+    naive_done = series.columns["naive_completed_at"]
+    slots_viol = series.columns["slots_violations"]
+    naive_viol = series.columns["naive_violations"]
     # homogeneous: the two allocators coincide
     assert slots_done[0] is not None and naive_done[0] is not None
     assert abs(slots_done[0] - naive_done[0]) < 20
@@ -225,24 +225,24 @@ def test_heterogeneous_slots_hold_the_timeline(default_table):
 
 def test_ams_traffic_grows_quadratically(default_table):
     series = default_table("EX-G")
-    ams, dcop, ns = series.series("ams_ctrl"), series.series("dcop_ctrl"), series.x
+    ams, dcop, ns = series.columns["ams_ctrl"], series.columns["dcop_ctrl"], series.x
     # AMS dominates DCoP at every n, and the gap widens quadratically:
     # n grows 8x, AMS traffic far more than 8^1.5
     assert all(a > d for a, d in zip(ams, dcop))
     assert ams[-1] / ams[0] > (ns[-1] / ns[0]) ** 1.5
     # both survive the crash
-    assert all(d >= 0.99 for d in series.series("ams_delivery_crash"))
-    assert all(d >= 0.99 for d in series.series("dcop_delivery_crash"))
+    assert all(d >= 0.99 for d in series.columns["ams_delivery_crash"])
+    assert all(d >= 0.99 for d in series.columns["dcop_delivery_crash"])
 
 
 def test_multi_leaf_load_stays_near_fair_share(default_table):
     series = default_table("EX-H")  # content_packets=300
-    single = series.series("single_max_load")
-    dcop = series.series("dcop_max_load")
+    single = series.columns["single_max_load"]
+    dcop = series.columns["dcop_max_load"]
     # the pinned server ships the whole content to every leaf
     assert single == [k * 300 for k in series.x]
     # DCoP's hottest peer carries a small multiple of the fair share …
-    for d, f in zip(dcop, series.series("fair_share")):
+    for d, f in zip(dcop, series.columns["fair_share"]):
         assert d < 4 * f + 30
     # … and is far below the single-source server at scale
     assert series.x[-1] == 10
@@ -251,9 +251,9 @@ def test_multi_leaf_load_stays_near_fair_share(default_table):
 
 def test_rate_adaptation_holds_the_healthy_timeline(default_table):
     series = default_table("EX-I")
-    plain = series.series("plain_completed_at")
-    adaptive = series.series("adaptive_completed_at")
-    adaptations = series.series("adaptations")
+    plain = series.columns["plain_completed_at"]
+    adaptive = series.columns["adaptive_completed_at"]
+    adaptations = series.columns["adaptations"]
     # healthy point: identical, no adaptation fired
     assert plain[0] == adaptive[0]
     assert adaptations[0] == 0
@@ -271,14 +271,14 @@ def test_rate_adaptation_holds_the_healthy_timeline(default_table):
 
 def test_receipt_capacity_broadcast_overruns(default_table):
     series = default_table("EX-J")
-    bc_drops = series.series("broadcast_dropped")
+    bc_drops = series.columns["broadcast_dropped"]
     # DCoP never overruns …
-    assert all(d == 0 for d in series.series("dcop_dropped"))
-    assert all(d == 1.0 for d in series.series("dcop_delivery"))
+    assert all(d == 0 for d in series.columns["dcop_dropped"])
+    assert all(d == 1.0 for d in series.columns["dcop_delivery"])
     # … even at ρ_s = 1.5τ, below the default sweep
     tight = run_experiment("EX-J", values=[1.5])
-    assert tight.series("dcop_dropped") == [0]
-    assert tight.series("dcop_delivery") == [1.0]
+    assert tight.columns["dcop_dropped"] == [0]
+    assert tight.columns["dcop_delivery"] == [1.0]
     # broadcast overruns until the capacity approaches n·τ
     assert bc_drops[0] > 100
     assert all(a >= b for a, b in zip(bc_drops, bc_drops[1:]))
@@ -287,18 +287,18 @@ def test_receipt_capacity_broadcast_overruns(default_table):
     assert all(
         d > b
         for d, b in zip(
-            series.series("dcop_efficiency"),
-            series.series("broadcast_efficiency"),
+            series.columns["dcop_efficiency"],
+            series.columns["broadcast_efficiency"],
         )
     )
 
 
 def test_hetero_flooding_stays_on_the_timeline(default_table):
     series = default_table("EX-K")
-    dcop = series.series("dcop_completed_at")
-    hetero = series.series("hetero_completed_at")
+    dcop = series.columns["dcop_completed_at"]
+    hetero = series.columns["hetero_completed_at"]
     # identical coordination cost at every point
-    assert all(series.series("ctrl_equal"))
+    assert all(series.columns["ctrl_equal"])
     # homogeneous capacities: the two coincide
     assert abs(dcop[0] - hetero[0]) < 5
     # hetero stays on the content timeline across the whole sweep …
@@ -314,8 +314,8 @@ def test_hetero_flooding_stays_on_the_timeline(default_table):
 def test_churn_never_dents_delivery(pinned):
     series = pinned("EX-L")
     # the whole point of the stack: churn does not dent delivery
-    assert all(v == 1.0 for v in series.series("dcop_delivery"))
-    assert all(v == 1.0 for v in series.series("tcop_delivery"))
+    assert all(v == 1.0 for v in series.columns["dcop_delivery"])
+    assert all(v == 1.0 for v in series.columns["tcop_delivery"])
 
     # once churn actually kills peers, detection latency is reported.
     # Two detection paths exist: heartbeat silence confirms within
@@ -325,7 +325,7 @@ def test_churn_never_dents_delivery(pinned):
     fast_path = DetectorPolicy().confirm_misses + 4
     ladder = 2.5 * (2**5 - 1) * 1.25 + fast_path  # retx ladder + jitter
     for col in ("dcop_detect_deltas", "tcop_detect_deltas"):
-        observed = [v for v in series.series(col) if v is not None]
+        observed = [v for v in series.columns[col] if v is not None]
         assert observed, f"{col}: churn sweep never detected a crash"
         assert all(0 < v <= ladder for v in observed)
         # the heartbeat fast path dominates at least somewhere
@@ -334,13 +334,13 @@ def test_churn_never_dents_delivery(pinned):
     # handoff (crash → residual re-flood) happens promptly after whichever
     # detection path fired
     for col in ("dcop_handoff_deltas", "tcop_handoff_deltas"):
-        for v in series.series(col):
+        for v in series.columns[col]:
             if v is not None:
                 assert 0 < v <= ladder + 2
 
     # the reliable control plane was exercised (5% control loss)
-    assert any(v > 0 for v in series.series("dcop_retx"))
-    assert any(v > 0 for v in series.series("tcop_retx"))
+    assert any(v > 0 for v in series.columns["dcop_retx"])
+    assert any(v > 0 for v in series.columns["tcop_retx"])
 
 
 def test_partition_recoordinates_within_the_confirm_window(pinned):
@@ -350,10 +350,10 @@ def test_partition_recoordinates_within_the_confirm_window(pinned):
     assert len(delivery) == len(recoord) == 4
     # receipt ratio never dents
     for col in delivery:
-        assert all(v == 1.0 for v in series.series(col))
+        assert all(v == 1.0 for v in series.columns[col])
     bound = DetectorPolicy().confirm_misses + 4
     for col in recoord:
-        values = series.series(col)
+        values = series.columns[col]
         # a 5δ partition heals before the detector commits …
         assert values[0] is None
         # … while the permanent split always pays one re-flood, within
@@ -365,18 +365,18 @@ def test_partition_recoordinates_within_the_confirm_window(pinned):
 
 def test_admission_never_costs_receipt(pinned):
     for series in (pinned("EX-O"), pinned("EX-O@flash")):
-        on, off = series.series("receipt_on"), series.series("receipt_off")
+        on, off = series.columns["receipt_on"], series.columns["receipt_off"]
         assert all(a >= b for a, b in zip(on, off))
         # every cell is certified by the capacity auditor
-        assert all(v == "pass" for v in series.series("audit_on"))
-        assert all(v == "pass" for v in series.series("audit_off"))
+        assert all(v == "pass" for v in series.columns["audit_on"])
+        assert all(v == "pass" for v in series.columns["audit_off"])
     # up to a flash crowd on tight uplinks (4 joins/δ, 2.5 packets/δ) the
     # off arm shows the overload: receipt decays monotonically as the
     # storm thickens, and the on arm holds a strictly positive margin
     flash = pinned("EX-O@flash")
-    on, off = flash.series("receipt_on"), flash.series("receipt_off")
+    on, off = flash.columns["receipt_on"], flash.columns["receipt_off"]
     assert all(a >= b for a, b in zip(off, off[1:]))
     assert min(a - b for a, b in zip(on, off)) > 0
     # admission actually bites under load (refusals and retries happen)
-    assert sum(flash.series("gave_up_on")) >= 1
-    assert sum(flash.series("retries_on")) >= 1
+    assert sum(flash.columns["gave_up_on"]) >= 1
+    assert sum(flash.columns["retries_on"]) >= 1

@@ -35,7 +35,7 @@ class RescanDecoder(ParityDecoder):
             self._data_held.add(packet.label)
             newly.add(packet.label)
         if packet.is_parity:
-            self._constraints[packet.label] = packet.covers
+            self._constraints[packet.label] = parity_covers(packet.label)
         newly |= self._propagate()
         self._advance_prefix()
         return newly
@@ -121,7 +121,7 @@ def assert_same_state(new: ParityDecoder, ref: RescanDecoder) -> None:
     assert new.complete == ref.complete
     # the open constraints are the same, with the same members missing
     assert new.unresolved() == {
-        label: tuple(c for c in covers if not ref.has(c))
+        label: tuple(c for c in covers if c not in ref._have)
         for label, covers in ref._constraints.items()
     }
 
@@ -157,7 +157,7 @@ def test_disambiguated_and_nested_labels_are_exercised():
         # (5, 6) never arrives: its own parity yields it, and once held it
         # is a constraint again and yields t6
         assert decoder.add(outer) == set()
-        assert decoder.has((5, 6)) and (5, 6) in decoder.recovered
+        assert (5, 6) in decoder._have and (5, 6) in decoder.recovered
         assert decoder.add(first.find(5)) == {5, 6}
         assert decoder.payload_of(6) == content.payload(6)
         # the eagerly recovered parity arriving late is no longer a repair

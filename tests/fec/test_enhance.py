@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fec import divide, divide_all, enhance, recovery_segments
+from repro.fec import divide, enhance, recovery_segments
+from repro.media.packet import parity_covers
 from repro.media import DataPacket, MediaContent, PacketSequence
 
 
@@ -25,7 +26,7 @@ def test_figure6_enhanced_sequence_h2():
 def test_figure6_divide_into_three():
     """[pkt]^2 divided by 3: the exact subsequences of Fig. 6 b)."""
     enhanced = enhance(data_seq(10), h=2)
-    parts = divide_all(enhanced, 3)
+    parts = [divide(enhanced, 3, i) for i in range(3)]
     assert parts[0].labels()[:5] == [(1, 2), 3, 5, (7, 8), 9]
     assert parts[1].labels()[:5] == [1, (3, 4), 6, 7, (9, 10)]
     assert parts[2].labels()[:5] == [2, 4, (5, 6), 8, 10]
@@ -57,13 +58,13 @@ def test_enhance_h1_duplicates_every_packet_as_parity():
 def test_short_tail_segment_still_protected():
     out = enhance(data_seq(5), h=2)
     parities = [p for p in out if p.is_parity]
-    assert parities[-1].covers == (5,)
+    assert parity_covers(parities[-1].label) == (5,)
 
 
 def test_parity_payload_is_xor():
     content = MediaContent("m", 4, packet_size=8, seed=3)
     out = enhance(content.packet_sequence(), h=2)
-    parity = next(p for p in out if p.is_parity and p.covers == (1, 2))
+    parity = next(p for p in out if p.is_parity and parity_covers(p.label) == (1, 2))
     expected = bytes(
         a ^ b for a, b in zip(content.payload(1), content.payload(2))
     )
@@ -90,7 +91,7 @@ def test_invalid_h():
 
 def test_divide_partition_is_complete_and_disjoint():
     enhanced = enhance(data_seq(20), h=3)
-    parts = divide_all(enhanced, 4)
+    parts = [divide(enhanced, 4, i) for i in range(4)]
     all_labels = [lb for part in parts for lb in part.labels()]
     assert sorted(map(repr, all_labels)) == sorted(map(repr, enhanced.labels()))
     assert sum(len(p) for p in parts) == len(enhanced)
@@ -109,8 +110,6 @@ def test_divide_validation():
         divide(s, 2, 2)
     with pytest.raises(ValueError):
         divide(s, 2, -1)
-    with pytest.raises(ValueError):
-        divide_all(s, 0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -121,7 +120,7 @@ def test_divide_validation():
 )
 def test_property_divide_of_enhance_partitions(n, h, parts):
     enhanced = enhance(data_seq(n), h)
-    subs = divide_all(enhanced, parts)
+    subs = [divide(enhanced, parts, i) for i in range(parts)]
     assert sum(len(s) for s in subs) == len(enhanced)
     # round-robin: part sizes differ by at most 1
     sizes = sorted(len(s) for s in subs)

@@ -96,9 +96,9 @@ def test_pending_buffer_fills_and_drains():
         eps["a"].broadcast(k)
     # run just a little: some messages are in flight / buffered
     env.run(until=30)
-    mid_pending = eps["b"].pending_count
+    mid_pending = len(eps["b"]._pending)
     env.run()
-    assert eps["b"].pending_count == 0
+    assert not eps["b"]._pending
     assert len(logs["b"]) == 10
     assert mid_pending >= 0  # smoke: attribute works mid-run
 

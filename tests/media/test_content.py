@@ -1,8 +1,8 @@
-"""Tests for MediaContent and rate conversions."""
+"""Tests for MediaContent."""
 
 import pytest
 
-from repro.media import MediaContent, mbps_to_packets_per_ms, packets_per_ms_to_mbps
+from repro.media import MediaContent
 
 
 def test_content_packet_sequence():
@@ -36,12 +36,6 @@ def test_payload_bounds_checked():
         c.payload(4)
 
 
-def test_size_and_duration():
-    c = MediaContent("m", n_packets=100, packet_size=10, rate=2.0)
-    assert c.size_bytes == 1000
-    assert c.duration == 50.0
-
-
 def test_invalid_construction():
     with pytest.raises(ValueError):
         MediaContent("m", 0)
@@ -49,25 +43,3 @@ def test_invalid_construction():
         MediaContent("m", 1, packet_size=0)
     with pytest.raises(ValueError):
         MediaContent("m", 1, rate=0)
-
-
-def test_rate_conversion_roundtrip():
-    rate = mbps_to_packets_per_ms(30.0, packet_size=1024)
-    assert packets_per_ms_to_mbps(rate, 1024) == pytest.approx(30.0)
-
-
-def test_rate_conversion_known_value():
-    # 30 Mbps (the paper's video rate), 1250-byte packets = 10^4 bits:
-    # 30e3 bits/ms / 1e4 bits = 3 packets/ms
-    assert mbps_to_packets_per_ms(30.0, 1250) == pytest.approx(3.0)
-
-
-def test_rate_conversion_validation():
-    with pytest.raises(ValueError):
-        mbps_to_packets_per_ms(0, 100)
-    with pytest.raises(ValueError):
-        mbps_to_packets_per_ms(1, 0)
-    with pytest.raises(ValueError):
-        packets_per_ms_to_mbps(-1, 100)
-    with pytest.raises(ValueError):
-        packets_per_ms_to_mbps(1, -5)

@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro.media import DataPacket, Packet, ParityPacket, base_seqs, format_label
+from repro.media import (
+    DataPacket,
+    Packet,
+    ParityPacket,
+    base_seqs,
+    format_label,
+    parity_covers,
+)
 
 
 def test_data_packet_basics():
@@ -23,7 +30,7 @@ def test_data_packet_rejects_bad_seq():
 def test_parity_packet_basics():
     p = ParityPacket((1, 2))
     assert p.is_parity
-    assert p.covers == (1, 2)
+    assert parity_covers(p.label) == (1, 2)
     assert p.covered_seqs() == {1, 2}
 
 
@@ -47,7 +54,7 @@ def test_seq_raises_on_parity():
 
 def test_covers_raises_on_data():
     with pytest.raises(TypeError):
-        _ = DataPacket(1).covers
+        parity_covers(DataPacket(1).label)
 
 
 def test_format_label_matches_paper_notation():

@@ -14,14 +14,6 @@ class TestTable:
         assert "a" in out and "b" in out
         assert "2.5" in out
 
-    def test_column_access(self):
-        t = Table(["x", "y"])
-        t.add_row(1, 10)
-        t.add_row(2, 20)
-        assert t.column("y") == [10, 20]
-        with pytest.raises(KeyError):
-            t.column("z")
-
     def test_row_arity_checked(self):
         t = Table(["a", "b"])
         with pytest.raises(ValueError):
@@ -54,7 +46,7 @@ class TestSweepSeries:
         s.add(2, rounds=5)
         s.add(4, rounds=3)
         assert s.x == [2, 4]
-        assert s.series("rounds") == [5, 3]
+        assert s.columns["rounds"] == [5, 3]
         assert len(s) == 2
 
     def test_series_mismatch_rejected(self):
@@ -68,8 +60,8 @@ class TestSweepSeries:
         s = SweepSeries("x", ["y"])
         s.add(1, y=10)
         t = s.to_table()
-        assert t.column("x") == [1]
-        assert t.column("y") == [10]
+        assert t.headers == ["x", "y"]
+        assert t.rows == [[1, 10]]
         assert "x" in s.render()
 
     def test_needs_a_series(self):

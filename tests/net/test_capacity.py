@@ -72,7 +72,7 @@ class TestReserve:
         assert results[4] is not None and results[5] is not None  # queued
         assert results[6] is None and results[7] is None  # shed
         assert b.shed_data == 2
-        assert b.shed_total == 2
+        assert b.shed_parity == 0
 
     def test_parity_sheds_before_data(self):
         b = budget(queue_limit=4, parity_queue_fraction=0.5)

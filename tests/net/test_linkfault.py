@@ -1,14 +1,12 @@
-"""Link faults (drop/duplicate/reorder/sever), dedup windows, overlay cuts."""
+"""Link faults (duplicate/reorder/sever), dedup windows, overlay cuts."""
 
 import numpy as np
 import pytest
 
 from repro.net import (
-    BernoulliLoss,
     CompositeFault,
     ConstantLatency,
     DedupWindow,
-    DropFault,
     DuplicateFault,
     GilbertElliottLoss,
     Overlay,
@@ -76,12 +74,6 @@ def test_sever_window_validation():
         SeverWindow(at=5.0, until=5.0)
 
 
-def test_drop_fault_adapts_loss_model():
-    rng = np.random.default_rng(0)
-    assert DropFault(BernoulliLoss(1.0)).apply(rng, 0.0) == ()
-    assert DropFault(BernoulliLoss(0.0)).apply(rng, 0.0) == (0.0,)
-
-
 def test_composite_threads_copies_and_sums_delays():
     rng = np.random.default_rng(5)
     fault = CompositeFault(
@@ -95,7 +87,7 @@ def test_composite_threads_copies_and_sums_delays():
 def test_composite_stage_losing_everything_loses_message():
     rng = np.random.default_rng(0)
     fault = CompositeFault(
-        (DuplicateFault(p=1.0), DropFault(BernoulliLoss(1.0)))
+        (DuplicateFault(p=1.0), SeverWindow(at=0.0, until=1.0))
     )
     assert fault.apply(rng, 0.0) == ()
 

@@ -20,7 +20,6 @@ def rng():
 def test_constant_latency():
     m = ConstantLatency(3.5)
     assert m.sample(rng()) == 3.5
-    assert m.mean == 3.5
 
 
 def test_constant_latency_negative_rejected():
@@ -30,9 +29,9 @@ def test_constant_latency_negative_rejected():
 
 def test_uniform_latency_bounds_and_mean():
     m = UniformLatency(2, 4)
-    draws = [m.sample(rng()) for _ in range(100)]
-    assert all(2 <= d <= 4 for d in draws)
-    assert m.mean == 3
+    assert all(2 <= m.sample(rng()) <= 4 for _ in range(100))
+    g = rng()
+    assert np.mean([m.sample(g) for _ in range(1000)]) == pytest.approx(3, abs=0.1)
 
 
 def test_uniform_latency_validation():
@@ -47,7 +46,6 @@ def test_normal_latency_floor():
     g = rng()
     draws = [m.sample(g) for _ in range(200)]
     assert all(d >= 0.5 for d in draws)
-    assert m.mean == 1.0
 
 
 def test_normal_latency_validation():

@@ -15,7 +15,6 @@ from repro.obs import (
     TraceConfig,
     build_auditors,
     replay_jsonl,
-    summarize_audits,
     write_jsonl,
 )
 from repro.obs.audit import (
@@ -309,26 +308,6 @@ def test_replay_jsonl_reproduces_the_live_verdict(tmp_path):
     live_seen = result.audit.auditors["tree"]["events_seen"]
     synthesized = len(result.trace.of_kind("wave.end"))
     assert report.auditors["tree"]["events_seen"] == live_seen + synthesized
-
-
-def test_summarize_audits_folds_reports_and_dicts():
-    passing = audited_spec("tcop").run().audit
-    failing = AuditReport(
-        protocol="x", seed=0,
-        auditors={"tree": {
-            "passed": False, "events_seen": 1,
-            "violations": [{
-                "auditor": "tree", "code": "tree.cycle", "subject": "CP1",
-                "ts": 0.0, "message": "m", "evidence": [],
-            }],
-            "warnings": [],
-        }},
-    )
-    summary = summarize_audits([passing, failing.to_dict(), None])
-    assert summary["runs"] == 2
-    assert summary["passed"] == 1
-    assert summary["failed"] == 1
-    assert summary["violations_by_code"] == {"tree.cycle": 1}
 
 
 def test_audit_config_validates_names_and_custom_auditors_register():

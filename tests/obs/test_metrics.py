@@ -36,8 +36,8 @@ def test_sampling_snapshots_counters_and_gauges():
     series = reg.to_series()
     assert isinstance(series, SweepSeries)
     assert series.x == [0.0, 10.0]
-    assert series.series("sends") == [0.0, 4.0]
-    assert series.series("level") == [10.0, 6.0]
+    assert series.columns["sends"] == [0.0, 4.0]
+    assert series.columns["level"] == [10.0, 6.0]
 
 
 def test_sample_times_must_not_regress():
@@ -56,7 +56,7 @@ def test_mid_run_registration_backfills_zeros():
     reg.gauge("late", lambda: 1)
     reg.sample(2.0)
     series = reg.to_series()
-    assert series.series("late") == [0.0, 0.0, 1.0]
+    assert series.columns["late"] == [0.0, 0.0, 1.0]
 
 
 def test_empty_registry_refuses_export():
@@ -81,9 +81,9 @@ def test_session_timeseries_columns_and_coverage():
     )
     assert len(series.x) >= 2
     # send totals are monotone over time; the active population reaches n
-    ctrl = series.series("ctrl_sends")
+    ctrl = series.columns["ctrl_sends"]
     assert ctrl == sorted(ctrl)
-    assert max(series.series("active_peers")) == config.n
+    assert max(series.columns["active_peers"]) == config.n
     # the sampler is rate-limited by max_samples
     assert len(series.x) <= TraceConfig().max_samples
 

@@ -1,9 +1,10 @@
 """Which ``def``s under ``src/repro`` does any run reach?  ``python tests/reachability_probe.py``
 
 ``sys.setprofile`` records every code object entered over ``repro-experiments all``, CI's
-``trace``/``audit``/``spans`` lines, all ``examples/`` and the six ``bench/`` workloads (seed 0);
-an ``ast`` walk lists the rest.  ~2 min.  ``--quick`` (~45 s) is for iterating on this script and
-must not drive deletions: ``serve_repair`` runs in ``fault_gauntlet`` only at full size.
+``trace``/``audit``/``spans`` lines, one line per other CLI flag family (a refused flag
+included), all ``examples/`` and the six ``bench/`` workloads (seed 0); an ``ast`` walk lists
+the rest.  ~2 min.  ``--quick`` (~45 s) is for iterating on this script and must not drive
+deletions: ``serve_repair`` runs in ``fault_gauntlet`` only at full size.
 """
 
 import ast
@@ -34,7 +35,15 @@ def run_set(quick: bool, tmp: str) -> list:
         audit --protocol tcop --quick --loss bernoulli:p=0.01 --report-out {tmp}/lossy_tcop.json
         spans --protocol dcop --n 100 --H 60 --packets 200 --top 5 --critical-path \
             --report-out {tmp}/spans.json --trace-out {tmp}/spans_trace.json
-        spans --from-jsonl {tmp}/t.jsonl --report-out {tmp}/spans_replay.json"""
+        spans --from-jsonl {tmp}/t.jsonl --report-out {tmp}/spans_replay.json
+        fig10 --quick --csv --out {tmp}/fig10.json --jobs auto
+        trace --protocol dcop --quick --latency uniform:low=5,high=15 --trace-out {tmp}/u.json
+        trace --protocol dcop --quick --latency normal:mean=10,std=3 --trace-out {tmp}/nl.json
+        audit --protocol tcop --quick --link-fault gray:stall=5,spike_p=0.1 \
+            --detector fixed:suspect_misses=2 --retransmit adaptive=1 --report-out {tmp}/gray.json
+        audit --protocol dcop --quick --link-fault sever:at=50,until=80 \
+            --partition CP3+CP4@60:120 --report-out {tmp}/sever.json
+        spans --from-jsonl {tmp}/t.jsonl --trace-out {tmp}/refused.json"""
     examples = sorted((ROOT / "examples").glob("*.py"))
     return (
         [lambda line=line: cli(line.split()) for line in cli_lines.splitlines()]

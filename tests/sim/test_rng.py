@@ -42,16 +42,6 @@ def test_new_consumer_does_not_perturb_existing():
     assert np.array_equal(first, second)
 
 
-def test_spawn_derives_child_family():
-    parent = RandomStreams(5)
-    child1 = parent.spawn("rep0")
-    child2 = parent.spawn("rep1")
-    assert child1.root_seed != child2.root_seed
-    # deterministic derivation
-    again = RandomStreams(5).spawn("rep0")
-    assert again.root_seed == child1.root_seed
-
-
 def test_negative_seed_rejected():
     with pytest.raises(ValueError):
         RandomStreams(-1)

@@ -34,15 +34,6 @@ def degraded_run(adaptation_policy=None, factor=0.25):
     return session, session.run()
 
 
-def test_policy_validation():
-    with pytest.raises(ValueError):
-        RateAdaptationPolicy(check_period_deltas=0)
-    with pytest.raises(ValueError):
-        RateAdaptationPolicy(threshold=0)
-    with pytest.raises(ValueError):
-        RateAdaptationPolicy(threshold=1.5)
-
-
 def test_weighted_handoff_splits_proportionally():
     s = Stream(PacketSequence(DataPacket(k) for k in range(1, 101)), rate=1.0)
     plans = s.handoff_weighted([1.0, 3.0], fault_margin=0, delta=2.0)

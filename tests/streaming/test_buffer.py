@@ -2,69 +2,69 @@
 
 import pytest
 
-from repro.streaming import BufferEvent, PlaybackBuffer
+from repro.streaming import PlaybackBuffer
 
 
 def test_in_order_playback():
     buf = PlaybackBuffer(3)
     for seq in (1, 2, 3):
-        assert buf.offer(seq, time=float(seq))
-    assert buf.play_next(10) == 1
-    assert buf.play_next(11) == 2
-    assert buf.play_next(12) == 3
+        assert buf.offer(seq)
+    assert buf.play_next() == 1
+    assert buf.play_next() == 2
+    assert buf.play_next() == 3
     assert buf.finished
     assert buf.underruns == 0
 
 
 def test_out_of_order_arrivals_buffer_up():
     buf = PlaybackBuffer(3)
-    buf.offer(3, 0)
-    buf.offer(1, 1)
-    buf.offer(2, 2)
-    assert [buf.play_next(i) for i in range(3)] == [1, 2, 3]
+    buf.offer(3)
+    buf.offer(1)
+    buf.offer(2)
+    assert [buf.play_next() for _ in range(3)] == [1, 2, 3]
 
 
 def test_underrun_recorded_when_gap():
     buf = PlaybackBuffer(3)
-    buf.offer(2, 0)
-    assert buf.play_next(5) is None
+    buf.offer(2)
+    assert buf.play_next() is None
     assert buf.underruns == 1
-    assert buf.events == [BufferEvent("underrun", 5, 1)]
-    buf.offer(1, 6)
-    assert buf.play_next(7) == 1
+    assert buf.next_needed == 1  # the stall is on t1
+    buf.offer(1)
+    assert buf.play_next() == 1
 
 
 def test_overrun_when_capacity_exceeded():
     buf = PlaybackBuffer(10, capacity=2)
-    assert buf.offer(5, 0)
-    assert buf.offer(6, 0)
-    assert not buf.offer(7, 1)
+    assert buf.offer(5)
+    assert buf.offer(6)
+    assert not buf.offer(7)
     assert buf.overruns == 1
-    assert buf.events[-1].kind == "overrun"
+    assert buf.level == 2  # the refused packet is not held
 
 
 def test_duplicates_and_stale_ignored():
     buf = PlaybackBuffer(5, capacity=2)
-    buf.offer(1, 0)
-    assert buf.offer(1, 1)  # duplicate, no overrun even at capacity edge
-    buf.play_next(2)
-    assert buf.offer(1, 3)  # stale (already played)
+    buf.offer(1)
+    assert buf.offer(1)  # duplicate, no overrun even at capacity edge
+    buf.play_next()
+    assert buf.offer(1)  # stale (already played)
     assert buf.overruns == 0
 
 
 def test_skip_moves_past_lost_packet():
     buf = PlaybackBuffer(3)
-    buf.offer(2, 0)
-    buf.offer(3, 0)
+    buf.offer(2)
+    buf.offer(3)
     assert buf.skip() == 1
-    assert buf.play_next(1) == 2
-    assert buf.play_next(2) == 3
+    assert buf.play_next() == 2
+    assert buf.play_next() == 3
 
 
 def test_level_and_next_needed():
     buf = PlaybackBuffer(5)
-    buf.offer(2, 0)
-    buf.offer(3, 0)
+    buf.offer(2)
+    buf.offer(3)
     assert buf.level == 2
     assert buf.next_needed == 1
 
@@ -76,19 +76,48 @@ def test_validation():
         PlaybackBuffer(5, capacity=0)
     buf = PlaybackBuffer(3)
     with pytest.raises(ValueError):
-        buf.offer(0, 0)
+        buf.offer(0)
     with pytest.raises(ValueError):
-        buf.offer(4, 0)
+        buf.offer(4)
 
 
 def test_play_after_finish_is_none():
     buf = PlaybackBuffer(1)
-    buf.offer(1, 0)
-    assert buf.play_next(1) == 1
-    assert buf.play_next(2) is None
+    buf.offer(1)
+    assert buf.play_next() == 1
+    assert buf.play_next() is None
     assert buf.underruns == 0  # finished, not starved
 
 
 def test_repr():
     buf = PlaybackBuffer(4)
     assert "next=1/4" in repr(buf)
+
+
+@pytest.mark.parametrize("protocol", ["dcop", "tcop"])
+def test_counters_agree_with_the_trace(protocol):
+    """The buffer and the leaf only count; the ``buffer.*`` trace events
+    are the record of when.  Under bursty loss (stalls, skips) and a
+    receipt-rate cap (receive overruns) the two must tell one story."""
+    from repro.core import ProtocolConfig
+    from repro.obs import TraceConfig
+    from repro.streaming import LossSpec, ProtocolSpec, SessionSpec
+
+    result = SessionSpec(
+        config=ProtocolConfig(n=12, H=4, fault_margin=1, content_packets=200, seed=3),
+        protocol=ProtocolSpec(protocol),
+        loss=LossSpec("bursty", {"rate": 0.05}),
+        playback=True,
+        leaf_receipt_rate=1.1,
+        leaf_receive_buffer=8.0,
+        trace=TraceConfig(),
+    ).run()
+    bus = result.trace
+    assert bus.dropped_events == 0
+    counted = (result.underruns, result.playback_skips, result.receive_overruns)
+    traced = tuple(
+        len(bus.of_kind(kind))
+        for kind in ("buffer.underrun", "buffer.skip", "buffer.overrun")
+    )
+    assert counted == traced
+    assert all(count > 0 for count in counted)  # every path was exercised

@@ -23,6 +23,7 @@ from repro.streaming import (
     RepairPolicy,
     SessionSpec,
 )
+from repro.streaming.health import MAX_QUARANTINED_FRACTION, PROBE_SUCCESSES
 
 ALL_PROTOCOLS = [
     "dcop",
@@ -178,7 +179,7 @@ def test_touch_does_not_readmit_quarantined_peer(protocol):
     assert hm.is_quarantined(pid)
     # the probe path is the only door back in
     record = hm.quarantined[pid]
-    hm._readmit(pid, record, probes=hm.policy.probe_successes)
+    hm._readmit(pid, record, probes=PROBE_SUCCESSES)
     assert not hm.is_quarantined(pid)
     assert record.readmitted_at is not None
     assert hm.readmissions == 1
@@ -193,32 +194,20 @@ def test_health_monitor_requires_a_detector():
         ).build()
 
 
-def test_health_policy_validation():
-    with pytest.raises(ValueError):
-        HealthPolicy(check_period_deltas=0)
-    with pytest.raises(ValueError):
-        HealthPolicy(throughput_floor=1.5)
-    with pytest.raises(ValueError):
-        HealthPolicy(strikes=0)
-    with pytest.raises(ValueError):
-        HealthPolicy(probe_budget=1, probe_successes=2)
-    with pytest.raises(ValueError):
-        HealthPolicy(max_quarantined_fraction=0.0)
-
-
 def test_quarantine_cap_limits_open_breakers():
-    """The breaker never holds more than max_quarantined_fraction of the
+    """The breaker never holds more than MAX_QUARANTINED_FRACTION of the
     live overlay: beyond the cap, strikes stand but nobody new is taken."""
     session = SessionSpec(
         config=config(n=4, H=2),
         protocol=ProtocolSpec("dcop"),
         detector_policy=DetectorPolicy(mode="accrual"),
-        health_policy=HealthPolicy(max_quarantined_fraction=0.5),
+        health_policy=HealthPolicy(),
     ).build()
     hm = session.health
     for pid in session.peer_ids:
         session.detector.touch(pid)
     # cap = max(1, int(0.5 * 4)) = 2
+    assert MAX_QUARANTINED_FRACTION == 0.5
     hm._quarantine(session.peer_ids[0], ("phi",), None)
     hm._quarantine(session.peer_ids[1], ("rtt",), None)
     hm._quarantine(session.peer_ids[2], ("throughput",), None)

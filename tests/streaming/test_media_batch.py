@@ -173,7 +173,7 @@ class TestPacketBatch:
         pkts = self._packets(3)
         batch = PacketBatch(pkts, np.array([0.0, 1.0, 2.0]))
         assert len(batch) == 3
-        assert tuple(batch) == pkts
+        assert batch.packets == pkts
         assert "3" in repr(batch)
 
     def test_offsets_shape_validated(self):

@@ -45,13 +45,7 @@ def crashed_run(repair_policy=None, margin=0, crashes=1):
 
 def test_policy_validation():
     with pytest.raises(ValueError):
-        RepairPolicy(check_period_deltas=0)
-    with pytest.raises(ValueError):
-        RepairPolicy(stall_checks=0)
-    with pytest.raises(ValueError):
         RepairPolicy(fanout=0)
-    with pytest.raises(ValueError):
-        RepairPolicy(rate_factor=0)
     with pytest.raises(ValueError):
         RepairPolicy(max_rounds=-1)
 

@@ -8,13 +8,12 @@ reviewer can check the implementation against the paper's own numbers.
 import pytest
 
 from repro.core import DCoP, ProtocolConfig, TCoP
-from repro.fec import divide, divide_all, enhance
+from repro.fec import divide, enhance
 from repro.media import (
     DataPacket,
     MediaContent,
     PacketSequence,
     allocate_packets,
-    mbps_to_packets_per_ms,
 )
 from repro.streaming import SessionSpec
 
@@ -65,11 +64,6 @@ class TestSection2MSS:
         ends = allocation_end_times([5, 3, 2], 40)
         assert all(a <= b + 1e-12 for a, b in zip(ends, ends[1:]))
 
-    def test_30mbps_video_rate(self):
-        """§3.1 quotes 30 Mbps as a video content rate."""
-        rate = mbps_to_packets_per_ms(30.0, packet_size=1250)
-        assert rate == pytest.approx(3.0)
-
 
 class TestSection32Parity:
     """§3.2 — reliable transmission via parity enhancement."""
@@ -82,7 +76,8 @@ class TestSection32Parity:
     def test_figure6_division_into_three(self):
         """[pkt]²₁=<t<1,2>,t3,t5,…>, [pkt]²₂=<t1,t<3,4>,t6,…>,
         [pkt]²₃=<t2,t4,t<5,6>,…>."""
-        parts = divide_all(enhance(pkt(10), 2), 3)
+        enhanced = enhance(pkt(10), 2)
+        parts = [divide(enhanced, 3, i) for i in range(3)]
         assert parts[0].labels()[:5] == [(1, 2), 3, 5, (7, 8), 9]
         assert parts[1].labels()[:5] == [1, (3, 4), 6, 7, (9, 10)]
         assert parts[2].labels()[:5] == [2, 4, (5, 6), 8, 10]

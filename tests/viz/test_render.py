@@ -74,8 +74,8 @@ def test_timeline_empty_session():
 def test_traffic_summary_columns():
     session = make(DCoP)
     table = traffic_summary(session)
-    kinds = table.column("kind")
-    assert "packet" in kinds
-    assert "request" in kinds
-    sent = dict(zip(kinds, table.column("sent")))
-    assert sent["request"] == 4
+    kind, sent = table.headers.index("kind"), table.headers.index("sent")
+    sent_by_kind = {row[kind]: row[sent] for row in table.rows}
+    assert "packet" in sent_by_kind
+    assert "request" in sent_by_kind
+    assert sent_by_kind["request"] == 4
