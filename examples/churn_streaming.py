@@ -19,7 +19,7 @@ Run:  python examples/churn_streaming.py
 
 from repro import (
     ChurnPlan,
-    DetectorPolicy,
+    DetectorSpec,
     LossSpec,
     ProtocolConfig,
     ProtocolSpec,
@@ -45,7 +45,7 @@ def run(tolerant: bool):
             rate_per_delta=0.06, min_live=8, mean_downtime_deltas=8.0
         ),
         retransmit_policy=RetransmitPolicy() if tolerant else None,
-        detector_policy=DetectorPolicy() if tolerant else None,
+        detector_policy=DetectorSpec("fixed") if tolerant else None,
     )
     session = spec.build()
     return session, session.run()

@@ -33,7 +33,7 @@ import sys
 
 from repro import (
     AuditConfig,
-    DetectorPolicy,
+    DetectorSpec,
     LinkFaultSpec,
     PartitionPlan,
     ProtocolConfig,
@@ -69,7 +69,7 @@ def build():
             components=(("CP3", "CP4"),), at=SPLIT_AT, heal_at=HEAL_AT
         ),
         retransmit_policy=RetransmitPolicy(),
-        detector_policy=DetectorPolicy(),
+        detector_policy=DetectorSpec("fixed"),
         trace=TraceConfig(),
         audit=AuditConfig(),
     )

@@ -45,7 +45,7 @@ from repro.obs import AuditConfig, AuditReport, TraceConfig
 from repro.streaming import (
     AdmissionPolicy,
     ChurnPlan,
-    DetectorPolicy,
+    DetectorSpec,
     FaultPlan,
     JoinStormPlan,
     LatencySpec,
@@ -72,7 +72,7 @@ __all__ = [
     "CentralizedCoordination",
     "ChurnPlan",
     "DCoP",
-    "DetectorPolicy",
+    "DetectorSpec",
     "FaultPlan",
     "JoinStormPlan",
     "RetransmitPolicy",

@@ -21,7 +21,6 @@ from repro.net.capacity import CapacityPolicy
 from repro.net.overlay import RetransmitPolicy
 from repro.obs import TraceConfig
 from repro.streaming.adaptive import RateAdaptationPolicy
-from repro.streaming.detector import DetectorPolicy
 from repro.streaming.faults import (
     ChurnPlan,
     FaultPlan,
@@ -60,14 +59,8 @@ def _done_at(result) -> Optional[float]:
 
 
 def _first_event_ts(result, kind: str) -> Optional[float]:
-    """Timestamp of the first ``kind`` trace event, live bus or detached."""
-    trace = result.trace
-    if trace is None:
-        return None
-    if hasattr(trace, "of_kind"):
-        events = trace.of_kind(kind)
-        return events[0].ts if events else None
-    events = [e for e in trace.get("events", ()) if e.get("kind") == kind]
+    """Timestamp of the first ``kind`` event of a detached trace."""
+    events = [e for e in result.trace["events"] if e["kind"] == kind]
     return events[0]["ts"] if events else None
 
 
@@ -90,7 +83,7 @@ def _crashing(cfg: ProtocolConfig, kind: str, draw: int, k: int, at: float):
     # size the protocol itself draws, or the sample differs)
     plan = FaultPlan()
     for pid in first_picks(cfg, ProtocolSpec(kind), draw)[:k]:
-        plan.crash(pid, at)
+        plan = plan.crash(pid, at)
     return _spec(cfg, kind, fault_plan=plan)
 
 
@@ -156,7 +149,7 @@ def _degraded_arms(factor: float, cfg: ProtocolConfig, p: dict) -> dict:
     plan = FaultPlan()
     if factor < 1.0:
         victim = first_picks(cfg, ProtocolSpec("schedule_based"), cfg.H)[1]
-        plan.degrade(victim, at=cfg.content_packets / 8, factor=factor)
+        plan = plan.degrade(victim, at=cfg.content_packets / 8, factor=factor)
     plain = _spec(cfg, "schedule_based", fault_plan=plan)
     return {
         "plain": plain,
@@ -199,7 +192,7 @@ def _churn_arms(rate: float, cfg: ProtocolConfig, p: dict) -> dict:
             kind,
             control_loss=LossSpec("bernoulli", {"p": loss}) if loss else None,
             retransmit_policy=RetransmitPolicy(),
-            detector_policy=DetectorPolicy(),
+            detector_policy=DetectorSpec("fixed"),
             churn_plan=(
                 ChurnPlan(rate_per_delta=rate, min_live=max(2, cfg.n // 3))
                 if rate > 0
@@ -238,7 +231,7 @@ def _partition_arms(duration: Any, cfg: ProtocolConfig, p: dict) -> dict:
             cfg,
             kind,
             retransmit_policy=RetransmitPolicy(),
-            detector_policy=DetectorPolicy(),
+            detector_policy=DetectorSpec("fixed"),
             trace=TraceConfig(),
             partition_plan=PartitionPlan(
                 components=(tuple(first[:k]),),

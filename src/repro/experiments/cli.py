@@ -178,6 +178,7 @@ def _build_spec(args, audit=None):
     """
     from repro.core.base import ProtocolConfig
     from repro.obs import TraceConfig
+    from repro.streaming.commons import peer_ids
     from repro.streaming.faults import JoinStormPlan, PartitionPlan
     from repro.streaming.spec import (
         DetectorSpec,
@@ -248,13 +249,18 @@ def _build_spec(args, audit=None):
         except (TypeError, ValueError) as exc:
             return _fail(f"bad --capacity {args.capacity!r}: {exc}")
 
-    config = ProtocolConfig(
-        n=args.n,
-        H=args.H,
-        fault_margin=1,
-        seed=args.seed or 0,
-        content_packets=100 if args.quick else args.packets,
-    )
+    try:
+        config = ProtocolConfig(
+            n=args.n,
+            H=args.H,
+            fault_margin=1,
+            seed=args.seed or 0,
+            content_packets=100 if args.quick else args.packets,
+        )
+        if partition_plan is not None:
+            partition_plan.check_endpoints(peer_ids(config), "leaf")
+    except ValueError as exc:
+        return _fail(str(exc))
     template = SessionSpec(
         config=config,
         protocol=models["protocol"],

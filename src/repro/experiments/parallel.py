@@ -157,7 +157,7 @@ class ParallelExecutor:
 
     ``jobs`` worker processes (default ``os.cpu_count()``) under the
     platform's default start method.  Spec arguments and results are
-    pickled, so specs must be declarative (or otherwise picklable).
+    pickled, so specs must be declarative.
     """
 
     def __init__(self, jobs: Optional[int] = None) -> None:

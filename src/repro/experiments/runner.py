@@ -22,7 +22,7 @@ from repro.core.base import ProtocolConfig
 from repro.experiments.parallel import run_specs
 from repro.metrics.series import SweepSeries
 from repro.metrics.stats import mean
-from repro.streaming.spec import ProtocolLike, SessionSpec
+from repro.streaming.spec import ProtocolSpec, SessionSpec
 from repro.streaming.swarm import SwarmSpec
 
 Spec = Union[SessionSpec, SwarmSpec]
@@ -192,7 +192,7 @@ def default_h_values(n: int = 100) -> list[int]:
     return [h for h in grid if h <= n]
 
 
-def first_picks(cfg: ProtocolConfig, protocol: ProtocolLike, m: int) -> list[str]:
+def first_picks(cfg: ProtocolConfig, protocol: ProtocolSpec, m: int) -> list[str]:
     """The ``m`` contents peers the leaf of a ``(cfg, protocol)`` session
     will contact first — what fault-injecting rows aim their faults at.
 

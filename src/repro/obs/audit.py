@@ -651,7 +651,6 @@ class CausalAuditor(Auditor):
         self._recvs: Dict[Tuple[str, str, str], int] = {}
         self._offered: set = set()
         self._control_pairs: set = set()
-        self._send_events: Dict[Tuple[str, str, str], TraceEvent] = {}
 
     def _on_send(self, event: TraceEvent) -> None:
         src, dst = event.subject, event.fields.get("dst")
@@ -665,7 +664,6 @@ class CausalAuditor(Auditor):
             return
         key = (src, dst, kind)
         self._sends[key] = self._sends.get(key, 0) + 1
-        self._send_events[key] = event
         self._tracker.on_send(src, dst)
         if kind in _OFFER_KINDS:
             self._offered.add((src, dst))

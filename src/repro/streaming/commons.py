@@ -21,15 +21,15 @@ from repro.net.overlay import Overlay
 from repro.obs.audit import AuditReport, build_auditors
 from repro.obs.exporters import trace_to_dict
 from repro.obs.metrics import TimeSeriesSampler
-from repro.obs.spans import SpanBuilder, SpanConfig
+from repro.obs.spans import SpanBuilder
 from repro.obs.trace import TraceBus, TraceConfig
 from repro.sim.engine import Environment
 from repro.sim.rng import RandomStreams
-from repro.streaming.spec import (
-    resolve_latency,
-    resolve_link_fault_factory,
-    resolve_loss_factory,
-)
+
+
+def peer_ids(config) -> list:
+    """The contents peers of a run over ``config``: CP1 … CPn."""
+    return [f"CP{i}" for i in range(1, config.n + 1)]
 
 
 class Commons:
@@ -57,10 +57,8 @@ class Commons:
         #: the run's observers in subscription and process order:
         #: auditors, span builder, then (single-leaf) the sampler
         self.observers = build_auditors(audit) if audit is not None else []
-        if spans:
-            self.observers.append(
-                SpanBuilder(SpanConfig() if spans is True else spans)
-            )
+        if spans is not None:
+            self.observers.append(SpanBuilder(spans))
         if self.observers and trace is None:
             # auditors and span builders subscribe to the bus, so either
             # implies tracing
@@ -75,7 +73,7 @@ class Commons:
         self.reports = None
         #: every fault instance the run's injectors fire, bus or no bus
         self.ledger = FaultLedger(self.env)
-        latency = resolve_latency(spec.latency)
+        latency = spec.latency.build() if spec.latency is not None else None
         latency_factory = None
         if latency is None:
             # Default: each directed pair gets a constant latency drawn once
@@ -96,10 +94,10 @@ class Commons:
             self.env,
             streams=self.streams,
             default_latency=latency,
-            default_loss_factory=resolve_loss_factory(spec.loss),
+            default_loss_factory=_factory(spec.loss),
             latency_factory=latency_factory,
-            control_loss_factory=resolve_loss_factory(spec.control_loss),
-            link_fault_factory=resolve_link_fault_factory(spec.link_fault),
+            control_loss_factory=_factory(spec.control_loss),
+            link_fault_factory=_factory(spec.link_fault),
             ledger=self.ledger,
         )
         self.content = MediaContent(
@@ -110,7 +108,7 @@ class Commons:
             seed=config.seed,
             with_payload=config.with_payload,
         )
-        self.peer_ids = [f"CP{i}" for i in range(1, config.n + 1)]
+        self.peer_ids = peer_ids(config)
         #: peer -> finite upload budget (absent = the seed's infinite
         #: uplink); one per *physical* peer, shared by all its sessions
         self.budgets = {}
@@ -161,6 +159,11 @@ class Commons:
         if self.trace_bus is not None:
             self.trace_bus.finalize()
         return self.reports
+
+
+def _factory(spec):
+    """The per-channel factory of a loss or link-fault spec (None: none)."""
+    return spec.factory() if spec is not None else None
 
 
 def detached(result, *handles: str):

@@ -26,7 +26,7 @@ cuts by the overlay, degradations and partition splits and heals here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.core.base import pick
@@ -89,42 +89,25 @@ class FlapFault:
             raise ValueError("count must be >= 1")
 
 
-@dataclass
+@dataclass(frozen=True)
 class FaultPlan:
-    """A set of faults applied to one session."""
+    """A set of faults applied to one session.
 
-    crashes: List[CrashFault] = field(default_factory=list)
-    degradations: List[DegradeFault] = field(default_factory=list)
-    flaps: List[FlapFault] = field(default_factory=list)
+    A value, like every other plan: :meth:`crash`, :meth:`degrade` and
+    :meth:`flap` return a new plan with one more fault.
 
-    def crash(self, peer_id: str, at: float) -> "FaultPlan":
-        self.crashes.append(CrashFault(peer_id, at))
-        return self
+    :class:`DegradeFault` bounds its own fields, but only per fault — the
+    plan as a whole also rejects a degrade factor above 1 (a "degradation"
+    that speeds a peer up is a spec typo) and two faults of the same kind
+    scheduled against one peer at the same instant (the duplicate would
+    silently double-apply).
+    """
 
-    def degrade(self, peer_id: str, at: float, factor: float) -> "FaultPlan":
-        self.degradations.append(DegradeFault(peer_id, at, factor))
-        return self
+    crashes: Tuple[CrashFault, ...] = ()
+    degradations: Tuple[DegradeFault, ...] = ()
+    flaps: Tuple[FlapFault, ...] = ()
 
-    def flap(
-        self,
-        peer_id: str,
-        at: float,
-        down_for: float,
-        period: float,
-        count: int = 1,
-    ) -> "FaultPlan":
-        self.flaps.append(FlapFault(peer_id, at, down_for, period, count))
-        return self
-
-    def validate(self) -> None:
-        """Plan-level consistency checks, independent of any session.
-
-        :class:`DegradeFault` bounds its own fields, but only per fault —
-        the plan as a whole must also reject a degrade factor above 1
-        (a "degradation" that speeds a peer up is a spec typo) and two
-        faults of the same kind scheduled against one peer at the same
-        instant (the duplicate would silently double-apply).
-        """
+    def __post_init__(self) -> None:
         for fault in self.degradations:
             if fault.factor > 1.0:
                 raise ValueError(
@@ -149,6 +132,24 @@ class FaultPlan:
                     )
                 seen.add(key)
 
+    def crash(self, peer_id: str, at: float) -> "FaultPlan":
+        return replace(self, crashes=(*self.crashes, CrashFault(peer_id, at)))
+
+    def degrade(self, peer_id: str, at: float, factor: float) -> "FaultPlan":
+        fault = DegradeFault(peer_id, at, factor)
+        return replace(self, degradations=(*self.degradations, fault))
+
+    def flap(
+        self,
+        peer_id: str,
+        at: float,
+        down_for: float,
+        period: float,
+        count: int = 1,
+    ) -> "FaultPlan":
+        fault = FlapFault(peer_id, at, down_for, period, count)
+        return replace(self, flaps=(*self.flaps, fault))
+
     def install(self, session: "StreamingSession") -> None:
         """Schedule every fault as a simulation process.
 
@@ -156,7 +157,6 @@ class FaultPlan:
         a typo'd ``peer_id`` fails here, at install time, instead of as a
         ``KeyError`` deep inside the event loop when the fault fires.
         """
-        self.validate()
         known = set(session.peers)
         for fault in [*self.crashes, *self.degradations, *self.flaps]:
             if fault.peer_id not in known:
@@ -431,15 +431,16 @@ class PartitionPlan:
         """Every peer cut away from the leaf-side component."""
         return tuple(pid for group in self.components for pid in group)
 
-    def install(self, session: "StreamingSession") -> None:
-        """Validate endpoints and schedule the split/heal/cut processes."""
-        known = set(session.peers) | {session.leaf.peer_id}
+    def check_endpoints(self, peer_ids, leaf_id: str) -> None:
+        """Refuse a plan naming an endpoint that is neither one of
+        ``peer_ids`` nor the leaf, or one that cuts the leaf away."""
+        known = set(peer_ids) | {leaf_id}
         for pid in self.isolated_peers:
             if pid not in known:
                 raise ValueError(
                     f"partition component names unknown peer {pid!r}"
                 )
-        if session.leaf.peer_id in self.isolated_peers:
+        if leaf_id in self.isolated_peers:
             raise ValueError(
                 "the leaf always sits in the implicit component; list "
                 "only the peers to cut away from it"
@@ -450,6 +451,10 @@ class PartitionPlan:
                     raise ValueError(
                         f"link cut names unknown endpoint {endpoint!r}"
                     )
+
+    def install(self, session: "StreamingSession") -> None:
+        """Check endpoints and schedule the split/heal/cut processes."""
+        self.check_endpoints(session.peers, session.leaf.peer_id)
         if self.components:
             session.env.process(self._run_split(session))
         for cut in self.cuts:

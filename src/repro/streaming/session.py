@@ -33,11 +33,7 @@ from repro.streaming.contents_peer import ContentsPeerAgent
 from repro.streaming.detector import FailureDetector
 from repro.streaming.leaf_peer import LeafPeerAgent
 from repro.streaming.recoordination import ReCoordinator, data_seqs_of
-from repro.streaming.spec import (
-    SessionSpec,
-    resolve_detector_policy,
-    resolve_protocol,
-)
+from repro.streaming.spec import SessionSpec
 
 
 @dataclass
@@ -198,10 +194,14 @@ class StreamingSession:
                 spec, spec.upload_capacity, spec.trace, spec.audit, spec.spans
             )
         config = spec.config
-        detector_policy = resolve_detector_policy(spec.detector_policy)
+        detector_policy = (
+            spec.detector_policy.build()
+            if spec.detector_policy is not None
+            else None
+        )
         self.spec = spec
         self.config = config
-        self.protocol = resolve_protocol(spec.protocol)
+        self.protocol = spec.protocol.build()
         self.commons = commons
         #: coordination-context tag stamped on this session's control
         #: traffic: the leaf id in a swarm, None otherwise

@@ -1,41 +1,29 @@
 """Declarative session specifications: every experiment as a picklable value.
 
-A :class:`StreamingSession` is configured through many callable-valued
-knobs (latency models, loss *factories*, a protocol strategy instance) that
-cannot cross a process boundary, be logged, or be diffed.  This module
-closes that gap with a frozen :class:`SessionSpec` dataclass capturing the
-whole session surface as plain data:
+A :class:`StreamingSession` is built from many models (latency, per-channel
+loss and link faults, a protocol strategy, a failure detector) that as live
+objects cannot cross a process boundary, be logged, or be diffed.  This
+module closes that gap with a frozen :class:`SessionSpec` dataclass
+capturing the whole session surface as plain data:
 
-* the callable-valued knobs become small declarative specs
-  (:class:`LatencySpec`, :class:`LossSpec`, :class:`ProtocolSpec`) that
-  name a **registered factory** plus its keyword parameters — so a spec
-  pickles byte-for-byte and ``spec.build()`` reconstructs the live session
-  in any process;
+* each model field takes one small declarative spec
+  (:class:`ProtocolSpec`, :class:`LatencySpec`, :class:`LossSpec`,
+  :class:`LinkFaultSpec`, :class:`DetectorSpec`) that names a **registered
+  factory** plus its keyword parameters — so a spec pickles
+  byte-for-byte and ``spec.build()`` reconstructs the live session in any
+  process; adding a model is one registry entry;
 * the plan/policy knobs (:class:`~repro.streaming.faults.FaultPlan`,
-  :class:`~repro.streaming.detector.DetectorPolicy`, …) are already plain
-  dataclasses and ride along unchanged;
-* for convenience the model/protocol fields also accept live objects
-  (a :class:`~repro.net.latency.LatencyModel` instance, a zero-arg loss
-  factory, a protocol instance or class) — such a spec still builds, but
-  is only picklable when the object itself is (lambdas and closures are
-  not).  Declarative specs are the documented, always-serializable form.
+  :class:`~repro.net.overlay.RetransmitPolicy`, …) are already frozen
+  dataclasses and ride along unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Callable,
-    Dict,
-    Mapping,
-    Optional,
-    Union,
-)
+from typing import TYPE_CHECKING, Any, Callable, ClassVar, Dict, Mapping, Optional
 
 from repro.core.ams import AMSCoordination
-from repro.core.base import CoordinationProtocol, ProtocolConfig
+from repro.core.base import ProtocolConfig
 from repro.core.broadcast import BroadcastCoordination
 from repro.core.centralized import CentralizedCoordination
 from repro.core.dcop import DCoP
@@ -47,12 +35,7 @@ from repro.core.schedule_based import ScheduleBasedCoordination
 from repro.core.single_source import SingleSourceStreaming
 from repro.core.tcop import TCoP
 from repro.core.unicast import UnicastChainCoordination
-from repro.net.latency import (
-    ConstantLatency,
-    LatencyModel,
-    NormalLatency,
-    UniformLatency,
-)
+from repro.net.latency import ConstantLatency, NormalLatency, UniformLatency
 from repro.net.linkfault import (
     CompositeFault,
     DuplicateFault,
@@ -86,11 +69,6 @@ __all__ = [
     "ProtocolSpec",
     "SessionSpec",
     "available_factories",
-    "resolve_detector_policy",
-    "resolve_latency",
-    "resolve_link_fault_factory",
-    "resolve_loss_factory",
-    "resolve_protocol",
 ]
 
 
@@ -228,47 +206,52 @@ def available_factories(category: str) -> list[str]:
 # declarative model/protocol specs
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class LatencySpec:
-    """A registered latency model by name, e.g. ``LatencySpec("constant",
-    {"delay": 10.0})``.  ``None`` in a :class:`SessionSpec` keeps the
-    session's default per-pair δ·U(1−s, 1+s) draw."""
+class _Spec:
+    """A factory of registry ``category`` by name, plus its keyword
+    parameters: the one form every model field of a :class:`SessionSpec`
+    takes."""
 
+    category: ClassVar[str]
     kind: str
     params: Mapping[str, Any] = field(default_factory=dict)
 
-    def build(self) -> LatencyModel:
-        return _get_factory("latency", self.kind)(**dict(self.params))
+    def build(self) -> Any:
+        return _get_factory(self.category, self.kind)(**dict(self.params))
 
 
-@dataclass(frozen=True)
-class LossSpec:
-    """A registered loss model by name; :meth:`factory` yields the
-    per-channel factory the overlay consumes."""
+class _ChannelSpec(_Spec):
+    """A spec the overlay instantiates once per directed channel."""
 
-    kind: str
-    params: Mapping[str, Any] = field(default_factory=dict)
-
-    def build(self) -> LossModel:
-        """One **fresh** model instance per call.
-
-        Stateful models (Gilbert–Elliott keeps burst state) must never
-        be shared across channels: a shared instance couples the burst
-        processes of every link.  ``build()`` therefore constructs a new
-        instance on every call, and :meth:`factory` — the per-channel
-        path the overlay consumes — delegates to it, so two channels
-        built from one spec get independent loss streams even at equal
-        seeds.
-        """
-        return _get_factory("loss", self.kind)(**dict(self.params))
-
-    def factory(self) -> Callable[[], LossModel]:
-        factory = _get_factory("loss", self.kind)  # eager: unknown kind raises here
+    def factory(self) -> Callable[[], Any]:
+        factory = _get_factory(self.category, self.kind)  # eager: unknown kind raises here
         params = dict(self.params)
         return lambda: factory(**params)  # fresh instance per channel
 
 
-@dataclass(frozen=True)
-class LinkFaultSpec:
+class LatencySpec(_Spec):
+    """A registered latency model by name, e.g. ``LatencySpec("constant",
+    {"delay": 10.0})``.  ``None`` in a :class:`SessionSpec` keeps the
+    session's default per-pair δ·U(1−s, 1+s) draw."""
+
+    category = "latency"
+
+
+class LossSpec(_ChannelSpec):
+    """A registered loss model by name; :meth:`factory` yields the
+    per-channel factory the overlay consumes.
+
+    Stateful models (Gilbert–Elliott keeps burst state) must never be
+    shared across channels: a shared instance couples the burst processes
+    of every link.  ``build()`` therefore constructs a new instance on
+    every call, and :meth:`factory` — the per-channel path the overlay
+    consumes — does the same, so two channels built from one spec get
+    independent loss streams even at equal seeds.
+    """
+
+    category = "loss"
+
+
+class LinkFaultSpec(_ChannelSpec):
     """A registered link fault by name, e.g. ``LinkFaultSpec("chaos",
     {"dup_p": 0.1, "reorder_p": 0.2, "max_delay": 20.0})``.
 
@@ -276,149 +259,41 @@ class LinkFaultSpec:
     stateful faults start fresh on every directed link.
     """
 
-    kind: str
-    params: Mapping[str, Any] = field(default_factory=dict)
-
-    def build(self) -> LinkFault:
-        return _get_factory("link_fault", self.kind)(**dict(self.params))
-
-    def factory(self) -> Callable[[], LinkFault]:
-        factory = _get_factory("link_fault", self.kind)
-        params = dict(self.params)
-        return lambda: factory(**params)
+    category = "link_fault"
 
 
-@dataclass(frozen=True)
-class DetectorSpec:
+class DetectorSpec(_Spec):
     """A registered detector policy by name, e.g. ``DetectorSpec(
-    "accrual", {"phi_suspect": 1.0, "phi_confirm": 3.0})``.
+    "accrual", {"phi_suspect": 1.0, "phi_confirm": 3.0})``; ``DetectorSpec(
+    "fixed")`` is the default miss-count
+    :class:`~repro.streaming.detector.DetectorPolicy`."""
 
-    Declarative twin of passing a
-    :class:`~repro.streaming.detector.DetectorPolicy` directly.
-    """
-
-    kind: str
-    params: Mapping[str, Any] = field(default_factory=dict)
-
-    def build(self) -> DetectorPolicy:
-        return _get_factory("detector", self.kind)(**dict(self.params))
+    category = "detector"
 
 
-@dataclass(frozen=True)
-class ProtocolSpec:
+class ProtocolSpec(_Spec):
     """A registered coordination protocol by name, e.g.
     ``ProtocolSpec("single_source", {"server_id": "CP1"})``."""
 
-    kind: str
-    params: Mapping[str, Any] = field(default_factory=dict)
-
-    def build(self) -> CoordinationProtocol:
-        return _get_factory("protocol", self.kind)(**dict(self.params))
-
-
-#: what the protocol/model fields of a :class:`SessionSpec` accept
-ProtocolLike = Union[
-    ProtocolSpec, CoordinationProtocol, Callable[[], CoordinationProtocol]
-]
-LatencyLike = Union[LatencySpec, LatencyModel]
-LossLike = Union[LossSpec, Callable[[], LossModel]]
-LinkFaultLike = Union[LinkFaultSpec, Callable[[], LinkFault]]
-DetectorLike = Union[DetectorSpec, DetectorPolicy]
-
-
-def resolve_protocol(value: ProtocolLike) -> CoordinationProtocol:
-    """Materialize the ``protocol`` field of a spec into an instance."""
-    if isinstance(value, ProtocolSpec):
-        return value.build()
-    if isinstance(value, CoordinationProtocol):
-        return value
-    if callable(value):  # a protocol class or zero-arg factory
-        protocol = value()
-        if not isinstance(protocol, CoordinationProtocol):
-            raise TypeError(
-                f"protocol factory returned {type(protocol).__name__}, "
-                "not a CoordinationProtocol"
-            )
-        return protocol
-    raise TypeError(
-        f"cannot build a protocol from {type(value).__name__}; pass a "
-        "ProtocolSpec, a CoordinationProtocol, or a zero-arg factory"
-    )
-
-
-def resolve_latency(value: Optional[LatencyLike]) -> Optional[LatencyModel]:
-    """Materialize the ``latency`` field of a spec."""
-    if value is None or isinstance(value, LatencyModel):
-        return value
-    if isinstance(value, LatencySpec):
-        return value.build()
-    raise TypeError(
-        f"cannot build a latency model from {type(value).__name__}; pass "
-        "a LatencySpec or a LatencyModel instance"
-    )
-
-
-def resolve_loss_factory(
-    value: Optional[LossLike],
-) -> Optional[Callable[[], LossModel]]:
-    """Materialize a loss field of a spec into a per-channel factory."""
-    if value is None:
-        return None
-    if isinstance(value, LossSpec):
-        return value.factory()
-    if isinstance(value, LossModel):
-        raise TypeError(
-            "got a LossModel instance; loss knobs take a per-channel "
-            "*factory* (stateful models must not be shared across "
-            "channels) — pass a LossSpec or a zero-arg callable"
-        )
-    if callable(value):
-        return value
-    raise TypeError(
-        f"cannot build a loss factory from {type(value).__name__}; pass "
-        "a LossSpec or a zero-arg callable"
-    )
-
-
-def resolve_detector_policy(
-    value: Optional[DetectorLike],
-) -> Optional[DetectorPolicy]:
-    """Materialize the ``detector_policy`` field of a spec."""
-    if value is None or isinstance(value, DetectorPolicy):
-        return value
-    if isinstance(value, DetectorSpec):
-        return value.build()
-    raise TypeError(
-        f"cannot build a detector policy from {type(value).__name__}; "
-        "pass a DetectorSpec or a DetectorPolicy instance"
-    )
-
-
-def resolve_link_fault_factory(
-    value: Optional[LinkFaultLike],
-) -> Optional[Callable[[], LinkFault]]:
-    """Materialize the ``link_fault`` field into a per-channel factory."""
-    if value is None:
-        return None
-    if isinstance(value, LinkFaultSpec):
-        return value.factory()
-    if isinstance(value, LinkFault):
-        raise TypeError(
-            "got a LinkFault instance; the link_fault knob takes a "
-            "per-channel *factory* (stateful faults must not be shared "
-            "across links) — pass a LinkFaultSpec or a zero-arg callable"
-        )
-    if callable(value):
-        return value
-    raise TypeError(
-        f"cannot build a link-fault factory from {type(value).__name__}; "
-        "pass a LinkFaultSpec or a zero-arg callable"
-    )
+    category = "protocol"
 
 
 # ----------------------------------------------------------------------
 # the session spec
 # ----------------------------------------------------------------------
+#: the one form each model field of a :class:`SessionSpec` takes; every
+#: field but ``protocol`` may also be None
+_FORMS = {
+    "protocol": ProtocolSpec,
+    "latency": LatencySpec,
+    "loss": LossSpec,
+    "control_loss": LossSpec,
+    "link_fault": LinkFaultSpec,
+    "detector_policy": DetectorSpec,
+    "spans": SpanConfig,
+}
+
+
 @dataclass(frozen=True)
 class SessionSpec:
     """One streaming run as a value.
@@ -426,25 +301,25 @@ class SessionSpec:
     Captures everything :class:`~repro.streaming.session.StreamingSession`
     expresses — workload config, protocol, channel models, fault/churn
     plans, detector/retransmit/repair/adaptation policies, leaf-side
-    capacity, trace config — as declarative data.  A spec built purely
-    from declarative parts (:class:`ProtocolSpec`/:class:`LatencySpec`/
-    :class:`LossSpec` and the plain-dataclass plans and policies) pickles,
-    crosses process boundaries, and rebuilds an identical session via
-    :meth:`build`; equal specs with equal seeds produce byte-identical
+    capacity, trace config — as declarative data: each model field takes
+    its registered spec (``_FORMS``), everything else is a plain frozen
+    value.  A spec therefore pickles, crosses process boundaries, and
+    rebuilds an identical session via :meth:`build`; equal specs with
+    equal seeds produce byte-identical
     :class:`~repro.streaming.session.SessionResult` scalars in any
     process.
     """
 
     config: ProtocolConfig
-    protocol: ProtocolLike = field(default_factory=lambda: ProtocolSpec("dcop"))
+    protocol: ProtocolSpec = field(default_factory=lambda: ProtocolSpec("dcop"))
     #: channel latency; None = the default per-pair δ·U(1−s, 1+s) draw
-    latency: Optional[LatencyLike] = None
-    #: media/control channel loss (per-channel factory)
-    loss: Optional[LossLike] = None
+    latency: Optional[LatencySpec] = None
+    #: media/control channel loss (built once per channel)
+    loss: Optional[LossSpec] = None
     #: extra loss applied to control traffic only
-    control_loss: Optional[LossLike] = None
+    control_loss: Optional[LossSpec] = None
     #: per-directed-link fault process (duplicate/reorder/sever …)
-    link_fault: Optional[LinkFaultLike] = None
+    link_fault: Optional[LinkFaultSpec] = None
     #: scheduled overlay partition / one-way link cuts
     partition_plan: Optional[PartitionPlan] = None
     buffer_capacity: float = float("inf")
@@ -460,8 +335,8 @@ class SessionSpec:
     #: Applied uniformly to every contents peer of the session.
     upload_capacity: Optional[CapacityPolicy] = None
     retransmit_policy: Optional[RetransmitPolicy] = None
-    #: failure detection; a policy instance or a declarative DetectorSpec
-    detector_policy: Optional[DetectorLike] = None
+    #: failure detection
+    detector_policy: Optional[DetectorSpec] = None
     #: gray-failure quarantine (requires a detector_policy)
     health_policy: Optional[HealthPolicy] = None
     churn_plan: Optional[ChurnPlan] = None
@@ -477,10 +352,20 @@ class SessionSpec:
     #: per-packet delivery).  Batching preserves receipt/delivery
     #: semantics but is a *different* (coarser-grained) trajectory.
     media_batch: float = 0.0
-    #: causal span tracing (``True`` for defaults); implies a default
-    #: trace when none is set.  Passive — span-enabled runs follow
-    #: byte-identical trajectories (see :mod:`repro.obs.spans`)
-    spans: Union[SpanConfig, bool, None] = None
+    #: causal span tracing; implies a default trace when none is set.
+    #: Passive — span-enabled runs follow byte-identical trajectories
+    #: (see :mod:`repro.obs.spans`)
+    spans: Optional[SpanConfig] = None
+
+    def __post_init__(self) -> None:
+        for name, form in _FORMS.items():
+            value = getattr(self, name)
+            if isinstance(value, form) or (value is None and name != "protocol"):
+                continue
+            raise TypeError(
+                f"SessionSpec.{name} takes a {form.__name__}, "
+                f"not {type(value).__name__}"
+            )
 
     # ------------------------------------------------------------------
     def build(self) -> "StreamingSession":
@@ -504,13 +389,7 @@ class SessionSpec:
     def describe(self) -> str:
         """One-line human identification (used in error reports)."""
         cfg = self.config
-        if isinstance(self.protocol, ProtocolSpec):
-            proto = self.protocol.kind
-        elif isinstance(self.protocol, CoordinationProtocol):
-            proto = self.protocol.name
-        else:
-            proto = getattr(self.protocol, "__name__", repr(self.protocol))
         return (
-            f"SessionSpec(protocol={proto}, n={cfg.n}, H={cfg.H}, "
-            f"seed={cfg.seed})"
+            f"SessionSpec(protocol={self.protocol.kind}, n={cfg.n}, "
+            f"H={cfg.H}, seed={cfg.seed})"
         )

@@ -46,7 +46,6 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
 
-from repro.core.base import CoordinationProtocol
 from repro.net.capacity import CapacityPolicy
 from repro.net.message import Message
 from repro.net.overlay import Overlay, RetransmitPolicy
@@ -55,7 +54,7 @@ from repro.obs.trace import TraceBus, TraceConfig
 from repro.streaming.commons import Commons, detached
 from repro.streaming.faults import JoinStormPlan
 from repro.streaming.session import StreamingSession
-from repro.streaming.spec import SessionSpec, resolve_protocol
+from repro.streaming.spec import SessionSpec
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.audit import AuditReport
@@ -106,10 +105,9 @@ class SwarmSpec:
     the *shared* :class:`~repro.streaming.commons.Commons`.  The
     template must therefore leave
     swarm-owned concerns unset: fault/churn/partition plans, tracing,
-    auditing, profiling, spans, and per-session upload capacity all
-    belong to the swarm, and the protocol must be declarative (a
-    :class:`~repro.streaming.spec.ProtocolSpec` or registry name) so
-    each leaf gets a fresh instance.
+    auditing, spans, and per-session upload capacity all belong to the
+    swarm.  Each leaf builds its own protocol instance from the template's
+    :class:`~repro.streaming.spec.ProtocolSpec`.
     """
 
     session: SessionSpec
@@ -127,12 +125,6 @@ class SwarmSpec:
 
     def __post_init__(self) -> None:
         template = self.session
-        if isinstance(template.protocol, CoordinationProtocol):
-            raise ValueError(
-                "swarm templates need a declarative protocol (name or "
-                "ProtocolSpec) — a live instance would be shared by "
-                "every leaf session"
-            )
         owned = {
             "fault_plan": template.fault_plan,
             "churn_plan": template.churn_plan,
@@ -140,10 +132,9 @@ class SwarmSpec:
             "trace": template.trace,
             "audit": template.audit,
             "upload_capacity": template.upload_capacity,
+            "spans": template.spans,
         }
         conflicts = [k for k, v in owned.items() if v is not None]
-        if template.spans not in (None, False):
-            conflicts.append("spans")
         if conflicts:
             raise ValueError(
                 "swarm-owned concerns set on the session template: "
@@ -382,7 +373,7 @@ class SwarmSession:
         config = template.config
         self.template = template
         self.config = config
-        self.protocol_name = resolve_protocol(template.protocol).name
+        self.protocol_name = template.protocol.build().name
         audit = spec.audit
         if audit is True:
             audit = AuditConfig(auditors=("capacity",))

@@ -9,8 +9,8 @@ from repro.analysis import (
     initial_receipt_rate,
     parity_overhead,
 )
-from repro.core import DCoP, TCoP, ProtocolConfig
-from repro.streaming import SessionSpec
+from repro.core import ProtocolConfig
+from repro.streaming import ProtocolSpec, SessionSpec
 
 
 def test_parity_overhead_values():
@@ -67,7 +67,7 @@ def test_tcop_closed_form_matches_simulation(n, H):
     cfg = ProtocolConfig(
         n=n, H=H, fault_margin=1, delta=10.0, content_packets=250, seed=1
     )
-    sim = SessionSpec(cfg, TCoP()).build().run()
+    sim = SessionSpec(cfg, ProtocolSpec("tcop")).build().run()
     assert sim.control_packets_total == tcop_control_packets_exact_large_h(n, H)
 
 
@@ -79,7 +79,7 @@ def test_model_vs_simulation_rounds(H):
     cfg = ProtocolConfig(
         n=n, H=H, fault_margin=1, delta=10.0, content_packets=250, seed=1
     )
-    sim = SessionSpec(cfg, DCoP()).build().run()
+    sim = SessionSpec(cfg, ProtocolSpec("dcop")).build().run()
     model = expected_rounds_dcop(n, H)
     assert abs(sim.rounds - model) <= 2
 
@@ -90,7 +90,7 @@ def test_model_vs_simulation_tcop_ratio():
     cfg = ProtocolConfig(
         n=n, H=H, fault_margin=1, delta=10.0, content_packets=250, seed=1
     )
-    sim = SessionSpec(cfg, TCoP()).build().run()
+    sim = SessionSpec(cfg, ProtocolSpec("tcop")).build().run()
     assert sim.rounds == expected_rounds_tcop(n, H)
 
 
@@ -99,5 +99,5 @@ def test_receipt_rate_floor_holds_in_simulation():
         cfg = ProtocolConfig(
             n=30, H=H, fault_margin=1, delta=10.0, content_packets=300, seed=2
         )
-        sim = SessionSpec(cfg, DCoP()).build().run()
+        sim = SessionSpec(cfg, ProtocolSpec("dcop")).build().run()
         assert sim.receipt_rate >= initial_receipt_rate(H, 1) - 1e-6

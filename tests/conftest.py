@@ -1,9 +1,11 @@
-"""Schedulers registered from outside the program, the way ``bench/`` does.
+"""Schedulers and protocols registered from outside the program.
 
-Both fixtures register a class with
-:func:`repro.sim.sched.register_scheduler` for the duration of a test and
-yield it; select it with ``SessionSpec(scheduler=cls.name)`` or
-``Environment(scheduler=cls.name)``.
+The scheduler fixtures register a class with
+:func:`repro.sim.sched.register_scheduler` for the duration of a test, the
+way ``bench/`` does, and yield it; select it with
+``SessionSpec(scheduler=cls.name)`` or ``Environment(scheduler=cls.name)``.
+``register_protocol`` adds a protocol the registry does not ship (a
+deliberately broken double) for one test.
 """
 
 from bisect import insort
@@ -11,6 +13,7 @@ from bisect import insort
 import pytest
 
 from repro.sim.sched import SCHEDULERS, HeapScheduler, Scheduler, register_scheduler
+from repro.streaming.spec import _REGISTRIES, ProtocolSpec
 
 
 class SortedListScheduler(Scheduler):
@@ -69,3 +72,20 @@ def reference_scheduler():
 @pytest.fixture
 def counting_heap():
     yield from _registered(CountingHeap)
+
+
+@pytest.fixture
+def register_protocol():
+    """``register_protocol(name, cls)`` → the :class:`ProtocolSpec` naming
+    ``cls``; the entry is gone after the test."""
+    protocols = _REGISTRIES["protocol"]
+    added = []
+
+    def register(name, cls):
+        protocols[name] = cls
+        added.append(name)
+        return ProtocolSpec(name)
+
+    yield register
+    for name in added:
+        del protocols[name]

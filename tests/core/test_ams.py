@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.core import AMSCoordination, DCoP, ProtocolConfig
-from repro.streaming import FaultPlan, SessionSpec
+from repro.core import AMSCoordination, ProtocolConfig
+from repro.streaming import FaultPlan, ProtocolSpec, SessionSpec
 
 
 def config(**kw):
@@ -23,13 +23,13 @@ def test_validation():
 
 
 def test_all_peers_active_in_one_round():
-    r = SessionSpec(config(), AMSCoordination()).build().run()
+    r = SessionSpec(config(), ProtocolSpec("ams")).build().run()
     assert r.all_active
     assert r.rounds == 1  # leaf contacts everyone directly
 
 
 def test_disjoint_shares_cover_content():
-    r = SessionSpec(config(), AMSCoordination()).build().run()
+    r = SessionSpec(config(), ProtocolSpec("ams")).build().run()
     assert r.delivery_ratio == 1.0
     assert r.receipt_rate == pytest.approx(1.0)  # margin 0: no parity
 
@@ -39,8 +39,8 @@ def test_quadratic_state_traffic():
     ≈ n(n-1) × (#periods) ≫ DCoP's total."""
     n = 12
     cfg = config(n=n)
-    ams = SessionSpec(cfg, AMSCoordination()).build().run()
-    dcop = SessionSpec(config(n=n), DCoP()).build().run()
+    ams = SessionSpec(cfg, ProtocolSpec("ams")).build().run()
+    dcop = SessionSpec(config(n=n), ProtocolSpec("dcop")).build().run()
     cbcast = ams.messages_by_kind["cbcast"]
     periods = cbcast / (n * (n - 1))
     assert periods >= 3  # several exchange rounds over the stream's life
@@ -49,7 +49,7 @@ def test_quadratic_state_traffic():
 
 def test_state_exchange_terminates():
     """The simulation drains: state loops stop once the group resolves."""
-    session = SessionSpec(config(), AMSCoordination()).build()
+    session = SessionSpec(config(), ProtocolSpec("ams")).build()
     r = session.run()
     # quiescence well before the deadline backstop (3×duration + 40δ)
     assert r.elapsed < 3 * 300 + 400
@@ -58,7 +58,7 @@ def test_state_exchange_terminates():
 def test_takeover_recovers_crash_without_parity():
     cfg = config()
     session = SessionSpec(
-        cfg, AMSCoordination(), fault_plan=FaultPlan().crash("CP3", 100.0)
+        cfg, ProtocolSpec("ams"), fault_plan=FaultPlan().crash("CP3", 100.0)
     ).build()
     r = session.run()
     assert r.delivery_ratio == 1.0
@@ -71,7 +71,7 @@ def test_takeover_is_single_successor():
     """Exactly one live peer adopts a victim's share (ring rule)."""
     cfg = config()
     session = SessionSpec(
-        cfg, AMSCoordination(), fault_plan=FaultPlan().crash("CP5", 100.0)
+        cfg, ProtocolSpec("ams"), fault_plan=FaultPlan().crash("CP5", 100.0)
     ).build()
     session.run()
     adopters = [
@@ -88,10 +88,10 @@ def test_no_parity_dcop_loses_what_ams_recovers():
     cfg = config()
     victim = "CP3"
     ams = SessionSpec(
-        cfg, AMSCoordination(), fault_plan=FaultPlan().crash(victim, 100.0)
+        cfg, ProtocolSpec("ams"), fault_plan=FaultPlan().crash(victim, 100.0)
     ).build().run()
     dcop = SessionSpec(
-        config(), DCoP(), fault_plan=FaultPlan().crash(victim, 100.0)
+        config(), ProtocolSpec("dcop"), fault_plan=FaultPlan().crash(victim, 100.0)
     ).build().run()
     assert ams.delivery_ratio == 1.0
     assert dcop.delivery_ratio <= ams.delivery_ratio
@@ -100,12 +100,12 @@ def test_no_parity_dcop_loses_what_ams_recovers():
 def test_multiple_crashes_recovered():
     cfg = config(n=10, content_packets=400)
     plan = FaultPlan().crash("CP2", 80.0).crash("CP7", 160.0)
-    r = SessionSpec(cfg, AMSCoordination(), fault_plan=plan).build().run()
+    r = SessionSpec(cfg, ProtocolSpec("ams"), fault_plan=plan).build().run()
     assert r.delivery_ratio == 1.0
 
 
 def test_deterministic_given_seed():
-    a = SessionSpec(config(), AMSCoordination()).build().run()
-    b = SessionSpec(config(), AMSCoordination()).build().run()
+    a = SessionSpec(config(), ProtocolSpec("ams")).build().run()
+    b = SessionSpec(config(), ProtocolSpec("ams")).build().run()
     assert a.messages_by_kind == b.messages_by_kind
     assert a.completed_at == b.completed_at

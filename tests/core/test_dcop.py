@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.core import DCoP, ProtocolConfig
-from repro.streaming import SessionSpec
+from repro.core import ProtocolConfig
+from repro.streaming import ProtocolSpec, SessionSpec
 
 
 def run(n, H, **kw):
@@ -12,7 +12,7 @@ def run(n, H, **kw):
     )
     defaults.update(kw)
     cfg = ProtocolConfig(n=n, H=H, **defaults)
-    return SessionSpec(cfg, DCoP()).build().run()
+    return SessionSpec(cfg, ProtocolSpec("dcop")).build().run()
 
 
 def test_all_peers_activate():
@@ -86,7 +86,7 @@ def test_views_monotone_and_final():
     cfg = ProtocolConfig(
         n=12, H=4, fault_margin=1, delta=10.0, content_packets=300, seed=3
     )
-    session = SessionSpec(cfg, DCoP()).build()
+    session = SessionSpec(cfg, ProtocolSpec("dcop")).build()
     session.run()
     # after quiescence every active peer's view is consistent: it contains
     # itself and only existing peers
@@ -101,7 +101,7 @@ def test_redundant_parents_merge_streams():
     cfg = ProtocolConfig(
         n=20, H=3, fault_margin=1, delta=10.0, content_packets=300, seed=5
     )
-    session = SessionSpec(cfg, DCoP()).build()
+    session = SessionSpec(cfg, ProtocolSpec("dcop")).build()
     session.run()
     stream_counts = [len(a.streams) for a in session.peers.values()]
     assert max(stream_counts) > 1
@@ -115,7 +115,7 @@ def test_data_packets_never_duplicated_to_leaf():
     cfg = ProtocolConfig(
         n=12, H=4, fault_margin=1, delta=10.0, content_packets=200, seed=7
     )
-    session = SessionSpec(cfg, DCoP()).build()
+    session = SessionSpec(cfg, ProtocolSpec("dcop")).build()
     seen = Counter()
     original = session.leaf.node.on_deliver
 
@@ -143,7 +143,7 @@ def test_unsynchronized_when_run_cut_short():
     cfg = ProtocolConfig(
         n=40, H=2, fault_margin=1, delta=10.0, content_packets=300, seed=3
     )
-    session = SessionSpec(cfg, DCoP()).build()
+    session = SessionSpec(cfg, ProtocolSpec("dcop")).build()
     r = session.run(until=15.0)  # only the first wave has fired
     assert not r.all_active
     assert r.rounds is None

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.core import DCoP, HeteroDCoP, ProtocolConfig
-from repro.streaming import SessionSpec
+from repro.core import HeteroDCoP, ProtocolConfig
+from repro.streaming import ProtocolSpec, SessionSpec
 
 
 def ladder(n, lo=0.05, hi=0.45):
@@ -31,9 +31,9 @@ def test_validation():
 def test_capacity_throttles_transmission():
     """A capacity far below the assigned rate stretches completion."""
     cfg = config(n=4, H=4, fault_margin=0, content_packets=200)
-    free = SessionSpec(cfg, DCoP()).build().run()
+    free = SessionSpec(cfg, ProtocolSpec("dcop")).build().run()
     capped = SessionSpec(
-        cfg, DCoP(), peer_capacities={f"CP{i}": 0.05 for i in range(1, 5)}
+        cfg, ProtocolSpec("dcop"), peer_capacities={f"CP{i}": 0.05 for i in range(1, 5)}
     ).build().run()
     assert capped.completed_at > 2 * free.completed_at
     assert capped.delivery_ratio == 1.0
@@ -41,8 +41,8 @@ def test_capacity_throttles_transmission():
 
 def test_uncapped_peers_unaffected():
     cfg = config(n=6, H=3, content_packets=200)
-    a = SessionSpec(cfg, DCoP()).build().run()
-    b = SessionSpec(cfg, DCoP(), peer_capacities={}).build().run()
+    a = SessionSpec(cfg, ProtocolSpec("dcop")).build().run()
+    b = SessionSpec(cfg, ProtocolSpec("dcop"), peer_capacities={}).build().run()
     assert a.completed_at == b.completed_at
 
 
@@ -51,8 +51,9 @@ def test_same_coordination_cost_as_dcop():
     rounds, same control packets."""
     caps = ladder(16)
     cfg = config()
-    d = SessionSpec(cfg, DCoP(), peer_capacities=caps).build().run()
-    h = SessionSpec(cfg, HeteroDCoP(caps), peer_capacities=caps).build().run()
+    d = SessionSpec(cfg, ProtocolSpec("dcop"), peer_capacities=caps).build().run()
+    hetero = ProtocolSpec("hetero_dcop", {"capacities": caps})
+    h = SessionSpec(cfg, hetero, peer_capacities=caps).build().run()
     assert h.rounds == d.rounds
     assert h.control_packets_total == d.control_packets_total
 
@@ -60,8 +61,9 @@ def test_same_coordination_cost_as_dcop():
 def test_weighted_division_beats_equal_under_capacity_limits():
     caps = ladder(16)
     cfg = config()
-    d = SessionSpec(cfg, DCoP(), peer_capacities=caps).build().run()
-    h = SessionSpec(cfg, HeteroDCoP(caps), peer_capacities=caps).build().run()
+    d = SessionSpec(cfg, ProtocolSpec("dcop"), peer_capacities=caps).build().run()
+    hetero = ProtocolSpec("hetero_dcop", {"capacities": caps})
+    h = SessionSpec(cfg, hetero, peer_capacities=caps).build().run()
     assert h.delivery_ratio == d.delivery_ratio == 1.0
     assert h.completed_at < d.completed_at
     # weighted division lands on the content timeline (+ coordination lag)
@@ -74,7 +76,8 @@ def test_full_coverage_with_weighted_divisions():
 
     caps = ladder(12)
     cfg = config(n=12, H=4, content_packets=200)
-    session = SessionSpec(cfg, HeteroDCoP(caps), peer_capacities=caps).build()
+    hetero = ProtocolSpec("hetero_dcop", {"capacities": caps})
+    session = SessionSpec(cfg, hetero, peer_capacities=caps).build()
     seen = Counter()
     original = session.leaf.node.on_deliver
 
@@ -93,7 +96,8 @@ def test_full_coverage_with_weighted_divisions():
 def test_fast_peers_carry_more():
     caps = ladder(10, lo=0.1, hi=1.0)
     cfg = config(n=10, H=10, content_packets=300)
-    session = SessionSpec(cfg, HeteroDCoP(caps), peer_capacities=caps).build()
+    hetero = ProtocolSpec("hetero_dcop", {"capacities": caps})
+    session = SessionSpec(cfg, hetero, peer_capacities=caps).build()
     session.run()
     sent = {
         pid: sum(st.sent_count for st in agent.streams)

@@ -5,7 +5,7 @@ import pytest
 from repro.core import HeterogeneousScheduleCoordination, ProtocolConfig
 from repro.core.base import Assignment
 from repro.media import DataPacket, PacketSequence
-from repro.streaming import SessionSpec
+from repro.streaming import ProtocolSpec, SessionSpec
 
 
 def config(**kw):
@@ -19,7 +19,10 @@ def config(**kw):
 
 def run(bandwidths, use_timeslots=True, **kw):
     cfg = config(H=len(bandwidths), **kw)
-    proto = HeterogeneousScheduleCoordination(bandwidths, use_timeslots)
+    proto = ProtocolSpec(
+        "hetero_schedule",
+        {"bandwidths": bandwidths, "use_timeslots": use_timeslots},
+    )
     session = SessionSpec(cfg, proto).build()
     return session, session.run()
 
@@ -29,7 +32,7 @@ def test_validation():
         HeterogeneousScheduleCoordination([])
     with pytest.raises(ValueError):
         HeterogeneousScheduleCoordination([1, 0])
-    proto = HeterogeneousScheduleCoordination([1, 2])
+    proto = ProtocolSpec("hetero_schedule", {"bandwidths": [1, 2]})
     with pytest.raises(ValueError):
         SessionSpec(config(H=3), proto).build().run()
 
@@ -86,7 +89,9 @@ def test_with_parity_recovers_slow_peer_tail():
     """Naive division + margin: parity from fast peers recovers the slow
     peer's outstanding packets before it finishes sending them."""
     cfg = config(H=3, fault_margin=1, content_packets=300)
-    proto = HeterogeneousScheduleCoordination([6, 6, 1], use_timeslots=False)
+    proto = ProtocolSpec(
+        "hetero_schedule", {"bandwidths": [6, 6, 1], "use_timeslots": False}
+    )
     session = SessionSpec(cfg, proto).build()
     r = session.run()
     assert r.delivery_ratio == 1.0

@@ -10,19 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import (
-    CentralizedCoordination,
-    DCoP,
-    ProtocolConfig,
-    ScheduleBasedCoordination,
-    TCoP,
-)
-from repro.streaming import SessionSpec
+from repro.core import ProtocolConfig
+from repro.streaming import ProtocolSpec, SessionSpec
 
-PROTOCOLS = [DCoP, TCoP, CentralizedCoordination, ScheduleBasedCoordination]
+PROTOCOLS = ["dcop", "tcop", "centralized", "schedule_based"]
 
 
-def run_random(protocol_cls, n, h_frac, margin, seed):
+def run_random(protocol, n, h_frac, margin, seed):
     H = max(1, min(n, round(n * h_frac)))
     cfg = ProtocolConfig(
         n=n,
@@ -33,7 +27,7 @@ def run_random(protocol_cls, n, h_frac, margin, seed):
         content_packets=120,
         seed=seed,
     )
-    session = SessionSpec(cfg, protocol_cls()).build()
+    session = SessionSpec(cfg, ProtocolSpec(protocol)).build()
     data_seen = Counter()
     original = session.leaf.node.on_deliver
 
@@ -90,15 +84,15 @@ def test_property_tcop_rounds_triple_dcop(n, h_frac, seed):
     """TCoP's 3-round handshake: rounds(TCoP) == 3·rounds(DCoP) whenever
     both protocols need the same number of waves (same seed, same
     selections)."""
-    _, d, _ = run_random(DCoP, n, h_frac, 1, seed)
-    _, t, _ = run_random(TCoP, n, h_frac, 1, seed)
+    _, d, _ = run_random("dcop", n, h_frac, 1, seed)
+    _, t, _ = run_random("tcop", n, h_frac, 1, seed)
     assert t.rounds >= d.rounds
     assert t.rounds % 3 == 0
 
 
 @settings(max_examples=15, deadline=None)
 @given(
-    protocol=st.sampled_from([DCoP, TCoP]),
+    protocol=st.sampled_from(["dcop", "tcop"]),
     n=st.integers(min_value=3, max_value=12),
     h_frac=st.floats(min_value=0.2, max_value=1.0),
     margin=st.integers(min_value=1, max_value=2),

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.core import DCoP, TCoP, ProtocolConfig
-from repro.streaming import SessionSpec
+from repro.core import ProtocolConfig
+from repro.streaming import LossSpec, ProtocolSpec, SessionSpec
 
 
 def make_session(n, H, **kw):
@@ -12,7 +12,7 @@ def make_session(n, H, **kw):
     )
     defaults.update(kw)
     cfg = ProtocolConfig(n=n, H=H, **defaults)
-    return SessionSpec(cfg, TCoP()).build()
+    return SessionSpec(cfg, ProtocolSpec("tcop")).build()
 
 
 def run(n, H, **kw):
@@ -43,7 +43,7 @@ def test_rounds_triple_dcop_for_same_coverage():
         cfg = ProtocolConfig(
             n=n, H=H, fault_margin=1, delta=10.0, content_packets=300, seed=3
         )
-        d = SessionSpec(cfg, DCoP()).build().run()
+        d = SessionSpec(cfg, ProtocolSpec("dcop")).build().run()
         assert t.rounds == 3 * d.rounds
 
 
@@ -76,7 +76,7 @@ def test_more_control_traffic_than_dcop():
     cfg = ProtocolConfig(
         n=30, H=10, fault_margin=1, delta=10.0, content_packets=300, seed=3
     )
-    d = SessionSpec(cfg, DCoP()).build().run()
+    d = SessionSpec(cfg, ProtocolSpec("dcop")).build().run()
     assert t.control_packets_total > d.control_packets_total
 
 
@@ -119,7 +119,7 @@ def test_receipt_rate_above_dcop_at_moderate_h():
     cfg = ProtocolConfig(
         n=n, H=H, fault_margin=1, delta=10.0, content_packets=400, seed=3
     )
-    d = SessionSpec(cfg, DCoP()).build().run()
+    d = SessionSpec(cfg, ProtocolSpec("dcop")).build().run()
     assert t.receipt_rate > d.receipt_rate
 
 
@@ -132,7 +132,6 @@ def test_rejected_offers_present_with_small_h():
 def test_lossy_channels_never_wedge_a_peer():
     """A child whose start message was lost releases its parent claim
     (watchdog), so after quiescence no peer is taken-but-inactive."""
-    from repro.net.loss import BernoulliLoss
 
     session = make_session(20, 5, content_packets=200)
     # rebuild with loss
@@ -140,7 +139,7 @@ def test_lossy_channels_never_wedge_a_peer():
         n=20, H=5, fault_margin=1, delta=10.0, content_packets=200, seed=3
     )
     session = SessionSpec(
-        cfg, TCoP(), loss=lambda: BernoulliLoss(0.25)
+        cfg, ProtocolSpec("tcop"), loss=LossSpec("bernoulli", {"p": 0.25})
     ).build()
     session.run()
     for agent in session.peers.values():

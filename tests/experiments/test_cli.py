@@ -274,21 +274,59 @@ def test_bad_detector_params_fail_with_exit_2(capsys):
 
 
 @pytest.mark.parametrize(
-    "flag, value",
+    "args, error",
     [
-        ("--loss", "bernoulli:q=0.1"),
-        ("--latency", "constant:dela=3"),
-        ("--link-fault", "chaos:warp=1"),
-        ("--protocol", "single_source:server=CP1"),
+        pytest.param(
+            ["trace", "--quick", "--loss", "bernoulli:q=0.1"],
+            "bad --loss ",
+            id="--loss-bernoulli:q=0.1",
+        ),
+        pytest.param(
+            ["trace", "--quick", "--latency", "constant:dela=3"],
+            "bad --latency ",
+            id="--latency-constant:dela=3",
+        ),
+        pytest.param(
+            ["trace", "--quick", "--link-fault", "chaos:warp=1"],
+            "bad --link-fault ",
+            id="--link-fault-chaos:warp=1",
+        ),
+        pytest.param(
+            ["trace", "--quick", "--protocol", "single_source:server=CP1"],
+            "bad --protocol ",
+            id="--protocol-single_source:server=CP1",
+        ),
+        # a config or partition no session could be built from
+        pytest.param(
+            ["trace", "--quick", "--n", "2", "--H", "6"],
+            "H must be in 1..n",
+            id="trace-n2-H6",
+        ),
+        pytest.param(
+            ["trace", "--quick", "--partition", "leaf@10"],
+            "the leaf always sits in the implicit component",
+            id="trace-partition-leaf",
+        ),
+        pytest.param(
+            ["spans", "--quick", "--partition", "CP99@10"],
+            "partition component names unknown peer 'CP99'",
+            id="spans-partition-CP99",
+        ),
+        pytest.param(
+            ["audit", "--quick", "--join-storm", "leaves=2", "--n", "2", "--H", "6"],
+            "H must be in 1..n",
+            id="audit-join-storm-n2-H6",
+        ),
     ],
 )
-def test_bad_model_params_fail_with_exit_2(capsys, flag, value):
-    # every named spec is built once up front, like --detector: a
-    # parameter its factory refuses is one line, not a traceback mid-run
-    rc = main(["trace", "--quick", flag, value])
+def test_bad_model_params_fail_with_exit_2(capsys, args, error):
+    # every named spec is built once up front, like --detector, and the
+    # config and partition endpoints are checked before the run: what no
+    # session could be built from is one line, not a traceback mid-run
+    rc = main(args)
     captured = capsys.readouterr()
     assert rc == 2
-    assert captured.err.startswith(f"repro-experiments: error: bad {flag} ")
+    assert captured.err.startswith(f"repro-experiments: error: {error}")
     assert captured.err.count("\n") == 1 and not captured.out
 
 

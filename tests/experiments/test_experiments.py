@@ -8,6 +8,7 @@ from repro.core import DCoP, ProtocolConfig
 from repro.experiments import replication_specs, run_experiment, run_specs
 from repro.experiments.runner import default_h_values, mean_metric
 from repro.streaming.spec import SessionSpec
+from repro.streaming import ProtocolSpec
 
 
 SMALL = dict(values=[2, 5, 10, 20], n=20, content_packets=150, delta=10.0)
@@ -21,7 +22,7 @@ def test_default_h_values_respect_n():
 
 def test_run_session_returns_result():
     cfg = ProtocolConfig(n=10, H=4, content_packets=150)
-    r = SessionSpec(config=cfg, protocol=DCoP).run()
+    r = SessionSpec(config=cfg, protocol=ProtocolSpec("dcop")).run()
     assert r.protocol == "DCoP"
     assert r.all_active
 
@@ -29,7 +30,7 @@ def test_run_session_returns_result():
 def test_sweep_repetitions_vary_seed():
     cfg = ProtocolConfig(n=15, H=5, content_packets=150, seed=3)
     results = run_specs(
-        replication_specs([SessionSpec(config=cfg, protocol=DCoP)], 2)
+        replication_specs([SessionSpec(config=cfg, protocol=ProtocolSpec("dcop"))], 2)
     )
     assert len(results) == 2
     a, b = results

@@ -4,7 +4,7 @@ from dataclasses import dataclass, field
 
 import pytest
 
-from repro.core import DCoP, ProtocolConfig
+from repro.core import ProtocolConfig
 from repro.experiments import (
     ParallelExecutor,
     ProgressTick,
@@ -92,7 +92,7 @@ class _TaggedConfig(ProtocolConfig):
 def test_replication_seeds_derive_via_dataclasses_replace():
     cfg = _TaggedConfig(n=8, H=3, content_packets=60, delta=5.0, seed=5)
     specs = replication_specs(
-        [SessionSpec(config=cfg, protocol=DCoP)], repetitions=3
+        [SessionSpec(config=cfg, protocol=ProtocolSpec("dcop"))], repetitions=3
     )
     assert [s.config.seed for s in specs] == [
         5 + REPLICATION_SEED_STRIDE * rep for rep in range(3)
@@ -107,7 +107,7 @@ def test_replication_seeds_derive_via_dataclasses_replace():
 def test_sweep_runs_config_subclasses():
     cfg = _TaggedConfig(n=8, H=3, content_packets=60, delta=5.0, seed=1)
     reps = run_specs(
-        replication_specs([SessionSpec(config=cfg, protocol=DCoP)], 2)
+        replication_specs([SessionSpec(config=cfg, protocol=ProtocolSpec("dcop"))], 2)
     )
     assert len(reps) == 2
     assert all(r.sync_time is not None for r in reps)

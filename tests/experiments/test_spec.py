@@ -6,6 +6,8 @@ import warnings
 import pytest
 
 from repro.core import DCoP, ProtocolConfig
+from repro.net.latency import ConstantLatency
+from repro.net.linkfault import DuplicateFault
 from repro.net.loss import BernoulliLoss, GilbertElliottLoss, NoLoss
 from repro.net.overlay import RetransmitPolicy
 from repro.obs import TraceConfig
@@ -19,10 +21,10 @@ from repro.streaming.detector import DetectorPolicy
 from repro.streaming.faults import ChurnPlan
 from repro.streaming.repair import RepairPolicy
 from repro.streaming.spec import (
+    DetectorSpec,
     LatencySpec,
     LossSpec,
     ProtocolSpec,
-    resolve_loss_factory,
 )
 
 
@@ -72,11 +74,6 @@ def test_loss_spec_factory_builds_fresh_models_per_channel():
     assert factory() is not factory()
 
 
-def test_resolve_loss_factory_rejects_model_instances():
-    with pytest.raises(TypeError, match="per-channel"):
-        resolve_loss_factory(BernoulliLoss(0.1))
-
-
 # ----------------------------------------------------------------------
 # the spec value
 # ----------------------------------------------------------------------
@@ -97,7 +94,7 @@ def _fully_populated_spec():
         leaf_receive_buffer=32.0,
         peer_capacities={f"CP{i}": 0.5 for i in range(1, 9)},
         retransmit_policy=RetransmitPolicy(),
-        detector_policy=DetectorPolicy(),
+        detector_policy=DetectorSpec("fixed"),
         churn_plan=ChurnPlan(rate_per_delta=0.01, min_live=4),
         trace=TraceConfig(max_events=500),
     )
@@ -133,9 +130,41 @@ def test_describe_names_the_protocol():
     assert "tcop" in SessionSpec(
         config=_small_config(), protocol=ProtocolSpec("tcop")
     ).describe()
-    assert "DCoP" in SessionSpec(
-        config=_small_config(), protocol=DCoP
-    ).describe()
+
+
+@pytest.mark.parametrize(
+    "field, live",
+    [
+        ("protocol", DCoP()),
+        ("protocol", DCoP),
+        ("latency", ConstantLatency(10.0)),
+        ("loss", lambda: BernoulliLoss(0.1)),
+        ("loss", BernoulliLoss(0.1)),
+        ("control_loss", lambda: BernoulliLoss(0.1)),
+        ("link_fault", lambda: DuplicateFault(p=0.1)),
+        ("detector_policy", DetectorPolicy()),
+        ("spans", True),
+    ],
+    ids=[
+        "protocol-instance", "protocol-class", "latency", "loss-factory",
+        "loss-instance", "control_loss", "link_fault", "detector_policy",
+        "spans",
+    ],
+)
+def test_a_live_object_in_a_model_field_is_refused(field, live):
+    # each model field takes its one declarative spec; the refusal names
+    # the field at construction, before anything is built
+    with pytest.raises(TypeError, match=f"SessionSpec.{field} takes a "):
+        SessionSpec(config=_small_config(), **{field: live})
+
+
+def test_a_spec_does_not_alias_its_fault_plan():
+    plan = FaultPlan().crash("CP1", 10.0)
+    a = SessionSpec(_small_config(), ProtocolSpec("dcop"), fault_plan=plan)
+    b = a.with_seed(5)
+    plan.crash("CP2", 20.0)  # a new plan; the specs keep theirs
+    assert [f.peer_id for f in a.fault_plan.crashes] == ["CP1"]
+    assert [f.peer_id for f in b.fault_plan.crashes] == ["CP1"]
 
 
 def test_build_keeps_the_spec_and_does_not_warn():
@@ -179,24 +208,11 @@ def test_detach_is_idempotent_and_a_noop_without_handles():
 
 
 def test_detector_registry_resolves_policies():
-    from repro.streaming.detector import DetectorPolicy
-    from repro.streaming.spec import (
-        DetectorSpec,
-        available_factories,
-        resolve_detector_policy,
-    )
-
     assert {"fixed", "accrual"} <= set(available_factories("detector"))
     pol = DetectorSpec("accrual", {"phi_suspect": 1.5}).build()
     assert pol.mode == "accrual"
     assert pol.phi_suspect == 1.5
-    # passthroughs and the error path
-    assert resolve_detector_policy(None) is None
-    direct = DetectorPolicy()
-    assert resolve_detector_policy(direct) is direct
-    assert resolve_detector_policy(DetectorSpec("fixed")).mode == "fixed"
-    with pytest.raises(TypeError):
-        resolve_detector_policy("accrual")
+    assert DetectorSpec("fixed").build() == DetectorPolicy()
 
 
 def test_gray_link_fault_factories_registered():

@@ -11,6 +11,7 @@ from repro.metrics.io import (
     series_to_dict,
     table_to_dict,
 )
+from repro.streaming import ProtocolSpec
 
 
 def sample_table():
@@ -74,11 +75,11 @@ def test_save_load_file_roundtrip(tmp_path):
 
 
 def sample_result():
-    from repro.core import DCoP, ProtocolConfig
+    from repro.core import ProtocolConfig
     from repro.streaming import SessionSpec
 
     config = ProtocolConfig(n=8, H=4, fault_margin=1, content_packets=60, seed=2)
-    return SessionSpec(config, DCoP()).build().run()
+    return SessionSpec(config, ProtocolSpec("dcop")).build().run()
 
 
 def test_session_result_roundtrip():
@@ -97,12 +98,12 @@ def test_session_result_roundtrip():
 def test_session_result_roundtrip_drops_runtime_handles():
     """trace/timeseries are runtime objects, not part of the artifact."""
     from repro import TraceConfig
-    from repro.core import DCoP, ProtocolConfig
+    from repro.core import ProtocolConfig
     from repro.metrics import session_result_to_dict
     from repro.streaming import SessionSpec
 
     config = ProtocolConfig(n=8, H=4, fault_margin=1, content_packets=60, seed=2)
-    traced = SessionSpec(config, DCoP(), trace=TraceConfig()).build().run()
+    traced = SessionSpec(config, ProtocolSpec("dcop"), trace=TraceConfig()).build().run()
     payload = session_result_to_dict(traced)
     assert "trace" not in payload["data"]
     assert "timeseries" not in payload["data"]

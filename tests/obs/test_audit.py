@@ -119,9 +119,9 @@ class DoubleParentTCoP(TCoP):
         super()._on_offer(agent, offer)
 
 
-def test_double_parent_tcop_is_caught_with_evidence_chain():
+def test_double_parent_tcop_is_caught_with_evidence_chain(register_protocol):
     spec = audited_spec("tcop", n=16, H=8).replace(
-        protocol=DoubleParentTCoP()
+        protocol=register_protocol("double_parent_tcop", DoubleParentTCoP)
     )
     report = spec.run().audit
     assert not report.passed

@@ -11,14 +11,15 @@ import json
 
 import pytest
 
-from repro.core import DCoP, ProtocolConfig, TCoP
-from repro.net.loss import BernoulliLoss
+from repro.core import ProtocolConfig
 from repro.net.overlay import RetransmitPolicy
 from repro.obs import TraceConfig, trace_to_chrome, trace_to_jsonl
 from repro.streaming import (
     ChurnPlan,
-    DetectorPolicy,
+    DetectorSpec,
     FaultPlan,
+    LossSpec,
+    ProtocolSpec,
     SessionSpec,
 )
 
@@ -27,7 +28,7 @@ def build_plain(proto, seed):
     config = ProtocolConfig(
         n=14, H=5, fault_margin=1, content_packets=120, seed=seed
     )
-    return SessionSpec(config, proto(), trace=TraceConfig()).build()
+    return SessionSpec(config, ProtocolSpec(proto), trace=TraceConfig()).build()
 
 
 def build_chaotic(proto, seed):
@@ -36,17 +37,16 @@ def build_chaotic(proto, seed):
         n=10, H=4, fault_margin=1, tau=1.0, delta=8.0,
         content_packets=150, seed=seed,
     )
-    probe = SessionSpec(config, proto()).build()
+    probe = SessionSpec(config, ProtocolSpec(proto)).build()
     victim = probe.leaf_select(config.H)[0]
-    plan = FaultPlan()
-    plan.crash(victim, 60.0)
+    plan = FaultPlan().crash(victim, 60.0)
     return SessionSpec(
         config,
-        proto(),
-        control_loss=lambda: BernoulliLoss(0.05),
+        ProtocolSpec(proto),
+        control_loss=LossSpec("bernoulli", {"p": 0.05}),
         fault_plan=plan,
         retransmit_policy=RetransmitPolicy(),
-        detector_policy=DetectorPolicy(),
+        detector_policy=DetectorSpec("fixed"),
         churn_plan=ChurnPlan(
             rate_per_delta=0.03, min_live=6, mean_downtime_deltas=6.0
         ),
@@ -54,7 +54,7 @@ def build_chaotic(proto, seed):
     ).build()
 
 
-@pytest.mark.parametrize("proto", [DCoP, TCoP], ids=["dcop", "tcop"])
+@pytest.mark.parametrize("proto", ["dcop", "tcop"])
 def test_equal_seed_runs_are_byte_identical(proto):
     a = build_plain(proto, seed=11).run()
     b = build_plain(proto, seed=11).run()
@@ -69,12 +69,12 @@ def test_equal_seed_runs_are_byte_identical(proto):
 
 
 def test_different_seeds_diverge():
-    a = build_plain(DCoP, seed=11).run()
-    b = build_plain(DCoP, seed=12).run()
+    a = build_plain("dcop", seed=11).run()
+    b = build_plain("dcop", seed=12).run()
     assert trace_to_jsonl(a.trace) != trace_to_jsonl(b.trace)
 
 
-@pytest.mark.parametrize("proto", [DCoP, TCoP], ids=["dcop", "tcop"])
+@pytest.mark.parametrize("proto", ["dcop", "tcop"])
 def test_chaos_matrix_runs_are_byte_identical(proto):
     """Churn + loss + crashes draw only from named seeded streams."""
     a = build_chaotic(proto, seed=13).run()

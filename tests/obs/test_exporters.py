@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.core import DCoP, ProtocolConfig, TCoP
+from repro.core import ProtocolConfig
 from repro.obs import (
     TraceConfig,
     run_summary,
@@ -22,7 +22,7 @@ from repro.streaming import ProtocolSpec, SessionSpec
 @pytest.fixture(scope="module")
 def traced_result():
     config = ProtocolConfig(n=12, H=4, fault_margin=1, content_packets=100, seed=5)
-    return SessionSpec(config, TCoP(), trace=TraceConfig()).build().run()
+    return SessionSpec(config, ProtocolSpec("tcop"), trace=TraceConfig()).build().run()
 
 
 # ----------------------------------------------------------------------
@@ -117,10 +117,10 @@ def test_chrome_trace_closes_abandoned_waves():
 # ----------------------------------------------------------------------
 # wave timeline
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("proto", [DCoP, TCoP], ids=["dcop", "tcop"])
+@pytest.mark.parametrize("proto", ["dcop", "tcop"])
 def test_timeline_rows_equal_result_rounds(proto):
     config = ProtocolConfig(n=12, H=4, fault_margin=1, content_packets=100, seed=5)
-    result = SessionSpec(config, proto(), trace=TraceConfig()).build().run()
+    result = SessionSpec(config, ProtocolSpec(proto), trace=TraceConfig()).build().run()
     table = wave_timeline(result.trace)
     assert len(table.rows) == result.rounds
     rounds = [row[0] for row in table.rows]
@@ -137,7 +137,7 @@ def test_timeline_rows_equal_result_rounds(proto):
 def test_timeline_includes_zero_activation_rounds():
     """TCoP's offer/confirm rounds move control traffic, not activations."""
     config = ProtocolConfig(n=12, H=4, fault_margin=1, content_packets=100, seed=5)
-    result = SessionSpec(config, TCoP(), trace=TraceConfig()).build().run()
+    result = SessionSpec(config, ProtocolSpec("tcop"), trace=TraceConfig()).build().run()
     table = wave_timeline(result.trace)
     assert any(row[1] == 0 for row in table.rows)
 
@@ -180,7 +180,7 @@ def test_run_summary_bundles_result_trace_stats_and_series(
 
 def test_run_summary_without_trace_is_result_only():
     config = ProtocolConfig(n=8, H=4, fault_margin=1, content_packets=60, seed=2)
-    result = SessionSpec(config, DCoP()).build().run()
+    result = SessionSpec(config, ProtocolSpec("dcop")).build().run()
     summary = run_summary(result)
     assert set(summary) == {"result"}
 

@@ -4,8 +4,8 @@ import pytest
 
 from repro.metrics import SweepSeries
 from repro.obs import Gauge, MetricsRegistry, TraceConfig
-from repro.core import ProtocolConfig, TCoP
-from repro.streaming import SessionSpec
+from repro.core import ProtocolConfig
+from repro.streaming import ProtocolSpec, SessionSpec
 
 
 def test_gauge_reads_through_callable():
@@ -66,7 +66,7 @@ def test_empty_registry_refuses_export():
 
 def test_session_timeseries_columns_and_coverage():
     config = ProtocolConfig(n=12, H=4, fault_margin=1, content_packets=100, seed=5)
-    result = SessionSpec(config, TCoP(), trace=TraceConfig()).build().run()
+    result = SessionSpec(config, ProtocolSpec("tcop"), trace=TraceConfig()).build().run()
     series = result.timeseries
     assert series is not None
     assert series.series_names == sorted(
@@ -91,7 +91,7 @@ def test_session_timeseries_columns_and_coverage():
 def test_session_metrics_can_be_disabled():
     config = ProtocolConfig(n=12, H=4, fault_margin=1, content_packets=100, seed=5)
     result = SessionSpec(
-        config, TCoP(), trace=TraceConfig(metrics=False)
+        config, ProtocolSpec("tcop"), trace=TraceConfig(metrics=False)
     ).build().run()
     assert result.trace is not None
     assert result.timeseries is None

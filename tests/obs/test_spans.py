@@ -322,7 +322,7 @@ def test_summary_and_critical_path_render(lossy_result):
 # session wiring
 # ----------------------------------------------------------------------
 def test_spans_true_implies_default_trace():
-    result = _lossy_spec(spans=True, trace=None).run()
+    result = _lossy_spec(spans=SpanConfig(), trace=None).run()
     assert result.trace is not None
     assert isinstance(result.spans, SpanReport)
 

@@ -4,12 +4,7 @@ from repro.core import ProtocolConfig
 from repro.net.overlay import RetransmitPolicy
 from repro.obs import TraceBus, TraceConfig, wave_timeline
 from repro.sim.engine import Environment
-from repro.streaming import (
-    DetectorPolicy,
-    FaultPlan,
-    ProtocolSpec,
-    SessionSpec,
-)
+from repro.streaming import DetectorSpec, FaultPlan, ProtocolSpec, SessionSpec
 
 
 def test_timeline_keeps_rows_for_reissued_rounds():
@@ -57,7 +52,7 @@ def test_end_to_end_churn_timeline_is_complete_and_consistent():
         protocol=ProtocolSpec("dcop"),
         fault_plan=FaultPlan().crash(victim, 50.0),
         retransmit_policy=RetransmitPolicy(),
-        detector_policy=DetectorPolicy(),
+        detector_policy=DetectorSpec("fixed"),
         trace=TraceConfig(),
     )
     result = spec.build().run()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import DCoP, ProtocolConfig, TCoP
+from repro.core import ProtocolConfig
 from repro.obs import CONTROL_KINDS, TraceBus, TraceConfig, TraceEvent
 from repro.sim.engine import Environment
 from repro.streaming import ProtocolSpec, SessionSpec
@@ -14,7 +14,7 @@ def run_traced(proto, trace=None, **cfg_kw):
     defaults = dict(n=12, H=4, fault_margin=1, content_packets=100, seed=5)
     defaults.update(cfg_kw)
     config = ProtocolConfig(**defaults)
-    return SessionSpec(config, proto(), trace=trace or TraceConfig()).build().run()
+    return SessionSpec(config, ProtocolSpec(proto), trace=trace or TraceConfig()).build().run()
 
 
 # ----------------------------------------------------------------------
@@ -165,7 +165,7 @@ def test_trace_event_is_frozen():
 # ----------------------------------------------------------------------
 # session wiring
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("proto", [DCoP, TCoP], ids=["dcop", "tcop"])
+@pytest.mark.parametrize("proto", ["dcop", "tcop"])
 def test_session_records_full_coordination(proto):
     result = run_traced(proto)
     bus = result.trace
@@ -207,24 +207,24 @@ def test_control_packets_at_sync_match_the_traced_sends(protocol):
 
 def test_untraced_session_has_no_observability_state():
     config = ProtocolConfig(n=12, H=4, fault_margin=1, content_packets=100, seed=5)
-    result = SessionSpec(config, DCoP()).build().run()
+    result = SessionSpec(config, ProtocolSpec("dcop")).build().run()
     assert result.trace is None
     assert result.timeseries is None
 
 
-@pytest.mark.parametrize("proto", [DCoP, TCoP], ids=["dcop", "tcop"])
+@pytest.mark.parametrize("proto", ["dcop", "tcop"])
 def test_tracing_does_not_perturb_the_simulation(proto):
     """The zero-overhead contract's stronger half: identical trajectory."""
     traced = run_traced(proto)
     config = ProtocolConfig(n=12, H=4, fault_margin=1, content_packets=100, seed=5)
-    bare = SessionSpec(config, proto()).build().run()
+    bare = SessionSpec(config, ProtocolSpec(proto)).build().run()
     assert traced.summary() == bare.summary()
     assert traced.activation_times == bare.activation_times
     assert traced.elapsed == bare.elapsed
 
 
 def test_category_filtered_session_still_tracks_messages():
-    result = run_traced(DCoP, trace=TraceConfig(categories=frozenset({"wave", "peer"})))
+    result = run_traced("dcop", trace=TraceConfig(categories=frozenset({"wave", "peer"})))
     bus = result.trace
     assert not bus.of_kind("msg.send")  # filtered from the log…
     assert bus.counts_by_kind["msg.send"] > 0  # …but still counted

@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.core import ProtocolConfig, ScheduleBasedCoordination
+from repro.core import ProtocolConfig
 from repro.media import DataPacket, PacketSequence
 from repro.streaming import (
     FaultPlan,
+    ProtocolSpec,
     RateAdaptationPolicy,
     SessionSpec,
     Stream,
@@ -23,11 +24,11 @@ def config(**kw):
 
 def degraded_run(adaptation_policy=None, factor=0.25):
     cfg = config()
-    probe = SessionSpec(cfg, ScheduleBasedCoordination()).build()
+    probe = SessionSpec(cfg, ProtocolSpec("schedule_based")).build()
     victim = probe.leaf_select(4)[1]
     session = SessionSpec(
         cfg,
-        ScheduleBasedCoordination(),
+        ProtocolSpec("schedule_based"),
         fault_plan=FaultPlan().degrade(victim, 50.0, factor=factor),
         adaptation_policy=adaptation_policy,
     ).build()
@@ -92,7 +93,7 @@ def test_healthy_run_never_adapts():
     cfg = config()
     session = SessionSpec(
         cfg,
-        ScheduleBasedCoordination(),
+        ProtocolSpec("schedule_based"),
         adaptation_policy=RateAdaptationPolicy(),
     ).build()
     r = session.run()

@@ -6,13 +6,14 @@ results) and that the retransmission subsystem is load-bearing.
 
 import pytest
 
-from repro.core import DCoP, ProtocolConfig, TCoP
-from repro.net.loss import BernoulliLoss
+from repro.core import ProtocolConfig
 from repro.net.overlay import RetransmitPolicy
 from repro.streaming import (
     ChurnPlan,
-    DetectorPolicy,
+    DetectorSpec,
     FaultPlan,
+    LossSpec,
+    ProtocolSpec,
     SessionSpec,
 )
 
@@ -31,17 +32,17 @@ def build(proto, loss, crashes, churn, seed=13, retransmit=True):
     plan = FaultPlan()
     # crash the peers the leaf contacts first — the worst case, since they
     # carry the biggest shares
-    probe = SessionSpec(cfg, proto()).build()
+    probe = SessionSpec(cfg, ProtocolSpec(proto)).build()
     first = probe.leaf_select(cfg.H)
     for i in range(crashes):
-        plan.crash(first[i], 50.0 + 20.0 * i)
+        plan = plan.crash(first[i], 50.0 + 20.0 * i)
     return SessionSpec(
         cfg,
-        proto(),
-        control_loss=(lambda: BernoulliLoss(loss)) if loss else None,
+        ProtocolSpec(proto),
+        control_loss=LossSpec("bernoulli", {"p": loss}) if loss else None,
         fault_plan=plan if crashes else None,
         retransmit_policy=RetransmitPolicy() if retransmit else None,
-        detector_policy=DetectorPolicy() if retransmit else None,
+        detector_policy=DetectorSpec("fixed") if retransmit else None,
         churn_plan=(
             ChurnPlan(rate_per_delta=0.03, min_live=6, mean_downtime_deltas=6.0)
             if churn
@@ -50,7 +51,7 @@ def build(proto, loss, crashes, churn, seed=13, retransmit=True):
     ).build()
 
 
-@pytest.mark.parametrize("proto", [DCoP, TCoP], ids=["dcop", "tcop"])
+@pytest.mark.parametrize("proto", ["dcop", "tcop"])
 @pytest.mark.parametrize("loss", [0.0, 0.05, 0.20])
 @pytest.mark.parametrize("crashes", [0, 1, 2])
 @pytest.mark.parametrize("churn", [False, True], ids=["stable", "churn"])
@@ -71,7 +72,7 @@ def test_chaos_matrix_terminates_and_delivers(proto, loss, crashes, churn):
         assert result.total_retransmissions > 0
 
 
-@pytest.mark.parametrize("proto", [DCoP, TCoP], ids=["dcop", "tcop"])
+@pytest.mark.parametrize("proto", ["dcop", "tcop"])
 def test_retransmission_is_load_bearing(proto):
     """Same 20%-loss + crash scenario without the reliable control plane:
     coordination messages die silently and at least one live peer is
@@ -90,11 +91,11 @@ def test_retransmission_is_load_bearing(proto):
         and p not in bare.activation_times
     ]
     assert stranded
-    if proto is TCoP:
+    if proto == "tcop":
         assert bare.delivery_ratio < 1.0
 
 
-@pytest.mark.parametrize("proto", [DCoP, TCoP], ids=["dcop", "tcop"])
+@pytest.mark.parametrize("proto", ["dcop", "tcop"])
 def test_determinism_under_churn(proto):
     """Same seed + same ChurnPlan ⇒ identical SessionResult, field by
     field — all new randomness is drawn from named session streams."""
@@ -107,7 +108,7 @@ def test_determinism_under_churn(proto):
 
 
 def test_determinism_includes_fault_log():
-    sessions = [build(DCoP, 0.05, 0, True, seed=9) for _ in range(2)]
+    sessions = [build("dcop", 0.05, 0, True, seed=9) for _ in range(2)]
     logs = []
     for s in sessions:
         s.run()
@@ -160,7 +161,7 @@ def partition_chaos_spec(protocol, seed=13):
             components=(("CP7",),), at=60.0, heal_at=200.0
         ),
         retransmit_policy=RetransmitPolicy(),
-        detector_policy=DetectorPolicy(),
+        detector_policy=DetectorSpec("fixed"),
         audit=AuditConfig(),
     )
 

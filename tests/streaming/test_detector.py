@@ -2,12 +2,14 @@
 
 import pytest
 
-from repro.core import DCoP, ProtocolConfig, TCoP
+from repro.core import ProtocolConfig
 from repro.streaming import (
     DetectorPolicy,
+    DetectorSpec,
     FailureDetector,
     FaultPlan,
     Heartbeat,
+    ProtocolSpec,
     SessionSpec,
 )
 from repro.net.overlay import RetransmitPolicy
@@ -22,11 +24,11 @@ def config(**kw):
     return ProtocolConfig(**defaults)
 
 
-def session(proto=DCoP, policy=None, **kw):
+def session(proto="dcop", policy=None, **kw):
     return SessionSpec(
         config(**kw.pop("cfg", {})),
-        proto(),
-        detector_policy=policy or DetectorPolicy(),
+        ProtocolSpec(proto),
+        detector_policy=policy or DetectorSpec("fixed"),
         **kw,
     ).build()
 
@@ -116,13 +118,13 @@ def test_report_unreachable_confirms_immediately():
 # ----------------------------------------------------------------------
 def test_crash_is_suspected_then_confirmed_with_latency():
     cfg = config()
-    probe = SessionSpec(cfg, DCoP()).build()
+    probe = SessionSpec(cfg, ProtocolSpec("dcop")).build()
     victim = probe.leaf_select(cfg.H)[0]
     s = SessionSpec(
         cfg,
-        DCoP(),
+        ProtocolSpec("dcop"),
         fault_plan=FaultPlan().crash(victim, 40.0),
-        detector_policy=DetectorPolicy(recoordinate=False),
+        detector_policy=DetectorSpec("fixed", {"recoordinate": False}),
     ).build()
     r = s.run()
     assert victim in r.confirmed_failures
@@ -146,9 +148,9 @@ def test_detector_terminates_on_dead_overlay():
     cfg = config(n=4, H=2)
     plan = FaultPlan()
     for pid in [f"CP{i}" for i in range(1, 5)]:
-        plan.crash(pid, 0.0)
+        plan = plan.crash(pid, 0.0)
     s = SessionSpec(
-        cfg, DCoP(), fault_plan=plan, detector_policy=DetectorPolicy()
+        cfg, ProtocolSpec("dcop"), fault_plan=plan, detector_policy=DetectorSpec("fixed")
     ).build()
     r = s.run()  # env.run(until=None) — would hang without the idle grace
     assert r.delivery_ratio == 0.0
@@ -158,14 +160,14 @@ def test_recoordination_reflows_residual():
     """A confirmed crash mid-stream triggers a residual re-flood that
     completes delivery even when parity alone could not."""
     cfg = config(fault_margin=0, content_packets=200)
-    probe = SessionSpec(cfg, DCoP()).build()
+    probe = SessionSpec(cfg, ProtocolSpec("dcop")).build()
     victim = probe.leaf_select(cfg.H)[0]
     with_rc = SessionSpec(
         cfg,
-        DCoP(),
+        ProtocolSpec("dcop"),
         fault_plan=FaultPlan().crash(victim, 50.0),
         retransmit_policy=RetransmitPolicy(),
-        detector_policy=DetectorPolicy(),
+        detector_policy=DetectorSpec("fixed"),
     ).build()
     r = with_rc.run()
     assert r.recoordinations >= 1
@@ -174,7 +176,7 @@ def test_recoordination_reflows_residual():
 
     without = SessionSpec(
         cfg,
-        DCoP(),
+        ProtocolSpec("dcop"),
         fault_plan=FaultPlan().crash(victim, 50.0),
     ).build()
     assert without.run().delivery_ratio < 1.0
@@ -184,19 +186,19 @@ def test_recoordination_works_for_tcop():
     cfg = config(fault_margin=0, content_packets=200, seed=11)
     s = SessionSpec(
         cfg,
-        TCoP(),
+        ProtocolSpec("tcop"),
         retransmit_policy=RetransmitPolicy(),
-        detector_policy=DetectorPolicy(),
+        detector_policy=DetectorSpec("fixed"),
     ).build()
     # crash whichever peer the leaf starts first, after it activates
-    r0 = SessionSpec(cfg, TCoP()).build().run()
+    r0 = SessionSpec(cfg, ProtocolSpec("tcop")).build().run()
     victim = min(r0.activation_times, key=r0.activation_times.get)
     s = SessionSpec(
         cfg,
-        TCoP(),
+        ProtocolSpec("tcop"),
         fault_plan=FaultPlan().crash(victim, 80.0),
         retransmit_policy=RetransmitPolicy(),
-        detector_policy=DetectorPolicy(),
+        detector_policy=DetectorSpec("fixed"),
     ).build()
     r = s.run()
     assert victim in r.confirmed_failures
@@ -232,7 +234,7 @@ def test_accrual_policy_validation():
 
 
 def test_phi_is_none_while_bootstrapping():
-    s = session(policy=DetectorPolicy(mode="accrual"))
+    s = session(policy=DetectorSpec("accrual"))
     det = s.detector
     assert det.phi("CP1") is None  # unmonitored
     det.on_heartbeat(Heartbeat("CP1", ()))
@@ -244,7 +246,7 @@ def test_phi_is_none_while_bootstrapping():
 def test_phi_grows_monotonically_with_silence():
     from repro.streaming.detector import PeerHealth
 
-    s = session(policy=DetectorPolicy(mode="accrual"))
+    s = session(policy=DetectorSpec("accrual"))
     det = s.detector
     st = PeerHealth(last_heard=100.0, gaps=[8.0, 8.0, 8.0, 8.0])
     scores = [det._phi(st, 100.0 + silent) for silent in (0, 8, 12, 16)]
@@ -260,7 +262,7 @@ def test_phi_jittery_window_is_more_patient():
     detector automatically slows down instead of false-accusing."""
     from repro.streaming.detector import PeerHealth
 
-    s = session(policy=DetectorPolicy(mode="accrual"))
+    s = session(policy=DetectorSpec("accrual"))
     det = s.detector
     tight = PeerHealth(last_heard=0.0, gaps=[8.0, 8.0, 8.0, 8.0])
     jittery = PeerHealth(last_heard=0.0, gaps=[2.0, 14.0, 3.0, 13.0])
@@ -269,7 +271,7 @@ def test_phi_jittery_window_is_more_patient():
 
 
 def test_gap_window_trims_to_policy():
-    s = session(policy=DetectorPolicy(mode="accrual", window=3))
+    s = session(policy=DetectorSpec("accrual", {"window": 3}))
     det = s.detector
     st = det._entry("CP1")
     for i in range(1, 8):
@@ -283,7 +285,7 @@ def test_gap_window_trims_to_policy():
 def test_zero_gap_heartbeats_are_not_sampled():
     """Two heartbeats in the same instant must not poison the window with
     a zero gap (which would collapse the mean)."""
-    s = session(policy=DetectorPolicy(mode="accrual"))
+    s = session(policy=DetectorSpec("accrual"))
     det = s.detector
     det.on_heartbeat(Heartbeat("CP1", ()))
     det.on_heartbeat(Heartbeat("CP1", ()))  # same env.now
@@ -294,14 +296,14 @@ def test_accrual_confirms_crash_end_to_end():
     """With φ thresholds driving suspicion, a mid-stream crash is still
     confirmed and re-coordinated to full delivery."""
     cfg = config(fault_margin=0, content_packets=200)
-    probe = SessionSpec(cfg, DCoP()).build()
+    probe = SessionSpec(cfg, ProtocolSpec("dcop")).build()
     victim = probe.leaf_select(cfg.H)[0]
     s = SessionSpec(
         cfg,
-        DCoP(),
+        ProtocolSpec("dcop"),
         fault_plan=FaultPlan().crash(victim, 50.0),
         retransmit_policy=RetransmitPolicy(),
-        detector_policy=DetectorPolicy(mode="accrual"),
+        detector_policy=DetectorSpec("accrual"),
     ).build()
     r = s.run()
     assert victim in r.confirmed_failures
@@ -311,8 +313,8 @@ def test_accrual_confirms_crash_end_to_end():
 
 def test_accrual_matches_fixed_on_clean_runs():
     """No faults: neither mode suspects anybody, and both deliver fully."""
-    fixed = session(policy=DetectorPolicy(mode="fixed")).run()
-    accrual = session(policy=DetectorPolicy(mode="accrual")).run()
+    fixed = session(policy=DetectorSpec("fixed")).run()
+    accrual = session(policy=DetectorSpec("accrual")).run()
     for r in (fixed, accrual):
         assert r.suspected_peers == []
         assert r.confirmed_failures == []

@@ -12,7 +12,6 @@ from repro.core import ProtocolConfig
 from repro.net.overlay import RetransmitPolicy
 from repro.obs import AuditConfig
 from repro.streaming import (
-    DetectorPolicy,
     DetectorSpec,
     FaultPlan,
     HealthPolicy,
@@ -159,7 +158,7 @@ def test_touch_does_not_readmit_quarantined_peer(protocol):
         config=config(),
         protocol=ProtocolSpec(protocol, params),
         retransmit_policy=RetransmitPolicy(adaptive=True),
-        detector_policy=DetectorPolicy(mode="accrual"),
+        detector_policy=DetectorSpec("accrual"),
         health_policy=HealthPolicy(),
     ).build()
     hm = session.health
@@ -200,7 +199,7 @@ def test_quarantine_cap_limits_open_breakers():
     session = SessionSpec(
         config=config(n=4, H=2),
         protocol=ProtocolSpec("dcop"),
-        detector_policy=DetectorPolicy(mode="accrual"),
+        detector_policy=DetectorSpec("accrual"),
         health_policy=HealthPolicy(),
     ).build()
     hm = session.health

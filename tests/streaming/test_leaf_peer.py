@@ -1,18 +1,18 @@
 """Focused tests for the leaf peer agent."""
 
-from repro.core import DCoP, ProtocolConfig
+from repro.core import ProtocolConfig
 from repro.media import DataPacket
 from repro.net.message import Message
-from repro.streaming import SessionSpec
+from repro.streaming import ProtocolSpec, SessionSpec
 
 
-def session_with(protocol_cls=DCoP, **kw):
+def session_with(protocol="dcop", **kw):
     defaults = dict(
         n=8, H=4, fault_margin=1, tau=1.0, delta=5.0,
         content_packets=100, seed=2,
     )
     defaults.update(kw)
-    return SessionSpec(ProtocolConfig(**defaults), protocol_cls()).build()
+    return SessionSpec(ProtocolConfig(**defaults), ProtocolSpec(protocol)).build()
 
 
 def test_arrival_bookkeeping():
@@ -57,9 +57,7 @@ def test_order_violation_counting():
 
 def test_in_order_stream_never_violates():
     """Single-source at rate τ: arrivals strictly in order."""
-    from repro.core import SingleSourceStreaming
-
-    s = session_with(SingleSourceStreaming, fault_margin=0)
+    s = session_with("single_source", fault_margin=0)
     s.run()
     assert s.leaf.order_violations == 0
 

@@ -6,7 +6,7 @@ from repro.core import ProtocolConfig
 from repro.net.overlay import RetransmitPolicy
 from repro.obs import TraceConfig
 from repro.streaming import (
-    DetectorPolicy,
+    DetectorSpec,
     LinkCut,
     LinkFaultSpec,
     PartitionPlan,
@@ -26,7 +26,7 @@ def config(**kw):
 
 def make_spec(protocol="dcop", **kw):
     kw.setdefault("retransmit_policy", RetransmitPolicy())
-    kw.setdefault("detector_policy", DetectorPolicy())
+    kw.setdefault("detector_policy", DetectorSpec("fixed"))
     return SessionSpec(
         config=kw.pop("config", config()),
         protocol=ProtocolSpec(protocol),

@@ -2,10 +2,16 @@
 
 import pytest
 
-from repro.core import DCoP, ProtocolConfig, ScheduleBasedCoordination
-from repro.net.loss import BernoulliLoss
+from repro.core import ProtocolConfig
 from repro.obs import TraceConfig
-from repro.streaming import FaultPlan, RepairPolicy, SessionSpec
+from repro.streaming import (
+    DetectorSpec,
+    FaultPlan,
+    LossSpec,
+    ProtocolSpec,
+    RepairPolicy,
+    SessionSpec,
+)
 from repro.streaming.repair import RepairRequest
 
 
@@ -29,14 +35,14 @@ def repair_sends(session):
 
 def crashed_run(repair_policy=None, margin=0, crashes=1):
     cfg = config(fault_margin=margin)
-    probe = SessionSpec(cfg, ScheduleBasedCoordination()).build()
+    probe = SessionSpec(cfg, ProtocolSpec("schedule_based")).build()
     victims = probe.leaf_select(5)[:crashes]
     plan = FaultPlan()
     for v in victims:
-        plan.crash(v, 100.0)
+        plan = plan.crash(v, 100.0)
     session = SessionSpec(
         cfg,
-        ScheduleBasedCoordination(),
+        ProtocolSpec("schedule_based"),
         fault_plan=plan,
         repair_policy=repair_policy,
     ).build()
@@ -69,11 +75,11 @@ def test_repair_messages_counted_as_control():
 
 def test_repair_with_payload_bytes_verified():
     cfg = config(with_payload=True, packet_size=64, content_packets=120)
-    probe = SessionSpec(cfg, ScheduleBasedCoordination()).build()
+    probe = SessionSpec(cfg, ProtocolSpec("schedule_based")).build()
     victim = probe.leaf_select(5)[0]
     session = SessionSpec(
         cfg,
-        ScheduleBasedCoordination(),
+        ProtocolSpec("schedule_based"),
         fault_plan=FaultPlan().crash(victim, 40.0),
         repair_policy=RepairPolicy(),
     ).build()
@@ -85,7 +91,7 @@ def test_repair_with_payload_bytes_verified():
 def test_no_stall_no_repair():
     cfg = config()
     session = SessionSpec(
-        cfg, ScheduleBasedCoordination(), repair_policy=RepairPolicy()
+        cfg, ProtocolSpec("schedule_based"), repair_policy=RepairPolicy()
     ).build()
     r = session.run()
     assert r.delivery_ratio == 1.0
@@ -104,10 +110,10 @@ def test_repair_gives_up_after_max_rounds():
     cfg = config(n=4, H=4)
     plan = FaultPlan()
     for pid in ("CP1", "CP2", "CP3", "CP4"):
-        plan.crash(pid, 50.0)
+        plan = plan.crash(pid, 50.0)
     session = SessionSpec(
         cfg,
-        ScheduleBasedCoordination(),
+        ProtocolSpec("schedule_based"),
         fault_plan=plan,
         repair_policy=RepairPolicy(max_rounds=3),
     ).build()
@@ -123,8 +129,8 @@ def test_repair_under_loss_plus_no_parity():
     cfg = config(fault_margin=0)
     session = SessionSpec(
         cfg,
-        DCoP(),
-        loss=lambda: BernoulliLoss(0.05),
+        ProtocolSpec("dcop"),
+        loss=LossSpec("bernoulli", {"p": 0.05}),
         repair_policy=RepairPolicy(),
     ).build()
     r = session.run()
@@ -141,17 +147,15 @@ def test_repair_skips_detector_suspects():
     """With a failure detector present, repair rounds exclude peers the
     detector already considers dead — no repair request is wasted on a
     confirmed-crashed peer."""
-    from repro.streaming import DetectorPolicy
-
     cfg = config(fault_margin=0)
-    probe = SessionSpec(cfg, ScheduleBasedCoordination()).build()
+    probe = SessionSpec(cfg, ProtocolSpec("schedule_based")).build()
     victim = probe.leaf_select(5)[0]
     session = SessionSpec(
         cfg,
-        ScheduleBasedCoordination(),
+        ProtocolSpec("schedule_based"),
         fault_plan=FaultPlan().crash(victim, 100.0),
         repair_policy=RepairPolicy(),
-        detector_policy=DetectorPolicy(recoordinate=False),
+        detector_policy=DetectorSpec("fixed", {"recoordinate": False}),
         trace=TraceConfig(),
     ).build()
     r = session.run()
@@ -175,14 +179,14 @@ def test_repair_fails_over_from_one_way_dead_peer():
     from repro.streaming.faults import LinkCut, PartitionPlan
 
     cfg = config(fault_margin=0)
-    probe = SessionSpec(cfg, ScheduleBasedCoordination()).build()
+    probe = SessionSpec(cfg, ProtocolSpec("schedule_based")).build()
     victim = probe.leaf_select(5)[0]
     # half the peers can hear repair requests but their replies vanish
     mute = [p for p in probe.peer_ids if p != victim][::2]
 
     session = SessionSpec(
         config=cfg,
-        protocol=ScheduleBasedCoordination,
+        protocol=ProtocolSpec("schedule_based"),
         fault_plan=FaultPlan().crash(victim, 100.0),
         repair_policy=RepairPolicy(fanout=1, max_rounds=20),
         partition_plan=PartitionPlan(
@@ -204,14 +208,12 @@ def test_repair_fails_over_from_one_way_dead_peer():
 def test_repair_falls_back_when_everyone_suspected():
     """A false mass suspicion must not starve repair: with every peer
     suspected the monitor samples from the full list again."""
-    from repro.streaming import DetectorPolicy
-
     cfg = config(fault_margin=0)
     session = SessionSpec(
         cfg,
-        ScheduleBasedCoordination(),
+        ProtocolSpec("schedule_based"),
         repair_policy=RepairPolicy(),
-        detector_policy=DetectorPolicy(recoordinate=False),
+        detector_policy=DetectorSpec("fixed", {"recoordinate": False}),
         trace=TraceConfig(),
     ).build()
     det = session.detector

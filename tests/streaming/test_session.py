@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.core import DCoP, ProtocolConfig, ScheduleBasedCoordination
-from repro.net.loss import BernoulliLoss
-from repro.streaming import SessionSpec
+from repro.core import DCoP, ProtocolConfig
+from repro.streaming import LatencySpec, LossSpec, ProtocolSpec, SessionSpec
 
 
 def config(**kw):
@@ -17,21 +16,21 @@ def config(**kw):
 
 
 def test_session_builds_topology():
-    session = SessionSpec(config(), DCoP()).build()
+    session = SessionSpec(config(), ProtocolSpec("dcop")).build()
     assert len(session.peers) == 10
     assert session.leaf.peer_id == "leaf"
     assert set(session.peer_ids) == set(session.peers)
 
 
 def test_run_is_idempotent_on_initiation():
-    session = SessionSpec(config(), DCoP()).build()
+    session = SessionSpec(config(), ProtocolSpec("dcop")).build()
     r1 = session.run()
     r2 = session.run()  # second run continues (no double initiation)
     assert r2.control_packets_total == r1.control_packets_total
 
 
 def test_summary_mentions_key_fields():
-    r = SessionSpec(config(), DCoP()).build().run()
+    r = SessionSpec(config(), ProtocolSpec("dcop")).build().run()
     s = r.summary()
     assert "DCoP" in s and "rounds=" in s and "rate=" in s
 
@@ -39,7 +38,7 @@ def test_summary_mentions_key_fields():
 def test_with_payload_end_to_end_bytes_verified():
     """Concrete payload mode: leaf's recovered bytes match the content."""
     cfg = config(with_payload=True, packet_size=64, content_packets=60)
-    session = SessionSpec(cfg, DCoP()).build()
+    session = SessionSpec(cfg, ProtocolSpec("dcop")).build()
     r = session.run()
     assert r.delivery_ratio == 1.0
     assert session.leaf.decoder.verify_against(session.content)
@@ -53,8 +52,8 @@ def test_payload_recovery_under_loss():
     )
     session = SessionSpec(
         cfg,
-        ScheduleBasedCoordination(),
-        loss=lambda: BernoulliLoss(0.03),
+        ProtocolSpec("schedule_based"),
+        loss=LossSpec("bernoulli", {"p": 0.03}),
     ).build()
     r = session.run()
     assert r.delivery_ratio > 0.9
@@ -65,28 +64,28 @@ def test_payload_recovery_under_loss():
 
 def test_playback_mode_counts_stalls():
     cfg = config(content_packets=150)
-    session = SessionSpec(cfg, DCoP(), playback=True).build()
+    session = SessionSpec(cfg, ProtocolSpec("dcop"), playback=True).build()
     r = session.run()
     # a healthy run plays through with few stalls
     assert session.leaf.buffer.played > 100
 
 
 def test_messages_by_kind_has_media_and_control():
-    r = SessionSpec(config(), DCoP()).build().run()
+    r = SessionSpec(config(), ProtocolSpec("dcop")).build().run()
     assert r.messages_by_kind["packet"] > 0
     assert r.messages_by_kind["request"] == 4
 
 
 def test_elapsed_positive():
-    r = SessionSpec(config(), DCoP()).build().run()
+    r = SessionSpec(config(), ProtocolSpec("dcop")).build().run()
     assert r.elapsed > 0
 
 
 def test_custom_latency_model_used():
-    from repro.net import ConstantLatency
-
     cfg = config()
-    session = SessionSpec(cfg, DCoP(), latency=ConstantLatency(25.0)).build()
+    session = SessionSpec(
+        cfg, ProtocolSpec("dcop"), latency=LatencySpec("constant", {"delay": 25.0})
+    ).build()
     r = session.run()
     # activations now land on 25ms multiples; rounds metric still uses
     # cfg.delta (=10), so sync at 50ms reads as 5 rounds
@@ -94,6 +93,6 @@ def test_custom_latency_model_used():
 
 
 def test_completed_at_set_when_leaf_has_all():
-    r = SessionSpec(config(), DCoP()).build().run()
+    r = SessionSpec(config(), ProtocolSpec("dcop")).build().run()
     assert r.completed_at is not None
     assert r.completed_at <= r.elapsed

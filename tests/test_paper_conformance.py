@@ -7,7 +7,7 @@ reviewer can check the implementation against the paper's own numbers.
 
 import pytest
 
-from repro.core import DCoP, ProtocolConfig, TCoP
+from repro.core import ProtocolConfig
 from repro.fec import divide, enhance
 from repro.media import (
     DataPacket,
@@ -15,7 +15,7 @@ from repro.media import (
     PacketSequence,
     allocate_packets,
 )
-from repro.streaming import SessionSpec
+from repro.streaming import ProtocolSpec, SessionSpec
 
 
 def pkt(n):
@@ -138,7 +138,7 @@ class TestSection4Evaluation:
             n=100, H=60, fault_margin=1, delta=10.0,
             content_packets=2000, seed=0,
         )
-        return SessionSpec(cfg, DCoP()).build().run()
+        return SessionSpec(cfg, ProtocolSpec("dcop")).build().run()
 
     @pytest.fixture(scope="class")
     def tcop60(self):
@@ -146,7 +146,7 @@ class TestSection4Evaluation:
             n=100, H=60, fault_margin=1, delta=10.0,
             content_packets=2000, seed=0,
         )
-        return SessionSpec(cfg, TCoP()).build().run()
+        return SessionSpec(cfg, ProtocolSpec("tcop")).build().run()
 
     def test_dcop_two_rounds_at_h60(self, dcop60):
         """'it takes two rounds … for H = 60' (DCoP)."""
