@@ -15,9 +15,9 @@ executor: :class:`SerialExecutor` (default) or :class:`ParallelExecutor`
 (``executor=ParallelExecutor(jobs=N)`` fans runs out across cores with
 identical results).
 
-A table that must not change is pinned by digest in
-``tests/experiments/data/table_digests.json``; host cost is measured from
-outside, by ``bench/``.
+A table that must not change is pinned as CSV text under
+``tests/experiments/data/tables/``; host cost is measured from outside, by
+``bench/``.
 """
 
 from repro.experiments.parallel import (

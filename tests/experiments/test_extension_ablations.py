@@ -1,5 +1,5 @@
 """Tests for the extension ablations (EX-F … EX-N) at reduced scale: the
-argument sets ``data/table_digests.json`` pins (see ``conftest.pinned``)."""
+argument sets ``data/tables.json`` pins (see ``conftest.pinned``)."""
 
 import statistics
 

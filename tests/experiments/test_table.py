@@ -7,9 +7,16 @@ the table retired.  Figures are read at the CLI's ``--quick``
 grid and EX-L/EX-M at their defaults (``pinned``); EX-A … EX-K at their
 defaults too, out of the one ``ablations --quick`` run (``--quick``
 overrides nothing on those rows).
+
+Each pinned table is committed as CSV text, ``data/tables/<key>.csv``, so
+a table that moves fails with a diff of its cells.  Re-record one only
+after a deliberate change to it::
+
+    PYTHONPATH=src:. python tests/experiments/test_table.py KEY [KEY ...]
 """
 
-import hashlib
+import difflib
+import sys
 from pathlib import Path
 
 import pytest
@@ -23,7 +30,7 @@ from repro.experiments import (
 )
 from repro.streaming import DetectorPolicy
 
-from .conftest import PINNED
+from tests.experiments.conftest import PINNED, TABLES, pinned_csv
 
 DOCS = Path(__file__).parents[2] / "docs" / "experiments.md"
 
@@ -37,8 +44,17 @@ def test_every_row_is_pinned():
 
 @pytest.mark.parametrize("key", list(PINNED))
 def test_table_digest(key, pinned):
+    """The table equals its committed CSV; a mismatch prints the diff."""
     csv = pinned(key).to_table().to_csv()
-    assert hashlib.sha256(csv.encode()).hexdigest() == PINNED[key]["sha256"], csv
+    expected = (TABLES / f"{key}.csv").read_text()
+    if csv != expected:
+        diff = difflib.unified_diff(
+            expected.splitlines(keepends=True),
+            csv.splitlines(keepends=True),
+            f"pinned/{key}.csv",
+            f"run/{key}.csv",
+        )
+        pytest.fail("".join(diff), pytrace=False)
 
 
 def test_unknown_override_raises_type_error():
@@ -380,3 +396,9 @@ def test_admission_never_costs_receipt(pinned):
     # admission actually bites under load (refusals and retries happen)
     assert sum(flash.columns["gave_up_on"]) >= 1
     assert sum(flash.columns["retries_on"]) >= 1
+
+
+if __name__ == "__main__":
+    for key in sys.argv[1:]:
+        (TABLES / f"{key}.csv").write_text(pinned_csv(key))
+        print(f"wrote {TABLES / key}.csv")
