@@ -44,10 +44,6 @@ from repro.core.unicast import UnicastChainCoordination
 from repro.core.centralized import CentralizedCoordination
 from repro.core.schedule_based import ScheduleBasedCoordination
 from repro.core.single_source import SingleSourceStreaming
-from repro.core.heterogeneous import (
-    HeteroDCoP,
-    HeterogeneousScheduleCoordination,
-)
 from repro.core.ams import AMSCoordination
 
 __all__ = [
@@ -59,9 +55,7 @@ __all__ = [
     "ConfirmMessage",
     "CoordinationProtocol",
     "DCoP",
-    "HeteroDCoP",
     "HandoffPlan",
-    "HeterogeneousScheduleCoordination",
     "OfferMessage",
     "ProtocolConfig",
     "ScheduleBasedCoordination",

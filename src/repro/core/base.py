@@ -177,6 +177,14 @@ def divide_weighted(
     )
 
 
+def uplinks(session: "StreamingSession", peers: Sequence[str]) -> list[float]:
+    """Each of ``peers``' enforced uplink in packets/ms
+    (``UploadBudget.rate_per_ms``): the weights of a weighted division, so
+    the number that divides is the number the budget holds the peer to."""
+    budgets = session.commons.budgets
+    return [budgets[pid].rate_per_ms for pid in peers]
+
+
 def pick(rng, pool: Sequence, k: int) -> list:
     """``k`` members of ``pool`` drawn without replacement, in pool order
     (the paper's ``Select``)."""
@@ -327,6 +335,25 @@ class CoordinationProtocol:
     #: announced as wave 1 (DCoP, UnicastChain); everyone else's go raw
     #: (docs/protocols.md, "The division rule", has the table)
     monitored_requests: bool = False
+
+    #: divide by the peers' uplinks instead of evenly (``DCoP`` and
+    #: ``ScheduleBasedCoordination`` take it as a parameter; the session
+    #: must then state the uplinks, ``SessionSpec.upload_capacity``)
+    weighted: bool = False
+
+    def leaf_division(
+        self, session: "StreamingSession", peers: Sequence[str]
+    ) -> tuple[Assignment, ...]:
+        """The leaf's division of the content among ``peers``: even, or by
+        time slot ∝ their uplinks when ``weighted`` (§3.1 makes a peer's
+        bandwidth part of the service information it advertises)."""
+        cfg = session.config
+        basis = session.content.packet_sequence()
+        if self.weighted:
+            return divide_weighted(
+                basis, cfg.tau, uplinks(session, peers), cfg.fault_margin
+            )
+        return divide_evenly(basis, cfg.tau, len(peers), cfg.fault_margin).assignments
 
     def first_wave(
         self, session: "StreamingSession"

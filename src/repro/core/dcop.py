@@ -16,6 +16,10 @@ Flow (one δ-round per wave):
 
 A peer stops selecting when ``Select`` comes back empty (view covers all
 ``n`` peers), which is the paper's ``|VW_i| = n`` termination rule.
+
+``weighted=True`` performs every division — the leaf's and each handoff —
+in proportion to the uplinks of the peers sharing it (§5's heterogeneous
+environment), with the same selection, rounds and control packets.
 """
 
 from __future__ import annotations
@@ -23,12 +27,16 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.core.base import (
+    Assignment,
     AssignmentMessage,
     CoordinationProtocol,
     ProtocolConfig,
-    divide_evenly,
+    empty_assignment,
+    parity_interval_for,
     send_assignments,
+    uplinks,
 )
+from repro.media.sequence import PacketSequence
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.streaming.contents_peer import ContentsPeerAgent
@@ -40,6 +48,9 @@ class DCoP(CoordinationProtocol):
 
     name = "DCoP"
     monitored_requests = True
+
+    def __init__(self, weighted: bool = False) -> None:
+        self.weighted = weighted
 
     # fan-out used by peers when flooding; the unicast-chain baseline
     # overrides this to 1.
@@ -56,14 +67,6 @@ class DCoP(CoordinationProtocol):
         selected = session.leaf_select(self.initial_count(cfg))
         view = frozenset(selected) if cfg.request_carries_view else frozenset()
         return selected, self.leaf_division(session, selected), view
-
-    def leaf_division(self, session: "StreamingSession", selected: list[str]):
-        """The initial division of the content among ``selected``."""
-        cfg = session.config
-        return divide_evenly(
-            session.content.packet_sequence(), cfg.tau, len(selected),
-            cfg.fault_margin,
-        ).assignments
 
     # ------------------------------------------------------------------
     def handle_peer_message(self, agent: "ContentsPeerAgent", message) -> None:
@@ -92,9 +95,51 @@ class DCoP(CoordinationProtocol):
         tracer = agent.env.hooks.tracer
         if tracer is not None:
             tracer.wave_start(next_hops, agent.peer_id, targets=len(children))
-        assignments = agent.handoff_stream(stream, children)
+        if self.weighted:
+            assignments = self._weighted_handoff(agent, stream, children)
+        else:
+            assignments = agent.handoff_stream(stream, children)
         agent.merge_view(children)
         send_assignments(
             agent.session, agent.peer_id, "control",
             zip(children, assignments), frozenset(agent.view), next_hops,
+        )
+
+    @staticmethod
+    def _weighted_handoff(
+        agent: "ContentsPeerAgent", stream, children: list[str]
+    ) -> tuple[Assignment, ...]:
+        """The postfix split ∝ the uplinks of the parent and ``children``.
+
+        Rates follow the nominal rule ``rᵢ = τ_j·(h+1)/h·wᵢ/Σw``, the
+        weighted form of the paper's ``τ_j(h+1)/(h(H_j+1))``: the parts
+        together keep the parent's data timeline.
+        """
+        cfg = agent.session.config
+        weights = uplinks(agent.session, [agent.peer_id, *children])
+        n_parts = len(weights)
+        plans = None
+        if not stream.exhausted:
+            interval = parity_interval_for(n_parts, cfg.fault_margin)
+            inflation = 1.0 if interval == 0 else (interval + 1) / interval
+            scale = stream.current_rate * inflation
+            total = sum(weights)
+            plans = stream.handoff_weighted(
+                weights,
+                fault_margin=cfg.fault_margin,
+                delta=cfg.delta,
+                own_rate=scale * weights[0] / total,
+            )
+        return tuple(
+            empty_assignment(n_parts, i)
+            if plans is None or not len(plans[i - 1])
+            else Assignment(
+                basis=PacketSequence(),
+                n_parts=n_parts,
+                index=i,
+                interval=0,
+                rate=scale * weights[i] / total,
+                explicit=plans[i - 1],
+            )
+            for i in range(1, n_parts)
         )

@@ -6,13 +6,17 @@ sends it to each of the ``H`` chosen contents peers, which start
 control packets, no peer-to-peer coordination at all — but the leaf is a
 schedule bottleneck and nothing adapts if a peer fails (no flooding to
 recruit replacements).
+
+``weighted=True`` is §2 live: the leaf allocates the packets by time slot
+in proportion to the selected peers' uplinks, so every subsequence
+finishes together and arrivals stay (nearly) in slot order.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.core.base import CoordinationProtocol, divide_evenly
+from repro.core.base import CoordinationProtocol
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.streaming.session import StreamingSession
@@ -23,11 +27,10 @@ class ScheduleBasedCoordination(CoordinationProtocol):
 
     name = "ScheduleBased"
 
+    def __init__(self, weighted: bool = False) -> None:
+        self.weighted = weighted
+
     def first_wave(self, session: "StreamingSession"):
-        cfg = session.config
-        selected = session.leaf_select(cfg.H)
+        selected = session.leaf_select(session.config.H)
         session.expected_active = set(selected)
-        plan = divide_evenly(
-            session.content.packet_sequence(), cfg.tau, cfg.H, cfg.fault_margin
-        )
-        return selected, plan.assignments, frozenset(selected)
+        return selected, self.leaf_division(session, selected), frozenset(selected)

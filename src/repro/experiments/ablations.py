@@ -96,16 +96,33 @@ def _fault_tolerance_arms(k: int, cfg: ProtocolConfig, p: dict) -> dict:
     }
 
 
+# --- EX-F and EX-K state their ladders as upload budgets over windows of
+# this many δ: a budget is a whole number of packets per window, and a
+# wide window keeps that rounding (and the divisions that read it) close
+# to the stated ladder — at 4δ EX-K's weighted arm lost to the equal
+# split by up to 4 ms at the defaults, at 10δ it wins at every spread
+_LADDER_WINDOW_DELTAS = 10.0
+
+
 # --- EX-F
 def _allocator_arms(spread: float, cfg: ProtocolConfig, p: dict) -> dict:
-    bandwidths = [1.0 + spread * i for i in range(cfg.H)]
+    # the leaf's picks get uplinks ∝ 1 + spread·i, each exactly its
+    # weighted share of τ (fault margin 0); the peers it does not pick
+    # send nothing
+    weights = [1.0 + spread * i for i in range(cfg.H)]
+    picks = first_picks(cfg, ProtocolSpec("schedule_based"), cfg.H)
+    unit = cfg.tau * cfg.delta / sum(weights)
+    uplinks = CapacityPolicy(
+        packets_per_delta=cfg.tau * cfg.delta,
+        window_deltas=_LADDER_WINDOW_DELTAS,
+        per_peer={pid: unit * w for pid, w in zip(picks, weights)},
+    )
+    naive = _spec(cfg, "schedule_based", upload_capacity=uplinks)
     return {
-        label: _spec(
-            cfg,
-            "hetero_schedule",
-            {"bandwidths": bandwidths, "use_timeslots": use_timeslots},
-        )
-        for label, use_timeslots in (("slots", True), ("naive", False))
+        "slots": naive.replace(
+            protocol=ProtocolSpec("schedule_based", {"weighted": True})
+        ),
+        "naive": naive,
     }
 
 
@@ -170,15 +187,21 @@ def _receipt_ledger(session, result) -> dict:
 
 # --- EX-K
 def _ladder_arms(spread: float, cfg: ProtocolConfig, p: dict) -> dict:
-    base = 0.25
-    caps = {
-        f"CP{i}": base * (1 + spread * (i - 1) / (cfg.n - 1)) / (1 + spread / 2)
-        for i in range(1, cfg.n + 1)
-    }
+    # 0.25 packets/ms per peer, spread into a ladder of the same mean
+    base = 0.25 * cfg.delta
+    uplinks = CapacityPolicy(
+        packets_per_delta=base,
+        window_deltas=_LADDER_WINDOW_DELTAS,
+        per_peer={
+            f"CP{i}": base * (1 + spread * (i - 1) / (cfg.n - 1)) / (1 + spread / 2)
+            for i in range(1, cfg.n + 1)
+        },
+    )
+    equal = _spec(cfg, "dcop", upload_capacity=uplinks)
     return {
-        "dcop": _spec(cfg, "dcop", peer_capacities=caps),
-        "hetero": _spec(
-            cfg, "hetero_dcop", {"capacities": caps}, peer_capacities=caps
+        "dcop": equal,
+        "weighted": equal.replace(
+            protocol=ProtocolSpec("dcop", {"weighted": True})
         ),
     }
 
@@ -270,15 +293,9 @@ def _gray_arms(kind: str, cfg: ProtocolConfig, p: dict) -> dict:
         .flap(first[0], at=60.0, down_for=4 * delta, period=12 * delta, count=3)
         .degrade(first[1], at=40.0, factor=0.1)
     )
-    params = (
-        {"bandwidths": [2.0] + [1.0] * (cfg.H - 1)}
-        if kind == "hetero_schedule"
-        else {}
-    )
     on = _spec(
         cfg,
         kind,
-        params,
         fault_plan=plan,
         link_fault=LinkFaultSpec(
             "stutter", {"period": 8 * delta, "stall": 2 * delta}
@@ -441,8 +458,11 @@ ABLATIONS = (
         doc="""§2 time-slot allocation vs naive division over uneven peers.
 
         ``spread`` parameterizes bandwidth inequality: peer ``i`` of the H
-        selected gets bandwidth ``1 + spread·i`` (spread 0 = homogeneous).
-        Reports completion time and out-of-order arrivals for both allocators.""",
+        the leaf selects gets an upload budget ∝ ``1 + spread·i`` (spread 0
+        = homogeneous), its share of the content rate.  The slot arm is
+        ``schedule_based`` with ``weighted``, which divides by those budgets;
+        the naive arm divides evenly and is held to the same budgets.
+        Reports completion time and out-of-order arrivals for both.""",
         x="bw_spread",
         values=[0.0, 0.5, 1.0, 2.0, 4.0],
         config=dict(
@@ -573,22 +593,24 @@ ABLATIONS = (
     Experiment(
         key="EX-K",
         title="EX-K — weighted vs equal flooding divisions (n={n}, H={H})",
-        doc="""Bandwidth-aware flooding (HeteroDCoP) vs equal-split DCoP.
+        doc="""Bandwidth-aware flooding (``dcop`` with ``weighted``) vs
+        equal-split DCoP.
 
-        Peers get an uplink-capacity ladder whose steepness is swept (spread 0
-        = homogeneous).  HeteroDCoP runs the identical coordination (same
-        rounds, same control packets) but divides every stream proportionally
-        to capacity, so completion stays on the content timeline instead of
-        being gated on the slowest member.""",
+        Peers get a ladder of upload budgets whose steepness is swept (spread
+        0 = homogeneous); both arms are held to it.  The weighted arm runs the
+        identical coordination (same rounds, same control packets) but divides
+        every stream in proportion to the budgets, so completion stays on the
+        content timeline instead of waiting for the slowest member.""",
         x="capacity_spread",
         values=[0.0, 1.0, 3.0, 8.0],
         config=dict(n=16, H=5, content_packets=400, delta=5.0, seed=4),
         arms=_ladder_arms,
         columns=lambda r: {
             "dcop_completed_at": _done_at(r["dcop"]),
-            "hetero_completed_at": _done_at(r["hetero"]),
+            "weighted_completed_at": _done_at(r["weighted"]),
             "ctrl_equal": (
-                r["dcop"].control_packets_total == r["hetero"].control_packets_total
+                r["dcop"].control_packets_total
+                == r["weighted"].control_packets_total
             ),
         },
     ),
@@ -663,8 +685,7 @@ ABLATIONS = (
         x="protocol",
         values=[
             "dcop", "tcop", "broadcast", "centralized", "schedule_based",
-            "single_source", "unicast_chain", "ams", "hetero_schedule",
-            "hetero_dcop",
+            "single_source", "unicast_chain", "ams",
         ],
         config=dict(n=10, H=4, content_packets=150, delta=8.0, seed=13),
         quick=dict(content_packets=100),

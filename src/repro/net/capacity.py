@@ -7,7 +7,9 @@ served from one shared pool.  This module replaces it with an explicit
 **upload budget** per physical peer:
 
 * a :class:`CapacityPolicy` grants each peer ``packets_per_delta`` media
-  sends per δ-window, shared across *all* sessions the peer serves;
+  sends per δ-window (or its own rate from ``per_peer``), shared across
+  *all* sessions the peer serves — the one statement of a peer's uplink,
+  which a weighted division (:mod:`repro.core.base`) reads as well;
 * an :class:`UploadBudget` enforces it with a windowed ledger — a send
   that does not fit the current window is **queued** (backpressure: the
   transmit loop sleeps until the first window with a free slot) and a
@@ -17,8 +19,9 @@ served from one shared pool.  This module replaces it with an explicit
   queue is truly full — the graceful-degradation order (§4's fault
   margins exist precisely so parity can be sacrificed).
 
-The ledger admits at most ``packets_per_delta`` sends into any aligned
-δ-window, which is exactly the invariant the ``capacity`` auditor
+The ledger admits at most ``per_window`` sends into any aligned window:
+``packets_per_delta × window_deltas`` rounded to a whole number of at
+least one, which is exactly the invariant the ``capacity`` auditor
 (:mod:`repro.obs.audit`) checks from ``media.tx`` timestamps.  Everything
 here is deterministic (no RNG draws) and publishes ``capacity.*`` trace
 events through the environment's zero-overhead tracer hook.
@@ -26,8 +29,8 @@ events through the environment's zero-overhead tracer hook.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Environment
@@ -42,10 +45,11 @@ WINDOW_EPS = 1e-6
 
 @dataclass(frozen=True)
 class CapacityPolicy:
-    """Finite upload budget for one contents peer (picklable knobs).
+    """Finite upload budgets for the contents peers (picklable knobs).
 
-    ``packets_per_delta`` is the media-send budget per δ accounting
-    window; ``queue_limit`` bounds the backpressure queue in packets
+    ``packets_per_delta`` is a peer's media-send budget per δ accounting
+    window, and ``per_peer`` states a different one for the peers it
+    names; ``queue_limit`` bounds the backpressure queue in packets
     before data sheds; parity sheds earlier, at
     ``parity_queue_fraction`` of the limit, so margin packets absorb the
     first wave of contention and data survives longest.
@@ -57,9 +61,14 @@ class CapacityPolicy:
     parity_queue_fraction: float = 0.5
     #: accounting window in δ units (1.0 = the paper's slot width)
     window_deltas: float = 1.0
+    #: peer id -> its packets per δ, in place of ``packets_per_delta``
+    per_peer: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.packets_per_delta <= 0:
+        object.__setattr__(self, "per_peer", dict(self.per_peer))
+        if self.packets_per_delta <= 0 or any(
+            rate <= 0 for rate in self.per_peer.values()
+        ):
             raise ValueError("packets_per_delta must be positive")
         if self.queue_limit < 1:
             raise ValueError("queue_limit must be >= 1")
@@ -69,6 +78,19 @@ class CapacityPolicy:
             )
         if self.window_deltas <= 0:
             raise ValueError("window_deltas must be positive")
+
+    def budgets(
+        self, peer_ids: Sequence[str], delta: float, env: "Environment"
+    ) -> dict[str, "UploadBudget"]:
+        """One budget per physical peer of a run over ``peer_ids``; a
+        ``per_peer`` entry the run has no peer for is refused."""
+        unknown = sorted(set(self.per_peer) - set(peer_ids))
+        if unknown:
+            raise ValueError(
+                f"upload capacity names unknown peer {unknown[0]!r} "
+                f"(run has {len(peer_ids)} peers: CP1..CP{len(peer_ids)})"
+            )
+        return {pid: UploadBudget(pid, self, delta, env) for pid in peer_ids}
 
 
 class UploadBudget:
@@ -81,7 +103,7 @@ class UploadBudget:
     backlog exceeds the policy's queue limit is shed (``reserve``
     returns ``None``).  The budget is shared by every transmit loop of
     the peer — across streams *and* across leaf sessions in a swarm —
-    so aggregate uplink never exceeds ``packets_per_delta`` per window.
+    so aggregate uplink never exceeds ``per_window`` per window.
     """
 
     def __init__(
@@ -98,10 +120,11 @@ class UploadBudget:
         self.env = env
         #: window width in ms
         self.window_ms = policy.window_deltas * delta
+        rate = policy.per_peer.get(peer_id, policy.packets_per_delta)
         #: integral per-window send budget (at least one packet fits)
-        self.per_window = max(1, int(round(policy.packets_per_delta
-                                           * policy.window_deltas)))
-        #: equivalent sustained rate, packets/ms (admission accounting)
+        self.per_window = max(1, int(round(rate * policy.window_deltas)))
+        #: equivalent sustained rate, packets/ms (admission accounting and
+        #: the weights of a weighted division)
         self.rate_per_ms = self.per_window / self.window_ms
         # ledger: slots used in the landing window ``_win``
         self._win = 0

@@ -14,7 +14,6 @@ from dataclasses import replace
 
 from repro.media.content import MediaContent
 from repro.metrics.io import series_to_dict
-from repro.net.capacity import UploadBudget
 from repro.net.latency import ConstantLatency
 from repro.net.ledger import FaultLedger
 from repro.net.overlay import Overlay
@@ -49,6 +48,12 @@ class Commons:
             raise ValueError(
                 "HealthMonitor needs a failure detector (its φ score is "
                 "one of the health signals); set detector_policy too"
+            )
+        if spec.protocol.params.get("weighted") and capacity is None:
+            # a weighted division divides by the budgets it is held to
+            raise ValueError(
+                "a weighted division reads the peers' upload budgets; "
+                "state them (upload_capacity, or SwarmSpec.capacity)"
             )
         config = self.config = spec.config
         self.env = Environment(scheduler=spec.scheduler)
@@ -111,12 +116,11 @@ class Commons:
         self.peer_ids = peer_ids(config)
         #: peer -> finite upload budget (absent = the seed's infinite
         #: uplink); one per *physical* peer, shared by all its sessions
-        self.budgets = {}
-        if capacity is not None:
-            for pid in self.peer_ids:
-                self.budgets[pid] = UploadBudget(
-                    pid, capacity, config.delta, self.env
-                )
+        self.budgets = (
+            capacity.budgets(self.peer_ids, config.delta, self.env)
+            if capacity is not None
+            else {}
+        )
 
     def emit(self, kind: str, subject: str, **data) -> None:
         """One run-level trace event (nothing when the run is untraced)."""

@@ -49,8 +49,6 @@ class ContentsPeerAgent:
         self.scratch: dict = {}
         self.rng = session.streams.get(f"select/{peer_id}")
         self._phase_rng = session.streams.get(f"phase/{peer_id}")
-        #: uplink capacity in packets/ms; None = unlimited (§5 hetero env)
-        self.capacity = session.peer_capacities.get(peer_id)
         #: finite upload budget (backpressure + shedding); None = the
         #: seed's infinite uplink.  Shared across leaf sessions in swarms.
         self.upload_budget = session.commons.budgets.get(peer_id)
@@ -197,8 +195,7 @@ class ContentsPeerAgent:
         leaf_id = self.session.leaf.peer_id
         first = True
         while not stream.exhausted:
-            rate = self._effective_rate(stream)
-            period = 1.0 / rate
+            period = 1.0 / stream.current_rate
             if first:
                 # random phase offset: streams created at the same instant
                 # (e.g. a whole flooding wave) must not tick in lock-step,
@@ -250,8 +247,8 @@ class ContentsPeerAgent:
         :class:`~repro.media.batch.PacketBatch` delivery event with
         per-packet send offsets ``0, period, 2·period, …``; the loop then
         sleeps out the remainder of the slot, so the average rate matches
-        the unbatched loop exactly.  Rate changes (handoffs, capacity
-        throttling) take effect at batch boundaries — the batch window is
+        the unbatched loop exactly.  Rate changes (handoffs,
+        degradations) take effect at batch boundaries — the batch window is
         the granularity knob (``SessionSpec.media_batch`` in δ units).
         Under a finite upload budget the batch additionally shrinks to
         the window's remaining slots and stalls (never sheds) when the
@@ -262,7 +259,7 @@ class ContentsPeerAgent:
         overlay = self.session.overlay
         first = True
         while not stream.exhausted:
-            rate = self._effective_rate(stream)
+            rate = stream.current_rate
             period = 1.0 / rate
             delay = period
             if first:
@@ -403,23 +400,6 @@ class ContentsPeerAgent:
         ):
             self._heartbeat_running = True
             self.env.process(self._heartbeat_loop(self._epoch))
-
-    def _effective_rate(self, stream: Stream) -> float:
-        """Assigned rate, throttled by the peer's uplink capacity.
-
-        When the aggregate of all live streams exceeds the capacity, each
-        stream is scaled proportionally — a congested uplink slows every
-        flow it carries.
-        """
-        rate = stream.current_rate
-        if self.capacity is None:
-            return rate
-        total = sum(
-            st.current_rate for st in self.streams if not st.exhausted
-        )
-        if total <= self.capacity:
-            return rate
-        return rate * self.capacity / total
 
     def handoff_stream(
         self, stream: Stream, children: Sequence[str]

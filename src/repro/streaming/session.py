@@ -224,12 +224,6 @@ class StreamingSession:
             receive_buffer_packets=spec.leaf_receive_buffer,
         )
         self.peer_ids: List[str] = commons.peer_ids
-        #: per-peer uplink capacity in packets/ms (absent = unlimited);
-        #: §5's heterogeneous environment — a peer cannot exceed this no
-        #: matter what rate its assignments ask for
-        self.peer_capacities: Dict[str, float] = dict(
-            spec.peer_capacities or {}
-        )
         self.peers: Dict[str, ContentsPeerAgent] = {
             pid: ContentsPeerAgent(self, pid) for pid in self.peer_ids
         }

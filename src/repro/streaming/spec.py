@@ -27,10 +27,6 @@ from repro.core.base import ProtocolConfig
 from repro.core.broadcast import BroadcastCoordination
 from repro.core.centralized import CentralizedCoordination
 from repro.core.dcop import DCoP
-from repro.core.heterogeneous import (
-    HeteroDCoP,
-    HeterogeneousScheduleCoordination,
-)
 from repro.core.schedule_based import ScheduleBasedCoordination
 from repro.core.single_source import SingleSourceStreaming
 from repro.core.tcop import TCoP
@@ -164,8 +160,6 @@ _REGISTRIES: Dict[str, Dict[str, Callable[..., Any]]] = {
         "single_source": SingleSourceStreaming,
         "unicast_chain": UnicastChainCoordination,
         "ams": AMSCoordination,
-        "hetero_schedule": HeterogeneousScheduleCoordination,
-        "hetero_dcop": HeteroDCoP,
     },
     "link_fault": {
         "duplicate": DuplicateFault,
@@ -329,10 +323,10 @@ class SessionSpec:
     adaptation_policy: Optional[RateAdaptationPolicy] = None
     leaf_receipt_rate: Optional[float] = None
     leaf_receive_buffer: float = 64.0
-    peer_capacities: Optional[Dict[str, float]] = None
-    #: finite per-peer upload budget (packets/δ with backpressure queue
-    #: and priority shedding); None keeps the seed's infinite uplink.
-    #: Applied uniformly to every contents peer of the session.
+    #: finite per-peer upload budgets (packets/δ with backpressure queue
+    #: and priority shedding): the one statement of each contents peer's
+    #: uplink, which a weighted division reads too; None keeps the seed's
+    #: infinite uplink
     upload_capacity: Optional[CapacityPolicy] = None
     retransmit_policy: Optional[RetransmitPolicy] = None
     #: failure detection

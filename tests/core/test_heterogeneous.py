@@ -1,10 +1,14 @@
-"""Tests for heterogeneous-rate streaming (§2 time-slot allocation live)."""
+"""Tests for heterogeneous-rate streaming (§2 time-slot allocation live):
+``schedule_based`` with ``weighted`` divides by the selected peers'
+uplinks; without it the even division is held to the same uplinks."""
 
 import pytest
 
-from repro.core import HeterogeneousScheduleCoordination, ProtocolConfig
+from repro.core import ProtocolConfig
 from repro.core.base import Assignment
+from repro.experiments import first_picks
 from repro.media import DataPacket, PacketSequence
+from repro.net.capacity import CapacityPolicy
 from repro.streaming import ProtocolSpec, SessionSpec
 
 
@@ -17,24 +21,16 @@ def config(**kw):
     return ProtocolConfig(**defaults)
 
 
-def run(bandwidths, use_timeslots=True, **kw):
+def run(bandwidths, weighted=True, **kw):
+    """The leaf's picks get ``bandwidths`` packets per δ as uplinks."""
     cfg = config(H=len(bandwidths), **kw)
-    proto = ProtocolSpec(
-        "hetero_schedule",
-        {"bandwidths": bandwidths, "use_timeslots": use_timeslots},
+    picks = first_picks(cfg, ProtocolSpec("schedule_based"), cfg.H)
+    uplinks = CapacityPolicy(
+        packets_per_delta=1.0, per_peer=dict(zip(picks, bandwidths))
     )
-    session = SessionSpec(cfg, proto).build()
+    proto = ProtocolSpec("schedule_based", {"weighted": weighted})
+    session = SessionSpec(cfg, proto, upload_capacity=uplinks).build()
     return session, session.run()
-
-
-def test_validation():
-    with pytest.raises(ValueError):
-        HeterogeneousScheduleCoordination([])
-    with pytest.raises(ValueError):
-        HeterogeneousScheduleCoordination([1, 0])
-    proto = ProtocolSpec("hetero_schedule", {"bandwidths": [1, 2]})
-    with pytest.raises(ValueError):
-        SessionSpec(config(H=3), proto).build().run()
 
 
 def test_complete_delivery():
@@ -65,13 +61,13 @@ def test_equal_finish_times():
 
 def test_naive_division_finishes_late():
     _, slots = run([6, 1, 1], content_packets=300)
-    _, naive = run([6, 1, 1], use_timeslots=False, content_packets=300)
+    _, naive = run([6, 1, 1], weighted=False, content_packets=300)
     assert naive.completed_at > 1.5 * slots.completed_at
 
 
 def test_timeslots_preserve_order_better():
     s_slots, _ = run([4, 2, 1], content_packets=400)
-    s_naive, _ = run([4, 2, 1], use_timeslots=False, content_packets=400)
+    s_naive, _ = run([4, 2, 1], weighted=False, content_packets=400)
     assert s_slots.leaf.order_violations < s_naive.leaf.order_violations
 
 
@@ -88,17 +84,13 @@ def test_homogeneous_degenerates_to_even_split():
 def test_with_parity_recovers_slow_peer_tail():
     """Naive division + margin: parity from fast peers recovers the slow
     peer's outstanding packets before it finishes sending them."""
-    cfg = config(H=3, fault_margin=1, content_packets=300)
-    proto = ProtocolSpec(
-        "hetero_schedule", {"bandwidths": [6, 6, 1], "use_timeslots": False}
-    )
-    session = SessionSpec(cfg, proto).build()
-    r = session.run()
+    session, r = run([6, 6, 1], weighted=False, fault_margin=1)
     assert r.delivery_ratio == 1.0
-    # completion happens long before the slow peer drains its oversized
-    # share: parity recovered its packets eagerly (they later arrive as
-    # duplicates, so `recovered` drains back to 0 by then)
-    assert r.completed_at < 300
+    # the slow peer needs 150 packets / 0.2 per ms = 750 ms for its share;
+    # completion comes with the fast peers' shares instead: parity
+    # recovered its packets eagerly (they later arrive as duplicates, so
+    # `recovered` drains back to 0 by then)
+    assert r.completed_at < 400
     assert r.duplicate_packets > 0
 
 
@@ -113,8 +105,3 @@ def test_explicit_assignment_roundtrip():
         explicit=plan,
     )
     assert a.build_plan() is plan
-
-
-def test_strawman_renamed():
-    assert HeterogeneousScheduleCoordination([1], use_timeslots=False).name == "HeteroNaive"
-    assert HeterogeneousScheduleCoordination([1]).name == "HeteroSchedule"

@@ -46,14 +46,14 @@ def test_hetero_flooding_same_ctrl_cost(pinned):
     series = pinned("EX-K")
     assert all(series.columns["ctrl_equal"])
     assert (
-        series.columns["hetero_completed_at"][1]
+        series.columns["weighted_completed_at"][1]
         <= series.columns["dcop_completed_at"][1]
     )
 
 
 def test_gray_ablation_breaker_never_costs_receipt(pinned):
     assert len(pinned("EX-N")) == 3
-    assert len(pinned("EX-N@defaults")) == 10  # every protocol
+    assert len(pinned("EX-N@defaults")) == 8  # every protocol
     for series in (pinned("EX-N"), pinned("EX-N@defaults")):
         on = series.columns["receipt_on"]
         off = series.columns["receipt_off"]

@@ -6,6 +6,7 @@ import warnings
 import pytest
 
 from repro.core import DCoP, ProtocolConfig
+from repro.net.capacity import CapacityPolicy
 from repro.net.latency import ConstantLatency
 from repro.net.linkfault import DuplicateFault
 from repro.net.loss import BernoulliLoss, GilbertElliottLoss, NoLoss
@@ -45,9 +46,12 @@ def _scalars(result):
 # registries
 # ----------------------------------------------------------------------
 def test_builtin_factories_are_registered():
-    assert {"dcop", "tcop", "broadcast", "centralized", "schedule_based",
-            "single_source", "unicast_chain", "ams", "hetero_schedule",
-            "hetero_dcop"} <= set(available_factories("protocol"))
+    # weighted divisions are a parameter of dcop and schedule_based, not
+    # protocols of their own
+    assert available_factories("protocol") == [
+        "ams", "broadcast", "centralized", "dcop", "schedule_based",
+        "single_source", "tcop", "unicast_chain",
+    ]
     assert {"none", "bernoulli", "gilbert_elliott", "bursty"} <= set(
         available_factories("loss")
     )
@@ -92,7 +96,9 @@ def _fully_populated_spec():
         adaptation_policy=None,
         leaf_receipt_rate=8.0,
         leaf_receive_buffer=32.0,
-        peer_capacities={f"CP{i}": 0.5 for i in range(1, 9)},
+        upload_capacity=CapacityPolicy(
+            packets_per_delta=2.5, per_peer={"CP1": 5.0}
+        ),
         retransmit_policy=RetransmitPolicy(),
         detector_policy=DetectorSpec("fixed"),
         churn_plan=ChurnPlan(rate_per_delta=0.01, min_live=4),

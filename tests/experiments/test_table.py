@@ -312,15 +312,19 @@ def test_receipt_capacity_broadcast_overruns(default_table):
 def test_hetero_flooding_stays_on_the_timeline(default_table):
     series = default_table("EX-K")
     dcop = series.columns["dcop_completed_at"]
-    hetero = series.columns["hetero_completed_at"]
+    weighted = series.columns["weighted_completed_at"]
     # identical coordination cost at every point
     assert all(series.columns["ctrl_equal"])
     # homogeneous capacities: the two coincide
-    assert abs(dcop[0] - hetero[0]) < 5
-    # hetero stays on the content timeline across the whole sweep …
-    assert max(hetero) - min(hetero) < 20
-    # … while equal splits degrade with the ladder steepness
-    assert dcop[-1] > hetero[-1] + 20
+    assert abs(dcop[0] - weighted[0]) < 5
+    # weighted stays on the content timeline across the whole sweep …
+    assert max(weighted) - min(weighted) < 20
+    # … and never finishes after the equal split on a ladder, while the
+    # equal split degrades with its steepness.  Both are held to the same
+    # upload budgets, which cost the equal split far less than the old
+    # per-session throttle did: the gap at spread 8 is ≈ 11 ms, not 27
+    assert all(w <= d for w, d in zip(weighted[1:], dcop[1:]))
+    assert dcop[-1] > weighted[-1] + 5
     assert all(a <= b + 1 for a, b in zip(dcop, dcop[1:]))
 
 

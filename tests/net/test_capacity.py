@@ -35,6 +35,24 @@ class TestCapacityPolicy:
         b = budget(packets_per_delta=0.2)
         assert b.per_window == 1
 
+    def test_per_peer_rates_replace_the_default(self):
+        rates = {"CP2": 1.5}
+        policy = CapacityPolicy(
+            packets_per_delta=4, window_deltas=2.0, per_peer=rates
+        )
+        rates["CP1"] = 9.0  # the policy keeps its own copy
+        budgets = policy.budgets(["CP1", "CP2"], delta=10.0, env=Environment())
+        assert budgets["CP1"].per_window == 8
+        assert budgets["CP2"].per_window == 3
+        assert budgets["CP2"].rate_per_ms == pytest.approx(3 / 20.0)
+
+    def test_per_peer_validation(self):
+        with pytest.raises(ValueError):
+            CapacityPolicy(packets_per_delta=4, per_peer={"CP1": 0.0})
+        policy = CapacityPolicy(packets_per_delta=4, per_peer={"CP3": 1.0})
+        with pytest.raises(ValueError, match="unknown peer 'CP3'"):
+            policy.budgets(["CP1", "CP2"], delta=10.0, env=Environment())
+
 
 class TestReserve:
     def test_within_window_is_immediate(self):

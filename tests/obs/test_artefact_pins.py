@@ -38,7 +38,7 @@ from repro.streaming import (
     SwarmSpec,
 )
 
-from tests.streaming.test_swarm import ALL_PROTOCOLS
+from tests.streaming.test_swarm import ALL_PROTOCOLS, protocol_case
 
 DIGESTS = Path(__file__).parent / "data" / "artefact_digests.json"
 
@@ -46,16 +46,13 @@ OBSERVERS = dict(trace=TraceConfig(), audit=AuditConfig(), spans=SpanConfig())
 
 
 def _session(protocol, n, H, packets, seed, **spec_kw):
-    params = (
-        {"bandwidths": [2.0] + [1.0] * (H - 1)}
-        if protocol == "hetero_schedule"
-        else {}
-    )
+    proto, uplinks = protocol_case(protocol, n)
     return SessionSpec(
         config=ProtocolConfig(
             n=n, H=H, fault_margin=1, content_packets=packets, seed=seed
         ),
-        protocol=ProtocolSpec(protocol, params),
+        protocol=proto,
+        upload_capacity=uplinks,
         **spec_kw,
         **OBSERVERS,
     )

@@ -7,7 +7,7 @@ from repro.obs import CONTROL_KINDS, TraceBus, TraceConfig, TraceEvent
 from repro.sim.engine import Environment
 from repro.streaming import ProtocolSpec, SessionSpec
 
-from tests.streaming.test_swarm import ALL_PROTOCOLS
+from tests.streaming.test_swarm import ALL_PROTOCOLS, protocol_case
 
 
 def run_traced(proto, trace=None, **cfg_kw):
@@ -190,10 +190,10 @@ def test_session_records_full_coordination(proto):
 def test_control_packets_at_sync_match_the_traced_sends(protocol):
     # an oracle independent of the overlay's send instants: the trace's
     # own non-media msg.send events up to the sync time
-    params = {"bandwidths": [2.0, 1.0, 1.0, 1.0]} if protocol == "hetero_schedule" else {}
     config = ProtocolConfig(n=12, H=4, fault_margin=1, content_packets=100, seed=5)
+    proto, uplinks = protocol_case(protocol, config.n)
     result = SessionSpec(
-        config, ProtocolSpec(protocol, params), trace=TraceConfig()
+        config, proto, upload_capacity=uplinks, trace=TraceConfig()
     ).build().run()
     assert result.sync_time is not None
     at_sync = sum(

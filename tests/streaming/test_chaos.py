@@ -17,6 +17,8 @@ from repro.streaming import (
     SessionSpec,
 )
 
+from tests.streaming.test_swarm import ALL_PROTOCOLS, protocol_case
+
 
 def config(**kw):
     defaults = dict(
@@ -119,40 +121,18 @@ def test_determinism_includes_fault_log():
 # ----------------------------------------------------------------------
 # partitions + duplicating/reordering links, across every protocol
 # ----------------------------------------------------------------------
-ALL_PROTOCOLS = [
-    "dcop",
-    "tcop",
-    "broadcast",
-    "centralized",
-    "schedule_based",
-    "single_source",
-    "unicast_chain",
-    "ams",
-    "hetero_schedule",
-    "hetero_dcop",
-]
-
-
 def partition_chaos_spec(protocol, seed=13):
     """Mid-stream partition + 10% control duplication + reordering within
     a 2δ window — the full link-fault gauntlet, audited."""
     from repro.obs import AuditConfig
-    from repro.streaming import (
-        LinkFaultSpec,
-        PartitionPlan,
-        ProtocolSpec,
-        SessionSpec,
-    )
+    from repro.streaming import LinkFaultSpec, PartitionPlan, SessionSpec
 
     cfg = config(seed=seed)
-    params = (
-        {"bandwidths": [2.0, 1.0, 1.0, 1.0]}
-        if protocol == "hetero_schedule"
-        else {}
-    )
+    proto, uplinks = protocol_case(protocol, cfg.n)
     return SessionSpec(
         config=cfg,
-        protocol=ProtocolSpec(protocol, params),
+        protocol=proto,
+        upload_capacity=uplinks,
         link_fault=LinkFaultSpec(
             "chaos",
             {"dup_p": 0.1, "reorder_p": 0.2, "max_delay": 2 * cfg.delta},

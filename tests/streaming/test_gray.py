@@ -24,18 +24,7 @@ from repro.streaming import (
 )
 from repro.streaming.health import MAX_QUARANTINED_FRACTION, PROBE_SUCCESSES
 
-ALL_PROTOCOLS = [
-    "dcop",
-    "tcop",
-    "broadcast",
-    "centralized",
-    "schedule_based",
-    "single_source",
-    "unicast_chain",
-    "ams",
-    "hetero_schedule",
-    "hetero_dcop",
-]
+from tests.streaming.test_swarm import ALL_PROTOCOLS, protocol_case
 
 
 def config(**kw):
@@ -51,11 +40,7 @@ def gray_spec(protocol, health=True, seed=13, audit=True, **cfg_kw):
     """One cell of the EX-N gauntlet: the leaf's first pick flaps, its
     second pick is degraded to a crawl, and every link stutters."""
     cfg = config(seed=seed, **cfg_kw)
-    params = (
-        {"bandwidths": [2.0, 1.0, 1.0, 1.0]}
-        if protocol == "hetero_schedule"
-        else {}
-    )
+    proto, uplinks = protocol_case(protocol, cfg.n)
     probe = SessionSpec(config=cfg, protocol=ProtocolSpec("dcop")).build()
     first = probe.leaf_select(cfg.H)
     plan = (
@@ -66,7 +51,8 @@ def gray_spec(protocol, health=True, seed=13, audit=True, **cfg_kw):
     )
     return SessionSpec(
         config=cfg,
-        protocol=ProtocolSpec(protocol, params),
+        protocol=proto,
+        upload_capacity=uplinks,
         fault_plan=plan,
         link_fault=LinkFaultSpec(
             "stutter", {"period": 8 * cfg.delta, "stall": 2 * cfg.delta}

@@ -23,7 +23,9 @@ from repro.streaming import (
     SessionSpec,
 )
 
-PROTOCOLS = ["dcop", "tcop", "broadcast", "ams", "hetero_schedule"]
+from tests.streaming.test_swarm import WEIGHTED, protocol_case
+
+PROTOCOLS = ["dcop", "tcop", "broadcast", "ams", "schedule_based" + WEIGHTED]
 
 
 def config(**kw):
@@ -36,14 +38,12 @@ def config(**kw):
 
 
 def spec(protocol, media_batch=0.0, **extra):
-    params = (
-        {"bandwidths": [2.0, 1.0, 1.0, 1.0]}
-        if protocol == "hetero_schedule"
-        else {}
-    )
+    cfg = config()
+    proto, uplinks = protocol_case(protocol, cfg.n)
     return SessionSpec(
-        config=config(),
-        protocol=ProtocolSpec(protocol, params),
+        config=cfg,
+        protocol=proto,
+        upload_capacity=uplinks,
         trace=TraceConfig(),
         audit=AuditConfig(),
         media_batch=media_batch,

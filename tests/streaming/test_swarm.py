@@ -24,6 +24,11 @@ from repro.streaming import (
     SwarmSpec,
 )
 
+#: a case name ending in this is the weighted division of its protocol
+WEIGHTED = "{weighted}"
+
+#: every registered protocol, then the two weighted divisions (appended,
+#: so a case's index — the gauntlet cells' seed — never shifts)
 ALL_PROTOCOLS = [
     "dcop",
     "tcop",
@@ -33,9 +38,29 @@ ALL_PROTOCOLS = [
     "single_source",
     "unicast_chain",
     "ams",
-    "hetero_schedule",
-    "hetero_dcop",
+    "dcop" + WEIGHTED,
+    "schedule_based" + WEIGHTED,
 ]
+
+
+def uplink_ladder(n):
+    """Unequal budgets in whole packets per δ: CP1 gets 4, CPn 12."""
+    return CapacityPolicy(
+        packets_per_delta=8.0,
+        per_peer={
+            f"CP{i}": float(4 + round(8 * (i - 1) / (n - 1)))
+            for i in range(1, n + 1)
+        },
+    )
+
+
+def protocol_case(case, n):
+    """``(ProtocolSpec, uplinks)`` of an ``ALL_PROTOCOLS`` case over ``n``
+    peers: a weighted division comes with the ladder it divides by."""
+    kind = case.removesuffix(WEIGHTED)
+    if kind == case:
+        return ProtocolSpec(kind), None
+    return ProtocolSpec(kind, {"weighted": True}), uplink_ladder(n)
 
 
 def config(**kw):
@@ -55,24 +80,21 @@ def swarm_spec(
     admission=True,
     admission_policy=None,
     seed=11,
+    capacity=None,
     **plan_kw,
 ):
-    params = (
-        {"bandwidths": [2.0, 1.0, 1.0]}
-        if protocol == "hetero_schedule"
-        else {}
-    )
+    cfg = config(seed=seed)
+    proto, ladder = protocol_case(protocol, cfg.n)
+    if capacity is None:
+        capacity = ladder or CapacityPolicy(packets_per_delta=packets_per_delta)
     if admission and admission_policy is None:
         admission_policy = AdmissionPolicy()
     return SwarmSpec(
-        session=SessionSpec(
-            config=config(seed=seed),
-            protocol=ProtocolSpec(protocol, params),
-        ),
+        session=SessionSpec(config=cfg, protocol=proto),
         join_plan=JoinStormPlan(
             leaves=leaves, rate_per_delta=rate_per_delta, **plan_kw
         ),
-        capacity=CapacityPolicy(packets_per_delta=packets_per_delta),
+        capacity=capacity,
         admission=admission_policy if admission else None,
     )
 
@@ -96,6 +118,40 @@ def test_join_storm_gauntlet(protocol):
         else:
             assert outcome.gave_up
             assert outcome.receipt_rate == 0.0
+
+
+def test_a_physical_peers_uplink_holds_in_a_swarm():
+    """Four leaves flash-join four peers, each stated at 0.05 packets/ms
+    (2 packets per 5δ window): over every leaf it serves, no peer sends
+    more than its budget allows.  The per-session throttle this budget
+    replaced let each peer of this run send 200 packets in 1014 ms,
+    0.197 packets/ms: 3.9× the same statement."""
+    uplinks = CapacityPolicy(
+        packets_per_delta=0.4,
+        window_deltas=5.0,
+        per_peer={f"CP{i}": 0.4 for i in range(1, 5)},
+    )
+    swarm = SwarmSpec(
+        session=SessionSpec(
+            config=ProtocolConfig(
+                n=4, H=4, fault_margin=0, delta=8.0, content_packets=200,
+                seed=3,
+            ),
+            protocol=ProtocolSpec("dcop"),
+        ),
+        join_plan=JoinStormPlan(leaves=4, mode="flash"),
+        capacity=uplinks,
+    ).build()
+    result = swarm.run()
+    assert result.audit_passed, result.audit.summary()
+    for pid, hub in swarm.hubs.items():
+        budget = swarm.commons.budgets[pid]
+        assert budget.per_window == 2
+        assert budget.queued_sends > 0  # the budget binds
+        sent = sum(
+            st.sent_count for agent in hub.agents.values() for st in agent.streams
+        )
+        assert sent <= budget.rate_per_ms * result.elapsed + budget.per_window
 
 
 def test_flash_mode_all_arrive_at_once():
@@ -255,16 +311,12 @@ def test_shedding_prefers_parity():
 def test_flash_swarm_of_one_is_the_single_leaf_run(protocol):
     """Lossless only: loss streams are named per directed channel, and the
     leaf is ``leaf`` on one side and ``leaf1`` on the other."""
-    params = (
-        {"bandwidths": [3.0, 2.0, 2.0, 1.0, 1.0, 1.0]}
-        if protocol == "hetero_schedule"
-        else {}
-    )
+    proto, ladder = protocol_case(protocol, 20)
     capped = CapacityPolicy(packets_per_delta=6.0)
-    for seed, capacity in ((0, None), (1, None), (0, capped)):
+    for seed, capacity in ((0, ladder), (1, ladder), (0, capped)):
         spec = SessionSpec(
             config=ProtocolConfig(n=20, H=6, content_packets=200, seed=seed),
-            protocol=ProtocolSpec(protocol, params),
+            protocol=proto,
         )
         alone = spec.replace(upload_capacity=capacity).run()
         swarm = SwarmSpec(
