@@ -25,7 +25,7 @@ from repro.streaming import (
 
 from tests.streaming.test_swarm import WEIGHTED, protocol_case
 
-PROTOCOLS = ["dcop", "tcop", "broadcast", "ams", "schedule_based" + WEIGHTED]
+PROTOCOLS = ["dcop", "tcop", "broadcast", "ams", WEIGHTED + "schedule_based"]
 
 
 def config(**kw):

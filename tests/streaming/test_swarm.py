@@ -24,8 +24,8 @@ from repro.streaming import (
     SwarmSpec,
 )
 
-#: a case name ending in this is the weighted division of its protocol
-WEIGHTED = "{weighted}"
+#: a case name starting with this is the weighted division of its protocol
+WEIGHTED = "weighted_"
 
 #: every registered protocol, then the two weighted divisions (appended,
 #: so a case's index — the gauntlet cells' seed — never shifts)
@@ -38,8 +38,8 @@ ALL_PROTOCOLS = [
     "single_source",
     "unicast_chain",
     "ams",
-    "dcop" + WEIGHTED,
-    "schedule_based" + WEIGHTED,
+    WEIGHTED + "dcop",
+    WEIGHTED + "schedule_based",
 ]
 
 
@@ -57,7 +57,7 @@ def uplink_ladder(n):
 def protocol_case(case, n):
     """``(ProtocolSpec, uplinks)`` of an ``ALL_PROTOCOLS`` case over ``n``
     peers: a weighted division comes with the ladder it divides by."""
-    kind = case.removesuffix(WEIGHTED)
+    kind = case.removeprefix(WEIGHTED)
     if kind == case:
         return ProtocolSpec(kind), None
     return ProtocolSpec(kind, {"weighted": True}), uplink_ladder(n)
