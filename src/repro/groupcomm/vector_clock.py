@@ -1,9 +1,8 @@
-"""Vector clocks over a fixed member list, plus an observer-side tracker."""
+"""Vector clocks over a fixed member list."""
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Mapping
 
 
 class VectorClock:
@@ -61,62 +60,3 @@ class VectorClock:
         inner = ", ".join(f"{m}:{self._counts[m]}" for m in sorted(self.members))
         return f"<VC {inner}>"
 
-
-class CausalityTracker:
-    """Reconstructs vector clocks for participants it only *observes*.
-
-    The protocols under audit do not stamp clocks on their messages, so
-    an external observer (the causal auditor, see :mod:`repro.obs.audit`)
-    rebuilds them from the send/receive event stream: each send ticks the
-    sender and snapshots its clock onto the channel, each receive merges
-    the oldest in-flight snapshot for that channel into the receiver and
-    ticks it.  Membership grows lazily as participants appear;
-    :meth:`snapshot` gives every participant's clock.
-    """
-
-    def __init__(self, members: Iterable[str] = ()) -> None:
-        self._counts: Dict[str, Dict[str, int]] = {m: {} for m in members}
-        #: (src, dst) -> clock snapshots of sends not yet received
-        self._in_flight: Dict[Tuple[str, str], Deque[Dict[str, int]]] = {}
-
-    def _entry(self, member: str) -> Dict[str, int]:
-        return self._counts.setdefault(member, {})
-
-    def on_send(self, src: str, dst: Optional[str] = None) -> Dict[str, int]:
-        """Record a send: tick ``src``, snapshot its clock in flight."""
-        clock = self._entry(src)
-        clock[src] = clock.get(src, 0) + 1
-        snapshot = dict(clock)
-        if dst is not None:
-            self._in_flight.setdefault((src, dst), deque()).append(snapshot)
-        return snapshot
-
-    def on_recv(self, dst: str, src: str) -> bool:
-        """Record a receive: merge the matching send snapshot, tick ``dst``.
-
-        Returns False when no in-flight send from ``src`` to ``dst``
-        exists — the observed receive has no causally prior send.
-        """
-        clock = self._entry(dst)
-        queue = self._in_flight.get((src, dst))
-        matched = bool(queue)
-        if queue:
-            snapshot = queue.popleft()
-            for member, count in snapshot.items():
-                if count > clock.get(member, 0):
-                    clock[member] = count
-        clock[dst] = clock.get(dst, 0) + 1
-        return matched
-
-    def members(self) -> list[str]:
-        """Every participant observed so far, sorted."""
-        return sorted(self._counts)
-
-    def snapshot(self) -> Dict[str, Dict[str, int]]:
-        """All clocks as plain nested dicts (zero components omitted)."""
-        return {
-            m: dict(sorted(c.items())) for m, c in sorted(self._counts.items())
-        }
-
-    def __repr__(self) -> str:
-        return f"<CausalityTracker {len(self._counts)} members>"

@@ -1,5 +1,6 @@
-"""The fault ledger: every injected fault instance of one run, as rows.
+"""The run's two ledgers: every injected fault, and the media plane per seq.
 
+**Faults.**
 Each injector files each instance it fires, once, through
 :meth:`FaultLedger.record` with the trace kind and payload it publishes:
 crashes and rejoins (flap legs and churn included) and degradations,
@@ -15,6 +16,15 @@ emit.
 The oracles read it by one rule: a finding about peer ``p`` is explained
 by a fault iff a row *touches* ``p`` — ``p``'s node, a directed link with
 ``p`` at one end, a message to or from ``p`` — and names that row.
+
+**Packets.**  :class:`PacketLedger` is the same shape for the media plane:
+its emit sites file each transmission, arrival, parity recovery and
+playback through :meth:`PacketLedger.record`, which publishes the event
+unchanged; a replay files the recorded events through the same
+:meth:`PacketLedger.add`.  It is the one per-seq record of a run — what
+§2's allocation property (each seq sent once, the sends covering the
+content) and §3.2's recovery are statements about — and exists only when
+the run has a trace bus.
 """
 
 from __future__ import annotations
@@ -119,3 +129,65 @@ class FaultLedger:
             ):
                 return row
         return None
+
+
+class Transmission(NamedTuple):
+    """One send of a media packet."""
+
+    ts: float
+    peer: str
+    stream: Any
+    #: nominal send offset inside a media batch (None: sent on its own)
+    off: Optional[float]
+
+
+class Arrival(NamedTuple):
+    """One media packet accepted by a leaf."""
+
+    ts: float
+    src: Optional[str]
+    #: time coalesced behind slower batch-mates (None: arrived on its own)
+    wait: Optional[float]
+    leaf: str
+
+
+class PacketLedger:
+    """The run's one per-seq record of the media plane (see the module doc)."""
+
+    #: the trace kinds it files: what a replay feeds it
+    kinds = frozenset({"media.tx", "media.rx", "fec.recover", "buffer.play"})
+
+    def __init__(self, env: Optional["Environment"] = None) -> None:
+        self.env = env  #: stamps what :meth:`record` files (None: replay only)
+        #: label -> its transmissions, in emit order
+        self.sent: Dict[Any, List[Transmission]] = {}
+        #: label -> its arrivals at any leaf, in emit order
+        self.arrived: Dict[Any, List[Arrival]] = {}
+        #: (leaf, data seq) -> when parity first recovered it
+        self.recovered: Dict[Tuple[str, int], float] = {}
+        #: (leaf, data seq) -> when playback first consumed it
+        self.played: Dict[Tuple[str, int], float] = {}
+
+    def record(self, kind: str, subject: str, /, **fields: Any) -> None:
+        """A media event happened now: file it, then publish it."""
+        self.add(self.env.now, kind, subject, fields)
+        self.env.hooks.tracer.emit(kind, subject, **fields)
+
+    def on_event(self, event) -> None:
+        """A recorded media event, fed back by a replay."""
+        self.add(event.ts, event.kind, event.subject, event.fields)
+
+    def add(self, ts: float, kind: str, subject: str, fields: Mapping[str, Any]) -> None:
+        """File one row: what :meth:`record` and :meth:`on_event` share."""
+        if kind == "media.tx":
+            self.sent.setdefault(fields["label"], []).append(
+                Transmission(ts, subject, fields.get("stream"), fields.get("off"))
+            )
+        elif kind == "media.rx":
+            self.arrived.setdefault(fields["label"], []).append(
+                Arrival(ts, fields.get("src"), fields.get("wait"), subject)
+            )
+        elif kind == "fec.recover":
+            self.recovered.setdefault((subject, fields["seq"]), ts)
+        else:  # buffer.play
+            self.played.setdefault((subject, fields["seq"]), ts)

@@ -11,7 +11,9 @@ reads and consumes them online, maintaining one protocol invariant:
   parent chain leads back to the leaf through activated ancestors;
 * :class:`AllocationAuditor` — the §2 packet-allocation property: every
   sender's per-stream data subsequence is ascending, transmitted
-  subsequences are disjoint, and their union covers the content;
+  subsequences are disjoint, and their union covers the content (each
+  seq's transmissions are read off the run's
+  :class:`~repro.net.ledger.PacketLedger`);
 * :class:`ParityAuditor` — §3.2's parity enhancement: an independent
   :class:`~repro.fec.decoder.ParityDecoder` model is fed from ``media.rx``
   events, every ``fec.recover`` claim is checked against it, segments that
@@ -20,8 +22,8 @@ reads and consumes them online, maintaining one protocol invariant:
 * :class:`CausalAuditor` — coordination messages respect causality:
   no receive without a matching prior send, no ``confirm``/``reject``
   without a preceding offer, no ``ack`` without a preceding reliable
-  send; vector clocks (:class:`~repro.groupcomm.CausalityTracker`) are
-  maintained per participant as the evidence substrate;
+  send, counted per (sender, receiver, kind) from the observed
+  ``msg.send``/``msg.recv`` flow;
 * :class:`DetectorAuditor` — no ``detector.confirm`` against a peer that
   is actually up, and detection latency within the configured bound;
 * :class:`QuarantineAuditor` — the gray-failure circuit breaker's
@@ -80,10 +82,12 @@ from typing import (
     Union,
 )
 
+from repro.fec.decoder import ParityDecoder
+from repro.media.packet import Packet
 from repro.obs.trace import CONTROL_KINDS, Observer, TraceEvent, replay
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.net.ledger import FaultRow
+    from repro.net.ledger import FaultRow, Transmission
     from repro.streaming.session import StreamingSession
 
 __all__ = [
@@ -118,6 +122,14 @@ def describe_event(event: TraceEvent) -> str:
     inner = " ".join(f"{k}={payload[k]!r}" for k in sorted(payload))
     head = f"[t={event.ts:.3f}] {event.kind} {event.subject}"
     return f"{head} {inner}" if inner else head
+
+
+def _sent_event(label: Any, tx: "Transmission") -> TraceEvent:
+    """The ``media.tx`` event a packet-ledger row was filed from."""
+    fields = {"label": label, "stream": tx.stream}
+    if tx.off is not None:
+        fields["off"] = tx.off
+    return TraceEvent(tx.ts, "media.tx", tx.peer, fields)
 
 
 @dataclass(frozen=True)
@@ -401,7 +413,8 @@ class TreeAuditor(Auditor):
 class AllocationAuditor(Auditor):
     """§2's packet allocation: ascending, disjoint, covering.
 
-    Consumes ``media.tx``/``media.rx``.  After a re-coordination or a
+    Consumes ``media.tx``/``media.rx``; who sent a seq first is the
+    packet ledger's first row for it.  After a re-coordination or a
     repair a data packet may legitimately be transmitted twice (the
     residual of a dead or silent peer is re-flooded), so from then on
     double transmission/delivery is a warning; before, only a fault
@@ -415,9 +428,9 @@ class AllocationAuditor(Auditor):
         super().__init__()
         #: (sender, stream) -> last data seq transmitted
         self._last_seq: Dict[Tuple[str, Any], int] = {}
-        #: data seq -> first transmitting (sender, stream, event)
-        self._tx_first: Dict[int, Tuple[str, Any, TraceEvent]] = {}
-        #: data seq -> first delivery event at the leaf
+        #: data seq -> first delivery event at the leaf.  Kept here, not
+        #: read off the ledger: a replay hands over the ledger complete,
+        #: and "is this the seq's first arrival?" is asked per event
         self._delivered: Dict[int, TraceEvent] = {}
         #: a reissue or repair was seen: packets may now travel twice
         self._relaxed = False
@@ -453,18 +466,16 @@ class AllocationAuditor(Auditor):
                 evidence=[event],
             )
         self._last_seq[key] = label
-        first = self._tx_first.get(label)
-        if first is None:
-            self._tx_first[label] = (event.subject, payload.get("stream"), event)
-        elif (first[0], first[1]) != key:
+        first = self.packets.sent[label][0]
+        if (first.peer, first.stream) != key:
             self._twice(
                 "alloc.double_assignment",
                 event.subject,
                 f"data seq {label} transmitted by {event.subject} but "
-                f"already transmitted by {first[0]} — assigned "
+                f"already transmitted by {first.peer} — assigned "
                 "subsequences must be disjoint",
-                [first[2], event],
-                first[0], event.subject,
+                [_sent_event(label, first), event],
+                first.peer, event.subject,
             )
 
     def _on_rx(self, event: TraceEvent) -> None:
@@ -492,13 +503,17 @@ class AllocationAuditor(Auditor):
         "msg.send": _on_send,
     }
 
+    def _data_sent(self) -> List[int]:
+        return [label for label in self.packets.sent if isinstance(label, int)]
+
     def check(self, session: Optional["StreamingSession"] = None) -> None:
+        sent = self._data_sent()
         n = self.n_packets
-        if n is None and self._tx_first:
-            n = max(self._tx_first)
+        if n is None and sent:
+            n = max(sent)
         if not n:
             return
-        missing = sorted(set(range(1, n + 1)) - set(self._tx_first))
+        missing = sorted(set(range(1, n + 1)) - set(sent))
         if missing:
             shown = ", ".join(str(s) for s in missing[:10])
             if len(missing) > 10:
@@ -515,7 +530,7 @@ class AllocationAuditor(Auditor):
 
     def extra(self) -> Dict[str, Any]:
         return {
-            "data_seqs_transmitted": len(self._tx_first),
+            "data_seqs_transmitted": len(self._data_sent()),
             "data_seqs_delivered": len(self._delivered),
         }
 
@@ -536,48 +551,38 @@ class ParityAuditor(Auditor):
 
     def __init__(self) -> None:
         super().__init__()
-        self._model = None
-        self._pending_labels: List[Any] = []
+        self._model: Optional[ParityDecoder] = None
         self._recoveries = 0
 
-    def _ensure_model(self):
-        if self._model is None and self.n_packets:
-            from repro.fec import ParityDecoder
-
-            self._model = ParityDecoder(self.n_packets)
-            for label in self._pending_labels:
-                from repro.media.packet import Packet
-
-                self._model.add(Packet(label=label))
-            self._pending_labels.clear()
-        return self._model
+    def bind(self, bus=None, session=None, **context):
+        super().bind(bus, session, **context)
+        # the model needs the content length; without one nothing is
+        # modelled
+        self._model = ParityDecoder(self.n_packets) if self.n_packets else None
+        return self
 
     def _on_rx(self, event: TraceEvent) -> None:
+        model = self._model
+        if model is None:
+            return
         label = event.fields.get("label")
-        if isinstance(label, int) and self.n_packets:
+        if isinstance(label, int) and not 1 <= label <= self.n_packets:
             # data seqs beyond the declared content length would
             # corrupt the model; surface them instead
-            if not 1 <= label <= self.n_packets:
-                self.violation(
-                    "parity.alien_seq",
-                    event.subject,
-                    f"delivered data seq {label} outside the content "
-                    f"range 1..{self.n_packets}",
-                    evidence=[event],
-                )
-                return
-        model = self._ensure_model()
-        if model is None:
-            self._pending_labels.append(label)
-        else:
-            from repro.media.packet import Packet
-
-            model.add(Packet(label=label))
+            self.violation(
+                "parity.alien_seq",
+                event.subject,
+                f"delivered data seq {label} outside the content "
+                f"range 1..{self.n_packets}",
+                evidence=[event],
+            )
+            return
+        model.add(Packet(label=label))
 
     def _on_recover(self, event: TraceEvent) -> None:
         self._recoveries += 1
         seq = event.fields.get("seq")
-        model = self._ensure_model()
+        model = self._model
         if model is not None and not model.has_data(seq):
             self.violation(
                 "parity.phantom_recovery",
@@ -590,7 +595,7 @@ class ParityAuditor(Auditor):
     handlers = {"media.rx": _on_rx, "fec.recover": _on_recover}
 
     def check(self, session: Optional["StreamingSession"] = None) -> None:
-        model = self._ensure_model()
+        model = self._model
         if model is not None:
             for parity_label, missing in sorted(
                 model.unresolved().items(), key=repr
@@ -631,22 +636,18 @@ class ParityAuditor(Auditor):
 class CausalAuditor(Auditor):
     """Coordination messages respect causality.
 
-    The protocols themselves do not stamp vector clocks, so the auditor
-    maintains them (:class:`~repro.groupcomm.CausalityTracker`) from the
-    observed ``msg.send``/``msg.recv`` control flow and checks the
-    orderings that are enforceable from the outside: a receive needs a
-    matching earlier send, a ``confirm``/``reject`` needs a preceding
-    offer from its destination, an ``ack`` needs a preceding reliable
-    send from its destination.
+    The protocols stamp no vector clocks, so the auditor checks the
+    orderings that are enforceable from the observed
+    ``msg.send``/``msg.recv`` control flow: a receive needs a matching
+    earlier send, a ``confirm``/``reject`` needs a preceding offer from
+    its destination, an ``ack`` needs a preceding reliable send from its
+    destination.
     """
 
     name = "causal"
 
     def __init__(self) -> None:
         super().__init__()
-        from repro.groupcomm import CausalityTracker
-
-        self._tracker = CausalityTracker()
         self._sends: Dict[Tuple[str, str, str], int] = {}
         self._recvs: Dict[Tuple[str, str, str], int] = {}
         self._offered: set = set()
@@ -664,7 +665,6 @@ class CausalAuditor(Auditor):
             return
         key = (src, dst, kind)
         self._sends[key] = self._sends.get(key, 0) + 1
-        self._tracker.on_send(src, dst)
         if kind in _OFFER_KINDS:
             self._offered.add((src, dst))
 
@@ -680,7 +680,6 @@ class CausalAuditor(Auditor):
         dst, src = event.subject, event.fields.get("src")
         key = (src, dst, kind)
         self._recvs[key] = self._recvs.get(key, 0) + 1
-        self._tracker.on_recv(dst, src)
         if self._recvs[key] > self._sends.get(key, 0):
             self.violation(
                 "causal.recv_before_send",
@@ -709,12 +708,6 @@ class CausalAuditor(Auditor):
             )
 
     handlers = {"msg.send": _on_send, "msg.recv": _on_recv}
-
-    def extra(self) -> Dict[str, Any]:
-        return {
-            "participants": len(self._tracker.members()),
-            "clocks": self._tracker.snapshot(),
-        }
 
 
 @register_auditor("detector")

@@ -496,10 +496,12 @@ class SpanBuilder(Observer):
     """Streaming span construction over the trace-event firehose.
 
     An :class:`~repro.obs.trace.Observer`: the run binds and subscribes
-    it when ``SessionSpec.spans`` is set, :func:`spans_from_jsonl`
-    replays a recorded trace to it, or events are fed by hand;
-    :meth:`finish` returns the :class:`SpanReport`.  The builder never
-    emits events and never mutates simulation state.
+    it when ``SessionSpec.spans`` is set, or :func:`spans_from_jsonl`
+    replays a recorded trace to it; :meth:`finish` returns the
+    :class:`SpanReport`.  The bus sends it the control, playback-stall and
+    milestone events; packet journeys and QoE timelines are read at
+    :meth:`finish` off the run's :class:`~repro.net.ledger.PacketLedger`.
+    The builder never emits events and never mutates simulation state.
     """
 
     result_field = "spans"
@@ -511,28 +513,9 @@ class SpanBuilder(Observer):
         self._activations: List[Tuple[float, str, int]] = []
         self._first_act: Dict[str, Tuple[float, int]] = {}
         self._exchanges: Dict[int, Dict[str, Any]] = {}
-        #: label -> [(ts, sender, batch offset)] in emission order
-        self._tx: Dict[Any, List[Tuple[float, str, float]]] = {}
-        #: label -> [(ts, src, batch wait, receiving leaf)]
-        self._rx: Dict[Any, List[Tuple[float, str, float, str]]] = {}
-        self._recovered: Dict[Tuple[str, int], float] = {}
-        self._played: Dict[Tuple[str, int], float] = {}
         self._underruns: List[Tuple[float, str, Any]] = []
         self._skips: List[Tuple[float, str]] = []
         self._milestones: List[Tuple[float, str, str]] = []
-
-    def _on_tx(self, event: TraceEvent) -> None:
-        payload = event.fields
-        self._tx.setdefault(payload["label"], []).append(
-            (event.ts, event.subject, float(payload.get("off", 0.0)))
-        )
-
-    def _on_rx(self, event: TraceEvent) -> None:
-        payload = event.fields
-        wait = float(payload.get("wait", 0.0))
-        self._rx.setdefault(payload["label"], []).append(
-            (event.ts, payload.get("src", ""), wait, event.subject)
-        )
 
     def _on_send(self, event: TraceEvent) -> None:
         payload = event.fields
@@ -564,12 +547,6 @@ class SpanBuilder(Observer):
         if ex is not None and ex["gave_up"] is None:
             ex["gave_up"] = event.ts
 
-    def _on_recover(self, event: TraceEvent) -> None:
-        self._recovered.setdefault((event.subject, event.fields["seq"]), event.ts)
-
-    def _on_play(self, event: TraceEvent) -> None:
-        self._played.setdefault((event.subject, event.fields["seq"]), event.ts)
-
     def _on_underrun(self, event: TraceEvent) -> None:
         self._underruns.append((event.ts, event.subject, event.fields.get("seq")))
 
@@ -590,14 +567,10 @@ class SpanBuilder(Observer):
     #: kind -> handler: the kinds the builder reads, declared once in the
     #: form :meth:`on_event` dispatches on
     handlers = {
-        "media.tx": _on_tx,
-        "media.rx": _on_rx,
         "msg.send": _on_send,
         "msg.retransmit": _on_retransmit,
         "msg.ack": _on_ack,
         "msg.give_up": _on_give_up,
-        "fec.recover": _on_recover,
-        "buffer.play": _on_play,
         "buffer.underrun": _on_underrun,
         "buffer.skip": _on_skip,
         "peer.activate": _on_activate,
@@ -642,17 +615,24 @@ class SpanBuilder(Observer):
         )
 
     def _build_journey(self, label: Any) -> PacketJourney:
-        leaf = self.leaf_id
-        txs = sorted(self._tx.get(label, ()))
-        rxs = sorted(r for r in self._rx.get(label, ()) if r[3] == leaf)
+        leaf, packets = self.leaf_id, self.packets
+        # (ts, sender, batch offset) and, at this leaf, (ts, src, batch wait)
+        txs = sorted(
+            (t.ts, t.peer, float(t.off or 0.0)) for t in packets.sent.get(label, ())
+        )
+        rxs = sorted(
+            (a.ts, a.src or "", float(a.wait or 0.0))
+            for a in packets.arrived.get(label, ())
+            if a.leaf == leaf
+        )
         tx_first = txs[0][0] if txs else None
         rec = (
-            self._recovered.get((leaf, label))
+            packets.recovered.get((leaf, label))
             if isinstance(label, int)
             else None
         )
         play = (
-            self._played.get((leaf, label)) if isinstance(label, int) else None
+            packets.played.get((leaf, label)) if isinstance(label, int) else None
         )
         rx = rxs[0] if rxs else None
 
@@ -716,9 +696,10 @@ class SpanBuilder(Observer):
         )
 
     def _build_journeys(self) -> List[PacketJourney]:
-        labels = set(self._tx) | set(self._rx)
+        packets = self.packets
+        labels = set(packets.sent) | set(packets.arrived)
         labels.update(
-            seq for leaf, seq in self._recovered if leaf == self.leaf_id
+            seq for leaf, seq in packets.recovered if leaf == self.leaf_id
         )
         return [
             self._build_journey(label)
@@ -842,12 +823,13 @@ class SpanBuilder(Observer):
 
     # ------------------------------------------------------------------
     def _build_qoe(self) -> Dict[str, SweepSeries]:
+        packets = self.packets
         leaves = sorted(
-            {r[3] for entries in self._rx.values() for r in entries}
-            | {leaf for leaf, _ in self._recovered}
+            {a.leaf for arrivals in packets.arrived.values() for a in arrivals}
+            | {leaf for leaf, _ in packets.recovered}
             | {leaf for _, leaf, _ in self._underruns}
             | {leaf for _, leaf in self._skips}
-            | {leaf for leaf, _ in self._played}
+            | {leaf for leaf, _ in packets.played}
         )
         out: Dict[str, SweepSeries] = {}
         end = self.last_ts
@@ -860,15 +842,15 @@ class SpanBuilder(Observer):
             bucket = end / n_points
         for leaf in leaves:
             held: Dict[int, float] = {}
-            for label, entries in self._rx.items():
+            for label, arrivals in packets.arrived.items():
                 if not isinstance(label, int):
                     continue
-                for ts, _, _, subject in entries:
+                for ts, _, _, subject in arrivals:
                     if subject == leaf and (
                         label not in held or ts < held[label]
                     ):
                         held[label] = ts
-            for (rleaf, seq), ts in self._recovered.items():
+            for (rleaf, seq), ts in packets.recovered.items():
                 if rleaf == leaf and (seq not in held or ts < held[seq]):
                     held[seq] = ts
             held_ts = sorted(held.values())

@@ -51,7 +51,9 @@ category   kinds
 ========== =====================================================
 
 The fault kinds — ``peer.crash``/``rejoin``/``degrade``, ``link.*``, ``partition.*``
-and ``msg.drop`` — are published by the run's :class:`~repro.net.ledger.FaultLedger`.
+and ``msg.drop`` — are published by the run's :class:`~repro.net.ledger.FaultLedger`,
+and ``media.tx``/``media.rx``/``fec.recover``/``buffer.play`` by its
+:class:`~repro.net.ledger.PacketLedger`.
 
 Consumers that need events *as they happen* (rather than the post-hoc
 ``events`` buffer) register a callback via :meth:`TraceBus.subscribe`,
@@ -87,7 +89,7 @@ from typing import (
     Union,
 )
 
-from repro.net.ledger import FaultLedger
+from repro.net.ledger import FaultLedger, PacketLedger
 from repro.sim.engine import Environment
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -391,25 +393,22 @@ class Observer:
     seed = -1
     _bus: Optional[TraceBus] = None
     _session: Optional["StreamingSession"] = None
-    # count and time of what on_event was fed: the whole run only with no
-    # bus bound, so only then what the reports read
-    _fed = 0
-    _last_ts = 0.0
 
     def bind(
         self,
         bus: Optional[TraceBus] = None,
         session: Optional["StreamingSession"] = None,
         ledger: Optional[FaultLedger] = None,
+        packets: Optional[PacketLedger] = None,
         **context: Any,
     ) -> "Observer":
-        """Attach to a bus and/or session (both optional).
+        """Attach to the bus that will feed it, and to a session (optional).
 
-        :attr:`ledger`, the run's fault ledger, is the session's unless
-        given (empty with neither).  The context — ``leaf_id``,
-        ``n_packets``, ``delta``, ``tau``, ``protocol``, ``seed`` — is read
-        off ``session``, then overridden by any of those keywords that is
-        not None.
+        :attr:`ledger` and :attr:`packets`, the run's fault and packet
+        ledgers, are the session's unless given (empty with neither).  The
+        context — ``leaf_id``, ``n_packets``, ``delta``, ``tau``,
+        ``protocol``, ``seed`` — is read off ``session``, then overridden
+        by any of those keywords that is not None.
         """
         self._bus = bus
         self._session = session
@@ -419,9 +418,9 @@ class Observer:
             self.n_packets = config.content_packets
             self.delta, self.tau = config.delta, config.tau
             self.protocol, self.seed = session.protocol.name, config.seed
-        self.ledger = ledger or (
-            session.commons.ledger if session is not None else FaultLedger()
-        )
+        commons = session.commons if session is not None else None
+        self.ledger = ledger or (commons.ledger if commons else FaultLedger())
+        self.packets = packets or (commons.packets if commons else PacketLedger())
         for name, value in context.items():
             if name not in _CONTEXT:
                 raise TypeError(f"bind() got an unexpected context {name!r}")
@@ -435,9 +434,7 @@ class Observer:
         return frozenset(self.handlers) or None
 
     def on_event(self, event: TraceEvent) -> None:
-        """Entry point for one event, from the bus or fed by hand."""
-        self._fed += 1
-        self._last_ts = event.ts
+        """Entry point for one event, from the bus."""
         handler = self.handlers.get(event.kind)
         if handler is not None:
             handler(self, event)
@@ -452,12 +449,12 @@ class Observer:
     @property
     def events_seen(self) -> int:
         """Non-``audit.*`` events of the run: the routing bus's count."""
-        return self._fed if self._bus is None else self._bus.events_seen
+        return self._bus.events_seen
 
     @property
     def last_ts(self) -> float:
         """Time of the run's last event: the routing bus's clock."""
-        return self._last_ts if self._bus is None else self._bus.last_ts
+        return self._bus.last_ts
 
     def finish(self, session: Optional["StreamingSession"] = None) -> Any:
         """The observer's report, once the run is over."""
@@ -475,27 +472,30 @@ def replay(
     defaults to the largest data seq a ``media.tx``/``media.rx`` event
     carries, which is exact whenever the trace covers the full content.
     The events reach the observers the way a live run's do: published on
-    a bus that routes each to the observers that asked for its kind.
-    Its fault events rebuild the run's fault ledger before any observer,
-    each bound to it, sees them.
+    a bus that routes each to the observers that asked for its kind, each
+    observer bound to the run's two rebuilt ledgers.  The media events
+    fill the packet ledger first, and the content length is read off it.
+    The fault events rebuild the fault ledger as they are published,
+    before any observer sees them, because its readers ask "which fault
+    touched this peer so far".
     """
     from repro.obs.exporters import read_jsonl  # it imports this module
 
     events = list(read_jsonl(source))
+    packets = PacketLedger()
+    for event in events:
+        if event.kind in packets.kinds:
+            packets.on_event(event)
     if context.get("n_packets") is None:
-        labels = [
-            e.fields.get("label")
-            for e in events
-            if e.kind in ("media.tx", "media.rx")
-        ]
         context["n_packets"] = max(
-            (s for s in labels if isinstance(s, int)), default=None
+            (s for s in {*packets.sent, *packets.arrived} if isinstance(s, int)),
+            default=None,
         )
     bus = TraceBus(TraceConfig(), Environment())  # a clock stopped at zero
     ledger = FaultLedger()
     bus.subscribe(ledger.on_event, ledger.kinds)
     for observer in observers:
-        observer.bind(bus, ledger=ledger, **context)
+        observer.bind(bus, ledger=ledger, packets=packets, **context)
         bus.subscribe(observer.on_event, observer.kinds)
     for event in events:
         bus.publish(event)

@@ -2,10 +2,11 @@
 
 The paper streams one content from ``n`` contents peers to a leaf; a crowd
 of leaves is the same ``n`` peers serving several leaves at once.  Either
-way a run has one :class:`Commons`: clock, RNG family, trace bus, fault ledger,
-overlay, content, the contents peers' ids (and, when uplinks are capped, their
-upload budgets) and the run's observers.  A session built on its own makes a
-private one; a swarm makes one and hands it to every leaf's session.
+way a run has one :class:`Commons`: clock, RNG family, trace bus, fault and
+packet ledgers, overlay, content, the contents peers' ids (and, when uplinks
+are capped, their upload budgets) and the run's observers.  A session built on
+its own makes a private one; a swarm makes one and hands it to every leaf's
+session.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import replace
 from repro.media.content import MediaContent
 from repro.metrics.io import series_to_dict
 from repro.net.latency import ConstantLatency
-from repro.net.ledger import FaultLedger
+from repro.net.ledger import FaultLedger, PacketLedger
 from repro.net.overlay import Overlay
 from repro.obs.audit import AuditReport, build_auditors
 from repro.obs.exporters import trace_to_dict
@@ -78,6 +79,9 @@ class Commons:
         self.reports = None
         #: every fault instance the run's injectors fire, bus or no bus
         self.ledger = FaultLedger(self.env)
+        #: the media plane per seq: kept only for a traced run, whose
+        #: observers are its readers
+        self.packets = PacketLedger(self.env) if self.trace_bus is not None else None
         latency = spec.latency.build() if spec.latency is not None else None
         latency_factory = None
         if latency is None:
@@ -139,7 +143,10 @@ class Commons:
         if session is not None and bus is not None and bus.config.metrics:
             self.observers.append(TimeSeriesSampler())
         for observer in self.observers:
-            observer.bind(bus, session, ledger=self.ledger, n_packets=self.config.content_packets)
+            observer.bind(
+                bus, session, ledger=self.ledger, packets=self.packets,
+                n_packets=self.config.content_packets,
+            )
             bus.subscribe(observer.on_event, observer.kinds)
 
     def finish(self, protocol: str) -> dict:

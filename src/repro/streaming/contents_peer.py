@@ -52,6 +52,8 @@ class ContentsPeerAgent:
         #: finite upload budget (backpressure + shedding); None = the
         #: seed's infinite uplink.  Shared across leaf sessions in swarms.
         self.upload_budget = session.commons.budgets.get(peer_id)
+        #: the run's packet ledger (None: an untraced run)
+        self.packets = session.commons.packets
         #: duplicate-suppression for control traffic keyed on the wire
         #: uid (link duplicates share it; retransmissions do not — those
         #: are deduplicated by ``msg_id`` in the control plane), so a
@@ -223,10 +225,8 @@ class ContentsPeerAgent:
                     yield self.env.timeout(wait)
                     if self.node.down or epoch != self._epoch:
                         return
-            if self.env.hooks.tracer is not None:
-                self.env.hooks.tracer.emit(
-                    "media.tx", self.peer_id, label=pkt.label, stream=stream_id
-                )
+            if self.packets is not None:
+                self.packets.record("media.tx", self.peer_id, label=pkt.label, stream=stream_id)
             self.session.overlay.send(
                 self.peer_id,
                 leaf_id,
@@ -293,13 +293,13 @@ class ContentsPeerAgent:
             pkts = stream.pop_batch(count)
             if not pkts:
                 return
-            tracer = self.env.hooks.tracer
-            if tracer is not None:
+            packets = self.packets
+            if packets is not None:
                 # ``off`` is the packet's nominal send offset inside the
                 # batch (j·period): span builders charge it to queueing
                 # behind the batch rather than to the wire
                 for j, pkt in enumerate(pkts):
-                    tracer.emit(
+                    packets.record(
                         "media.tx", self.peer_id,
                         label=pkt.label, stream=stream_id, off=j * period,
                     )

@@ -36,6 +36,8 @@ class LeafPeerAgent:
         self.node = session.overlay.add_node(peer_id, self._on_deliver)
         n = session.config.content_packets
         self.decoder = ParityDecoder(n)
+        #: the run's packet ledger (None: an untraced run)
+        self.packets = session.commons.packets
         self.buffer = PlaybackBuffer(n, capacity=buffer_capacity)
         #: duplicate-suppression for control traffic keyed on the wire
         #: uid — link-level duplicates share it, so a duplicated confirm
@@ -120,15 +122,12 @@ class LeafPeerAgent:
                     "buffer.overrun", self.peer_id, src=src
                 )
             return
-        if self.env.hooks.tracer is not None:
+        if self.packets is not None:
             if wait is None:
-                self.env.hooks.tracer.emit(
-                    "media.rx", self.peer_id, label=pkt.label, src=src
-                )
+                self.packets.record("media.rx", self.peer_id, label=pkt.label, src=src)
             else:
-                self.env.hooks.tracer.emit(
-                    "media.rx", self.peer_id, label=pkt.label, src=src,
-                    wait=wait,
+                self.packets.record(
+                    "media.rx", self.peer_id, label=pkt.label, src=src, wait=wait
                 )
         self.arrivals_by_src[src] = self.arrivals_by_src.get(src, 0) + 1
         self._feed_decoder(pkt)
@@ -153,11 +152,11 @@ class LeafPeerAgent:
         # every newly held data seq (received or parity-recovered) becomes
         # available for playback
         newly = self.decoder.add(pkt)
-        if self.env.hooks.tracer is not None:
+        if self.packets is not None:
             direct = pkt.label if not pkt.is_parity else None
             for seq in sorted(newly):
                 if seq != direct:
-                    self.env.hooks.tracer.emit("fec.recover", self.peer_id, seq=seq)
+                    self.packets.record("fec.recover", self.peer_id, seq=seq)
         for seq in newly:
             self.buffer.offer(seq)
 
@@ -170,12 +169,10 @@ class LeafPeerAgent:
         while not self.buffer.finished:
             played = self.buffer.play_next()
             if played is not None:
-                if self.env.hooks.tracer is not None:
+                if self.packets is not None:
                     # playback consumed a frame: the tail event of a
                     # packet's causal journey (tx → rx → play)
-                    self.env.hooks.tracer.emit(
-                        "buffer.play", self.peer_id, seq=played
-                    )
+                    self.packets.record("buffer.play", self.peer_id, seq=played)
             else:
                 if self.env.hooks.tracer is not None:
                     self.env.hooks.tracer.emit(

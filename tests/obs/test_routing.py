@@ -23,6 +23,7 @@ from repro.obs import (
     replay,
     trace_to_jsonl,
 )
+from repro.net.ledger import FaultLedger, PacketLedger
 from repro.obs import audit as audit_module
 from repro.sim.engine import Environment
 from repro.streaming import ProtocolSpec, SessionSpec
@@ -34,6 +35,15 @@ from .test_artefact_pins import CELLS, FAULTED
 
 def new_bus(**config_kw):
     return TraceBus(TraceConfig(**config_kw), Environment())
+
+
+def ledgered_bus():
+    """A bus whose fault and packet ledgers are subscribed before anyone."""
+    bus = new_bus()
+    ledgers = dict(ledger=FaultLedger(), packets=PacketLedger())
+    for ledger in ledgers.values():
+        bus.subscribe(ledger.on_event, ledger.kinds)
+    return bus, ledgers
 
 
 # ----------------------------------------------------------------------
@@ -142,13 +152,13 @@ def test_routed_and_every_event_feeding_report_the_same(cell):
     assert {e.kind for e in events} >= RECORDED[cell]
     n_packets = getattr(spec, "session", spec).config.content_packets
     for routed, direct in zip(_consumers(), _consumers(), strict=True):
-        bus = new_bus()
-        routed.bind(bus, n_packets=n_packets)
-        bus.subscribe(routed.on_event, routed.kinds)
-        direct.bind(n_packets=n_packets)
-        for event in events:
-            bus.publish(event)
-            direct.on_event(event)
+        # the direct consumer's bus sends it every kind
+        for consumer, kinds in ((routed, routed.kinds), (direct, None)):
+            bus, ledgers = ledgered_bus()
+            consumer.bind(bus, n_packets=n_packets, **ledgers)
+            bus.subscribe(consumer.on_event, kinds)
+            for event in events:
+                bus.publish(event)
         assert _report(routed) == _report(direct), type(routed).__name__
 
 
@@ -203,8 +213,13 @@ def test_live_and_replayed_observers_agree(cell):
     )
     # the one replay infers the content length the live run was given…
     assert builder.n_packets == config.content_packets
-    # …and rebuilds the fault ledger the live run kept, row for row
+    # …and rebuilds the fault and packet ledgers the live run kept, row
+    # for row
     assert builder.ledger.rows == session.commons.ledger.rows
+    live, replayed = session.commons.packets, builder.packets
+    assert replayed.sent == live.sent and replayed.arrived == live.arrived
+    assert replayed.recovered == live.recovered
+    assert replayed.played == live.played
     for auditor, entry in zip(auditors, entries, strict=True):
         live = result.audit.auditors[auditor.name]
         assert _findings(entry) == _findings(live), auditor.name
@@ -214,7 +229,7 @@ def test_live_and_replayed_observers_agree(cell):
 # ----------------------------------------------------------------------
 # fan-out
 # ----------------------------------------------------------------------
-def test_fan_out_per_event_stays_under_three():
+def test_fan_out_per_event_stays_under_two():
     session = SessionSpec(
         config=ProtocolConfig(
             n=12, H=4, fault_margin=1, content_packets=100, seed=5
@@ -236,8 +251,9 @@ def test_fan_out_per_event_stays_under_three():
         counting(callback): kinds for callback, kinds in bus.subscribers.items()
     }
     session.run()
-    # broadcasting would make this exactly 8.0
-    assert calls[0] / bus.events_seen <= 3.0
+    # broadcasting would make this exactly 8.0; 1.94 measured, the span
+    # builder reading journeys off the packet ledger instead of the bus
+    assert calls[0] / bus.events_seen <= 2.0
 
 
 # ----------------------------------------------------------------------
