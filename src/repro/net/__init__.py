@@ -11,8 +11,8 @@ underlying network.  A channel applies, in order:
 Serialization is negligible (the paper's 10 Gbps links); a finite uplink
 is a peer's :class:`UploadBudget`.  Messages that survive are handed to
 the destination node's ``on_deliver`` handler the instant they arrive.
-The :class:`Overlay` owns nodes and channels and creates channels lazily
-(full logical mesh).  It tallies traffic per message kind
+The :class:`Overlay` opens each pair lazily (full logical mesh): one delay
+if it is fault-free, else a channel.  It tallies traffic per message kind
 (:class:`TrafficStats`, what results and the harness read), and files
 every lost, duplicated or held-back message instance as a row of the
 run's :class:`~repro.net.ledger.FaultLedger`; a channel keeps no

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
 
-from repro.net.latency import ConstantLatency, LatencyModel
+from repro.net.latency import LatencyModel
 from repro.net.linkfault import LinkFault
-from repro.net.loss import LossModel, NoLoss
+from repro.net.loss import LossModel
 from repro.net.message import Message
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -25,6 +26,7 @@ class Channel:
     order is FIFO for equal sampled latencies; jittered latencies may
     reorder, as real UDP streams do.  A channel keeps no tallies: the
     overlay counts per kind and files every fault in its ledger.
+    ``loss`` and ``fault`` are None on a reliable, fault-free link.
     """
 
     def __init__(
@@ -32,24 +34,24 @@ class Channel:
         env: "Environment",
         src: "Node",
         dst: "Node",
-        latency: Optional[LatencyModel] = None,
-        loss: Optional[LossModel] = None,
-        rng: Optional[np.random.Generator] = None,
-        fault: Optional[LinkFault] = None,
+        latency: LatencyModel,
+        loss: Optional[LossModel],
+        rng: np.random.Generator,
+        fault: Optional[LinkFault],
     ) -> None:
         self.env = env
         self.src = src
         self.dst = dst
-        self.latency = latency if latency is not None else ConstantLatency(1.0)
-        self.loss = loss if loss is not None else NoLoss()
+        self.latency = latency
+        self.loss = loss
         #: optional link fault (duplicate/reorder/sever) on top of ``loss``
         self.fault = fault
-        self.rng = rng if rng is not None else np.random.default_rng(0)
+        self.rng = rng
 
     def send(self, message: Message) -> Tuple[float, ...]:
         """Fire-and-forget transmission (UDP-like, as in the paper): the
         extra delay of each delivered copy, ``()`` when it was lost."""
-        if self.loss.drops(self.rng):
+        if self.loss is not None and self.loss.drops(self.rng):
             return ()
 
         if self.fault is not None:
@@ -86,11 +88,12 @@ class Channel:
         batch = message.body
         k = len(batch)
         now = self.env.now
-        # the leaf reads each packet's batch wait off the send instant
-        message.sent_at = now
 
-        lost = self.loss.drops_batch(self.rng, k)
-        survivors = [i for i in range(k) if not lost[i]]
+        if self.loss is not None:
+            lost = self.loss.drops_batch(self.rng, k)
+            survivors = [i for i in range(k) if not lost[i]]
+        else:
+            survivors = range(k)
         dropped = k - len(survivors)
 
         if self.fault is not None:
@@ -115,31 +118,43 @@ class Channel:
                 deliveries.append((offset + delay + extra, index > 0, packets[i]))
 
         held = () if fates is None else tuple(e for fate in fates for e in fate if e > 0)
-        if not deliveries:
-            return (0, dropped, duplicated, held)
-
-        deliveries.sort(key=lambda d: d[0])
-        arrival = deliveries[-1][0]
-        self.env.call_later(arrival, self._deliver_batch, message, deliveries)
+        ship_batch(self.env, self.dst, message, deliveries)
         return (len(deliveries) - duplicated, dropped, duplicated, held)
-
-    def _deliver_batch(self, message: Message, deliveries: list) -> None:
-        from repro.media.batch import PacketBatch
-
-        message.body = PacketBatch(
-            tuple(pkt for _a, _d, pkt in deliveries),
-            np.fromiter(
-                (a for a, _d, _p in deliveries),
-                dtype=np.float64,
-                count=len(deliveries),
-            ),
-            dup=np.fromiter(
-                (d for _a, d, _p in deliveries),
-                dtype=bool,
-                count=len(deliveries),
-            ),
-        )
-        self.dst.deliver(message)
 
     def __repr__(self) -> str:
         return f"<Channel {self.src.node_id}->{self.dst.node_id}>"
+
+
+def ship_batch(
+    env: "Environment", dst: "Node", message: Message, deliveries: list
+) -> None:
+    """Hand ``dst`` a media batch as one event at its last arrival.
+
+    ``deliveries`` holds one ``(arrival offset, duplicate?, packet)`` per
+    copy that survived; the batch arrives rebuilt from them in modeled
+    arrival order.  Nothing is scheduled when none survived.
+    """
+    # the leaf reads each packet's batch wait off the send instant
+    message.sent_at = env.now
+    if deliveries:
+        deliveries.sort(key=itemgetter(0))
+        env.call_later(deliveries[-1][0], _deliver_batch, dst, message, deliveries)
+
+
+def _deliver_batch(dst: "Node", message: Message, deliveries: list) -> None:
+    from repro.media.batch import PacketBatch
+
+    message.body = PacketBatch(
+        tuple(pkt for _a, _d, pkt in deliveries),
+        np.fromiter(
+            (a for a, _d, _p in deliveries),
+            dtype=np.float64,
+            count=len(deliveries),
+        ),
+        dup=np.fromiter(
+            (d for _a, d, _p in deliveries),
+            dtype=bool,
+            count=len(deliveries),
+        ),
+    )
+    dst.deliver(message)

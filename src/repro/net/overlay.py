@@ -1,5 +1,5 @@
-"""The overlay: nodes, lazily created channels, traffic statistics, and
-the reliable control plane (ack + retransmit with backoff)."""
+"""The overlay: nodes, lazily opened links, traffic statistics, and the
+reliable control plane (ack + retransmit with backoff)."""
 
 from __future__ import annotations
 
@@ -8,11 +8,11 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
-from repro.net.channel import Channel
+from repro.net.channel import Channel, ship_batch
 from repro.net.latency import ConstantLatency, LatencyModel
 from repro.net.ledger import FaultLedger
 from repro.net.linkfault import LinkFault
-from repro.net.loss import LossModel, NoLoss
+from repro.net.loss import LossModel
 from repro.net.message import Message
 from repro.net.node import Node
 from repro.sim.events import AnyOf
@@ -318,12 +318,16 @@ class ControlPlane:
 class Overlay:
     """Full logical mesh of peers.
 
-    Latency may be customized per (src, dst) pair via ``latency_factory``;
-    by default every channel shares the overlay's ``default_latency`` and
-    gets a fresh loss model from ``default_loss_factory``, with an
-    independent RNG stream per directed pair.  Every lost, duplicated or
-    held-back message and every link cut is filed in ``ledger``, the run's
-    :class:`~repro.net.ledger.FaultLedger` (by default a private one).
+    A directed pair is opened at its first wire use, when its latency is
+    drawn: from ``latency_factory`` per (src, dst) pair, else the shared
+    ``default_latency``.  A pair with no state to keep — no loss factory,
+    no link-fault factory and a :class:`ConstantLatency` — is that one
+    delay, a float in ``delays``.  Any other pair gets a :class:`Channel`
+    in ``channels`` with a fresh loss model and link fault from the
+    factories and an independent RNG stream per directed pair.  Every
+    lost, duplicated or held-back message and every link cut is filed in
+    ``ledger``, the run's :class:`~repro.net.ledger.FaultLedger` (by
+    default a private one).
     """
 
     def __init__(
@@ -343,21 +347,26 @@ class Overlay:
         self.default_latency = (
             default_latency if default_latency is not None else ConstantLatency(1.0)
         )
-        #: when given, called once per (src, dst) pair at channel creation —
+        #: when given, called once per (src, dst) pair as it opens —
         #: lets sessions model heterogeneous per-link delays
         self.latency_factory = latency_factory
-        self.default_loss_factory = default_loss_factory or NoLoss
+        #: one fresh loss model per channel; None: links are reliable
+        self.default_loss_factory = default_loss_factory
         #: extra loss applied to non-media ("control") messages only, one
         #: stateful model per directed pair — lets experiments stress the
         #: coordination plane while the data plane stays clean
         self.control_loss_factory = control_loss_factory
-        #: when given, called once per (src, dst) pair at channel creation
-        #: so every channel gets a *fresh* (stateful) fault instance
+        #: when given, called once per (src, dst) pair as it opens so
+        #: every channel gets a *fresh* (stateful) fault instance
         self.link_fault_factory = link_fault_factory
         self.nodes: Dict[str, Node] = {}
+        #: the opened pairs with no state to keep: (src, dst) -> one-way delay
+        self.delays: Dict[Tuple[str, str], float] = {}
+        #: the opened pairs that keep state, and any built by :meth:`channel`
         self.channels: Dict[Tuple[str, str], Channel] = {}
         self.traffic = TrafficStats()
-        self._control_loss: Dict[Tuple[str, str], LossModel] = {}
+        #: (src, dst) -> its control-loss model and the stream it draws on
+        self._control_loss: Dict[Tuple[str, str], Tuple[LossModel, object]] = {}
         #: directed links cut now (partitions, one-way failures), as filed
         self._cuts = self.ledger.cuts
         #: wire ids: one per physical send, shared by link-level duplicates
@@ -377,32 +386,40 @@ class Overlay:
         return node
 
     def channel(self, src: str, dst: str) -> Channel:
-        """The (lazily created) channel ``src → dst``."""
+        """The channel ``src → dst``, opening the pair if it is not yet;
+        on a delay row, a channel over the recorded delay."""
         key = (src, dst)
         ch = self.channels.get(key)
         if ch is None:
-            if src not in self.nodes or dst not in self.nodes:
-                raise KeyError(f"unknown endpoint in {src}->{dst}")
-            latency = (
-                self.latency_factory(src, dst)
-                if self.latency_factory is not None
-                else self.default_latency
-            )
-            fault = (
-                self.link_fault_factory()
-                if self.link_fault_factory is not None
-                else None
-            )
-            ch = Channel(
-                self.env,
-                self.nodes[src],
-                self.nodes[dst],
-                latency=latency,
-                loss=self.default_loss_factory(),
-                rng=self.streams.get(f"channel/{src}->{dst}"),
-                fault=fault,
-            )
-            self.channels[key] = ch
+            delay = self.delays.get(key)
+            if delay is None:
+                delay = self._open(src, dst)
+            ch = self.channels.get(key) or self._build(src, dst, ConstantLatency(delay))
+        return ch
+
+    def _open(self, src: str, dst: str) -> Optional[float]:
+        """Open ``src → dst`` at its first wire use and draw its latency:
+        the delay of a new delay row, or None once its channel is built."""
+        if src not in self.nodes or dst not in self.nodes:
+            raise KeyError(f"unknown endpoint in {src}->{dst}")
+        factory = self.latency_factory
+        latency = factory(src, dst) if factory is not None else self.default_latency
+        if isinstance(latency, ConstantLatency) and (
+            self.default_loss_factory is None and self.link_fault_factory is None
+        ):
+            delay = self.delays[(src, dst)] = latency.delay
+            return delay
+        self._build(src, dst, latency)
+        return None
+
+    def _build(self, src: str, dst: str, latency: LatencyModel) -> Channel:
+        loss, fault = self.default_loss_factory, self.link_fault_factory
+        ch = self.channels[(src, dst)] = Channel(
+            self.env, self.nodes[src], self.nodes[dst], latency,
+            loss() if loss is not None else None,
+            self.streams.get(f"channel/{src}->{dst}"),
+            fault() if fault is not None else None,
+        )
         return ch
 
     # ------------------------------------------------------------------
@@ -433,11 +450,12 @@ class Overlay:
         if self.control_loss_factory is None:
             return False
         key = (src, dst)
-        model = self._control_loss.get(key)
-        if model is None:
-            model = self.control_loss_factory()
-            self._control_loss[key] = model
-        return model.drops(self.streams.get(f"ctrl-loss/{src}->{dst}"))
+        entry = self._control_loss.get(key)
+        if entry is None:
+            entry = self._control_loss[key] = (
+                self.control_loss_factory(), self.streams.get(f"ctrl-loss/{src}->{dst}")
+            )
+        return entry[0].drops(entry[1])
 
     def _drop(self, src: str, dst: str, kind: str, reason: str, **fields) -> None:
         """Account one lost send (``count`` packets of a batch) and file it."""
@@ -478,30 +496,44 @@ class Overlay:
             size_bytes=size_bytes, msg_id=msg_id, uid=next(self._uids),
             ctx=ctx,
         )
-        self.traffic.sent_by_kind[kind] += 1
+        traffic = self.traffic
+        traffic.sent_by_kind[kind] += 1
         if kind != "packet":
-            self.traffic.coordination_send_times.append(self.env.now)
-        # causal-linkage payload: the wire uid (and the control-plane mid
-        # when the send is reliable) lets span builders stitch this send
-        # to its receive/drop/ack without guessing by (src, dst, kind)
-        link = {"mid": msg_id} if msg_id is not None else {}
+            traffic.coordination_send_times.append(self.env.now)
         tracer = self.env.hooks.tracer
         if tracer is not None:
+            # causal-linkage payload: the wire uid (and the control-plane
+            # mid when the send is reliable) lets span builders stitch this
+            # send to its receive/drop/ack without guessing by (src, dst, kind)
+            link = {"mid": msg_id} if msg_id is not None else {}
             tracer.emit("msg.send", src, dst=dst, kind=kind, uid=msg.uid, **link)
-        if (src, dst) in self._cuts:
-            self._drop(src, dst, kind, "link_severed", uid=msg.uid, **link)
-            return msg
-        if kind != "packet" and self._control_drops(src, dst):
-            self._drop(src, dst, kind, "control_loss", uid=msg.uid, **link)
-            return msg
-        copies = self.channel(src, dst).send(msg)
-        if not copies:
-            self._drop(src, dst, kind, "channel_loss", uid=msg.uid, **link)
-            return msg
-        self.traffic.delivered_by_kind[kind] += 1
-        if len(copies) > 1 or copies[0]:
-            held = [extra for extra in copies if extra > 0]
-            self._link_effects(src, dst, kind, len(copies) - 1, held, uid=msg.uid, **link)
+        key = (src, dst)
+        delay = self.delays.get(key)
+        if delay is None or self._cuts or (
+            kind != "packet" and self.control_loss_factory is not None
+        ):
+            link = {"mid": msg_id} if msg_id is not None else {}
+            if key in self._cuts:
+                self._drop(src, dst, kind, "link_severed", uid=msg.uid, **link)
+                return msg
+            if kind != "packet" and self._control_drops(src, dst):
+                self._drop(src, dst, kind, "control_loss", uid=msg.uid, **link)
+                return msg
+            if delay is None and key not in self.channels:
+                delay = self._open(src, dst)
+            if delay is None:
+                copies = self.channel(src, dst).send(msg)
+                if not copies:
+                    self._drop(src, dst, kind, "channel_loss", uid=msg.uid, **link)
+                    return msg
+                traffic.delivered_by_kind[kind] += 1
+                if len(copies) > 1 or copies[0]:
+                    held = [extra for extra in copies if extra > 0]
+                    self._link_effects(src, dst, kind, len(copies) - 1, held, uid=msg.uid, **link)
+                return msg
+        # a delay row: the message arrives after the pair's one delay
+        self.env.call_later(delay, self.nodes[dst].deliver, msg)
+        traffic.delivered_by_kind[kind] += 1
         return msg
 
     def send_media_batch(
@@ -528,15 +560,27 @@ class Overlay:
         tracer = self.env.hooks.tracer
         if tracer is not None:
             tracer.emit("msg.send", src, dst=dst, kind="packet", count=k, uid=msg.uid)
-        if (src, dst) in self._cuts:
+        key = (src, dst)
+        if key in self._cuts:
             self._drop(src, dst, "packet", "link_severed", count=k)
             return msg
-        delivered, dropped, duplicated, held = self.channel(src, dst).send_batch(msg)
-        if dropped:
-            self._drop(src, dst, "packet", "channel_loss", count=dropped)
-        self.traffic.delivered_by_kind["packet"] += delivered
-        if duplicated or held:
-            self._link_effects(src, dst, "packet", duplicated, held)
+        delay = self.delays.get(key)
+        if delay is None and key not in self.channels:
+            delay = self._open(src, dst)
+        if delay is None:
+            delivered, dropped, duplicated, held = self.channel(src, dst).send_batch(msg)
+            if dropped:
+                self._drop(src, dst, "packet", "channel_loss", count=dropped)
+            self.traffic.delivered_by_kind["packet"] += delivered
+            if duplicated or held:
+                self._link_effects(src, dst, "packet", duplicated, held)
+            return msg
+        # a delay row: every packet arrives one delay after its offset
+        ship_batch(self.env, self.nodes[dst], msg, [
+            (offset + delay, False, pkt)
+            for offset, pkt in zip(batch.offsets_ms, batch.packets)
+        ])
+        self.traffic.delivered_by_kind["packet"] += k
         return msg
 
     def __repr__(self) -> str:

@@ -23,9 +23,9 @@ class LazyGenerator:
     attribute read (``.random``, ``.choice``, …) seeds the generator from
     the stream's ``SeedSequence`` entropy and every attribute read is then
     kept on the instance, so later draws go straight to numpy.  Seeding
-    costs tens of microseconds and a fault-free run materialises tens of
-    thousands of channels whose ``NoLoss``/``ConstantLatency`` models are
-    handed a stream and never draw from it.
+    costs tens of microseconds, and many named streams never draw: a
+    lossless channel's stream draws only if a link fault or a jittered
+    latency asks it to, and a control-loss stream only on a non-media send.
     """
 
     def __init__(self, entropy: Sequence[int]) -> None:
@@ -43,8 +43,9 @@ class LazyGenerator:
             raise AttributeError(attr)
         gen = self._generator
         if gen is None:
-            gen = self._generator = np.random.default_rng(
-                np.random.SeedSequence(self._entropy)
+            # what default_rng(SeedSequence(entropy)) builds, unwrapped
+            gen = self._generator = np.random.Generator(
+                np.random.PCG64(np.random.SeedSequence(self._entropy))
             )
         value = getattr(gen, attr)
         self.__dict__[attr] = value

@@ -27,6 +27,11 @@ from repro.sim.engine import Environment
 from repro.sim.rng import RandomStreams
 
 
+#: pair-latency uniforms drawn per ``latency/pairs`` call; a block of k
+#: is the same k doubles as k scalar draws, so no delay depends on it
+PAIR_DRAW_BLOCK = 256
+
+
 def peer_ids(config) -> list:
     """The contents peers of a run over ``config``: CP1 … CPn."""
     return [f"CP{i}" for i in range(1, config.n + 1)]
@@ -93,10 +98,10 @@ class Commons:
             # earliest parent).  Rounds are counted in hops, so the spread
             # never skews Figures 10/11.
             spread = config.pair_latency_spread
-            pair_rng = self.streams.get("latency/pairs")
+            uniforms = _blocks(self.streams.get("latency/pairs"))
 
             def latency_factory(src: str, dst: str) -> ConstantLatency:
-                factor = 1.0 + spread * (2.0 * pair_rng.random() - 1.0)
+                factor = 1.0 + spread * (2.0 * next(uniforms) - 1.0)
                 return ConstantLatency(config.delta * factor)
 
         self.overlay = Overlay(
@@ -170,6 +175,12 @@ class Commons:
         if self.trace_bus is not None:
             self.trace_bus.finalize()
         return self.reports
+
+
+def _blocks(rng):
+    """``rng``'s uniforms one by one, drawn ``PAIR_DRAW_BLOCK`` at a time."""
+    while True:
+        yield from rng.random(PAIR_DRAW_BLOCK).tolist()
 
 
 def _factory(spec):

@@ -334,7 +334,8 @@ class ContentsPeerAgent:
         """Data sequence numbers still in this peer's unexhausted streams."""
         out: set[int] = set()
         for stream in self.streams:
-            out |= stream.future_data_seqs()
+            if not stream.exhausted:
+                out |= stream.future_data_seqs()
         return out
 
     def _send_heartbeat(self) -> set[int]:

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -182,6 +183,17 @@ class FailureDetector:
             seq for seq in (st.pending | st.noted)
             if 1 <= seq <= decoder.n_packets and not decoder.has_data(seq)
         }
+
+    def owes(self, peer_id: str) -> bool:
+        """Is :meth:`residual_of` non-empty?  Stops at the first such seq."""
+        st = self.monitored.get(peer_id)
+        if st is None:
+            return False
+        decoder = self.session.leaf.decoder
+        return any(
+            1 <= seq <= decoder.n_packets and not decoder.has_data(seq)
+            for seq in chain(st.pending, st.noted)
+        )
 
     def phi(self, peer_id: str) -> Optional[float]:
         """Current φ suspicion score of a peer, or None while the

@@ -180,7 +180,7 @@ class HealthMonitor:
             if srtt is not None and srtt >= RTT_THRESHOLD_DELTAS * cfg.delta:
                 reasons.append("rtt")
         promised = self._promised.get(pid, 0.0)
-        if promised > 0 and detector.residual_of(pid):
+        if promised > 0 and detector.owes(pid):
             delivered = (arrivals - prev) / period
             if delivered < THROUGHPUT_FLOOR * promised:
                 budget = session.commons.budgets.get(pid)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.sim import RandomStreams
+from repro.sim.rng import LazyGenerator
 
 
 def test_same_name_same_stream_object():
@@ -73,6 +74,15 @@ def test_lazy_stream_draws_like_the_eagerly_seeded_generator():
         eager.choice(50, size=5, replace=False),
     )
     assert stream.exponential(2.0) == eager.exponential(2.0)
+
+
+@pytest.mark.parametrize("entropy", [(0, 0), (1, 7), (42, 2**32 - 1), (3, 12345)])
+def test_lazy_stream_draws_like_default_rng_for_any_entropy(entropy):
+    stream = LazyGenerator(entropy)
+    eager = np.random.default_rng(np.random.SeedSequence(entropy))
+    assert np.array_equal(stream.random(8), eager.random(8))
+    assert stream.normal(1.0, 2.0) == eager.normal(1.0, 2.0)
+    assert np.array_equal(stream.integers(0, 99, 5), eager.integers(0, 99, 5))
 
 
 def test_stream_is_seeded_by_its_first_draw_not_by_get():

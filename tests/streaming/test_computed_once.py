@@ -1,8 +1,8 @@
 """Session-level pins for what the simulation computes once.
 
-One ``Esq`` per handoff however many children read it, no RNG stream
-seeded for a channel that never draws, and none of the shared objects
-reachable from a result that leaves the process.
+One ``Esq`` per handoff however many children read it, no channel or
+RNG stream for a pair with no state to keep, and none of the shared
+objects reachable from a result that leaves the process.
 """
 
 import pickle
@@ -56,7 +56,8 @@ def test_a_session_enhances_once_per_division(monkeypatch):
 def test_fault_free_cell_seeds_no_channel_stream():
     session = _fig10_cell().build()
     session.run()
-    assert len(session.overlay.channels) > 200
+    assert len(session.overlay.delays) > 200
+    assert session.overlay.channels == {}
     opened = session.streams.opened()
     assert not [name for name in opened if name.startswith("channel/")]
     # the streams that did draw: peer selection, pair latencies, phases

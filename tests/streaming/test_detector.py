@@ -98,6 +98,9 @@ def test_residual_excludes_held_and_out_of_range():
     s.leaf.decoder.add(DataPacket(1, s.content.payload(1)))
     assert det.residual_of("CP4") == {2}
     assert det.residual_of("unknown") == set()
+    assert det.owes("CP4") and not det.owes("unknown")
+    s.leaf.decoder.add(DataPacket(2, s.content.payload(2)))
+    assert det.residual_of("CP4") == set() and not det.owes("CP4")
 
 
 def test_report_unreachable_confirms_immediately():

@@ -40,6 +40,16 @@ def test_lossy_network(capsys):
     assert "10%" in out
 
 
+def test_pair_delays(capsys):
+    out = run_example("pair_delays.py", capsys)
+    rows = [line.split("|") for line in out.splitlines() if line.count("|") == 7][1:]
+    assert len(rows) == 4
+    # the delay rows and the reliable channels run the same session
+    assert len({tuple(cell.strip() for cell in row[5:]) for row in rows}) == 1
+    assert {(row[3].strip() == "0") != (row[4].strip() == "0") for row in rows} == {True}
+    assert "<Channel leaf->CP1>" in out
+
+
 def test_protocol_shootout(capsys):
     out = run_example("protocol_shootout.py", capsys)
     assert "UnicastChain" in out
