@@ -3,10 +3,13 @@
 In the AMS model every contents peer transmits a disjoint part of the
 content and *"is, possibly periodically exchanging state information on
 which packets it has sent with all the other contents peers by using a
-simple type of group communication protocol"* — the causally ordered
-broadcast of :mod:`repro.groupcomm`.  The paper's point: this costs
-``n·(n−1)`` control packets per exchange period, the overhead DCoP/TCoP's
-selective flooding avoids.
+simple type of group communication protocol"*.  Here that protocol is a
+numbered state report per member, sent to every other member each
+period: a receiver keeps each member's newest report and drops any copy
+numbered no higher than the one it holds, so a lost, duplicated or
+reordered report costs nothing but its own content.  The paper's point:
+this costs ``n·(n−1)`` control packets per exchange period, the overhead
+DCoP/TCoP's selective flooding avoids.
 
 Our AMS implementation is a complete baseline, not a strawman: the state
 exchange buys real fault tolerance.  Every peer can recompute every other
@@ -15,12 +18,17 @@ peer's initial share deterministically; when a member falls silent for
 recently-heard member) adopts the silent peer's remaining share from the
 last reported cursor, so the leaf still receives the whole content without
 any parity — at the price of quadratic chatter for the stream's lifetime.
+
+One limit remains.  A member that has finished stops reporting once it
+believes the group resolved; if that last report was lost on the way to
+some member, that member presumes it silent and adopts the short tail
+after the last cursor it heard, re-sending those few packets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, Optional, Set
+from typing import TYPE_CHECKING, Dict, FrozenSet, NamedTuple, Set
 
 from repro.core.base import (
     Assignment,
@@ -28,26 +36,49 @@ from repro.core.base import (
     CoordinationProtocol,
     divide_evenly,
 )
-from repro.groupcomm import CausalBroadcaster
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.streaming.contents_peer import ContentsPeerAgent
     from repro.streaming.session import StreamingSession
 
 
+class StateReport(NamedTuple):
+    """One member's state report, as carried on the wire."""
+
+    #: the sender's count of reports so far; a higher number is newer
+    number: int
+    #: packets of its own share the sender has sent
+    cursor: int
+    done: bool
+    #: victims whose shares the sender has adopted
+    covering: FrozenSet[str]
+
+
 @dataclass
-class _MemberState:
-    """What a peer knows about one group member."""
+class MemberState:
+    """What a peer knows about one group member: its newest report."""
 
     last_heard: float = -1.0
+    number: int = 0
     cursor: int = 0
     done: bool = False
     #: victims whose shares this member reported adopting
     covering: Set[str] = field(default_factory=set)
 
+    def merge(self, report: StateReport, now: float) -> None:
+        """Take ``report`` if it is newer than the one held; a duplicate
+        or late copy changes nothing."""
+        if report.number <= self.number:
+            return
+        self.number = report.number
+        self.cursor = report.cursor
+        self.done = report.done
+        self.covering |= report.covering
+        self.last_heard = now
+
 
 class AMSCoordination(CoordinationProtocol):
-    """Disjoint shares + periodic causal state exchange + ring takeover.
+    """Disjoint shares + periodic state exchange + ring takeover.
 
     Parameters
     ----------
@@ -85,41 +116,23 @@ class AMSCoordination(CoordinationProtocol):
         if message.kind == "request":
             self._on_request(agent, message.body)
         elif message.kind == "cbcast":
-            broadcaster: Optional[CausalBroadcaster] = agent.scratch.get("bcast")
-            if broadcaster is not None:
-                broadcaster.on_receive(message.body)
+            states = agent.scratch.get("states")
+            if states is not None:
+                states[message.src].merge(message.body, agent.env.now)
 
     def _on_request(self, agent: "ContentsPeerAgent", req: AssignmentMessage) -> None:
         agent.merge_view(req.view)
-        if "bcast" in agent.scratch:
+        if "states" in agent.scratch:
             # duplicate of the leaf's request (link fault or replay):
             # the member is already exchanging state — re-applying would
-            # reset every vector clock and spawn a second state loop
+            # reset every member's state and spawn a second state loop
             return
         stream = agent.activate_with(req.assignment, hops=req.hops)
-        session = agent.session
-        states: Dict[str, _MemberState] = {
-            pid: _MemberState() for pid in session.peer_ids
+        agent.scratch["states"] = {
+            pid: MemberState() for pid in agent.session.peer_ids
         }
-        agent.scratch["states"] = states
         agent.scratch["assignment"] = req.assignment
         agent.scratch["adopted"] = set()
-
-        def deliver(sender: str, payload) -> None:
-            state = states[sender]
-            state.last_heard = agent.env.now
-            state.cursor = payload["cursor"]
-            state.done = payload["done"]
-            state.covering |= set(payload["covering"])
-
-        agent.scratch["bcast"] = CausalBroadcaster(
-            overlay=session.overlay,
-            member_id=agent.peer_id,
-            group=list(session.peer_ids),
-            deliver=deliver,
-            size_bytes=session.config.control_size,
-            ctx=session.ctx,
-        )
         agent.env.process(self._state_loop(agent, stream))
 
     # ------------------------------------------------------------------
@@ -129,22 +142,26 @@ class AMSCoordination(CoordinationProtocol):
         env = agent.env
         period = self.state_period_deltas * cfg.delta
         threshold = self.takeover_after_periods * period
-        states: Dict[str, _MemberState] = agent.scratch["states"]
+        states: Dict[str, MemberState] = agent.scratch["states"]
         adopted: Set[str] = agent.scratch["adopted"]
-        bcast: CausalBroadcaster = agent.scratch["bcast"]
+        own = states[agent.peer_id]
+        others = [pid for pid in session.peer_ids if pid != agent.peer_id]
         # backstop so the simulation always drains even if members vanish
         # without successors (e.g. everyone crashed)
         deadline = 3 * cfg.content_packets / cfg.tau + 40 * cfg.delta
 
         while not agent.crashed and env.now < deadline:
             done = all(s.exhausted for s in agent.streams)
-            bcast.broadcast(
-                {
-                    "cursor": own_stream.sent_count,
-                    "done": done,
-                    "covering": sorted(adopted),
-                }
+            report = StateReport(
+                own.number + 1, own_stream.sent_count, done, frozenset(adopted)
             )
+            for member in others:
+                # old kind name kept: renaming moves the fault_free/ams trace and EX-G
+                session.overlay.send(
+                    agent.peer_id, member, "cbcast", body=report,
+                    size_bytes=cfg.control_size, ctx=session.ctx,
+                )
+            own.merge(report, env.now)
             yield env.timeout(period)
             if agent.crashed:
                 return
@@ -155,7 +172,7 @@ class AMSCoordination(CoordinationProtocol):
     def _maybe_takeover(
         self,
         agent: "ContentsPeerAgent",
-        states: Dict[str, _MemberState],
+        states: Dict[str, MemberState],
         adopted: Set[str],
         threshold: float,
     ) -> None:
@@ -192,7 +209,7 @@ class AMSCoordination(CoordinationProtocol):
             adopted.add(victim)
 
     def _adopt(
-        self, agent: "ContentsPeerAgent", victim: str, state: _MemberState
+        self, agent: "ContentsPeerAgent", victim: str, state: MemberState
     ) -> None:
         """Take over a silent member's remaining share."""
         from repro.streaming.stream import Stream
@@ -205,7 +222,7 @@ class AMSCoordination(CoordinationProtocol):
             agent.add_stream(Stream(remaining, base.rate))
 
     def _group_resolved(
-        self, agent: "ContentsPeerAgent", states: Dict[str, _MemberState]
+        self, agent: "ContentsPeerAgent", states: Dict[str, MemberState]
     ) -> bool:
         """Everyone is done, or dead with their share adopted and done."""
         members = agent.session.peer_ids

@@ -5,7 +5,7 @@ retransmission reuses ``msg_id`` when its ack was the lost copy).  The
 coordination handlers must be idempotent: a :class:`DedupWindow` records
 the keys of recently *applied* messages so a handler can suppress a
 second application of the same logical message before it double-assigns
-a subsequence, double-serves a repair, or corrupts a vector clock.
+a subsequence or double-serves a repair.
 
 The window is bounded FIFO (oldest key evicted first) so memory stays
 O(capacity) over arbitrarily long sessions; the default capacity is far

@@ -658,8 +658,8 @@ class CausalAuditor(Auditor):
         kind = event.fields.get("kind")
         if kind is not None and kind != "packet":
             # *any* non-media send may be reliable and thus solicit an
-            # ack — including kinds outside CONTROL_KINDS ("state",
-            # "cbcast" group exchanges) — so ack pairing tracks them all
+            # ack — including kinds outside CONTROL_KINDS ("state", AMS's
+            # "cbcast" state reports) — so ack pairing tracks them all
             self._control_pairs.add((src, dst))
         if kind not in CONTROL_KINDS:
             return

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core import AMSCoordination, ProtocolConfig
-from repro.streaming import FaultPlan, ProtocolSpec, SessionSpec
+from repro.core.ams import MemberState, StateReport
+from repro.streaming import FaultPlan, LossSpec, ProtocolSpec, SessionSpec
 
 
 def config(**kw):
@@ -109,3 +110,35 @@ def test_deterministic_given_seed():
     b = SessionSpec(config(), ProtocolSpec("ams")).build().run()
     assert a.messages_by_kind == b.messages_by_kind
     assert a.completed_at == b.completed_at
+
+
+def test_stale_reports_change_nothing():
+    """A member keeps the newest report it holds: a duplicated (equal
+    number) or reordered (older) copy arriving later moves nothing."""
+    state = MemberState()
+    state.merge(StateReport(3, 40, False, frozenset({"CP4"})), 30.0)
+    for stale in (
+        StateReport(3, 45, True, frozenset()),
+        StateReport(2, 20, True, frozenset({"CP7"})),
+    ):
+        state.merge(stale, 50.0)
+        assert (state.number, state.cursor, state.done) == (3, 40, False)
+        assert (state.last_heard, state.covering) == (30.0, {"CP4"})
+    state.merge(StateReport(5, 60, True, frozenset({"CP7"})), 70.0)
+    assert (state.number, state.cursor, state.done) == (5, 60, True)
+    assert (state.last_heard, state.covering) == (70.0, {"CP4", "CP7"})
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("p", [0.01, 0.02, 0.05])
+def test_control_loss_costs_at_most_a_tail(p, seed):
+    """Lost state reports never make a live member look silent for long:
+    no crash, so at most a short tail after a lost final report is sent
+    twice, and the lossless twin sends nothing twice."""
+    cfg = ProtocolConfig(n=12, H=4, fault_margin=0, content_packets=300, seed=seed)
+    lossy = SessionSpec(
+        cfg, ProtocolSpec("ams"), control_loss=LossSpec("bernoulli", {"p": p})
+    ).run()
+    lossless = SessionSpec(cfg, ProtocolSpec("ams")).run()
+    assert lossy.delivery_ratio == 1.0
+    assert lossy.receipt_rate <= 1.10
+    assert lossless.receipt_rate == 1.0

@@ -29,7 +29,6 @@ def test_all_names_resolve():
         "repro.metrics",
         "repro.obs",
         "repro.experiments",
-        "repro.groupcomm",
         "repro.viz",
     ],
 )
