@@ -7,7 +7,7 @@ constant control delay δ — and prints the coordination metrics Figures
 
 A run is described by a :class:`repro.SessionSpec`: a frozen value holding
 the workload config plus declarative protocol/channel specs.  Specs
-pickle, so the same objects drive the parallel sweep executor
+pickle, so the same objects drive a parallel sweep
 (``examples/parallel_sweep.py``).
 
 Run:  python examples/quickstart.py

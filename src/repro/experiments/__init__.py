@@ -10,26 +10,25 @@ as ``PAPER_*_REFERENCE`` dicts so EXPERIMENTS.md can be regenerated
 mechanically.
 
 Rows describe their runs as picklable
-:class:`~repro.streaming.SessionSpec` values and execute them through an
-executor: :class:`SerialExecutor` (default) or :class:`ParallelExecutor`
-(``executor=ParallelExecutor(jobs=N)`` fans runs out across cores with
-identical results).
+:class:`~repro.streaming.SessionSpec` (or ``SwarmSpec``) values and run
+them through the one sweep function, :func:`run_specs`: ``jobs=N`` fans
+the runs out over N worker processes (``"auto"``: the available cores)
+with identical results, and every row's columns read the detached
+results.
 
 A table that must not change is pinned as CSV text under
 ``tests/experiments/data/tables/``; host cost is measured from outside, by
 ``bench/``.
 """
 
-from repro.experiments.parallel import (
-    ParallelExecutor,
-    ProgressTick,
-    SerialExecutor,
+from repro.experiments.runner import (
+    Experiment,
     SweepError,
-    auto_executor,
     available_cores,
+    first_picks,
+    replication_specs,
     run_specs,
 )
-from repro.experiments.runner import Experiment, first_picks, replication_specs
 from repro.experiments.fig10 import FIG10, PAPER_FIG10_REFERENCE
 from repro.experiments.fig11 import FIG11, PAPER_FIG11_REFERENCE
 from repro.experiments.fig12 import FIG12, PAPER_FIG12_REFERENCE
@@ -39,9 +38,9 @@ from repro.experiments.ablations import ABLATIONS
 EXPERIMENTS = {row.key: row for row in (FIG10, FIG11, FIG12, *ABLATIONS)}
 
 
-def run_experiment(key, values=None, executor=None, **overrides):
+def run_experiment(key, values=None, jobs=1, **overrides):
     """Run the table row ``key`` (see :meth:`Experiment.run`)."""
-    return EXPERIMENTS[key].run(values, executor, **overrides)
+    return EXPERIMENTS[key].run(values, jobs, **overrides)
 
 
 __all__ = [
@@ -50,11 +49,7 @@ __all__ = [
     "PAPER_FIG10_REFERENCE",
     "PAPER_FIG11_REFERENCE",
     "PAPER_FIG12_REFERENCE",
-    "ParallelExecutor",
-    "ProgressTick",
-    "SerialExecutor",
     "SweepError",
-    "auto_executor",
     "available_cores",
     "first_picks",
     "replication_specs",

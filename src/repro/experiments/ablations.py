@@ -5,9 +5,9 @@ Each row's ``doc`` says what it sweeps, what it compares and why it is
 set up the way it is; ``repro.experiments.run_experiment(key, …)`` runs
 one.  Every run is described as a declarative
 :class:`~repro.streaming.spec.SessionSpec` (or
-:class:`~repro.streaming.swarm.SwarmSpec`), so all rows except the four
-that read live-session state through ``measure`` (EX-F, EX-H, EX-I,
-EX-J) fan their cells out across cores when given an ``executor``.
+:class:`~repro.streaming.swarm.SwarmSpec`) and every column reads the
+detached result, so every row fans its cells out across cores when given
+``jobs``.
 """
 
 from __future__ import annotations
@@ -148,16 +148,14 @@ def _crowd(cfg: ProtocolConfig, protocol: ProtocolSpec, leaves: int) -> SwarmSpe
     )
 
 
-def _peer_loads(swarm, result) -> dict:
-    cfg = swarm.config
-    loads = [
-        sum(st.sent_count for agent in hub.agents.values() for st in agent.streams)
-        for hub in swarm.hubs.values()
-    ]
+def _load_columns(r: dict) -> dict:
+    dcop = r["dcop"]
+    cfg = dcop.config
     return {
-        "max": max(loads),
-        "mean": round(sum(loads) / cfg.n, 1),
-        "fair": round(len(swarm.leaf_ids) * cfg.content_packets / cfg.n, 1),
+        "single_max_load": max(r["single"].peer_loads.values()),
+        "dcop_max_load": max(dcop.peer_loads.values()),
+        "dcop_mean_load": round(sum(dcop.peer_loads.values()) / cfg.n, 1),
+        "fair_share": round(dcop.n_leaves * cfg.content_packets / cfg.n, 1),
     }
 
 
@@ -175,14 +173,19 @@ def _degraded_arms(factor: float, cfg: ProtocolConfig, p: dict) -> dict:
 
 
 # --- EX-J
-def _receipt_ledger(session, result) -> dict:
-    decoder = session.leaf.decoder
-    offered = decoder.received_count + result.receive_overruns
-    return {
-        "delivery": _ratio(result.delivery_ratio),
-        "dropped": result.receive_overruns,
-        "efficiency": round(len(decoder.data_seqs_held()) / max(1, offered), 3),
-    }
+def _receipt_columns(r: dict) -> dict:
+    columns = {}
+    for kind, result in r.items():
+        # both ratios are counts over content_packets: these are exact
+        packets = result.config.content_packets
+        held = round(result.delivery_ratio * packets)
+        offered = round(result.receipt_rate * packets) + result.receive_overruns
+        columns.update({
+            f"{kind}_delivery": _ratio(result.delivery_ratio),
+            f"{kind}_dropped": result.receive_overruns,
+            f"{kind}_efficiency": round(held / max(1, offered), 3),
+        })
+    return columns
 
 
 # --- EX-K
@@ -469,15 +472,11 @@ ABLATIONS = (
             n=20, H=5, fault_margin=0, content_packets=600, delta=5.0, seed=0
         ),
         arms=_allocator_arms,
-        measure=lambda session, result: {
-            "completed_at": _done_at(result),
-            "violations": session.leaf.order_violations,
-        },
         columns=lambda r: {
-            "slots_completed_at": r["slots"]["completed_at"],
-            "naive_completed_at": r["naive"]["completed_at"],
-            "slots_violations": r["slots"]["violations"],
-            "naive_violations": r["naive"]["violations"],
+            "slots_completed_at": _done_at(r["slots"]),
+            "naive_completed_at": _done_at(r["naive"]),
+            "slots_violations": r["slots"].order_violations,
+            "naive_violations": r["naive"].order_violations,
         },
     ),
     Experiment(
@@ -524,13 +523,7 @@ ABLATIONS = (
             ),
             "dcop": _crowd(cfg, ProtocolSpec("dcop"), k),
         },
-        measure=_peer_loads,
-        columns=lambda r: {
-            "single_max_load": r["single"]["max"],
-            "dcop_max_load": r["dcop"]["max"],
-            "dcop_mean_load": r["dcop"]["mean"],
-            "fair_share": r["dcop"]["fair"],
-        },
+        columns=_load_columns,
     ),
     Experiment(
         key="EX-I",
@@ -547,14 +540,11 @@ ABLATIONS = (
             n=12, H=4, fault_margin=0, content_packets=400, delta=5.0, seed=2
         ),
         arms=_degraded_arms,
-        measure=lambda session, result: {
-            "completed_at": _done_at(result),
-            "adaptations": getattr(session.adaptation_monitor, "adaptations", None),
-        },
         columns=lambda r: {
-            "plain_completed_at": r["plain"]["completed_at"],
-            "adaptive_completed_at": r["adaptive"]["completed_at"],
-            "adaptations": r["adaptive"]["adaptations"],
+            "plain_completed_at": _done_at(r["plain"]),
+            "adaptive_completed_at": _done_at(r["adaptive"]),
+            # one "adapt" send per adaptation
+            "adaptations": r["adaptive"].messages_by_kind.get("adapt", 0),
         },
     ),
     Experiment(
@@ -583,12 +573,7 @@ ABLATIONS = (
             )
             for kind in ("broadcast", "dcop")
         },
-        measure=_receipt_ledger,
-        columns=lambda r: {
-            f"{kind}_{name}": value
-            for kind, ledger in r.items()
-            for name, value in ledger.items()
-        },
+        columns=_receipt_columns,
     ),
     Experiment(
         key="EX-K",

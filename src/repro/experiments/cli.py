@@ -6,9 +6,16 @@ import argparse
 import sys
 import time
 from pathlib import Path
+from typing import get_args, get_type_hints
 
+from repro.core.base import ProtocolConfig
 from repro.experiments import EXPERIMENTS
 from repro.experiments.ablations import ABLATIONS
+from repro.obs import TraceConfig
+from repro.streaming.commons import peer_ids
+from repro.streaming.faults import PartitionPlan
+from repro.streaming.spec import _FORMS, SessionSpec, available_factories
+from repro.streaming.swarm import AdmissionPolicy, SwarmSpec
 
 #: positionals that select several table rows; any other experiment
 #: positional is a row's own key
@@ -17,13 +24,24 @@ _GROUPS = {"ablations": ABLATIONS, "all": tuple(EXPERIMENTS.values())}
 #: where artefacts land when no ``--*-out`` path is given (gitignored)
 _OUT_DIR = Path("out")
 
+#: run flag → the spec field it fills, in the order a bad value is
+#: reported.  The field's form picks the spelling: a registered spec
+#: (``_FORMS``) is ``NAME[:k=v,…]``, a frozen value ``k=v,…``.  Under
+#: ``--join-storm``, ``--capacity`` fills the swarm's ``capacity``.
+_RUN_FIELDS = {
+    "protocol": (SessionSpec, "protocol"),
+    "latency": (SessionSpec, "latency"),
+    "loss": (SessionSpec, "loss"),
+    "link_fault": (SessionSpec, "link_fault"),
+    "detector": (SessionSpec, "detector_policy"),
+    "retransmit": (SessionSpec, "retransmit_policy"),
+    "capacity": (SessionSpec, "upload_capacity"),
+    "join_storm": (SwarmSpec, "join_plan"),
+}
+
 #: the options that describe the one session (or swarm) a subcommand runs
 _RUN_OPTIONS = frozenset(
-    {
-        "quick", "seed", "protocol", "latency", "loss", "link_fault",
-        "detector", "retransmit", "partition", "capacity", "join_storm",
-        "n", "H", "packets",
-    }
+    {"quick", "seed", "partition", "n", "H", "packets", *_RUN_FIELDS}
 )
 
 
@@ -76,12 +94,6 @@ def _ensure_parent(path: str | Path) -> Path:
     return out
 
 
-def _parse_model_spec(text: str):
-    """``name`` or ``name:key=val,key=val`` → (name, params)."""
-    name, _, raw = text.partition(":")
-    return name.strip(), _parse_params(raw) if raw else {}
-
-
 def _parse_params(text: str) -> dict:
     """``key=val,key=val`` → params dict (``true``/``false`` in any case
     as bool, then int, then float, then str)."""
@@ -106,8 +118,8 @@ def _parse_params(text: str) -> dict:
     return params
 
 
-def _parse_partition(text: str):
-    """``P1+P2@AT`` or ``P1+P2@AT:HEAL`` → (groups, at, heal_at).
+def _parse_partition(text: str) -> PartitionPlan:
+    """``P1+P2@AT`` or ``P1+P2@AT:HEAL`` → the :class:`PartitionPlan`.
 
     ``+`` joins the peers of one isolated component; ``/`` separates
     several components (everyone unlisted stays with the leaf).  ``AT``
@@ -133,7 +145,7 @@ def _parse_partition(text: str):
             f"bad partition time in {text!r} (expected numbers, "
             "e.g. CP3+CP4@500:900)"
         ) from None
-    return groups, at, heal_at
+    return PartitionPlan(components=groups, at=at, heal_at=heal_at)
 
 
 def _jobs_arg(text: str):
@@ -152,19 +164,30 @@ def _jobs_arg(text: str):
     return jobs
 
 
-def _make_executor(args):
-    """``--jobs N`` → a ParallelExecutor; ``--jobs auto`` probes the
-    available core count; default (or 1) stays serial."""
-    jobs = getattr(args, "jobs", None)
-    if jobs == "auto":
-        from repro.experiments.parallel import auto_executor
-
-        return auto_executor()
-    if jobs and jobs > 1:
-        from repro.experiments.parallel import ParallelExecutor
-
-        return ParallelExecutor(jobs=jobs)
-    return None
+def _flag_value(dest: str, text: str):
+    """One run flag's text → the value its field takes; a refused value
+    raises ValueError carrying the exit-2 line."""
+    owner, field = _RUN_FIELDS[dest]
+    hint = get_type_hints(owner)[field]  # the field's one form, None aside
+    form = next((a for a in get_args(hint) if a is not type(None)), hint)
+    registered = form in _FORMS.values()
+    if registered:
+        name, _, raw = text.partition(":")
+        value = form(name.strip(), _parse_params(raw) if raw else {})
+        known = available_factories(form.category)
+        if value.kind not in known:
+            raise ValueError(
+                f"unknown {form.category} {value.kind!r} "
+                f"(available: {', '.join(known)})"
+            )
+    try:
+        if registered:
+            value.build()  # eager: bad params fail here, not mid-run
+            return value
+        return form(**_parse_params(text)) if text.strip() else form()
+    except (TypeError, ValueError) as exc:
+        flag = "--" + dest.replace("_", "-")
+        raise ValueError(f"bad {flag} {text!r}: {exc}") from None
 
 
 def _build_spec(args, audit=None):
@@ -176,80 +199,14 @@ def _build_spec(args, audit=None):
     capacity auditor on) — or an *int* exit status when an option does
     not resolve (the caller propagates it).
     """
-    from repro.core.base import ProtocolConfig
-    from repro.obs import TraceConfig
-    from repro.streaming.commons import peer_ids
-    from repro.streaming.faults import JoinStormPlan, PartitionPlan
-    from repro.streaming.spec import (
-        DetectorSpec,
-        LatencySpec,
-        LinkFaultSpec,
-        LossSpec,
-        ProtocolSpec,
-        SessionSpec,
-        available_factories,
-    )
-    from repro.streaming.swarm import AdmissionPolicy, SwarmSpec
-
-    models = {}
-    for category, spec_type, option in (
-        ("protocol", ProtocolSpec, args.protocol),
-        ("latency", LatencySpec, args.latency),
-        ("loss", LossSpec, args.loss),
-        ("link_fault", LinkFaultSpec, args.link_fault),
-        ("detector", DetectorSpec, args.detector),
-    ):
-        if option is None:
-            models[category] = None
-            continue
-        try:
-            name, params = _parse_model_spec(option)
-        except ValueError as exc:
-            return _fail(str(exc))
-        known = available_factories(category)
-        if name not in known:
-            return _fail(
-                f"unknown {category} {name!r} "
-                f"(available: {', '.join(known)})"
-            )
-        models[category] = spec_type(name, params)
-        try:
-            models[category].build()  # eager: bad params fail here, not mid-run
-        except (TypeError, ValueError) as exc:
-            flag = category.replace("_", "-")
-            return _fail(f"bad --{flag} {option!r}: {exc}")
-
-    retransmit_policy = None
-    if args.retransmit is not None:
-        from repro.net.overlay import RetransmitPolicy
-
-        try:
-            retransmit_policy = RetransmitPolicy(
-                **_parse_params(args.retransmit)
-            )
-        except (TypeError, ValueError) as exc:
-            return _fail(f"bad --retransmit {args.retransmit!r}: {exc}")
-
-    partition_plan = None
-    if args.partition is not None:
-        try:
-            groups, at, heal_at = _parse_partition(args.partition)
-            partition_plan = PartitionPlan(
-                components=groups, at=at, heal_at=heal_at
-            )
-        except ValueError as exc:
-            return _fail(str(exc))
-
-    capacity = None
-    if args.capacity is not None:
-        from repro.net.capacity import CapacityPolicy
-
-        try:
-            capacity = CapacityPolicy(**_parse_params(args.capacity))
-        except (TypeError, ValueError) as exc:
-            return _fail(f"bad --capacity {args.capacity!r}: {exc}")
-
     try:
+        fields = {
+            _RUN_FIELDS[dest][1]: _flag_value(dest, text)
+            for dest in _RUN_FIELDS
+            if (text := getattr(args, dest)) is not None
+        }
+        if args.partition is not None:
+            fields["partition_plan"] = _parse_partition(args.partition)
         config = ProtocolConfig(
             n=args.n,
             H=args.H,
@@ -257,35 +214,21 @@ def _build_spec(args, audit=None):
             seed=args.seed or 0,
             content_packets=100 if args.quick else args.packets,
         )
-        if partition_plan is not None:
-            partition_plan.check_endpoints(peer_ids(config), "leaf")
+        if args.partition is not None:
+            fields["partition_plan"].check_endpoints(peer_ids(config), "leaf")
     except ValueError as exc:
         return _fail(str(exc))
-    template = SessionSpec(
-        config=config,
-        protocol=models["protocol"],
-        latency=models["latency"],
-        loss=models["loss"],
-        link_fault=models["link_fault"],
-        partition_plan=partition_plan,
-        detector_policy=models["detector"],
-        retransmit_policy=retransmit_policy,
-    )
-    if args.join_storm is None:
+    join_plan = fields.pop("join_plan", None)
+    capacity = fields.pop("upload_capacity", None)
+    template = SessionSpec(config=config, **fields)
+    if join_plan is None:
         return template.replace(
             upload_capacity=capacity, trace=TraceConfig(), audit=audit
         )
     try:
-        params = (
-            _parse_params(args.join_storm) if args.join_storm.strip() else {}
-        )
-        plan = JoinStormPlan(**params)
-    except (TypeError, ValueError) as exc:
-        return _fail(f"bad --join-storm {args.join_storm!r}: {exc}")
-    try:
         return SwarmSpec(
             session=template,
-            join_plan=plan,
+            join_plan=join_plan,
             capacity=capacity,
             admission=AdmissionPolicy(),
             audit=True if audit is None else audit,
@@ -343,9 +286,9 @@ def _run_trace(args) -> int:
         f"({bus.dropped_events} dropped), {tail}"
     )
 
-    protocol_name, _ = _parse_model_spec(args.protocol)
+    protocol = (spec.session if swarm else spec).protocol.kind
     trace_out = _ensure_parent(
-        args.trace_out or _OUT_DIR / f"{stem}{protocol_name}.json"
+        args.trace_out or _OUT_DIR / f"{stem}{protocol}.json"
     )
     write_chrome_trace(bus, trace_out)
     print(f"wrote Chrome trace-event JSON to {trace_out}{hint}", file=sys.stderr)
@@ -633,20 +576,15 @@ def main(argv: list[str] | None = None) -> int:
 
     start = time.time()
     artifacts = {}
-    executor = _make_executor(args)
-    try:
-        for row in _GROUPS.get(args.experiment) or [EXPERIMENTS[args.experiment]]:
-            overrides = dict(row.quick) if args.quick else {}
-            if args.seed is not None:
-                overrides["seed"] = args.seed
-            series = row.run(executor=executor, **overrides)
-            artifacts[row.name] = series
-            table = series.to_table()
-            print(f"== {row.name} ==")
-            print(table.to_csv() if args.csv else table.render())
-    finally:
-        if executor is not None:
-            executor.close()
+    for row in _GROUPS.get(args.experiment) or [EXPERIMENTS[args.experiment]]:
+        overrides = dict(row.quick) if args.quick else {}
+        if args.seed is not None:
+            overrides["seed"] = args.seed
+        series = row.run(jobs=args.jobs, **overrides)
+        artifacts[row.name] = series
+        table = series.to_table()
+        print(f"== {row.name} ==")
+        print(table.to_csv() if args.csv else table.render())
     if args.out:
         from repro.metrics.io import save_artifacts
 

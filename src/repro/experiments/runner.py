@@ -1,25 +1,25 @@
-"""The experiment table's row type and the one sweep driver.
+"""The experiment table's row type and the one sweep path.
 
 Every experiment — the paper's three figures and the EX-* ablations — has
 the same shape: sweep one axis, run a few *arms* (protocols, policies
 on/off, …) at every sweep point, tabulate some columns.  An
 :class:`Experiment` row declares exactly that, and
 :meth:`Experiment.run` is the only sweep loop in the package: it builds
-the flat spec list, hands it to an executor **once**
-(:func:`~repro.experiments.parallel.run_specs`; serial by default, a
-:class:`~repro.experiments.parallel.ParallelExecutor` fans the cells out
-across cores with identical results) and tabulates a
-:class:`~repro.metrics.series.SweepSeries`.
+the flat spec list, hands it to :func:`run_specs` **once** (``jobs``
+worker processes; results are identical for every ``jobs``) and
+tabulates a :class:`~repro.metrics.series.SweepSeries` from the detached
+results.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field, fields
 from inspect import cleandoc
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
 from repro.core.base import ProtocolConfig
-from repro.experiments.parallel import run_specs
 from repro.metrics.series import SweepSeries
 from repro.metrics.stats import mean
 from repro.streaming.spec import ProtocolSpec, SessionSpec
@@ -58,18 +58,13 @@ class Experiment:
     #: at sweep point ``x``; ``cfg`` is the row's config at that point,
     #: ``p`` every resolved parameter
     arms: Callable[[Any, ProtocolConfig, Dict[str, Any]], Dict[Any, Spec]]
-    #: ``{arm label: result} → {column name: value}``
+    #: ``{arm label: detached result} → {column name: value}``
     columns: Callable[[Dict[Any, Any]], Dict[str, Any]]
     params: Mapping[str, Any] = field(default_factory=dict)
     #: ``(x, p) → config fields`` that follow the sweep point (H = x, …)
     at: Optional[Callable[[Any, Dict[str, Any]], Dict[str, Any]]] = None
     #: overrides (and optionally ``values``) the CLI's ``--quick`` applies
     quick: Mapping[str, Any] = field(default_factory=dict)
-    #: ``(live session, result) → what the columns read for that arm``.
-    #: For rows that need state only the live session has: they run
-    #: in-process, one session at a time, and ignore ``executor``
-    #: (workers return detached results only).
-    measure: Optional[Callable[[Any, Any], Any]] = None
 
     def __post_init__(self) -> None:
         stray = set(self.config) - {f.name for f in fields(ProtocolConfig)}
@@ -87,10 +82,11 @@ class Experiment:
     def run(
         self,
         values: Optional[Sequence[Any]] = None,
-        executor=None,
+        jobs: Union[int, str] = 1,
         **overrides: Any,
     ) -> SweepSeries:
-        """Sweep ``values`` (default: the row's own) and tabulate.
+        """Sweep ``values`` (default: the row's own) over ``jobs`` worker
+        processes (:func:`run_specs`) and tabulate.
 
         ``overrides`` replace the row's ``config``/``params`` defaults; a
         name the row does not declare raises :class:`TypeError`, as a
@@ -120,11 +116,7 @@ class Experiment:
             arms = self.arms(x, ProtocolConfig(**fields_at_x), p)
             labels = list(arms)
             specs.extend(arms.values())
-        flat = replication_specs(specs, repetitions)
-        if self.measure is None:
-            results = run_specs(flat, executor=executor)
-        else:
-            results = [self._measured(spec) for spec in flat]
+        results = run_specs(replication_specs(specs, repetitions), jobs)
 
         rows = []
         per_point = len(labels) * repetitions
@@ -148,9 +140,82 @@ class Experiment:
             series.add(x, **row)
         return series
 
-    def _measured(self, spec: Spec) -> Any:
-        session = spec.build()
-        return self.measure(session, session.run())
+
+def available_cores() -> int:
+    """CPU cores actually available to this process.
+
+    ``os.cpu_count()`` reports the machine; a container or CI runner may
+    pin the process to a subset.  Scheduler affinity is the honest
+    number where the platform exposes it.
+    """
+    getaffinity = getattr(os, "sched_getaffinity", None)
+    if getaffinity is not None:
+        try:
+            return len(getaffinity(0)) or 1
+        except OSError:  # pragma: no cover - exotic platforms
+            pass
+    return os.cpu_count() or 1
+
+
+class SweepError(RuntimeError):
+    """A sweep run failed; carries the failing spec and its index.
+
+    The run's original exception is chained as ``__cause__``.
+    """
+
+    def __init__(self, spec: Spec, index: int, cause: BaseException):
+        self.spec = spec
+        self.index = index
+        super().__init__(
+            f"sweep run #{index} failed for {spec.describe()}: "
+            f"{type(cause).__name__}: {cause}"
+        )
+
+
+def _execute_spec(spec: Spec) -> Any:
+    """Build, run and detach one spec (module-level, so it pickles
+    under every multiprocessing start method)."""
+    return spec.run().detach()
+
+
+def run_specs(specs: Iterable[Spec], jobs: Union[int, str] = 1) -> List[Any]:
+    """Run every spec and return the detached results in submission order.
+
+    ``jobs`` is the number of worker processes, or ``"auto"`` for
+    :func:`available_cores`; fewer than two workers (or fewer than two
+    specs) runs in this process, with no pool.  A spec's outcome depends
+    only on the spec, so the results are identical for every ``jobs``.
+    A failed run raises :class:`SweepError` and cancels the runs not yet
+    started.
+    """
+    specs = list(specs)
+    if jobs == "auto":
+        jobs = available_cores()
+    if not isinstance(jobs, int) or jobs < 1:
+        raise ValueError(f"jobs must be an int >= 1 or 'auto', not {jobs!r}")
+    workers = min(jobs, len(specs))
+    if workers < 2:
+        results = []
+        for index, spec in enumerate(specs):
+            try:
+                results.append(_execute_spec(spec))
+            except Exception as exc:
+                raise SweepError(spec, index, exc) from exc
+        return results
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(_execute_spec, spec) for spec in specs]
+        done, pending = wait(futures, return_when=FIRST_EXCEPTION)
+        failed = [
+            i for i, f in enumerate(futures)
+            if f in done and f.exception() is not None
+        ]
+        if failed:
+            for f in pending:
+                f.cancel()
+            index = failed[0]
+            cause = futures[index].exception()
+            raise SweepError(specs[index], index, cause) from cause
+        return [f.result() for f in futures]
 
 
 def replication_specs(

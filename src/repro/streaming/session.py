@@ -64,6 +64,8 @@ class SessionResult:
     overruns: int
     #: packets dropped at the leaf because arrivals exceeded ρ_s (§3.1)
     receive_overruns: int
+    #: data packets that arrived ahead of the leaf's contiguous prefix
+    order_violations: int
     completed_at: Optional[float]
     elapsed: float
     # --- churn-tolerance metrics (defaults keep older call sites valid) ---
@@ -158,8 +160,8 @@ class SessionResult:
         scalar field is untouched.  Idempotent: detaching an already
         detached (or trace-less) result returns ``self``.
 
-        Sweep executors detach every worker result, so parallel and
-        serial sweeps return identical value-only objects.
+        ``run_specs`` detaches every result, so parallel and serial
+        sweeps return identical value-only objects.
         """
         return detached(self, "trace", "timeseries", "audit", "spans")
 
@@ -462,6 +464,7 @@ class StreamingSession:
             underruns=self.leaf.buffer.underruns,
             overruns=self.leaf.buffer.overruns,
             receive_overruns=self.leaf.receive_overruns,
+            order_violations=self.leaf.order_violations,
             completed_at=self.leaf.completed_at,
             elapsed=self.env.now,
             retransmissions_by_kind=dict(traffic.retransmissions_by_kind),

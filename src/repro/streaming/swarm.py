@@ -46,6 +46,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
 
+from repro.core.base import ProtocolConfig
 from repro.net.capacity import CapacityPolicy
 from repro.net.message import Message
 from repro.net.overlay import Overlay, RetransmitPolicy
@@ -301,14 +302,16 @@ class LeafOutcome:
 class SwarmResult:
     """Everything the harness reads from one swarm run."""
 
+    config: ProtocolConfig
     protocol: str
     seed: int
-    n_peers: int
     n_leaves: int
     outcomes: List[LeafOutcome]
     admitted: int
     gave_up: int
     retries: int
+    #: peer_id -> media packets the peer sent, summed over every leaf
+    peer_loads: Dict[str, int]
     #: mean leaf receipt rate over ALL arrivals (gave-up leaves count 0)
     #: — the load curve's honest y-axis: admission trades served leaves
     #: for quality, and this metric rewards neither cheaply
@@ -503,9 +506,9 @@ class SwarmSession:
         deliveries = [o.delivery_ratio for o in admitted]
         budgets = list(self.commons.budgets.values())
         return SwarmResult(
+            config=self.config,
             protocol=self.protocol_name,
             seed=self.config.seed,
-            n_peers=self.config.n,
             n_leaves=len(outcomes),
             outcomes=outcomes,
             admitted=len(admitted),
@@ -513,6 +516,14 @@ class SwarmSession:
             retries=(
                 self.admission.retries if self.admission is not None else 0
             ),
+            peer_loads={
+                pid: sum(
+                    st.sent_count
+                    for agent in hub.agents.values()
+                    for st in agent.streams
+                )
+                for pid, hub in self.hubs.items()
+            },
             mean_receipt_all=(
                 math.fsum(receipts_all) / len(receipts_all)
                 if receipts_all

@@ -42,27 +42,27 @@ def test_ablations_prints_every_table(ablations_quick):
 def test_flags_reach_every_row(monkeypatch, capsys):
     """``all`` runs the whole table; ``--quick``, ``--seed`` and ``--jobs``
     reach every row instead of the few a hand-kept list remembered."""
-    from repro.experiments import EXPERIMENTS, Experiment, ParallelExecutor
+    from repro.experiments import EXPERIMENTS, Experiment
     from repro.metrics.series import SweepSeries
 
     calls = {}
 
-    def record(self, values=None, executor=None, **overrides):
-        calls[self.key] = (values, executor, overrides)
+    def record(self, values=None, jobs=1, **overrides):
+        calls[self.key] = (values, jobs, overrides)
         return SweepSeries(self.x, ["y"], title=self.title)
 
     monkeypatch.setattr(Experiment, "run", record)
     assert main(["all", "--quick", "--seed", "5", "--jobs", "2"]) == 0
     assert list(calls) == list(EXPERIMENTS)
-    for key, (values, executor, overrides) in calls.items():
+    for key, (values, jobs, overrides) in calls.items():
         expected = {**EXPERIMENTS[key].quick, "seed": 5}
         assert values == expected.pop("values", None), key
         assert overrides == expected, key
-        assert isinstance(executor, ParallelExecutor), key
+        assert jobs == 2, key
     # no --seed, no --quick: every row keeps its own defaults
     calls.clear()
     assert main(["ablations"]) == 0
-    assert all(call == (None, None, {}) for call in calls.values())
+    assert all(call == (None, 1, {}) for call in calls.values())
     assert "== EX-M ==" in capsys.readouterr().out
 
 

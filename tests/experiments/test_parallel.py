@@ -1,4 +1,4 @@
-"""Executors: serial/parallel equivalence, ordering, errors, progress."""
+"""``run_specs``: equivalence across ``jobs``, ordering, errors."""
 
 from dataclasses import dataclass, field
 
@@ -6,9 +6,6 @@ import pytest
 
 from repro.core import ProtocolConfig
 from repro.experiments import (
-    ParallelExecutor,
-    ProgressTick,
-    SerialExecutor,
     SweepError,
     replication_specs,
     run_experiment,
@@ -17,6 +14,8 @@ from repro.experiments import (
 from repro.experiments.runner import REPLICATION_SEED_STRIDE
 from repro.metrics.io import session_result_to_dict
 from repro.streaming.spec import ProtocolSpec, SessionSpec
+
+from tests.experiments.conftest import PINNED, TABLES
 
 
 def _spec(n=8, H=3, seed=0, kind="dcop", **cfg_kw):
@@ -37,37 +36,57 @@ def _dicts(results):
 # ----------------------------------------------------------------------
 def test_serial_and_parallel_executors_return_identical_results():
     specs = [_spec(seed=s, kind=k) for s in (0, 7) for k in ("dcop", "tcop")]
-    serial = run_specs(specs, executor=SerialExecutor())
-    parallel = run_specs(specs, executor=ParallelExecutor(jobs=2))
+    serial = run_specs(specs, jobs=1)
+    parallel = run_specs(specs, jobs=2)
     assert _dicts(serial) == _dicts(parallel)
 
 
 def test_parallel_results_come_back_in_submission_order():
     specs = [_spec(n=n) for n in (12, 4, 8, 6)]
-    results = run_specs(specs, executor=ParallelExecutor(jobs=4))
+    results = run_specs(specs, jobs=4)
     assert [r.config.n for r in results] == [12, 4, 8, 6]
 
 
 def test_sweep_is_executor_independent():
     specs = replication_specs([_spec(H=h, seed=2) for h in (2, 4)], 2)
     serial = run_specs(specs)
-    parallel = run_specs(specs, executor=ParallelExecutor(jobs=2))
+    parallel = run_specs(specs, jobs=2)
     assert _dicts(serial) == _dicts(parallel)
     # and so is the table a replicated row makes of them
     grid = dict(values=[2, 4], n=8, content_packets=60, delta=5.0, seed=2)
     assert (
         run_experiment("fig12", repetitions=2, **grid).to_table().to_csv()
-        == run_experiment(
-            "fig12", repetitions=2, executor=ParallelExecutor(jobs=2), **grid
-        ).to_table().to_csv()
+        == run_experiment("fig12", repetitions=2, jobs=2, **grid)
+        .to_table()
+        .to_csv()
     )
 
 
 def test_single_spec_skips_the_pool():
     # one spec (or jobs=1) must not pay process startup
-    results = run_specs([_spec()], executor=ParallelExecutor(jobs=4))
+    results = run_specs([_spec()], jobs=4)
     assert len(results) == 1
     assert results[0].sync_time is not None
+
+
+@pytest.mark.parametrize("key", ["EX-F", "EX-H", "EX-I", "EX-J"])
+def test_row_crosses_a_process_boundary(key, monkeypatch):
+    # these rows' columns once read the live session, so they ran in
+    # process whatever jobs said; now their one sweep fans out and its
+    # detached results make the pinned table
+    from repro.experiments import runner
+
+    calls = []
+    real = runner.run_specs
+
+    def record(specs, jobs=1):
+        calls.append(jobs)
+        return real(specs, jobs)
+
+    monkeypatch.setattr(runner, "run_specs", record)
+    table = run_experiment(key, jobs=2, **PINNED[key]["args"]).to_table()
+    assert calls == [2]
+    assert table.to_csv() == (TABLES / f"{key}.csv").read_text()
 
 
 # ----------------------------------------------------------------------
@@ -127,14 +146,11 @@ def _failing_specs():
     return [_spec(seed=0), _spec(seed=1, kind="no_such_protocol"), _spec(seed=2)]
 
 
-@pytest.mark.parametrize(
-    "executor", [SerialExecutor(), ParallelExecutor(jobs=2)],
-    ids=["serial", "parallel"],
-)
-def test_failures_raise_sweep_error_with_spec_and_index(executor):
+@pytest.mark.parametrize("jobs", [1, 2], ids=["serial", "parallel"])
+def test_failures_raise_sweep_error_with_spec_and_index(jobs):
     specs = _failing_specs()
     with pytest.raises(SweepError) as excinfo:
-        run_specs(specs, executor=executor)
+        run_specs(specs, jobs)
     err = excinfo.value
     assert err.index == 1
     assert err.spec == specs[1]
@@ -143,64 +159,20 @@ def test_failures_raise_sweep_error_with_spec_and_index(executor):
 
 
 # ----------------------------------------------------------------------
-# progress and parameters
+# jobs
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize(
-    "executor", [SerialExecutor(), ParallelExecutor(jobs=2)],
-    ids=["serial", "parallel"],
-)
-def test_progress_ticks_cover_the_whole_sweep(executor):
-    specs = [_spec(seed=s) for s in range(4)]
-    ticks = []
-    run_specs(specs, executor=executor, progress=ticks.append)
-    assert all(isinstance(t, ProgressTick) for t in ticks)
-    assert all(t.total == 4 for t in ticks)
-    dones = [t.done for t in ticks]
-    assert dones == sorted(dones)
-    assert dones[-1] == 4
+def test_run_specs_validates_jobs():
+    for bad in (0, -2):
+        with pytest.raises(ValueError):
+            run_specs([_spec()], bad)
 
 
-def test_parallel_executor_validates_jobs():
-    with pytest.raises(ValueError):
-        ParallelExecutor(jobs=0)
-    assert ParallelExecutor(jobs=3).jobs == 3
-    assert ParallelExecutor().jobs >= 1
-
-
-def test_executors_close_without_error():
-    for executor in (SerialExecutor(), ParallelExecutor(jobs=2)):
-        executor.map([_spec()])
-        executor.close()
-
-
-# ----------------------------------------------------------------------
-# auto-selection from measured cores
-# ----------------------------------------------------------------------
 def test_available_cores_is_positive():
     from repro.experiments import available_cores
 
     assert available_cores() >= 1
 
 
-def test_auto_executor_serial_on_one_core_parallel_otherwise():
-    from repro.experiments import auto_executor
-
-    assert isinstance(auto_executor(jobs=1), SerialExecutor)
-    many = auto_executor(jobs=4)
-    assert isinstance(many, ParallelExecutor)
-    assert many.jobs == 4
-    # a single spec never pays the pool, whatever the box looks like
-    assert isinstance(auto_executor(n_specs=1, jobs=8), SerialExecutor)
-    # and the fan-out never exceeds the work available
-    assert auto_executor(n_specs=3, jobs=8).jobs == 3
-
-
-def test_auto_executor_defaults_to_measured_cores():
-    from repro.experiments import auto_executor, available_cores
-
-    executor = auto_executor()
-    if available_cores() < 2:
-        assert isinstance(executor, SerialExecutor)
-    else:
-        assert isinstance(executor, ParallelExecutor)
-        assert executor.jobs == available_cores()
+def test_auto_jobs_equal_serial():
+    specs = [_spec(seed=s) for s in range(3)]
+    assert _dicts(run_specs(specs, "auto")) == _dicts(run_specs(specs))
