@@ -24,7 +24,7 @@ Package map:
 * :mod:`repro.analysis` — closed-form models cross-checking the simulator
 * :mod:`repro.metrics` — tables, sweep series, stats
 * :mod:`repro.obs` — trace bus, time-series metrics, trace exporters,
-  online protocol auditors
+  protocol auditors
 * :mod:`repro.experiments` — one module per paper figure + ablations
 """
 

@@ -224,8 +224,9 @@ def replication_specs(
     """Every spec ``repetitions`` times, flat, replications adjacent.
 
     Replication ``rep`` runs with seed
-    ``spec.config.seed + REPLICATION_SEED_STRIDE * rep``, derived through
-    :func:`dataclasses.replace` (``with_seed``) so the config's concrete
+    ``seed + REPLICATION_SEED_STRIDE * rep``, where ``seed`` is the
+    config's that ``with_seed`` rewrites — a swarm's template session's —
+    derived through :func:`dataclasses.replace` so the config's concrete
     type (and any non-init/derived fields a subclass adds) is preserved.
     """
     if repetitions < 1:
@@ -233,7 +234,10 @@ def replication_specs(
     if repetitions == 1:
         return list(specs)
     return [
-        spec.with_seed(spec.config.seed + REPLICATION_SEED_STRIDE * rep)
+        spec.with_seed(
+            getattr(spec, "session", spec).config.seed
+            + REPLICATION_SEED_STRIDE * rep
+        )
         for spec in specs
         for rep in range(repetitions)
     ]

@@ -7,11 +7,13 @@ crashes and rejoins (flap legs and churn included) and degradations,
 partition splits and heals with every link they cut or restore, every
 lost message with its reason (media too), and the copies and hold-backs
 of link faults.  The ledger keeps one :class:`FaultRow` per call, then
-publishes the event on the run's trace bus, if there is one; a replay
-files the recorded events through the same :meth:`FaultLedger.add`, so a
-live run and the replay of its trace hold equal ledgers.  The ledger
-works with the bus off, draws no RNG, schedules no event and reorders no
-emit.
+publishes the event on the run's trace bus, if there is one; the walk
+that feeds a run's log to its observers (:func:`repro.obs.trace.feed`)
+files the logged fault events into a fresh ledger through the same
+:meth:`FaultLedger.add`, so the observers see the rows filed up to the
+event at hand, and a run and the replay of its trace hold equal
+ledgers.  The ledger works with the bus off, draws no RNG, schedules no
+event and reorders no emit.
 
 The oracles read it by one rule: a finding about peer ``p`` is explained
 by a fault iff a row *touches* ``p`` — ``p``'s node, a directed link with
@@ -21,7 +23,8 @@ by a fault iff a row *touches* ``p`` — ``p``'s node, a directed link with
 its emit sites file each transmission, arrival, parity recovery and
 playback through :meth:`PacketLedger.record`, which publishes the event
 unchanged; a replay files the recorded events through the same
-:meth:`PacketLedger.add`.  It is the one per-seq record of a run — what
+:meth:`PacketLedger.add` (a :class:`~repro.obs.trace.TraceEvent` is its
+arguments in order).  It is the one per-seq record of a run — what
 §2's allocation property (each seq sent once, the sends covering the
 content) and §3.2's recovery are statements about — and exists only when
 the run has a trace bus.
@@ -64,7 +67,7 @@ class FaultRow(NamedTuple):
 class FaultLedger:
     """The run's one record of what was injected (see the module doc)."""
 
-    #: the trace kinds faults are published as: what a replay files
+    #: the trace kinds faults are published as: what a walk files
     kinds = frozenset({
         "peer.crash", "peer.rejoin", "peer.degrade", "partition.split", "partition.heal",
         "link.sever", "link.heal", "msg.drop", "link.duplicate", "link.delay",
@@ -85,12 +88,8 @@ class FaultLedger:
             self.env.hooks.tracer.emit(kind, subject, **fields)
         return row
 
-    def on_event(self, event) -> None:
-        """A recorded fault event, fed back by a replay."""
-        self.add(event.ts, event.kind, event.subject, event.fields)
-
     def add(self, ts: float, kind: str, subject: str, fields: Mapping[str, Any]) -> FaultRow:
-        """File one row: what :meth:`record` and :meth:`on_event` share."""
+        """File one row: what :meth:`record` and a walk over a log share."""
         if kind.startswith("partition."):
             ends: Tuple[Optional[str], Optional[str]] = (None, None)
         elif kind == "msg.drop" and "dst" not in fields:
@@ -154,7 +153,7 @@ class Arrival(NamedTuple):
 class PacketLedger:
     """The run's one per-seq record of the media plane (see the module doc)."""
 
-    #: the trace kinds it files: what a replay feeds it
+    #: the trace kinds it files: what a replay rebuilds it from
     kinds = frozenset({"media.tx", "media.rx", "fec.recover", "buffer.play"})
 
     def __init__(self, env: Optional["Environment"] = None) -> None:
@@ -173,12 +172,8 @@ class PacketLedger:
         self.add(self.env.now, kind, subject, fields)
         self.env.hooks.tracer.emit(kind, subject, **fields)
 
-    def on_event(self, event) -> None:
-        """A recorded media event, fed back by a replay."""
-        self.add(event.ts, event.kind, event.subject, event.fields)
-
     def add(self, ts: float, kind: str, subject: str, fields: Mapping[str, Any]) -> None:
-        """File one row: what :meth:`record` and :meth:`on_event` share."""
+        """File one row: what :meth:`record` and a replay share."""
         if kind == "media.tx":
             self.sent.setdefault(fields["label"], []).append(
                 Transmission(ts, subject, fields.get("stream"), fields.get("off"))

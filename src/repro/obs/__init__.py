@@ -7,17 +7,18 @@ single ``env.hooks.tracer is None`` check otherwise, so the tier-1 figures run
 untouched.
 
 * :mod:`repro.obs.trace` — :class:`TraceBus` + the typed event taxonomy,
-  the streaming subscriber API, and the one :class:`Observer` lifecycle
-  (bind, events, finish) every run-level consumer below follows, fed
-  live by the run or offline from a JSONL trace by :func:`replay`;
+  and the one :class:`Observer` lifecycle (bind, then finish) every
+  run-level consumer below follows: the run's complete log is fed to
+  them once, at finish, and :func:`replay` feeds a JSONL trace the same
+  way;
 * :mod:`repro.obs.metrics` — gauges sampled against sim-time into
   :class:`~repro.metrics.series.SweepSeries` columns by a single-leaf
   run's time-series sampler;
 * :mod:`repro.obs.exporters` — JSONL, Chrome ``trace_event`` (Perfetto),
   and run-summary JSON;
 * :mod:`repro.obs.timeline` — per-wave coordination timelines;
-* :mod:`repro.obs.audit` — online protocol auditors checking the paper's
-  invariants against the live event stream, with JSON audit reports;
+* :mod:`repro.obs.audit` — protocol auditors checking the paper's
+  invariants against the run's event log, with JSON audit reports;
 * :mod:`repro.obs.spans` — causal span construction over the event
   stream: per-packet latency decomposition, critical-path attribution,
   per-leaf QoE timelines, Perfetto async span export.

@@ -1,10 +1,11 @@
-"""Online protocol auditors: the paper's invariants, checked as a run runs.
+"""Protocol auditors: the paper's invariants, checked over a run's log.
 
-PR 2's :class:`~repro.obs.trace.TraceBus` records *what* a run did; this
+The :class:`~repro.obs.trace.TraceBus` records *what* a run did; this
 module checks that what it did was *correct by the paper's own
-definitions*.  Each :class:`Auditor` subscribes to the bus
-(:meth:`TraceBus.subscribe`) for the dotted-taxonomy event kinds it
-reads and consumes them online, maintaining one protocol invariant:
+definitions*.  Each :class:`Auditor` declares the dotted-taxonomy event
+kinds it reads (its ``handlers``) and, when the run finishes, reads them
+in emit order (:func:`~repro.obs.trace.feed`), maintaining one protocol
+invariant:
 
 * :class:`TreeAuditor` — TCoP's §3 tree property: at most one confirmed
   parent per contents peer, no parent cycles, and every activated peer's
@@ -36,8 +37,9 @@ Whether an injected fault explains a finding is asked of the run's
 is excused iff a fault touching ``p`` is on record, and is then a warning
 whose evidence names that row (:meth:`Auditor.judge`).
 
-Every violation is published back onto the bus as an ``audit.violation``
-(or ``audit.warning``) event carrying the evidence chain, and collected
+Every violation joins the run's log as an ``audit.violation`` (or
+``audit.warning``) event carrying the evidence chain, right after the
+event that raised it, and is collected
 into an :class:`AuditReport` that serializes to JSON.  Auditors are
 strictly read-only observers — they never touch the environment — so an
 audited equal-seed run follows the identical trajectory to an unaudited
@@ -58,10 +60,10 @@ picklable :class:`AuditConfig`::
 
         handlers = {"peer.crash": _on_crash}
 
-(``handlers`` declares what the bus sends it; an auditor that overrides
-:meth:`Auditor.handle` instead is sent every kind.)  Offline,
-:func:`replay_jsonl` publishes a recorded JSONL trace to the same
-auditors — the CI runs this over the uploaded sample trace.
+(``handlers`` declares the kinds it is sent, and the method each one
+goes to.)  Offline, :func:`replay_jsonl` feeds a recorded JSONL trace to
+the same auditors through the same function — the CI runs this over the
+uploaded sample trace.
 """
 
 from __future__ import annotations
@@ -171,11 +173,10 @@ class Violation:
 class Auditor(Observer):
     """Base class: a read-only streaming observer of one invariant.
 
-    Subclasses declare :attr:`handlers` (or override :meth:`handle`) and
-    optionally :meth:`check` (end-of-run checks).  Findings are recorded
-    through :meth:`violation`/:meth:`warning`, which also publish
-    ``audit.*`` events back onto the bound bus; :meth:`finish` returns
-    the auditor's report entry.
+    Subclasses declare :attr:`handlers` and optionally :meth:`check`
+    (end-of-run checks).  Findings are recorded through
+    :meth:`violation`/:meth:`warning`, which also log ``audit.*`` events
+    in the run's log; :meth:`finish` returns the auditor's report entry.
     """
 
     name = "auditor"
@@ -261,8 +262,8 @@ class Auditor(Observer):
             evidence=chain,
         )
         store.append(finding)
-        if self._bus is not None:
-            self._bus.emit(
+        if self._walk is not None:
+            self._walk.emit(
                 kind,
                 self.name,
                 code=code,
@@ -554,8 +555,8 @@ class ParityAuditor(Auditor):
         self._model: Optional[ParityDecoder] = None
         self._recoveries = 0
 
-    def bind(self, bus=None, session=None, **context):
-        super().bind(bus, session, **context)
+    def bind(self, session=None, **context):
+        super().bind(session, **context)
         # the model needs the content length; without one nothing is
         # modelled
         self._model = ParityDecoder(self.n_packets) if self.n_packets else None
@@ -735,8 +736,8 @@ class DetectorAuditor(Auditor):
         #: peers that ever activated: only those owe a timely confirm
         self._activated: set = set()
 
-    def bind(self, bus=None, session=None, **context):
-        super().bind(bus, session, **context)
+    def bind(self, session=None, **context):
+        super().bind(session, **context)
         if (
             self.latency_bound_ms is None
             and session is not None
@@ -1032,7 +1033,7 @@ class CapacityAuditor(Auditor):
 
     Three invariants of the swarm overload layer (PR: overload-robust
     swarm streaming), all checked purely from trace evidence — so the
-    auditor behaves identically online and in offline JSONL replay:
+    auditor behaves identically in a run and in offline JSONL replay:
 
     * **budget** — a peer that announced a finite budget
       (``capacity.budget``) never has more ``media.tx`` events in one
@@ -1224,8 +1225,9 @@ class AuditConfig:
 
     Enabling auditing implies tracing: a session whose spec carries an
     ``audit`` config but no ``trace`` config gets a default
-    :class:`~repro.obs.trace.TraceConfig` so the bus exists to subscribe
-    to (subscribers see every event regardless of category filters).
+    :class:`~repro.obs.trace.TraceConfig`, so there is a log to read.
+    The auditors read every event of it, whatever the trace config keeps
+    for export.
     """
 
     auditors: Tuple[str, ...] = DEFAULT_AUDITORS
@@ -1343,8 +1345,8 @@ def replay_jsonl(
     :func:`~repro.obs.exporters.trace_to_jsonl` writes).  ``n_packets``
     defaults to the largest data seq observed in ``media.tx``/``media.rx``
     events, which is exact whenever the trace covers the full content.
-    The events reach the auditors the way a live run's do, through
-    :func:`~repro.obs.trace.replay`.
+    The events reach the auditors through the function a run's own do
+    (:func:`~repro.obs.trace.replay`).
     """
     auditors = build_auditors(config or AuditConfig())
     entries = replay(source, auditors, leaf_id=leaf_id, n_packets=n_packets)

@@ -74,19 +74,20 @@ class TimeSeriesSampler(Observer):
     """A single-leaf run's trajectory, sampled every
     ``sample_period_deltas`` δ of its bus's :class:`TraceConfig`.
 
-    Binding starts the sampling process; :meth:`finish` returns the
-    series.  Self-terminating: sampling stops when the leaf holds the
-    full content, when the event queue has otherwise drained (nothing
-    left to observe), or after ``max_samples`` ticks — so tracing never
-    keeps a simulation alive materially past its natural end.
+    It reads the session, not events, so it declares no handlers:
+    binding, at build, starts the sampling process; :meth:`finish`
+    returns the series.  Self-terminating: sampling stops when the leaf
+    holds the full content, when the event queue has otherwise drained
+    (nothing left to observe), or after ``max_samples`` ticks — so
+    tracing never keeps a simulation alive materially past its natural
+    end.
     """
 
     result_field = "timeseries"
-    #: reads no events — it probes the session — so the bus sends none
-    kinds = frozenset()
 
-    def bind(self, bus=None, session=None, **context):
-        super().bind(bus, session, **context)
+    def bind(self, session=None, **context):
+        super().bind(session, **context)
+        bus = session.trace_bus
         registry = self.registry = MetricsRegistry()
         # every ``msg.send`` emit sits beside the tally increment it
         # mirrors, so these are the run's send totals as traced

@@ -1,7 +1,8 @@
 """Causal spans: stitch trace events into typed spans and attribute latency.
 
-The :class:`SpanBuilder` is an :class:`~repro.obs.trace.Observer` of the
-trace bus (live, or offline via :func:`spans_from_jsonl`) that joins raw events
+The :class:`SpanBuilder` is an :class:`~repro.obs.trace.Observer` of a
+run's log (at the run's finish, or offline via :func:`spans_from_jsonl`)
+that joins raw events
 into a causal DAG keyed on the reliable-send ``mid``, the wire ``uid``, and
 the media packet label:
 
@@ -495,12 +496,13 @@ TOP_EXCHANGES = 20
 class SpanBuilder(Observer):
     """Streaming span construction over the trace-event firehose.
 
-    An :class:`~repro.obs.trace.Observer`: the run binds and subscribes
-    it when ``SessionSpec.spans`` is set, or :func:`spans_from_jsonl`
-    replays a recorded trace to it; :meth:`finish` returns the
-    :class:`SpanReport`.  The bus sends it the control, playback-stall and
-    milestone events; packet journeys and QoE timelines are read at
-    :meth:`finish` off the run's :class:`~repro.net.ledger.PacketLedger`.
+    An :class:`~repro.obs.trace.Observer`: the run binds it when
+    ``SessionSpec.spans`` is set and feeds it the run's log at finish, or
+    :func:`spans_from_jsonl` replays a recorded trace to it;
+    :meth:`finish` returns the :class:`SpanReport`.  Its handlers read the
+    control, playback-stall and milestone events; packet journeys and QoE
+    timelines are read at :meth:`finish` off the run's
+    :class:`~repro.net.ledger.PacketLedger`.
     The builder never emits events and never mutates simulation state.
     """
 
@@ -564,8 +566,7 @@ class SpanBuilder(Observer):
     def _on_milestone(self, event: TraceEvent) -> None:
         self._milestones.append((event.ts, event.kind, event.subject))
 
-    #: kind -> handler: the kinds the builder reads, declared once in the
-    #: form :meth:`on_event` dispatches on
+    #: kind -> handler: the kinds the builder reads
     handlers = {
         "msg.send": _on_send,
         "msg.retransmit": _on_retransmit,
@@ -974,8 +975,8 @@ def spans_from_jsonl(
 
     ``source`` is a path or an iterable of JSONL lines in the format
     :func:`~repro.obs.exporters.trace_to_jsonl` writes.  The trace must
-    be unfiltered (``TraceConfig(categories=None)``) for the report to
-    match the online one — a category-filtered dump is missing joins.
+    be unfiltered and uncapped (the default ``TraceConfig()``) for the
+    report to match the run's own — a filtered dump is missing joins.
     """
     return replay(
         source, [SpanBuilder(config)], leaf_id=leaf_id, n_packets=n_packets,

@@ -12,7 +12,8 @@ streaming agents publishes through it with a single guarded call::
 so a session without tracing pays exactly one ``None`` check per hook.
 
 Event kinds form a dotted taxonomy; the prefix before the first dot is
-the event's *category*, which :attr:`TraceConfig.categories` filters on:
+the event's *category*, which :attr:`TraceConfig.categories` selects
+for export on:
 
 ========== =====================================================
 category   kinds
@@ -55,13 +56,12 @@ and ``msg.drop`` — are published by the run's :class:`~repro.net.ledger.FaultL
 and ``media.tx``/``media.rx``/``fec.recover``/``buffer.play`` by its
 :class:`~repro.net.ledger.PacketLedger`.
 
-Consumers that need events *as they happen* (rather than the post-hoc
-``events`` buffer) register a callback via :meth:`TraceBus.subscribe`,
-naming the kinds they read; the bus hands each event only to the
-consumers that asked for its kind.  The run's own consumers — auditors,
-the span builder, the time-series sampler — share one
-:class:`Observer` lifecycle (bind, events, finish), fed live by the run
-or offline by :func:`replay`.
+The bus only records.  The run's own consumers — auditors, the span
+builder, the time-series sampler — share one :class:`Observer` lifecycle:
+bound when the run is built, they read the run's log from there on once,
+at finish, through :func:`feed`, which hands each event to the observers
+whose ``handlers`` name its kind.  :func:`replay` is the same function
+over a recorded JSONL trace.
 
 All payload values are JSON primitives, so a trace serializes verbatim
 (see :mod:`repro.obs.exporters`) and two equal-seed runs produce
@@ -90,10 +90,11 @@ from typing import (
 )
 
 from repro.net.ledger import FaultLedger, PacketLedger
-from repro.sim.engine import Environment
 
 if TYPE_CHECKING:  # pragma: no cover
     from pathlib import Path
+
+    from repro.sim.engine import Environment
 
     from repro.streaming.session import StreamingSession
 
@@ -137,19 +138,18 @@ class TraceEvent(NamedTuple):
         return dict(self.fields)
 
 
-Subscriber = Callable[[TraceEvent], None]
-
-
 @dataclass(frozen=True)
 class TraceConfig:
-    """What to record and how much.
+    """What to export and how much.
 
-    ``categories=None`` records every category; otherwise only kinds whose
-    prefix is listed.  ``max_events`` bounds memory on long churn runs —
-    once hit, further events are counted (``TraceBus.dropped_events``) but
-    not stored.  ``metrics`` enables a single-leaf run's time-series
-    sampler, every ``sample_period_deltas`` δ for at most
-    ``max_samples`` ticks.
+    The bus stores every event, and the run's observers read them
+    unfiltered; these choose what :meth:`TraceBus.finalize` keeps for
+    export.
+    ``categories=None`` keeps every category; otherwise only kinds whose
+    prefix is listed.  ``max_events`` bounds the exported log — past it,
+    further events are counted (``TraceBus.dropped_events``) but not
+    kept.  ``metrics`` enables a single-leaf run's time-series sampler,
+    every ``sample_period_deltas`` δ for at most ``max_samples`` ticks.
     """
 
     categories: Optional[FrozenSet[str]] = None
@@ -177,108 +177,40 @@ class TraceConfig:
 class TraceBus:
     """Session-owned event recorder every instrumented layer publishes to.
 
-    Besides the ordered event log, the bus maintains cheap live counters
-    (events by kind, in-flight control messages) that the sampler's
-    gauges read — these are updated on *every* emit, before category
-    filtering, so the gauges stay meaningful even when the ``msg``
-    firehose itself is filtered out of the log.
+    :meth:`emit` stores every event, in emit order, and keeps the one
+    live gauge the sampler reads (in-flight control messages); the run's
+    observers read the log once, at finish (:func:`feed`), whatever
+    :attr:`config` exports.
+    :meth:`finalize` then keeps what :attr:`config` asks to export and
+    counts events by kind.
     """
 
     config: TraceConfig
     env: "Environment"
+    #: every event emitted, in emit order; after :meth:`finalize`, the
+    #: kept ones in time order
     events: List[TraceEvent] = field(default_factory=list)
-    #: events suppressed by the max_events cap (not by category filters)
+    #: events :meth:`finalize` dropped at the ``max_events`` cap (not by
+    #: category filters)
     dropped_events: int = 0
     #: every subject that should get its own exporter track (leaf + peers)
     participants: List[str] = field(default_factory=list)
     #: live count of control messages on the wire (send − recv − drop)
     in_flight_control: int = 0
+    #: kind -> events (packets, for batched media) of the complete log,
+    #: filled by :meth:`finalize`
     counts_by_kind: Dict[str, int] = field(default_factory=dict)
-    #: streaming callback -> the kinds it asked for (``None``: all), in
-    #: subscription order
-    subscribers: Dict[Subscriber, Optional[FrozenSet[str]]] = field(
-        default_factory=dict
-    )
-    #: non-``audit.*`` events published so far and the time of the last
-    #: one — kept here because no routed consumer sees every event
-    events_seen: int = 0
-    last_ts: float = 0.0
     #: highest flooding round a ``wave.start`` was recorded for
     _waves_seen: set = field(default_factory=set)
-    #: memoized per-kind ``config.wants`` verdicts — the kind universe is
-    #: tiny and fixed, so one dict probe replaces a string split + set
-    #: lookup on the per-event hot path
-    _wants_cache: Dict[str, bool] = field(default_factory=dict)
-    #: kind -> (counts toward ``events_seen``?, callbacks that asked for
-    #: it), filled on the first event of each kind
-    _routes: Dict[str, tuple] = field(default_factory=dict)
     _finalized: bool = False
-
-    # ------------------------------------------------------------------
-    def subscribe(
-        self, callback: Subscriber, kinds: Optional[Iterable[str]] = None
-    ) -> None:
-        """Register a streaming callback for the event ``kinds`` it reads.
-
-        ``kinds=None`` asks for every kind, ``audit.*`` included.
-        Subscribers see *all* events of the kinds they asked for —
-        including those suppressed from the buffer by category filters
-        or the ``max_events`` cap — so an online auditor's view is never
-        truncated.  Callbacks run synchronously inside :meth:`emit`,
-        after the event is appended to the log; a callback may itself
-        ``emit`` (e.g. an ``audit.violation``) or (un)subscribe: each
-        dispatch walks the immutable route it started with.  A callback
-        that asks for no kinds is never called, so it is not registered.
-        """
-        if kinds is not None:
-            kinds = frozenset(kinds)
-            if not kinds:
-                return
-        self.subscribers[callback] = kinds
-        self._routes.clear()
-
-    def unsubscribe(self, callback: Subscriber) -> None:
-        """Remove a previously registered callback (no-op if absent)."""
-        self.subscribers.pop(callback, None)
-        self._routes.clear()
-
-    def publish(self, event: TraceEvent) -> None:
-        """Hand one event to the consumers that asked for its kind: the
-        tail of :meth:`emit`, and all an offline replay of events does."""
-        kind = event.kind
-        route = self._routes.get(kind)
-        if route is None:
-            route = self._routes[kind] = (
-                not kind.startswith("audit."),
-                tuple(
-                    callback
-                    for callback, kinds in self.subscribers.items()
-                    if kinds is None or kind in kinds
-                ),
-            )
-        counted, callbacks = route
-        if counted:
-            self.events_seen += 1
-            self.last_ts = event.ts
-        for callback in callbacks:
-            callback(event)
 
     # ------------------------------------------------------------------
     def emit(self, kind: str, subject: str, /, **data: Any) -> None:
         """Record one event at the current simulated time.
 
         ``data`` — the fresh dict this call owns — becomes the event's
-        one payload.  When the kind is filtered out and nobody subscribed,
-        the method returns before building the :class:`TraceEvent` —
-        filtered firehose categories then cost only the counter updates
-        below.
+        one payload.
         """
-        # batched media emits cover ``count`` packets in one event; the
-        # per-kind counters stay packet-accurate either way, so batched
-        # and unbatched runs of one spec report identical totals
-        self.counts_by_kind[kind] = (
-            self.counts_by_kind.get(kind, 0) + data.get("count", 1)
-        )
         if kind == "msg.send":
             if data.get("kind") in CONTROL_KINDS:
                 self.in_flight_control += 1
@@ -298,19 +230,7 @@ class TraceBus:
                 and self.in_flight_control > 0
             ):
                 self.in_flight_control -= 1
-        stored = self._wants_cache.get(kind)
-        if stored is None:
-            stored = self._wants_cache[kind] = self.config.wants(kind)
-        if stored and len(self.events) >= self.config.max_events:
-            self.dropped_events += 1
-            stored = False
-        if not stored and not self.subscribers:
-            return
-        event = TraceEvent(self.env.now, kind, subject, data)
-        if stored:
-            self.events.append(event)
-        if self.subscribers:
-            self.publish(event)
+        self.events.append(TraceEvent(self.env.now, kind, subject, data))
 
     def wave_start(self, round_: int, subject: str, /, **data: Any) -> None:
         """Emit ``wave.start`` once per flooding round (first sender wins)."""
@@ -324,27 +244,49 @@ class TraceBus:
         return [e for e in self.events if e.kind == kind]
 
     def finalize(self) -> None:
-        """Close open flooding waves with ``wave.end`` events.
+        """Keep what :attr:`config` exports, and close flooding waves.
+
+        Every event is counted in :attr:`counts_by_kind` (a batched media
+        event as the ``count`` packets it covers, so batched and unbatched
+        runs of one spec report identical totals); the log keeps the kinds
+        whose category :attr:`TraceConfig.categories` lists, up to
+        ``max_events`` in emit order, and counts the rest of those in
+        :attr:`dropped_events`.
 
         A wave's end is not locally observable while flooding (the last
         activation of round *r* may land anywhere in the overlay), so the
-        session calls this at collection time: each round that recorded an
+        session calls this at collection time: each round that kept an
         activation gets a ``wave.end`` stamped at its last activation
         instant, and the log is re-sorted into time order.
         """
         if self._finalized:
             return  # collect ran twice
         self._finalized = True
+        config, counts = self.config, self.counts_by_kind
+        wanted: Dict[str, bool] = {}
+        kept: List[TraceEvent] = []
+        for event in self.events:
+            kind = event.kind
+            counts[kind] = counts.get(kind, 0) + event.fields.get("count", 1)
+            keep = wanted.get(kind)
+            if keep is None:
+                keep = wanted[kind] = config.wants(kind)
+            if keep:
+                if len(kept) < config.max_events:
+                    kept.append(event)
+                else:
+                    self.dropped_events += 1
+        self.events = kept
         last_by_round: Dict[int, float] = {}
         count_by_round: Dict[int, int] = {}
-        for event in self.events:
+        for event in kept:
             if event.kind == "peer.activate":
                 r = event.fields["round"]
                 last_by_round[r] = max(last_by_round.get(r, event.ts), event.ts)
                 count_by_round[r] = count_by_round.get(r, 0) + 1
-        if self.config.wants("wave.end"):
+        if config.wants("wave.end"):
             for r in sorted(last_by_round):
-                self.events.append(
+                kept.append(
                     TraceEvent(
                         last_by_round[r],
                         "wave.end",
@@ -353,7 +295,7 @@ class TraceBus:
                     )
                 )
         # stable sort: simultaneous events keep their emission order
-        self.events.sort(key=attrgetter("ts"))
+        kept.sort(key=attrgetter("ts"))
 
     def __repr__(self) -> str:
         return (
@@ -369,20 +311,20 @@ _CONTEXT = ("leaf_id", "n_packets", "delta", "tau", "protocol", "seed")
 
 class Observer:
     """A read-only consumer of one run, with the one lifecycle every
-    run-level reader of the bus shares.
+    run-level reader of a trace shares: bind, then finish.
 
-    :meth:`bind` hands it the bus and the run's context once, the bus
-    sends it the kinds its :attr:`handlers` name through
-    :meth:`on_event`, and :meth:`finish` returns its report.  Live, the
-    run's :class:`~repro.streaming.commons.Commons` does all three;
-    offline, :func:`replay` does them over a recorded trace.
+    :meth:`bind` hands it the run's context once; at finish, :func:`feed`
+    sends it, in emit order, each event of the run's log whose kind its
+    :attr:`handlers` name, then :meth:`finish` returns its report.  Live,
+    the run's :class:`~repro.streaming.commons.Commons` binds it at build
+    and feeds it the run's log; offline, :func:`replay` does both over a
+    recorded trace.
     """
 
     #: the ``SessionResult``/``SwarmResult`` field its report fills
     result_field = ""
-    #: kind -> handler method: the kinds this observer reads, declared
-    #: once in the form :meth:`on_event` dispatches on — and asks the bus
-    #: for.  Left empty, every kind but ``audit.*`` goes to :meth:`handle`.
+    #: kind -> handler method: the kinds this observer reads, and what
+    #: :func:`feed` calls with each event of them
     handlers: Dict[str, Callable[[Any, TraceEvent], None]] = {}
     #: the run context, until :meth:`bind` sets it
     leaf_id = "leaf"
@@ -391,26 +333,18 @@ class Observer:
     tau: Optional[float] = None
     protocol = "replay"
     seed = -1
-    _bus: Optional[TraceBus] = None
+    _walk: Optional["Walk"] = None
     _session: Optional["StreamingSession"] = None
 
     def bind(
-        self,
-        bus: Optional[TraceBus] = None,
-        session: Optional["StreamingSession"] = None,
-        ledger: Optional[FaultLedger] = None,
-        packets: Optional[PacketLedger] = None,
-        **context: Any,
+        self, session: Optional["StreamingSession"] = None, **context: Any
     ) -> "Observer":
-        """Attach to the bus that will feed it, and to a session (optional).
+        """Attach to a session (optional) and the run's context.
 
-        :attr:`ledger` and :attr:`packets`, the run's fault and packet
-        ledgers, are the session's unless given (empty with neither).  The
-        context — ``leaf_id``, ``n_packets``, ``delta``, ``tau``,
+        The context — ``leaf_id``, ``n_packets``, ``delta``, ``tau``,
         ``protocol``, ``seed`` — is read off ``session``, then overridden
         by any of those keywords that is not None.
         """
-        self._bus = bus
         self._session = session
         if session is not None:
             config = session.config
@@ -418,9 +352,6 @@ class Observer:
             self.n_packets = config.content_packets
             self.delta, self.tau = config.delta, config.tau
             self.protocol, self.seed = session.protocol.name, config.seed
-        commons = session.commons if session is not None else None
-        self.ledger = ledger or (commons.ledger if commons else FaultLedger())
-        self.packets = packets or (commons.packets if commons else PacketLedger())
         for name, value in context.items():
             if name not in _CONTEXT:
                 raise TypeError(f"bind() got an unexpected context {name!r}")
@@ -429,35 +360,93 @@ class Observer:
         return self
 
     @property
-    def kinds(self) -> Optional[FrozenSet[str]]:
-        """What to ask the bus for: the declared kinds, else everything."""
-        return frozenset(self.handlers) or None
+    def ledger(self) -> FaultLedger:
+        """The faults of the run up to the event being fed: the walk's."""
+        return self._walk.ledger
 
-    def on_event(self, event: TraceEvent) -> None:
-        """Entry point for one event, from the bus."""
-        handler = self.handlers.get(event.kind)
-        if handler is not None:
-            handler(self, event)
-        elif not self.handlers and not event.kind.startswith("audit."):
-            self.handle(event)
-
-    def handle(self, event: TraceEvent) -> None:  # pragma: no cover
-        """Every event but the auditors' own ``audit.*`` output, for a
-        subclass that declares no :attr:`handlers`."""
-        raise NotImplementedError
+    @property
+    def packets(self) -> PacketLedger:
+        """The run's media plane per seq, complete."""
+        return self._walk.packets
 
     @property
     def events_seen(self) -> int:
-        """Non-``audit.*`` events of the run: the routing bus's count."""
-        return self._bus.events_seen
+        """Non-``audit.*`` events of the run fed so far."""
+        return self._walk.events_seen
 
     @property
     def last_ts(self) -> float:
-        """Time of the run's last event: the routing bus's clock."""
-        return self._bus.last_ts
+        """Time of the last non-``audit.*`` event fed so far."""
+        return self._walk.last_ts
 
     def finish(self, session: Optional["StreamingSession"] = None) -> Any:
         """The observer's report, once the run is over."""
+
+
+class Walk:
+    """One pass of a run's log past its observers: what :func:`feed`
+    shares with each of them."""
+
+    def __init__(self, observers: Sequence[Observer], packets: PacketLedger) -> None:
+        #: the faults filed so far: "which fault touched this peer yet"
+        self.ledger = FaultLedger()
+        self.packets = packets
+        #: the events walked, each followed by the findings it raised
+        self.log: List[TraceEvent] = []
+        self.events_seen = 0
+        self.last_ts = 0.0
+        #: the stamp of a finding recorded now: the time of the event at
+        #: hand while walking, the run's end after
+        self.now = 0.0
+        #: kind -> (handler, observer) pairs, in observer order
+        self.routes: Dict[str, List[Tuple[Callable, Observer]]] = {}
+        for observer in observers:
+            observer._walk = self
+            for kind, handler in observer.handlers.items():
+                self.routes.setdefault(kind, []).append((handler, observer))
+
+    def take(self, event: TraceEvent) -> None:
+        """Log one event, file it if it is a fault, and hand it on."""
+        self.log.append(event)
+        self.now = event.ts
+        kind = event.kind
+        if not kind.startswith("audit."):
+            self.events_seen += 1
+            self.last_ts = event.ts
+            if kind in FaultLedger.kinds:
+                self.ledger.add(*event)
+        for handler, observer in self.routes.get(kind, ()):
+            handler(observer, event)
+
+    def emit(self, kind: str, subject: str, /, **data: Any) -> None:
+        """A finding's ``audit.*`` event, logged and handed on now."""
+        self.take(TraceEvent(self.now, kind, subject, data))
+
+
+def feed(
+    log: Iterable[TraceEvent],
+    observers: Sequence[Observer],
+    packets: PacketLedger,
+    end: float = 0.0,
+    session: Optional["StreamingSession"] = None,
+) -> Tuple[List[Any], List[TraceEvent]]:
+    """Walk a run's ``log`` once, in emit order, past its bound
+    ``observers``; their reports, and the log with their findings in it.
+
+    Each event goes to the observers whose :attr:`~Observer.handlers`
+    name its kind, after the walk's fresh :class:`FaultLedger` filed it if
+    it is a fault — so an observer asking "which fault has touched this
+    peer" gets the answer it would have got at that point of the run.
+    ``packets`` is the run's complete :class:`PacketLedger`.  A finding's
+    ``audit.*`` event follows the event that raised it, stamped with its
+    time; one raised at :meth:`~Observer.finish` ends the log, stamped
+    ``end``.  The observers finish in order, with ``session``.
+    """
+    walk = Walk(observers, packets)
+    for event in log:
+        walk.take(event)
+    walk.now = end
+    return [observer.finish(session) for observer in observers], walk.log
 
 
 def replay(
@@ -468,35 +457,24 @@ def replay(
     """Feed a recorded JSONL trace to ``observers``; their reports.
 
     ``source`` is a path or an iterable of JSONL lines (the format
-    :func:`~repro.obs.exporters.trace_to_jsonl` writes).  ``n_packets``
-    defaults to the largest data seq a ``media.tx``/``media.rx`` event
-    carries, which is exact whenever the trace covers the full content.
-    The events reach the observers the way a live run's do: published on
-    a bus that routes each to the observers that asked for its kind, each
-    observer bound to the run's two rebuilt ledgers.  The media events
-    fill the packet ledger first, and the content length is read off it.
-    The fault events rebuild the fault ledger as they are published,
-    before any observer sees them, because its readers ask "which fault
-    touched this peer so far".
+    :func:`~repro.obs.exporters.trace_to_jsonl` writes).  The media events
+    rebuild the run's packet ledger, and ``n_packets`` defaults to the
+    largest data seq it holds, which is exact whenever the trace covers
+    the full content.  Each observer is bound to ``context``, then the
+    events reach the observers through :func:`feed`, as a run's own do.
     """
     from repro.obs.exporters import read_jsonl  # it imports this module
 
     events = list(read_jsonl(source))
     packets = PacketLedger()
     for event in events:
-        if event.kind in packets.kinds:
-            packets.on_event(event)
+        if event.kind in PacketLedger.kinds:
+            packets.add(*event)
     if context.get("n_packets") is None:
         context["n_packets"] = max(
             (s for s in {*packets.sent, *packets.arrived} if isinstance(s, int)),
             default=None,
         )
-    bus = TraceBus(TraceConfig(), Environment())  # a clock stopped at zero
-    ledger = FaultLedger()
-    bus.subscribe(ledger.on_event, ledger.kinds)
     for observer in observers:
-        observer.bind(bus, ledger=ledger, packets=packets, **context)
-        bus.subscribe(observer.on_event, observer.kinds)
-    for event in events:
-        bus.publish(event)
-    return [observer.finish() for observer in observers]
+        observer.bind(**context)
+    return feed(events, observers, packets)[0]

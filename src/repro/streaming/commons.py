@@ -22,7 +22,7 @@ from repro.obs.audit import AuditReport, build_auditors
 from repro.obs.exporters import trace_to_dict
 from repro.obs.metrics import TimeSeriesSampler
 from repro.obs.spans import SpanBuilder
-from repro.obs.trace import TraceBus, TraceConfig
+from repro.obs.trace import TraceBus, TraceConfig, feed
 from repro.sim.engine import Environment
 from repro.sim.rng import RandomStreams
 
@@ -65,13 +65,13 @@ class Commons:
         self.env = Environment(scheduler=spec.scheduler)
         self.streams = RandomStreams(config.seed)
         # --- observability (opt-in; hooks no-op when tracer=None) ------
-        #: the run's observers in subscription and process order:
-        #: auditors, span builder, then (single-leaf) the sampler
+        #: the run's observers in feed and finish order: auditors, span
+        #: builder, then (single-leaf) the sampler
         self.observers = build_auditors(audit) if audit is not None else []
         if spans is not None:
             self.observers.append(SpanBuilder(spans))
         if self.observers and trace is None:
-            # auditors and span builders subscribe to the bus, so either
+            # auditors and span builders read the run's log, so either
             # implies tracing
             trace = TraceConfig()
         self.trace_bus = None
@@ -80,6 +80,9 @@ class Commons:
             self.env.hooks.tracer = self.trace_bus
         #: the session the observers watch (None: a swarm's, or none yet)
         self.observed = None
+        #: where in the log the observers were bound: what they read
+        #: starts there
+        self.observed_from = 0
         #: result field -> report, once :meth:`finish` ran
         self.reports = None
         #: every fault instance the run's injectors fire, bus or no bus
@@ -137,7 +140,7 @@ class Commons:
             self.trace_bus.emit(kind, subject, **data)
 
     def observe(self, session=None) -> None:
-        """Bind and subscribe the run's observers.
+        """Bind the run's observers.
 
         A single-leaf run's observers read leaf and policies off
         ``session``, and, when its trace asks for metrics, a sampler
@@ -145,35 +148,40 @@ class Commons:
         """
         self.observed = session
         bus = self.trace_bus
+        if bus is not None:
+            self.observed_from = len(bus.events)
         if session is not None and bus is not None and bus.config.metrics:
             self.observers.append(TimeSeriesSampler())
         for observer in self.observers:
-            observer.bind(
-                bus, session, ledger=self.ledger, packets=self.packets,
-                n_packets=self.config.content_packets,
-            )
-            bus.subscribe(observer.on_event, observer.kinds)
+            observer.bind(session, n_packets=self.config.content_packets)
 
     def finish(self, protocol: str) -> dict:
-        """Close observers and trace, once: result field -> report."""
+        """Feed the run's log to its observers and close the trace, once:
+        result field -> report."""
         if self.reports is not None:
             return self.reports
-        # finish before finalize() so audit.* events emitted here are part
-        # of the log the finalizer sorts into time order; the other
-        # observers only read
         self.reports, entries = {}, {}
-        for observer in self.observers:
-            report = observer.finish(self.observed)
-            if observer.result_field == "audit":  # the suite is one report
-                entries[observer.name] = report
-            else:
-                self.reports[observer.result_field] = report
+        bus = self.trace_bus
+        if self.observers:
+            # the findings' audit.* events join the log before finalize()
+            # keeps what the trace config exports
+            start = self.observed_from
+            reports, walked = feed(
+                bus.events[start:], self.observers, self.packets,
+                self.env.now, self.observed,
+            )
+            bus.events[start:] = walked
+            for observer, report in zip(self.observers, reports):
+                if observer.result_field == "audit":  # the suite is one report
+                    entries[observer.name] = report
+                else:
+                    self.reports[observer.result_field] = report
         if entries:
             self.reports["audit"] = AuditReport(
                 protocol, self.config.seed, entries
             )
-        if self.trace_bus is not None:
-            self.trace_bus.finalize()
+        if bus is not None:
+            bus.finalize()
         return self.reports
 
 

@@ -335,7 +335,7 @@ class SessionSpec:
     health_policy: Optional[HealthPolicy] = None
     churn_plan: Optional[ChurnPlan] = None
     trace: Optional[TraceConfig] = None
-    #: online protocol auditors; implies a default trace when none is set
+    #: protocol auditors; implies a default trace when none is set
     audit: Optional[AuditConfig] = None
     #: event scheduler: a name registered with ``register_scheduler``
     #: (None = the binary heap).  Trajectories are identical across

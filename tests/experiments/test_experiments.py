@@ -6,9 +6,13 @@ import pytest
 
 from repro.core import DCoP, ProtocolConfig
 from repro.experiments import replication_specs, run_experiment, run_specs
-from repro.experiments.runner import default_h_values, mean_metric
+from repro.experiments.runner import (
+    REPLICATION_SEED_STRIDE,
+    default_h_values,
+    mean_metric,
+)
 from repro.streaming.spec import SessionSpec
-from repro.streaming import ProtocolSpec
+from repro.streaming import JoinStormPlan, ProtocolSpec, SwarmSpec
 
 
 SMALL = dict(values=[2, 5, 10, 20], n=20, content_packets=150, delta=10.0)
@@ -35,6 +39,25 @@ def test_sweep_repetitions_vary_seed():
     assert len(results) == 2
     a, b = results
     assert a.config.seed != b.config.seed
+
+
+def test_replication_specs_replicates_a_swarm():
+    # a swarm's seed lives on its template session, where with_seed puts it
+    swarm = SwarmSpec(
+        session=SessionSpec(
+            config=ProtocolConfig(n=6, H=3, content_packets=30, seed=4),
+            protocol=ProtocolSpec("dcop"),
+        ),
+        join_plan=JoinStormPlan(leaves=2, rate_per_delta=1.0),
+    )
+    specs = replication_specs([swarm], 2)
+    assert [s.session.config.seed for s in specs] == [
+        4, 4 + REPLICATION_SEED_STRIDE,
+    ]
+    first, second = run_specs(specs)
+    assert first.config.seed == 4
+    assert second.config.seed == 4 + REPLICATION_SEED_STRIDE
+    assert first.n_leaves == second.n_leaves == 2
 
 
 def test_sweep_validation():

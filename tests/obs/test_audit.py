@@ -6,7 +6,7 @@ import pytest
 
 from repro.core import ProtocolConfig, TCoP
 from repro.core.tcop import ConfirmMessage
-from repro.net.ledger import FaultLedger, PacketLedger
+from repro.net.ledger import PacketLedger
 from repro.obs import (
     AuditConfig,
     AuditReport,
@@ -25,6 +25,7 @@ from repro.obs.audit import (
     describe_event,
     register_auditor,
 )
+from repro.obs.trace import feed as trace_feed
 from repro.sim.engine import Environment
 from repro.streaming import ProtocolSpec, SessionSpec
 
@@ -41,19 +42,20 @@ def audited_spec(protocol="tcop", *, audit=None, **cfg_kw):
     )
 
 
-def feed(auditor, *emits, n_packets=None, finish=True):
-    """Drive one auditor over crafted events through a real bus, its
-    fault and media events filling the two ledgers first."""
+def feed(auditor, *emits, n_packets=None):
+    """Record crafted events on a real bus, then feed its log to one
+    auditor the way a run's finish does, the media events filling the
+    packet ledger first; the bus holds the log with the findings in it."""
     bus = TraceBus(TraceConfig(), Environment())
-    ledger, packets = FaultLedger(), PacketLedger()
-    bus.subscribe(ledger.on_event, ledger.kinds)
-    bus.subscribe(packets.on_event, packets.kinds)
-    auditor.bind(bus, ledger=ledger, packets=packets, n_packets=n_packets)
-    bus.subscribe(auditor.on_event)
     for kind, subject, payload in emits:
         bus.emit(kind, subject, **payload)
-    if finish:
-        auditor.finish()
+    packets = PacketLedger()
+    for event in bus.events:
+        if event.kind in PacketLedger.kinds:
+            packets.add(*event)
+    _, bus.events = trace_feed(
+        bus.events, [auditor.bind(n_packets=n_packets)], packets
+    )
     return bus
 
 
@@ -220,7 +222,6 @@ def test_causal_auditor_flags_receives_without_sends():
         auditor,
         ("msg.recv", "CP2", dict(src="leaf", kind="request")),  # never sent
         ("msg.recv", "CP3", dict(src="CP9", kind="confirm")),   # unsolicited
-        finish=False,
     )
     codes = [v.code for v in auditor.violations]
     assert "causal.recv_before_send" in codes
@@ -231,7 +232,6 @@ def test_causal_auditor_flags_receives_without_sends():
         clean,
         ("msg.send", "leaf", dict(dst="CP2", kind="request")),
         ("msg.recv", "CP2", dict(src="leaf", kind="request")),
-        finish=False,
     )
     assert clean.violations == []
 
@@ -245,7 +245,6 @@ def test_detector_auditor_false_confirm_and_latency_bound():
         ("peer.crash", "CP5", {}),
         ("detector.confirm", "CP5", dict(latency=250.0)),  # too slow
         ("detector.suspect", "CP6", dict(false=True)),
-        finish=False,
     )
     codes = [v.code for v in auditor.violations]
     assert codes == ["detector.false_confirm", "detector.latency_exceeded"]
@@ -266,7 +265,6 @@ def test_detector_auditor_excuses_what_the_ledger_explains():
         # CP5 crashed before it ever activated: no detection bound owed
         ("peer.crash", "CP5", {}),
         ("detector.confirm", "CP5", dict(latency=250.0)),
-        finish=False,
     )
     assert auditor.violations == []
     confirm, late = auditor.warnings
@@ -338,10 +336,11 @@ def test_audit_config_validates_names_and_custom_auditors_register():
     class CrashCounter(Auditor):
         name = "crash_counter_test"
 
-        def handle(self, event):
-            if event.kind == "peer.crash":
-                self.warning("crash_counter_test.seen", event.subject,
-                             "a peer crashed", evidence=[event])
+        def _on_crash(self, event):
+            self.warning("crash_counter_test.seen", event.subject,
+                         "a peer crashed", evidence=[event])
+
+        handlers = {"peer.crash": _on_crash}
 
     try:
         auditors = build_auditors(AuditConfig(auditors=("crash_counter_test",)))

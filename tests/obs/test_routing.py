@@ -1,10 +1,11 @@
-"""Kind-routed dispatch: what each consumer is sent, and what it costs.
+"""One walk feeds a run's observers: what each is sent, and what it costs.
 
-The bus hands an event only to the consumers that asked for its kind.
-These tests pin the contract that makes that safe — a consumer's
-declaration covers every kind it reads, the bus-side count and clock
-stand in for "every event passes through me", custom subscribers keep
-the firehose — and the fan-out it buys.
+At finish the run's log is walked once (``repro.obs.trace.feed``), and
+each event goes to the observers whose ``handlers`` name its kind.  These
+tests pin that contract — the walk's count and clock stand in for "every
+event passes through me", observers sharing a walk do not disturb one
+another, a replay is the same walk over a recorded trace — and the
+fan-out it buys.
 """
 
 import pytest
@@ -13,6 +14,7 @@ from repro.core import ProtocolConfig
 from repro.obs import (
     AuditConfig,
     Auditor,
+    Observer,
     SpanBuilder,
     SpanConfig,
     TraceBus,
@@ -23,8 +25,9 @@ from repro.obs import (
     replay,
     trace_to_jsonl,
 )
-from repro.net.ledger import FaultLedger, PacketLedger
+from repro.net.ledger import PacketLedger
 from repro.obs import audit as audit_module
+from repro.obs.trace import feed
 from repro.sim.engine import Environment
 from repro.streaming import ProtocolSpec, SessionSpec
 
@@ -37,92 +40,54 @@ def new_bus(**config_kw):
     return TraceBus(TraceConfig(**config_kw), Environment())
 
 
-def ledgered_bus():
-    """A bus whose fault and packet ledgers are subscribed before anyone."""
-    bus = new_bus()
-    ledgers = dict(ledger=FaultLedger(), packets=PacketLedger())
-    for ledger in ledgers.values():
-        bus.subscribe(ledger.on_event, ledger.kinds)
-    return bus, ledgers
+class Recorder(Observer):
+    """Keeps every event of the kinds it is built for."""
+
+    def __init__(self, *kinds):
+        self.seen = []
+        self.handlers = dict.fromkeys(kinds, Recorder._keep)
+
+    def _keep(self, event):
+        self.seen.append(event)
 
 
 # ----------------------------------------------------------------------
-# the bus
+# the walk
 # ----------------------------------------------------------------------
 def test_events_reach_only_the_subscribers_that_asked_for_their_kind():
     bus = new_bus()
-    crashes, everything = [], []
-    bus.subscribe(crashes.append, kinds=("peer.crash", "peer.rejoin"))
-    bus.subscribe(everything.append)
+    crashes = Recorder("peer.crash", "peer.rejoin")
+    everything = Recorder("peer.activate", "peer.crash", "audit.warning")
     bus.emit("peer.activate", "p0", round=1)
     bus.emit("peer.crash", "p0")
     bus.emit("audit.warning", "x", about="p0")
-    assert [e.kind for e in crashes] == ["peer.crash"]
-    assert [e.kind for e in everything] == [
+    feed(bus.events, [crashes.bind(), everything.bind()], PacketLedger())
+    assert [e.kind for e in crashes.seen] == ["peer.crash"]
+    assert [e.kind for e in everything.seen] == [
         "peer.activate", "peer.crash", "audit.warning",
     ]
-
-
-def test_subscribing_after_a_kind_was_routed_still_takes_effect():
-    # routes are cached per kind; (un)subscribing must drop the cache
-    bus = new_bus()
-    early, late = [], []
-    bus.subscribe(early.append, kinds=("peer.crash",))
-    bus.emit("peer.crash", "p0")
-    bus.subscribe(late.append, kinds=("peer.crash",))
-    bus.emit("peer.crash", "p1")
-    bus.unsubscribe(early.append)
-    bus.emit("peer.crash", "p2")
-    assert [e.subject for e in early] == ["p0", "p1"]
-    assert [e.subject for e in late] == ["p1", "p2"]
-
-
-def test_unsubscribing_inside_a_callback_spares_the_dispatch_under_way():
-    bus = new_bus()
-    seen = []
-
-    def first(event):
-        seen.append("first")
-        bus.unsubscribe(second)
-
-    def second(event):
-        seen.append("second")
-
-    bus.subscribe(first)
-    bus.subscribe(second)
-    bus.emit("peer.crash", "p0")  # the route in hand still holds second
-    bus.emit("peer.crash", "p1")
-    assert seen == ["first", "second", "first"]
 
 
 def test_bus_counts_and_clocks_every_event_but_the_auditors_own():
     env = Environment()
     bus = TraceBus(TraceConfig(categories=frozenset({"peer"})), env)
-    bus.subscribe(lambda e: None, kinds=("peer.crash",))
-    bus.emit("msg.send", "p0", kind="control")  # filtered, unrouted: counted
+    bus.emit("msg.send", "p0", kind="control")  # not exported, not read: counted
     env.timeout(5.0)
     env.run()
     bus.emit("peer.crash", "p0")
     env.timeout(2.0)
     env.run()
     bus.emit("audit.warning", "x", about="p0")
-    assert bus.events_seen == 2
-    assert bus.last_ts == 5.0
-
-
-def test_publish_routes_a_recorded_event_without_storing_it():
-    live = new_bus()
-    live.emit("peer.crash", "p0")
-    replay = new_bus()
-    seen = []
-    replay.subscribe(seen.append, kinds=("peer.crash",))
-    replay.publish(live.events[0])
-    assert seen == live.events
-    assert replay.events == [] and replay.events_seen == 1
+    crashes = Recorder("peer.crash").bind()
+    feed(bus.events, [crashes], PacketLedger())
+    assert crashes.events_seen == 2
+    assert crashes.last_ts == 5.0
+    # and the walk filed the crash as it went
+    assert [row.kind for row in crashes.ledger.rows] == ["peer.crash"]
 
 
 # ----------------------------------------------------------------------
-# declarations cannot drift from what a consumer reads
+# observers sharing a walk do not disturb one another
 # ----------------------------------------------------------------------
 #: lossy churn runs (detector, breaker, retransmits, reissues, rejoins)
 #: and an admission-controlled swarm (capacity.*, admit.*)
@@ -133,44 +98,41 @@ RECORDED = {
 }
 
 
-def _consumers():
+def _consumers(n_packets):
     auditors = build_auditors(AuditConfig(auditors=tuple(available_auditors())))
-    return [*auditors, SpanBuilder(SpanConfig())]
+    consumers = [*auditors, SpanBuilder(SpanConfig())]
+    return [consumer.bind(n_packets=n_packets) for consumer in consumers]
 
 
-def _report(observer):
-    """What an observer finishes with, in comparable (exported) form."""
-    report = observer.finish()
+def _exported(report):
+    """A report in comparable (exported) form."""
     return report.to_dict() if hasattr(report, "to_dict") else report
 
 
 @pytest.mark.parametrize("cell", sorted(RECORDED))
-def test_routed_and_every_event_feeding_report_the_same(cell):
-    # one run's event list, as its live consumers were offered it
+def test_one_walk_and_a_walk_per_observer_report_the_same(cell):
+    # one run's complete log and packet ledger
     spec = CELLS[cell]()
-    events = [e for e in spec.run().trace.events if e.category != "audit"]
+    built = spec.build()
+    built.run()
+    commons = built.commons
+    events = commons.trace_bus.events
     assert {e.kind for e in events} >= RECORDED[cell]
-    n_packets = getattr(spec, "session", spec).config.content_packets
-    for routed, direct in zip(_consumers(), _consumers(), strict=True):
-        # the direct consumer's bus sends it every kind
-        for consumer, kinds in ((routed, routed.kinds), (direct, None)):
-            bus, ledgers = ledgered_bus()
-            consumer.bind(bus, n_packets=n_packets, **ledgers)
-            bus.subscribe(consumer.on_event, kinds)
-            for event in events:
-                bus.publish(event)
-        assert _report(routed) == _report(direct), type(routed).__name__
+    n_packets = commons.config.content_packets
+    shared = _consumers(n_packets)
+    reports, _ = feed(events, shared, commons.packets)
+    for consumer, report in zip(_consumers(n_packets), reports, strict=True):
+        (alone,), _ = feed(events, [consumer], commons.packets)
+        assert _exported(alone) == _exported(report), type(consumer).__name__
 
 
 # ----------------------------------------------------------------------
-# one contract, two feeders: bound live by the run, or replayed
+# one function: fed by the run's finish, or replayed
 # ----------------------------------------------------------------------
-def _findings(entry):
-    return [
-        (f["code"], f["subject"], f["evidence"])
-        for key in ("violations", "warnings")
-        for f in entry[key]
-    ]
+def _entry(entry):
+    """An audit entry, bar ``events_seen``: a replay also reads the
+    ``wave.end`` events ``finalize()`` adds to the exported trace."""
+    return {key: value for key, value in entry.items() if key != "events_seen"}
 
 
 #: gray failures: a flapping peer, a degraded one, stuttering links
@@ -202,11 +164,16 @@ def test_live_and_replayed_observers_agree(cell):
         )
     )
     builder = SpanBuilder(spec.spans)
+    # the replay reads what the run's observers read: the log from where
+    # they were bound, after the capacity budgets a weighted cell
+    # announces at build (a gap ROADMAP item 18 records)
+    lines = trace_to_jsonl(result.trace).splitlines()
+    lines = lines[session.commons.observed_from:]
     # a fault may lose the content's last seqs before any media event
     # names them, so a faulted trace is told its content length
     faulted = cell in FAULTED
     *entries, spans = replay(
-        trace_to_jsonl(result.trace).splitlines(), [*auditors, builder],
+        lines, [*auditors, builder],
         delta=config.delta, tau=config.tau,
         protocol=result.protocol, seed=config.seed,
         n_packets=config.content_packets if faulted else None,
@@ -222,8 +189,8 @@ def test_live_and_replayed_observers_agree(cell):
     assert replayed.played == live.played
     for auditor, entry in zip(auditors, entries, strict=True):
         live = result.audit.auditors[auditor.name]
-        assert _findings(entry) == _findings(live), auditor.name
-    assert spans.headline() == result.spans.headline()
+        assert _entry(entry) == _entry(live), auditor.name
+    assert spans.to_dict() == result.spans.to_dict()
 
 
 # ----------------------------------------------------------------------
@@ -237,43 +204,31 @@ def test_fan_out_per_event_stays_under_two():
         protocol=ProtocolSpec("tcop"),
         trace=TraceConfig(), audit=AuditConfig(), spans=SpanConfig(),
     ).build()
-    bus = session.trace_bus
     calls = [0]
 
-    def counting(callback):
-        def wrapper(event):
+    def counting(handler):
+        def wrapper(observer, event):
             calls[0] += 1
-            callback(event)
+            handler(observer, event)
         return wrapper
 
-    assert len(bus.subscribers) == 8  # seven auditors and the span builder
-    bus.subscribers = {
-        counting(callback): kinds for callback, kinds in bus.subscribers.items()
-    }
+    readers = [o for o in session.commons.observers if o.handlers]
+    assert len(readers) == 8  # seven auditors and the span builder
+    for reader in readers:
+        reader.handlers = {
+            kind: counting(handler) for kind, handler in reader.handlers.items()
+        }
     session.run()
     # broadcasting would make this exactly 8.0; 1.94 measured, the span
-    # builder reading journeys off the packet ledger instead of the bus
-    assert calls[0] / bus.events_seen <= 2.0
+    # builder reading journeys off the packet ledger instead of the log
+    assert calls[0] / readers[0].events_seen <= 2.0
 
 
 # ----------------------------------------------------------------------
-# custom subscribers
+# custom auditors
 # ----------------------------------------------------------------------
 @pytest.fixture
 def custom_auditors():
-    @register_auditor("undeclared_test")
-    class Undeclared(Auditor):
-        name = "undeclared_test"
-
-        def __init__(self):
-            super().__init__()
-            self.kinds_handled = []
-
-        def handle(self, event):
-            self.kinds_handled.append(event.kind)
-            if event.kind == "peer.activate":
-                self.warning("undeclared_test.seen", event.subject, "seen")
-
     @register_auditor("declared_test")
     class Declared(Auditor):
         name = "declared_test"
@@ -284,11 +239,11 @@ def custom_auditors():
 
         def _on_activate(self, event):
             self.kinds_handled.append(event.kind)
+            self.warning("declared_test.seen", event.subject, "seen")
 
         handlers = {"peer.activate": _on_activate}
 
     yield
-    audit_module._AUDITORS.pop("undeclared_test")
     audit_module._AUDITORS.pop("declared_test")
 
 
@@ -298,22 +253,18 @@ def test_custom_auditors_see_what_they_asked_for(custom_auditors):
             n=12, H=4, fault_margin=1, content_packets=100, seed=5
         ),
         protocol=ProtocolSpec("tcop"),
-        audit=AuditConfig(auditors=("undeclared_test", "declared_test", "tree")),
+        audit=AuditConfig(auditors=("declared_test", "tree")),
     ).build()
     result = session.run()
-    # the run's observers: the three auditors, then the sampler
-    undeclared, declared, tree, _ = session.commons.observers
+    # the run's observers: the two auditors, then the sampler
+    declared, tree, _ = session.commons.observers
     emitted = [e.kind for e in result.trace.events if e.kind != "wave.end"]
-    # no declaration: every emission, bar the auditors' own verdicts —
-    # of which this one's warnings made plenty
-    assert "audit.warning" in emitted
-    assert undeclared.kinds_handled == [
-        k for k in emitted if not k.startswith("audit.")
-    ]
-    # a declaration: only those kinds
-    assert set(declared.kinds_handled) == {"peer.activate"}
-    assert len(declared.kinds_handled) == emitted.count("peer.activate")
-    # and all three report the run's event count, as they always did
-    seen = len(undeclared.kinds_handled)
-    assert undeclared.events_seen == declared.events_seen == seen
-    assert tree.events_seen == seen
+    # its findings joined the log…
+    assert emitted.count("audit.warning") == emitted.count("peer.activate")
+    # …and it was sent only the kinds it declared
+    assert declared.kinds_handled == ["peer.activate"] * emitted.count(
+        "peer.activate"
+    )
+    # both report the run's event count, bar the auditors' own verdicts
+    seen = sum(1 for k in emitted if not k.startswith("audit."))
+    assert declared.events_seen == tree.events_seen == seen

@@ -164,7 +164,7 @@ def test_fig10_scale_headline():
     assert (head["delivered"], head["recovered"], head["lost"]) == (260, 4, 0)
     assert head["attributed_share"] == 1.0
     assert spanned.delivery_ratio == 1.0
-    # span construction is a passive subscriber: identical trajectory
+    # span construction only reads the log at finish: identical trajectory
     plain = CELLS["spans/fig10"](spans=False).run()
     assert plain.spans is None and plain.summary() == spanned.summary()
 

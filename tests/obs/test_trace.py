@@ -3,11 +3,22 @@
 import pytest
 
 from repro.core import ProtocolConfig
-from repro.obs import CONTROL_KINDS, TraceBus, TraceConfig, TraceEvent
+from repro.net.ledger import PacketLedger
+from repro.obs import (
+    CONTROL_KINDS,
+    Auditor,
+    Observer,
+    TraceBus,
+    TraceConfig,
+    TraceEvent,
+)
+from repro.obs.trace import feed
 from repro.sim.engine import Environment
 from repro.streaming import ProtocolSpec, SessionSpec
 
 from tests.streaming.test_swarm import ALL_PROTOCOLS, protocol_case
+
+from .test_artefact_pins import CELLS
 
 
 def run_traced(proto, trace=None, **cfg_kw):
@@ -46,17 +57,19 @@ def test_category_filter_suppresses_storage_not_counters():
     bus = TraceBus(TraceConfig(categories=frozenset({"peer"})), Environment())
     bus.emit("msg.send", "p0", kind="control")
     bus.emit("peer.activate", "p0", round=1)
-    assert [e.kind for e in bus.events] == ["peer.activate"]
-    # live accounting still saw the filtered message
-    assert bus.counts_by_kind["msg.send"] == 1
+    # live accounting saw the message the export will filter out
     assert bus.in_flight_control == 1
+    bus.finalize()
+    assert [e.kind for e in bus.events] == ["peer.activate"]
+    assert bus.counts_by_kind["msg.send"] == 1
 
 
 def test_max_events_cap_counts_overflow():
     bus = TraceBus(TraceConfig(max_events=3), Environment())
     for i in range(10):
         bus.emit("peer.activate", f"p{i}", round=1)
-    assert len(bus.events) == 3
+    bus.finalize()
+    assert len(bus.of_kind("peer.activate")) == 3
     assert bus.dropped_events == 7
     assert bus.counts_by_kind["peer.activate"] == 10
 
@@ -78,49 +91,66 @@ def test_in_flight_control_gauge_lifecycle():
     assert bus.in_flight_control == 1
 
 
-def test_subscribers_see_filtered_and_capped_events():
-    # storage filters bound memory; subscribers are streaming observers
-    # and must see the full firehose regardless
-    bus = TraceBus(
-        TraceConfig(categories=frozenset({"peer"}), max_events=1),
-        Environment(),
-    )
-    seen = []
-    bus.subscribe(lambda e: seen.append(e.kind))
-    bus.emit("msg.send", "p0", kind="control")  # category-filtered
-    bus.emit("peer.activate", "p0", round=1)    # stored
-    bus.emit("peer.activate", "p1", round=1)    # over the cap
-    assert [e.kind for e in bus.events] == ["peer.activate"]
-    assert seen == ["msg.send", "peer.activate", "peer.activate"]
+def test_observers_are_never_truncated():
+    # the trace config chooses what the export keeps; the run's observers
+    # read the complete log all the same
+    def run(trace):
+        spec = CELLS["gauntlet/dcop"]().replace(trace=trace)
+        return spec.run().detach()
+
+    full = run(TraceConfig())
+    kept = run(TraceConfig(categories=frozenset({"peer"}), max_events=50))
+    assert kept.audit == full.audit
+    assert kept.spans == full.spans
+    events = kept.trace["events"]
+    assert {e["kind"].split(".")[0] for e in events} == {"peer"}
+    assert len(events) == 50
+    # every peer.* event past the first 50 is counted as dropped
+    peer = sum(1 for e in full.trace["events"] if e["kind"].startswith("peer."))
+    assert kept.trace["dropped_events"] == peer - 50 > 0
+    assert kept.trace["counts_by_kind"] == full.trace["counts_by_kind"]
 
 
-def test_unsubscribe_stops_delivery_and_tolerates_strangers():
-    bus = TraceBus(TraceConfig(), Environment())
-    seen = []
-    cb = seen.append
-    bus.subscribe(cb)
+def test_a_finding_follows_the_event_that_raised_it():
+    # a finding recorded in a handler is logged right after the event
+    # that raised it, at its time, and handed on to observers that read
+    # audit.* kinds; a finish-time finding ends the log at the run's end
+    class Echo(Auditor):
+        name = "echo"
+
+        def _on_activate(self, event: TraceEvent) -> None:
+            self.warning("echo.seen", event.subject, "activated")
+
+        def check(self, session=None) -> None:
+            self.warning("echo.done", "leaf", "finished")
+
+        handlers = {"peer.activate": _on_activate}
+
+    class Reader(Observer):
+        def __init__(self):
+            self.seen = []
+
+        def _on_warning(self, event: TraceEvent) -> None:
+            self.seen.append(event.fields["code"])
+
+        handlers = {"audit.warning": _on_warning}
+
+    env = Environment()
+    bus = TraceBus(TraceConfig(), env)
     bus.emit("peer.activate", "p0", round=1)
-    bus.unsubscribe(cb)
-    bus.unsubscribe(cb)  # double unsubscribe is a no-op
+    env.timeout(5.0)
+    env.run()
     bus.emit("peer.activate", "p1", round=1)
-    assert len(seen) == 1
-
-
-def test_subscriber_may_reenter_emit():
-    # auditors publish audit.* events from inside their callbacks; the
-    # dispatch snapshot must neither loop nor skip subscribers
-    bus = TraceBus(TraceConfig(), Environment())
-    seen = []
-
-    def echo(event: TraceEvent) -> None:
-        seen.append(event.kind)
-        if event.category != "audit":
-            bus.emit("audit.warning", "echo", about=event.subject)
-
-    bus.subscribe(echo)
-    bus.emit("peer.activate", "p0", round=1)
-    assert seen == ["peer.activate", "audit.warning"]
-    assert [e.kind for e in bus.events] == ["peer.activate", "audit.warning"]
+    echo, reader = Echo().bind(), Reader().bind()
+    _, log = feed(bus.events, [echo, reader], PacketLedger(), end=9.0)
+    assert [(e.ts, e.kind) for e in log] == [
+        (0.0, "peer.activate"), (0.0, "audit.warning"),
+        (5.0, "peer.activate"), (5.0, "audit.warning"),
+        (9.0, "audit.warning"),
+    ]
+    assert reader.seen == ["echo.seen", "echo.seen", "echo.done"]
+    # the finding itself carries the time of the run's last event
+    assert [w.ts for w in echo.warnings] == [0.0, 5.0, 5.0]
 
 
 def test_wave_start_dedupes_rounds():
