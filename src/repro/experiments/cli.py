@@ -355,7 +355,7 @@ def _run_spans(args) -> int:
         source = Path(args.from_jsonl)
         if not source.exists():
             return _fail(f"trace file not found: {source}")
-        report = spans_from_jsonl(source, config=SpanConfig())
+        report = spans_from_jsonl(source)
         bus = None
     else:
         spec = _build_spec(args)

@@ -15,7 +15,7 @@ served from one shared pool.  This module replaces it with an explicit
   transmit loop sleeps until the first window with a free slot) and a
   send whose queue would grow past ``queue_limit`` packets is **shed**;
 * shedding is priority-aware: parity packets shed first (at
-  ``parity_queue_fraction`` of the limit), data packets only when the
+  :data:`PARITY_QUEUE_FRACTION` of the limit), data packets only when the
   queue is truly full — the graceful-degradation order (§4's fault
   margins exist precisely so parity can be sacrificed).
 
@@ -41,6 +41,8 @@ if TYPE_CHECKING:  # pragma: no cover
 #: The capacity auditor uses the same epsilon when re-deriving windows
 #: from ``media.tx`` timestamps.
 WINDOW_EPS = 1e-6
+#: fraction of ``queue_limit`` beyond which parity packets shed
+PARITY_QUEUE_FRACTION = 0.5
 
 
 @dataclass(frozen=True)
@@ -51,14 +53,12 @@ class CapacityPolicy:
     window, and ``per_peer`` states a different one for the peers it
     names; ``queue_limit`` bounds the backpressure queue in packets
     before data sheds; parity sheds earlier, at
-    ``parity_queue_fraction`` of the limit, so margin packets absorb the
+    :data:`PARITY_QUEUE_FRACTION` of the limit, so margin packets absorb the
     first wave of contention and data survives longest.
     """
 
     packets_per_delta: float
     queue_limit: int = 64
-    #: fraction of ``queue_limit`` beyond which parity packets shed
-    parity_queue_fraction: float = 0.5
     #: accounting window in δ units (1.0 = the paper's slot width)
     window_deltas: float = 1.0
     #: peer id -> its packets per δ, in place of ``packets_per_delta``
@@ -72,10 +72,6 @@ class CapacityPolicy:
             raise ValueError("packets_per_delta must be positive")
         if self.queue_limit < 1:
             raise ValueError("queue_limit must be >= 1")
-        if not 0.0 < self.parity_queue_fraction <= 1.0:
-            raise ValueError(
-                "parity_queue_fraction must be in (0, 1]"
-            )
         if self.window_deltas <= 0:
             raise ValueError("window_deltas must be positive")
 
@@ -194,7 +190,7 @@ class UploadBudget:
         queued = (land_win - cur - 1) * self.per_window + land_used + 1
         limit = self.policy.queue_limit
         if parity:
-            limit = max(1, int(limit * self.policy.parity_queue_fraction))
+            limit = max(1, int(limit * PARITY_QUEUE_FRACTION))
         if queued > limit:
             if parity:
                 self.shed_parity += 1

@@ -78,7 +78,7 @@ class RetransmitPolicy:
     With ``adaptive=True`` the base timeout toward each destination is
     the Jacobson RTO (``SRTT + 4·RTTVAR``) from that destination's
     observed ack round-trips, clamped to
-    ``[min_timeout_deltas, max_timeout_deltas]`` δ; ``ack_timeout_deltas``
+    ``[MIN_TIMEOUT_DELTAS, MAX_TIMEOUT_DELTAS]`` δ; ``ack_timeout_deltas``
     remains the cold-start value until the first RTT sample.
     """
 
@@ -88,9 +88,6 @@ class RetransmitPolicy:
     jitter: float = 0.25
     #: derive per-destination ack timeouts from measured RTTs
     adaptive: bool = False
-    #: clamp for the adaptive RTO, in δ units
-    min_timeout_deltas: float = 1.0
-    max_timeout_deltas: float = 10.0
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
@@ -101,12 +98,6 @@ class RetransmitPolicy:
             raise ValueError("backoff must be >= 1")
         if self.jitter < 0:
             raise ValueError("jitter must be >= 0")
-        if self.min_timeout_deltas <= 0:
-            raise ValueError("min_timeout_deltas must be positive")
-        if self.max_timeout_deltas < self.min_timeout_deltas:
-            raise ValueError(
-                "max_timeout_deltas must be >= min_timeout_deltas"
-            )
 
 
 @dataclass
@@ -156,6 +147,11 @@ class _InFlight:
     #: Karn's rule: once retransmitted, the eventual ack can no longer be
     #: attributed to one transmission, so it yields no RTT sample
     retransmitted: bool = False
+
+
+#: clamp for the adaptive RTO, in δ units
+MIN_TIMEOUT_DELTAS = 1.0
+MAX_TIMEOUT_DELTAS = 10.0
 
 
 class ControlPlane:
@@ -222,8 +218,8 @@ class ControlPlane:
         rto = est.rto() if est is not None else None
         if rto is None:
             return base  # cold start: no sample toward dst yet
-        lo = pol.min_timeout_deltas * self.delta
-        hi = pol.max_timeout_deltas * self.delta
+        lo = MIN_TIMEOUT_DELTAS * self.delta
+        hi = MAX_TIMEOUT_DELTAS * self.delta
         return min(max(rto, lo), hi)
 
     def srtt_of(self, dst: str) -> Optional[float]:

@@ -722,9 +722,9 @@ class DetectorAuditor(Auditor):
     asynchronous detector and surface as warnings.  A detection latency
     beyond the bound is a violation for a peer that activated, and a
     warning naming the crash for one that crashed before it did.  The
-    default bound is ``(confirm_misses + 2) · period + 2δ`` from the live
-    session's policy; :attr:`AuditConfig.detection_latency_bound_ms`
-    overrides.
+    default bound is ``(CONFIRM_MISSES + 2) · period + 2δ`` from
+    :mod:`repro.streaming.detector` and the live session's heartbeat
+    period; :attr:`AuditConfig.detection_latency_bound_ms` overrides.
     """
 
     name = "detector"
@@ -743,9 +743,10 @@ class DetectorAuditor(Auditor):
             and session is not None
             and session.detector is not None
         ):
-            policy = session.detector.policy
+            from repro.streaming.detector import CONFIRM_MISSES
+
             self.latency_bound_ms = (
-                (policy.confirm_misses + 2) * session.detector.period
+                (CONFIRM_MISSES + 2) * session.detector.period
                 + 2 * self.delta
             )
         return self

@@ -23,6 +23,11 @@ from repro.obs.trace import CONTROL_KINDS, Observer
 if TYPE_CHECKING:  # pragma: no cover
     from repro.streaming.session import StreamingSession
 
+#: the sampler's tick, in δ units
+SAMPLE_PERIOD_DELTAS = 1.0
+#: the sampler stops after this many ticks
+MAX_SAMPLES = 2000
+
 
 @dataclass
 class Gauge:
@@ -72,13 +77,13 @@ class MetricsRegistry:
 
 class TimeSeriesSampler(Observer):
     """A single-leaf run's trajectory, sampled every
-    ``sample_period_deltas`` δ of its bus's :class:`TraceConfig`.
+    :data:`SAMPLE_PERIOD_DELTAS` δ.
 
     It reads the session, not events, so it declares no handlers:
     binding, at build, starts the sampling process; :meth:`finish`
     returns the series.  Self-terminating: sampling stops when the leaf
     holds the full content, when the event queue has otherwise drained
-    (nothing left to observe), or after ``max_samples`` ticks — so
+    (nothing left to observe), or after :data:`MAX_SAMPLES` ticks — so
     tracing never keeps a simulation alive materially past its natural
     end.
     """
@@ -107,7 +112,7 @@ class TimeSeriesSampler(Observer):
         registry.gauge("buffer_level", lambda: session.leaf.buffer.level)
         registry.gauge("receipt_rate", self._windowed_receipt_rate)
         self._rr_prev = (0, session.env.now)
-        session.env.process(self._sample_loop(bus.config))
+        session.env.process(self._sample_loop())
         return self
 
     def _windowed_receipt_rate(self) -> float:
@@ -121,10 +126,10 @@ class TimeSeriesSampler(Observer):
             return 0.0
         return (count - prev_count) / (now - prev_t) / self.tau
 
-    def _sample_loop(self, trace):
+    def _sample_loop(self):
         env, leaf = self._session.env, self._session.leaf
-        period = trace.sample_period_deltas * self.delta
-        for _ in range(trace.max_samples):
+        period = SAMPLE_PERIOD_DELTAS * self.delta
+        for _ in range(MAX_SAMPLES):
             yield env.timeout(period)
             self.registry.sample(env.now)
             if leaf.decoder.complete or len(env) == 0:

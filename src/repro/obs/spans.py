@@ -86,27 +86,14 @@ _MILESTONE_SEGMENTS = {
 
 @dataclass(frozen=True)
 class SpanConfig:
-    """Tuning knobs for span construction (all read-only).
+    """Arms span construction for a run.
 
-    ``qoe_bucket_deltas`` sets the QoE-timeline bucket width in δ units;
-    ``max_qoe_points`` caps the number of timeline points per leaf (the
-    bucket is widened when a long run would exceed it).  ``top_packets``
-    bounds how many slowest journeys the report retains verbatim, as
-    :data:`TOP_EXCHANGES` does for exchanges (aggregates always cover
-    everything).
+    Spans have no per-run tuning: the QoE-timeline bucket
+    (:data:`QOE_BUCKET_DELTAS`, widened to fit :data:`MAX_QOE_POINTS`)
+    and how many slowest journeys and exchanges a report retains
+    verbatim (:data:`TOP_PACKETS`, :data:`TOP_EXCHANGES`; aggregates
+    always cover everything) are this module's constants.
     """
-
-    qoe_bucket_deltas: float = 1.0
-    max_qoe_points: int = 2000
-    top_packets: int = 20
-
-    def __post_init__(self) -> None:
-        if self.qoe_bucket_deltas <= 0:
-            raise ValueError("qoe_bucket_deltas must be positive")
-        if self.max_qoe_points < 1:
-            raise ValueError("max_qoe_points must be >= 1")
-        if self.top_packets < 0:
-            raise ValueError("top_packets must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -491,6 +478,12 @@ class SpanReport:
 
 #: how many slowest control exchanges a report retains verbatim
 TOP_EXCHANGES = 20
+#: how many slowest packet journeys a report retains verbatim
+TOP_PACKETS = 20
+#: QoE-timeline bucket width, in δ units
+QOE_BUCKET_DELTAS = 1.0
+#: cap on QoE-timeline points per leaf (a long run widens the bucket)
+MAX_QOE_POINTS = 2000
 
 
 class SpanBuilder(Observer):
@@ -508,8 +501,7 @@ class SpanBuilder(Observer):
 
     result_field = "spans"
 
-    def __init__(self, config: Optional[SpanConfig] = None) -> None:
-        self.config = config or SpanConfig()
+    def __init__(self) -> None:
         # raw joins, keyed for O(1) stitching
         self._wave_starts: Dict[int, float] = {}
         self._activations: List[Tuple[float, str, int]] = []
@@ -834,12 +826,10 @@ class SpanBuilder(Observer):
         )
         out: Dict[str, SweepSeries] = {}
         end = self.last_ts
-        bucket = self.config.qoe_bucket_deltas * (
-            self.delta if self.delta else 1.0
-        )
+        bucket = QOE_BUCKET_DELTAS * (self.delta if self.delta else 1.0)
         n_points = max(1, int(end / bucket) + 1)
-        if n_points > self.config.max_qoe_points:
-            n_points = self.config.max_qoe_points
+        if n_points > MAX_QOE_POINTS:
+            n_points = MAX_QOE_POINTS
             bucket = end / n_points
         for leaf in leaves:
             held: Dict[int, float] = {}
@@ -936,7 +926,7 @@ class SpanBuilder(Observer):
             sorted(
                 timed,
                 key=lambda j: (-j.e2e_ms, _label_key(j.label)),
-            )[: self.config.top_packets]
+            )[:TOP_PACKETS]
         )
         slowest_exchanges = tuple(
             sorted(exchanges, key=lambda e: (-e.duration_ms, e.mid))[:TOP_EXCHANGES]
@@ -963,7 +953,6 @@ class SpanBuilder(Observer):
 # ----------------------------------------------------------------------
 def spans_from_jsonl(
     source: Union[str, Path, Iterable[str]],
-    config: Optional[SpanConfig] = None,
     leaf_id: str = "leaf",
     n_packets: Optional[int] = None,
     delta: Optional[float] = None,
@@ -979,6 +968,6 @@ def spans_from_jsonl(
     report to match the run's own — a filtered dump is missing joins.
     """
     return replay(
-        source, [SpanBuilder(config)], leaf_id=leaf_id, n_packets=n_packets,
+        source, [SpanBuilder()], leaf_id=leaf_id, n_packets=n_packets,
         delta=delta, tau=tau, protocol=protocol, seed=seed,
     )[0]

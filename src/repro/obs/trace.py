@@ -148,23 +148,16 @@ class TraceConfig:
     ``categories=None`` keeps every category; otherwise only kinds whose
     prefix is listed.  ``max_events`` bounds the exported log — past it,
     further events are counted (``TraceBus.dropped_events``) but not
-    kept.  ``metrics`` enables a single-leaf run's time-series sampler,
-    every ``sample_period_deltas`` δ for at most ``max_samples`` ticks.
+    kept.  A traced single-leaf run also samples its time series
+    (:class:`~repro.obs.metrics.TimeSeriesSampler`).
     """
 
     categories: Optional[FrozenSet[str]] = None
     max_events: int = 200_000
-    metrics: bool = True
-    sample_period_deltas: float = 1.0
-    max_samples: int = 2000
 
     def __post_init__(self) -> None:
         if self.max_events < 1:
             raise ValueError("max_events must be >= 1")
-        if self.sample_period_deltas <= 0:
-            raise ValueError("sample_period_deltas must be positive")
-        if self.max_samples < 1:
-            raise ValueError("max_samples must be >= 1")
 
     def wants(self, kind: str) -> bool:
         return (
@@ -200,7 +193,7 @@ class TraceBus:
     #: kind -> events (packets, for batched media) of the complete log,
     #: filled by :meth:`finalize`
     counts_by_kind: Dict[str, int] = field(default_factory=dict)
-    #: highest flooding round a ``wave.start`` was recorded for
+    #: the flooding rounds a ``wave.start`` was recorded for
     _waves_seen: set = field(default_factory=set)
     _finalized: bool = False
 

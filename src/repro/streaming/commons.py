@@ -69,7 +69,7 @@ class Commons:
         #: builder, then (single-leaf) the sampler
         self.observers = build_auditors(audit) if audit is not None else []
         if spans is not None:
-            self.observers.append(SpanBuilder(spans))
+            self.observers.append(SpanBuilder())
         if self.observers and trace is None:
             # auditors and span builders read the run's log, so either
             # implies tracing
@@ -80,9 +80,6 @@ class Commons:
             self.env.hooks.tracer = self.trace_bus
         #: the session the observers watch (None: a swarm's, or none yet)
         self.observed = None
-        #: where in the log the observers were bound: what they read
-        #: starts there
-        self.observed_from = 0
         #: result field -> report, once :meth:`finish` ran
         self.reports = None
         #: every fault instance the run's injectors fire, bus or no bus
@@ -143,14 +140,11 @@ class Commons:
         """Bind the run's observers.
 
         A single-leaf run's observers read leaf and policies off
-        ``session``, and, when its trace asks for metrics, a sampler
-        joins them; a swarm's know only the content length.
+        ``session``, and, when it is traced, a sampler joins them; a
+        swarm's know only the content length.
         """
         self.observed = session
-        bus = self.trace_bus
-        if bus is not None:
-            self.observed_from = len(bus.events)
-        if session is not None and bus is not None and bus.config.metrics:
+        if session is not None and self.trace_bus is not None:
             self.observers.append(TimeSeriesSampler())
         for observer in self.observers:
             observer.bind(session, n_packets=self.config.content_packets)
@@ -163,14 +157,14 @@ class Commons:
         self.reports, entries = {}, {}
         bus = self.trace_bus
         if self.observers:
-            # the findings' audit.* events join the log before finalize()
-            # keeps what the trace config exports
-            start = self.observed_from
+            # the observers read the whole log, build-time events
+            # included; the findings' audit.* events join it before
+            # finalize() keeps what the trace config exports
             reports, walked = feed(
-                bus.events[start:], self.observers, self.packets,
+                bus.events, self.observers, self.packets,
                 self.env.now, self.observed,
             )
-            bus.events[start:] = walked
+            bus.events[:] = walked
             for observer, report in zip(self.observers, reports):
                 if observer.result_field == "audit":  # the suite is one report
                     entries[observer.name] = report

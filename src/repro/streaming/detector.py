@@ -11,12 +11,12 @@ detect → retransmit → re-coordinate loop:
   implicit liveness, so heartbeats mostly piggyback on the stream;
 * the leaf-side :class:`FailureDetector` declares a peer *suspected* after
   ``suspect_misses`` heartbeat periods of silence and *confirmed* failed
-  after ``confirm_misses`` periods; confirmation triggers re-coordination
-  (see :mod:`repro.streaming.recoordination`);
+  after :data:`CONFIRM_MISSES` periods; confirmation triggers
+  re-coordination (see :mod:`repro.streaming.recoordination`);
 * in ``mode="accrual"`` the fixed thresholds are replaced by a φ-accrual
   score (Hayashibara et al.): a sliding window of inter-heartbeat gaps
   estimates the arrival distribution, ``φ = -log10 P(a later heartbeat)``
-  grows continuously with silence, and ``phi_suspect``/``phi_confirm``
+  grows continuously with silence, and ``phi_suspect``/:data:`PHI_CONFIRM`
   become the two levels — on a jittery (gray) link the window widens and
   the detector automatically becomes more patient;
 * the reliable control plane reports unreachable destinations
@@ -25,8 +25,9 @@ detect → retransmit → re-coordinate loop:
 * detection latency (vs the ground-truth crash instant) and false
   suspicions are recorded into :class:`~repro.streaming.session.SessionResult`.
 
-Timeouts are expressed in heartbeat periods, themselves in δ units, so the
-detector scales with the control-latency regime like everything else.
+Timeouts are expressed in heartbeat periods, themselves
+:data:`HEARTBEAT_PERIOD_DELTAS` δ, so the detector scales with the
+control-latency regime like everything else.
 """
 
 from __future__ import annotations
@@ -56,6 +57,16 @@ class Heartbeat:
 
 #: recognized suspicion policies: fixed miss counting vs φ-accrual
 DETECTOR_MODES = ("fixed", "accrual")
+#: heartbeat emission / detector check period, in δ units
+HEARTBEAT_PERIOD_DELTAS = 1.0
+#: silent periods before a suspect is *confirmed* (fixed mode, and
+#: accrual mode while its gap window fills)
+CONFIRM_MISSES = 6
+#: φ level at which a suspect is confirmed failed (accrual mode)
+PHI_CONFIRM = 3.0
+#: the detector shuts down after this long without any leaf contact, in
+#: δ units (bounds the simulation when the whole overlay has died)
+IDLE_GRACE_DELTAS = 20.0
 
 
 @dataclass(frozen=True)
@@ -64,42 +75,32 @@ class DetectorPolicy:
 
     ``mode="fixed"`` (the original, compatibility behaviour) suspects
     after ``suspect_misses`` silent periods and confirms after
-    ``confirm_misses``.  ``mode="accrual"`` scores silence continuously:
-    a window of the last ``window`` inter-heartbeat gaps estimates the
-    arrival distribution and a peer is suspected/confirmed when its φ
-    crosses ``phi_suspect``/``phi_confirm``.  The fixed-miss thresholds
-    remain the bootstrap rule while the window is still filling.
+    :data:`CONFIRM_MISSES`.  ``mode="accrual"`` scores silence
+    continuously: a window of the last ``window`` inter-heartbeat gaps
+    estimates the arrival distribution and a peer is suspected/confirmed
+    when its φ crosses ``phi_suspect``/:data:`PHI_CONFIRM`.  The
+    fixed-miss thresholds remain the bootstrap rule while the window is
+    still filling.  Every confirmed failure triggers mid-stream
+    re-coordination; the heartbeat period and idle shutdown are this
+    module's constants.
     """
 
-    #: heartbeat emission / detector check period, in δ units
-    heartbeat_period_deltas: float = 1.0
-    #: silent periods before a peer is *suspected*
+    #: silent periods before a peer is *suspected* (≤ CONFIRM_MISSES)
     suspect_misses: int = 3
-    #: silent periods before a suspect is *confirmed* (≥ suspect_misses)
-    confirm_misses: int = 6
-    #: detector shuts down after this long without any leaf contact, in δ
-    #: units (bounds the simulation when the whole overlay has died)
-    idle_grace_deltas: float = 20.0
-    #: confirmed failures trigger mid-stream re-coordination
-    recoordinate: bool = True
     #: suspicion policy: "fixed" miss counting or "accrual" φ scoring
     mode: str = "fixed"
-    #: φ level at which a peer becomes suspected (accrual mode)
+    #: φ level at which a peer becomes suspected (≤ PHI_CONFIRM)
     phi_suspect: float = 1.0
-    #: φ level at which a suspect is confirmed failed (≥ phi_suspect)
-    phi_confirm: float = 3.0
     #: inter-heartbeat gaps kept per peer for the φ estimate
     window: int = 8
 
     def __post_init__(self) -> None:
-        if self.heartbeat_period_deltas <= 0:
-            raise ValueError("heartbeat period must be positive")
         if self.suspect_misses < 1:
             raise ValueError("suspect_misses must be >= 1")
-        if self.confirm_misses < self.suspect_misses:
-            raise ValueError("confirm_misses must be >= suspect_misses")
-        if self.idle_grace_deltas <= 0:
-            raise ValueError("idle_grace_deltas must be positive")
+        if self.suspect_misses > CONFIRM_MISSES:
+            raise ValueError(
+                f"suspect_misses must be <= CONFIRM_MISSES ({CONFIRM_MISSES})"
+            )
         if self.mode not in DETECTOR_MODES:
             raise ValueError(
                 f"unknown detector mode {self.mode!r} "
@@ -107,8 +108,10 @@ class DetectorPolicy:
             )
         if self.phi_suspect <= 0:
             raise ValueError("phi_suspect must be positive")
-        if self.phi_confirm < self.phi_suspect:
-            raise ValueError("phi_confirm must be >= phi_suspect")
+        if self.phi_suspect > PHI_CONFIRM:
+            raise ValueError(
+                f"phi_suspect must be <= PHI_CONFIRM ({PHI_CONFIRM})"
+            )
         if self.window < 2:
             raise ValueError("window must hold at least 2 gap samples")
 
@@ -147,7 +150,7 @@ class FailureDetector:
     def __init__(self, session: "StreamingSession", policy: DetectorPolicy) -> None:
         self.session = session
         self.policy = policy
-        self.period = policy.heartbeat_period_deltas * session.config.delta
+        self.period = HEARTBEAT_PERIOD_DELTAS * session.config.delta
         self.monitored: Dict[str, PeerHealth] = {}
         self.false_suspicions = 0
         #: peer -> confirm latency in ms measured against the ground-truth
@@ -294,8 +297,8 @@ class FailureDetector:
         pol = self.policy
         decoder = session.leaf.decoder
         idle_grace = max(
-            pol.idle_grace_deltas * session.config.delta,
-            (pol.confirm_misses + 2) * self.period,
+            IDLE_GRACE_DELTAS * session.config.delta,
+            (CONFIRM_MISSES + 2) * self.period,
         )
         while True:
             yield env.timeout(self.period)
@@ -314,14 +317,14 @@ class FailureDetector:
                 if phi is not None:
                     if not st.suspected and phi >= pol.phi_suspect:
                         self._suspect(pid, st, phi=phi)
-                    if st.suspected and phi >= pol.phi_confirm:
+                    if st.suspected and phi >= PHI_CONFIRM:
                         self._confirm(pid, st)
                 else:
                     # fixed mode — or accrual still bootstrapping its
                     # gap window: fall back to the miss-count thresholds
                     if not st.suspected and silent >= pol.suspect_misses * self.period:
                         self._suspect(pid, st)
-                    if st.suspected and silent >= pol.confirm_misses * self.period:
+                    if st.suspected and silent >= CONFIRM_MISSES * self.period:
                         self._confirm(pid, st)
             if decoder.complete:
                 return

@@ -522,8 +522,8 @@ class JoinStormPlan:
       Exp(``rate_per_delta``) in δ units, drawn from the swarm's
       dedicated ``swarm/joins`` random stream (equal seeds ⇒ byte-equal
       storms);
-    * ``"flash"`` — all ``leaves`` arrive at the same instant
-      (``start_deltas``), the step-function flash crowd.
+    * ``"flash"`` — all ``leaves`` arrive at t=0, the step-function
+      flash crowd.
 
     Either mode may add a late *spike*: ``spike_leaves`` extra arrivals
     at ``spike_at_deltas`` — a second crowd hitting a pool that is
@@ -534,8 +534,6 @@ class JoinStormPlan:
     leaves: int = 8
     #: Poisson arrival rate (leaves per δ); ignored in flash mode
     rate_per_delta: float = 0.25
-    #: first arrival is offset this many δ after t=0
-    start_deltas: float = 0.0
     #: "poisson" or "flash"
     mode: str = "poisson"
     #: instant (δ after t=0) of an extra step of arrivals; None = none
@@ -548,8 +546,6 @@ class JoinStormPlan:
             raise ValueError("leaves must be >= 1")
         if self.rate_per_delta <= 0:
             raise ValueError("rate_per_delta must be positive")
-        if self.start_deltas < 0:
-            raise ValueError("start_deltas must be >= 0")
         if self.mode not in ("poisson", "flash"):
             raise ValueError('mode must be "poisson" or "flash"')
         if self.spike_leaves < 0:
@@ -569,12 +565,10 @@ class JoinStormPlan:
         ``rng`` is the swarm's ``swarm/joins`` stream; flash mode draws
         nothing from it, so switching modes never perturbs other streams.
         """
-        base = self.start_deltas * delta
-        times: List[float] = []
         if self.mode == "flash":
-            times.extend(base for _ in range(self.leaves))
+            times = [0.0] * self.leaves
         else:
-            t = base
+            times, t = [], 0.0
             for _ in range(self.leaves):
                 t += float(rng.exponential(1.0 / self.rate_per_delta)) * delta
                 times.append(t)

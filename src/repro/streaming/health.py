@@ -36,6 +36,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
+from repro.streaming.detector import IDLE_GRACE_DELTAS
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.streaming.session import StreamingSession
 
@@ -130,11 +132,8 @@ class HealthMonitor:
         session = self.session
         env = session.env
         cfg = session.config
-        detector = session.detector
         period = CHECK_PERIOD_DELTAS * cfg.delta
-        idle_grace = max(
-            detector.policy.idle_grace_deltas * cfg.delta, 4 * period
-        )
+        idle_grace = max(IDLE_GRACE_DELTAS * cfg.delta, 4 * period)
         while True:
             yield env.timeout(period)
             now = env.now

@@ -8,12 +8,14 @@ its text — closes that hole:
 
 the leaf runs a :class:`RepairMonitor` that watches decoding progress;
 after :data:`STALL_CHECKS` consecutive check periods without a newly held
-data packet (while incomplete), it samples ``fanout`` contents peers and
-sends each a *repair request* for a slice of the missing sequence numbers.
+data packet (while incomplete), it samples :data:`FANOUT` contents peers
+and sends each a *repair request* for a slice of the missing sequence
+numbers.
 Contents peers hold the content, so they serve the slice directly (the
 round's peers share the content rate); crashed peers stay silent and the
 next stall triggers another round with a fresh sample, so any live peer
-eventually covers every gap.
+eventually covers every gap, or the monitor gives up after
+:data:`MAX_ROUNDS` rounds.
 
 Repair is orthogonal to the coordination protocol: the requests use a
 dedicated ``"repair"`` message kind handled by the peer agent itself.
@@ -36,23 +38,19 @@ if TYPE_CHECKING:  # pragma: no cover
 CHECK_PERIOD_DELTAS = 3.0
 #: consecutive no-progress checks before a repair round fires
 STALL_CHECKS = 2
+#: peers sampled per repair round
+FANOUT = 3
+#: the monitor gives up after this many repair rounds
+MAX_ROUNDS = 50
 
 
 @dataclass(frozen=True)
 class RepairPolicy:
-    """Tuning knobs for the leaf's repair loop (its cadence is this
-    module's constants)."""
+    """Arms the leaf's repair loop.
 
-    #: peers sampled per repair round
-    fanout: int = 3
-    #: give up after this many repair rounds (0 = unlimited)
-    max_rounds: int = 50
-
-    def __post_init__(self) -> None:
-        if self.fanout < 1:
-            raise ValueError("fanout must be >= 1")
-        if self.max_rounds < 0:
-            raise ValueError("max_rounds must be >= 0")
+    The loop has no per-run tuning: its cadence, fanout and round budget
+    are this module's constants.
+    """
 
 
 @dataclass
@@ -66,9 +64,8 @@ class RepairRequest:
 class RepairMonitor:
     """Leaf-side stall detector + repair round issuer."""
 
-    def __init__(self, session: "StreamingSession", policy: RepairPolicy) -> None:
+    def __init__(self, session: "StreamingSession") -> None:
         self.session = session
-        self.policy = policy
         self.rounds_issued = 0
         self.gave_up = False
         self._rng = session.streams.get("repair/leaf")
@@ -92,10 +89,7 @@ class RepairMonitor:
                 last_held = held
             if stalls >= STALL_CHECKS:
                 stalls = 0
-                if (
-                    self.policy.max_rounds
-                    and self.rounds_issued >= self.policy.max_rounds
-                ):
+                if self.rounds_issued >= MAX_ROUNDS:
                     self.gave_up = True
                     return
                 self._issue_round()
@@ -122,7 +116,7 @@ class RepairMonitor:
             filtered = [p for p in peers if p not in avoid]
             if filtered:
                 peers = filtered
-        k = min(self.policy.fanout, len(peers))
+        k = min(FANOUT, len(peers))
         targets = pick(self._rng, peers, k)
         # the k peers of a round share the content rate between them
         rate = session.config.tau / k

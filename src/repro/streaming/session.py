@@ -248,9 +248,8 @@ class StreamingSession:
         self.recoordinator: Optional[ReCoordinator] = None
         if detector_policy is not None:
             self.detector = FailureDetector(self, detector_policy)
-            if detector_policy.recoordinate:
-                self.recoordinator = ReCoordinator(self)
-                self.detector.on_confirm = self.recoordinator.handle_failure
+            self.recoordinator = ReCoordinator(self)
+            self.detector.on_confirm = self.recoordinator.handle_failure
         self.churn_plan = spec.churn_plan
         if spec.churn_plan is not None:
             spec.churn_plan.install(self)
@@ -263,7 +262,7 @@ class StreamingSession:
         if spec.repair_policy is not None:
             from repro.streaming.repair import RepairMonitor
 
-            self.repair_monitor = RepairMonitor(self, spec.repair_policy)
+            self.repair_monitor = RepairMonitor(self)
         self.adaptation_monitor: Optional["RateAdaptationMonitor"] = None
         if spec.adaptation_policy is not None:
             from repro.streaming.adaptive import RateAdaptationMonitor

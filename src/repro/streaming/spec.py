@@ -258,7 +258,8 @@ class LinkFaultSpec(_ChannelSpec):
 
 class DetectorSpec(_Spec):
     """A registered detector policy by name, e.g. ``DetectorSpec(
-    "accrual", {"phi_suspect": 1.0, "phi_confirm": 3.0})``; ``DetectorSpec(
+    "accrual", {"phi_suspect": 1.0, "window": 8})`` (φ confirms at
+    :data:`~repro.streaming.detector.PHI_CONFIRM`); ``DetectorSpec(
     "fixed")`` is the default miss-count
     :class:`~repro.streaming.detector.DetectorPolicy`."""
 

@@ -83,18 +83,13 @@ class AdmissionPolicy:
     ``pool_rate`` sums the upload budgets of *reachable* (non-crashed)
     contents peers.
 
-    Rejected joins retry with the PR 6 retransmit machinery's shape:
-    ``retry.max_retries`` attempts, base wait ``retry.ack_timeout_deltas``
-    δ, exponential ``retry.backoff``, and full uniform jitter over
-    ``[1 − j/2, 1 + j/2]`` so simultaneous flash-crowd rejects de-align
-    instead of re-colliding.
+    Rejected joins retry on :data:`ADMIT_RETRY`, the retransmit
+    machinery's shape: ``max_retries`` attempts, base wait
+    ``ack_timeout_deltas`` δ, exponential ``backoff``, and full uniform
+    jitter over ``[1 − j/2, 1 + j/2]`` so simultaneous flash-crowd
+    rejects de-align instead of re-colliding.  The policy has no per-run
+    tuning.
     """
-
-    retry: RetransmitPolicy = field(
-        default_factory=lambda: RetransmitPolicy(
-            max_retries=4, ack_timeout_deltas=8.0, backoff=2.0, jitter=0.5
-        )
-    )
 
 
 @dataclass(frozen=True)
@@ -365,6 +360,10 @@ class SwarmResult:
 #: content durations (l/τ) after its admission, releasing its
 #: reservation — bounds simulation time under starvation
 WATCH_DURATIONS = 4.0
+#: a rejected join's retry budget, backoff and jitter
+ADMIT_RETRY = RetransmitPolicy(
+    max_retries=4, ack_timeout_deltas=8.0, backoff=2.0, jitter=0.5
+)
 
 
 class SwarmSession:
@@ -423,8 +422,7 @@ class SwarmSession:
         self.commons.emit("admit.request", leaf_id, at=self.env.now)
         admitted = True
         if self.admission is not None:
-            pol = self.spec.admission
-            retry = pol.retry
+            retry = ADMIT_RETRY
             wait = retry.ack_timeout_deltas * self.config.delta
             admitted = False
             for attempt in range(retry.max_retries + 1):

@@ -377,8 +377,8 @@ def test_false_turns_a_flag_off(monkeypatch, word):
     monkeypatch.setattr(cli, "_run_trace", cli._build_spec)
     spec = main(["trace", "--retransmit", f"adaptive={word}"])
     assert spec.retransmit_policy.adaptive is False
-    spec = main(["trace", "--detector", f"fixed:recoordinate={word}"])
-    assert spec.detector_policy.build().recoordinate is False
+    spec = main(["trace", "--protocol", f"dcop:weighted={word}"])
+    assert spec.protocol.params["weighted"] is False
     # the help's spelling keeps its int
     spec = main(["trace", "--retransmit", "adaptive=1,jitter=0.5"])
     assert spec.retransmit_policy.adaptive == 1

@@ -28,7 +28,7 @@ from repro.experiments import (
     PAPER_FIG11_REFERENCE,
     run_experiment,
 )
-from repro.streaming import DetectorPolicy
+from repro.streaming.detector import CONFIRM_MISSES
 
 from tests.experiments.conftest import PINNED, TABLES, pinned_csv
 
@@ -339,10 +339,10 @@ def test_churn_never_dents_delivery(pinned):
 
     # once churn actually kills peers, detection latency is reported.
     # Two detection paths exist: heartbeat silence confirms within
-    # confirm_misses periods (+ slack), while a peer that dies before its
+    # CONFIRM_MISSES periods (+ slack), while a peer that dies before its
     # first leaf contact is only caught when a sender's retry ladder
     # gives up — bounded by the full exponential-backoff ladder.
-    fast_path = DetectorPolicy().confirm_misses + 4
+    fast_path = CONFIRM_MISSES + 4
     ladder = 2.5 * (2**5 - 1) * 1.25 + fast_path  # retx ladder + jitter
     for col in ("dcop_detect_deltas", "tcop_detect_deltas"):
         observed = [v for v in series.columns[col] if v is not None]
@@ -371,7 +371,7 @@ def test_partition_recoordinates_within_the_confirm_window(pinned):
     # receipt ratio never dents
     for col in delivery:
         assert all(v == 1.0 for v in series.columns[col])
-    bound = DetectorPolicy().confirm_misses + 4
+    bound = CONFIRM_MISSES + 4
     for col in recoord:
         values = series.columns[col]
         # a 5δ partition heals before the detector commits …

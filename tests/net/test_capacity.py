@@ -25,10 +25,6 @@ class TestCapacityPolicy:
         with pytest.raises(ValueError):
             CapacityPolicy(packets_per_delta=4, queue_limit=0)
         with pytest.raises(ValueError):
-            CapacityPolicy(packets_per_delta=4, parity_queue_fraction=0.0)
-        with pytest.raises(ValueError):
-            CapacityPolicy(packets_per_delta=4, parity_queue_fraction=1.5)
-        with pytest.raises(ValueError):
             CapacityPolicy(packets_per_delta=4, window_deltas=0)
 
     def test_fractional_budget_floors_at_one(self):
@@ -93,7 +89,7 @@ class TestReserve:
         assert b.shed_parity == 0
 
     def test_parity_sheds_before_data(self):
-        b = budget(queue_limit=4, parity_queue_fraction=0.5)
+        b = budget(queue_limit=4)  # parity limit: PARITY_QUEUE_FRACTION of 4
         for _ in range(4):
             b.reserve(0.0)
         # queue depth 2 = parity limit: 3rd parity packet sheds while

@@ -249,12 +249,7 @@ def test_adaptive_timeout_tracks_and_clamps_rto():
     from repro.net.overlay import RttEstimator
 
     env, overlay, plane = build(
-        policy=RetransmitPolicy(
-            adaptive=True,
-            ack_timeout_deltas=2.5,
-            min_timeout_deltas=1.0,
-            max_timeout_deltas=10.0,
-        ),
+        policy=RetransmitPolicy(adaptive=True, ack_timeout_deltas=2.5),
         delta=10.0,
     )
     # cold start: no sample toward b yet — fixed ack timeout applies
@@ -262,6 +257,7 @@ def test_adaptive_timeout_tracks_and_clamps_rto():
     est = plane.rtt["b"] = RttEstimator()
     est.observe(5.0)  # RTO = 5 + 4·2.5 = 15, inside [10, 100]
     assert plane._timeout_for("b") == pytest.approx(15.0)
+    # the clamp is [MIN_TIMEOUT_DELTAS, MAX_TIMEOUT_DELTAS] = [1, 10] δ
     est.srtt, est.rttvar = 0.5, 0.1  # RTO 0.9 → clamped up to 1δ
     assert plane._timeout_for("b") == pytest.approx(10.0)
     est.srtt, est.rttvar = 400.0, 10.0  # RTO 440 → clamped down to 10δ

@@ -4,6 +4,7 @@ import pytest
 
 from repro.metrics import SweepSeries
 from repro.obs import Gauge, MetricsRegistry, TraceConfig
+from repro.obs.metrics import MAX_SAMPLES
 from repro.core import ProtocolConfig
 from repro.streaming import ProtocolSpec, SessionSpec
 
@@ -84,14 +85,5 @@ def test_session_timeseries_columns_and_coverage():
     ctrl = series.columns["ctrl_sends"]
     assert ctrl == sorted(ctrl)
     assert max(series.columns["active_peers"]) == config.n
-    # the sampler is rate-limited by max_samples
-    assert len(series.x) <= TraceConfig().max_samples
-
-
-def test_session_metrics_can_be_disabled():
-    config = ProtocolConfig(n=12, H=4, fault_margin=1, content_packets=100, seed=5)
-    result = SessionSpec(
-        config, ProtocolSpec("tcop"), trace=TraceConfig(metrics=False)
-    ).build().run()
-    assert result.trace is not None
-    assert result.timeseries is None
+    # the sampler is rate-limited by MAX_SAMPLES
+    assert len(series.x) <= MAX_SAMPLES

@@ -100,7 +100,7 @@ RECORDED = {
 
 def _consumers(n_packets):
     auditors = build_auditors(AuditConfig(auditors=tuple(available_auditors())))
-    consumers = [*auditors, SpanBuilder(SpanConfig())]
+    consumers = [*auditors, SpanBuilder()]
     return [consumer.bind(n_packets=n_packets) for consumer in consumers]
 
 
@@ -163,12 +163,8 @@ def test_live_and_replayed_observers_agree(cell):
             detection_latency_bound_ms=detector.latency_bound_ms,
         )
     )
-    builder = SpanBuilder(spec.spans)
-    # the replay reads what the run's observers read: the log from where
-    # they were bound, after the capacity budgets a weighted cell
-    # announces at build (a gap ROADMAP item 18 records)
+    builder = SpanBuilder()
     lines = trace_to_jsonl(result.trace).splitlines()
-    lines = lines[session.commons.observed_from:]
     # a fault may lose the content's last seqs before any media event
     # names them, so a faulted trace is told its content length
     faulted = cell in FAULTED
@@ -191,6 +187,26 @@ def test_live_and_replayed_observers_agree(cell):
         live = result.audit.auditors[auditor.name]
         assert _entry(entry) == _entry(live), auditor.name
     assert spans.to_dict() == result.spans.to_dict()
+
+
+@pytest.mark.parametrize("cell", ["fault_free/weighted_dcop", "swarm/dcop"])
+def test_observers_read_the_build_time_events(cell):
+    # the upload budgets are announced while the run is built, before
+    # any observer is bound; the capacity auditor must still check them
+    spec = CELLS[cell]()
+    if cell.startswith("fault_free/"):
+        spec = spec.replace(audit=AuditConfig(auditors=("capacity",)))
+    result = spec.run()
+    events = result.trace.events
+    budgeted = {e.subject for e in events if e.kind == "capacity.budget"}
+    assert budgeted
+    report = result.audit.auditors["capacity"]
+    assert report["budgeted_peers"] == len(
+        [e for e in events if e.kind == "capacity.budget"]
+    )
+    assert report["tx_checked"] == len(
+        [e for e in events if e.kind == "media.tx" and e.subject in budgeted]
+    )
 
 
 # ----------------------------------------------------------------------

@@ -13,6 +13,11 @@ from repro.streaming import (
     SessionSpec,
 )
 from repro.net.overlay import RetransmitPolicy
+from repro.streaming.detector import (
+    CONFIRM_MISSES,
+    HEARTBEAT_PERIOD_DELTAS,
+    PHI_CONFIRM,
+)
 
 
 def config(**kw):
@@ -38,13 +43,10 @@ def session(proto="dcop", policy=None, **kw):
 # ----------------------------------------------------------------------
 def test_policy_validation():
     with pytest.raises(ValueError):
-        DetectorPolicy(heartbeat_period_deltas=0)
-    with pytest.raises(ValueError):
         DetectorPolicy(suspect_misses=0)
     with pytest.raises(ValueError):
-        DetectorPolicy(suspect_misses=4, confirm_misses=3)
-    with pytest.raises(ValueError):
-        DetectorPolicy(idle_grace_deltas=0)
+        DetectorPolicy(suspect_misses=CONFIRM_MISSES + 1)
+    DetectorPolicy(suspect_misses=CONFIRM_MISSES)  # the bound is inclusive
 
 
 # ----------------------------------------------------------------------
@@ -127,15 +129,14 @@ def test_crash_is_suspected_then_confirmed_with_latency():
         cfg,
         ProtocolSpec("dcop"),
         fault_plan=FaultPlan().crash(victim, 40.0),
-        detector_policy=DetectorSpec("fixed", {"recoordinate": False}),
+        detector_policy=DetectorSpec("fixed"),
     ).build()
     r = s.run()
     assert victim in r.confirmed_failures
     lat = r.detection_latencies[victim]
-    # confirmation takes confirm_misses heartbeat periods plus at most a
+    # confirmation takes CONFIRM_MISSES heartbeat periods plus at most a
     # couple of scheduling/delivery slacks
-    pol = DetectorPolicy()
-    assert 0 < lat <= (pol.confirm_misses + 2) * pol.heartbeat_period_deltas * cfg.delta
+    assert 0 < lat <= (CONFIRM_MISSES + 2) * HEARTBEAT_PERIOD_DELTAS * cfg.delta
     assert r.mean_detection_latency == lat
 
 
@@ -231,7 +232,7 @@ def test_accrual_policy_validation():
     with pytest.raises(ValueError):
         DetectorPolicy(mode="accrual", phi_suspect=0)
     with pytest.raises(ValueError):
-        DetectorPolicy(mode="accrual", phi_suspect=3.0, phi_confirm=1.0)
+        DetectorPolicy(mode="accrual", phi_suspect=PHI_CONFIRM + 1.0)
     with pytest.raises(ValueError):
         DetectorPolicy(mode="accrual", window=1)
 

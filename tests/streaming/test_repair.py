@@ -1,7 +1,5 @@
 """Tests for leaf-driven repair (beyond-parity recovery)."""
 
-import pytest
-
 from repro.core import ProtocolConfig
 from repro.obs import TraceConfig
 from repro.streaming import (
@@ -12,7 +10,7 @@ from repro.streaming import (
     RepairPolicy,
     SessionSpec,
 )
-from repro.streaming.repair import RepairRequest
+from repro.streaming.repair import MAX_ROUNDS, RepairRequest
 
 
 def config(**kw):
@@ -47,13 +45,6 @@ def crashed_run(repair_policy=None, margin=0, crashes=1):
         repair_policy=repair_policy,
     ).build()
     return session, session.run()
-
-
-def test_policy_validation():
-    with pytest.raises(ValueError):
-        RepairPolicy(fanout=0)
-    with pytest.raises(ValueError):
-        RepairPolicy(max_rounds=-1)
 
 
 def test_without_repair_crash_loses_data():
@@ -101,7 +92,7 @@ def test_no_stall_no_repair():
 def test_repair_retries_until_live_peer_found():
     """Several crashed peers: repair rounds re-sample until live peers
     cover the gap."""
-    session, r = crashed_run(repair_policy=RepairPolicy(fanout=2), crashes=3)
+    session, r = crashed_run(repair_policy=RepairPolicy(), crashes=3)
     assert r.delivery_ratio == 1.0
 
 
@@ -115,12 +106,12 @@ def test_repair_gives_up_after_max_rounds():
         cfg,
         ProtocolSpec("schedule_based"),
         fault_plan=plan,
-        repair_policy=RepairPolicy(max_rounds=3),
+        repair_policy=RepairPolicy(),
     ).build()
     r = session.run()
     assert r.delivery_ratio < 1.0
     assert session.repair_monitor.gave_up
-    assert session.repair_monitor.rounds_issued == 3
+    assert session.repair_monitor.rounds_issued == MAX_ROUNDS
 
 
 def test_repair_under_loss_plus_no_parity():
@@ -155,9 +146,11 @@ def test_repair_skips_detector_suspects():
         ProtocolSpec("schedule_based"),
         fault_plan=FaultPlan().crash(victim, 100.0),
         repair_policy=RepairPolicy(),
-        detector_policy=DetectorSpec("fixed", {"recoordinate": False}),
+        detector_policy=DetectorSpec("fixed"),
         trace=TraceConfig(),
     ).build()
+    # the confirm must not re-coordinate: repair alone mends the loss
+    session.detector.on_confirm = None
     r = session.run()
     assert victim in r.confirmed_failures
     confirmed_at = session.detector.monitored[victim].confirmed_at
@@ -171,12 +164,16 @@ def test_repair_skips_detector_suspects():
     assert r.delivery_ratio == 1.0
 
 
-def test_repair_fails_over_from_one_way_dead_peer():
+def test_repair_fails_over_from_one_way_dead_peer(monkeypatch):
     """Repair requests that reach a peer whose *answers* vanish (one-way
     link failure toward the leaf) must not strand the leaf: later rounds
-    re-sample and another serving peer covers the gap within the policy's
-    round budget."""
+    re-sample and another serving peer covers the gap within the
+    monitor's round budget."""
+    import repro.streaming.repair as repair
     from repro.streaming.faults import LinkCut, PartitionPlan
+
+    # one peer per round, so a round sent to a mute peer must fail over
+    monkeypatch.setattr(repair, "FANOUT", 1)
 
     cfg = config(fault_margin=0)
     probe = SessionSpec(cfg, ProtocolSpec("schedule_based")).build()
@@ -188,7 +185,7 @@ def test_repair_fails_over_from_one_way_dead_peer():
         config=cfg,
         protocol=ProtocolSpec("schedule_based"),
         fault_plan=FaultPlan().crash(victim, 100.0),
-        repair_policy=RepairPolicy(fanout=1, max_rounds=20),
+        repair_policy=RepairPolicy(),
         partition_plan=PartitionPlan(
             cuts=tuple(LinkCut(p, "leaf", at=0.0) for p in mute)
         ),
@@ -197,7 +194,6 @@ def test_repair_fails_over_from_one_way_dead_peer():
     r = session.run()
     assert r.delivery_ratio == 1.0
     assert not session.repair_monitor.gave_up
-    assert session.repair_monitor.rounds_issued <= 20
     repair_targets = [dst for _t, dst in repair_sends(session)]
     # the failover was actually exercised: at least one round landed on a
     # mute peer, and a later one reached a peer that could answer
@@ -213,7 +209,7 @@ def test_repair_falls_back_when_everyone_suspected():
         cfg,
         ProtocolSpec("schedule_based"),
         repair_policy=RepairPolicy(),
-        detector_policy=DetectorSpec("fixed", {"recoordinate": False}),
+        detector_policy=DetectorSpec("fixed"),
         trace=TraceConfig(),
     ).build()
     det = session.detector

@@ -23,6 +23,7 @@ from repro.streaming import (
     SessionSpec,
     SwarmSpec,
 )
+from repro.streaming.swarm import ADMIT_RETRY
 
 #: a case name starting with this is the weighted division of its protocol
 WEIGHTED = "weighted_"
@@ -181,29 +182,29 @@ def test_same_seed_same_outcomes():
 # ----------------------------------------------------------------------
 # admission control: conservation, backoff, starvation
 # ----------------------------------------------------------------------
-def overloaded_spec(**kw):
-    """More demand than the pool carries, with a retry horizon shorter
-    than a session: forces rejects, retries, and give-ups."""
+@pytest.fixture
+def short_retry(monkeypatch):
+    """A rejected join's retry horizon shorter than a session."""
+    import repro.streaming.swarm as swarm
     from repro.net.overlay import RetransmitPolicy
 
+    retry = RetransmitPolicy(
+        max_retries=2, ack_timeout_deltas=1.5, backoff=2.0, jitter=0.5
+    )
+    monkeypatch.setattr(swarm, "ADMIT_RETRY", retry)
+    return retry
+
+
+def overloaded_spec(**kw):
+    """More demand than the pool carries; with ``short_retry`` it forces
+    rejects, retries, and give-ups."""
     kw.setdefault("leaves", 8)
     kw.setdefault("rate_per_delta", 2.0)
     kw.setdefault("packets_per_delta", 3.0)
-    if kw.get("admission", True):
-        kw.setdefault(
-            "admission_policy",
-            AdmissionPolicy(
-                retry=RetransmitPolicy(
-                    max_retries=2,
-                    ack_timeout_deltas=1.5,
-                    backoff=2.0,
-                    jitter=0.5,
-                )
-            ),
-        )
     return swarm_spec(**kw)
 
 
+@pytest.mark.usefixtures("short_retry")
 def test_reservations_conserve_under_contention():
     result = overloaded_spec().run()
     assert result.audit_passed, result.audit.summary()
@@ -219,6 +220,7 @@ def test_reservations_conserve_under_contention():
     assert result.retries > 0
 
 
+@pytest.mark.usefixtures("short_retry")
 def test_rejected_leaves_receive_no_media():
     result = overloaded_spec().run()
     rejected = {o.leaf_id for o in result.outcomes if o.gave_up}
@@ -232,14 +234,8 @@ def test_rejected_leaves_receive_no_media():
 
 
 def test_backoff_jitter_stays_in_policy_envelope():
-    from repro.net.overlay import RetransmitPolicy
-
-    retry = RetransmitPolicy(
-        max_retries=3, ack_timeout_deltas=2.0, backoff=2.0, jitter=0.5
-    )
-    result = overloaded_spec(
-        admission_policy=AdmissionPolicy(retry=retry)
-    ).run()
+    retry = ADMIT_RETRY
+    result = overloaded_spec().run()
     base = retry.ack_timeout_deltas * 8.0  # delta=8.0
     retries = [
         e for e in result.trace.events if e.kind == "admit.retry"
@@ -275,6 +271,7 @@ def test_admission_off_never_rejects():
     assert result.audit_passed
 
 
+@pytest.mark.usefixtures("short_retry")
 def test_mean_receipt_counts_gave_up_leaves_as_zero():
     result = overloaded_spec().run()
     assert result.gave_up > 0
@@ -391,11 +388,11 @@ class TestJoinStormPlan:
     def test_flash_offsets_draw_nothing(self):
         import numpy as np
 
-        plan = JoinStormPlan(leaves=3, mode="flash", start_deltas=2.0)
+        plan = JoinStormPlan(leaves=3, mode="flash")
         rng = np.random.default_rng(0)
         before = rng.bit_generator.state
         offsets = plan.arrival_offsets(8.0, rng)
-        assert offsets == [16.0, 16.0, 16.0]
+        assert offsets == [0.0, 0.0, 0.0]
         assert rng.bit_generator.state == before
 
     def test_poisson_offsets_are_sorted_and_spiked(self):
