@@ -70,8 +70,10 @@ def format_label(label: Label) -> str:
 
 def label_sort_key(label: Label) -> tuple:
     """Stable ordering key: by smallest covered seq, parity after data."""
+    if isinstance(label, int):
+        return (label, 0, repr(label))
     seqs = base_seqs(label)
-    return (min(seqs) if seqs else 0, 0 if isinstance(label, int) else 1, repr(label))
+    return (min(seqs) if seqs else 0, 1, repr(label))
 
 
 @dataclass(frozen=True)

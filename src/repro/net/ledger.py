@@ -7,13 +7,13 @@ crashes and rejoins (flap legs and churn included) and degradations,
 partition splits and heals with every link they cut or restore, every
 lost message with its reason (media too), and the copies and hold-backs
 of link faults.  The ledger keeps one :class:`FaultRow` per call, then
-publishes the event on the run's trace bus, if there is one; the walk
-that feeds a run's log to its observers (:func:`repro.obs.trace.feed`)
-files the logged fault events into a fresh ledger through the same
-:meth:`FaultLedger.add`, so the observers see the rows filed up to the
-event at hand, and a run and the replay of its trace hold equal
-ledgers.  The ledger works with the bus off, draws no RNG, schedules no
-event and reorders no emit.
+hands the same payload dict to the run's trace bus as the event's, if
+there is a bus; the walk that feeds a run's log to its observers
+(:func:`repro.obs.trace.feed`) files the logged fault events into a
+fresh ledger through the same :meth:`FaultLedger.add`, so the observers
+see the rows filed up to the event at hand, and a run and the replay of
+its trace hold equal ledgers.  The ledger works with the bus off, draws
+no RNG, schedules no event and reorders no emit.
 
 The oracles read it by one rule: a finding about peer ``p`` is explained
 by a fault iff a row *touches* ``p`` — ``p``'s node, a directed link with
@@ -22,12 +22,12 @@ by a fault iff a row *touches* ``p`` — ``p``'s node, a directed link with
 **Packets.**  :class:`PacketLedger` is the same shape for the media plane:
 its emit sites file each transmission, arrival, parity recovery and
 playback through :meth:`PacketLedger.record`, which publishes the event
-unchanged; a replay files the recorded events through the same
-:meth:`PacketLedger.add` (a :class:`~repro.obs.trace.TraceEvent` is its
-arguments in order).  It is the one per-seq record of a run — what
-§2's allocation property (each seq sent once, the sends covering the
-content) and §3.2's recovery are statements about — and exists only when
-the run has a trace bus.
+unchanged, its payload dict included; a replay files the recorded
+events through the same :meth:`PacketLedger.add` (a
+:class:`~repro.obs.trace.TraceEvent` is its arguments in order).  It is
+the one per-seq record of a run — what §2's allocation property (each
+seq sent once, the sends covering the content) and §3.2's recovery are
+statements about — and exists only when the run has a trace bus.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ class FaultLedger:
         """A fault fired now: file its row, then publish it as a trace event."""
         row = self.add(self.env.now, kind, subject, fields)
         if self.env.hooks.tracer is not None:
-            self.env.hooks.tracer.emit(kind, subject, **fields)
+            self.env.hooks.tracer._store(kind, subject, fields)
         return row
 
     def add(self, ts: float, kind: str, subject: str, fields: Mapping[str, Any]) -> FaultRow:
@@ -170,7 +170,7 @@ class PacketLedger:
     def record(self, kind: str, subject: str, /, **fields: Any) -> None:
         """A media event happened now: file it, then publish it."""
         self.add(self.env.now, kind, subject, fields)
-        self.env.hooks.tracer.emit(kind, subject, **fields)
+        self.env.hooks.tracer._store(kind, subject, fields)
 
     def add(self, ts: float, kind: str, subject: str, fields: Mapping[str, Any]) -> None:
         """File one row: what :meth:`record` and a replay share."""

@@ -39,7 +39,8 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from operator import itemgetter
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
@@ -52,6 +53,7 @@ from typing import (
     Union,
 )
 
+from repro.media.packet import label_sort_key
 from repro.metrics.series import SweepSeries
 from repro.obs.exporters import tuplify
 from repro.obs.trace import Observer, TraceEvent, replay
@@ -238,13 +240,6 @@ class PathSegment:
         out = asdict(self)
         out["duration_ms"] = self.duration_ms
         return out
-
-
-def _label_key(label: Any) -> tuple:
-    """Deterministic sort key over mixed int/nested-tuple packet labels."""
-    from repro.media.packet import label_sort_key
-
-    return label_sort_key(label)
 
 
 def _path_length(segments: Tuple[PathSegment, ...]) -> float:
@@ -476,6 +471,21 @@ class SpanReport:
         )
 
 
+#: a journey as :meth:`SpanBuilder._build_journey` returns it: the
+#: :class:`PacketJourney` fields in order, which ``PacketJourney(*row)``
+#: keeps; these index what ranking and counting read, by field name
+_COLUMN = {f.name: i for i, f in enumerate(fields(PacketJourney))}
+_OUTCOME, _PLAYED, _END, _E2E = (
+    _COLUMN[name] for name in ("outcome", "played_ms", "end_ms", "e2e_ms")
+)
+_RETRANSMIT, _OFFSET, _WIRE, _WAIT, _FEC, _BUFFER = (
+    _COLUMN[name]
+    for name in (
+        "retransmit_ms", "batch_offset_ms", "wire_ms",
+        "batch_wait_ms", "fec_ms", "buffer_ms",
+    )
+)
+
 #: how many slowest control exchanges a report retains verbatim
 TOP_EXCHANGES = 20
 #: how many slowest packet journeys a report retains verbatim
@@ -607,7 +617,7 @@ class SpanBuilder(Observer):
             for _, ex in sorted(self._exchanges.items())
         )
 
-    def _build_journey(self, label: Any) -> PacketJourney:
+    def _build_journey(self, label: Any) -> list:
         leaf, packets = self.leaf_id, self.packets
         # (ts, sender, batch offset) and, at this leaf, (ts, src, batch wait)
         txs = sorted(
@@ -669,26 +679,23 @@ class SpanBuilder(Observer):
         e2e = None
         if end is not None and tx_first is not None:
             e2e = end - tx_first
-        return PacketJourney(
-            label=label,
-            outcome=outcome,
-            src=src,
-            tx_first_ms=tx_first,
-            tx_ms=tx_ms,
-            rx_ms=rx_ms,
-            recovered_ms=rec,
-            played_ms=play,
-            end_ms=end,
-            e2e_ms=e2e,
-            retransmit_ms=retx,
-            batch_offset_ms=off,
-            wire_ms=wire,
-            batch_wait_ms=wait,
-            fec_ms=fec,
-            buffer_ms=buf,
-        )
+        # PacketJourney's fields in order, in a list, not a tuple: CPython
+        # keeps up to 2000 freed tuples of each small length for reuse, so
+        # 16-tuple rows would stay allocated (~0.3 MB) after the report is
+        # built
+        return [
+            label, outcome, src, tx_first, tx_ms, rx_ms, rec, play, end, e2e,
+            retx, off, wire, wait, fec, buf,
+        ]
 
-    def _build_journeys(self) -> List[PacketJourney]:
+    def _build_journeys(self) -> List[list]:
+        """Every label's journey row, in :func:`label_sort_key` order.
+
+        No two labels share a key (keys end in the label's ``repr``), so
+        a row's position stands for its key: a stable sort of the rows by
+        another value breaks its ties by label key, and the last of the
+        equal maxima is the one with the largest key.
+        """
         packets = self.packets
         labels = set(packets.sent) | set(packets.arrived)
         labels.update(
@@ -696,7 +703,7 @@ class SpanBuilder(Observer):
         )
         return [
             self._build_journey(label)
-            for label in sorted(labels, key=_label_key)
+            for label in sorted(labels, key=label_sort_key)
         ]
 
     # ------------------------------------------------------------------
@@ -725,26 +732,24 @@ class SpanBuilder(Observer):
         return tuple(segments)
 
     def _playback_path(
-        self, waves: Tuple[WaveSpan, ...], journeys: List[PacketJourney]
+        self, waves: Tuple[WaveSpan, ...], timed: List[list]
     ) -> Tuple[PathSegment, ...]:
         """Session start → activation of the delivering peer → transmit
         schedule → (retransmit gap with named quarantine/reissue
-        milestones) → wire → playback for the *last-finishing* packet."""
-        timed = [j for j in journeys if j.e2e_ms is not None]
+        milestones) → wire → playback for the *last-finishing* of the
+        ``timed`` journey rows (in label order; a tie goes to the larger
+        label key)."""
         if not timed:
             return ()
-        played = [j for j in timed if j.played_ms is not None]
+        played = [row for row in timed if row[_PLAYED] is not None]
         if played:
             # the path ends at the last *consumed* frame; a journey's
             # end_ms can postdate its playback (e.g. a straggling
             # transmission of a seq parity already recovered)
-            target = max(
-                played, key=lambda j: (j.played_ms, _label_key(j.label))
-            )
+            row = max(reversed(played), key=itemgetter(_PLAYED))
         else:
-            target = max(
-                timed, key=lambda j: (j.end_ms, _label_key(j.label))
-            )
+            row = max(reversed(timed), key=itemgetter(_END))
+        target = PacketJourney(*row)
 
         segments: List[PathSegment] = []
         boundary = 0.0
@@ -899,34 +904,40 @@ class SpanBuilder(Observer):
             ),
         }
 
-        timed = [j for j in journeys if j.e2e_ms is not None]
-        e2e_total = sum(j.e2e_ms for j in timed)
-        attributed_total = sum(j.attributed_ms for j in timed)
+        # the sums run over the rows in label order and add a journey's
+        # components as PacketJourney's properties do, so every total is
+        # bit-equal to one taken over PacketJourney objects
+        timed = [row for row in journeys if row[_E2E] is not None]
+        outcomes = [row[_OUTCOME] for row in journeys]
+        e2e_total = sum(row[_E2E] for row in timed)
+        attributed_total = sum(
+            row[_RETRANSMIT] + row[_OFFSET] + row[_WIRE] + row[_WAIT] + row[_FEC] + row[_BUFFER]
+            for row in timed
+        )
         packet_stats: Dict[str, Any] = {
-            "delivered": sum(1 for j in journeys if j.outcome == "delivered"),
-            "recovered": sum(1 for j in journeys if j.outcome == "recovered"),
-            "lost": sum(1 for j in journeys if j.outcome == "lost"),
+            "delivered": outcomes.count("delivered"),
+            "recovered": outcomes.count("recovered"),
+            "lost": outcomes.count("lost"),
             "timed": len(timed),
-            "played": sum(1 for j in journeys if j.played_ms is not None),
+            "played": sum(1 for row in journeys if row[_PLAYED] is not None),
             "e2e_total_ms": e2e_total,
             "attributed_total_ms": attributed_total,
             "attributed_share": (
                 attributed_total / e2e_total if e2e_total > 0 else 1.0
             ),
             "e2e_mean_ms": e2e_total / len(timed) if timed else None,
-            "e2e_max_ms": max((j.e2e_ms for j in timed), default=None),
-            "retransmit_total_ms": sum(j.retransmit_ms for j in timed),
-            "queue_total_ms": sum(j.queue_ms for j in timed),
-            "wire_total_ms": sum(j.wire_ms for j in timed),
-            "fec_total_ms": sum(j.fec_ms for j in timed),
-            "buffer_total_ms": sum(j.buffer_ms for j in timed),
+            "e2e_max_ms": max((row[_E2E] for row in timed), default=None),
+            "retransmit_total_ms": sum(row[_RETRANSMIT] for row in timed),
+            "queue_total_ms": sum(row[_OFFSET] + row[_WAIT] for row in timed),
+            "wire_total_ms": sum(row[_WIRE] for row in timed),
+            "fec_total_ms": sum(row[_FEC] for row in timed),
+            "buffer_total_ms": sum(row[_BUFFER] for row in timed),
         }
 
+        # stable: equal latencies keep label order
         slowest_packets = tuple(
-            sorted(
-                timed,
-                key=lambda j: (-j.e2e_ms, _label_key(j.label)),
-            )[:TOP_PACKETS]
+            PacketJourney(*row)
+            for row in sorted(timed, key=lambda row: -row[_E2E])[:TOP_PACKETS]
         )
         slowest_exchanges = tuple(
             sorted(exchanges, key=lambda e: (-e.duration_ms, e.mid))[:TOP_EXCHANGES]
@@ -943,7 +954,7 @@ class SpanBuilder(Observer):
             packets=slowest_packets,
             packet_stats=packet_stats,
             coordination_path=self._coordination_path(waves),
-            playback_path=self._playback_path(waves, journeys),
+            playback_path=self._playback_path(waves, timed),
             qoe=self._build_qoe(),
         )
 

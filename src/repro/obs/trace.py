@@ -58,8 +58,9 @@ and ``media.tx``/``media.rx``/``fec.recover``/``buffer.play`` by its
 
 The bus only records.  The run's own consumers — auditors, the span
 builder, the time-series sampler — share one :class:`Observer` lifecycle:
-bound when the run is built, they read the run's log from there on once,
-at finish, through :func:`feed`, which hands each event to the observers
+bound when the run is built, they read the run's complete log once, at
+finish (build-time events such as ``capacity.budget`` included), through
+:func:`feed`, which hands each event to the observers
 whose ``handlers`` name its kind.  :func:`replay` is the same function
 over a recorded JSONL trace.
 
@@ -70,8 +71,9 @@ byte-identical dumps.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from operator import attrgetter
+from operator import itemgetter
 from types import MappingProxyType
 from typing import (
     TYPE_CHECKING,
@@ -136,6 +138,11 @@ class TraceEvent(NamedTuple):
     def payload(self) -> Dict[str, Any]:
         """A private copy of the payload."""
         return dict(self.fields)
+
+
+#: builds a :class:`TraceEvent` from its four values in one C call,
+#: skipping the NamedTuple's Python-level ``__new__``
+_tuple_new = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -204,6 +211,12 @@ class TraceBus:
         ``data`` — the fresh dict this call owns — becomes the event's
         one payload.
         """
+        self._store(kind, subject, data)
+
+    def _store(self, kind: str, subject: str, data: Dict[str, Any]) -> None:
+        """What :meth:`emit` does with its keywords packed: ``data`` (which
+        the caller hands over and no longer changes) becomes the payload.
+        The run's ledgers publish their rows through it."""
         if kind == "msg.send":
             if data.get("kind") in CONTROL_KINDS:
                 self.in_flight_control += 1
@@ -223,7 +236,9 @@ class TraceBus:
                 and self.in_flight_control > 0
             ):
                 self.in_flight_control -= 1
-        self.events.append(TraceEvent(self.env.now, kind, subject, data))
+        self.events.append(
+            _tuple_new(TraceEvent, (self.env.now, kind, subject, data))
+        )
 
     def wave_start(self, round_: int, subject: str, /, **data: Any) -> None:
         """Emit ``wave.start`` once per flooding round (first sender wins)."""
@@ -244,51 +259,51 @@ class TraceBus:
         runs of one spec report identical totals); the log keeps the kinds
         whose category :attr:`TraceConfig.categories` lists, up to
         ``max_events`` in emit order, and counts the rest of those in
-        :attr:`dropped_events`.
+        :attr:`dropped_events`.  With no category filter and a log under
+        the cap, the log stays as it is.
 
         A wave's end is not locally observable while flooding (the last
         activation of round *r* may land anywhere in the overlay), so the
         session calls this at collection time: each round that kept an
         activation gets a ``wave.end`` stamped at its last activation
-        instant, and the log is re-sorted into time order.
+        instant, placed after every kept event of the same or an earlier
+        time.  Every event is stamped with the clock, which never runs
+        back, so the log is in time order and that place is where a stable
+        sort by time would put it.
         """
         if self._finalized:
             return  # collect ran twice
         self._finalized = True
-        config, counts = self.config, self.counts_by_kind
-        wanted: Dict[str, bool] = {}
-        kept: List[TraceEvent] = []
-        for event in self.events:
-            kind = event.kind
-            counts[kind] = counts.get(kind, 0) + event.fields.get("count", 1)
-            keep = wanted.get(kind)
-            if keep is None:
-                keep = wanted[kind] = config.wants(kind)
-            if keep:
-                if len(kept) < config.max_events:
-                    kept.append(event)
-                else:
-                    self.dropped_events += 1
-        self.events = kept
+        config, counts, events = self.config, self.counts_by_kind, self.events
+        activations = []
+        for event in events:
+            kind = event[1]
+            counts[kind] = counts.get(kind, 0) + event[3].get("count", 1)
+            if kind == "peer.activate":
+                activations.append(event)
+        if config.categories is not None or len(events) > config.max_events:
+            wants = {kind: config.wants(kind) for kind in counts}
+            wanted = [event for event in events if wants[event[1]]]
+            events = self.events = wanted[: config.max_events]
+            self.dropped_events += len(wanted) - len(events)
+            activations = [event for event in events if event[1] == "peer.activate"]
+        if not config.wants("wave.end"):
+            return
         last_by_round: Dict[int, float] = {}
         count_by_round: Dict[int, int] = {}
-        for event in kept:
-            if event.kind == "peer.activate":
-                r = event.fields["round"]
-                last_by_round[r] = max(last_by_round.get(r, event.ts), event.ts)
-                count_by_round[r] = count_by_round.get(r, 0) + 1
-        if config.wants("wave.end"):
-            for r in sorted(last_by_round):
-                kept.append(
-                    TraceEvent(
-                        last_by_round[r],
-                        "wave.end",
-                        "session",
-                        {"activated": count_by_round[r], "round": r},
-                    )
-                )
-        # stable sort: simultaneous events keep their emission order
-        kept.sort(key=attrgetter("ts"))
+        for ts, _, _, fields in activations:
+            r = fields["round"]
+            last_by_round[r] = max(last_by_round.get(r, ts), ts)
+            count_by_round[r] = count_by_round.get(r, 0) + 1
+        for r in sorted(last_by_round):
+            ts = last_by_round[r]
+            events.insert(
+                bisect_right(events, ts, key=itemgetter(0)),
+                TraceEvent(
+                    ts, "wave.end", "session",
+                    {"activated": count_by_round[r], "round": r},
+                ),
+            )
 
     def __repr__(self) -> str:
         return (
@@ -398,22 +413,12 @@ class Walk:
             for kind, handler in observer.handlers.items():
                 self.routes.setdefault(kind, []).append((handler, observer))
 
-    def take(self, event: TraceEvent) -> None:
-        """Log one event, file it if it is a fault, and hand it on."""
-        self.log.append(event)
-        self.now = event.ts
-        kind = event.kind
-        if not kind.startswith("audit."):
-            self.events_seen += 1
-            self.last_ts = event.ts
-            if kind in FaultLedger.kinds:
-                self.ledger.add(*event)
-        for handler, observer in self.routes.get(kind, ()):
-            handler(observer, event)
-
     def emit(self, kind: str, subject: str, /, **data: Any) -> None:
         """A finding's ``audit.*`` event, logged and handed on now."""
-        self.take(TraceEvent(self.now, kind, subject, data))
+        event = TraceEvent(self.now, kind, subject, data)
+        self.log.append(event)
+        for handler, observer in self.routes.get(kind, ()):
+            handler(observer, event)
 
 
 def feed(
@@ -436,8 +441,29 @@ def feed(
     ``end``.  The observers finish in order, with ``session``.
     """
     walk = Walk(observers, packets)
+    walked, file_fault = walk.log.append, walk.ledger.add
+    # kind -> (counted: not a finding, a fault, its handlers), worked out
+    # the first time the kind is met
+    plan: Dict[str, tuple] = {}
     for event in log:
-        walk.take(event)
+        walked(event)
+        walk.now = ts = event[0]
+        kind = event[1]
+        step = plan.get(kind)
+        if step is None:
+            step = plan[kind] = (
+                not kind.startswith("audit."),
+                kind in FaultLedger.kinds,
+                walk.routes.get(kind, ()),
+            )
+        counted, fault, handlers = step
+        if counted:
+            walk.events_seen += 1
+            walk.last_ts = ts
+            if fault:
+                file_fault(*event)
+        for handler, observer in handlers:
+            handler(observer, event)
     walk.now = end
     return [observer.finish(session) for observer in observers], walk.log
 

@@ -1,15 +1,20 @@
 """Tests for packet labels and the paper's t_<...> notation."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.fec import enhance
 from repro.media import (
     DataPacket,
     Packet,
+    PacketSequence,
     ParityPacket,
     base_seqs,
     format_label,
     parity_covers,
 )
+from repro.media.packet import is_disambiguated, label_sort_key
 
 
 def test_data_packet_basics():
@@ -83,3 +88,40 @@ def test_payload_preserved():
     p = DataPacket(1, b"\x00\xff")
     assert p.payload == b"\x00\xff"
     assert Packet(label=5).payload is None
+
+
+# ----------------------------------------------------------------------
+# label_sort_key: the int fast path against the general formula
+# ----------------------------------------------------------------------
+def _reference_key(label):
+    """The general formula every label's key must equal."""
+    return (min(base_seqs(label)), 0 if isinstance(label, int) else 1, repr(label))
+
+
+def _enhanced_twice(n, h1, h2):
+    """Labels of a content enhanced twice: data, nested and (when the
+    second pass re-covers an existing label) disambiguated parity."""
+    data = PacketSequence(DataPacket(k) for k in range(1, n + 1))
+    return [p.label for p in enhance(enhance(data, h1), h2)]
+
+
+def test_enhancing_twice_makes_disambiguated_labels():
+    labels = _enhanced_twice(4, 1, 1)
+    assert any(is_disambiguated(label) for label in labels)
+    assert any(isinstance(label, tuple) and isinstance(label[0], tuple) for label in labels)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=24),
+    h1=st.integers(min_value=1, max_value=4),
+    h2=st.integers(min_value=1, max_value=4),
+    ints=st.lists(st.integers(min_value=-5, max_value=10**9), max_size=20),
+    data=st.data(),
+)
+def test_label_sort_key_equals_the_general_formula(n, h1, h2, ints, data):
+    labels = _enhanced_twice(n, h1, h2) + ints
+    for label in labels:
+        assert label_sort_key(label) == _reference_key(label)
+    mixed = data.draw(st.permutations(labels))
+    assert sorted(mixed, key=label_sort_key) == sorted(mixed, key=_reference_key)

@@ -177,6 +177,69 @@ def test_finalize_closes_waves_at_last_activation_and_is_idempotent():
     assert len(bus.of_kind("wave.end")) == 1
 
 
+def _sorting_finalize(log, config):
+    """What finalize() must give ``log``: every event counted by kind (a
+    batched one as the ``count`` packets it covers); the wanted ones kept
+    up to ``max_events`` and the rest counted dropped; one ``wave.end``
+    per round of a kept activation, at its last one; and the kept log
+    plus those rows stably sorted by time."""
+    counts = {}
+    for event in log:
+        counts[event.kind] = counts.get(event.kind, 0) + event.fields.get("count", 1)
+    wanted = [event for event in log if config.wants(event.kind)]
+    kept = wanted[: config.max_events]
+    last, activated = {}, {}
+    for event in kept:
+        if event.kind == "peer.activate":
+            r = event.fields["round"]
+            last[r] = max(last.get(r, event.ts), event.ts)
+            activated[r] = activated.get(r, 0) + 1
+    ends = [
+        TraceEvent(last[r], "wave.end", "session", {"activated": activated[r], "round": r})
+        for r in sorted(last)
+        if config.wants("wave.end")
+    ]
+    return sorted(kept + ends, key=lambda e: e.ts), counts, len(wanted) - len(kept)
+
+
+@pytest.mark.parametrize(
+    "trace",
+    [
+        TraceConfig(),  # no filter, under the cap: the log is kept in place
+        TraceConfig(categories=frozenset({"peer", "wave", "msg"}), max_events=300),
+    ],
+    ids=["unfiltered", "filtered_and_capped"],
+)
+def test_finalize_equals_the_sorting_reference(monkeypatch, trace):
+    # a batched DCoP cell of three flooding rounds: each wave.end lands
+    # among same-time events, and batched sends count as their packets
+    seen = {}
+    real = TraceBus.finalize
+
+    def spy(bus):
+        seen["list"], seen["log"] = bus.events, list(bus.events)
+        real(bus)
+
+    monkeypatch.setattr(TraceBus, "finalize", spy)
+    config = ProtocolConfig(n=12, H=3, fault_margin=1, content_packets=100, seed=5)
+    bus = SessionSpec(
+        config, ProtocolSpec("dcop"), media_batch=5.0, trace=trace
+    ).build().run().trace
+    log = seen["log"]
+    assert len({e.fields["round"] for e in log if e.kind == "peer.activate"}) >= 2
+    assert any(e.fields.get("count", 1) > 1 for e in log)
+
+    events, counts, dropped = _sorting_finalize(log, trace)
+    assert bus.events == events
+    assert bus.counts_by_kind == counts
+    assert bus.dropped_events == dropped
+    assert len(bus.of_kind("wave.end")) >= 2
+    if trace.categories is None:
+        assert bus.events is seen["list"]
+    else:
+        assert dropped > 0
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         TraceConfig(max_events=0)
