@@ -34,8 +34,8 @@ import sys
 from repro import (
     AuditConfig,
     DetectorSpec,
+    FaultPlan,
     LinkFaultSpec,
-    PartitionPlan,
     ProtocolConfig,
     ProtocolSpec,
     RetransmitPolicy,
@@ -65,8 +65,8 @@ def build():
             "chaos",
             {"dup_p": 0.10, "reorder_p": 0.20, "max_delay": 2 * cfg.delta},
         ),
-        partition_plan=PartitionPlan(
-            components=(("CP3", "CP4"),), at=SPLIT_AT, heal_at=HEAL_AT
+        fault_plan=FaultPlan().partition(
+            (("CP3", "CP4"),), at=SPLIT_AT, heal_at=HEAL_AT
         ),
         retransmit_policy=RetransmitPolicy(),
         detector_policy=DetectorSpec("fixed"),

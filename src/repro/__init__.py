@@ -49,10 +49,8 @@ from repro.streaming import (
     FaultPlan,
     JoinStormPlan,
     LatencySpec,
-    LinkCut,
     LinkFaultSpec,
     LossSpec,
-    PartitionPlan,
     ProtocolSpec,
     SessionResult,
     SessionSpec,
@@ -77,11 +75,9 @@ __all__ = [
     "JoinStormPlan",
     "RetransmitPolicy",
     "LatencySpec",
-    "LinkCut",
     "LinkFaultSpec",
     "LossSpec",
     "MediaContent",
-    "PartitionPlan",
     "ProtocolConfig",
     "ProtocolSpec",
     "SessionResult",

@@ -21,12 +21,7 @@ from repro.net.capacity import CapacityPolicy
 from repro.net.overlay import RetransmitPolicy
 from repro.obs import TraceConfig
 from repro.streaming.adaptive import RateAdaptationPolicy
-from repro.streaming.faults import (
-    ChurnPlan,
-    FaultPlan,
-    JoinStormPlan,
-    PartitionPlan,
-)
+from repro.streaming.faults import ChurnPlan, FaultPlan, JoinStormPlan
 from repro.streaming.health import HealthPolicy
 from repro.streaming.repair import RepairPolicy
 from repro.streaming.spec import (
@@ -259,8 +254,8 @@ def _partition_arms(duration: Any, cfg: ProtocolConfig, p: dict) -> dict:
             retransmit_policy=RetransmitPolicy(),
             detector_policy=DetectorSpec("fixed"),
             trace=TraceConfig(),
-            partition_plan=PartitionPlan(
-                components=(tuple(first[:k]),),
+            fault_plan=FaultPlan().partition(
+                (tuple(first[:k]),),
                 at=split_at,
                 heal_at=(
                     None

@@ -13,7 +13,7 @@ from repro.experiments import EXPERIMENTS
 from repro.experiments.ablations import ABLATIONS
 from repro.obs import TraceConfig
 from repro.streaming.commons import peer_ids
-from repro.streaming.faults import PartitionPlan
+from repro.streaming.faults import FaultPlan
 from repro.streaming.spec import _FORMS, SessionSpec, available_factories
 from repro.streaming.swarm import AdmissionPolicy, SwarmSpec
 
@@ -118,8 +118,9 @@ def _parse_params(text: str) -> dict:
     return params
 
 
-def _parse_partition(text: str) -> PartitionPlan:
-    """``P1+P2@AT`` or ``P1+P2@AT:HEAL`` → the :class:`PartitionPlan`.
+def _parse_partition(text: str) -> FaultPlan:
+    """``P1+P2@AT`` or ``P1+P2@AT:HEAL`` → the :class:`FaultPlan` of that
+    one partition.
 
     ``+`` joins the peers of one isolated component; ``/`` separates
     several components (everyone unlisted stays with the leaf).  ``AT``
@@ -145,7 +146,7 @@ def _parse_partition(text: str) -> PartitionPlan:
             f"bad partition time in {text!r} (expected numbers, "
             "e.g. CP3+CP4@500:900)"
         ) from None
-    return PartitionPlan(components=groups, at=at, heal_at=heal_at)
+    return FaultPlan().partition(groups, at=at, heal_at=heal_at)
 
 
 def _jobs_arg(text: str):
@@ -206,7 +207,7 @@ def _build_spec(args, audit=None):
             if (text := getattr(args, dest)) is not None
         }
         if args.partition is not None:
-            fields["partition_plan"] = _parse_partition(args.partition)
+            fields["fault_plan"] = _parse_partition(args.partition)
         config = ProtocolConfig(
             n=args.n,
             H=args.H,
@@ -215,7 +216,7 @@ def _build_spec(args, audit=None):
             content_packets=100 if args.quick else args.packets,
         )
         if args.partition is not None:
-            fields["partition_plan"].check_endpoints(peer_ids(config), "leaf")
+            fields["fault_plan"].check_endpoints(peer_ids(config), "leaf")
     except ValueError as exc:
         return _fail(str(exc))
     join_plan = fields.pop("join_plan", None)

@@ -27,7 +27,6 @@ from repro.net.linkfault import (
     DuplicateFault,
     LinkFault,
     ReorderFault,
-    SeverWindow,
 )
 from repro.net.dedup import DedupWindow
 from repro.net.capacity import CapacityPolicy, UploadBudget
@@ -53,7 +52,6 @@ __all__ = [
     "NormalLatency",
     "Overlay",
     "ReorderFault",
-    "SeverWindow",
     "TrafficStats",
     "UniformLatency",
     "UploadBudget",

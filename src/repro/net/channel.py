@@ -44,7 +44,7 @@ class Channel:
         self.dst = dst
         self.latency = latency
         self.loss = loss
-        #: optional link fault (duplicate/reorder/sever) on top of ``loss``
+        #: optional link fault (duplicate/reorder/stall) on top of ``loss``
         self.fault = fault
         self.rng = rng
 
@@ -56,8 +56,6 @@ class Channel:
 
         if self.fault is not None:
             extra_delays = self.fault.apply(self.rng, self.env.now)
-            if not extra_delays:
-                return ()
         else:
             extra_delays = (0.0,)
 
@@ -108,9 +106,6 @@ class Channel:
         deliveries: list[tuple[float, bool, object]] = []
         for j, i in enumerate(survivors):
             extra_delays = (0.0,) if fates is None else fates[j]
-            if not extra_delays:
-                dropped += 1
-                continue
             offset = offsets[i]
             delay = float(delays[j])
             duplicated += len(extra_delays) - 1

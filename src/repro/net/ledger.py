@@ -79,7 +79,9 @@ class FaultLedger:
         self._latest: Dict[str, FaultRow] = {}  # peer -> latest row touching it
         self.crashes: Dict[str, FaultRow] = {}  #: peer -> its latest crash row
         self.down: Dict[str, FaultRow] = {}  #: peers down now -> their crash row
-        self.cuts: Dict[Tuple[str, str], FaultRow] = {}  #: links cut now -> the cut's row
+        #: links cut now -> the sever rows of the cuts still open on
+        #: each, oldest first; a heal closes the oldest
+        self.cuts: Dict[Tuple[str, str], List[FaultRow]] = {}
 
     def record(self, kind: str, subject: str, /, **fields: Any) -> FaultRow:
         """A fault fired now: file its row, then publish it as a trace event."""
@@ -109,9 +111,12 @@ class FaultLedger:
         elif kind == "peer.rejoin":
             self.down.pop(subject, None)
         elif kind == "link.sever":
-            self.cuts[ends] = row
-        elif kind == "link.heal":
-            self.cuts.pop(ends, None)
+            self.cuts.setdefault(ends, []).append(row)
+        elif kind == "link.heal" and ends in self.cuts:
+            held = self.cuts[ends]
+            del held[0]
+            if not held:
+                del self.cuts[ends]
         return row
 
     def touching(self, *peers: str) -> Optional[FaultRow]:

@@ -1,23 +1,22 @@
-"""Composable per-link fault injection: duplicate, reorder, sever.
+"""Composable per-link fault injection: duplicate, reorder, stall, spike.
 
 The paper's channel model only loses messages (:mod:`repro.net.loss`).
 Real overlay links also *duplicate* (retransmitting middleboxes, route
-flaps), *reorder* (multi-path, queue jitter) and *sever* (partitions,
-one-way failures).  A :class:`LinkFault` generalizes the loss model into
-a per-send transformation: given the channel's RNG stream and the current
-simulation time it returns one **extra delay per delivered copy** —
+flaps) and *delay* (multi-path, queue jitter, stalls).  A
+:class:`LinkFault` is a per-send transformation on top of the loss model:
+given the channel's RNG stream and the current simulation time it returns
+one **extra delay per delivered copy**, at least one copy —
 
-* ``()``           — the message is lost on this link,
 * ``(0.0,)``       — one copy, undisturbed (the no-fault outcome),
 * ``(0.0, 0.0)``   — the link duplicated the message,
 * ``(3.7,)``       — one copy, held back 3.7 ms (reordering jitter).
 
-Faults compose with :class:`CompositeFault`, which threads every copy
-produced by one stage through the next, summing delays — so a duplicated
-copy can itself be jittered or lost.  Whole-link cuts driven by a
-session-wide schedule (partitions, asymmetric failures) live on the
-overlay instead (:meth:`repro.net.overlay.Overlay.sever_link`); the
-time-windowed :class:`SeverWindow` covers scripted single-link cuts.
+A link fault never loses a message: loss is the loss model's.  Faults
+compose with :class:`CompositeFault`, which threads every copy produced
+by one stage through the next, summing delays — so a duplicated copy can
+itself be jittered.  Cuts (partitions, asymmetric failures) are scripted
+on a :class:`~repro.streaming.faults.FaultPlan` and live on the overlay
+(:meth:`repro.net.overlay.Overlay.sever_link`).
 
 All randomness comes from the channel's dedicated RNG stream, so equal
 seeds replay byte-identically; a channel without a fault draws exactly
@@ -38,7 +37,6 @@ __all__ = [
     "LatencySpikeFault",
     "LinkFault",
     "ReorderFault",
-    "SeverWindow",
     "StutterFault",
 ]
 
@@ -50,7 +48,7 @@ class LinkFault(ABC):
     def apply(
         self, rng: np.random.Generator, now: float
     ) -> Tuple[float, ...]:
-        """Extra delay per delivered copy; empty tuple = message lost."""
+        """Extra delay per delivered copy: one copy or more, never none."""
         raise NotImplementedError
 
     def apply_batch(
@@ -60,7 +58,7 @@ class LinkFault(ABC):
 
         Sequential by construction so stateful and composite faults keep
         their exact per-message evolution; each element is the usual
-        extra-delays tuple (empty = that packet lost on the link).
+        extra-delays tuple.
         """
         return [self.apply(rng, now) for _ in range(k)]
 
@@ -107,29 +105,6 @@ class ReorderFault(LinkFault):
         draw = float(rng.random())
         if draw < self.p:
             return (float(rng.random()) * self.max_delay,)
-        return (0.0,)
-
-
-@dataclass
-class SeverWindow(LinkFault):
-    """The link delivers nothing during ``[at, until)`` — a scripted cut.
-
-    Deterministic (no RNG draws), so wrapping a channel with a sever
-    window perturbs no other random sequence.
-    """
-
-    at: float
-    until: float
-
-    def __post_init__(self) -> None:
-        if self.at < 0:
-            raise ValueError("sever window start must be >= 0")
-        if self.until <= self.at:
-            raise ValueError("sever window must end after it starts")
-
-    def apply(self, rng, now):
-        if self.at <= now < self.until:
-            return ()
         return (0.0,)
 
 
@@ -196,8 +171,7 @@ class LatencySpikeFault(LinkFault):
 class CompositeFault(LinkFault):
     """Apply ``stages`` in order, threading every copy through each stage.
 
-    Stage delays add per copy; a stage that loses a copy removes it (and
-    everything a later stage would have derived from it).
+    Stage delays add per copy.
     """
 
     stages: Tuple[LinkFault, ...]
@@ -214,7 +188,5 @@ class CompositeFault(LinkFault):
             for base in copies:
                 for extra in stage.apply(rng, now):
                     produced.append(base + extra)
-            if not produced:
-                return ()
             copies = tuple(produced)
         return copies

@@ -422,7 +422,8 @@ class Overlay:
     # link cuts (partitions, asymmetric failures)
     # ------------------------------------------------------------------
     def sever_link(self, src: str, dst: str) -> None:
-        """Cut the directed link ``src → dst``: nothing gets through.
+        """Open one cut of the directed link ``src → dst``: nothing gets
+        through while any cut of it is open.
 
         All traffic is affected — media, control *and* acks — so a
         reliable sender behind a cut exhausts its retry budget and the
@@ -430,11 +431,10 @@ class Overlay:
         """
         if src not in self.nodes or dst not in self.nodes:
             raise KeyError(f"unknown endpoint in {src}->{dst}")
-        if (src, dst) not in self._cuts:
-            self.ledger.record("link.sever", src, dst=dst)
+        self.ledger.record("link.sever", src, dst=dst)
 
     def heal_link(self, src: str, dst: str) -> None:
-        """Restore a previously severed directed link (no-op if intact)."""
+        """Close the oldest open cut of ``src → dst`` (no-op if intact)."""
         if (src, dst) in self._cuts:
             self.ledger.record("link.heal", src, dst=dst)
 

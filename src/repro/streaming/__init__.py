@@ -18,9 +18,10 @@
 * :class:`Commons` — what a run's leaves share, built once: clock, RNG
   family, trace bus, overlay, content, peer ids, upload budgets and the
   observers.  A session on its own builds a private one.
-* :mod:`repro.streaming.faults` — crash / rate-degradation / churn
-  injection, plus network partitions and one-way link cuts
-  (:class:`PartitionPlan`, :class:`LinkCut`).
+* :mod:`repro.streaming.faults` — one :class:`FaultPlan` of scripted
+  faults (crashes, rejoins, degradations, flaps, one-way link cuts and
+  partitions), fired by one fault process, plus :class:`ChurnPlan`'s
+  ongoing crash/rejoin churn.
 * :mod:`repro.streaming.detector` — leaf-side heartbeat failure detector.
 * :mod:`repro.streaming.recoordination` — mid-stream residual re-flooding.
 * :mod:`repro.streaming.swarm` — multi-leaf flash-crowd runs over one
@@ -48,13 +49,8 @@ from repro.streaming.spec import (
 )
 from repro.streaming.faults import (
     ChurnPlan,
-    CrashFault,
-    DegradeFault,
     FaultPlan,
-    FlapFault,
     JoinStormPlan,
-    LinkCut,
-    PartitionPlan,
 )
 from repro.streaming.swarm import (
     AdmissionController,
@@ -84,13 +80,10 @@ __all__ = [
     "ChurnPlan",
     "Commons",
     "ContentsPeerAgent",
-    "CrashFault",
-    "DegradeFault",
     "DetectorPolicy",
     "DetectorSpec",
     "FailureDetector",
     "FaultPlan",
-    "FlapFault",
     "HandoffPlan",
     "HandoffRecord",
     "HealthMonitor",
@@ -100,10 +93,8 @@ __all__ = [
     "LatencySpec",
     "LeafOutcome",
     "LeafPeerAgent",
-    "LinkCut",
     "LinkFaultSpec",
     "LossSpec",
-    "PartitionPlan",
     "PeerHub",
     "Phase",
     "PlaybackBuffer",

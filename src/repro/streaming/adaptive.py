@@ -7,7 +7,7 @@ rate**".  This extension implements the reactive half of that programme:
 a session-level :class:`RateAdaptationMonitor` periodically compares each
 active stream's *actual* rate against its nominal assignment; when a
 stream has degraded below ``THRESHOLD × nominal`` (a QoS fault, modelled
-by :class:`~repro.streaming.faults.DegradeFault`), the affected peer
+by :meth:`~repro.streaming.faults.FaultPlan.degrade`), the affected peer
 performs a *weighted handoff*: the remaining postfix is split between
 itself and a freshly recruited helper **proportionally to their rates**
 via the §2 time-slot allocator, so both parts finish together and the

@@ -1,143 +1,205 @@
-"""Fault injection: crashes, degradation, churn, partitions, link cuts.
+"""Scripted faults and churn: one plan of legs, one process that fires them.
 
 §1 motivates the MSS model with "even if some peer stops by fault and is
 degraded in performance … a requesting leaf peer receives every data of a
-content".  A :class:`FaultPlan` schedules :class:`CrashFault` /
-:class:`DegradeFault` instances against a running session so that claim can
-be tested and benchmarked; a :class:`ChurnPlan` drives *ongoing* membership
-dynamics — Poisson departures, optional crash-recover/rejoin, and
-correlated crash storms — for stress-testing the failure detector and
-mid-stream re-coordination.
+content".  A :class:`FaultPlan` scripts the faults that test that claim.
+It is one tuple of faults, and each fault is a short chain of
+:class:`Leg`\\ s named in the fault ledger's own vocabulary: a crash is one
+``peer.crash`` leg, a flap alternates ``peer.crash``/``peer.rejoin`` legs,
+a one-way cut is ``link.sever`` then ``link.heal``, and a partition is
+``partition.split`` then ``partition.heal``.  :func:`run_legs` is the one
+fault process: it waits out each leg's delay and fires the leg through
+:data:`FIRE`, the one ``kind → action`` table.
 
-A :class:`PartitionPlan` covers the failures churn cannot express: it
-splits the overlay into components at time ``t`` (every directed link
-crossing a component boundary is severed, acks included) and heals the
-split at ``t'``; scripted :class:`LinkCut` entries model *asymmetric*
-one-way failures.  Partitioned peers are not crashed — they keep
-transmitting into their severed links (those sends are counted as honest
-drops), the leaf's failure detector suspects and then confirms them
-through silence, and after the heal their first heartbeat to reach the
-leaf resumes monitoring (:meth:`~repro.streaming.detector.FailureDetector.touch`).
+A :class:`ChurnPlan` drives *ongoing* membership dynamics instead —
+Poisson departures, each followed by a crash-recover rejoin — for
+stress-testing the failure detector and mid-stream re-coordination.  It
+draws its victims at fire time and fires them through the same table.
 
-Each fault instance is filed once in the run's fault ledger
-(``session.commons.ledger``): crashes and rejoins by the node itself, link
-cuts by the overlay, degradations and partition splits and heals here.
+A partition severs links, not peers: at the split every directed link
+crossing a component boundary is cut, acks included, and the heal
+restores exactly those links.  Partitioned peers keep transmitting into
+their severed links (those sends are counted as honest drops), the leaf's
+failure detector suspects and then confirms them through silence, and
+after the heal their first heartbeat to reach the leaf resumes monitoring
+(:meth:`~repro.streaming.detector.FailureDetector.touch`).  A lone cut is
+the *asymmetric* failure: the reverse direction stays up.  A link stays
+severed while any cut or split covering it is open.
+
+Each fault instance is one row of the run's fault ledger
+(``session.commons.ledger``): crashes and rejoins filed by the node, link
+cuts and heals by the overlay, the rest here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, List, Optional, Tuple
-
-from repro.core.base import pick
+from typing import TYPE_CHECKING, Any, List, NamedTuple, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.streaming.session import StreamingSession
 
-
-@dataclass(frozen=True)
-class CrashFault:
-    """Peer ``peer_id`` fail-stops at ``at`` (ms)."""
-
-    peer_id: str
-    at: float
-
-    def __post_init__(self) -> None:
-        if self.at < 0:
-            raise ValueError("fault time must be non-negative")
+#: churn's horizon, in nominal content durations (l/τ) after t=0: a
+#: finite bound, so a churned run always terminates
+CHURN_HORIZON_CONTENTS = 3.0
 
 
-@dataclass(frozen=True)
-class DegradeFault:
-    """Peer ``peer_id``'s transmission rate is multiplied by ``factor``
-    (< 1 slows it down) at ``at`` (ms) — QoS degradation, not failure."""
+class Leg(NamedTuple):
+    """One step of a fault, named by the ledger kind it files."""
 
-    peer_id: str
-    at: float
-    factor: float
-
-    def __post_init__(self) -> None:
-        if self.at < 0:
-            raise ValueError("fault time must be non-negative")
-        if self.factor <= 0:
-            raise ValueError("factor must be positive")
+    after: float  #: ms after the leg before it fired (the first: after t=0)
+    kind: str  #: a :data:`FIRE` key
+    #: a peer id, a ``(src, dst)`` link, or a partition's components
+    target: Any
+    #: a degrade's factor; a split's heal time (None: never heals)
+    value: Any = None
+    #: a flap or churn leg: the fault ends once the leaf holds the
+    #: content, and a crash leg spares a peer that is already down
+    guarded: bool = False
 
 
-@dataclass(frozen=True)
-class FlapFault:
-    """Peer ``peer_id`` oscillates up/down: starting at ``at`` it goes
-    down for ``down_for`` ms at the head of every ``period``-ms cycle,
-    ``count`` cycles in total — the gray "flapping" peer that is never
-    down long enough to be cleanly declared crashed, yet never up long
-    enough to deliver its share."""
+def _crash(session: "StreamingSession", leg: Leg) -> None:
+    agent = session.peers[leg.target]
+    if not (leg.guarded and agent.crashed):
+        agent.node.crash()
 
-    peer_id: str
-    at: float
-    down_for: float
-    period: float
-    count: int = 1
 
-    def __post_init__(self) -> None:
-        if self.at < 0:
-            raise ValueError("fault time must be non-negative")
-        if self.down_for <= 0:
-            raise ValueError("down_for must be positive")
-        if self.period <= self.down_for:
-            raise ValueError("period must exceed down_for (the peer "
-                             "needs some uptime per cycle)")
-        if self.count < 1:
-            raise ValueError("count must be >= 1")
+def _rejoin(session: "StreamingSession", leg: Leg) -> None:
+    # the crash-recover path: the peer resumes its unsent residual
+    session.peers[leg.target].rejoin()
+
+
+def _degrade(session: "StreamingSession", leg: Leg) -> None:
+    for stream in session.peers[leg.target].streams:
+        if not stream.exhausted:
+            stream.scale_rate(leg.value)
+    session.commons.ledger.record("peer.degrade", leg.target, factor=leg.value)
+
+
+def _boundary_links(session: "StreamingSession", components):
+    """Every directed link crossing a component boundary; the leaf and
+    every unlisted peer form the implicit leaf-side component."""
+    component_of = {
+        pid: idx for idx, group in enumerate(components) for pid in group
+    }
+    nodes = [session.leaf.peer_id, *session.peer_ids]
+    return [
+        (a, b)
+        for a in nodes
+        for b in nodes
+        if a != b and component_of.get(a, -1) != component_of.get(b, -1)
+    ]
+
+
+def _isolated(components) -> str:
+    """The split's peers, as its ledger rows name them."""
+    return ",".join(pid for group in components for pid in group)
+
+
+def _split(session: "StreamingSession", leg: Leg) -> None:
+    for src, dst in _boundary_links(session, leg.target):
+        session.overlay.sever_link(src, dst)
+    session.commons.ledger.record(
+        "partition.split", "overlay", components=len(leg.target) + 1,
+        isolated=_isolated(leg.target), heal_at=leg.value,
+    )
+
+
+def _heal_split(session: "StreamingSession", leg: Leg) -> None:
+    for src, dst in _boundary_links(session, leg.target):
+        session.overlay.heal_link(src, dst)
+    session.commons.ledger.record(
+        "partition.heal", "overlay", isolated=_isolated(leg.target)
+    )
+
+
+#: leg kind → what firing it does
+FIRE = {
+    "peer.crash": _crash,
+    "peer.rejoin": _rejoin,
+    "peer.degrade": _degrade,
+    "link.sever": lambda session, leg: session.overlay.sever_link(*leg.target),
+    "link.heal": lambda session, leg: session.overlay.heal_link(*leg.target),
+    "partition.split": _split,
+    "partition.heal": _heal_split,
+}
+
+
+def run_legs(session: "StreamingSession", legs: Tuple[Leg, ...]):
+    """The fault process: fire ``legs`` in order, each ``after`` ms after
+    the one before it.  Each delay is scheduled when the leg before it
+    fires, the first inside the process's t=0 start."""
+    for leg in legs:
+        yield session.env.timeout(leg.after)
+        if leg.guarded and session.leaf.decoder.complete:
+            return
+        FIRE[leg.kind](session, leg)
+
+
+def _check_at(at: float, what: str = "fault") -> None:
+    if at < 0:
+        raise ValueError(f"{what} time must be non-negative")
 
 
 @dataclass(frozen=True)
 class FaultPlan:
-    """A set of faults applied to one session.
+    """The scripted faults of one session: one tuple of leg chains.
 
-    A value, like every other plan: :meth:`crash`, :meth:`degrade` and
-    :meth:`flap` return a new plan with one more fault.
-
-    :class:`DegradeFault` bounds its own fields, but only per fault — the
-    plan as a whole also rejects a degrade factor above 1 (a "degradation"
-    that speeds a peer up is a spec typo) and two faults of the same kind
-    scheduled against one peer at the same instant (the duplicate would
-    silently double-apply).
+    A value, like every other plan: each builder returns a new plan with
+    one more fault, and checks that fault's own fields.  The plan as a
+    whole also rejects a degrade factor above 1 (a "degradation" that
+    speeds a peer up is a spec typo) and two peer faults of the same
+    kind scheduled against one peer at the same instant (the duplicate
+    would silently double-apply).  Deterministic: installing a plan
+    draws no RNG, so it perturbs no other random sequence.
     """
 
-    crashes: Tuple[CrashFault, ...] = ()
-    degradations: Tuple[DegradeFault, ...] = ()
-    flaps: Tuple[FlapFault, ...] = ()
+    faults: Tuple[Tuple[Leg, ...], ...] = ()
 
     def __post_init__(self) -> None:
-        for fault in self.degradations:
-            if fault.factor > 1.0:
+        seen: set = set()
+        for legs in self.faults:
+            first = legs[0]
+            if first.kind == "peer.degrade" and first.value > 1.0:
                 raise ValueError(
-                    f"degrade factor {fault.factor} for {fault.peer_id!r} "
+                    f"degrade factor {first.value} for {first.target!r} "
                     "is > 1 — a degradation must slow the peer down "
                     "(0 < factor <= 1)"
                 )
-        seen: set = set()
-        for kind, faults in (
-            ("crash", self.crashes),
-            ("degrade", self.degradations),
-            ("flap", self.flaps),
-        ):
-            for fault in faults:
-                key = (kind, fault.peer_id, fault.at)
-                if key in seen:
-                    raise ValueError(
-                        f"duplicate {kind} fault scheduled for "
-                        f"{fault.peer_id!r} at t={fault.at} — each "
-                        "(peer, time) pair may carry at most one fault "
-                        "of a kind"
-                    )
-                seen.add(key)
+            if not first.kind.startswith("peer."):
+                continue
+            name = "flap" if first.guarded else first.kind[len("peer."):]
+            key = (name, first.target, first.after)
+            if key in seen:
+                raise ValueError(
+                    f"duplicate {name} fault scheduled for "
+                    f"{first.target!r} at t={first.after} — each "
+                    "(peer, time) pair may carry at most one fault "
+                    "of a kind"
+                )
+            seen.add(key)
+
+    def _add(self, *legs: Leg) -> "FaultPlan":
+        return replace(self, faults=(*self.faults, legs))
 
     def crash(self, peer_id: str, at: float) -> "FaultPlan":
-        return replace(self, crashes=(*self.crashes, CrashFault(peer_id, at)))
+        """Peer ``peer_id`` fail-stops at ``at`` (ms)."""
+        _check_at(at)
+        return self._add(Leg(at, "peer.crash", peer_id))
+
+    def rejoin(self, peer_id: str, at: float) -> "FaultPlan":
+        """Peer ``peer_id`` crash-recovers at ``at`` (ms), if it is down."""
+        _check_at(at)
+        return self._add(Leg(at, "peer.rejoin", peer_id))
 
     def degrade(self, peer_id: str, at: float, factor: float) -> "FaultPlan":
-        fault = DegradeFault(peer_id, at, factor)
-        return replace(self, degradations=(*self.degradations, fault))
+        """Peer ``peer_id``'s transmission rate is multiplied by
+        ``factor`` (< 1 slows it down) at ``at`` (ms) — QoS degradation,
+        not failure."""
+        _check_at(at)
+        if factor <= 0:
+            raise ValueError("factor must be positive")
+        return self._add(Leg(at, "peer.degrade", peer_id, factor))
 
     def flap(
         self,
@@ -147,70 +209,110 @@ class FaultPlan:
         period: float,
         count: int = 1,
     ) -> "FaultPlan":
-        fault = FlapFault(peer_id, at, down_for, period, count)
-        return replace(self, flaps=(*self.flaps, fault))
+        """Peer ``peer_id`` oscillates: from ``at`` it goes down for
+        ``down_for`` ms at the head of every ``period``-ms cycle,
+        ``count`` cycles in total — the gray "flapping" peer that is never
+        down long enough to be cleanly declared crashed, yet never up long
+        enough to deliver its share.  It stops once the leaf holds the
+        content."""
+        _check_at(at)
+        if down_for <= 0:
+            raise ValueError("down_for must be positive")
+        if period <= down_for:
+            raise ValueError("period must exceed down_for (the peer "
+                             "needs some uptime per cycle)")
+        if count < 1:
+            raise ValueError("count must be >= 1")
+        legs = [Leg(at, "peer.crash", peer_id, guarded=True)]
+        for cycle in range(count):
+            if cycle:
+                legs.append(Leg(period - down_for, "peer.crash", peer_id, guarded=True))
+            legs.append(Leg(down_for, "peer.rejoin", peer_id, guarded=True))
+        return self._add(*legs)
+
+    def cut(
+        self, src: str, dst: str, at: float, until: Optional[float] = None
+    ) -> "FaultPlan":
+        """The directed link ``src → dst`` delivers nothing in
+        ``[at, until)`` (``until=None``: the cut never heals)."""
+        if src == dst:
+            raise ValueError("a link cut needs two distinct endpoints")
+        _check_at(at, "cut")
+        if until is not None and until <= at:
+            raise ValueError("cut must heal after it starts")
+        sever = Leg(at, "link.sever", (src, dst))
+        if until is None:
+            return self._add(sever)
+        return self._add(sever, Leg(until - at, "link.heal", (src, dst)))
+
+    def partition(
+        self, components, at: float, heal_at: Optional[float] = None
+    ) -> "FaultPlan":
+        """Cut the peer groups ``components`` away from the leaf's side at
+        ``at`` (ms) and heal the split at ``heal_at`` (None: never)."""
+        components = tuple(tuple(group) for group in components)
+        if not components:
+            raise ValueError(
+                "an empty partition plan does nothing — give it "
+                "components to split off"
+            )
+        _check_at(at, "partition")
+        if heal_at is not None and heal_at <= at:
+            raise ValueError("partition must heal after it splits")
+        seen: set = set()
+        for group in components:
+            if not group:
+                raise ValueError("partition components must be non-empty")
+            for pid in group:
+                if pid in seen:
+                    raise ValueError(
+                        f"peer {pid!r} appears in two partition "
+                        "components — components must be disjoint"
+                    )
+                seen.add(pid)
+        split = Leg(at, "partition.split", components, heal_at)
+        if heal_at is None:
+            return self._add(split)
+        return self._add(split, Leg(heal_at - at, "partition.heal", components))
+
+    def check_endpoints(self, peer_ids, leaf_id: str) -> None:
+        """Refuse a fault naming a peer or endpoint the session lacks, or
+        a partition that cuts the leaf away — here, up front, instead of
+        as a ``KeyError`` deep inside the event loop when the fault fires."""
+        peers = set(peer_ids)
+        known = peers | {leaf_id}
+        for legs in self.faults:
+            kind, target = legs[0].kind, legs[0].target
+            if kind.startswith("peer.") and target not in peers:
+                raise ValueError(
+                    f"fault targets unknown peer {target!r} "
+                    f"(session has {len(peers)} peers: "
+                    f"CP1..CP{len(peers)})"
+                )
+            if kind == "link.sever":
+                for endpoint in target:
+                    if endpoint not in known:
+                        raise ValueError(
+                            f"link cut names unknown endpoint {endpoint!r}"
+                        )
+            if kind == "partition.split":
+                isolated = [pid for group in target for pid in group]
+                for pid in isolated:
+                    if pid not in known:
+                        raise ValueError(
+                            f"partition component names unknown peer {pid!r}"
+                        )
+                if leaf_id in isolated:
+                    raise ValueError(
+                        "the leaf always sits in the implicit component; "
+                        "list only the peers to cut away from it"
+                    )
 
     def install(self, session: "StreamingSession") -> None:
-        """Schedule every fault as a simulation process.
-
-        Targets are validated against the session's peer set up front —
-        a typo'd ``peer_id`` fails here, at install time, instead of as a
-        ``KeyError`` deep inside the event loop when the fault fires.
-        """
-        known = set(session.peers)
-        for fault in [*self.crashes, *self.degradations, *self.flaps]:
-            if fault.peer_id not in known:
-                raise ValueError(
-                    f"fault targets unknown peer {fault.peer_id!r} "
-                    f"(session has {len(known)} peers: "
-                    f"CP1..CP{len(known)})"
-                )
-        for fault in self.crashes:
-            session.env.process(self._run_crash(session, fault))
-        for fault in self.degradations:
-            session.env.process(self._run_degrade(session, fault))
-        for fault in self.flaps:
-            session.env.process(self._run_flap(session, fault))
-
-    @staticmethod
-    def _run_crash(session: "StreamingSession", fault: CrashFault):
-        yield session.env.timeout(fault.at)
-        session.peers[fault.peer_id].node.crash()
-
-    @staticmethod
-    def _run_degrade(session: "StreamingSession", fault: DegradeFault):
-        yield session.env.timeout(fault.at)
-        agent = session.peers[fault.peer_id]
-        for stream in agent.streams:
-            if not stream.exhausted:
-                stream.scale_rate(fault.factor)
-        session.commons.ledger.record("peer.degrade", fault.peer_id, factor=fault.factor)
-
-    @staticmethod
-    def _run_flap(session: "StreamingSession", fault: FlapFault):
-        """Cycle the peer down/up ``count`` times.
-
-        Each leg is a crash or rejoin row of the fault ledger, so the
-        ground-truth oracles see every oscillation; the up leg reuses the
-        crash-recover path
-        (:meth:`~repro.streaming.contents_peer.ContentsPeerAgent.rejoin`),
-        so the peer resumes its unsent residual exactly like a churned
-        peer would.
-        """
-        yield session.env.timeout(fault.at)
-        agent = session.peers[fault.peer_id]
-        for cycle in range(fault.count):
-            if session.leaf.decoder.complete:
-                return
-            if not agent.crashed:
-                agent.node.crash()
-            yield session.env.timeout(fault.down_for)
-            if session.leaf.decoder.complete:
-                return
-            if agent.crashed:
-                agent.rejoin()
-            if cycle + 1 < fault.count:
-                yield session.env.timeout(fault.period - fault.down_for)
+        """Check endpoints, then start one fault process per fault."""
+        self.check_endpoints(session.peer_ids, session.leaf.peer_id)
+        for legs in self.faults:
+            session.env.process(run_legs(session, legs))
 
 
 @dataclass(frozen=True)
@@ -221,33 +323,22 @@ class ChurnPlan:
     from Exp(``rate_per_delta``) in δ units off the session's dedicated
     ``churn/plan`` random stream, so two sessions with equal seeds and
     equal plans observe byte-identical churn.  Each departed peer
-    optionally crash-recovers after an Exp(``mean_downtime_deltas``)
-    downtime (state survives: it resumes its unsent residual).  An
-    optional *storm* crashes ``storm_size`` peers simultaneously at
-    ``storm_at`` — the correlated-failure case parity margins are sized
-    for.
+    crash-recovers after an Exp(``mean_downtime_deltas``) downtime (state
+    survives: it resumes its unsent residual).  The draws alternate gap,
+    victim, downtime.  A correlated crash is a :class:`FaultPlan` with
+    several crash legs at one instant.
 
     The driver is self-terminating: it stops at a finite horizon
-    (``stop_deltas`` after start, defaulting to three nominal content
-    durations) and as soon as the leaf holds the full content, so
-    ``env.run(until=None)`` always returns.  ``min_live`` peers are
-    never taken down (the chaos invariant "≥ 1 survivor" needs a
-    survivor to exist).
+    (:data:`CHURN_HORIZON_CONTENTS` nominal content durations) and as
+    soon as the leaf holds the full content, so ``env.run(until=None)``
+    always returns.  ``min_live`` peers are never taken down (the chaos
+    invariant "≥ 1 survivor" needs a survivor to exist).
     """
 
     #: expected departures per δ across the whole overlay (Poisson rate)
     rate_per_delta: float = 0.02
     #: departed peers come back after an exponential downtime
-    rejoin: bool = True
     mean_downtime_deltas: float = 10.0
-    #: instant (ms) of a correlated crash storm; None = no storm
-    storm_at: Optional[float] = None
-    storm_size: int = 0
-    #: churn starts this many δ after t=0
-    start_deltas: float = 0.0
-    #: churn horizon in δ after start; None = 3× the nominal content
-    #: duration (l/τ) — a finite default so runs always terminate
-    stop_deltas: Optional[float] = None
     #: never reduce the live population below this
     min_live: int = 1
 
@@ -256,255 +347,33 @@ class ChurnPlan:
             raise ValueError("rate_per_delta must be non-negative")
         if self.mean_downtime_deltas <= 0:
             raise ValueError("mean_downtime_deltas must be positive")
-        if self.storm_size < 0:
-            raise ValueError("storm_size must be non-negative")
-        if self.start_deltas < 0:
-            raise ValueError("start_deltas must be non-negative")
-        if self.stop_deltas is not None and self.stop_deltas <= 0:
-            raise ValueError("stop_deltas must be positive")
         if self.min_live < 1:
             raise ValueError("min_live must be >= 1")
 
-    # ------------------------------------------------------------------
     def install(self, session: "StreamingSession") -> None:
         if self.rate_per_delta > 0:
             session.env.process(self._run(session))
-        if self.storm_at is not None and self.storm_size > 0:
-            session.env.process(self._run_storm(session))
-
-    def _horizon(self, session: "StreamingSession") -> float:
-        cfg = session.config
-        start = self.start_deltas * cfg.delta
-        if self.stop_deltas is not None:
-            return start + self.stop_deltas * cfg.delta
-        return start + 3.0 * cfg.content_packets / cfg.tau
 
     def _run(self, session: "StreamingSession"):
         cfg = session.config
         rng = session.streams.get("churn/plan")
-        horizon = self._horizon(session)
-        start = self.start_deltas * cfg.delta
-        if start > 0:
-            yield session.env.timeout(start)
+        horizon = CHURN_HORIZON_CONTENTS * cfg.content_packets / cfg.tau
         while True:
             gap = float(rng.exponential(1.0 / self.rate_per_delta))
             yield session.env.timeout(gap * cfg.delta)
             if session.env.now >= horizon or session.leaf.decoder.complete:
                 return
-            victim = self._pick_victim(session, rng)
-            if victim is None:
+            live = [
+                pid for pid in session.peer_ids
+                if not session.peers[pid].crashed
+            ]
+            if len(live) <= self.min_live:
                 continue
-            session.peers[victim].node.crash()
-            if self.rejoin:
-                downtime = (
-                    float(rng.exponential(self.mean_downtime_deltas))
-                    * cfg.delta
-                )
-                session.env.process(
-                    self._rejoin_later(session, victim, downtime)
-                )
-
-    def _run_storm(self, session: "StreamingSession"):
-        yield session.env.timeout(self.storm_at)
-        rng = session.streams.get("churn/storm")
-        live = [
-            pid for pid in session.peer_ids
-            if not session.peers[pid].crashed
-        ]
-        k = min(self.storm_size, max(0, len(live) - self.min_live))
-        if k <= 0:
-            return
-        for victim in pick(rng, live, k):
-            session.peers[victim].node.crash()
-            if self.rejoin:
-                downtime = (
-                    float(rng.exponential(self.mean_downtime_deltas))
-                    * session.config.delta
-                )
-                session.env.process(
-                    self._rejoin_later(session, victim, downtime)
-                )
-
-    # ------------------------------------------------------------------
-    def _pick_victim(self, session: "StreamingSession", rng) -> Optional[str]:
-        live = [
-            pid for pid in session.peer_ids
-            if not session.peers[pid].crashed
-        ]
-        if len(live) <= self.min_live:
-            return None
-        return live[int(rng.integers(len(live)))]
-
-    @staticmethod
-    def _rejoin_later(session: "StreamingSession", victim: str, downtime: float):
-        yield session.env.timeout(downtime)
-        if session.leaf.decoder.complete:
-            return  # run is over; a rejoin would only add idle processes
-        agent = session.peers[victim]
-        if not agent.crashed:
-            return  # already recovered by some other path
-        agent.rejoin()
-
-
-# ----------------------------------------------------------------------
-# partitions and asymmetric link failures
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class LinkCut:
-    """One directed link cut: ``src → dst`` delivers nothing in
-    ``[at, until)`` (``until=None`` = the cut never heals).
-
-    A single :class:`LinkCut` is the *asymmetric* failure: the reverse
-    direction stays up, so e.g. a peer can still hear the leaf's repair
-    requests while its answers silently vanish.
-    """
-
-    src: str
-    dst: str
-    at: float
-    until: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.src == self.dst:
-            raise ValueError("a link cut needs two distinct endpoints")
-        if self.at < 0:
-            raise ValueError("cut time must be non-negative")
-        if self.until is not None and self.until <= self.at:
-            raise ValueError("cut must heal after it starts")
-
-
-@dataclass(frozen=True)
-class PartitionPlan:
-    """Split the overlay into components at ``at``; heal at ``heal_at``.
-
-    ``components`` lists the groups cut away from the rest of the
-    overlay; the leaf plus every unlisted peer form the implicit
-    leaf-side component.  At ``at`` every directed link whose endpoints
-    sit in different components is severed (media, control *and* acks —
-    reliable senders exhaust their retries honestly); at ``heal_at``
-    exactly those links are restored.  ``cuts`` adds scripted one-way
-    :class:`LinkCut` failures on top, on their own schedules.
-
-    Both fields are optional-ish: a plan may be pure cuts
-    (``components=()``) or a pure split (``cuts=()``), but not empty.
-    Deterministic — no RNG draws, so installing a plan perturbs no other
-    random sequence.
-    """
-
-    components: Tuple[Tuple[str, ...], ...] = ()
-    at: float = 0.0
-    heal_at: Optional[float] = None
-    cuts: Tuple[LinkCut, ...] = ()
-
-    def __post_init__(self) -> None:
-        # normalize: accept lists of lists from call sites
-        object.__setattr__(
-            self,
-            "components",
-            tuple(tuple(group) for group in self.components),
-        )
-        object.__setattr__(self, "cuts", tuple(self.cuts))
-        if not self.components and not self.cuts:
-            raise ValueError(
-                "an empty partition plan does nothing — give it "
-                "components to split off or link cuts to schedule"
-            )
-        if self.at < 0:
-            raise ValueError("partition time must be non-negative")
-        if self.heal_at is not None and self.heal_at <= self.at:
-            raise ValueError("partition must heal after it splits")
-        seen: set = set()
-        for group in self.components:
-            if not group:
-                raise ValueError("partition components must be non-empty")
-            for pid in group:
-                if pid in seen:
-                    raise ValueError(
-                        f"peer {pid!r} appears in two partition "
-                        "components — components must be disjoint"
-                    )
-                seen.add(pid)
-
-    # ------------------------------------------------------------------
-    @property
-    def isolated_peers(self) -> Tuple[str, ...]:
-        """Every peer cut away from the leaf-side component."""
-        return tuple(pid for group in self.components for pid in group)
-
-    def check_endpoints(self, peer_ids, leaf_id: str) -> None:
-        """Refuse a plan naming an endpoint that is neither one of
-        ``peer_ids`` nor the leaf, or one that cuts the leaf away."""
-        known = set(peer_ids) | {leaf_id}
-        for pid in self.isolated_peers:
-            if pid not in known:
-                raise ValueError(
-                    f"partition component names unknown peer {pid!r}"
-                )
-        if leaf_id in self.isolated_peers:
-            raise ValueError(
-                "the leaf always sits in the implicit component; list "
-                "only the peers to cut away from it"
-            )
-        for cut in self.cuts:
-            for endpoint in (cut.src, cut.dst):
-                if endpoint not in known:
-                    raise ValueError(
-                        f"link cut names unknown endpoint {endpoint!r}"
-                    )
-
-    def install(self, session: "StreamingSession") -> None:
-        """Check endpoints and schedule the split/heal/cut processes."""
-        self.check_endpoints(session.peers, session.leaf.peer_id)
-        if self.components:
-            session.env.process(self._run_split(session))
-        for cut in self.cuts:
-            session.env.process(self._run_cut(session, cut))
-
-    # ------------------------------------------------------------------
-    def _boundary_links(self, session: "StreamingSession"):
-        """Every directed link crossing a component boundary."""
-        component_of = {
-            pid: idx
-            for idx, group in enumerate(self.components)
-            for pid in group
-        }
-        nodes = [session.leaf.peer_id, *session.peer_ids]
-        links = []
-        for a in nodes:
-            for b in nodes:
-                if a == b:
-                    continue
-                if component_of.get(a, -1) != component_of.get(b, -1):
-                    links.append((a, b))
-        return links
-
-    def _run_split(self, session: "StreamingSession"):
-        yield session.env.timeout(self.at)
-        overlay = session.overlay
-        links = self._boundary_links(session)
-        for src, dst in links:
-            overlay.sever_link(src, dst)
-        isolated = ",".join(self.isolated_peers)
-        ledger = session.commons.ledger
-        ledger.record(
-            "partition.split", "overlay", components=len(self.components) + 1,
-            isolated=isolated, heal_at=self.heal_at,
-        )
-        if self.heal_at is None:
-            return
-        yield session.env.timeout(self.heal_at - self.at)
-        for src, dst in links:
-            overlay.heal_link(src, dst)
-        ledger.record("partition.heal", "overlay", isolated=isolated)
-
-    @staticmethod
-    def _run_cut(session: "StreamingSession", cut: LinkCut):
-        yield session.env.timeout(cut.at)
-        session.overlay.sever_link(cut.src, cut.dst)
-        if cut.until is None:
-            return
-        yield session.env.timeout(cut.until - cut.at)
-        session.overlay.heal_link(cut.src, cut.dst)
+            victim = live[int(rng.integers(len(live)))]
+            FIRE["peer.crash"](session, Leg(0.0, "peer.crash", victim))
+            downtime = float(rng.exponential(self.mean_downtime_deltas)) * cfg.delta
+            rejoin = Leg(downtime, "peer.rejoin", victim, guarded=True)
+            session.env.process(run_legs(session, (rejoin,)))
 
 
 # ----------------------------------------------------------------------

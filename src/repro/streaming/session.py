@@ -255,9 +255,6 @@ class StreamingSession:
             spec.churn_plan.install(self)
         if spec.fault_plan is not None:
             spec.fault_plan.install(self)
-        self.partition_plan = spec.partition_plan
-        if spec.partition_plan is not None:
-            spec.partition_plan.install(self)
         self.repair_monitor: Optional["RepairMonitor"] = None
         if spec.repair_policy is not None:
             from repro.streaming.repair import RepairMonitor

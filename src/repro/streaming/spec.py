@@ -14,7 +14,8 @@ capturing the whole session surface as plain data:
   process; adding a model is one registry entry;
 * the plan/policy knobs (:class:`~repro.streaming.faults.FaultPlan`,
   :class:`~repro.net.overlay.RetransmitPolicy`, …) are already frozen
-  dataclasses and ride along unchanged.
+  dataclasses and ride along unchanged; one ``fault_plan`` holds every
+  scripted fault, partitions and one-way link cuts included.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from repro.net.linkfault import (
     LatencySpikeFault,
     LinkFault,
     ReorderFault,
-    SeverWindow,
     StutterFault,
 )
 from repro.net.capacity import CapacityPolicy
@@ -50,7 +50,7 @@ from repro.obs.trace import TraceConfig
 from repro.sim.sched import SCHEDULERS as _SCHEDULER_REGISTRY
 from repro.streaming.adaptive import RateAdaptationPolicy
 from repro.streaming.detector import DetectorPolicy
-from repro.streaming.faults import ChurnPlan, FaultPlan, PartitionPlan
+from repro.streaming.faults import ChurnPlan, FaultPlan
 from repro.streaming.health import HealthPolicy
 from repro.streaming.repair import RepairPolicy
 
@@ -164,7 +164,6 @@ _REGISTRIES: Dict[str, Dict[str, Callable[..., Any]]] = {
     "link_fault": {
         "duplicate": DuplicateFault,
         "reorder": ReorderFault,
-        "sever": SeverWindow,
         "stutter": StutterFault,
         "spike": LatencySpikeFault,
         "chaos": _chaos_fault,
@@ -313,12 +312,12 @@ class SessionSpec:
     loss: Optional[LossSpec] = None
     #: extra loss applied to control traffic only
     control_loss: Optional[LossSpec] = None
-    #: per-directed-link fault process (duplicate/reorder/sever …)
+    #: per-directed-link fault process (duplicate/reorder/stutter …)
     link_fault: Optional[LinkFaultSpec] = None
-    #: scheduled overlay partition / one-way link cuts
-    partition_plan: Optional[PartitionPlan] = None
     buffer_capacity: float = float("inf")
     playback: bool = False
+    #: scripted crashes, rejoins, degradations, flaps, link cuts and
+    #: partitions
     fault_plan: Optional[FaultPlan] = None
     repair_policy: Optional[RepairPolicy] = None
     adaptation_policy: Optional[RateAdaptationPolicy] = None

@@ -100,7 +100,7 @@ class SwarmSpec:
     :class:`~repro.streaming.session.StreamingSession` from it against
     the *shared* :class:`~repro.streaming.commons.Commons`.  The
     template must therefore leave
-    swarm-owned concerns unset: fault/churn/partition plans, tracing,
+    swarm-owned concerns unset: fault and churn plans, tracing,
     auditing, spans, and per-session upload capacity all belong to the
     swarm.  Each leaf builds its own protocol instance from the template's
     :class:`~repro.streaming.spec.ProtocolSpec`.
@@ -124,7 +124,6 @@ class SwarmSpec:
         owned = {
             "fault_plan": template.fault_plan,
             "churn_plan": template.churn_plan,
-            "partition_plan": template.partition_plan,
             "trace": template.trace,
             "audit": template.audit,
             "upload_capacity": template.upload_capacity,

@@ -169,8 +169,8 @@ def test_a_spec_does_not_alias_its_fault_plan():
     a = SessionSpec(_small_config(), ProtocolSpec("dcop"), fault_plan=plan)
     b = a.with_seed(5)
     plan.crash("CP2", 20.0)  # a new plan; the specs keep theirs
-    assert [f.peer_id for f in a.fault_plan.crashes] == ["CP1"]
-    assert [f.peer_id for f in b.fault_plan.crashes] == ["CP1"]
+    assert [legs[0].target for legs in a.fault_plan.faults] == ["CP1"]
+    assert [legs[0].target for legs in b.fault_plan.faults] == ["CP1"]
 
 
 def test_build_keeps_the_spec_and_does_not_warn():

@@ -1,4 +1,4 @@
-"""Link faults (duplicate/reorder/sever), dedup windows, overlay cuts."""
+"""Link faults (duplicate/reorder), dedup windows, overlay cuts."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from repro.net import (
     GilbertElliottLoss,
     Overlay,
     ReorderFault,
-    SeverWindow,
 )
 from repro.sim import Environment, RandomStreams
 
@@ -58,22 +57,6 @@ def test_reorder_fault_validation():
         ReorderFault(p=0.5, max_delay=0.0)
 
 
-def test_sever_window_cuts_only_inside_window():
-    rng = np.random.default_rng(0)
-    fault = SeverWindow(at=10.0, until=20.0)
-    assert fault.apply(rng, 9.9) == (0.0,)
-    assert fault.apply(rng, 10.0) == ()
-    assert fault.apply(rng, 19.9) == ()
-    assert fault.apply(rng, 20.0) == (0.0,)
-
-
-def test_sever_window_validation():
-    with pytest.raises(ValueError):
-        SeverWindow(at=-1.0, until=5.0)
-    with pytest.raises(ValueError):
-        SeverWindow(at=5.0, until=5.0)
-
-
 def test_composite_threads_copies_and_sums_delays():
     rng = np.random.default_rng(5)
     fault = CompositeFault(
@@ -82,14 +65,6 @@ def test_composite_threads_copies_and_sums_delays():
     copies = fault.apply(rng, 0.0)
     assert len(copies) == 2  # duplicated, then each copy jittered
     assert all(0.0 <= c < 2.0 for c in copies)
-
-
-def test_composite_stage_losing_everything_loses_message():
-    rng = np.random.default_rng(0)
-    fault = CompositeFault(
-        (DuplicateFault(p=1.0), SeverWindow(at=0.0, until=1.0))
-    )
-    assert fault.apply(rng, 0.0) == ()
 
 
 def test_composite_needs_stages():
@@ -186,17 +161,21 @@ def test_sever_unknown_endpoint_rejected():
         ov.sever_link("a", "nope")
 
 
-def test_sever_and_heal_are_idempotent():
+def test_overlapping_severs_hold_the_link_until_the_last_heal():
     _, ov = make_overlay()
     ov.add_node("a", ignore)
     ov.add_node("b", ignore)
     ov.sever_link("a", "b")
-    ov.sever_link("a", "b")  # no-op, no error
-    assert ("a", "b") in ov.ledger.cuts
+    ov.sever_link("a", "b")  # a second cut of the same link
+    ov.heal_link("a", "b")  # closes the older cut only
+    (held,) = ov.ledger.cuts[("a", "b")]
+    assert held.seq == 1  # the newer cut's row holds the link
     ov.heal_link("a", "b")
-    ov.heal_link("a", "b")  # no-op, no error
+    ov.heal_link("a", "b")  # intact: no-op, no row
     assert not ov.ledger.cuts
-    assert [r.kind for r in ov.ledger.rows] == ["link.sever", "link.heal"]
+    assert [r.kind for r in ov.ledger.rows] == [
+        "link.sever", "link.sever", "link.heal", "link.heal"
+    ]
 
 
 def test_chaos_channel_is_deterministic_given_seed():

@@ -41,8 +41,8 @@ def run_set(quick: bool, tmp: str) -> list:
         trace --protocol dcop --quick --latency normal:mean=10,std=3 --trace-out {tmp}/nl.json
         audit --protocol tcop --quick --link-fault gray:stall=5,spike_p=0.1 \
             --detector fixed:suspect_misses=2 --retransmit adaptive=1 --report-out {tmp}/gray.json
-        audit --protocol dcop --quick --link-fault sever:at=50,until=80 \
-            --partition CP3+CP4@60:120 --report-out {tmp}/sever.json
+        audit --protocol dcop --quick --link-fault stutter:period=40,stall=10 \
+            --partition CP3+CP4@60:120 --report-out {tmp}/partition.json
         spans --from-jsonl {tmp}/t.jsonl --trace-out {tmp}/refused.json"""
     examples = sorted((ROOT / "examples").glob("*.py"))
     return (

@@ -125,7 +125,7 @@ def partition_chaos_spec(protocol, seed=13):
     """Mid-stream partition + 10% control duplication + reordering within
     a 2δ window — the full link-fault gauntlet, audited."""
     from repro.obs import AuditConfig
-    from repro.streaming import LinkFaultSpec, PartitionPlan, SessionSpec
+    from repro.streaming import FaultPlan, LinkFaultSpec, SessionSpec
 
     cfg = config(seed=seed)
     proto, uplinks = protocol_case(protocol, cfg.n)
@@ -137,9 +137,7 @@ def partition_chaos_spec(protocol, seed=13):
             "chaos",
             {"dup_p": 0.1, "reorder_p": 0.2, "max_delay": 2 * cfg.delta},
         ),
-        partition_plan=PartitionPlan(
-            components=(("CP7",),), at=60.0, heal_at=200.0
-        ),
+        fault_plan=FaultPlan().partition((("CP7",),), at=60.0, heal_at=200.0),
         retransmit_policy=RetransmitPolicy(),
         detector_policy=DetectorSpec("fixed"),
         audit=AuditConfig(),

@@ -3,14 +3,7 @@
 import pytest
 
 from repro.core import ProtocolConfig
-from repro.streaming import (
-    ChurnPlan,
-    CrashFault,
-    DegradeFault,
-    FaultPlan,
-    ProtocolSpec,
-    SessionSpec,
-)
+from repro.streaming import ChurnPlan, FaultPlan, ProtocolSpec, SessionSpec
 
 
 def config(**kw):
@@ -23,18 +16,30 @@ def config(**kw):
 
 
 def test_fault_validation():
-    with pytest.raises(ValueError):
-        CrashFault("CP1", at=-1)
-    with pytest.raises(ValueError):
-        DegradeFault("CP1", at=-1, factor=0.5)
-    with pytest.raises(ValueError):
-        DegradeFault("CP1", at=1, factor=0)
+    with pytest.raises(ValueError, match="non-negative"):
+        FaultPlan().crash("CP1", at=-1)
+    with pytest.raises(ValueError, match="non-negative"):
+        FaultPlan().degrade("CP1", at=-1, factor=0.5)
+    with pytest.raises(ValueError, match="positive"):
+        FaultPlan().degrade("CP1", at=1, factor=0)
+    with pytest.raises(ValueError, match="down_for"):
+        FaultPlan().flap("CP1", at=1, down_for=0, period=5)
+    with pytest.raises(ValueError, match="exceed down_for"):
+        FaultPlan().flap("CP1", at=1, down_for=5, period=5)
+    with pytest.raises(ValueError, match="count"):
+        FaultPlan().flap("CP1", at=1, down_for=2, period=5, count=0)
 
 
 def test_fault_plan_builder():
     plan = FaultPlan().crash("CP1", 5).degrade("CP2", 6, 0.5)
-    assert len(plan.crashes) == 1
-    assert len(plan.degradations) == 1
+    assert [legs[0].kind for legs in plan.faults] == ["peer.crash", "peer.degrade"]
+    # a flap is alternating crash/rejoin legs, each delay relative to the
+    # leg before it
+    (flap,) = FaultPlan().flap("CP3", at=10, down_for=4, period=12, count=2).faults
+    assert [(leg.after, leg.kind) for leg in flap] == [
+        (10, "peer.crash"), (4, "peer.rejoin"), (8, "peer.crash"), (4, "peer.rejoin"),
+    ]
+    assert all(leg.guarded for leg in flap)
 
 
 def test_fault_plan_refuses_a_speedup_and_a_duplicate_when_built():
@@ -172,12 +177,6 @@ def test_churn_plan_validation():
     with pytest.raises(ValueError):
         ChurnPlan(mean_downtime_deltas=0)
     with pytest.raises(ValueError):
-        ChurnPlan(storm_size=-1)
-    with pytest.raises(ValueError):
-        ChurnPlan(start_deltas=-1)
-    with pytest.raises(ValueError):
-        ChurnPlan(stop_deltas=0)
-    with pytest.raises(ValueError):
         ChurnPlan(min_live=0)
 
 
@@ -195,35 +194,47 @@ def test_churn_crashes_and_rejoins_peers():
 
 def test_churn_respects_min_live():
     cfg = config(n=6, H=3, content_packets=300, seed=1)
-    plan = ChurnPlan(rate_per_delta=1.0, rejoin=False, min_live=4)
+    plan = ChurnPlan(rate_per_delta=1.0, min_live=4)
     session = SessionSpec(cfg, ProtocolSpec("dcop"), churn_plan=plan).build()
     session.run()
-    live = [p for p in session.peer_ids if not session.peers[p].crashed]
-    assert len(live) >= 4
+    # at no instant were more than n - min_live peers down at once
+    down, most = set(), 0
+    for row in session.commons.ledger.rows:
+        if row.kind == "peer.crash":
+            down.add(row.subject)
+        elif row.kind == "peer.rejoin":
+            down.discard(row.subject)
+        most = max(most, len(down))
+    assert 0 < most <= cfg.n - 4
 
 
-def test_churn_storm_crashes_a_group_at_once():
+def test_crash_legs_at_one_instant_fell_a_group_at_once():
+    # the correlated crash: k crash legs at one instant
     cfg = config(n=12, H=4, content_packets=300, seed=6)
-    plan = ChurnPlan(
-        rate_per_delta=0.0, rejoin=False, storm_at=60.0, storm_size=3
-    )
-    session = SessionSpec(cfg, ProtocolSpec("dcop"), churn_plan=plan).build()
+    plan = FaultPlan().crash("CP2", 60.0).crash("CP5", 60.0).crash("CP9", 60.0)
+    session = SessionSpec(cfg, ProtocolSpec("dcop"), fault_plan=plan).build()
     session.run()
-    storm_events = [
+    crashes = [
         row for row in session.commons.ledger.rows
         if row.kind == "peer.crash"
     ]
-    assert len(storm_events) == 3
-    assert all(row.ts == 60.0 for row in storm_events)
+    assert [row.subject for row in crashes] == ["CP2", "CP5", "CP9"]
+    assert all(row.ts == 60.0 for row in crashes)
 
 
 def test_churn_terminates_without_completion():
-    """Churn on a session that can never finish (all peers die, no
-    rejoin) must still drain the event queue — the horizon bounds it."""
+    """Churn on a session that can never finish (every peer is down from
+    t=0) must still drain the event queue — the horizon bounds it."""
     cfg = config(n=4, H=2, content_packets=200, seed=8)
-    plan = ChurnPlan(rate_per_delta=0.5, rejoin=False, min_live=1)
-    session = SessionSpec(cfg, ProtocolSpec("dcop"), churn_plan=plan).build()
+    plan = ChurnPlan(rate_per_delta=0.5, min_live=1)
+    down = FaultPlan()
+    for pid in ("CP1", "CP2", "CP3", "CP4"):
+        down = down.crash(pid, 0.0)
+    session = SessionSpec(
+        cfg, ProtocolSpec("dcop"), churn_plan=plan, fault_plan=down
+    ).build()
     r = session.run()  # until=None: returns only if everything terminates
+    assert r.delivery_ratio == 0.0
     assert r.elapsed < 1e7
 
 
@@ -239,13 +250,8 @@ def test_rejoined_peer_resumes_residual():
     down = session.run()
     assert down.delivery_ratio < 1.0
 
-    session = SessionSpec(
-        cfg, ProtocolSpec("dcop"), fault_plan=FaultPlan().crash(victim, 60.0)
-    ).build()
-
-    def revive():
-        yield session.env.timeout(90.0)
-        session.peers[victim].rejoin()
-
-    session.env.process(revive())
+    plan = FaultPlan().crash(victim, 60.0).rejoin(victim, 90.0)
+    session = SessionSpec(cfg, ProtocolSpec("dcop"), fault_plan=plan).build()
     assert session.run().delivery_ratio == 1.0
+    rows = [(row.ts, row.kind) for row in session.commons.ledger.rows]
+    assert rows == [(60.0, "peer.crash"), (90.0, "peer.rejoin")]

@@ -1,15 +1,17 @@
-"""Partition plans: validation, mid-stream splits, heals, asymmetric cuts."""
+"""Partitions and one-way cuts: validation, mid-stream splits, heals,
+overlapping cuts."""
 
 import pytest
 
 from repro.core import ProtocolConfig
 from repro.net.overlay import RetransmitPolicy
 from repro.obs import TraceConfig
+from repro.obs.exporters import trace_to_jsonl
+from repro.obs.trace import Observer, replay
 from repro.streaming import (
     DetectorSpec,
-    LinkCut,
+    FaultPlan,
     LinkFaultSpec,
-    PartitionPlan,
     ProtocolSpec,
     SessionSpec,
 )
@@ -37,7 +39,7 @@ def make_spec(protocol="dcop", **kw):
 def initial_targets(spec):
     """The peers the leaf contacts first (same seed ⇒ same picks)."""
     probe = spec.replace(
-        partition_plan=None, link_fault=None, trace=None
+        fault_plan=None, link_fault=None, trace=None
     ).build()
     return probe.leaf_select(spec.config.H)
 
@@ -47,58 +49,54 @@ def initial_targets(spec):
 # ----------------------------------------------------------------------
 def test_empty_plan_rejected():
     with pytest.raises(ValueError, match="empty partition plan"):
-        PartitionPlan()
+        FaultPlan().partition((), at=10.0)
 
 
 def test_heal_must_follow_split():
     with pytest.raises(ValueError, match="heal after it splits"):
-        PartitionPlan(components=(("CP1",),), at=100.0, heal_at=100.0)
+        FaultPlan().partition((("CP1",),), at=100.0, heal_at=100.0)
 
 
 def test_negative_split_time_rejected():
     with pytest.raises(ValueError, match="non-negative"):
-        PartitionPlan(components=(("CP1",),), at=-1.0)
+        FaultPlan().partition((("CP1",),), at=-1.0)
 
 
 def test_empty_component_rejected():
     with pytest.raises(ValueError, match="non-empty"):
-        PartitionPlan(components=(("CP1",), ()), at=10.0)
+        FaultPlan().partition((("CP1",), ()), at=10.0)
 
 
 def test_overlapping_components_rejected():
     with pytest.raises(ValueError, match="disjoint"):
-        PartitionPlan(components=(("CP1", "CP2"), ("CP2",)), at=10.0)
+        FaultPlan().partition((("CP1", "CP2"), ("CP2",)), at=10.0)
 
 
 def test_link_cut_validation():
     with pytest.raises(ValueError, match="distinct"):
-        LinkCut("CP1", "CP1", at=10.0)
+        FaultPlan().cut("CP1", "CP1", at=10.0)
     with pytest.raises(ValueError, match="non-negative"):
-        LinkCut("CP1", "CP2", at=-1.0)
+        FaultPlan().cut("CP1", "CP2", at=-1.0)
     with pytest.raises(ValueError, match="heal after"):
-        LinkCut("CP1", "CP2", at=10.0, until=10.0)
+        FaultPlan().cut("CP1", "CP2", at=10.0, until=10.0)
 
 
 def test_install_rejects_unknown_peer():
-    spec = make_spec(
-        partition_plan=PartitionPlan(components=(("CP99",),), at=10.0)
-    )
+    spec = make_spec(fault_plan=FaultPlan().partition((("CP99",),), at=10.0))
     with pytest.raises(ValueError, match="unknown peer 'CP99'"):
         spec.build()
 
 
 def test_install_rejects_leaf_in_component():
     spec = make_spec(
-        partition_plan=PartitionPlan(components=(("leaf", "CP1"),), at=10.0)
+        fault_plan=FaultPlan().partition((("leaf", "CP1"),), at=10.0)
     )
     with pytest.raises(ValueError, match="implicit component"):
         spec.build()
 
 
 def test_install_rejects_unknown_cut_endpoint():
-    spec = make_spec(
-        partition_plan=PartitionPlan(cuts=(LinkCut("CP1", "nope", at=5.0),))
-    )
+    spec = make_spec(fault_plan=FaultPlan().cut("CP1", "nope", at=5.0))
     with pytest.raises(ValueError, match="unknown endpoint"):
         spec.build()
 
@@ -111,8 +109,8 @@ def test_mid_stream_partition_heals_and_session_completes(protocol):
     base = make_spec(protocol, trace=TraceConfig())
     isolated = initial_targets(base)[:2]
     spec = base.replace(
-        partition_plan=PartitionPlan(
-            components=(tuple(isolated),), at=60.0, heal_at=260.0
+        fault_plan=FaultPlan().partition(
+            (tuple(isolated),), at=60.0, heal_at=260.0
         )
     )
     session = spec.build()
@@ -146,8 +144,8 @@ def test_healed_peers_resume_contact_without_manual_intervention():
     isolated = initial_targets(base)[:2]
     heal_at = 260.0
     spec = base.replace(
-        partition_plan=PartitionPlan(
-            components=(tuple(isolated),), at=60.0, heal_at=heal_at
+        fault_plan=FaultPlan().partition(
+            (tuple(isolated),), at=60.0, heal_at=heal_at
         )
     )
     session = spec.build()
@@ -171,7 +169,7 @@ def test_permanent_partition_recoordinates_in_reachable_component():
     base = make_spec("dcop")
     isolated = initial_targets(base)[:2]
     spec = base.replace(
-        partition_plan=PartitionPlan(components=(tuple(isolated),), at=60.0)
+        fault_plan=FaultPlan().partition((tuple(isolated),), at=60.0)
     )
     session = spec.build()
     result = session.run()  # must terminate despite the permanent split
@@ -192,7 +190,7 @@ def test_one_way_cut_mutes_peer_but_session_recovers():
     base = make_spec("dcop")
     muted = initial_targets(base)[0]
     spec = base.replace(
-        partition_plan=PartitionPlan(cuts=(LinkCut(muted, "leaf", at=60.0),))
+        fault_plan=FaultPlan().cut(muted, "leaf", at=60.0)
     )
     session = spec.build()
     result = session.run()
@@ -203,13 +201,70 @@ def test_one_way_cut_mutes_peer_but_session_recovers():
     assert list(session.commons.ledger.cuts) == [(muted, "leaf")]
 
 
+def test_an_overlapping_cut_holds_its_link_past_the_partition_heal():
+    """A one-way cut that opens inside a partition and outlasts it keeps
+    its link severed after the heal, and is a row of the ledger."""
+    spec = SessionSpec(
+        ProtocolConfig(n=8, H=4, seed=1),
+        ProtocolSpec("dcop"),
+        trace=TraceConfig(),
+        fault_plan=FaultPlan()
+        .partition((("CP1",),), at=50.0, heal_at=100.0)
+        .cut("CP1", "leaf", at=80.0, until=300.0),
+    )
+    session = spec.build()
+    result = session.run()
+    link = [
+        (row.ts, row.kind) for row in session.commons.ledger.rows
+        if row.kind in ("link.sever", "link.heal")
+        and (row.src, row.dst) == ("CP1", "leaf")
+    ]
+    assert link == [
+        (50.0, "link.sever"), (80.0, "link.sever"),
+        (100.0, "link.heal"), (300.0, "link.heal"),
+    ]
+    # CP1 kept sending to the leaf between the heal and the cut's end, and
+    # the cut ate every send: nothing from CP1 reached the leaf then
+    window = [e for e in result.trace.events if 100.0 < e.ts < 300.0]
+    assert any(
+        e.kind == "msg.drop" and e.subject == "CP1"
+        and e.fields.get("dst") == "leaf"
+        and e.fields.get("reason") == "link_severed"
+        for e in window
+    )
+    assert not any(
+        e.kind == "msg.recv" and e.subject == "leaf"
+        and e.fields.get("src") == "CP1"
+        for e in window
+    )
+    assert not session.commons.ledger.cuts  # the cut healed at 300
+    # replaying the trace rebuilds the same ledger
+    observer = Observer()
+    replay(trace_to_jsonl(result.trace).splitlines(), [observer])
+    assert observer.ledger.rows == session.commons.ledger.rows
+
+
+def test_a_heal_closes_one_cut_of_its_link():
+    # mid-window, the open cut's own sever row holds the link
+    session = SessionSpec(
+        ProtocolConfig(n=8, H=4, seed=1),
+        ProtocolSpec("dcop"),
+        fault_plan=FaultPlan()
+        .partition((("CP1",),), at=50.0, heal_at=100.0)
+        .cut("CP1", "leaf", at=80.0, until=300.0),
+    ).build()
+    session.run(until=200.0)
+    (held,) = session.commons.ledger.cuts[("CP1", "leaf")]
+    assert (held.ts, held.kind) == (80.0, "link.sever")
+
+
 def test_partitioned_run_is_deterministic():
     def run():
         base = make_spec("dcop")
         isolated = initial_targets(base)[:2]
         return base.replace(
-            partition_plan=PartitionPlan(
-                components=(tuple(isolated),), at=60.0, heal_at=260.0
+            fault_plan=FaultPlan().partition(
+                (tuple(isolated),), at=60.0, heal_at=260.0
             ),
             link_fault=LinkFaultSpec(
                 "chaos", {"dup_p": 0.05, "reorder_p": 0.1, "max_delay": 16.0}

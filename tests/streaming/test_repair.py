@@ -170,8 +170,6 @@ def test_repair_fails_over_from_one_way_dead_peer(monkeypatch):
     re-sample and another serving peer covers the gap within the
     monitor's round budget."""
     import repro.streaming.repair as repair
-    from repro.streaming.faults import LinkCut, PartitionPlan
-
     # one peer per round, so a round sent to a mute peer must fail over
     monkeypatch.setattr(repair, "FANOUT", 1)
 
@@ -180,15 +178,15 @@ def test_repair_fails_over_from_one_way_dead_peer(monkeypatch):
     victim = probe.leaf_select(5)[0]
     # half the peers can hear repair requests but their replies vanish
     mute = [p for p in probe.peer_ids if p != victim][::2]
+    plan = FaultPlan().crash(victim, 100.0)
+    for p in mute:
+        plan = plan.cut(p, "leaf", at=0.0)
 
     session = SessionSpec(
         config=cfg,
         protocol=ProtocolSpec("schedule_based"),
-        fault_plan=FaultPlan().crash(victim, 100.0),
+        fault_plan=plan,
         repair_policy=RepairPolicy(),
-        partition_plan=PartitionPlan(
-            cuts=tuple(LinkCut(p, "leaf", at=0.0) for p in mute)
-        ),
         trace=TraceConfig(),
     ).build()
     r = session.run()

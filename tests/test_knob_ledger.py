@@ -21,7 +21,6 @@ from repro.streaming import (
     FaultPlan,
     HealthPolicy,
     JoinStormPlan,
-    PartitionPlan,
     RateAdaptationPolicy,
     RepairPolicy,
     SessionSpec,
@@ -43,7 +42,6 @@ SPEC_CLASSES = (
     RateAdaptationPolicy,
     FaultPlan,
     ChurnPlan,
-    PartitionPlan,
     JoinStormPlan,
     AdmissionPolicy,
     TraceConfig,
