@@ -2,14 +2,15 @@
 """Watch a coordination run: transmission tree, waves, traffic.
 
 Renders the paper's Figure 9 (the TCoP transmission tree rooted at the
-leaf peer), the activation waves round by round for both protocols, and
-the overlay traffic breakdown.
+leaf peer), the activation waves round by round for both protocols (read
+off the run's trace), and the messages sent by kind.
 
 Run:  python examples/coordination_trace.py
 """
 
 from repro import ProtocolConfig, ProtocolSpec, SessionSpec
-from repro.viz import activation_timeline, render_transmission_tree, traffic_summary
+from repro.obs import TraceConfig, wave_timeline
+from repro.viz import render_transmission_tree
 
 
 def show(protocol, title):
@@ -18,12 +19,16 @@ def show(protocol, title):
             n=16, H=4, fault_margin=1, delta=10.0, content_packets=300, seed=6
         ),
         protocol=protocol,
+        trace=TraceConfig(),
     ).build()
-    session.run()
+    result = session.run()
     print(f"==== {title} ====")
     print(render_transmission_tree(session))
-    print(activation_timeline(session))
-    print(traffic_summary(session).render())
+    print(wave_timeline(result.trace).render())
+    print("messages sent by kind:")
+    for kind, sent in sorted(result.messages_by_kind.items()):
+        print(f"  {kind:>8}: {sent}")
+    print()
 
 
 def main() -> None:

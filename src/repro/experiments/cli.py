@@ -319,7 +319,11 @@ def _run_audit(args) -> int:
         source = Path(args.from_jsonl)
         if not source.exists():
             return _fail(f"trace file not found: {source}")
-        report = replay_jsonl(source, config=audit_config)
+        # a trace carries no δ; every run this command line records
+        # uses the default one, so the detection bound is checked at it
+        report = replay_jsonl(
+            source, config=audit_config, delta=ProtocolConfig().delta
+        )
     else:
         # swarm runs default to the capacity auditor (audit=None) unless
         # --auditors names an explicit set

@@ -80,8 +80,11 @@ class FaultLedger:
         self.crashes: Dict[str, FaultRow] = {}  #: peer -> its latest crash row
         self.down: Dict[str, FaultRow] = {}  #: peers down now -> their crash row
         #: links cut now -> the sever rows of the cuts still open on
-        #: each, oldest first; a heal closes the oldest
+        #: each, oldest first
         self.cuts: Dict[Tuple[str, str], List[FaultRow]] = {}
+        #: every sever row, in order: a heal's ``cut`` is an index here,
+        #: which a log filtered by category keeps (both are ``link.*``)
+        self.severs: List[FaultRow] = []
 
     def record(self, kind: str, subject: str, /, **fields: Any) -> FaultRow:
         """A fault fired now: file its row, then publish it as a trace event."""
@@ -111,10 +114,14 @@ class FaultLedger:
         elif kind == "peer.rejoin":
             self.down.pop(subject, None)
         elif kind == "link.sever":
+            self.severs.append(row)
             self.cuts.setdefault(ends, []).append(row)
         elif kind == "link.heal" and ends in self.cuts:
             held = self.cuts[ends]
-            del held[0]
+            # a heal logged before heals named their cut closes the oldest
+            cut = self.severs[fields["cut"]] if "cut" in fields else held[0]
+            if cut in held:
+                held.remove(cut)
             if not held:
                 del self.cuts[ends]
         return row

@@ -421,9 +421,10 @@ class Overlay:
     # ------------------------------------------------------------------
     # link cuts (partitions, asymmetric failures)
     # ------------------------------------------------------------------
-    def sever_link(self, src: str, dst: str) -> None:
-        """Open one cut of the directed link ``src → dst``: nothing gets
-        through while any cut of it is open.
+    def sever_link(self, src: str, dst: str) -> int:
+        """Open one cut of the directed link ``src → dst``; the cut's
+        number, which :meth:`heal_link` takes.  Nothing gets through
+        while any cut of the link is open.
 
         All traffic is affected — media, control *and* acks — so a
         reliable sender behind a cut exhausts its retry budget and the
@@ -432,11 +433,13 @@ class Overlay:
         if src not in self.nodes or dst not in self.nodes:
             raise KeyError(f"unknown endpoint in {src}->{dst}")
         self.ledger.record("link.sever", src, dst=dst)
+        return len(self.ledger.severs) - 1
 
-    def heal_link(self, src: str, dst: str) -> None:
-        """Close the oldest open cut of ``src → dst`` (no-op if intact)."""
-        if (src, dst) in self._cuts:
-            self.ledger.record("link.heal", src, dst=dst)
+    def heal_link(self, cut: int) -> None:
+        """Close cut number ``cut`` (no-op if it is closed)."""
+        sever = self.ledger.severs[cut]
+        if sever in self._cuts.get((sever.src, sever.dst), ()):
+            self.ledger.record("link.heal", sever.src, dst=sever.dst, cut=cut)
 
     # ------------------------------------------------------------------
     # traffic

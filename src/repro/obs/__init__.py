@@ -11,9 +11,8 @@ untouched.
   run-level consumer below follows: the run's complete log is fed to
   them once, at finish, and :func:`replay` feeds a JSONL trace the same
   way;
-* :mod:`repro.obs.metrics` — gauges sampled against sim-time into
-  :class:`~repro.metrics.series.SweepSeries` columns by a single-leaf
-  run's time-series sampler;
+* :mod:`repro.obs.metrics` — a single-leaf run's time series, sampled
+  off its log into :class:`~repro.metrics.series.SweepSeries` columns;
 * :mod:`repro.obs.exporters` — JSONL, Chrome ``trace_event`` (Perfetto),
   and run-summary JSON;
 * :mod:`repro.obs.timeline` — per-wave coordination timelines;
@@ -40,7 +39,6 @@ from repro.obs.audit import (
     register_auditor,
     replay_jsonl,
 )
-from repro.obs.metrics import Gauge, MetricsRegistry
 from repro.obs.spans import (
     SpanBuilder,
     SpanConfig,
@@ -75,8 +73,6 @@ __all__ = [
     "CausalAuditor",
     "DetectorAuditor",
     "DuplicateEffectAuditor",
-    "Gauge",
-    "MetricsRegistry",
     "Observer",
     "ParityAuditor",
     "SpanBuilder",

@@ -722,32 +722,33 @@ class DetectorAuditor(Auditor):
     asynchronous detector and surface as warnings.  A detection latency
     beyond the bound is a violation for a peer that activated, and a
     warning naming the crash for one that crashed before it did.  The
-    default bound is ``(CONFIRM_MISSES + 2) · period + 2δ`` from
-    :mod:`repro.streaming.detector` and the live session's heartbeat
-    period; :attr:`AuditConfig.detection_latency_bound_ms` overrides.
+    bound is ``(CONFIRM_MISSES + 2) · period + 2δ``, with the constants
+    of :mod:`repro.streaming.detector` (the period is
+    ``HEARTBEAT_PERIOD_DELTAS`` δ); it is checked whenever the run's δ is
+    known, a replay's included.
     """
 
     name = "detector"
 
-    def __init__(self, latency_bound_ms: Optional[float] = None) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self.latency_bound_ms = latency_bound_ms
+        #: the detection latency bound (ms); None: δ unknown, unchecked
+        self.latency_bound_ms: Optional[float] = None
         self._confirms = 0
         #: peers that ever activated: only those owe a timely confirm
         self._activated: set = set()
 
     def bind(self, session=None, **context):
         super().bind(session, **context)
-        if (
-            self.latency_bound_ms is None
-            and session is not None
-            and session.detector is not None
-        ):
-            from repro.streaming.detector import CONFIRM_MISSES
+        if self.delta is not None:
+            from repro.streaming.detector import (
+                CONFIRM_MISSES,
+                HEARTBEAT_PERIOD_DELTAS,
+            )
 
+            period = HEARTBEAT_PERIOD_DELTAS * self.delta
             self.latency_bound_ms = (
-                (CONFIRM_MISSES + 2) * session.detector.period
-                + 2 * self.delta
+                (CONFIRM_MISSES + 2) * period + 2 * self.delta
             )
         return self
 
@@ -1232,8 +1233,6 @@ class AuditConfig:
     """
 
     auditors: Tuple[str, ...] = DEFAULT_AUDITORS
-    #: override for :class:`DetectorAuditor`'s latency bound (ms)
-    detection_latency_bound_ms: Optional[float] = None
 
     def __post_init__(self) -> None:
         if not self.auditors:
@@ -1248,14 +1247,7 @@ class AuditConfig:
 
 def build_auditors(config: AuditConfig) -> List[Auditor]:
     """Instantiate the auditors an :class:`AuditConfig` names."""
-    out: List[Auditor] = []
-    for name in config.auditors:
-        cls = _AUDITORS[name]
-        if name == "detector":
-            out.append(cls(latency_bound_ms=config.detection_latency_bound_ms))
-        else:
-            out.append(cls())
-    return out
+    return [_AUDITORS[name]() for name in config.auditors]
 
 
 # ----------------------------------------------------------------------
@@ -1339,6 +1331,7 @@ def replay_jsonl(
     n_packets: Optional[int] = None,
     protocol: str = "replay",
     seed: int = -1,
+    delta: Optional[float] = None,
 ) -> AuditReport:
     """Run the auditor suite over a recorded JSONL trace.
 
@@ -1346,11 +1339,14 @@ def replay_jsonl(
     :func:`~repro.obs.exporters.trace_to_jsonl` writes).  ``n_packets``
     defaults to the largest data seq observed in ``media.tx``/``media.rx``
     events, which is exact whenever the trace covers the full content.
-    The events reach the auditors through the function a run's own do
-    (:func:`~repro.obs.trace.replay`).
+    ``delta`` is the run's δ: told it, the detector auditor checks the
+    detection latency bound.  The events reach the auditors through the
+    function a run's own do (:func:`~repro.obs.trace.replay`).
     """
     auditors = build_auditors(config or AuditConfig())
-    entries = replay(source, auditors, leaf_id=leaf_id, n_packets=n_packets)
+    entries = replay(
+        source, auditors, leaf_id=leaf_id, n_packets=n_packets, delta=delta
+    )
     return AuditReport(
         protocol, seed, {a.name: e for a, e in zip(auditors, entries)}
     )

@@ -100,12 +100,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
     from repro.streaming.session import StreamingSession
 
-#: drop reasons that terminate an in-flight message (a ``sender_down``
-#: drop never entered a channel, so it does not decrement the gauge)
-_IN_FLIGHT_DROPS = frozenset(
-    {"control_loss", "channel_loss", "dst_down", "link_severed"}
-)
-
 #: message kinds that belong to the coordination plane (not media)
 CONTROL_KINDS: FrozenSet[str] = frozenset(
     {"request", "control", "confirm", "reject", "start", "offer",
@@ -177,10 +171,9 @@ class TraceConfig:
 class TraceBus:
     """Session-owned event recorder every instrumented layer publishes to.
 
-    :meth:`emit` stores every event, in emit order, and keeps the one
-    live gauge the sampler reads (in-flight control messages); the run's
-    observers read the log once, at finish (:func:`feed`), whatever
-    :attr:`config` exports.
+    :meth:`emit` appends every event to :attr:`events`, in emit order,
+    and does nothing else; the run's observers read the log once, at
+    finish (:func:`feed`), whatever :attr:`config` exports.
     :meth:`finalize` then keeps what :attr:`config` asks to export and
     counts events by kind.
     """
@@ -195,8 +188,6 @@ class TraceBus:
     dropped_events: int = 0
     #: every subject that should get its own exporter track (leaf + peers)
     participants: List[str] = field(default_factory=list)
-    #: live count of control messages on the wire (send − recv − drop)
-    in_flight_control: int = 0
     #: kind -> events (packets, for batched media) of the complete log,
     #: filled by :meth:`finalize`
     counts_by_kind: Dict[str, int] = field(default_factory=dict)
@@ -217,25 +208,6 @@ class TraceBus:
         """What :meth:`emit` does with its keywords packed: ``data`` (which
         the caller hands over and no longer changes) becomes the payload.
         The run's ledgers publish their rows through it."""
-        if kind == "msg.send":
-            if data.get("kind") in CONTROL_KINDS:
-                self.in_flight_control += 1
-        elif kind == "msg.recv":
-            # link-fault duplicates (dup=1) were never counted as sends,
-            # so only the first copy settles the in-flight balance
-            if (
-                data.get("kind") in CONTROL_KINDS
-                and not data.get("dup")
-                and self.in_flight_control > 0
-            ):
-                self.in_flight_control -= 1
-        elif kind == "msg.drop":
-            if (
-                data.get("kind") in CONTROL_KINDS
-                and data.get("reason") in _IN_FLIGHT_DROPS
-                and self.in_flight_control > 0
-            ):
-                self.in_flight_control -= 1
         self.events.append(
             _tuple_new(TraceEvent, (self.env.now, kind, subject, data))
         )
@@ -308,8 +280,7 @@ class TraceBus:
     def __repr__(self) -> str:
         return (
             f"<TraceBus {len(self.events)} events, "
-            f"{self.dropped_events} dropped, "
-            f"in-flight ctrl={self.in_flight_control}>"
+            f"{self.dropped_events} dropped>"
         )
 
 

@@ -1,16 +1,16 @@
-"""Leaf-side playback buffer with overrun/underrun accounting.
+"""Leaf-side playback buffer with underrun accounting.
 
 The leaf peer must *deliver* (play) data packets in order at the content
-rate τ.  Arriving packets are held in a bounded buffer:
-
-* an arrival that exceeds ``capacity`` is an **overrun** — the §3.1 failure
-  mode of the naive broadcast coordination (``Hτ > ρ_s``);
-* a playback instant at which the next in-order packet is unavailable is an
-  **underrun** (stall) — the failure mode parity and multi-source
-  transmission exist to prevent.
+rate τ.  Arriving packets are held until played; a playback instant at
+which the next in-order packet is unavailable is an **underrun** (stall) —
+the failure mode parity and multi-source transmission exist to prevent.
+§3.1's *overrun* (the naive broadcast's ``Hτ > ρ_s``) happens before a
+packet gets here: the leaf's ρ_s bucket drops it
+(:class:`~repro.streaming.leaf_peer.LeafPeerAgent`, ``buffer.overrun``).
 
 The buffer keeps counts only; the leaf publishes when playback played,
-stalled or skipped as ``buffer.*`` trace events.
+stalled or skipped as ``buffer.*`` trace events, and a traced run's
+time series rebuilds the buffer's level from them.
 """
 
 from __future__ import annotations
@@ -31,18 +31,14 @@ class PlaybackBuffer:
     period and returns the played seq or records an underrun.
     """
 
-    def __init__(self, n_packets: int, capacity: float = float("inf")) -> None:
+    def __init__(self, n_packets: int) -> None:
         if n_packets < 1:
             raise ValueError("n_packets must be positive")
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
         self.n_packets = n_packets
-        self.capacity = capacity
         self._held: set[int] = set()
         self._next = 1
         self._misses = 0
         self.played = 0
-        self.overruns = 0
         self.underruns = 0
         self.skips = 0
 
@@ -59,21 +55,13 @@ class PlaybackBuffer:
     def finished(self) -> bool:
         return self._next > self.n_packets
 
-    def offer(self, seq: int) -> bool:
-        """Register arrival of data packet ``seq``.
-
-        Returns False (and counts an overrun) when the buffer is full;
-        duplicate or already-played packets are ignored.
-        """
+    def offer(self, seq: int) -> None:
+        """Register arrival of data packet ``seq``; a duplicate, or a seq
+        playback already moved past, is ignored."""
         if not 1 <= seq <= self.n_packets:
             raise ValueError(f"seq {seq} outside content")
-        if seq < self._next or seq in self._held:
-            return True  # stale or duplicate: no effect
-        if len(self._held) >= self.capacity:
-            self.overruns += 1
-            return False
-        self._held.add(seq)
-        return True
+        if seq >= self._next:
+            self._held.add(seq)
 
     def play_next(self) -> Optional[int]:
         """Attempt to play the next in-order packet.
@@ -111,5 +99,5 @@ class PlaybackBuffer:
     def __repr__(self) -> str:
         return (
             f"<PlaybackBuffer next={self._next}/{self.n_packets} "
-            f"level={self.level} under={self.underruns} over={self.overruns}>"
+            f"level={self.level} under={self.underruns}>"
         )

@@ -28,7 +28,9 @@ severed while any cut or split covering it is open.
 
 Each fault instance is one row of the run's fault ledger
 (``session.commons.ledger``): crashes and rejoins filed by the node, link
-cuts and heals by the overlay, the rest here.
+cuts and heals by the overlay, the rest here.  A heal names the cut it
+closes, so overlapping cuts of one link close in whatever order their
+faults end.
 """
 
 from __future__ import annotations
@@ -58,18 +60,18 @@ class Leg(NamedTuple):
     guarded: bool = False
 
 
-def _crash(session: "StreamingSession", leg: Leg) -> None:
+def _crash(session: "StreamingSession", leg: Leg, opened) -> None:
     agent = session.peers[leg.target]
     if not (leg.guarded and agent.crashed):
         agent.node.crash()
 
 
-def _rejoin(session: "StreamingSession", leg: Leg) -> None:
+def _rejoin(session: "StreamingSession", leg: Leg, opened) -> None:
     # the crash-recover path: the peer resumes its unsent residual
     session.peers[leg.target].rejoin()
 
 
-def _degrade(session: "StreamingSession", leg: Leg) -> None:
+def _degrade(session: "StreamingSession", leg: Leg, opened) -> None:
     for stream in session.peers[leg.target].streams:
         if not stream.exhausted:
             stream.scale_rate(leg.value)
@@ -96,30 +98,43 @@ def _isolated(components) -> str:
     return ",".join(pid for group in components for pid in group)
 
 
-def _split(session: "StreamingSession", leg: Leg) -> None:
-    for src, dst in _boundary_links(session, leg.target):
+def _sever(session: "StreamingSession", leg: Leg, opened) -> tuple:
+    return (session.overlay.sever_link(*leg.target),)
+
+
+def _heal(session: "StreamingSession", leg: Leg, opened) -> None:
+    for cut in opened:
+        session.overlay.heal_link(cut)
+
+
+def _split(session: "StreamingSession", leg: Leg, opened) -> tuple:
+    opened = tuple(
         session.overlay.sever_link(src, dst)
+        for src, dst in _boundary_links(session, leg.target)
+    )
     session.commons.ledger.record(
         "partition.split", "overlay", components=len(leg.target) + 1,
         isolated=_isolated(leg.target), heal_at=leg.value,
     )
+    return opened
 
 
-def _heal_split(session: "StreamingSession", leg: Leg) -> None:
-    for src, dst in _boundary_links(session, leg.target):
-        session.overlay.heal_link(src, dst)
+def _heal_split(session: "StreamingSession", leg: Leg, opened) -> None:
+    _heal(session, leg, opened)
     session.commons.ledger.record(
         "partition.heal", "overlay", isolated=_isolated(leg.target)
     )
 
 
-#: leg kind → what firing it does
+#: leg kind → what firing it does, given the cuts the fault's previous
+#: leg opened (a heal closes exactly those); a sever or split returns the
+#: cuts it opened
 FIRE = {
     "peer.crash": _crash,
     "peer.rejoin": _rejoin,
     "peer.degrade": _degrade,
-    "link.sever": lambda session, leg: session.overlay.sever_link(*leg.target),
-    "link.heal": lambda session, leg: session.overlay.heal_link(*leg.target),
+    "link.sever": _sever,
+    "link.heal": _heal,
     "partition.split": _split,
     "partition.heal": _heal_split,
 }
@@ -129,11 +144,12 @@ def run_legs(session: "StreamingSession", legs: Tuple[Leg, ...]):
     """The fault process: fire ``legs`` in order, each ``after`` ms after
     the one before it.  Each delay is scheduled when the leg before it
     fires, the first inside the process's t=0 start."""
+    opened = ()
     for leg in legs:
         yield session.env.timeout(leg.after)
         if leg.guarded and session.leaf.decoder.complete:
             return
-        FIRE[leg.kind](session, leg)
+        opened = FIRE[leg.kind](session, leg, opened)
 
 
 def _check_at(at: float, what: str = "fault") -> None:
@@ -370,7 +386,7 @@ class ChurnPlan:
             if len(live) <= self.min_live:
                 continue
             victim = live[int(rng.integers(len(live)))]
-            FIRE["peer.crash"](session, Leg(0.0, "peer.crash", victim))
+            FIRE["peer.crash"](session, Leg(0.0, "peer.crash", victim), ())
             downtime = float(rng.exponential(self.mean_downtime_deltas)) * cfg.delta
             rejoin = Leg(downtime, "peer.rejoin", victim, guarded=True)
             session.env.process(run_legs(session, (rejoin,)))

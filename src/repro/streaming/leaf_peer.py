@@ -26,7 +26,6 @@ class LeafPeerAgent:
         self,
         session: "StreamingSession",
         peer_id: str = "leaf",
-        buffer_capacity: float = float("inf"),
         playback: bool = False,
         max_receipt_rate: Optional[float] = None,
         receive_buffer_packets: float = 64.0,
@@ -38,7 +37,7 @@ class LeafPeerAgent:
         self.decoder = ParityDecoder(n)
         #: the run's packet ledger (None: an untraced run)
         self.packets = session.commons.packets
-        self.buffer = PlaybackBuffer(n, capacity=buffer_capacity)
+        self.buffer = PlaybackBuffer(n)
         #: duplicate-suppression for control traffic keyed on the wire
         #: uid — link-level duplicates share it, so a duplicated confirm
         #: or heartbeat is applied exactly once

@@ -61,7 +61,6 @@ class SessionResult:
     duplicate_packets: int
     #: leaf playback stats (only meaningful when playback enabled)
     underruns: int
-    overruns: int
     #: packets dropped at the leaf because arrivals exceeded ρ_s (§3.1)
     receive_overruns: int
     #: data packets that arrived ahead of the leaf's contiguous prefix
@@ -220,7 +219,6 @@ class StreamingSession:
         self.leaf = LeafPeerAgent(
             self,
             peer_id=leaf_id if leaf_id is not None else "leaf",
-            buffer_capacity=spec.buffer_capacity,
             playback=spec.playback,
             max_receipt_rate=spec.leaf_receipt_rate,
             receive_buffer_packets=spec.leaf_receive_buffer,
@@ -458,7 +456,6 @@ class StreamingSession:
             recovered_packets=len(decoder.recovered),
             duplicate_packets=decoder.duplicate_count,
             underruns=self.leaf.buffer.underruns,
-            overruns=self.leaf.buffer.overruns,
             receive_overruns=self.leaf.receive_overruns,
             order_violations=self.leaf.order_violations,
             completed_at=self.leaf.completed_at,

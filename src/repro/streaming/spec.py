@@ -314,7 +314,6 @@ class SessionSpec:
     control_loss: Optional[LossSpec] = None
     #: per-directed-link fault process (duplicate/reorder/stutter …)
     link_fault: Optional[LinkFaultSpec] = None
-    buffer_capacity: float = float("inf")
     playback: bool = False
     #: scripted crashes, rejoins, degradations, flaps, link cuts and
     #: partitions

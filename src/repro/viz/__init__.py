@@ -4,18 +4,11 @@
   parent→child adoptions rooted at the leaf peer (exact for TCoP, where
   every peer has at most one parent; for DCoP the first-activating parent
   is shown).
-* :func:`activation_timeline` — per-round activation waves.
-* :func:`traffic_summary` — message counts by kind.
+
+A run's activation waves are :func:`repro.obs.wave_timeline` of its
+trace, and its traffic by kind is ``SessionResult.messages_by_kind``.
 """
 
-from repro.viz.render import (
-    activation_timeline,
-    render_transmission_tree,
-    traffic_summary,
-)
+from repro.viz.render import render_transmission_tree
 
-__all__ = [
-    "activation_timeline",
-    "render_transmission_tree",
-    "traffic_summary",
-]
+__all__ = ["render_transmission_tree"]

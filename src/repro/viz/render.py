@@ -1,12 +1,10 @@
-"""ASCII renderers for sessions (trees, timelines, traffic tables)."""
+"""ASCII rendering of a session's transmission tree (the paper's Fig. 9)."""
 
 from __future__ import annotations
 
 import io
 from collections import defaultdict
 from typing import TYPE_CHECKING, Dict, List, Optional
-
-from repro.metrics.table import Table
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.streaming.session import StreamingSession
@@ -70,45 +68,3 @@ def render_transmission_tree(
     if dormant:
         out.write(f"(dormant: {', '.join(dormant)})\n")
     return out.getvalue()
-
-
-def activation_timeline(session: "StreamingSession") -> str:
-    """Activation waves: one line per coordination round."""
-    by_round: Dict[int, List[str]] = defaultdict(list)
-    for pid, _t, hops in session.activation_log:
-        by_round[hops].append(pid)
-    out = io.StringIO()
-    total = 0
-    n = len(session.peer_ids)
-    for rnd in sorted(by_round):
-        peers = sorted(by_round[rnd], key=lambda p: int(p[2:]))
-        total += len(peers)
-        bar = "#" * max(1, round(40 * total / n))
-        shown = ", ".join(peers[:8]) + (" …" if len(peers) > 8 else "")
-        out.write(
-            f"round {rnd:>2}: +{len(peers):>3} active "
-            f"({total:>3}/{n}) {bar}\n"
-        )
-        out.write(f"          {shown}\n")
-    if not by_round:
-        out.write("(no activations)\n")
-    return out.getvalue()
-
-
-def traffic_summary(session: "StreamingSession") -> Table:
-    """Message counts by kind, sent/delivered/dropped."""
-    traffic = session.overlay.traffic
-    table = Table(
-        ["kind", "sent", "delivered", "dropped"],
-        title="overlay traffic",
-    )
-    for kind in sorted(
-        set(traffic.sent_by_kind) | set(traffic.dropped_by_kind)
-    ):
-        table.add_row(
-            kind,
-            traffic.sent_by_kind.get(kind, 0),
-            traffic.delivered_by_kind.get(kind, 0),
-            traffic.dropped_by_kind.get(kind, 0),
-        )
-    return table

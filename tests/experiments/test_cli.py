@@ -191,6 +191,25 @@ def test_audit_subcommand_fresh_run_and_replay(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_audit_replay_checks_detection_latency(tmp_path, capsys):
+    # a trace carries no δ: the replay checks the bound at the δ every
+    # run of this command line records at (10 ms: a 100 ms bound)
+    from repro.obs import TraceBus, TraceConfig
+    from repro.obs.exporters import write_jsonl
+    from repro.sim import Environment
+
+    bus = TraceBus(TraceConfig(), Environment())
+    bus.emit("peer.activate", "CP5", round=1)
+    bus.emit("peer.crash", "CP5")
+    bus.emit("detector.confirm", "CP5", latency=250.0)
+    jsonl = tmp_path / "late.jsonl"
+    write_jsonl(bus, jsonl)
+    assert main(["audit", "--from-jsonl", str(jsonl)]) == 1
+    out = capsys.readouterr().out
+    assert "detector/detector.latency_exceeded" in out
+    assert "exceeds the bound 100.0 ms" in out
+
+
 @pytest.mark.parametrize("protocol", ["dcop", "tcop"])
 def test_loss_help_example_audits_clean(protocol, tmp_path, capsys):
     # the --loss example --help offers, through the whole auditor suite:

@@ -89,7 +89,6 @@ def _fully_populated_spec():
         latency=LatencySpec("uniform", {"low": 4.0, "high": 6.0}),
         loss=LossSpec("bursty", {"rate": 0.02}),
         control_loss=LossSpec("bernoulli", {"p": 0.01}),
-        buffer_capacity=500.0,
         playback=True,
         fault_plan=FaultPlan().crash("CP2", 40.0),
         repair_policy=RepairPolicy(),

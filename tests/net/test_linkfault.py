@@ -12,6 +12,8 @@ from repro.net import (
     Overlay,
     ReorderFault,
 )
+from repro.net.ledger import FaultLedger
+from repro.obs import TraceBus, TraceConfig
 from repro.sim import Environment, RandomStreams
 
 from tests.net import ignore
@@ -133,7 +135,7 @@ def test_severed_link_drops_and_heals():
     got = []
     b.on_deliver = lambda m: got.append(m.kind)
 
-    ov.sever_link("a", "b")
+    cut = ov.sever_link("a", "b")
     assert ("a", "b") in ov.ledger.cuts
     assert ("b", "a") not in ov.ledger.cuts  # cuts are directed
     ov.send("a", "b", "control")
@@ -143,7 +145,7 @@ def test_severed_link_drops_and_heals():
     # the send is still counted: a partitioned peer keeps transmitting
     assert ov.traffic.sent_by_kind["control"] == 1
 
-    ov.heal_link("a", "b")
+    ov.heal_link(cut)
     assert ("a", "b") not in ov.ledger.cuts
     ov.send("a", "b", "control")
     env.run()
@@ -162,20 +164,40 @@ def test_sever_unknown_endpoint_rejected():
 
 
 def test_overlapping_severs_hold_the_link_until_the_last_heal():
-    _, ov = make_overlay()
+    env, ov = make_overlay()
+    bus = env.hooks.tracer = TraceBus(TraceConfig(), env)
     ov.add_node("a", ignore)
     ov.add_node("b", ignore)
-    ov.sever_link("a", "b")
-    ov.sever_link("a", "b")  # a second cut of the same link
-    ov.heal_link("a", "b")  # closes the older cut only
-    (held,) = ov.ledger.cuts[("a", "b")]
-    assert held.seq == 1  # the newer cut's row holds the link
-    ov.heal_link("a", "b")
-    ov.heal_link("a", "b")  # intact: no-op, no row
+    older = ov.sever_link("a", "b")
+    ov.send("a", "b", "control")  # a fault row between the cuts
+    env.run()
+    newer = ov.sever_link("a", "b")  # a second cut of the same link
+    ov.heal_link(newer)  # closes that cut only, though it is not the oldest
+    # the other holds the link
+    assert ov.ledger.cuts[("a", "b")] == [ov.ledger.severs[older]]
+    ov.heal_link(older)
+    ov.heal_link(older)  # closed: no-op, no row
     assert not ov.ledger.cuts
-    assert [r.kind for r in ov.ledger.rows] == [
-        "link.sever", "link.sever", "link.heal", "link.heal"
+    assert [(r.kind, r.seq) for r in ov.ledger.rows] == [
+        ("link.sever", 0), ("msg.drop", 1), ("link.sever", 2),
+        ("link.heal", 3), ("link.heal", 4),
     ]
+    # each heal numbers the cut it closed among the severs alone
+    assert [e.fields["cut"] for e in bus.of_kind("link.heal")] == [1, 0]
+
+
+def test_a_heal_without_a_cut_number_closes_the_oldest():
+    # a heal logged before heals numbered their cut; one with no cut
+    # open is filed and closes nothing
+    ledger = FaultLedger()
+    ledger.add(1.0, "link.sever", "a", {"dst": "b"})
+    ledger.add(2.0, "link.sever", "a", {"dst": "b"})
+    ledger.add(3.0, "link.heal", "a", {"dst": "b"})
+    assert [row.ts for row in ledger.cuts[("a", "b")]] == [2.0]
+    ledger.add(4.0, "link.heal", "a", {"dst": "b", "cut": 1})
+    ledger.add(5.0, "link.heal", "a", {"dst": "b", "cut": 1})
+    assert not ledger.cuts
+    assert len(ledger.rows) == 5
 
 
 def test_chaos_channel_is_deterministic_given_seed():
@@ -228,3 +250,4 @@ def test_stateful_loss_streams_independent_across_channels():
         interleaved.append(shared.drops(rng_c))
         interleaved.append(shared.drops(rng_d))
     assert interleaved[::2] != coupled[:20]
+

@@ -173,15 +173,23 @@ def test_detached_artefacts_match_pinned_digests(cell):
 )
 def test_lossy_cells_carry_finish_time_findings(cell):
     # the pins above only guard the ``ts`` stamped on findings recorded
-    # from ``finish()`` if some cell records one — and only tell the last
-    # event's time from the clock's if the run outlasted its last event
+    # from ``finish()`` if some cell records one: the finding carries the
+    # run's last event's time, its ``audit.*`` event the run's end
     result = CELLS[cell]().run()
     warnings = result.audit.auditors["parity"]["warnings"]
     stamps = {
         w["ts"] for w in warnings
         if w["code"] == "parity.unrecoverable_segment"
     }
-    assert stamps and max(stamps) < result.elapsed
+    assert stamps and max(stamps) <= result.elapsed
+    assert result.trace.events[-1].kind.startswith("audit.")
+    assert result.trace.events[-1].ts == result.elapsed
+    if cell == "gauntlet/tcop/no_repair":
+        # and the pins tell the two times apart only where the run's
+        # clock outlasts its last event: this cell's does (1016.29 against
+        # 1891.49 ms); no observer extends a run, so the lossy ones end
+        # on their last event
+        assert max(stamps) < result.elapsed
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ from repro.obs import (
     TraceConfig,
     build_auditors,
     replay_jsonl,
+    trace_to_jsonl,
     write_jsonl,
 )
 from repro.obs.audit import (
@@ -42,7 +43,7 @@ def audited_spec(protocol="tcop", *, audit=None, **cfg_kw):
     )
 
 
-def feed(auditor, *emits, n_packets=None):
+def feed(auditor, *emits, n_packets=None, delta=None):
     """Record crafted events on a real bus, then feed its log to one
     auditor the way a run's finish does, the media events filling the
     packet ledger first; the bus holds the log with the findings in it."""
@@ -54,7 +55,7 @@ def feed(auditor, *emits, n_packets=None):
         if event.kind in PacketLedger.kinds:
             packets.add(*event)
     _, bus.events = trace_feed(
-        bus.events, [auditor.bind(n_packets=n_packets)], packets
+        bus.events, [auditor.bind(n_packets=n_packets, delta=delta)], packets
     )
     return bus
 
@@ -237,7 +238,7 @@ def test_causal_auditor_flags_receives_without_sends():
 
 
 def test_detector_auditor_false_confirm_and_latency_bound():
-    auditor = DetectorAuditor(latency_bound_ms=100.0)
+    auditor = DetectorAuditor()
     feed(
         auditor,
         ("detector.confirm", "CP4", dict(latency=None)),  # CP4 is up
@@ -245,7 +246,9 @@ def test_detector_auditor_false_confirm_and_latency_bound():
         ("peer.crash", "CP5", {}),
         ("detector.confirm", "CP5", dict(latency=250.0)),  # too slow
         ("detector.suspect", "CP6", dict(false=True)),
+        delta=10.0,  # a bound of (6 + 2)·δ + 2δ = 100 ms
     )
+    assert auditor.latency_bound_ms == 100.0
     codes = [v.code for v in auditor.violations]
     assert codes == ["detector.false_confirm", "detector.latency_exceeded"]
     slow = auditor.violations[1]
@@ -255,7 +258,7 @@ def test_detector_auditor_false_confirm_and_latency_bound():
 
 
 def test_detector_auditor_excuses_what_the_ledger_explains():
-    auditor = DetectorAuditor(latency_bound_ms=100.0)
+    auditor = DetectorAuditor()
     feed(
         auditor,
         # CP4 is up, but the leaf lost its heartbeat
@@ -265,6 +268,7 @@ def test_detector_auditor_excuses_what_the_ledger_explains():
         # CP5 crashed before it ever activated: no detection bound owed
         ("peer.crash", "CP5", {}),
         ("detector.confirm", "CP5", dict(latency=250.0)),
+        delta=10.0,
     )
     assert auditor.violations == []
     confirm, late = auditor.warnings
@@ -324,6 +328,23 @@ def test_replay_jsonl_reproduces_the_live_verdict(tmp_path):
     live_seen = result.audit.auditors["tree"]["events_seen"]
     synthesized = len(result.trace.of_kind("wave.end"))
     assert report.auditors["tree"]["events_seen"] == live_seen + synthesized
+
+
+def test_a_replay_told_delta_flags_a_late_confirm():
+    # the bound comes from δ alone, so a recorded trace is checked too
+    bus = TraceBus(TraceConfig(), Environment())
+    bus.emit("peer.activate", "CP5", round=1)
+    bus.emit("peer.crash", "CP5")
+    bus.emit("detector.confirm", "CP5", latency=250.0)
+    lines = trace_to_jsonl(bus).splitlines()
+    unchecked = replay_jsonl(lines, config=AuditConfig(auditors=("detector",)))
+    assert unchecked.passed
+    report = replay_jsonl(
+        lines, config=AuditConfig(auditors=("detector",)), delta=10.0
+    )
+    (late,) = report.violations()
+    assert late.code == "detector.latency_exceeded"
+    assert "exceeds the bound 100.0 ms" in late.message
 
 
 def test_audit_config_validates_names_and_custom_auditors_register():

@@ -1,68 +1,112 @@
-"""Metrics registry: gauges, sampling, and SweepSeries export."""
+"""The time-series sampler: a single-leaf run's series, read off its log."""
 
 import pytest
 
-from repro.metrics import SweepSeries
-from repro.obs import Gauge, MetricsRegistry, TraceConfig
-from repro.obs.metrics import MAX_SAMPLES
 from repro.core import ProtocolConfig
+from repro.metrics import SweepSeries
+from repro.metrics.io import series_to_dict
+from repro.net.ledger import PacketLedger
+from repro.obs import TraceConfig, TraceEvent
+from repro.obs import metrics
+from repro.obs.exporters import read_jsonl, trace_to_jsonl
+from repro.obs.metrics import MAX_SAMPLES, TimeSeriesSampler
+from repro.obs.trace import feed
 from repro.streaming import ProtocolSpec, SessionSpec
 
+from .test_artefact_pins import CELLS
 
-def test_gauge_reads_through_callable():
-    state = {"v": 3}
-    g = Gauge("level", lambda: state["v"])
-    assert g.read() == 3.0
-    state["v"] = 7
-    assert g.read() == 7.0
+#: the pinned cells a sampler joins: every traced single-leaf run
+SINGLE_LEAF = [cell for cell in sorted(CELLS) if not cell.startswith("swarm/")]
 
 
-def test_registry_rejects_duplicate_names():
-    reg = MetricsRegistry()
-    reg.gauge("x", lambda: 0)
-    with pytest.raises(ValueError):
-        reg.gauge("x", lambda: 1)
+def series_of(*events, end=0.0, n_packets=10, delta=10.0):
+    """Feed crafted ``(ts, kind, subject, fields)`` events to one sampler
+    the way a run's finish does; its series."""
+    sampler = TimeSeriesSampler().bind(n_packets=n_packets, delta=delta, tau=1.0)
+    (series,), _ = feed(
+        [TraceEvent(*event) for event in events], [sampler], PacketLedger(), end
+    )
+    return series
 
 
 def test_sampling_snapshots_counters_and_gauges():
-    # a running total (what ctrl_sends/media_sends read off the traffic
-    # ledger) and a level, both probed at each sample
-    reg = MetricsRegistry()
-    state = {"sent": 0, "v": 10}
-    reg.gauge("sends", lambda: state["sent"])
-    reg.gauge("level", lambda: state["v"])
-    reg.sample(0.0)
-    state.update(sent=4, v=6)
-    reg.sample(10.0)
-    series = reg.to_series()
+    # running totals (sends) and levels (active peers, buffer), each
+    # sample counting every event stamped at or before its tick
+    series = series_of(
+        (0.0, "peer.activate", "CP1", {"round": 1}),
+        (2.0, "msg.send", "leaf", {"kind": "request", "dst": "CP1"}),
+        (5.0, "msg.send", "CP1", {"kind": "packet", "dst": "leaf"}),
+        (7.0, "media.rx", "leaf", {"label": 1, "src": "CP1"}),
+        # at the tick's own instant: the tick counts it
+        (10.0, "msg.send", "CP1", {"kind": "packet", "dst": "leaf", "count": 3}),
+        (12.0, "media.rx", "leaf", {"label": 2, "src": "CP1"}),
+        (12.0, "media.rx", "leaf", {"label": 2, "src": "CP1"}),  # duplicate
+        (15.0, "peer.crash", "CP1", {}),
+        end=25.0,
+    )
     assert isinstance(series, SweepSeries)
-    assert series.x == [0.0, 10.0]
-    assert series.columns["sends"] == [0.0, 4.0]
-    assert series.columns["level"] == [10.0, 6.0]
+    assert series.x == [10.0, 20.0, 30.0]
+    assert series.columns["ctrl_sends"] == [1.0, 1.0, 1.0]
+    assert series.columns["media_sends"] == [4.0, 4.0, 4.0]
+    assert series.columns["active_peers"] == [1.0, 0.0, 0.0]
+    assert series.columns["buffer_level"] == [1.0, 2.0, 2.0]
+    # arrivals per tick over τ: one, two (a duplicate still arrived), none
+    assert series.columns["receipt_rate"] == [0.1, 0.2, 0.0]
 
 
 def test_sample_times_must_not_regress():
-    reg = MetricsRegistry()
-    reg.gauge("x", lambda: 0)
-    reg.sample(5.0)
-    with pytest.raises(ValueError):
-        reg.sample(4.0)
+    # the ticks add δ to each other as the clock did, and sampling ends
+    # at the first tick at or past the run's end…
+    assert series_of(end=30.0).x == [10.0, 20.0, 30.0]
+    x = series_of(end=0.25, delta=0.1).x
+    assert x == [0.1, 0.1 + 0.1, 0.1 + 0.1 + 0.1]
+    assert x == sorted(set(x))
+    # …or at the first that finds the content complete
+    held = series_of(
+        (3.0, "media.rx", "leaf", {"label": 1, "src": "CP1"}),
+        (14.0, "fec.recover", "leaf", {"seq": 2}),
+        (31.0, "media.rx", "leaf", {"label": 1, "src": "CP1"}),
+        end=100.0,
+        n_packets=2,
+    )
+    assert held.x == [10.0, 20.0]
 
 
-def test_mid_run_registration_backfills_zeros():
-    reg = MetricsRegistry()
-    reg.gauge("early", lambda: 0)
-    reg.sample(0.0)
-    reg.sample(1.0)
-    reg.gauge("late", lambda: 1)
-    reg.sample(2.0)
-    series = reg.to_series()
-    assert series.columns["late"] == [0.0, 0.0, 1.0]
+def test_sampling_stops_at_max_samples(monkeypatch):
+    monkeypatch.setattr(metrics, "MAX_SAMPLES", 3)
+    assert len(series_of(end=1000.0)) == 3
 
 
-def test_empty_registry_refuses_export():
-    with pytest.raises(ValueError):
-        MetricsRegistry().to_series()
+def test_buffer_level_follows_playback():
+    series = series_of(
+        (1.0, "media.rx", "leaf", {"label": 2, "src": "CP1"}),
+        (2.0, "media.rx", "leaf", {"label": ("p", 1), "src": "CP1"}),  # parity
+        (4.0, "buffer.skip", "leaf", {"seq": 1}),
+        (5.0, "media.rx", "leaf", {"label": 1, "src": "CP2"}),  # skipped past
+        (12.0, "buffer.play", "leaf", {"seq": 2}),
+        (13.0, "media.rx", "other", {"label": 3, "src": "CP2"}),  # not the leaf
+        end=15.0,
+    )
+    assert series.columns["buffer_level"] == [1.0, 0.0]
+
+
+@pytest.mark.parametrize("cell", SINGLE_LEAF)
+def test_the_series_is_a_function_of_the_log(cell):
+    # the exported events, fed back through the one walk with the run's
+    # end, give the series the run reported
+    result = CELLS[cell]().run()
+    events = list(read_jsonl(trace_to_jsonl(result.trace).splitlines()))
+    packets = PacketLedger()
+    for event in events:
+        if event.kind in PacketLedger.kinds:
+            packets.add(*event)
+    config = result.config
+    sampler = TimeSeriesSampler().bind(
+        n_packets=config.content_packets, delta=config.delta, tau=config.tau,
+        protocol=result.protocol,
+    )
+    (series,), _ = feed(events, [sampler], packets, result.elapsed)
+    assert series_to_dict(series) == series_to_dict(result.timeseries)
 
 
 def test_session_timeseries_columns_and_coverage():

@@ -151,18 +151,7 @@ def test_live_and_replayed_observers_agree(cell):
     session = spec.build()
     result = session.run()
     config = result.config
-    # the detection bound is the live session's policy, which a trace
-    # does not carry: hand it to the replay's auditor
-    (detector,) = [
-        o for o in session.commons.observers if o.result_field == "audit"
-        and o.name == "detector"
-    ]
-    auditors = build_auditors(
-        AuditConfig(
-            audit.auditors,
-            detection_latency_bound_ms=detector.latency_bound_ms,
-        )
-    )
+    auditors = build_auditors(audit)
     builder = SpanBuilder()
     lines = trace_to_jsonl(result.trace).splitlines()
     # a fault may lose the content's last seqs before any media event
@@ -220,24 +209,35 @@ def test_fan_out_per_event_stays_under_two():
         protocol=ProtocolSpec("tcop"),
         trace=TraceConfig(), audit=AuditConfig(), spans=SpanConfig(),
     ).build()
-    calls = [0]
+    calls = {}
 
-    def counting(handler):
+    def counting(handler, name):
         def wrapper(observer, event):
-            calls[0] += 1
+            calls[name] += 1
             handler(observer, event)
         return wrapper
 
     readers = [o for o in session.commons.observers if o.handlers]
-    assert len(readers) == 8  # seven auditors and the span builder
+    # seven auditors, the span builder and the time-series sampler
+    assert len(readers) == 9
     for reader in readers:
+        name = getattr(reader, "name", reader.result_field)
+        calls[name] = 0
         reader.handlers = {
-            kind: counting(handler) for kind, handler in reader.handlers.items()
+            kind: counting(handler, name)
+            for kind, handler in reader.handlers.items()
         }
     session.run()
-    # broadcasting would make this exactly 8.0; 1.94 measured, the span
-    # builder reading journeys off the packet ledger instead of the log
-    assert calls[0] / readers[0].events_seen <= 2.0
+    seen = readers[0].events_seen
+    sampled = calls.pop("timeseries")
+    # the auditors and the span builder: broadcasting would make this
+    # exactly 8.0; 1.94 measured, the span builder reading journeys off
+    # the packet ledger instead of the log
+    assert len(calls) == 8
+    assert sum(calls.values()) / seen <= 2.0
+    # the sampler reads each msg.*, peer.* and leaf media event once, and
+    # never a media.tx or ctrl.apply (over a quarter of this log): 0.72
+    assert sampled / seen <= 0.75
 
 
 # ----------------------------------------------------------------------

@@ -19,6 +19,7 @@ from repro.streaming import ProtocolSpec, SessionSpec
 from tests.streaming.test_swarm import ALL_PROTOCOLS, protocol_case
 
 from .test_artefact_pins import CELLS
+from .test_metrics import SINGLE_LEAF, series_of
 
 
 def run_traced(proto, trace=None, **cfg_kw):
@@ -57,8 +58,6 @@ def test_category_filter_suppresses_storage_not_counters():
     bus = TraceBus(TraceConfig(categories=frozenset({"peer"})), Environment())
     bus.emit("msg.send", "p0", kind="control")
     bus.emit("peer.activate", "p0", round=1)
-    # live accounting saw the message the export will filter out
-    assert bus.in_flight_control == 1
     bus.finalize()
     assert [e.kind for e in bus.events] == ["peer.activate"]
     assert bus.counts_by_kind["msg.send"] == 1
@@ -75,20 +74,23 @@ def test_max_events_cap_counts_overflow():
 
 
 def test_in_flight_control_gauge_lifecycle():
-    bus = TraceBus(TraceConfig(), Environment())
-    bus.emit("msg.send", "a", kind="request")
-    bus.emit("msg.send", "a", kind="offer")
-    bus.emit("msg.send", "a", kind="media")  # media never counts
-    assert bus.in_flight_control == 2
-    bus.emit("msg.recv", "b", kind="request")
-    assert bus.in_flight_control == 1
-    bus.emit("msg.drop", "b", kind="offer", reason="control_loss")
-    assert bus.in_flight_control == 0
-    # a sender_down drop never entered the channel: no decrement (and
-    # the gauge clamps at zero regardless)
-    bus.emit("msg.send", "a", kind="start")
-    bus.emit("msg.drop", "a", kind="start", reason="sender_down")
-    assert bus.in_flight_control == 1
+    # the sampler's in_flight_control column, one tick per step
+    series = series_of(
+        (1.0, "msg.send", "a", {"kind": "request"}),
+        (1.0, "msg.send", "a", {"kind": "offer"}),
+        (1.0, "msg.send", "a", {"kind": "packet"}),  # media never counts
+        (11.0, "msg.recv", "b", {"kind": "request"}),
+        (11.0, "msg.recv", "b", {"kind": "offer", "dup": 1}),  # an extra copy
+        (21.0, "msg.drop", "b", {"kind": "offer", "reason": "control_loss"}),
+        # a sender_down drop never entered the channel: no decrement (and
+        # the gauge clamps at zero regardless)
+        (31.0, "msg.send", "a", {"kind": "start"}),
+        (31.0, "msg.drop", "a", {"kind": "start", "reason": "sender_down"}),
+        (41.0, "msg.recv", "b", {"kind": "start"}),
+        (41.0, "msg.recv", "b", {"kind": "start"}),
+        end=45.0,
+    )
+    assert series.columns["in_flight_control"] == [2.0, 1.0, 0.0, 1.0, 0.0]
 
 
 def test_observers_are_never_truncated():
@@ -272,7 +274,7 @@ def test_session_records_full_coordination(proto):
     )
     assert [e.ts for e in bus.events] == sorted(e.ts for e in bus.events)
     # all in-flight control messages were accounted to completion
-    assert bus.in_flight_control == 0
+    assert result.timeseries.columns["in_flight_control"][-1] == 0
 
 
 @pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
@@ -301,15 +303,30 @@ def test_untraced_session_has_no_observability_state():
     assert result.timeseries is None
 
 
-@pytest.mark.parametrize("proto", ["dcop", "tcop"])
-def test_tracing_does_not_perturb_the_simulation(proto):
-    """The zero-overhead contract's stronger half: identical trajectory."""
-    traced = run_traced(proto)
-    config = ProtocolConfig(n=12, H=4, fault_margin=1, content_packets=100, seed=5)
-    bare = SessionSpec(config, ProtocolSpec(proto)).build().run()
-    assert traced.summary() == bare.summary()
-    assert traced.activation_times == bare.activation_times
-    assert traced.elapsed == bare.elapsed
+#: the session cells above, and every pinned single-leaf cell, observed
+OBSERVED = {
+    **{
+        proto: (lambda proto=proto: SessionSpec(
+            ProtocolConfig(n=12, H=4, fault_margin=1, content_packets=100, seed=5),
+            ProtocolSpec(proto), trace=TraceConfig(),
+        ))
+        for proto in ("dcop", "tcop")
+    },
+    **{cell: CELLS[cell] for cell in SINGLE_LEAF},
+}
+
+
+@pytest.mark.parametrize("cell", sorted(OBSERVED))
+def test_tracing_does_not_perturb_the_simulation(cell):
+    """The zero-overhead contract's stronger half: no observer schedules
+    an event, so the run reports what it reports unobserved, its end
+    included."""
+    spec = OBSERVED[cell]()
+    observed = spec.run()
+    bare = spec.replace(trace=None, audit=None, spans=None).run()
+    assert bare.trace is bare.timeseries is bare.audit is bare.spans is None
+    assert observed.timeseries is not None
+    assert observed == bare  # every scalar field; the handles do not compare
 
 
 def test_category_filtered_session_still_tracks_messages():

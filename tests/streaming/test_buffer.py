@@ -1,4 +1,4 @@
-"""Tests for the playback buffer (overrun/underrun accounting)."""
+"""Tests for the playback buffer (underrun accounting)."""
 
 import pytest
 
@@ -8,7 +8,7 @@ from repro.streaming import PlaybackBuffer
 def test_in_order_playback():
     buf = PlaybackBuffer(3)
     for seq in (1, 2, 3):
-        assert buf.offer(seq)
+        buf.offer(seq)
     assert buf.play_next() == 1
     assert buf.play_next() == 2
     assert buf.play_next() == 3
@@ -34,22 +34,18 @@ def test_underrun_recorded_when_gap():
     assert buf.play_next() == 1
 
 
-def test_overrun_when_capacity_exceeded():
-    buf = PlaybackBuffer(10, capacity=2)
-    assert buf.offer(5)
-    assert buf.offer(6)
-    assert not buf.offer(7)
-    assert buf.overruns == 1
-    assert buf.level == 2  # the refused packet is not held
-
-
 def test_duplicates_and_stale_ignored():
-    buf = PlaybackBuffer(5, capacity=2)
+    buf = PlaybackBuffer(5)
     buf.offer(1)
-    assert buf.offer(1)  # duplicate, no overrun even at capacity edge
+    buf.offer(1)  # duplicate
+    assert buf.level == 1
     buf.play_next()
-    assert buf.offer(1)  # stale (already played)
-    assert buf.overruns == 0
+    buf.offer(1)  # stale (already played)
+    assert buf.level == 0
+    buf.offer(3)
+    buf.skip()  # playback gives 2 up
+    buf.offer(2)  # stale (skipped past)
+    assert buf.level == 1
 
 
 def test_skip_moves_past_lost_packet():
@@ -72,8 +68,6 @@ def test_level_and_next_needed():
 def test_validation():
     with pytest.raises(ValueError):
         PlaybackBuffer(0)
-    with pytest.raises(ValueError):
-        PlaybackBuffer(5, capacity=0)
     buf = PlaybackBuffer(3)
     with pytest.raises(ValueError):
         buf.offer(0)

@@ -113,11 +113,12 @@ def test_the_plan_is_rows_of_the_ledger(drawn):
     fired = {}  # id(leg) -> (time, rows it filed, rows it had to file)
 
     def firing(action):
-        def fire(session, leg):
+        def fire(session, leg, opened):
             before, expected = len(ledger.rows), expected_rows(session, leg)
-            action(session, leg)
+            opened = action(session, leg, opened)
             filed = [(r.kind, r.src, r.dst) for r in ledger.rows[before:]]
             fired[id(leg)] = (session.env.now, filed, expected)
+            return opened
         return fire
 
     with mock.patch.dict(FIRE, {k: firing(a) for k, a in FIRE.items()}):

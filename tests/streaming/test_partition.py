@@ -1,6 +1,8 @@
 """Partitions and one-way cuts: validation, mid-stream splits, heals,
 overlapping cuts."""
 
+import json
+
 import pytest
 
 from repro.core import ProtocolConfig
@@ -256,6 +258,63 @@ def test_a_heal_closes_one_cut_of_its_link():
     session.run(until=200.0)
     (held,) = session.commons.ledger.cuts[("CP1", "leaf")]
     assert (held.ts, held.kind) == (80.0, "link.sever")
+
+
+def test_a_heal_closes_the_cut_its_fault_opened():
+    # a cut that opens inside a partition and heals first closes its own
+    # sever row; the partition's row holds the link until the split heals
+    spec = SessionSpec(
+        ProtocolConfig(n=8, H=4, seed=1),
+        ProtocolSpec("dcop"),
+        fault_plan=FaultPlan()
+        .partition((("CP1",),), at=50.0, heal_at=100.0)
+        .cut("CP1", "leaf", at=60.0, until=90.0),
+        trace=TraceConfig(),
+    )
+    session = spec.build()
+    session.run(until=95.0)
+    ledger = session.commons.ledger
+    (held,) = ledger.cuts[("CP1", "leaf")]
+    assert (held.ts, held.kind) == (50.0, "link.sever")
+    # replaying the trace so far rebuilds the same open cuts
+    observer = Observer()
+    replay(trace_to_jsonl(session.trace_bus).splitlines(), [observer])
+    assert observer.ledger.cuts == ledger.cuts
+    assert observer.ledger.rows == ledger.rows
+    # and once every fault ended, no cut is open
+    finished = spec.build()
+    finished.run()
+    assert not finished.commons.ledger.cuts
+
+
+def test_a_category_filtered_trace_replays_the_same_cuts():
+    # a heal numbers its cut among the link.sever events alone, so a
+    # trace that keeps only the ``link`` category replays the run's cuts
+    spec = SessionSpec(
+        ProtocolConfig(n=8, H=4, seed=1),
+        ProtocolSpec("dcop"),
+        fault_plan=FaultPlan()
+        .partition((("CP1",),), at=50.0, heal_at=100.0)
+        .cut("CP1", "leaf", at=60.0, until=90.0),
+        trace=TraceConfig(categories=frozenset({"link"})),
+    )
+    live = spec.build()
+    live.run(until=95.0)
+    lines = [
+        line for line in trace_to_jsonl(spec.run().trace).splitlines()
+        if json.loads(line)["ts"] <= 95.0
+    ]
+    observer = Observer()
+    replay(lines, [observer])
+
+    def cuts(ledger):
+        return {
+            link: [(row.ts, row.kind) for row in rows]
+            for link, rows in ledger.cuts.items()
+        }
+
+    assert cuts(observer.ledger) == cuts(live.commons.ledger)
+    assert cuts(observer.ledger)[("CP1", "leaf")] == [(50.0, "link.sever")]
 
 
 def test_partitioned_run_is_deterministic():

@@ -1,8 +1,8 @@
-"""Tests for the ASCII visualizers."""
+"""Tests for the ASCII transmission-tree renderer."""
 
 from repro.core import ProtocolConfig
 from repro.streaming import ProtocolSpec, SessionSpec
-from repro.viz import activation_timeline, render_transmission_tree, traffic_summary
+from repro.viz import render_transmission_tree
 
 
 def make(protocol, **kw):
@@ -56,26 +56,3 @@ def test_dormant_peers_listed():
     session = make("schedule_based", H=3)
     tree = render_transmission_tree(session)
     assert "dormant:" in tree
-
-
-def test_timeline_shows_rounds_and_counts():
-    session = make("dcop")
-    timeline = activation_timeline(session)
-    assert "round" in timeline
-    assert "12/12" in timeline
-
-
-def test_timeline_empty_session():
-    cfg = ProtocolConfig(n=3, H=2, content_packets=50)
-    session = SessionSpec(cfg, ProtocolSpec("dcop")).build()  # never run
-    assert "(no activations)" in activation_timeline(session)
-
-
-def test_traffic_summary_columns():
-    session = make("dcop")
-    table = traffic_summary(session)
-    kind, sent = table.headers.index("kind"), table.headers.index("sent")
-    sent_by_kind = {row[kind]: row[sent] for row in table.rows}
-    assert "packet" in sent_by_kind
-    assert "request" in sent_by_kind
-    assert sent_by_kind["request"] == 4
