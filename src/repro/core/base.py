@@ -296,8 +296,6 @@ class ProtocolConfig:
     control_size: int = 64
     request_carries_view: bool = True
     with_payload: bool = False
-    #: how long a TCoP parent waits for offer replies, in δ units
-    offer_timeout_deltas: float = 4.0
     #: per-pair channel latency is drawn once as δ·U(1−s, 1+s): hosts in a
     #: P2P overlay do not sit at identical distances.  0 gives the perfectly
     #: uniform δ of the paper's idealized model (which degenerately makes

@@ -36,11 +36,14 @@ from repro.core.base import (
     pick,
     send_assignments,
 )
-from repro.sim.events import AnyOf
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.streaming.contents_peer import ContentsPeerAgent
     from repro.streaming.session import StreamingSession
+
+#: how long an offer round waits for its replies, in δ units; a claimed
+#: peer waits two δ more for its parent's start before it frees itself
+OFFER_TIMEOUT_DELTAS = 4.0
 
 
 class TCoP(CoordinationProtocol):
@@ -68,8 +71,9 @@ class TCoP(CoordinationProtocol):
         hops: int,
     ):
         """One offer wave: ask ``targets``, wait until all have answered or
-        the offer times out, and return what was collected."""
-        cfg = session.config
+        the offer times out, and return what was collected.  The round's
+        event is succeeded by the last answer or by a timer, whichever
+        comes first."""
         env = session.env
         oid = next(self._offer_ids)
         pending = {
@@ -87,8 +91,10 @@ class TCoP(CoordinationProtocol):
             session.send_control(
                 sender, pid, kind, OfferMessage(sender, view, oid, hops=hops)
             )
-        timeout = env.timeout(cfg.offer_timeout_deltas * cfg.delta)
-        yield AnyOf(env, [pending["event"], timeout])
+        env.call_later(
+            OFFER_TIMEOUT_DELTAS * session.config.delta, self._close, pending
+        )
+        yield pending["event"]
         del pending_map[oid]
         return pending
 
@@ -167,7 +173,10 @@ class TCoP(CoordinationProtocol):
             # channel, or the parent crashed between collect and start),
             # release the claim so another parent can adopt this peer —
             # otherwise one lost message wedges the peer forever
-            agent.env.process(self._taken_watchdog(agent, offer.sender))
+            agent.env.call_later(
+                (OFFER_TIMEOUT_DELTAS + 2) * agent.session.config.delta,
+                self._release_claim, agent, offer.sender,
+            )
         agent.send_control(
             offer.sender,
             "confirm" if accept else "reject",
@@ -175,9 +184,8 @@ class TCoP(CoordinationProtocol):
         )
 
     @staticmethod
-    def _taken_watchdog(agent: "ContentsPeerAgent", parent_id: str):
-        cfg = agent.session.config
-        yield agent.env.timeout((cfg.offer_timeout_deltas + 2) * cfg.delta)
+    def _release_claim(agent: "ContentsPeerAgent", parent_id: str) -> None:
+        """The claim's watchdog: free a peer whose parent never started it."""
         if not agent.active and agent.parent == parent_id:
             agent.parent = None
             if agent.env.hooks.tracer is not None:
@@ -233,7 +241,13 @@ class TCoP(CoordinationProtocol):
         pending["responded"].add(resp.sender)
         if resp.accept:
             pending["confirmed"].append(resp.sender)
-        if not pending["expected"] and not pending["event"].triggered:
+        if not pending["expected"]:
+            TCoP._close(pending)
+
+    @staticmethod
+    def _close(pending: dict) -> None:
+        """End an offer round's wait, once."""
+        if not pending["event"].triggered:
             pending["event"].succeed()
 
     # ------------------------------------------------------------------

@@ -15,7 +15,6 @@ from repro.net.linkfault import LinkFault
 from repro.net.loss import LossModel
 from repro.net.message import Message
 from repro.net.node import Node
-from repro.sim.events import AnyOf
 from repro.sim.rng import RandomStreams
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -139,14 +138,21 @@ class RttEstimator:
 
 @dataclass(slots=True)
 class _InFlight:
-    """One reliable send awaiting its ack."""
+    """One reliable send awaiting its ack: what its timer needs to
+    retransmit it, and what the ack needs for an RTT sample."""
 
-    acked: object  # the ack event
+    src: str
     dst: str
+    kind: str
+    body: object
+    size_bytes: int
     sent_at: float
-    #: Karn's rule: once retransmitted, the eventual ack can no longer be
-    #: attributed to one transmission, so it yields no RTT sample
-    retransmitted: bool = False
+    #: the current attempt's wait (ms) before jitter; grows by ``backoff``
+    wait: float
+    #: retransmissions issued so far.  Karn's rule: once retransmitted,
+    #: the eventual ack can no longer be attributed to one transmission,
+    #: so it yields no RTT sample
+    attempt: int = 0
 
 
 #: clamp for the adaptive RTO, in δ units
@@ -199,14 +205,26 @@ class ControlPlane:
     def send(
         self, src: str, dst: str, kind: str, body=None, size_bytes: int = 64
     ) -> None:
-        """Send ``kind`` reliably; retransmits run as their own process."""
+        """Send ``kind`` reliably: file it in ``_pending`` and arm the
+        timer of its first attempt."""
         mid = next(self._ids)
-        sent = self._pending[mid] = _InFlight(self.env.event(), dst, self.env.now)
+        sent = self._pending[mid] = _InFlight(
+            src, dst, kind, body, size_bytes, self.env.now, self._timeout_for(dst)
+        )
         self.overlay.send(
             src, dst, kind, body=body, size_bytes=size_bytes,
             msg_id=mid, ctx=self.ctx,
         )
-        self.env.process(self._retry_loop(mid, sent, src, kind, body, size_bytes))
+        self._arm(mid, sent.wait)
+
+    def _arm(self, mid: int, wait: float) -> None:
+        """One timer for the attempt's wait, its jitter drawn now."""
+        # full jitter: spread over [1 - j/2, 1 + j/2] so equal-policy
+        # senders de-align instead of piling onto the lower edge
+        jittered = wait * (
+            1.0 + self.policy.jitter * (float(self._rng.random()) - 0.5)
+        )
+        self.env.call_later(jittered, self._expire, mid)
 
     def _timeout_for(self, dst: str) -> float:
         """Base ack timeout toward ``dst`` (ms): fixed, or adaptive RTO."""
@@ -227,45 +245,39 @@ class ControlPlane:
         est = self.rtt.get(dst)
         return est.srtt if est is not None else None
 
-    def _retry_loop(self, mid, sent: _InFlight, src, kind, body, size_bytes):
-        pol = self.policy
-        acked, dst = sent.acked, sent.dst
-        wait = self._timeout_for(dst)
-        for _attempt in range(pol.max_retries + 1):
-            # full jitter: spread over [1 - j/2, 1 + j/2] so equal-policy
-            # senders de-align instead of piling onto the lower edge
-            jittered = wait * (
-                1.0 + pol.jitter * (float(self._rng.random()) - 0.5)
+    def _expire(self, mid: int) -> None:
+        """An attempt's wait ran out: nothing to do if the send was acked
+        (it left ``_pending``); else retransmit, or give up."""
+        sent = self._pending.get(mid)
+        if sent is None:
+            return
+        src, dst, kind = sent.src, sent.dst, sent.kind
+        if self.overlay.nodes[src].down:
+            # a dead sender retries nothing
+            del self._pending[mid]
+            return
+        tracer = self.env.hooks.tracer
+        if sent.attempt == self.policy.max_retries:
+            del self._pending[mid]
+            self.overlay.traffic.give_ups_by_kind[kind] += 1
+            if tracer is not None:
+                tracer.emit("msg.give_up", src, dst=dst, kind=kind, mid=mid)
+            if self.on_give_up is not None:
+                self.on_give_up(src, dst, kind, sent.body)
+            return
+        sent.attempt += 1
+        self.overlay.traffic.retransmissions_by_kind[kind] += 1
+        if tracer is not None:
+            tracer.emit(
+                "msg.retransmit", src, dst=dst, kind=kind,
+                attempt=sent.attempt, mid=mid,
             )
-            yield AnyOf(self.env, [acked, self.env.timeout(jittered)])
-            if acked.triggered:
-                return
-            if self.overlay.nodes[src].down:
-                # a dead sender retries nothing
-                self._pending.pop(mid, None)
-                return
-            if _attempt == pol.max_retries:
-                break
-            self.overlay.traffic.retransmissions_by_kind[kind] += 1
-            sent.retransmitted = True
-            if self.env.hooks.tracer is not None:
-                self.env.hooks.tracer.emit(
-                    "msg.retransmit", src, dst=dst, kind=kind,
-                    attempt=_attempt + 1, mid=mid,
-                )
-            self.overlay.send(
-                src, dst, kind, body=body, size_bytes=size_bytes,
-                msg_id=mid, ctx=self.ctx,
-            )
-            wait *= pol.backoff
-        self._pending.pop(mid, None)
-        self.overlay.traffic.give_ups_by_kind[kind] += 1
-        if self.env.hooks.tracer is not None:
-            self.env.hooks.tracer.emit(
-                "msg.give_up", src, dst=dst, kind=kind, mid=mid
-            )
-        if self.on_give_up is not None:
-            self.on_give_up(src, dst, kind, body)
+        self.overlay.send(
+            src, dst, kind, body=sent.body, size_bytes=sent.size_bytes,
+            msg_id=mid, ctx=self.ctx,
+        )
+        sent.wait *= self.policy.backoff
+        self._arm(mid, sent.wait)
 
     # ------------------------------------------------------------------
     def intercept(self, message: Message) -> bool:
@@ -278,8 +290,7 @@ class ControlPlane:
         """
         if message.kind == "ack":
             sent = self._pending.pop(message.body, None)
-            if sent is not None and not sent.acked.triggered:
-                sent.acked.succeed()
+            if sent is not None:
                 if self.env.hooks.tracer is not None:
                     # close of the reliable exchange: the sender observed
                     # the first ack for this mid
@@ -287,7 +298,7 @@ class ControlPlane:
                         "msg.ack", message.dst,
                         mid=message.body, src=message.src,
                     )
-                if not sent.retransmitted:
+                if sent.attempt == 0:
                     # first ack of a never-retransmitted send: a clean
                     # RTT sample (Karn's rule filtered the rest)
                     est = self.rtt.get(sent.dst)

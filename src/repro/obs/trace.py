@@ -350,8 +350,8 @@ class Observer:
 
     @property
     def events_seen(self) -> int:
-        """Non-``audit.*`` events of the run fed so far."""
-        return self._walk.events_seen
+        """Non-``audit.*`` events of the run fed so far (0 unfed)."""
+        return self._walk.events_seen if self._walk is not None else 0
 
     @property
     def last_ts(self) -> float:

@@ -11,8 +11,9 @@ exactly what that needs:
 
 * :class:`Environment` — the event loop / clock.
 * :class:`Event`, :class:`Timeout`, :class:`Process` — waitables.
-* :class:`Timer` (``env.call_later``) — a delayed callback, one heap entry.
-* :class:`AnyOf` — "whichever happens first" (an ack or its timeout).
+* :class:`Timer` (``env.call_later``) — a delayed callback, one heap entry;
+  a wait that ends at the first of two things (an ack or its timeout) is
+  one timer whose callback checks whether the other already happened.
 * :class:`Scheduler` — the pending-event container behind the clock.
 
 Nothing in this package knows about networks or streaming; it is
@@ -20,7 +21,7 @@ unit-tested in isolation.
 """
 
 from repro.sim.engine import Environment, SimHooks, StopSimulation
-from repro.sim.events import AnyOf, Event, Timeout, Timer
+from repro.sim.events import Event, Timeout, Timer
 from repro.sim.process import Process
 from repro.sim.sched import (
     HeapScheduler,
@@ -32,7 +33,6 @@ from repro.sim.sched import (
 from repro.sim.rng import RandomStreams
 
 __all__ = [
-    "AnyOf",
     "Environment",
     "Event",
     "HeapScheduler",

@@ -10,7 +10,7 @@ yield.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.sim.engine import Environment
@@ -44,8 +44,8 @@ class Event:
         self.callbacks: Optional[list[Callable[["Event"], None]]] = []
         self._value: Any = PENDING
         self._ok: bool = True
-        #: Set to True when a failure has been handled (a process or an
-        #: ``AnyOf`` waited on it); unhandled failures crash the simulation
+        #: Set to True when a failure has been handled (a process waited
+        #: on it); unhandled failures crash the simulation
         #: at processing time so programming errors are never silently lost.
         self._defused: bool = False
 
@@ -154,42 +154,3 @@ class Timer(Event):
     def _fire(self, _event: "Event") -> None:
         self._fn(*self._args)
 
-
-class AnyOf(Event):
-    """Fires as soon as any one of ``events`` has been processed.
-
-    Succeeds with a dict of the sub-events that have occurred by then and
-    their values; fails, with the same exception, if the first one to
-    occur failed.  Waiters usually ignore the value and test
-    ``event.triggered`` on the sub-events they care about.
-    """
-
-    __slots__ = ("_events",)
-
-    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
-        self._events = list(events)
-        if not self._events:
-            raise ValueError("AnyOf requires at least one event")
-        super().__init__(env)
-        for event in self._events:
-            if event.env is not env:
-                raise ValueError("all events must share one environment")
-        for event in self._events:
-            if event.callbacks is None:
-                self._check(event)
-            else:
-                event.callbacks.append(self._check)
-
-    def _check(self, event: Event) -> None:
-        if not event._ok:
-            event._defused = True
-        if self.triggered:
-            return
-        if event._ok:
-            # Timeouts are triggered at construction; only events whose
-            # callbacks have run (processed) count as having occurred.
-            self.succeed(
-                {e: e._value for e in self._events if e.callbacks is None and e._ok}
-            )
-        else:
-            self.fail(event._value)

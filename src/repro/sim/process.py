@@ -5,7 +5,7 @@ be an :class:`~repro.sim.events.Event`; the process suspends until that event
 is processed, then resumes with the event's value (or has the failure
 exception thrown into it).  When the generator returns, the process — itself
 an event — succeeds with the return value, so processes can wait on each
-other or be raced with ``AnyOf``.
+other.
 """
 
 from __future__ import annotations

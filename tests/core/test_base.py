@@ -117,8 +117,7 @@ class TestDivisionRule:
             if path.parent.name == "core"
             and isinstance(d, ast.FunctionDef) and d.name == "initiate"
         ] == ["base", "centralized", "tcop"]
-        # one message class carries an assignment, and one TCoP generator
-        # sends offers and waits on AnyOf
+        # one message class carries an assignment
         assert [
             c.name
             for c in nodes
@@ -126,14 +125,31 @@ class TestDivisionRule:
             and any(getattr(f, "target", None) is not None
                     and f.target.id == "assignment" for f in c.body)
         ] == ["AssignmentMessage"]
+        # a wait is a timer: no module races events, and the reliable
+        # control plane starts no process and makes no event per send
+        assert not [
+            path for path in sorted(src.rglob("*.py"))
+            if "AnyOf" in path.read_text()
+        ]
+        # TCoP's processes are the leaf's handshake and a peer's
+        # selection loop; its offer timeout and claim watchdog are timers
         assert [
             d.name
             for d in ast.walk(trees[src / "core" / "tcop.py"])
             if isinstance(d, ast.FunctionDef)
-            and any(getattr(getattr(c, "func", None), "id", None) == "AnyOf"
+            and any(getattr(getattr(c, "func", None), "attr", None) == "process"
                     for c in ast.walk(d))
-        ] == ["_offer_round"]
-
+        ] == ["initiate", "_on_start"]
+        plane = next(
+            c for c in ast.walk(ast.parse((src / "net" / "overlay.py").read_text()))
+            if isinstance(c, ast.ClassDef) and c.name == "ControlPlane"
+        )
+        assert not [
+            c.func.attr
+            for c in ast.walk(plane)
+            if isinstance(c, ast.Call) and isinstance(c.func, ast.Attribute)
+            and c.func.attr in ("process", "event", "timeout")
+        ]
 
 class TestAssignment:
     def test_build_plan_matches_esq_div(self):

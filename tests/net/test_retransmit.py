@@ -6,12 +6,13 @@ from repro.net.loss import BernoulliLoss
 from repro.net.overlay import ControlPlane, Overlay, RetransmitPolicy
 from repro.sim.engine import Environment
 from repro.sim.rng import RandomStreams
+from repro.sim.sched import HeapScheduler
 
 from tests.net import ignore
 
 
-def build(loss=0.0, policy=None, delta=10.0, seed=0):
-    env = Environment()
+def build(loss=0.0, policy=None, delta=10.0, seed=0, scheduler=None):
+    env = Environment(scheduler=scheduler)
     overlay = Overlay(
         env,
         streams=RandomStreams(seed),
@@ -60,6 +61,64 @@ def test_lossless_send_no_retransmissions():
     assert sum(overlay.traffic.give_ups_by_kind.values()) == 0
     # the ack flowed back and cleared the pending table
     assert plane._pending == {}
+
+
+class CountingHeap(HeapScheduler):
+    """The heap, counting every entry pushed."""
+
+    def __init__(self):
+        super().__init__()
+        self.pushed = 0
+
+    def push(self, entry):
+        self.pushed += 1
+        super().push(entry)
+
+
+def test_a_lossless_send_and_its_ack_cost_three_heap_entries():
+    heap = CountingHeap()
+    env, overlay, plane = build(scheduler=heap)
+    wire(overlay, plane, "b", [])
+    wire(overlay, plane, "a", [])
+    plane.send("a", "b", "control", body="hello")
+    env.run()
+    # the message's delivery, the ack's delivery, the attempt's timer
+    # (which fires after the ack as a no-op)
+    assert heap.pushed == 3
+    assert plane._pending == {}
+    assert sum(overlay.traffic.retransmissions_by_kind.values()) == 0
+
+
+def test_jitter_is_drawn_at_the_send_in_send_order():
+    """Two sends from one handler draw ``retx/jitter``'s next two
+    uniforms, in program order, before the handler returns; each first
+    timer fires at ``sent_at + base·(1 + jitter·(u − ½))``."""
+    policy = RetransmitPolicy(max_retries=1, ack_timeout_deltas=2.5, jitter=0.5)
+    env, overlay, plane = build(policy=policy, delta=10.0, seed=7)
+    overlay.nodes["b"].crash()  # no acks: every first timer retransmits
+    u1, u2, u3 = RandomStreams(7).get("retx/jitter").random(3)
+    retransmits = {}
+    original = overlay.send
+
+    def spy(src, dst, kind, body=None, **kw):
+        if kind != "ack" and env.now > 3.0:
+            retransmits.setdefault(body, env.now)
+        return original(src, dst, kind, body=body, **kw)
+
+    overlay.send = spy
+    drawn_after = []
+
+    def handler():
+        plane.send("a", "b", "control", body="first")
+        plane.send("a", "b", "control", body="second")
+        drawn_after.append(float(plane._rng.random()))
+
+    env.call_later(3.0, handler)
+    env.run()
+    base = 2.5 * 10.0
+    assert drawn_after == [pytest.approx(u3)]
+    assert retransmits["first"] == pytest.approx(3.0 + base * (1 + 0.5 * (u1 - 0.5)))
+    assert retransmits["second"] == pytest.approx(3.0 + base * (1 + 0.5 * (u2 - 0.5)))
 
 
 def test_lossy_send_retransmits_until_delivered():

@@ -23,6 +23,7 @@ from repro.obs.audit import (
     CausalAuditor,
     DetectorAuditor,
     ParityAuditor,
+    TreeAuditor,
     describe_event,
     register_auditor,
 )
@@ -379,6 +380,17 @@ def test_describe_event_is_compact_and_deterministic():
     bus.emit("msg.send", "leaf", kind="request", dst="CP1")
     line = describe_event(bus.events[0])
     assert line == "[t=0.000] msg.send leaf dst='CP1' kind='request'"
+
+
+def test_an_auditor_reprs_before_and_after_feeding():
+    auditor = TreeAuditor()
+    assert repr(auditor) == "<TreeAuditor 0 violations, 0 warnings, 0 events>"
+    feed(
+        auditor,
+        ("peer.attach", "CP1", dict(parent="leaf")),
+        ("peer.attach", "CP1", dict(parent="CP2")),
+    )
+    assert repr(auditor) == "<TreeAuditor 1 violations, 0 warnings, 2 events>"
 
 
 def test_violations_surface_as_bus_events_with_evidence():

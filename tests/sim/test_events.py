@@ -1,8 +1,8 @@
-"""Tests for event primitives: trigger semantics and ``AnyOf``."""
+"""Tests for event primitives: trigger semantics."""
 
 import pytest
 
-from repro.sim import AnyOf, Environment
+from repro.sim import Environment
 
 
 def test_event_starts_pending():
@@ -64,67 +64,6 @@ def test_process_yield_on_failed_event_rethrows():
     p = env.process(proc())
     ev.fail(RuntimeError("delivered"))
     assert env.run(p) == "delivered"
-
-
-def test_anyof_fires_on_first():
-    env = Environment()
-    t1 = env.timeout(1, value="fast")
-    t2 = env.timeout(5, value="slow")
-
-    def proc():
-        result = yield AnyOf(env, [t1, t2])
-        assert t1 in result
-        assert t2 not in result
-        return (env.now, result[t1])
-
-    p = env.process(proc())
-    assert env.run(p) == (1, "fast")
-
-
-def test_anyof_empty_rejected():
-    env = Environment()
-    with pytest.raises(ValueError):
-        AnyOf(env, [])
-
-
-def test_condition_fails_if_subevent_fails():
-    env = Environment()
-    ev = env.event()
-    t = env.timeout(10)
-
-    def proc():
-        try:
-            yield AnyOf(env, [ev, t])
-        except ValueError as e:
-            return str(e)
-
-    def failer():
-        yield env.timeout(1)
-        ev.fail(ValueError("sub failed"))
-
-    p = env.process(proc())
-    env.process(failer())
-    assert env.run(p) == "sub failed"
-
-
-def test_condition_rejects_mixed_environments():
-    env1, env2 = Environment(), Environment()
-    with pytest.raises(ValueError):
-        AnyOf(env1, [env1.event(), env2.event()])
-
-
-def test_condition_with_preprocessed_event():
-    env = Environment()
-    t1 = env.timeout(0, value=1)
-    env.run(until=0.5)  # t1 is now processed
-    t2 = env.timeout(1, value=2)
-
-    def proc():
-        result = yield AnyOf(env, [t1, t2])
-        return (env.now, result[t1], t2 in result)
-
-    p = env.process(proc())
-    assert env.run(p) == (0.5, 1, False)
 
 
 def test_repr_shows_state():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import AnyOf, Environment
+from repro.sim import Environment
 
 
 def test_process_failing_before_first_yield():
@@ -26,37 +26,6 @@ def test_process_with_no_yield_finishes():
 
     p = env.process(empty())
     assert env.run(p) == "done"
-
-
-def test_condition_over_processes():
-    env = Environment()
-
-    def worker(d, v):
-        yield env.timeout(d)
-        return v
-
-    p1 = env.process(worker(2, "a"))
-    p2 = env.process(worker(5, "b"))
-
-    def waiter():
-        result = yield AnyOf(env, [p1, p2])
-        return (result[p1], p2 in result, env.now)
-
-    assert env.run(env.process(waiter())) == ("a", False, 2)
-
-
-def test_anyof_loser_can_still_be_awaited():
-    env = Environment()
-    fast = env.timeout(1, value="fast")
-    slow = env.timeout(9, value="slow")
-
-    def proc():
-        first = yield AnyOf(env, [fast, slow])
-        assert fast in first
-        late = yield slow
-        return late
-
-    assert env.run(env.process(proc())) == "slow"
 
 
 def test_event_triggered_before_yield_resumes_immediately():
