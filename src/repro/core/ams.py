@@ -133,41 +133,52 @@ class AMSCoordination(CoordinationProtocol):
         }
         agent.scratch["assignment"] = req.assignment
         agent.scratch["adopted"] = set()
-        agent.env.process(self._state_loop(agent, stream))
+        agent.env.call_soon(self._report, agent, stream)
 
     # ------------------------------------------------------------------
-    def _state_loop(self, agent: "ContentsPeerAgent", own_stream):
+    def _report(self, agent: "ContentsPeerAgent", own_stream) -> None:
+        """One state round: cbcast this member's report to the others,
+        then check the group one period later."""
         session = agent.session
         cfg = session.config
         env = agent.env
-        period = self.state_period_deltas * cfg.delta
-        threshold = self.takeover_after_periods * period
-        states: Dict[str, MemberState] = agent.scratch["states"]
-        adopted: Set[str] = agent.scratch["adopted"]
-        own = states[agent.peer_id]
-        others = [pid for pid in session.peer_ids if pid != agent.peer_id]
         # backstop so the simulation always drains even if members vanish
         # without successors (e.g. everyone crashed)
         deadline = 3 * cfg.content_packets / cfg.tau + 40 * cfg.delta
-
-        while not agent.crashed and env.now < deadline:
-            done = all(s.exhausted for s in agent.streams)
-            report = StateReport(
-                own.number + 1, own_stream.sent_count, done, frozenset(adopted)
+        if agent.crashed or env.now >= deadline:
+            return
+        states: Dict[str, MemberState] = agent.scratch["states"]
+        adopted: Set[str] = agent.scratch["adopted"]
+        own = states[agent.peer_id]
+        done = all(s.exhausted for s in agent.streams)
+        report = StateReport(
+            own.number + 1, own_stream.sent_count, done, frozenset(adopted)
+        )
+        for member in session.peer_ids:
+            if member == agent.peer_id:
+                continue
+            # old kind name kept: renaming moves the fault_free/ams trace and EX-G
+            session.overlay.send(
+                agent.peer_id, member, "cbcast", body=report,
+                size_bytes=cfg.control_size, ctx=session.ctx,
             )
-            for member in others:
-                # old kind name kept: renaming moves the fault_free/ams trace and EX-G
-                session.overlay.send(
-                    agent.peer_id, member, "cbcast", body=report,
-                    size_bytes=cfg.control_size, ctx=session.ctx,
-                )
-            own.merge(report, env.now)
-            yield env.timeout(period)
-            if agent.crashed:
-                return
-            self._maybe_takeover(agent, states, adopted, threshold)
-            if done and self._group_resolved(agent, states):
-                return
+        own.merge(report, env.now)
+        env.call_later(
+            self.state_period_deltas * cfg.delta,
+            self._check_group, agent, own_stream, done,
+        )
+
+    def _check_group(self, agent: "ContentsPeerAgent", own_stream, done: bool) -> None:
+        if agent.crashed:
+            return
+        states: Dict[str, MemberState] = agent.scratch["states"]
+        threshold = self.takeover_after_periods * (
+            self.state_period_deltas * agent.session.config.delta
+        )
+        self._maybe_takeover(agent, states, agent.scratch["adopted"], threshold)
+        if done and self._group_resolved(agent, states):
+            return
+        self._report(agent, own_stream)
 
     def _maybe_takeover(
         self,

@@ -58,7 +58,7 @@ class TCoP(CoordinationProtocol):
     # leaf side
     # ------------------------------------------------------------------
     def initiate(self, session: "StreamingSession") -> None:
-        session.env.process(self._leaf_handshake(session))
+        session.env.call_soon(self._leaf_offer, session, set(), 0)
 
     def _offer_round(
         self,
@@ -69,18 +69,21 @@ class TCoP(CoordinationProtocol):
         view: frozenset,
         kind: str,
         hops: int,
-    ):
-        """One offer wave: ask ``targets``, wait until all have answered or
-        the offer times out, and return what was collected.  The round's
-        event is succeeded by the last answer or by a timer, whichever
-        comes first."""
+        then,
+        *args,
+    ) -> None:
+        """One offer wave: ask ``targets`` and, once all have answered or
+        the offer timed out, call ``then(*args, pending)`` with what was
+        collected.  The last answer or the timer, whichever comes first,
+        closes the round."""
         env = session.env
         oid = next(self._offer_ids)
         pending = {
             "expected": set(targets),
             "responded": set(),
             "confirmed": [],
-            "event": env.event(),
+            "env": env,
+            "then": (pending_map, oid, then, args),
         }
         pending_map[oid] = pending
         if env.hooks.tracer is not None:
@@ -94,36 +97,50 @@ class TCoP(CoordinationProtocol):
         env.call_later(
             OFFER_TIMEOUT_DELTAS * session.config.delta, self._close, pending
         )
-        yield pending["event"]
+
+    @staticmethod
+    def _close(pending: dict) -> None:
+        """End an offer round's wait, once: its continuation runs after
+        whatever is already due at this instant."""
+        closing = pending.pop("then", None)
+        if closing is not None:
+            pending["env"].call_later(0, TCoP._collected, pending, *closing)
+
+    @staticmethod
+    def _collected(pending: dict, pending_map: dict, oid: int, then, args) -> None:
         del pending_map[oid]
-        return pending
+        then(*args, pending)
 
-    def _leaf_handshake(self, session: "StreamingSession"):
+    def _leaf_offer(
+        self, session: "StreamingSession", tried: set, attempt: int
+    ) -> None:
+        """The leaf's selection: offer to up to H untried peers, at most
+        five attempts, until one offer is confirmed."""
         cfg = session.config
-        leaf_id = session.leaf.peer_id
-        confirmed: list[str] = []
-        tried: set[str] = set()
-        attempts = 0
-        base_hops = 0
-        while not confirmed and attempts < 5:
-            attempts += 1
-            base_hops = 3 * (attempts - 1)
-            candidates = [p for p in session.peer_ids if p not in tried]
-            if not candidates:
-                break
-            selected = pick(
-                session.selection_rng, candidates, min(cfg.H, len(candidates))
-            )
-            tried.update(selected)
-            pending = yield from self._offer_round(
-                session, session.protocol_state, leaf_id, selected,
-                frozenset(selected), "request", base_hops + 1,
-            )
-            confirmed = pending["confirmed"]
-
-        if not confirmed:
+        candidates = [p for p in session.peer_ids if p not in tried]
+        if not candidates:
             return  # no peers reachable; session ends unsynchronized
+        selected = pick(
+            session.selection_rng, candidates, min(cfg.H, len(candidates))
+        )
+        tried.update(selected)
+        self._offer_round(
+            session, session.protocol_state, session.leaf.peer_id, selected,
+            frozenset(selected), "request", 3 * attempt + 1,
+            self._leaf_start, session, tried, attempt,
+        )
 
+    def _leaf_start(
+        self, session: "StreamingSession", tried: set, attempt: int, pending
+    ) -> None:
+        cfg = session.config
+        confirmed = pending["confirmed"]
+        if not confirmed:
+            if attempt + 1 < 5:
+                self._leaf_offer(session, tried, attempt + 1)
+            return
+        base_hops = 3 * attempt
+        leaf_id = session.leaf.peer_id
         plan = divide_evenly(
             session.content.packet_sequence(), cfg.tau, len(confirmed),
             cfg.fault_margin,
@@ -205,7 +222,7 @@ class TCoP(CoordinationProtocol):
         if agent.scratch.get("selecting"):
             return
         agent.scratch["selecting"] = True
-        agent.env.process(self._selection_loop(agent, stream, ctl.hops))
+        agent.env.call_soon(self._offer, agent, stream, ctl.hops)
 
     # ------------------------------------------------------------------
     # mid-stream re-coordination
@@ -244,44 +261,39 @@ class TCoP(CoordinationProtocol):
         if not pending["expected"]:
             TCoP._close(pending)
 
-    @staticmethod
-    def _close(pending: dict) -> None:
-        """End an offer round's wait, once."""
-        if not pending["event"].triggered:
-            pending["event"].succeed()
-
     # ------------------------------------------------------------------
-    def _selection_loop(self, agent: "ContentsPeerAgent", stream, base_hops: int):
-        """Repeated offer→collect→start waves until the view is full."""
-        try:
-            yield from self._selection_rounds(agent, stream, base_hops)
-        finally:
+    def _offer(self, agent: "ContentsPeerAgent", stream, round_cursor: int) -> None:
+        """One offer→collect→start wave of a peer's selection; the waves
+        repeat until the view is full, and the last clears the peer's
+        ``selecting`` flag."""
+        if agent.view_full or agent.crashed:
             agent.scratch["selecting"] = False
+            return
+        children = agent.select_children(agent.session.config.H)
+        if not children:
+            agent.scratch["selecting"] = False
+            return
+        self._offer_round(
+            agent.session, agent.scratch.setdefault("pending", {}),
+            agent.peer_id, children, frozenset(agent.view), "offer",
+            round_cursor + 1, self._start_children, agent, stream, round_cursor,
+        )
 
-    def _selection_rounds(self, agent: "ContentsPeerAgent", stream, base_hops: int):
-        cfg = agent.session.config
-        pending_map = agent.scratch.setdefault("pending", {})
-        round_cursor = base_hops
-        while not agent.view_full and not agent.crashed:
-            children = agent.select_children(cfg.H)
-            if not children:
-                break
-            pending = yield from self._offer_round(
-                agent.session, pending_map, agent.peer_id, children,
-                frozenset(agent.view), "offer", round_cursor + 1,
-            )
-            # everyone who answered is known-taken now (confirmed → mine;
-            # rejected → someone else's child); non-responders after the
-            # timeout are treated as unreachable so we never spin on them
-            agent.merge_view(pending["responded"])
-            agent.merge_view(pending["expected"])
-            confirmed = pending["confirmed"]
-            round_cursor += 3
-            if not confirmed:
-                continue
+    def _start_children(
+        self, agent: "ContentsPeerAgent", stream, round_cursor: int, pending
+    ) -> None:
+        # everyone who answered is known-taken now (confirmed → mine;
+        # rejected → someone else's child); non-responders after the
+        # timeout are treated as unreachable so we never spin on them
+        agent.merge_view(pending["responded"])
+        agent.merge_view(pending["expected"])
+        confirmed = pending["confirmed"]
+        round_cursor += 3
+        if confirmed:
             assignments = agent.handoff_stream(stream, confirmed)
             send_assignments(
                 agent.session, agent.peer_id, "start",
                 zip(confirmed, assignments), frozenset(agent.view),
                 hops=round_cursor,
             )
+        self._offer(agent, stream, round_cursor)

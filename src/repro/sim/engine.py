@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 from itertools import count
-from typing import Any, Generator, Optional, Union
+from typing import Optional, Union
 
-from repro.sim.events import Event, NORMAL, Timeout, Timer
-from repro.sim.process import Process
 from repro.sim.sched import Scheduler, build_scheduler
+
+#: Priority of :meth:`Environment.call_soon`: processed before ordinary
+#: timers due at the same simulated time.
+URGENT = 0
+#: Priority of :meth:`Environment.call_later`.
+NORMAL = 1
 
 #: Fired timers are recycled through a bounded free list; past this size
 #: they are simply dropped for the garbage collector.
@@ -15,18 +19,33 @@ _TIMER_POOL_MAX = 512
 
 
 class StopSimulation(Exception):
-    """Raised internally to end :meth:`Environment.run` at an event."""
-
-    @classmethod
-    def callback(cls, event: Event) -> None:
-        if event.ok:
-            raise cls(event.value)
-        event._defused = True
-        raise event.value
+    """Raised by the horizon timer to end :meth:`Environment.run`."""
 
 
 class EmptySchedule(Exception):
     """Raised by :meth:`Environment.step` when no events remain."""
+
+
+def _stop() -> None:
+    raise StopSimulation()
+
+
+class Timer:
+    """A callback ``fn(*args)`` due at a simulated time: the kernel's one
+    kind of event, one heap entry.
+
+    Made by :meth:`Environment.call_later` and
+    :meth:`Environment.call_soon`; fired timers are pooled and handed out
+    again, so nothing should keep one after it fired.
+    """
+
+    __slots__ = ("fn", "args")
+
+    @property
+    def callbacks(self):
+        """The callback while the timer is pending, ``None`` once fired:
+        how an instrumented scheduler tells the two apart."""
+        return self.fn
 
 
 class SimHooks:
@@ -102,115 +121,61 @@ class Environment:
         return len(self._sched)
 
     # ------------------------------------------------------------------
-    # factories
+    # scheduling / execution
     # ------------------------------------------------------------------
-    def event(self) -> Event:
-        """Create a new pending :class:`Event`."""
-        return Event(self)
-
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """Create a :class:`Timeout` firing ``delay`` time units from now."""
-        return Timeout(self, delay, value)
-
-    def process(self, generator: Generator) -> Process:
-        """Start a new :class:`Process` driving ``generator``."""
-        return Process(self, generator)
-
     def call_later(self, delay: float, fn, *args) -> Timer:
         """Schedule ``fn(*args)`` to run ``delay`` time units from now.
 
-        The cheap fire-and-forget path: one scheduled event, no generator
-        machinery.  Returns the :class:`Timer`, which other processes may
-        wait on like any event.  Fired timers nobody waited on are pooled
-        and handed out again by later calls.
+        The timer sorts after everything already due at that instant,
+        so ``call_later(0, …)`` runs once the current instant's queue
+        has drained.
         """
         pool = self._timer_pool
-        if pool:
-            timer = pool.pop()
-            timer._fn = fn
-            timer._args = args
-            timer.callbacks = [timer._fire]
-            self._schedule(timer, NORMAL, delay)
-            return timer
-        return Timer(self, delay, fn, args)
+        timer = pool.pop() if pool else Timer()
+        timer.fn = fn
+        timer.args = args
+        self._sched.push((self._now + delay, NORMAL, next(self._eid), timer))
+        return timer
 
-    # ------------------------------------------------------------------
-    # scheduling / execution
-    # ------------------------------------------------------------------
-    def _schedule(self, event: Event, priority: int, delay: float = 0.0) -> None:
-        self._sched.push((self._now + delay, priority, next(self._eid), event))
+    def call_soon(self, fn, *args) -> Timer:
+        """Schedule ``fn(*args)`` at the current instant, ahead of every
+        :meth:`call_later` timer due now (but after earlier
+        ``call_soon`` ones): how a loop takes its first step."""
+        pool = self._timer_pool
+        timer = pool.pop() if pool else Timer()
+        timer.fn = fn
+        timer.args = args
+        self._sched.push((self._now, URGENT, next(self._eid), timer))
+        return timer
 
     def step(self) -> None:
-        """Process the next scheduled event.
-
-        Raises :class:`EmptySchedule` when the queue is empty, and
-        re-raises any *un-defused* event failure (a process crash nobody
-        waited on) so model bugs surface instead of silently vanishing.
-        """
+        """Fire the next timer; raise :class:`EmptySchedule` when none
+        remain.  An exception out of the callback propagates."""
         try:
-            now, _, _, event = self._sched.pop()
+            self._now, _, _, timer = self._sched.pop()
         except IndexError:
             raise EmptySchedule() from None
+        timer.fn(*timer.args)
+        timer.fn = timer.args = None
+        if len(self._timer_pool) < _TIMER_POOL_MAX:
+            self._timer_pool.append(timer)
 
-        self._now = now
-        callbacks, event.callbacks = event.callbacks, None
-        assert callbacks is not None
-        for callback in callbacks:
-            callback(event)
-
-        if not event._ok and not event._defused:
-            exc = event._value
-            raise exc
-        if type(event) is Timer and len(callbacks) == 1:
-            # nobody else held a wait on it — safe to reuse
-            event._fn = None
-            event._args = ()
-            if len(self._timer_pool) < _TIMER_POOL_MAX:
-                self._timer_pool.append(event)
-
-    def run(self, until: Union[None, float, Event] = None) -> Any:
-        """Run the simulation.
-
-        ``until`` may be ``None`` (run to exhaustion), a number (run to that
-        simulated time), or an :class:`Event` (run until it is processed and
-        return its value).
-        """
-        at_event: Optional[Event] = None
-        if until is None:
-            pass
-        elif isinstance(until, Event):
-            at_event = until
-            if at_event.callbacks is None:
-                # Already processed.
-                if at_event.ok:
-                    return at_event.value
-                raise at_event.value
-            at_event.callbacks.append(StopSimulation.callback)
-        else:
+    def run(self, until: Optional[float] = None) -> None:
+        """Run until no timer remains, or up to the simulated time
+        ``until``: a horizon timer that sorts ahead of everything due at
+        that instant, so those stay pending."""
+        if until is not None:
             horizon = float(until)
             if horizon < self._now:
                 raise ValueError(
                     f"until={horizon} lies in the past (now={self._now})"
                 )
-            at_event = Event(self)
-            at_event._ok = True
-            at_event._value = None
-            # Priority below NORMAL-scheduled events at the same time would
-            # process them first; we want the horizon to win, so use a
-            # priority that sorts ahead of everything at `horizon`.
-            self._sched.push((horizon, -1, next(self._eid), at_event))
-            at_event.callbacks.append(StopSimulation.callback)
-
+            timer = Timer()
+            timer.fn = _stop
+            timer.args = ()
+            self._sched.push((horizon, -1, next(self._eid), timer))
         try:
             while True:
                 self.step()
-        except StopSimulation as stop:
-            return stop.args[0] if stop.args else None
-        except EmptySchedule:
-            if at_event is not None and not at_event.triggered:
-                if isinstance(until, Event):
-                    raise RuntimeError(
-                        "simulation ran out of events before "
-                        f"{until!r} was triggered"
-                    ) from None
-            return None
+        except (StopSimulation, EmptySchedule):
+            pass

@@ -1,7 +1,7 @@
 """Pluggable event schedulers for the simulation kernel.
 
-The :class:`~repro.sim.engine.Environment` keeps its pending events in a
-:class:`Scheduler`.  Entries are ``(time, priority, eid, event)`` tuples —
+The :class:`~repro.sim.engine.Environment` keeps its pending timers in a
+:class:`Scheduler`.  Entries are ``(time, priority, eid, timer)`` tuples —
 the same total order the kernel has always used — and any scheduler
 implementation must pop them in exactly that order, so the simulated
 trajectory (and therefore every trace, receipt, and audit verdict) is
@@ -23,7 +23,7 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from typing import Callable, Dict, List, Optional, Tuple
 
-#: A scheduled entry: (time, priority, eid, event).
+#: A scheduled entry: (time, priority, eid, timer).
 Entry = Tuple[float, int, int, object]
 
 _INF = float("inf")

@@ -56,29 +56,27 @@ class RateAdaptationMonitor:
         self.adaptations = 0
         self._helped: set[int] = set()  # id(stream) already compensated
         self._rng = session.streams.get("adaptive/monitor")
-        session.env.process(self._run())
+        self._period = CHECK_PERIOD_DELTAS * session.config.delta
+        session.env.call_soon(session.env.call_later, self._period, self._check)
 
-    def _run(self):
-        session = self.session
-        env = session.env
-        period = CHECK_PERIOD_DELTAS * session.config.delta
-        while True:
-            yield env.timeout(period)
-            busy = False
-            for agent in session.peers.values():
-                if agent.crashed:
+    def _check(self) -> None:
+        """One check: compensate degraded streams, and check again one
+        period later while any stream still has packets to send."""
+        busy = False
+        for agent in self.session.peers.values():
+            if agent.crashed:
+                continue
+            for stream in agent.streams:
+                if stream.exhausted:
                     continue
-                for stream in agent.streams:
-                    if stream.exhausted:
-                        continue
-                    busy = True
-                    if id(stream) in self._helped:
-                        continue
-                    actual = stream.current_rate
-                    if actual < THRESHOLD * stream.nominal_rate:
-                        self._compensate(agent, stream)
-            if not busy:
-                return
+                busy = True
+                if id(stream) in self._helped:
+                    continue
+                actual = stream.current_rate
+                if actual < THRESHOLD * stream.nominal_rate:
+                    self._compensate(agent, stream)
+        if busy:
+            self.session.env.call_later(self._period, self._check)
 
     # ------------------------------------------------------------------
     def _compensate(self, agent, stream: "Stream") -> None:

@@ -5,10 +5,12 @@ contents peer leaves its unsent residual behind, and nobody in the seed
 protocols *notices*.  This module closes the detection half of the
 detect → retransmit → re-coordinate loop:
 
-* every active contents peer emits a periodic ``heartbeat`` to the leaf
-  carrying the data sequence numbers it still owes (its *pending* set) —
-  and any message arriving at the leaf (media packets included) counts as
-  implicit liveness, so heartbeats mostly piggyback on the stream;
+* every active contents peer emits a ``heartbeat`` to the leaf once a
+  heartbeat period while it owes data, carrying the data sequence
+  numbers it still owes (its *pending* set); any message arriving at
+  the leaf (media packets included) refreshes the peer's ``last_heard``
+  and clears a suspicion, but only heartbeats carry the residual and
+  feed the φ window below;
 * the leaf-side :class:`FailureDetector` declares a peer *suspected* after
   ``suspect_misses`` heartbeat periods of silence and *confirmed* failed
   after :data:`CONFIRM_MISSES` periods; confirmation triggers
@@ -159,7 +161,11 @@ class FailureDetector:
         #: callback fired once per confirmed failure
         self.on_confirm: Optional[Callable[[str], None]] = None
         self._last_contact = session.env.now
-        session.env.process(self._run())
+        self._idle_grace = max(
+            IDLE_GRACE_DELTAS * session.config.delta,
+            (CONFIRM_MISSES + 2) * self.period,
+        )
+        session.env.call_soon(session.env.call_later, self.period, self._check)
 
     # ------------------------------------------------------------------
     # state queries
@@ -291,45 +297,41 @@ class FailureDetector:
     # ------------------------------------------------------------------
     # detection loop
     # ------------------------------------------------------------------
-    def _run(self):
-        session = self.session
-        env = session.env
+    def _check(self) -> None:
+        """One detection pass over the monitored peers; the next follows
+        one heartbeat period later until the leaf is complete or nothing
+        has been watched for the idle grace."""
+        env = self.session.env
         pol = self.policy
-        decoder = session.leaf.decoder
-        idle_grace = max(
-            IDLE_GRACE_DELTAS * session.config.delta,
-            (CONFIRM_MISSES + 2) * self.period,
-        )
-        while True:
-            yield env.timeout(self.period)
-            now = env.now
-            watching = False
-            # snapshot: a confirmation callback may register fresh
-            # expectations (new monitored entries) mid-iteration
-            for pid, st in list(self.monitored.items()):
-                if st.done or st.confirmed:
-                    continue
-                watching = True
-                silent = now - st.last_heard
-                phi = (
-                    self._phi(st, now) if pol.mode == "accrual" else None
-                )
-                if phi is not None:
-                    if not st.suspected and phi >= pol.phi_suspect:
-                        self._suspect(pid, st, phi=phi)
-                    if st.suspected and phi >= PHI_CONFIRM:
-                        self._confirm(pid, st)
-                else:
-                    # fixed mode — or accrual still bootstrapping its
-                    # gap window: fall back to the miss-count thresholds
-                    if not st.suspected and silent >= pol.suspect_misses * self.period:
-                        self._suspect(pid, st)
-                    if st.suspected and silent >= CONFIRM_MISSES * self.period:
-                        self._confirm(pid, st)
-            if decoder.complete:
-                return
-            if not watching and now - self._last_contact >= idle_grace:
-                return
+        now = env.now
+        watching = False
+        # snapshot: a confirmation callback may register fresh
+        # expectations (new monitored entries) mid-iteration
+        for pid, st in list(self.monitored.items()):
+            if st.done or st.confirmed:
+                continue
+            watching = True
+            silent = now - st.last_heard
+            phi = (
+                self._phi(st, now) if pol.mode == "accrual" else None
+            )
+            if phi is not None:
+                if not st.suspected and phi >= pol.phi_suspect:
+                    self._suspect(pid, st, phi=phi)
+                if st.suspected and phi >= PHI_CONFIRM:
+                    self._confirm(pid, st)
+            else:
+                # fixed mode — or accrual still bootstrapping its
+                # gap window: fall back to the miss-count thresholds
+                if not st.suspected and silent >= pol.suspect_misses * self.period:
+                    self._suspect(pid, st)
+                if st.suspected and silent >= CONFIRM_MISSES * self.period:
+                    self._confirm(pid, st)
+        if self.session.leaf.decoder.complete:
+            return
+        if not watching and now - self._last_contact >= self._idle_grace:
+            return
+        env.call_later(self.period, self._check)
 
     def _suspect(
         self, peer_id: str, st: PeerHealth, phi: Optional[float] = None

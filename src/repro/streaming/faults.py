@@ -140,16 +140,26 @@ FIRE = {
 }
 
 
-def run_legs(session: "StreamingSession", legs: Tuple[Leg, ...]):
-    """The fault process: fire ``legs`` in order, each ``after`` ms after
-    the one before it.  Each delay is scheduled when the leg before it
-    fires, the first inside the process's t=0 start."""
-    opened = ()
-    for leg in legs:
-        yield session.env.timeout(leg.after)
-        if leg.guarded and session.leaf.decoder.complete:
-            return
-        opened = FIRE[leg.kind](session, leg, opened)
+def run_legs(session: "StreamingSession", legs: Tuple[Leg, ...]) -> None:
+    """Start the fault process: fire ``legs`` in order, each ``after`` ms
+    after the one before it.  Each delay is armed when the leg before it
+    fires, the first in the process's start slot."""
+    session.env.call_soon(_arm_leg, session, legs, 0, ())
+
+
+def _arm_leg(session, legs, index: int, opened) -> None:
+    if index < len(legs):
+        session.env.call_later(
+            legs[index].after, _fire_leg, session, legs, index, opened
+        )
+
+
+def _fire_leg(session, legs, index: int, opened) -> None:
+    leg = legs[index]
+    if leg.guarded and session.leaf.decoder.complete:
+        return
+    opened = FIRE[leg.kind](session, leg, opened)
+    _arm_leg(session, legs, index + 1, opened)
 
 
 def _check_at(at: float, what: str = "fault") -> None:
@@ -328,7 +338,7 @@ class FaultPlan:
         """Check endpoints, then start one fault process per fault."""
         self.check_endpoints(session.peer_ids, session.leaf.peer_id)
         for legs in self.faults:
-            session.env.process(run_legs(session, legs))
+            run_legs(session, legs)
 
 
 @dataclass(frozen=True)
@@ -368,28 +378,31 @@ class ChurnPlan:
 
     def install(self, session: "StreamingSession") -> None:
         if self.rate_per_delta > 0:
-            session.env.process(self._run(session))
+            session.env.call_soon(self._arm, session)
 
-    def _run(self, session: "StreamingSession"):
-        cfg = session.config
+    def _arm(self, session: "StreamingSession") -> None:
+        """Draw the gap to the next departure and wait it out."""
         rng = session.streams.get("churn/plan")
+        gap = float(rng.exponential(1.0 / self.rate_per_delta))
+        session.env.call_later(gap * session.config.delta, self._depart, session)
+
+    def _depart(self, session: "StreamingSession") -> None:
+        cfg = session.config
         horizon = CHURN_HORIZON_CONTENTS * cfg.content_packets / cfg.tau
-        while True:
-            gap = float(rng.exponential(1.0 / self.rate_per_delta))
-            yield session.env.timeout(gap * cfg.delta)
-            if session.env.now >= horizon or session.leaf.decoder.complete:
-                return
-            live = [
-                pid for pid in session.peer_ids
-                if not session.peers[pid].crashed
-            ]
-            if len(live) <= self.min_live:
-                continue
+        if session.env.now >= horizon or session.leaf.decoder.complete:
+            return
+        live = [
+            pid for pid in session.peer_ids
+            if not session.peers[pid].crashed
+        ]
+        if len(live) > self.min_live:
+            rng = session.streams.get("churn/plan")
             victim = live[int(rng.integers(len(live)))]
             FIRE["peer.crash"](session, Leg(0.0, "peer.crash", victim), ())
             downtime = float(rng.exponential(self.mean_downtime_deltas)) * cfg.delta
             rejoin = Leg(downtime, "peer.rejoin", victim, guarded=True)
-            session.env.process(run_legs(session, (rejoin,)))
+            run_legs(session, (rejoin,))
+        self._arm(session)
 
 
 # ----------------------------------------------------------------------

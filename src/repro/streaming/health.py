@@ -106,7 +106,11 @@ class HealthMonitor:
         #: peer -> leaf arrival count at the previous check
         self._arrivals_prev: Dict[str, int] = {}
         self._last_busy = session.env.now
-        session.env.process(self._run())
+        self._period = CHECK_PERIOD_DELTAS * session.config.delta
+        self._idle_grace = max(
+            IDLE_GRACE_DELTAS * session.config.delta, 4 * self._period
+        )
+        session.env.call_soon(session.env.call_later, self._period, self._check)
 
     # ------------------------------------------------------------------
     # queries / feeds
@@ -128,30 +132,28 @@ class HealthMonitor:
     # ------------------------------------------------------------------
     # scoring loop
     # ------------------------------------------------------------------
-    def _run(self):
+    def _check(self) -> None:
+        """Score every peer not in quarantine; the next check follows
+        one period later until the leaf is complete or nothing has been
+        busy for the idle grace."""
         session = self.session
-        env = session.env
-        cfg = session.config
-        period = CHECK_PERIOD_DELTAS * cfg.delta
-        idle_grace = max(IDLE_GRACE_DELTAS * cfg.delta, 4 * period)
-        while True:
-            yield env.timeout(period)
-            now = env.now
-            if session.leaf.decoder.complete:
-                return
-            for pid in session.peer_ids:
-                if pid in self.quarantined:
-                    continue  # only probes readmit
-                self._check_peer(pid, period)
-            busy = self.quarantined or any(
-                not agent.crashed
-                and any(not s.exhausted for s in agent.streams)
-                for agent in session.peers.values()
-            )
-            if busy:
-                self._last_busy = now
-            elif now - self._last_busy >= idle_grace:
-                return
+        now = session.env.now
+        if session.leaf.decoder.complete:
+            return
+        for pid in session.peer_ids:
+            if pid in self.quarantined:
+                continue  # only probes readmit
+            self._check_peer(pid, self._period)
+        busy = self.quarantined or any(
+            not agent.crashed
+            and any(not s.exhausted for s in agent.streams)
+            for agent in session.peers.values()
+        )
+        if busy:
+            self._last_busy = now
+        elif now - self._last_busy >= self._idle_grace:
+            return
+        session.env.call_later(self._period, self._check)
 
     def _check_peer(self, pid: str, period: float) -> None:
         session = self.session
@@ -234,7 +236,7 @@ class HealthMonitor:
             # proactive: hand the residual off now, without waiting for
             # a crash confirmation the peer may never earn
             session.recoordinator.reissue_residual(pid)
-        session.env.process(self._probe_loop(pid, record))
+        session.env.call_soon(self._probe, pid, record, 0)
 
     def _is_false_quarantine(self, pid: str) -> bool:
         """Ground truth off the fault ledger, for metrics and the audit
@@ -244,40 +246,45 @@ class HealthMonitor:
     # ------------------------------------------------------------------
     # half-open probing
     # ------------------------------------------------------------------
-    def _probe_loop(self, pid: str, record: QuarantineRecord):
+    def _probe(self, pid: str, record: QuarantineRecord, successes: int) -> None:
+        """Send one probe to a quarantined peer (while the budget lasts)
+        and judge it one probe period later."""
+        if pid not in self.quarantined or record.probes_sent >= PROBE_BUDGET:
+            return  # readmitted, or budget spent: the peer stays quarantined
+        session = self.session
+        record.probes_sent += 1
+        # fire-and-forget: a reliable probe would spend the retry
+        # budget re-reaching the very peer we are measuring
+        session.send_control(session.leaf.peer_id, pid, "probe", reliable=False)
+        session.env.call_later(
+            PROBE_PERIOD_DELTAS * session.config.delta,
+            self._judge_probe, pid, record, successes, session.env.now,
+        )
+
+    def _judge_probe(
+        self, pid: str, record: QuarantineRecord, successes: int, sent_at: float
+    ) -> None:
+        if pid not in self.quarantined:
+            return
         session = self.session
         env = session.env
-        detector = session.detector
-        period = PROBE_PERIOD_DELTAS * session.config.delta
-        leaf_id = session.leaf.peer_id
-        successes = 0
-        while pid in self.quarantined:
-            if record.probes_sent >= PROBE_BUDGET:
-                return  # budget spent: the peer stays quarantined
-            sent_at = env.now
-            record.probes_sent += 1
-            # fire-and-forget: a reliable probe would spend the retry
-            # budget re-reaching the very peer we are measuring
-            session.send_control(leaf_id, pid, "probe", reliable=False)
-            yield env.timeout(period)
-            if pid not in self.quarantined:
-                return
-            st = detector.monitored.get(pid)
-            ok = st is not None and st.last_heard > sent_at
-            successes = successes + 1 if ok else 0
-            if env.hooks.tracer is not None:
-                env.hooks.tracer.emit(
-                    "health.probe",
-                    pid,
-                    ok=ok,
-                    successes=successes,
-                    required=PROBE_SUCCESSES,
-                )
-            if successes >= PROBE_SUCCESSES:
-                self._readmit(pid, record, successes)
-                return
-            if session.leaf.decoder.complete:
-                return
+        st = session.detector.monitored.get(pid)
+        ok = st is not None and st.last_heard > sent_at
+        successes = successes + 1 if ok else 0
+        if env.hooks.tracer is not None:
+            env.hooks.tracer.emit(
+                "health.probe",
+                pid,
+                ok=ok,
+                successes=successes,
+                required=PROBE_SUCCESSES,
+            )
+        if successes >= PROBE_SUCCESSES:
+            self._readmit(pid, record, successes)
+            return
+        if session.leaf.decoder.complete:
+            return
+        self._probe(pid, record, successes)
 
     def _readmit(
         self, pid: str, record: QuarantineRecord, probes: int

@@ -59,7 +59,13 @@ class LeafPeerAgent:
         self.receive_overruns = 0
         self.completed_at: Optional[float] = None
         if playback:
-            session.env.process(self._playback_clock())
+            # startup delay: two control delays plus one packet period
+            cfg = session.config
+            session.env.call_soon(
+                session.env.call_later,
+                2 * cfg.delta + 1.0 / cfg.tau,
+                self._play,
+            )
 
     @property
     def env(self):
@@ -160,35 +166,34 @@ class LeafPeerAgent:
             self.buffer.offer(seq)
 
     # ------------------------------------------------------------------
-    def _playback_clock(self):
-        cfg = self.session.config
-        period = 1.0 / cfg.tau
-        # startup delay: two control delays plus one packet period
-        yield self.env.timeout(2 * cfg.delta + period)
-        while not self.buffer.finished:
-            played = self.buffer.play_next()
-            if played is not None:
-                if self.packets is not None:
-                    # playback consumed a frame: the tail event of a
-                    # packet's causal journey (tx → rx → play)
-                    self.packets.record("buffer.play", self.peer_id, seq=played)
-            else:
+    def _play(self) -> None:
+        """One tick of the playback clock: play (or stall on) the next
+        frame, then wait one packet period."""
+        if self.buffer.finished:
+            return
+        played = self.buffer.play_next()
+        if played is not None:
+            if self.packets is not None:
+                # playback consumed a frame: the tail event of a
+                # packet's causal journey (tx → rx → play)
+                self.packets.record("buffer.play", self.peer_id, seq=played)
+        else:
+            if self.env.hooks.tracer is not None:
+                self.env.hooks.tracer.emit(
+                    "buffer.underrun",
+                    self.peer_id,
+                    seq=self.buffer.next_needed,
+                )
+            # degrade, don't deadlock: after SKIP_AFTER_MISSES
+            # consecutive stalls give the packet up and move on —
+            # a partitioned leaf keeps (gappy) playback running
+            if self.buffer.should_skip:
+                skipped = self.buffer.skip()
                 if self.env.hooks.tracer is not None:
                     self.env.hooks.tracer.emit(
-                        "buffer.underrun",
-                        self.peer_id,
-                        seq=self.buffer.next_needed,
+                        "buffer.skip", self.peer_id, seq=skipped
                     )
-                # degrade, don't deadlock: after SKIP_AFTER_MISSES
-                # consecutive stalls give the packet up and move on —
-                # a partitioned leaf keeps (gappy) playback running
-                if self.buffer.should_skip:
-                    skipped = self.buffer.skip()
-                    if self.env.hooks.tracer is not None:
-                        self.env.hooks.tracer.emit(
-                            "buffer.skip", self.peer_id, seq=skipped
-                        )
-            yield self.env.timeout(period)
+        self.env.call_later(1.0 / self.session.config.tau, self._play)
 
     # ------------------------------------------------------------------
     # measurements

@@ -69,30 +69,31 @@ class RepairMonitor:
         self.rounds_issued = 0
         self.gave_up = False
         self._rng = session.streams.get("repair/leaf")
-        session.env.process(self._run())
+        self._period = CHECK_PERIOD_DELTAS * session.config.delta
+        self._last_held = -1
+        self._stalls = 0
+        session.env.call_soon(self._arm)
 
     # ------------------------------------------------------------------
-    def _run(self):
-        session = self.session
-        env = session.env
-        decoder = session.leaf.decoder
-        period = CHECK_PERIOD_DELTAS * session.config.delta
-        last_held = -1
-        stalls = 0
-        while not decoder.complete:
-            yield env.timeout(period)
-            held = len(decoder.data_seqs_held())
-            if held == last_held:
-                stalls += 1
-            else:
-                stalls = 0
-                last_held = held
-            if stalls >= STALL_CHECKS:
-                stalls = 0
-                if self.rounds_issued >= MAX_ROUNDS:
-                    self.gave_up = True
-                    return
-                self._issue_round()
+    def _arm(self) -> None:
+        """Check again one period from now, until the leaf is complete."""
+        if not self.session.leaf.decoder.complete:
+            self.session.env.call_later(self._period, self._check)
+
+    def _check(self) -> None:
+        held = len(self.session.leaf.decoder.data_seqs_held())
+        if held == self._last_held:
+            self._stalls += 1
+        else:
+            self._stalls = 0
+            self._last_held = held
+        if self._stalls >= STALL_CHECKS:
+            self._stalls = 0
+            if self.rounds_issued >= MAX_ROUNDS:
+                self.gave_up = True
+                return
+            self._issue_round()
+        self._arm()
 
     def _issue_round(self) -> None:
         session = self.session

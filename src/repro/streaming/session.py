@@ -65,7 +65,12 @@ class SessionResult:
     receive_overruns: int
     #: data packets that arrived ahead of the leaf's contiguous prefix
     order_violations: int
+    #: when the leaf first held the whole content (None if it never
+    #: did); the tables read this
     completed_at: Optional[float]
+    #: the clock when the heap emptied — possibly a dormant timer's
+    #: no-op wake-up (an acked send's retry timer) well after the last
+    #: event that did anything
     elapsed: float
     # --- churn-tolerance metrics (defaults keep older call sites valid) ---
     #: control-plane retransmissions per message kind (empty without a

@@ -409,49 +409,56 @@ class SwarmSession:
         ]
         for leaf_id, at in zip(self.leaf_ids, offsets):
             self.outcomes[leaf_id] = LeafOutcome(leaf_id)
-            self.env.process(self._leaf_lifecycle(leaf_id, at))
+            self.env.call_soon(self._join, leaf_id, at)
 
     # ------------------------------------------------------------------
-    def _leaf_lifecycle(self, leaf_id: str, at: float):
-        """Arrival → admission (with backoff retries) → stream → release."""
+    # a leaf's lifecycle: arrival → admission (with backoff retries) →
+    # stream → watch for completion → release
+    def _join(self, leaf_id: str, at: float) -> None:
         if at > 0:
-            yield self.env.timeout(at)
+            self.env.call_later(at, self._arrive, leaf_id)
+        else:
+            self._arrive(leaf_id)
+
+    def _arrive(self, leaf_id: str) -> None:
         outcome = self.outcomes[leaf_id]
         outcome.arrived_at = self.env.now
         self.commons.emit("admit.request", leaf_id, at=self.env.now)
-        admitted = True
-        if self.admission is not None:
-            retry = ADMIT_RETRY
-            wait = retry.ack_timeout_deltas * self.config.delta
-            admitted = False
-            for attempt in range(retry.max_retries + 1):
-                outcome.attempts += 1
-                if self.admission.try_admit(leaf_id):
-                    admitted = True
-                    break
-                if attempt == retry.max_retries:
-                    break
-                # full jitter over [1 − j/2, 1 + j/2] — the PR 6 shape,
-                # from the swarm's own deterministic stream
-                jittered = wait * (
-                    1.0
-                    + retry.jitter * (float(self._backoff_rng.random()) - 0.5)
-                )
-                self.admission.retries += 1
-                self.commons.emit(
-                    "admit.retry", leaf_id,
-                    attempt=attempt + 1, wait=jittered,
-                )
-                yield self.env.timeout(jittered)
-                wait *= retry.backoff
-        else:
+        if self.admission is None:
             outcome.attempts = 1
-        if not admitted:
+            self._admitted(leaf_id)
+        else:
+            wait = ADMIT_RETRY.ack_timeout_deltas * self.config.delta
+            self._try_admit(leaf_id, 0, wait)
+
+    def _try_admit(self, leaf_id: str, attempt: int, wait: float) -> None:
+        retry = ADMIT_RETRY
+        outcome = self.outcomes[leaf_id]
+        outcome.attempts += 1
+        if self.admission.try_admit(leaf_id):
+            self._admitted(leaf_id)
+            return
+        if attempt == retry.max_retries:
             outcome.gave_up = True
             self.commons.emit(
                 "admit.give_up", leaf_id, attempts=outcome.attempts
             )
             return
+        # full jitter over [1 − j/2, 1 + j/2] — the retransmit
+        # policy's shape, from the swarm's own deterministic stream
+        jittered = wait * (
+            1.0 + retry.jitter * (float(self._backoff_rng.random()) - 0.5)
+        )
+        self.admission.retries += 1
+        self.commons.emit(
+            "admit.retry", leaf_id, attempt=attempt + 1, wait=jittered
+        )
+        self.env.call_later(
+            jittered, self._try_admit, leaf_id, attempt + 1, wait * retry.backoff
+        )
+
+    def _admitted(self, leaf_id: str) -> None:
+        outcome = self.outcomes[leaf_id]
         outcome.admitted = True
         outcome.admitted_at = self.env.now
         session = StreamingSession(self.template, self.commons, leaf_id)
@@ -463,15 +470,18 @@ class SwarmSession:
         cfg = self.config
         duration = cfg.content_packets / cfg.tau
         deadline = self.env.now + WATCH_DURATIONS * duration + cfg.delta
-        leaf = session.leaf
-        while self.env.now < deadline:
-            yield self.env.timeout(cfg.delta)
-            if leaf.decoder.complete:
-                break
+        self.env.call_later(cfg.delta, self._watch, leaf_id, deadline)
+
+    def _watch(self, leaf_id: str, deadline: float) -> None:
+        leaf = self.sessions[leaf_id].leaf
+        if not leaf.decoder.complete and self.env.now < deadline:
+            self.env.call_later(self.config.delta, self._watch, leaf_id, deadline)
+            return
         # deadline (or completion) snapshot — the QoE that counts.
         # Whatever dribbles in after the viewer's patience ran out is
         # still simulated (the run drains to quiescence) but no longer
         # credited to this leaf.
+        outcome = self.outcomes[leaf_id]
         outcome.receipt_rate = leaf.receipt_rate()
         outcome.delivery_ratio = leaf.decoder.delivery_ratio()
         outcome.completed_at = leaf.completed_at

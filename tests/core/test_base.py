@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
+from repro import sim
 from repro.core import (
     Assignment,
     ProtocolConfig,
@@ -125,31 +126,22 @@ class TestDivisionRule:
             and any(getattr(f, "target", None) is not None
                     and f.target.id == "assignment" for f in c.body)
         ] == ["AssignmentMessage"]
-        # a wait is a timer: no module races events, and the reliable
-        # control plane starts no process and makes no event per send
+        # a loop is a timer: no module under src/repro starts a process,
+        # makes an event or waits on a timeout, and the kernel exports
+        # no such thing
+        assert not [
+            (path.relative_to(src).as_posix(), c.func.attr)
+            for path in sorted(src.rglob("*.py"))
+            for c in ast.walk(ast.parse(path.read_text()))
+            if isinstance(c, ast.Call) and isinstance(c.func, ast.Attribute)
+            and c.func.attr in ("process", "event", "timeout")
+        ]
+        assert not {"Event", "Timeout", "Process"} & set(sim.__all__)
         assert not [
             path for path in sorted(src.rglob("*.py"))
             if "AnyOf" in path.read_text()
         ]
-        # TCoP's processes are the leaf's handshake and a peer's
-        # selection loop; its offer timeout and claim watchdog are timers
-        assert [
-            d.name
-            for d in ast.walk(trees[src / "core" / "tcop.py"])
-            if isinstance(d, ast.FunctionDef)
-            and any(getattr(getattr(c, "func", None), "attr", None) == "process"
-                    for c in ast.walk(d))
-        ] == ["initiate", "_on_start"]
-        plane = next(
-            c for c in ast.walk(ast.parse((src / "net" / "overlay.py").read_text()))
-            if isinstance(c, ast.ClassDef) and c.name == "ControlPlane"
-        )
-        assert not [
-            c.func.attr
-            for c in ast.walk(plane)
-            if isinstance(c, ast.Call) and isinstance(c.func, ast.Attribute)
-            and c.func.attr in ("process", "event", "timeout")
-        ]
+
 
 class TestAssignment:
     def test_build_plan_matches_esq_div(self):

@@ -236,14 +236,12 @@ def test_coordination_send_times_skip_media():
     ov.add_node("a", ignore)
     ov.add_node("b", ignore)
 
-    def proc():
-        yield env.timeout(4)
+    def at_four():
         ov.send("a", "b", "control")
         ov.send("a", "b", "packet")
-        yield env.timeout(2)
-        ov.send("b", "a", "ack")
+        env.call_later(2, ov.send, "b", "a", "ack")
 
-    env.process(proc())
+    env.call_later(4, at_four)
     env.run()
     assert ov.traffic.coordination_send_times == [4, 6]
     assert ov.traffic.sent_by_kind["packet"] == 1

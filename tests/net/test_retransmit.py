@@ -208,11 +208,7 @@ def test_dead_sender_stops_retrying():
     plane.on_give_up = lambda *a: gave_up.append(a)
     plane.send("a", "b", "control")
 
-    def crash_a():
-        yield env.timeout(15.0)
-        overlay.nodes["a"].crash()
-
-    env.process(crash_a())
+    env.call_later(15.0, overlay.nodes["a"].crash)
     env.run()
     # the sender died mid-ladder: no give-up is reported, no retries leak
     assert gave_up == []

@@ -72,11 +72,9 @@ def test_bus_counts_and_clocks_every_event_but_the_auditors_own():
     env = Environment()
     bus = TraceBus(TraceConfig(categories=frozenset({"peer"})), env)
     bus.emit("msg.send", "p0", kind="control")  # not exported, not read: counted
-    env.timeout(5.0)
-    env.run()
+    env.run(until=5.0)
     bus.emit("peer.crash", "p0")
-    env.timeout(2.0)
-    env.run()
+    env.run(until=7.0)
     bus.emit("audit.warning", "x", about="p0")
     crashes = Recorder("peer.crash").bind()
     feed(bus.events, [crashes], PacketLedger())

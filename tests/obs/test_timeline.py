@@ -21,8 +21,7 @@ def test_timeline_keeps_rows_for_reissued_rounds():
     # CP3 crashes mid-wave; the leaf re-floods its residual
     bus.emit("peer.crash", "CP3")
     bus.emit("recoord.reissue", "CP3", residual=40, targets=2)
-    env.timeout(90.0)
-    env.run()
+    env.run(until=90.0)
     # the re-coordinated wave activates a dormant orphan two rounds on
     bus.emit("peer.activate", "CP4", round=4)
 

@@ -140,8 +140,7 @@ def test_a_finding_follows_the_event_that_raised_it():
     env = Environment()
     bus = TraceBus(TraceConfig(), env)
     bus.emit("peer.activate", "p0", round=1)
-    env.timeout(5.0)
-    env.run()
+    env.run(until=5.0)
     bus.emit("peer.activate", "p1", round=1)
     echo, reader = Echo().bind(), Reader().bind()
     _, log = feed(bus.events, [echo, reader], PacketLedger(), end=9.0)
@@ -168,8 +167,7 @@ def test_finalize_closes_waves_at_last_activation_and_is_idempotent():
     bus = TraceBus(TraceConfig(), env)
     bus.wave_start(1, "leaf")
     bus.emit("peer.activate", "p0", round=1)
-    env.timeout(7.0)
-    env.run()  # drains the timeout: now == 7.0
+    env.run(until=7.0)
     bus.emit("peer.activate", "p1", round=1)
     bus.finalize()
     (end,) = bus.of_kind("wave.end")

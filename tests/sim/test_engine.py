@@ -1,8 +1,8 @@
-"""Tests for the DES environment: clock, run horizons, event ordering."""
+"""Tests for the DES environment: clock, run horizons, timer ordering."""
 
 import pytest
 
-from repro.sim import Environment, Event, StopSimulation, Timeout
+from repro.sim import Environment, StopSimulation
 
 
 def test_initial_time_defaults_to_zero():
@@ -17,25 +17,21 @@ def test_initial_time_configurable():
 
 def test_timeout_advances_clock():
     env = Environment()
-
-    def proc():
-        yield env.timeout(5)
-        return env.now
-
-    p = env.process(proc())
-    assert env.run(p) == 5
+    seen = []
+    env.call_later(5, lambda: seen.append(env.now))
+    env.run()
+    assert seen == [5]
 
 
 def test_run_until_time_stops_exactly():
     env = Environment()
     log = []
 
-    def proc():
-        while True:
-            yield env.timeout(1)
-            log.append(env.now)
+    def tick():
+        log.append(env.now)
+        env.call_later(1, tick)
 
-    env.process(proc())
+    env.call_later(1, tick)
     env.run(until=3.5)
     assert log == [1, 2, 3]
     assert env.now == 3.5
@@ -49,63 +45,16 @@ def test_run_until_past_raises():
 
 def test_run_to_exhaustion_returns_none():
     env = Environment()
-
-    def proc():
-        yield env.timeout(1)
-
-    env.process(proc())
+    env.call_later(1, lambda: None)
     assert env.run() is None
     assert env.now == 1
-
-
-def test_run_until_event_returns_value():
-    env = Environment()
-    ev = env.event()
-
-    def proc():
-        yield env.timeout(2)
-        ev.succeed("done")
-
-    env.process(proc())
-    assert env.run(until=ev) == "done"
-
-
-def test_run_until_already_processed_event():
-    env = Environment()
-    ev = env.event()
-
-    def proc():
-        yield env.timeout(1)
-        ev.succeed(99)
-
-    env.process(proc())
-    env.run(until=10)
-    assert env.run(until=ev) == 99
-
-
-def test_run_until_never_triggered_event_raises():
-    env = Environment()
-    ev = env.event()
-
-    def proc():
-        yield env.timeout(1)
-
-    env.process(proc())
-    with pytest.raises(RuntimeError, match="ran out of events"):
-        env.run(until=ev)
 
 
 def test_events_at_same_time_fifo():
     env = Environment()
     order = []
-
-    def proc(tag):
-        yield env.timeout(1)
-        order.append(tag)
-
-    env.process(proc("a"))
-    env.process(proc("b"))
-    env.process(proc("c"))
+    for tag in "abc":
+        env.call_soon(env.call_later, 1, order.append, tag)
     env.run()
     assert order == ["a", "b", "c"]
 
@@ -113,80 +62,24 @@ def test_events_at_same_time_fifo():
 def test_len_counts_pending_events():
     env = Environment()
     assert len(env) == 0
-    env.timeout(7)
+    env.call_later(7, lambda: None)
     assert len(env) == 1
-
-
-def test_negative_timeout_rejected():
-    env = Environment()
-    with pytest.raises(ValueError):
-        env.timeout(-1)
-
-
-def test_timeout_carries_value():
-    env = Environment()
-
-    def proc():
-        got = yield env.timeout(1, value="payload")
-        return got
-
-    p = env.process(proc())
-    assert env.run(p) == "payload"
 
 
 def test_unhandled_process_crash_propagates():
     env = Environment()
 
     def bad():
-        yield env.timeout(1)
         raise ValueError("boom")
 
-    env.process(bad())
+    env.call_later(1, bad)
     with pytest.raises(ValueError, match="boom"):
         env.run()
-
-
-def test_crash_waited_on_is_rethrown_in_waiter():
-    env = Environment()
-
-    def bad():
-        yield env.timeout(1)
-        raise KeyError("inner")
-
-    def waiter():
-        try:
-            yield env.process(bad())
-        except KeyError:
-            return "caught"
-
-    p = env.process(waiter())
-    assert env.run(p) == "caught"
-
-
-def test_process_return_value_propagates():
-    env = Environment()
-
-    def inner():
-        yield env.timeout(3)
-        return 123
-
-    def outer():
-        val = yield env.process(inner())
-        return val * 2
-
-    p = env.process(outer())
-    assert env.run(p) == 246
+    assert env.now == 1
 
 
 def test_stop_simulation_is_exception():
     assert issubclass(StopSimulation, Exception)
-
-
-def test_event_factory_binds_env():
-    env = Environment()
-    ev = env.event()
-    assert isinstance(ev, Event)
-    assert ev.env is env
 
 
 def test_nested_processes_share_clock():
@@ -194,30 +87,57 @@ def test_nested_processes_share_clock():
     times = {}
 
     def child():
-        yield env.timeout(4)
         times["child"] = env.now
 
     def parent():
-        yield env.timeout(1)
-        yield env.process(child())
+        env.call_soon(env.call_later, 4, child)
         times["parent"] = env.now
 
-    env.process(parent())
+    env.call_later(1, parent)
     env.run()
-    assert times == {"child": 5, "parent": 5}
-
-
-def test_timeout_is_event_subclass():
-    env = Environment()
-    assert isinstance(env.timeout(0), Timeout)
+    assert times == {"child": 5, "parent": 1}
 
 
 def test_zero_delay_timeout_processes_same_time():
     env = Environment()
+    seen = []
+    env.call_later(0, lambda: seen.append(env.now))
+    env.run()
+    assert seen == [0.0]
 
-    def proc():
-        yield env.timeout(0)
-        return env.now
 
-    p = env.process(proc())
-    assert env.run(p) == 0.0
+# ----------------------------------------------------------------------
+# the slot rule: how a loop's steps interleave with everything else due
+# at the same instant
+# ----------------------------------------------------------------------
+def test_call_soon_runs_after_earlier_urgent_and_before_queued_normal():
+    env = Environment()
+    order = []
+
+    def at_five():
+        env.call_later(0, order.append, "normal queued at t=5")
+        env.call_soon(order.append, "urgent 1")
+        env.call_soon(order.append, "urgent 2")
+
+    env.call_later(5, at_five)
+    env.call_later(5, order.append, "normal queued at t=0")
+    env.run()
+    assert order == [
+        "urgent 1", "urgent 2", "normal queued at t=0", "normal queued at t=5"
+    ]
+
+
+def test_call_later_zero_from_a_callback_runs_after_everything_queued_now():
+    env = Environment()
+    order = []
+
+    def first():
+        order.append("first")
+        env.call_later(0, order.append, "continuation")
+
+    env.call_later(3, first)
+    env.call_later(3, order.append, "second")
+    env.call_soon(env.call_later, 3, order.append, "third")
+    env.run()
+    assert order == ["first", "second", "third", "continuation"]
+    assert env.now == 3

@@ -134,13 +134,13 @@ class TestEnvironmentSelection:
             env = Environment(scheduler=scheduler)
             log = []
 
-            def ticker(name, period):
-                while env.now < 40:
-                    yield env.timeout(period)
-                    log.append((env.now, name))
+            def tick(name, period):
+                log.append((env.now, name))
+                if env.now < 40:
+                    env.call_later(period, tick, name, period)
 
-            env.process(ticker("a", 1.0))
-            env.process(ticker("b", 2.5))
+            env.call_soon(env.call_later, 1.0, tick, "a", 1.0)
+            env.call_soon(env.call_later, 2.5, tick, "b", 2.5)
             env.call_later(7.25, lambda: log.append((env.now, "timer")))
             env.run(until=45)
             return log
@@ -175,19 +175,6 @@ class TestTimers:
         env.run(until=2)
         assert len(env._timer_pool) <= _TIMER_POOL_MAX
 
-    def test_waited_on_timer_is_not_recycled(self):
-        env = Environment()
-        timer = env.call_later(1.0, lambda: None)
-        got = []
-
-        def waiter():
-            got.append((yield timer))
-
-        env.process(waiter())
-        env.run(until=3)
-        assert got == [None]
-        assert timer not in env._timer_pool
-
 
 # ----------------------------------------------------------------------
 # hooks facade
@@ -205,12 +192,8 @@ class TestHooks:
 class TestSlots:
     @pytest.mark.parametrize(
         "factory",
-        [
-            lambda env: env.event(),
-            lambda env: env.timeout(1.0),
-            lambda env: env.call_later(1.0, lambda: None),
-        ],
-        ids=["Event", "Timeout", "Timer"],
+        [lambda env: env.call_later(1.0, lambda: None)],
+        ids=["Timer"],
     )
     def test_hot_events_have_no_dict(self, factory):
         obj = factory(Environment())

@@ -323,3 +323,30 @@ def test_accrual_matches_fixed_on_clean_runs():
         assert r.suspected_peers == []
         assert r.confirmed_failures == []
         assert r.delivery_ratio == 1.0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="known defect: a peer that rejoins inside one heartbeat period "
+    "starts no heartbeat loop, because the pre-crash loop still holds "
+    "_heartbeat_running until it wakes and sees the new epoch",
+)
+def test_a_rejoined_peer_heartbeats_again():
+    from repro.obs import TraceConfig
+
+    cfg = ProtocolConfig(n=8, H=4, content_packets=400, seed=0)
+    s = SessionSpec(
+        cfg,
+        ProtocolSpec("dcop"),
+        detector_policy=DetectorSpec("accrual"),
+        fault_plan=FaultPlan().crash("CP1", at=100).rejoin("CP1", at=103),
+        trace=TraceConfig(),
+    ).build()
+    s.run()
+    after = [
+        e.payload()["kind"]
+        for e in s.commons.trace_bus.of_kind("msg.send")
+        if e.subject == "CP1" and e.ts >= 103
+    ]
+    assert after.count("packet") > 0  # it did resume its residual …
+    assert after.count("heartbeat") > 0  # … and should say so
