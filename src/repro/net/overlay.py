@@ -18,7 +18,7 @@ from repro.net.node import Node
 from repro.sim.rng import RandomStreams
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.engine import Environment
+    from repro.sim.engine import Environment, Timer
 
 
 @dataclass
@@ -153,6 +153,8 @@ class _InFlight:
     #: the eventual ack can no longer be attributed to one transmission,
     #: so it yields no RTT sample
     attempt: int = 0
+    #: the current attempt's timer, cancelled by the ack
+    timer: Optional["Timer"] = None
 
 
 #: clamp for the adaptive RTO, in δ units
@@ -215,16 +217,16 @@ class ControlPlane:
             src, dst, kind, body=body, size_bytes=size_bytes,
             msg_id=mid, ctx=self.ctx,
         )
-        self._arm(mid, sent.wait)
+        self._arm(mid, sent)
 
-    def _arm(self, mid: int, wait: float) -> None:
+    def _arm(self, mid: int, sent: _InFlight) -> None:
         """One timer for the attempt's wait, its jitter drawn now."""
         # full jitter: spread over [1 - j/2, 1 + j/2] so equal-policy
         # senders de-align instead of piling onto the lower edge
-        jittered = wait * (
+        jittered = sent.wait * (
             1.0 + self.policy.jitter * (float(self._rng.random()) - 0.5)
         )
-        self.env.call_later(jittered, self._expire, mid)
+        sent.timer = self.env.call_later(jittered, self._expire, mid)
 
     def _timeout_for(self, dst: str) -> float:
         """Base ack timeout toward ``dst`` (ms): fixed, or adaptive RTO."""
@@ -246,11 +248,9 @@ class ControlPlane:
         return est.srtt if est is not None else None
 
     def _expire(self, mid: int) -> None:
-        """An attempt's wait ran out: nothing to do if the send was acked
-        (it left ``_pending``); else retransmit, or give up."""
-        sent = self._pending.get(mid)
-        if sent is None:
-            return
+        """An attempt's wait ran out unacked (the ack cancels the timer):
+        retransmit, or give up."""
+        sent = self._pending[mid]
         src, dst, kind = sent.src, sent.dst, sent.kind
         if self.overlay.nodes[src].down:
             # a dead sender retries nothing
@@ -277,7 +277,7 @@ class ControlPlane:
             msg_id=mid, ctx=self.ctx,
         )
         sent.wait *= self.policy.backoff
-        self._arm(mid, sent.wait)
+        self._arm(mid, sent)
 
     # ------------------------------------------------------------------
     def intercept(self, message: Message) -> bool:
@@ -291,6 +291,7 @@ class ControlPlane:
         if message.kind == "ack":
             sent = self._pending.pop(message.body, None)
             if sent is not None:
+                sent.timer.cancel()
                 if self.env.hooks.tracer is not None:
                     # close of the reliable exchange: the sender observed
                     # the first ack for this mid

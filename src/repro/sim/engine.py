@@ -13,10 +13,6 @@ URGENT = 0
 #: Priority of :meth:`Environment.call_later`.
 NORMAL = 1
 
-#: Fired timers are recycled through a bounded free list; past this size
-#: they are simply dropped for the garbage collector.
-_TIMER_POOL_MAX = 512
-
 
 class StopSimulation(Exception):
     """Raised by the horizon timer to end :meth:`Environment.run`."""
@@ -35,16 +31,22 @@ class Timer:
     kind of event, one heap entry.
 
     Made by :meth:`Environment.call_later` and
-    :meth:`Environment.call_soon`; fired timers are pooled and handed out
-    again, so nothing should keep one after it fired.
+    :meth:`Environment.call_soon`; whoever keeps one may :meth:`cancel` it.
     """
 
     __slots__ = ("fn", "args")
 
+    def cancel(self) -> None:
+        """Never fire: :meth:`Environment.step` drops the entry when it
+        pops it, without moving the clock (lazy deletion).  A no-op on a
+        timer that already fired or was cancelled."""
+        self.args = None
+
     @property
     def callbacks(self):
-        """The callback while the timer is pending, ``None`` once fired:
-        how an instrumented scheduler tells the two apart."""
+        """The callback, kept through a cancel: an instrumented scheduler
+        counts an entry with none as dead, and a cancelled one already
+        counts once, as a pop that :meth:`Environment.step` skipped."""
         return self.fn
 
 
@@ -102,7 +104,6 @@ class Environment:
         self._eid = count()
         #: instrumentation facade — always present; see :class:`SimHooks`
         self.hooks = SimHooks()
-        self._timer_pool: list[Timer] = []
 
     # ------------------------------------------------------------------
     # inspection
@@ -117,7 +118,7 @@ class Environment:
         """The scheduler holding this environment's pending events."""
         return self._sched
 
-    def __len__(self) -> int:
+    def __len__(self) -> int:  # cancelled entries count until popped
         return len(self._sched)
 
     # ------------------------------------------------------------------
@@ -130,8 +131,7 @@ class Environment:
         so ``call_later(0, …)`` runs once the current instant's queue
         has drained.
         """
-        pool = self._timer_pool
-        timer = pool.pop() if pool else Timer()
+        timer = Timer()
         timer.fn = fn
         timer.args = args
         self._sched.push((self._now + delay, NORMAL, next(self._eid), timer))
@@ -141,24 +141,26 @@ class Environment:
         """Schedule ``fn(*args)`` at the current instant, ahead of every
         :meth:`call_later` timer due now (but after earlier
         ``call_soon`` ones): how a loop takes its first step."""
-        pool = self._timer_pool
-        timer = pool.pop() if pool else Timer()
+        timer = Timer()
         timer.fn = fn
         timer.args = args
         self._sched.push((self._now, URGENT, next(self._eid), timer))
         return timer
 
     def step(self) -> None:
-        """Fire the next timer; raise :class:`EmptySchedule` when none
-        remain.  An exception out of the callback propagates."""
+        """Fire the next timer not cancelled (the cancelled ones before it
+        are dropped and never move the clock); raise :class:`EmptySchedule`
+        when none remain.  An exception out of the callback propagates."""
         try:
-            self._now, _, _, timer = self._sched.pop()
+            when, _, _, timer = self._sched.pop()
+            args = timer.args
+            while args is None:
+                when, _, _, timer = self._sched.pop()
+                args = timer.args
         except IndexError:
             raise EmptySchedule() from None
-        timer.fn(*timer.args)
-        timer.fn = timer.args = None
-        if len(self._timer_pool) < _TIMER_POOL_MAX:
-            self._timer_pool.append(timer)
+        self._now = when
+        timer.fn(*args)
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until no timer remains, or up to the simulated time

@@ -15,6 +15,8 @@ from repro.streaming.stream import Stream
 if TYPE_CHECKING:  # pragma: no cover
     from repro.streaming.session import StreamingSession
 
+HEARTBEAT = -1  #: the heartbeat chain's key in ``_timers``
+
 
 class ContentsPeerAgent:
     """One contents peer ``CP_i``.
@@ -24,8 +26,9 @@ class ContentsPeerAgent:
 
     * the *view* ``VW_i`` (peers known to be active/selected);
     * activation bookkeeping;
-    * one transmit loop per :class:`Stream`, pacing packets to the leaf at
-      the stream's current rate;
+    * one transmit chain per :class:`Stream`, pacing packets to the leaf
+      at the stream's current rate, and a heartbeat chain; :meth:`crash`
+      cancels each chain's pending timer;
     * random child selection from ``CP − VW_i − {self}``.
     """
 
@@ -59,9 +62,9 @@ class ContentsPeerAgent:
         #: are deduplicated by ``msg_id`` in the control plane), so a
         #: duplicated request/control/start/repair is applied exactly once
         self.dedup = DedupWindow()
-        #: bumped on rejoin so loops started before a crash stay dead
-        self._epoch = 0
-        self._heartbeat_running = False
+        #: the pending timer of each chain: a stream id per transmit
+        #: chain, :data:`HEARTBEAT` for the heartbeat chain
+        self._timers: dict = {}
 
     # ------------------------------------------------------------------
     # basics
@@ -164,28 +167,22 @@ class ContentsPeerAgent:
                     stream=stream_id,
                 )
             self._start_transmit(stream, stream_id)
-        if (
-            self.session.detector is not None
-            and self.active
-            and not self._heartbeat_running
-        ):
-            self._heartbeat_running = True
-            self.env.call_soon(self._heartbeat, self._epoch)
+        self._start_heartbeat()
 
     def _start_transmit(self, stream: Stream, stream_id: int) -> None:
-        """Start the transmit loop — batched when the session asks for it."""
+        """Start the transmit chain — batched when the session asks for it."""
         window = self.session.media_batch_window_ms
         if window > 0.0:
-            self.env.call_soon(
-                self._arm_batch, stream, self._epoch, stream_id, window, True
+            self._timers[stream_id] = self.env.call_soon(
+                self._arm_batch, stream, stream_id, window, True
             )
         else:
-            self.env.call_soon(
-                self._arm_transmit, stream, self._epoch, stream_id, True
+            self._timers[stream_id] = self.env.call_soon(
+                self._arm_transmit, stream, stream_id, True
             )
 
     def _arm_transmit(
-        self, stream: Stream, epoch: int, stream_id: int, first: bool = False
+        self, stream: Stream, stream_id: int, first: bool = False
     ) -> None:
         """Wait one packet period of a stream, then send its next packet.
 
@@ -202,15 +199,13 @@ class ContentsPeerAgent:
             # or their packets arrive at the leaf as synchronized
             # bursts no real sender population would produce
             period *= float(self._phase_rng.random())
-        self.env.call_later(period, self._transmit, stream, epoch, stream_id)
+        self._timers[stream_id] = self.env.call_later(
+            period, self._transmit, stream, stream_id
+        )
 
-    def _transmit(
-        self, stream: Stream, epoch: int, stream_id: int, pkt=None
-    ) -> None:
+    def _transmit(self, stream: Stream, stream_id: int, pkt=None) -> None:
         """Send a stream's next packet to the leaf (``pkt``: one the
         uplink held back), then arm the one after."""
-        if self.node.down or epoch != self._epoch:
-            return
         if pkt is None:
             pkt = stream.pop_next()
             if pkt is None:
@@ -224,11 +219,11 @@ class ContentsPeerAgent:
                 # a positive wait is backpressure into a later window.
                 wait = budget.reserve(self.env.now, parity=pkt.is_parity)
                 if wait is None:
-                    self._arm_transmit(stream, epoch, stream_id)
+                    self._arm_transmit(stream, stream_id)
                     return
                 if wait > 0.0:
-                    self.env.call_later(
-                        wait, self._transmit, stream, epoch, stream_id, pkt
+                    self._timers[stream_id] = self.env.call_later(
+                        wait, self._transmit, stream, stream_id, pkt
                     )
                     return
         if self.packets is not None:
@@ -240,12 +235,11 @@ class ContentsPeerAgent:
             body=pkt,
             size_bytes=self.session.config.packet_size,
         )
-        self._arm_transmit(stream, epoch, stream_id)
+        self._arm_transmit(stream, stream_id)
 
     def _arm_batch(
         self,
         stream: Stream,
-        epoch: int,
         stream_id: int,
         window: float,
         first: bool = False,
@@ -281,22 +275,19 @@ class ContentsPeerAgent:
         # (len−1)·period after the send, so a batch spanning several
         # windows keeps the same average rate
         count = max(int(window * rate), 2)
-        self.env.call_later(
-            delay, self._batch, stream, epoch, stream_id, window, period, count
+        self._timers[stream_id] = self.env.call_later(
+            delay, self._batch, stream, stream_id, window, period, count
         )
 
     def _batch(
         self,
         stream: Stream,
-        epoch: int,
         stream_id: int,
         window: float,
         period: float,
         count: int,
     ) -> None:
         """Send up to ``count`` packets of a stream as one batch."""
-        if self.node.down or epoch != self._epoch:
-            return
         budget = self.upload_budget
         if budget is not None:
             # finite uplink: shrink the batch to the current window's
@@ -304,9 +295,9 @@ class ContentsPeerAgent:
             # never queues into future windows, so it never sheds)
             allowed = budget.take(self.env.now, count)
             if allowed == 0:
-                self.env.call_later(
+                self._timers[stream_id] = self.env.call_later(
                     budget.next_window_wait(self.env.now), self._batch,
-                    stream, epoch, stream_id, window, period, count,
+                    stream, stream_id, window, period, count,
                 )
                 return
             count = allowed
@@ -337,7 +328,7 @@ class ContentsPeerAgent:
                 body=pkts[0],
                 size_bytes=cfg.packet_size,
             )
-            self._arm_batch(stream, epoch, stream_id, window)
+            self._arm_batch(stream, stream_id, window)
             return
         batch = PacketBatch(
             pkts, np.arange(len(pkts), dtype=np.float64) * period
@@ -346,16 +337,10 @@ class ContentsPeerAgent:
             self.peer_id, leaf_id, batch, cfg.packet_size
         )
         # sleep out the rest of the slot the batch covered
-        self.env.call_later(
-            (len(pkts) - 1) * period, self._slot_slept,
-            stream, epoch, stream_id, window,
+        self._timers[stream_id] = self.env.call_later(
+            (len(pkts) - 1) * period, self._arm_batch,
+            stream, stream_id, window,
         )
-
-    def _slot_slept(
-        self, stream: Stream, epoch: int, stream_id: int, window: float
-    ) -> None:
-        if not (self.node.down or epoch != self._epoch):
-            self._arm_batch(stream, epoch, stream_id, window)
 
     # ------------------------------------------------------------------
     # liveness (failure-detector support)
@@ -391,47 +376,51 @@ class ContentsPeerAgent:
         )
         return pending
 
-    def _heartbeat(self, epoch: int) -> None:
+    def _start_heartbeat(self) -> None:
+        """Start the heartbeat chain if a detector watches and none runs."""
+        if (
+            self.session.detector is not None
+            and self.active
+            and HEARTBEAT not in self._timers
+        ):
+            self._timers[HEARTBEAT] = self.env.call_soon(self._heartbeat)
+
+    def _heartbeat(self) -> None:
         """Emit periodic heartbeats to the leaf while this peer owes data.
 
         Each heartbeat carries the residual (the paper's ``SEQ_j`` tail as
         labels), so the leaf can re-coordinate it if this peer dies; the
-        final heartbeat reports ``done`` and ends the leaf's expectations.
-        Heartbeats are fire-and-forget — losing one only costs detection
-        sharpness, never correctness.  The loop ends, and clears
-        ``_heartbeat_running``, at a crash, a rejoin (a new epoch) or the
-        ``done`` heartbeat.
+        final heartbeat reports ``done`` and ends the leaf's expectations,
+        and the chain.  Heartbeats are fire-and-forget — losing one only
+        costs detection sharpness, never correctness.
         """
-        if self.node.down or epoch != self._epoch or not self._send_heartbeat():
-            self._heartbeat_running = False
-            return
-        self.env.call_later(self.session.detector.period, self._heartbeat, epoch)
+        if self._send_heartbeat():
+            self._timers[HEARTBEAT] = self.env.call_later(
+                self.session.detector.period, self._heartbeat
+            )
+        else:
+            del self._timers[HEARTBEAT]
+
+    def crash(self) -> None:
+        """Fail-stop: cancel every chain's pending timer, then go down."""
+        for timer in self._timers.values():
+            timer.cancel()
+        self._timers.clear()
+        self.node.crash()
 
     def rejoin(self) -> None:
         """Crash-recover: come back up and resume the unsent residual.
 
-        The peer's stream state survives (stable storage); transmit loops
-        died with the crash, so fresh ones are started under a new epoch —
-        any loop from before the crash exits on its next tick.
+        The peer's stream state survives (stable storage); its chains
+        died with the crash, so fresh ones start here.
         """
         if not self.node.down:
             return
         self.node.recover()
-        self._epoch += 1
         for stream_id, stream in enumerate(self.streams):
             if not stream.exhausted:
                 self._start_transmit(stream, stream_id)
-        # known defect: inside one heartbeat period of the crash the old
-        # loop still holds the flag, so no loop starts here; the old one
-        # then wakes, sees the new epoch and ends
-        # (tests/streaming/test_detector.py::test_a_rejoined_peer_heartbeats_again)
-        if (
-            self.session.detector is not None
-            and self.active
-            and not self._heartbeat_running
-        ):
-            self._heartbeat_running = True
-            self.env.call_soon(self._heartbeat, self._epoch)
+        self._start_heartbeat()
 
     def handoff_stream(
         self, stream: Stream, children: Sequence[str]

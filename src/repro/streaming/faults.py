@@ -63,7 +63,7 @@ class Leg(NamedTuple):
 def _crash(session: "StreamingSession", leg: Leg, opened) -> None:
     agent = session.peers[leg.target]
     if not (leg.guarded and agent.crashed):
-        agent.node.crash()
+        agent.crash()
 
 
 def _rejoin(session: "StreamingSession", leg: Leg, opened) -> None:

@@ -68,9 +68,10 @@ class SessionResult:
     #: when the leaf first held the whole content (None if it never
     #: did); the tables read this
     completed_at: Optional[float]
-    #: the clock when the heap emptied — possibly a dormant timer's
-    #: no-op wake-up (an acked send's retry timer) well after the last
-    #: event that did anything
+    #: the clock when the heap emptied — possibly a timer that wakes to
+    #: find nothing to do, after the last event that did anything: the
+    #: churn chain's next gap, a fault leg's pending delay, AMS's state
+    #: report, or the batched chain's sleep past its last slot
     elapsed: float
     # --- churn-tolerance metrics (defaults keep older call sites valid) ---
     #: control-plane retransmissions per message kind (empty without a

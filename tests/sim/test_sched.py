@@ -1,5 +1,5 @@
 """Tests for the pluggable scheduler layer: registry, ordering, timer
-pooling, and the hooks facade."""
+cancellation, and the hooks facade."""
 
 import pytest
 
@@ -11,7 +11,6 @@ from repro.sim import (
     build_scheduler,
     register_scheduler,
 )
-from repro.sim.engine import _TIMER_POOL_MAX
 from repro.sim.sched import SCHEDULERS, Scheduler
 
 
@@ -149,7 +148,7 @@ class TestEnvironmentSelection:
 
 
 # ----------------------------------------------------------------------
-# timers: pooling
+# timers: cancellation
 # ----------------------------------------------------------------------
 class TestTimers:
     def test_call_later_fires_with_args(self):
@@ -159,21 +158,74 @@ class TestTimers:
         env.run(until=10)
         assert seen == ["x"]
 
-    def test_fired_timers_are_pooled_and_reused(self):
+    def test_a_cancelled_timer_never_fires(self):
         env = Environment()
-        first = env.call_later(1.0, lambda: None)
-        env.run(until=2)
-        assert env._timer_pool  # recycled after firing
-        second = env.call_later(1.0, lambda: None)
-        assert second is first  # same object, reinitialized
-        env.run(until=4)
+        seen = []
+        env.call_later(1.0, seen.append, "kept")
+        env.call_later(2.0, seen.append, "cancelled").cancel()
+        soon = env.call_soon(seen.append, "cancelled soon")
+        soon.cancel()
+        env.run()
+        assert seen == ["kept"]
+        assert len(env) == 0  # dropped as it was popped
 
-    def test_pool_is_bounded(self):
+    def test_run_ends_at_the_last_live_timer(self):
         env = Environment()
-        for _ in range(_TIMER_POOL_MAX + 100):
-            env.call_later(1.0, lambda: None)
-        env.run(until=2)
-        assert len(env._timer_pool) <= _TIMER_POOL_MAX
+        env.call_later(3.0, lambda: None)
+        late = env.call_later(50.0, lambda: None)
+        env.call_later(1.0, late.cancel)
+        env.run()
+        assert env.now == 3.0
+
+    def test_a_dropped_entry_never_moves_the_clock_to_a_horizon(self):
+        env = Environment()
+        env.call_later(5.0, lambda: None).cancel()
+        env.run(until=10)
+        assert env.now == 10
+
+    def test_cancelling_one_of_equal_entries_keeps_the_others_order(self):
+        env = Environment()
+        order = []
+        timers = [env.call_later(2.0, order.append, tag) for tag in "abcde"]
+        timers[2].cancel()
+        env.call_soon(order.append, "first")
+        env.run()
+        assert order == ["first", "a", "b", "d", "e"]
+
+    def test_a_callback_can_cancel_a_timer_due_at_its_own_instant(self):
+        env = Environment()
+        order = []
+
+        def canceller():
+            order.append("canceller")
+            victim.cancel()
+
+        env.call_later(1.0, canceller)
+        victim = env.call_later(1.0, order.append, "victim")
+        env.call_later(1.0, order.append, "after")
+        env.run()
+        assert order == ["canceller", "after"]
+
+    def test_cancelling_after_the_timer_fired_does_nothing(self):
+        env = Environment()
+        seen = []
+        timer = env.call_later(1.0, seen.append, "fired")
+        env.run()
+        timer.cancel()
+        timer.cancel()  # and twice is the same as once
+        env.call_later(1.0, seen.append, "next")
+        env.run()
+        assert seen == ["fired", "next"]
+        assert env.now == 2.0
+
+    def test_a_cancelled_timer_keeps_its_callback(self):
+        # an instrumented scheduler counts an entry whose timer has no
+        # callback as dead; the pops that step() skips count a cancelled
+        # one already, so it must not be counted again
+        env = Environment()
+        timer = env.call_later(1.0, len, ())
+        timer.cancel()
+        assert timer.callbacks is len
 
 
 # ----------------------------------------------------------------------

@@ -325,13 +325,9 @@ def test_accrual_matches_fixed_on_clean_runs():
         assert r.delivery_ratio == 1.0
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="known defect: a peer that rejoins inside one heartbeat period "
-    "starts no heartbeat loop, because the pre-crash loop still holds "
-    "_heartbeat_running until it wakes and sees the new epoch",
-)
 def test_a_rejoined_peer_heartbeats_again():
+    # rejoined inside one heartbeat period of its crash: the crash took
+    # the pending heartbeat back, so the rejoin starts a fresh chain
     from repro.obs import TraceConfig
 
     cfg = ProtocolConfig(n=8, H=4, content_packets=400, seed=0)
@@ -350,3 +346,51 @@ def test_a_rejoined_peer_heartbeats_again():
     ]
     assert after.count("packet") > 0  # it did resume its residual …
     assert after.count("heartbeat") > 0  # … and should say so
+
+
+def test_a_peer_rejoined_within_one_packet_period_sends_its_residual_once():
+    """Crash and rejoin between two packets of every stream: the rejoin
+    runs exactly one transmit chain per unexhausted stream, so what the
+    peer sends afterwards is its residual, each packet once."""
+    from collections import Counter
+
+    from repro.obs import TraceConfig
+
+    cfg = ProtocolConfig(n=8, H=4, content_packets=400, seed=0)
+    s = SessionSpec(
+        cfg,
+        ProtocolSpec("dcop"),
+        detector_policy=DetectorSpec("accrual"),
+        fault_plan=FaultPlan().crash("CP1", at=100).rejoin("CP1", at=103),
+        trace=TraceConfig(),
+    ).build()
+    cp1 = s.peers["CP1"]
+    s.run(until=103)  # the rejoin leg is due at 103, still pending
+    assert cp1.crashed
+    live = {
+        sid: stream for sid, stream in enumerate(cp1.streams)
+        if not stream.exhausted
+    }
+    assert live
+    assert all(3 < p for p in (1.0 / st.current_rate for st in live.values()))
+    residual = {sid: stream.remaining() for sid, stream in live.items()}
+    period = {sid: 1.0 / stream.current_rate for sid, stream in live.items()}
+    streams = len(cp1.streams)
+    s.env.run()
+    assert len(cp1.streams) == streams  # nothing was added after the rejoin
+    after = [
+        (label, tx.stream)
+        for label, txs in s.commons.packets.sent.items()
+        for tx in txs
+        if tx.peer == "CP1" and tx.ts >= 103
+    ]
+    assert Counter(sid for _, sid in after) == residual
+    assert len(set(after)) == len(after)  # no packet sent twice
+    # one chain per stream: a second one would halve the spacing
+    for sid in live:
+        times = sorted(
+            tx.ts for txs in s.commons.packets.sent.values() for tx in txs
+            if tx.peer == "CP1" and tx.stream == sid and tx.ts >= 103
+        )
+        gaps = [b - a for a, b in zip(times, times[1:])]
+        assert min(gaps) == pytest.approx(period[sid])
