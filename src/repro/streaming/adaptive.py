@@ -56,11 +56,11 @@ class RateAdaptationMonitor:
         self.adaptations = 0
         self._helped: set[int] = set()  # id(stream) already compensated
         self._rng = session.streams.get("adaptive/monitor")
-        self._period = CHECK_PERIOD_DELTAS * session.config.delta
-        session.env.call_soon(session.env.call_later, self._period, self._check)
+        #: the leaf clock calls :meth:`check` every ``stride`` ticks
+        self.stride = CHECK_PERIOD_DELTAS
 
-    def _check(self) -> None:
-        """One check: compensate degraded streams, and check again one
+    def check(self) -> bool:
+        """One check: compensate degraded streams; wants the next one
         period later while any stream still has packets to send."""
         busy = False
         for agent in self.session.peers.values():
@@ -75,8 +75,7 @@ class RateAdaptationMonitor:
                 actual = stream.current_rate
                 if actual < THRESHOLD * stream.nominal_rate:
                     self._compensate(agent, stream)
-        if busy:
-            self.session.env.call_later(self._period, self._check)
+        return busy
 
     # ------------------------------------------------------------------
     def _compensate(self, agent, stream: "Stream") -> None:

@@ -152,6 +152,8 @@ class FailureDetector:
     def __init__(self, session: "StreamingSession", policy: DetectorPolicy) -> None:
         self.session = session
         self.policy = policy
+        #: the leaf clock calls :meth:`check` every ``stride`` ticks
+        self.stride = HEARTBEAT_PERIOD_DELTAS
         self.period = HEARTBEAT_PERIOD_DELTAS * session.config.delta
         self.monitored: Dict[str, PeerHealth] = {}
         self.false_suspicions = 0
@@ -165,7 +167,6 @@ class FailureDetector:
             IDLE_GRACE_DELTAS * session.config.delta,
             (CONFIRM_MISSES + 2) * self.period,
         )
-        session.env.call_soon(session.env.call_later, self.period, self._check)
 
     # ------------------------------------------------------------------
     # state queries
@@ -297,13 +298,12 @@ class FailureDetector:
     # ------------------------------------------------------------------
     # detection loop
     # ------------------------------------------------------------------
-    def _check(self) -> None:
-        """One detection pass over the monitored peers; the next follows
-        one heartbeat period later until the leaf is complete or nothing
-        has been watched for the idle grace."""
-        env = self.session.env
+    def check(self) -> bool:
+        """One detection pass over the monitored peers; wants the next
+        one a heartbeat period later until the leaf is complete or
+        nothing has been watched for the idle grace."""
         pol = self.policy
-        now = env.now
+        now = self.session.env.now
         watching = False
         # snapshot: a confirmation callback may register fresh
         # expectations (new monitored entries) mid-iteration
@@ -328,10 +328,8 @@ class FailureDetector:
                 if st.suspected and silent >= CONFIRM_MISSES * self.period:
                     self._confirm(pid, st)
         if self.session.leaf.decoder.complete:
-            return
-        if not watching and now - self._last_contact >= self._idle_grace:
-            return
-        env.call_later(self.period, self._check)
+            return False
+        return watching or now - self._last_contact < self._idle_grace
 
     def _suspect(
         self, peer_id: str, st: PeerHealth, phi: Optional[float] = None

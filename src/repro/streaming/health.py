@@ -18,8 +18,9 @@ A peer failing any signal for :data:`STRIKES` consecutive checks is
 rounds, adaptation helper recruitment), its residual proactively handed
 off through the existing reissue/time-slot allocator *without* waiting
 for a crash confirmation.  Quarantine is half-open, never permanent:
-the leaf probes the peer periodically (a ``probe`` control message the
-peer answers with an immediate heartbeat) and readmits it only after
+the leaf probes the peer at every check (a ``probe`` control message
+the peer answers with an immediate heartbeat), judges each probe at the
+next check, and readmits it only after
 :data:`PROBE_SUCCESSES` consecutive probe round-trips — incoming traffic
 alone (:meth:`~repro.streaming.detector.FailureDetector.touch`) never
 readmits, so a flapping peer cannot talk its way back in between flaps.
@@ -42,7 +43,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.streaming.session import StreamingSession
 
 
-#: how often peer health is scored, in δ units
+#: how often peer health is scored and probes are judged, in δ units
 CHECK_PERIOD_DELTAS = 2.0
 #: φ at or above this is an unhealthy-silence strike (the detector's
 #: own thresholds still govern suspect/confirm)
@@ -54,8 +55,6 @@ RTT_THRESHOLD_DELTAS = 6.0
 THROUGHPUT_FLOOR = 0.25
 #: consecutive unhealthy checks before the breaker opens
 STRIKES = 3
-#: probe cadence while quarantined, in δ units
-PROBE_PERIOD_DELTAS = 2.0
 #: consecutive successful probes required for readmission
 PROBE_SUCCESSES = 2
 #: total probes per quarantine episode before giving the peer up
@@ -105,12 +104,16 @@ class HealthMonitor:
         self._promised: Dict[str, float] = {}
         #: peer -> leaf arrival count at the previous check
         self._arrivals_prev: Dict[str, int] = {}
+        #: probes sent at the previous check, in send order: (record,
+        #: successes so far, sent at)
+        self._probes: List[Tuple[QuarantineRecord, int, float]] = []
         self._last_busy = session.env.now
+        #: the leaf clock calls :meth:`check` every ``stride`` ticks
+        self.stride = CHECK_PERIOD_DELTAS
         self._period = CHECK_PERIOD_DELTAS * session.config.delta
         self._idle_grace = max(
             IDLE_GRACE_DELTAS * session.config.delta, 4 * self._period
         )
-        session.env.call_soon(session.env.call_later, self._period, self._check)
 
     # ------------------------------------------------------------------
     # queries / feeds
@@ -132,28 +135,34 @@ class HealthMonitor:
     # ------------------------------------------------------------------
     # scoring loop
     # ------------------------------------------------------------------
-    def _check(self) -> None:
-        """Score every peer not in quarantine; the next check follows
-        one period later until the leaf is complete or nothing has been
-        busy for the idle grace."""
+    def check(self) -> bool:
+        """Score every peer not in quarantine, send the first probe to
+        each peer this scoring quarantined, then judge the probes sent at
+        the previous check.  Wants the next check one period later until
+        the leaf is complete or nothing has been busy for the idle grace."""
         session = self.session
         now = session.env.now
-        if session.leaf.decoder.complete:
-            return
-        for pid in session.peer_ids:
-            if pid in self.quarantined:
-                continue  # only probes readmit
-            self._check_peer(pid, self._period)
-        busy = self.quarantined or any(
-            not agent.crashed
-            and any(not s.exhausted for s in agent.streams)
-            for agent in session.peers.values()
-        )
-        if busy:
-            self._last_busy = now
-        elif now - self._last_busy >= self._idle_grace:
-            return
-        session.env.call_later(self._period, self._check)
+        judging, self._probes = self._probes, []
+        keep = not session.leaf.decoder.complete
+        if keep:
+            opened = len(self.records)
+            for pid in session.peer_ids:
+                if pid in self.quarantined:
+                    continue  # only probes readmit
+                self._check_peer(pid, self._period)
+            busy = self.quarantined or any(
+                not agent.crashed
+                and any(not s.exhausted for s in agent.streams)
+                for agent in session.peers.values()
+            )
+            if busy:
+                self._last_busy = now
+            keep = now - self._last_busy < self._idle_grace
+            for record in self.records[opened:]:
+                self._probe(record, 0)
+        for probe in judging:
+            self._judge_probe(*probe)
+        return keep
 
     def _check_peer(self, pid: str, period: float) -> None:
         session = self.session
@@ -236,7 +245,6 @@ class HealthMonitor:
             # proactive: hand the residual off now, without waiting for
             # a crash confirmation the peer may never earn
             session.recoordinator.reissue_residual(pid)
-        session.env.call_soon(self._probe, pid, record, 0)
 
     def _is_false_quarantine(self, pid: str) -> bool:
         """Ground truth off the fault ledger, for metrics and the audit
@@ -246,9 +254,10 @@ class HealthMonitor:
     # ------------------------------------------------------------------
     # half-open probing
     # ------------------------------------------------------------------
-    def _probe(self, pid: str, record: QuarantineRecord, successes: int) -> None:
-        """Send one probe to a quarantined peer (while the budget lasts)
-        and judge it one probe period later."""
+    def _probe(self, record: QuarantineRecord, successes: int) -> None:
+        """Send one probe to a quarantined peer (while the budget lasts),
+        to be judged at the next check."""
+        pid = record.peer_id
         if pid not in self.quarantined or record.probes_sent >= PROBE_BUDGET:
             return  # readmitted, or budget spent: the peer stays quarantined
         session = self.session
@@ -256,14 +265,12 @@ class HealthMonitor:
         # fire-and-forget: a reliable probe would spend the retry
         # budget re-reaching the very peer we are measuring
         session.send_control(session.leaf.peer_id, pid, "probe", reliable=False)
-        session.env.call_later(
-            PROBE_PERIOD_DELTAS * session.config.delta,
-            self._judge_probe, pid, record, successes, session.env.now,
-        )
+        self._probes.append((record, successes, session.env.now))
 
     def _judge_probe(
-        self, pid: str, record: QuarantineRecord, successes: int, sent_at: float
+        self, record: QuarantineRecord, successes: int, sent_at: float
     ) -> None:
+        pid = record.peer_id
         if pid not in self.quarantined:
             return
         session = self.session
@@ -284,7 +291,7 @@ class HealthMonitor:
             return
         if session.leaf.decoder.complete:
             return
-        self._probe(pid, record, successes)
+        self._probe(record, successes)
 
     def _readmit(
         self, pid: str, record: QuarantineRecord, probes: int

@@ -69,18 +69,15 @@ class RepairMonitor:
         self.rounds_issued = 0
         self.gave_up = False
         self._rng = session.streams.get("repair/leaf")
-        self._period = CHECK_PERIOD_DELTAS * session.config.delta
+        #: the leaf clock calls :meth:`check` every ``stride`` ticks
+        self.stride = CHECK_PERIOD_DELTAS
         self._last_held = -1
         self._stalls = 0
-        session.env.call_soon(self._arm)
 
     # ------------------------------------------------------------------
-    def _arm(self) -> None:
-        """Check again one period from now, until the leaf is complete."""
-        if not self.session.leaf.decoder.complete:
-            self.session.env.call_later(self._period, self._check)
-
-    def _check(self) -> None:
+    def check(self) -> bool:
+        """One progress check; wants the next until the leaf is complete
+        or the round budget is spent."""
         held = len(self.session.leaf.decoder.data_seqs_held())
         if held == self._last_held:
             self._stalls += 1
@@ -91,9 +88,9 @@ class RepairMonitor:
             self._stalls = 0
             if self.rounds_issued >= MAX_ROUNDS:
                 self.gave_up = True
-                return
+                return False
             self._issue_round()
-        self._arm()
+        return not self.session.leaf.decoder.complete
 
     def _issue_round(self) -> None:
         session = self.session

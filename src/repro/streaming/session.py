@@ -69,9 +69,11 @@ class SessionResult:
     #: did); the tables read this
     completed_at: Optional[float]
     #: the clock when the heap emptied — possibly a timer that wakes to
-    #: find nothing to do, after the last event that did anything: the
-    #: churn chain's next gap, a fault leg's pending delay, AMS's state
-    #: report, or the batched chain's sleep past its last slot
+    #: find nothing to do, after the last event that did anything:
+    #: churn's next ``_depart``, a churn rejoin leg (``_fire_leg`` on a
+    #: guarded leg), the leaf clock's last tick (its checks' first look
+    #: after completion), AMS's ``_check_group``, playback's ``_play``,
+    #: or the batched chain's ``_arm_batch``
     elapsed: float
     # --- churn-tolerance metrics (defaults keep older call sites valid) ---
     #: control-plane retransmissions per message kind (empty without a
@@ -171,6 +173,34 @@ class SessionResult:
         return detached(self, "trace", "timeseries", "audit", "spans")
 
 
+#: the leaf's periodic checks (session attributes), in the order they run
+#: when their strides meet at one tick
+CHECK_ORDER = ("repair_monitor", "adaptation_monitor", "health", "detector")
+
+
+class LeafClock:
+    """The leaf's one δ timer.  At tick k it calls each live check whose
+    ``stride`` divides k, in the order of :attr:`checks`; a check returns
+    whether it wants another tick, and the clock stops once none does."""
+
+    def __init__(self, env, delta: float) -> None:
+        self.env = env
+        self.delta = delta
+        #: ``(stride, check)`` pairs still live, in call order
+        self.checks: List[tuple] = []
+        self.ticks = 0
+        env.call_soon(env.call_later, delta, self._tick)
+
+    def _tick(self) -> None:
+        self.ticks += 1
+        self.checks = [
+            (stride, check) for stride, check in self.checks
+            if self.ticks % stride or check()
+        ]
+        if self.checks:
+            self.env.call_later(self.delta, self._tick)
+
+
 class StreamingSession:
     """One simulated multi-source streaming run.
 
@@ -250,6 +280,10 @@ class StreamingSession:
             self.control_plane.on_give_up = self._on_control_give_up
         self.detector: Optional[FailureDetector] = None
         self.recoordinator: Optional[ReCoordinator] = None
+        self.clock: Optional[LeafClock] = None
+        armed = (detector_policy, spec.repair_policy, spec.adaptation_policy)
+        if any(policy is not None for policy in armed):  # health needs a detector
+            self.clock = LeafClock(self.env, config.delta)
         if detector_policy is not None:
             self.detector = FailureDetector(self, detector_policy)
             self.recoordinator = ReCoordinator(self)
@@ -274,6 +308,11 @@ class StreamingSession:
             from repro.streaming.health import HealthMonitor
 
             self.health = HealthMonitor(self)
+        if self.clock is not None:
+            monitors = (getattr(self, name) for name in CHECK_ORDER)
+            self.clock.checks = [
+                (m.stride, m.check) for m in monitors if m is not None
+            ]
         if not owner:
             # the swarm owns the observers; just announce this leaf as a
             # trace participant after the peers
